@@ -1,0 +1,7 @@
+"""Put the benchmark modules and the teride sources on the import path."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
