@@ -10,9 +10,10 @@ Three modes share identical semantics and must produce identical event streams:
 * ``oracle`` — every lookup is a plain scan and every cross-stream pair is
   fully evaluated; this is the reference implementation.
 
-Per step, evictions across all streams happen first, then arrivals are
-processed in (stream_id, rid) order; each arrival is probed against the live
-tuples of the other streams.
+Per step, the whole batch of arrivals is validated first, so a rejected step
+leaves the state as it was.  Then evictions across all streams happen, then
+arrivals are processed in (stream_id, rid) order; each arrival is probed
+against the live tuples of the other streams.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cdd import detect_cdds
-from .errors import ConfigError, NoRulesFound, OutOfOrderArrival
+from .errors import ConfigError, DuplicateTuple, NoRulesFound, OutOfOrderArrival
 from .grid import STAGE_KEYWORD, STAGE_PIVOT, STAGE_SIZE, ErGrid, TupleSummary, summarize
 from .impute import ImputedTuple, impute_tuple
 from .index import DrIndex, build_cdd_index, build_dr_index, dr_query_box_for_rule
@@ -162,6 +163,7 @@ class Engine:
         self.window = SlidingWindow(config.window_size)
         self.grids: dict = {}  # stream_id -> ErGrid (engine mode only)
         self.summaries: dict = {}  # rid -> TupleSummary (all live tuples)
+        self.live_counts: dict = {}  # stream_id -> number of live tuples
         self.results = MatchResultSet()
         self.stage_counts = {stage: 0 for stage in STAGES}
         self.stage_counts[STAGE_REFINED] = 0
@@ -174,8 +176,41 @@ class Engine:
     # -- ingest -------------------------------------------------------------
 
     def step(self, ts: int, arrivals) -> list:
-        """Process all arrivals stamped ``ts``; returns the events it produced."""
+        """Process all arrivals stamped ``ts``; returns the events it produced.
+
+        A step that raises has changed nothing.
+        """
         arrivals = sorted(arrivals, key=lambda r: (r.stream_id, r.rid))
+        victims = self._validate(ts, arrivals)
+        step_t0 = time.perf_counter()
+        events = []
+        # phase 1: evictions on every stream that is full and about to receive
+        for victim in victims:
+            self._remove(victim)
+            events.append(Event(ts=ts, kind=KIND_EXPIRE, rid_a=victim.rid))
+        # phase 2: insert and probe in arrival order
+        for r in arrivals:
+            self.window.advance(r)  # any evicted tuple was handled in phase 1
+            t0 = time.perf_counter()
+            selection = self._select_rules(r)
+            t1 = time.perf_counter()
+            summary = summarize(
+                self._impute(r, selection), self.pre.pivots, self.config.keywords, self.dist
+            )
+            t2 = time.perf_counter()
+            events.extend(self._probe(ts, summary))
+            t3 = time.perf_counter()
+            self.timings["rule_selection"] += t1 - t0
+            self.timings["imputation"] += t2 - t1
+            self.timings["er"] += t3 - t2
+            self._register(summary)
+            self.arrivals += 1
+        self.step_times.append(time.perf_counter() - step_t0)
+        self.results.extend(events)
+        return events
+
+    def _validate(self, ts: int, arrivals: list) -> list:
+        """Check a sorted batch against the current state; return the tuples it evicts."""
         for r in arrivals:
             if r.arrival_time != ts:
                 raise ConfigError(f"tuple {r.rid} stamped {r.arrival_time}, step is {ts}")
@@ -183,28 +218,17 @@ class Engine:
                 raise ConfigError(f"tuple {r.rid} has {r.d} attributes, expected {self.config.d}")
         if len({r.stream_id for r in arrivals}) != len(arrivals):
             raise OutOfOrderArrival("at most one arrival per stream per step")
-        events = []
-        # phase 1: evictions on every stream that is full and about to receive
         for r in arrivals:
-            victim = self.window.pending_eviction(r.stream_id)
-            if victim is not None:
-                self._remove(victim)
-                events.append(Event(ts=ts, kind=KIND_EXPIRE, rid_a=victim.rid))
-        # phase 2: insert and probe in arrival order
-        step_t0 = time.perf_counter()
+            self.window.check_order(r)
+        victims = [self.window.pending_eviction(r.stream_id) for r in arrivals]
+        victims = [v for v in victims if v is not None]
+        evicted = {v.rid for v in victims}
+        seen: set = set()
         for r in arrivals:
-            self.window.advance(r)  # any evicted tuple was handled in phase 1
-            t0 = time.perf_counter()
-            summary = self._summarize(r)
-            self.timings["imputation"] += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            events.extend(self._probe(ts, summary))
-            self.timings["er"] += time.perf_counter() - t0
-            self._register(summary)
-            self.arrivals += 1
-        self.step_times.append(time.perf_counter() - step_t0)
-        self.results.extend(events)
-        return events
+            if r.rid in seen or (r.rid in self.summaries and r.rid not in evicted):
+                raise DuplicateTuple(f"tuple {r.rid} is already live")
+            seen.add(r.rid)
+        return victims
 
     def run(self, tuples) -> MatchResultSet:
         """Feed a whole trace grouped by arrival time."""
@@ -217,27 +241,25 @@ class Engine:
 
     def _register(self, summary: TupleSummary) -> None:
         self.summaries[summary.rid] = summary
+        self.live_counts[summary.stream_id] = self.live_counts.get(summary.stream_id, 0) + 1
         if self.mode == MODE_ENGINE:
             grid = self.grids.setdefault(summary.stream_id, ErGrid(self.config.d))
             grid.insert(summary)
 
     def _remove(self, victim: StreamTuple) -> None:
         del self.summaries[victim.rid]
+        self.live_counts[victim.stream_id] -= 1
         if self.mode == MODE_ENGINE:
             self.grids[victim.stream_id].evict(victim.rid)
 
     # -- imputation ---------------------------------------------------------
 
-    def _summarize(self, r: StreamTuple) -> TupleSummary:
-        it = self._impute(r)
-        return summarize(it, self.pre.pivots, self.config.keywords, self.dist)
-
-    def _impute(self, r: StreamTuple) -> ImputedTuple:
-        if r.is_complete():
-            return ImputedTuple(base=r)
-        if self.mode != MODE_ENGINE:
-            return impute_tuple(r, self.pre.rules_by_dep, self.pre.repo, self.dist)
-        t0 = time.perf_counter()
+    def _select_rules(self, r: StreamTuple):
+        """Engine mode: the candidate rules per missing attribute and the repository
+        samples per rule, fetched through the indexes.  None when the tuple is
+        complete or another mode scans instead."""
+        if self.mode != MODE_ENGINE or r.is_complete():
+            return None
         rules_by_dep: dict = {}
         samples_per_rule: dict = {}
         for j in r.missing_attrs():
@@ -250,7 +272,14 @@ class Engine:
             for rule in cand:
                 box = dr_query_box_for_rule(rule, r, self.pre.pivots, self.dist)
                 samples_per_rule[rule] = self.pre.dr_index.range_samples(box)
-        self.timings["rule_selection"] += time.perf_counter() - t0
+        return rules_by_dep, samples_per_rule
+
+    def _impute(self, r: StreamTuple, selection) -> ImputedTuple:
+        if r.is_complete():
+            return ImputedTuple(base=r)
+        if selection is None:
+            return impute_tuple(r, self.pre.rules_by_dep, self.pre.repo, self.dist)
+        rules_by_dep, samples_per_rule = selection
         return impute_tuple(
             r, rules_by_dep, self.pre.repo, self.dist, samples_per_rule=samples_per_rule
         )
@@ -258,11 +287,16 @@ class Engine:
     # -- matching -----------------------------------------------------------
 
     def _probe(self, ts: int, summary: TupleSummary) -> list:
-        others = [s for s in self.summaries.values() if s.stream_id != summary.stream_id]
-        self.pairs_considered += len(others)
+        self.pairs_considered += len(self.summaries) - self.live_counts.get(summary.stream_id, 0)
+        if self.mode == MODE_ENGINE:
+            candidates, skipped = self._grid_candidates(summary)
+            for stage in (STAGE_KEYWORD, STAGE_SIZE, STAGE_PIVOT):
+                self.stage_counts[stage] += len(skipped[stage])
+        else:
+            candidates = [s for s in self.summaries.values() if s.stream_id != summary.stream_id]
         matched = []
         if self.mode == MODE_ORACLE:
-            for other in others:
+            for other in candidates:
                 prob = pair_probability(
                     summary.imputed, other.imputed, self.config.gamma, self.config.keywords, self.dist
                 )
@@ -271,12 +305,6 @@ class Engine:
                     matched.append((other, prob))
             return self._emit(ts, summary, matched)
 
-        if self.mode == MODE_ENGINE:
-            candidates, skipped = self._grid_candidates(summary)
-            for stage in (STAGE_KEYWORD, STAGE_SIZE, STAGE_PIVOT):
-                self.stage_counts[stage] += len(skipped[stage])
-        else:
-            candidates = others
         for other in candidates:
             verdict = judge_pair(
                 summary,

@@ -29,7 +29,11 @@ _STAGE_ORDER = {STAGE_KEYWORD: 0, STAGE_SIZE: 1, STAGE_PIVOT: 2}
 
 @dataclass
 class TupleSummary:
-    """Index-ready digest of one probabilistic tuple."""
+    """Index-ready digest of one probabilistic tuple.
+
+    What the pair bounds read of one tuple alone (token sizes, pivot-distance
+    intervals and statistics) is computed here once per tuple, not per pair.
+    """
 
     imputed: ImputedTuple
     box: list  # per-attr (lo, hi) of the main-pivot coordinate over all options
@@ -37,6 +41,12 @@ class TupleSummary:
     sizes: list  # per-attr SizeInterval over all options
     keywords: frozenset  # query keywords present in at least one option
     option_coords: list  # per-attr main-pivot coordinate per option, aligned with attr_options
+    dist_intervals: list = field(init=False)  # per-attr DistInterval of box
+    pivot_stats: tuple = field(init=False)  # see pivot_stats()
+
+    def __post_init__(self):
+        self.dist_intervals = [DistInterval(lo, hi) for lo, hi in self.box]
+        self.pivot_stats = pivot_stats(self)
 
     @property
     def rid(self) -> str:
@@ -46,8 +56,23 @@ class TupleSummary:
     def stream_id(self) -> int:
         return self.imputed.stream_id
 
-    def dist_intervals(self) -> list:
-        return [DistInterval(lo, hi) for lo, hi in self.box]
+
+def pivot_stats(summary: TupleSummary) -> tuple:
+    """(expectation, lower bound, upper bound) of the tuple's main-pivot distance.
+
+    The expectation weighs each candidate value's main-pivot distance by its
+    existence probability; present attributes contribute a fixed distance.
+    Every summary carries the result as ``summary.pivot_stats``.
+    """
+    it = summary.imputed
+    exp = lb = ub = 0.0
+    for x, (lo, hi) in enumerate(summary.box):
+        lb += lo
+        ub += hi
+        exp += sum(
+            p * c for (_, p), c in zip(it.attr_options(x), summary.option_coords[x])
+        )
+    return exp, lb, ub
 
 
 def summarize(

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .cdd import CddRule, satisfies_determinants
 from .errors import ImputationFailed, NoSupportingSample
 from .metric import DistanceFn
-from .model import Repository, StreamTuple, TokenSet, token_key
+from .model import Repository, StreamTuple, TokenSet, contains_keyword, token_key
 
 PROB_TOL = 1e-9
 DEFAULT_INSTANCE_LIMIT = 64
@@ -109,6 +109,8 @@ class ImputedTuple:
     per_attr_candidates: dict = field(default_factory=dict)  # attr -> [(value, prob)]
     fallback_attrs: frozenset = frozenset()
     _instances: Optional[list] = field(default=None, repr=False, compare=False)
+    _rows: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _keyword_flags: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         missing = set(self.base.missing_attrs())
@@ -150,6 +152,28 @@ class ImputedTuple:
         if self._instances is None:
             self._instances = _enumerate_instances(self, None)[0]
         return self._instances
+
+    def instance_rows(self) -> tuple:
+        """(values, rows): each attribute's distinct values in the order the
+        instances first use them, and per instance the index of its value in
+        each attribute's list.  Rows are aligned with :meth:`instances`."""
+        if self._rows is None:
+            index = [{} for _ in self.base.attrs]  # per attr: value -> position
+            rows = [
+                tuple(ix.setdefault(v, len(ix)) for ix, v in zip(index, inst.attrs))
+                for inst, _ in self.instances()
+            ]
+            self._rows = ([list(ix) for ix in index], rows)
+        return self._rows
+
+    def instance_keyword_flags(self, keywords: frozenset) -> list:
+        """Per instance (aligned with :meth:`instances`): does any value hold a keyword?"""
+        if self._keyword_flags is None or self._keyword_flags[0] != keywords:
+            values, rows = self.instance_rows()
+            hits = [[contains_keyword(v, keywords) for v in vals] for vals in values]
+            flags = [any(h[i] for h, i in zip(hits, row)) for row in rows]
+            self._keyword_flags = (keywords, flags)
+        return self._keyword_flags[1]
 
 
 def _enumerate_instances(it: ImputedTuple, limit: Optional[int]):

@@ -94,14 +94,19 @@ class SlidingWindow:
         self.capacity = capacity
         self._streams: dict[int, deque] = {}
 
-    def advance(self, incoming: StreamTuple) -> Optional[StreamTuple]:
-        """Append a tuple; return the evicted oldest tuple if the stream was full."""
-        q = self._streams.setdefault(incoming.stream_id, deque())
+    def check_order(self, incoming: StreamTuple) -> None:
+        """Raise OutOfOrderArrival unless the tuple is later than its stream's last arrival."""
+        q = self._streams.get(incoming.stream_id)
         if q and q[-1].arrival_time >= incoming.arrival_time:
             raise OutOfOrderArrival(
                 f"stream {incoming.stream_id}: arrival {incoming.arrival_time} "
                 f"not after {q[-1].arrival_time}"
             )
+
+    def advance(self, incoming: StreamTuple) -> Optional[StreamTuple]:
+        """Append a tuple; return the evicted oldest tuple if the stream was full."""
+        self.check_order(incoming)
+        q = self._streams.setdefault(incoming.stream_id, deque())
         evicted = None
         if len(q) == self.capacity:
             evicted = q.popleft()

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .grid import STAGE_KEYWORD, STAGE_PIVOT, STAGE_SIZE, TupleSummary
+# pivot_stats is re-exported: it belongs with the bounds that read its result
+from .grid import STAGE_KEYWORD, STAGE_PIVOT, STAGE_SIZE, TupleSummary, pivot_stats
 from .impute import ImputedTuple
 from .metric import DistanceFn, attr_min_dist, attr_ub_sim_by_size
 from .model import contains_keyword
@@ -23,6 +24,10 @@ STAGE_REFINED = "refined"
 STAGES = (STAGE_KEYWORD, STAGE_SIZE, STAGE_PIVOT, STAGE_PROB, STAGE_INSTANCE)
 
 _TOL = 1e-9
+# sum() of floats is compensated from Python 3.12 on, so a sum of larger terms
+# may round a few ulps below a sum of smaller ones; a bound on such sums is
+# raised by this much before it is compared.
+_SUM_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,26 +64,7 @@ def sim_ub_size(si: TupleSummary, sj: TupleSummary) -> float:
 
 def sim_ub_pivot(si: TupleSummary, sj: TupleSummary) -> float:
     d = len(si.box)
-    return d - sum(
-        attr_min_dist(a, b) for a, b in zip(si.dist_intervals(), sj.dist_intervals())
-    )
-
-
-def pivot_stats(summary: TupleSummary) -> tuple:
-    """(expectation, lower bound, upper bound) of the tuple's main-pivot distance.
-
-    The expectation weighs each candidate value's main-pivot distance by its
-    existence probability; present attributes contribute a fixed distance.
-    """
-    it = summary.imputed
-    exp = lb = ub = 0.0
-    for x, (lo, hi) in enumerate(summary.box):
-        lb += lo
-        ub += hi
-        exp += sum(
-            p * c for (_, p), c in zip(it.attr_options(x), summary.option_coords[x])
-        )
-    return exp, lb, ub
+    return d - sum(attr_min_dist(a, b) for a, b in zip(si.dist_intervals, sj.dist_intervals))
 
 
 def prob_ub_paley_zygmund(stats_i: tuple, stats_j: tuple, d: int, gamma: float) -> float:
@@ -170,7 +156,25 @@ def instance_level_scan(
     probability plus the unexamined mass can no longer exceed alpha.  With
     ``max_pairs`` the scan gives up (without pruning) after that many pairs,
     capping the effort spent before full refinement.
+
+    Similarities come from one option-vs-option table per attribute (1x1 for
+    a present attribute): an instance pair's similarity is the sum of its
+    entries in attribute order.  If even the sum of the tables' maxima fails
+    the threshold, no instance pair can match: the exact probability is 0 and
+    (True, 0.0) is returned without sorting.  A full scan returns the same
+    once its seen mass comes within alpha + 1e-9 of 1, which holds whenever
+    the instance probabilities sum to 1 up to rounding.
     """
+    values_i, rows_i = it_i.instance_rows()
+    values_j, rows_j = it_j.instance_rows()
+    tables = [
+        [[dist.sim(vi, vj) for vj in vals_j] for vi in vals_i]
+        for vals_i, vals_j in zip(values_i, values_j)
+    ]
+    if max_pairs is None and not sim_matches(
+        sum(max(map(max, table)) for table in tables) + _SUM_SLACK, gamma
+    ):
+        return True, 0.0
     inst_i = it_i.instances()
     inst_j = it_j.instances()
     pairs = sorted(
@@ -179,25 +183,19 @@ def instance_level_scan(
     )
     confirmed = 0.0
     seen_mass = 0.0
-    kw_i = [_instance_has_keyword(t, keywords) for t, _ in inst_i]
-    kw_j = [_instance_has_keyword(t, keywords) for t, _ in inst_j]
+    kw_i = it_i.instance_keyword_flags(keywords)
+    kw_j = it_j.instance_keyword_flags(keywords)
     for examined, (mass, a, b) in enumerate(pairs):
         if max_pairs is not None and examined >= max_pairs:
             return False, confirmed
-        ti, _ = inst_i[a]
-        tj, _ = inst_j[b]
         if (kw_i[a] or kw_j[b]) and sim_matches(
-            sum(dist.sim(x, y) for x, y in zip(ti.attrs, tj.attrs)), gamma
+            sum(table[x][y] for table, x, y in zip(tables, rows_i[a], rows_j[b])), gamma
         ):
             confirmed += mass
         seen_mass += mass
         if confirmed + (1.0 - seen_mass) <= alpha + _TOL:
             return True, confirmed
     return False, confirmed
-
-
-def _instance_has_keyword(t, keywords) -> bool:
-    return any(contains_keyword(v, keywords) for v in t.attrs)
 
 
 def judge_pair(
@@ -217,7 +215,7 @@ def judge_pair(
     if sim_ub_pivot(si, sj) <= gamma + _TOL:
         return PairVerdict(stage=STAGE_PIVOT)
     d = len(si.box)
-    ub = prob_ub_paley_zygmund(pivot_stats(si), pivot_stats(sj), d, gamma)
+    ub = prob_ub_paley_zygmund(si.pivot_stats, sj.pivot_stats, d, gamma)
     if ub <= alpha + _TOL:
         return PairVerdict(stage=STAGE_PROB)
     max_pairs = None if instance_cap is None else instance_cap * instance_cap

@@ -84,3 +84,35 @@ def naive_pair_probability(it_i, it_j, gamma, keywords, dist):
 
 def all_instance_pairs(it_i, it_j):
     return list(itertools.product(it_i.instances(), it_j.instances()))
+
+
+def reference_instance_level_scan(it_i, it_j, gamma, alpha, keywords, dist, max_pairs=None):
+    """Instance-level scan that checks every instance pair on its own values.
+
+    The reference for ``teride.prune.instance_level_scan``: same pair order
+    (descending joint probability, stable), same give-up and prune rules, with
+    each pair's keyword test and similarity taken directly from the two
+    instances' attribute values.
+    """
+    inst_i = it_i.instances()
+    inst_j = it_j.instances()
+    pairs = sorted(
+        ((pi * pj, a, b) for a, (_, pi) in enumerate(inst_i) for b, (_, pj) in enumerate(inst_j)),
+        key=lambda t: -t[0],
+    )
+    kw_i = [any(not v.isdisjoint(keywords) for v in t.attrs) for t, _ in inst_i]
+    kw_j = [any(not v.isdisjoint(keywords) for v in t.attrs) for t, _ in inst_j]
+    confirmed = 0.0
+    seen_mass = 0.0
+    for examined, (mass, a, b) in enumerate(pairs):
+        if max_pairs is not None and examined >= max_pairs:
+            return False, confirmed
+        ti, tj = inst_i[a][0], inst_j[b][0]
+        if (kw_i[a] or kw_j[b]) and sum(
+            dist.sim(x, y) for x, y in zip(ti.attrs, tj.attrs)
+        ) > gamma + 1e-9:
+            confirmed += mass
+        seen_mass += mass
+        if confirmed + (1.0 - seen_mass) <= alpha + 1e-9:
+            return True, confirmed
+    return False, confirmed

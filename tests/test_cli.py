@@ -13,7 +13,7 @@ from teride.cli import (
     subsample_repo,
 )
 from teride.errors import InvalidRate
-from teride.model import Repository, read_tuples, write_tuples
+from teride.model import Repository, StreamTuple, read_tuples, write_tuples
 
 from .conftest import make_workload
 
@@ -317,6 +317,16 @@ class TestExitCodes:
             "5",
         ]
         assert main(args) == EXIT_IO
+
+    def test_rid_live_on_two_streams_is_2(self, workspace):
+        stream_0 = read_tuples(workspace / "stream_0.csv")
+        stream_1 = [
+            StreamTuple(rid=a.rid, stream_id=b.stream_id, arrival_time=b.arrival_time, attrs=b.attrs)
+            for a, b in zip(stream_0, read_tuples(workspace / "stream_1.csv"))
+        ]
+        write_tuples(workspace / "stream_1.csv", stream_1, 3)
+        for mode in ("engine", "oracle"):
+            assert main(run_args(workspace, mode, workspace / "r.jsonl")) == EXIT_CONFIG
 
     def test_bad_usage_is_2(self):
         assert main(["run"]) == EXIT_CONFIG

@@ -10,7 +10,7 @@ from teride.engine import (
     Event,
     precompute,
 )
-from teride.errors import ConfigError, OutOfOrderArrival
+from teride.errors import ConfigError, DuplicateTuple, OutOfOrderArrival
 from teride.metric import DistanceFn
 from teride.model import QueryConfig
 
@@ -106,6 +106,57 @@ class TestWindowSemantics:
             engine.step(1, [a])
 
 
+def engine_state(engine):
+    """Everything a step may change, in comparable form."""
+    return (
+        [r.rid for r in engine.window.live()],
+        dict(engine.summaries),
+        {sid: grid.snapshot() for sid, grid in engine.grids.items()},
+        len(engine.results.events),
+    )
+
+
+def topic_row(rid, sid, t):
+    return make_tuple(rid, sid, t, ts("topic0"), ts("pad"), ts(f"v{t}"))
+
+
+class TestRejectedStepChangesNothing:
+    @pytest.mark.parametrize("mode", [MODE_ENGINE, MODE_ORACLE])
+    def test_late_arrival_on_full_window(self, mode):
+        repo, _ = make_workload(seed=71, length=10, repo_size=20)
+        engine = Engine(repo, make_config(window=3, alpha=0.0), mode=mode)
+        for t in range(1, 5):
+            engine.step(t, [topic_row(f"s0t{t}", 0, t), topic_row(f"s1t{t}", 1, t)])
+        before = engine_state(engine)
+        with pytest.raises(OutOfOrderArrival):
+            engine.step(3, [topic_row("late", 0, 3)])
+        assert engine_state(engine) == before
+        events = engine.step(5, [topic_row("s0t5", 0, 5), topic_row("s1t5", 1, 5)])
+        assert sorted(e.rid_a for e in events if e.kind == KIND_EXPIRE) == ["s0t2", "s1t2"]
+
+    @pytest.mark.parametrize("mode", [MODE_ENGINE, MODE_ORACLE])
+    def test_same_rid_live_on_two_streams(self, mode):
+        repo, _ = make_workload(seed=71, length=10, repo_size=20)
+        engine = Engine(repo, make_config(window=2, alpha=0.0), mode=mode)
+        engine.step(1, [topic_row("x", 0, 1), topic_row("y", 1, 1)])
+        before = engine_state(engine)
+        with pytest.raises(DuplicateTuple):
+            engine.step(2, [topic_row("x", 1, 2)])
+        with pytest.raises(DuplicateTuple):
+            engine.step(2, [topic_row("z", 0, 2), topic_row("z", 1, 2)])
+        assert engine_state(engine) == before
+        for t in range(2, 6):
+            engine.step(t, [topic_row(f"a{t}", 0, t), topic_row(f"b{t}", 1, t)])
+
+    def test_rid_of_tuple_expiring_in_same_step_may_return(self):
+        repo, _ = make_workload(seed=71, length=10, repo_size=20)
+        engine = Engine(repo, make_config(window=1, alpha=0.0))
+        engine.step(1, [topic_row("x", 0, 1)])
+        events = engine.step(2, [topic_row("y", 0, 2), topic_row("x", 1, 2)])
+        assert [e.rid_a for e in events if e.kind == KIND_EXPIRE] == ["x"]
+        assert set(engine.summaries) == {"x", "y"}
+
+
 class TestMetrics:
     def test_schema_and_consistency(self):
         repo, trace = make_workload(seed=81, length=20, repo_size=30, xi=0.3, m=1)
@@ -120,6 +171,35 @@ class TestMetrics:
         assert 0.0 <= m["pruning_power"] <= 1.0
         assert set(m["timings"]) == {"rule_selection", "imputation", "er"}
         assert m["step_wall_clock"]["mean"] >= 0.0
+
+    @pytest.mark.parametrize("mode", [MODE_ENGINE, MODE_NOINDEX])
+    def test_layer_timings_fit_inside_step_time(self, mode):
+        # mostly imputed arrivals, so rule selection counted twice would show
+        repo, trace = make_workload(seed=82, length=20, repo_size=30, xi=0.9, m=1)
+        engine = Engine(repo, make_config(window=8), mode=mode)
+        engine.run(trace)
+        assert all(v >= 0.0 for v in engine.timings.values())
+        assert sum(engine.timings.values()) <= sum(engine.step_times)
+
+    def test_pairs_considered_counts_live_cross_stream_tuples(self):
+        window = 5
+        repo, trace = make_workload(seed=82, n_streams=3, length=15, repo_size=30)
+        by_ts = {}
+        for r in trace:
+            by_ts.setdefault(r.arrival_time, []).append(r)
+        live = {}  # stream id -> live count
+        expected = 0
+        for t in sorted(by_ts):
+            batch = sorted(by_ts[t], key=lambda r: (r.stream_id, r.rid))
+            for r in batch:
+                live[r.stream_id] = min(live.get(r.stream_id, 0), window - 1)
+            for r in batch:
+                expected += sum(n for sid, n in live.items() if sid != r.stream_id)
+                live[r.stream_id] += 1
+        for mode in (MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE):
+            engine = Engine(repo, make_config(window=window), mode=mode)
+            engine.run(list(trace))
+            assert engine.pairs_considered == expected, mode
 
 
 class TestEvents:

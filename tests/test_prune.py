@@ -1,7 +1,8 @@
 import pytest
 
 from teride.grid import summarize
-from teride.impute import impute_tuple
+from teride.metric import DistInterval
+from teride.impute import ImputedTuple, impute_tuple
 from teride.metric import DistanceFn
 from teride.pivot import select_pivots
 from teride.prune import (
@@ -9,6 +10,7 @@ from teride.prune import (
     instance_level_scan,
     judge_pair,
     pair_probability,
+    pivot_stats,
     prob_reports,
     prob_ub_paley_zygmund,
     sim_matches,
@@ -16,7 +18,13 @@ from teride.prune import (
     sim_ub_size,
 )
 
-from .conftest import make_workload, naive_pair_probability
+from .conftest import (
+    make_tuple,
+    make_workload,
+    naive_pair_probability,
+    reference_instance_level_scan,
+    ts,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +81,6 @@ class TestBoundsDominate:
     def test_similarity_and_probability_bounds(self, setup):
         repo, dist, keywords, s0, s1 = setup
         gamma = 0.6 * repo.d
-        from teride.prune import pivot_stats
-
         checked = 0
         for a in s0[:12]:
             for b in s1[:12]:
@@ -141,3 +147,98 @@ class TestCascade:
                 else:
                     # any stage short of refinement must only discard non-matches
                     assert not prob_reports(exact, alpha)
+
+
+def _scan_workload(seed, fallback):
+    """Cross-stream summary pairs of one seeded workload; with ``fallback`` every
+    missing attribute is imputed by the uniform fallback instead of by rules."""
+    from teride.cdd import detect_cdds
+    from teride.errors import NoRulesFound
+
+    repo, trace = make_workload(seed=seed, length=16, repo_size=30, xi=0.6, m=1)
+    dist = DistanceFn()
+    pivots = select_pivots(repo, dist=dist)
+    by_dep = {}
+    if not fallback:
+        try:
+            rules = detect_cdds(repo, dist)
+        except NoRulesFound:
+            rules = []
+        for rule in rules:
+            by_dep.setdefault(rule.dependent, []).append(rule)
+    keywords = frozenset({"topic0", "topic1"})
+    summaries = [
+        summarize(impute_tuple(r, by_dep, repo, dist), pivots, keywords, dist) for r in trace
+    ]
+    pairs = [
+        (a, b)
+        for a in summaries
+        if a.stream_id == 0
+        for b in summaries
+        if b.stream_id == 1
+    ]
+    return repo, dist, keywords, summaries, pairs
+
+
+class TestInstanceScanMatchesReference:
+    """The table-based scan returns exactly what the per-instance-pair scan returns."""
+
+    @pytest.mark.parametrize(
+        "seed,fallback", [(41, False), (42, False), (43, True), (44, True)]
+    )
+    def test_exact_agreement(self, seed, fallback):
+        repo, dist, keywords, summaries, pairs = _scan_workload(seed, fallback)
+        if fallback:
+            assert any(s.imputed.fallback_attrs for s in summaries)
+        keyword_free = shortcut = 0
+        for rho in (0.45, 0.6):
+            gamma = rho * repo.d
+            for alpha in (0.0, 0.2, 0.5):
+                for max_pairs in (None, 0, 1, 5):
+                    for a, b in pairs:
+                        want = reference_instance_level_scan(
+                            a.imputed, b.imputed, gamma, alpha, keywords, dist, max_pairs
+                        )
+                        got = instance_level_scan(
+                            a.imputed, b.imputed, gamma, alpha, keywords, dist, max_pairs
+                        )
+                        assert got == want, (a.rid, b.rid, gamma, alpha, max_pairs)
+                        if got == (True, 0.0):
+                            shortcut += 1
+        for s in summaries:
+            keyword_free += not any(s.imputed.instance_keyword_flags(keywords))
+        # the workload reaches keyword-free tuples and scans that end pruned
+        # with nothing confirmed
+        assert keyword_free and shortcut
+
+    def test_instances_differing_in_keyword(self):
+        keywords = frozenset({"topic0"})
+        a = ImputedTuple(
+            base=make_tuple("a", 0, 1, None, ts("x", "y"), ts("p", "q")),
+            per_attr_candidates={0: [(ts("topic0", "x"), 0.5), (ts("x", "z"), 0.3), (ts("q"), 0.2)]},
+        )
+        b = ImputedTuple(
+            base=make_tuple("b", 1, 1, ts("x", "z"), ts("x", "y", "w"), None),
+            per_attr_candidates={2: [(ts("p", "q"), 0.6), (ts("topic0"), 0.25), (ts("r"), 0.15)]},
+        )
+        assert a.instance_keyword_flags(keywords) == [True, False, False]
+        assert b.instance_keyword_flags(keywords) == [False, True, False]
+        dist = DistanceFn()
+        outcomes = set()
+        for tenth in range(5, 30):
+            for alpha in (0.0, 0.1, 0.3, 0.5, 0.7):
+                for max_pairs in (None, 0, 1, 5):
+                    args = (a, b, tenth / 10, alpha, keywords, dist, max_pairs)
+                    got = instance_level_scan(*args)
+                    assert got == reference_instance_level_scan(*args), args
+                    outcomes.add((got[0], got[1] > 0.0))
+        assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+    def test_cached_summary_state_equals_fresh_computation(self):
+        repo, dist, keywords, summaries, pairs = _scan_workload(41, False)
+        gamma = 0.6 * repo.d
+        for a, b in pairs[:200]:
+            judge_pair(a, b, gamma, 0.2, keywords, dist)
+        for s in summaries:
+            assert s.pivot_stats == pivot_stats(s)
+            assert s.dist_intervals == [DistInterval(lo, hi) for lo, hi in s.box]
