@@ -76,10 +76,15 @@ def gen_synthetic(
 ):
     """Deterministic clustered corpus: a complete repository plus noisy stream copies.
 
-    Entities are grouped by topic; stream copies of one entity share most
-    tokens per attribute (the cross-stream duplicates keep well over half of
-    each value's tokens).  The repository is drawn from the same entity pool,
-    disjoint from the streams, so the dependency structure is learnable.
+    Entity ``e`` has topic ``e % topic_count``.  Each of its attribute values
+    is three tokens: attribute 0 holds the topic token and two vocabulary
+    tokens, every other attribute three vocabulary tokens, all drawn
+    independently, so no attribute depends on another.  Every stream holds one
+    noisy copy of entity ``t`` at time ``t + 1``: each attribute but 0 gains at
+    most one random token with probability 0.3, so cross-stream duplicates
+    keep most of each value's tokens.  Repository row ``i`` is one more noisy
+    copy of stream entity ``i % length`` (a fresh entity when ``length`` is
+    0), so the repository overlaps the streams.
     """
     rng = random.Random(seed)
     vocab = [f"w{i}" for i in range(vocab_size)]

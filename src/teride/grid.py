@@ -113,40 +113,123 @@ def _cell_span(lo: float, hi: float) -> range:
     return range(c_lo, c_hi + 1)
 
 
-@dataclass
+def _enter(agg, counts, key, lo: float, hi: float) -> None:
+    """Count one member's (lo, hi) under ``key`` and widen ``agg[key]`` to cover it."""
+    lo_n, hi_n = counts[key]
+    lo_n[lo] = lo_n.get(lo, 0) + 1
+    hi_n[hi] = hi_n.get(hi, 0) + 1
+    c_lo, c_hi = agg[key]
+    if lo < c_lo or hi > c_hi:
+        agg[key] = (min(c_lo, lo), max(c_hi, hi))
+
+
+def _leave(agg, counts, key, lo: float, hi: float) -> bool:
+    """Uncount one member's (lo, hi) under ``key``; True when no member is left there.
+
+    An endpoint of ``agg[key]`` is re-derived from the distinct values left
+    only when the last member holding it leaves.
+    """
+    lo_n, hi_n = counts[key]
+    n = lo_n[lo] - 1
+    if n:
+        lo_n[lo] = n
+    else:
+        del lo_n[lo]
+    m = hi_n[hi] - 1
+    if m:
+        hi_n[hi] = m
+    else:
+        del hi_n[hi]
+    if not lo_n:
+        return True
+    if not n or not m:
+        c_lo, c_hi = agg[key]
+        agg[key] = (c_lo if n or lo != c_lo else min(lo_n), c_hi if m or hi != c_hi else max(hi_n))
+    return False
+
+
 class _Cell:
-    members: dict = field(default_factory=dict)  # rid -> TupleSummary
-    keywords: frozenset = frozenset()
-    box: list = None  # covering (lo, hi) per attr of main coordinates
-    aux: dict = field(default_factory=dict)
-    sizes: list = None  # covering (min, max) token sizes per attr
+    """One grid cell: its members and exact covering aggregates over them.
 
-    def absorb(self, s: TupleSummary) -> None:
-        """Extend the covering aggregates with one new member (insert path)."""
-        if self.box is None:
-            self.keywords = s.keywords
-            self.box = list(s.box)
-            self.aux = dict(s.aux)
-            self.sizes = [(si.min_size, si.max_size) for si in s.sizes]
-            return
-        if not (s.keywords <= self.keywords):
-            self.keywords |= s.keywords
-        self.box = [
-            (min(lo, slo), max(hi, shi)) for (lo, hi), (slo, shi) in zip(self.box, s.box)
-        ]
+    ``keywords``, ``box``, ``sizes`` and ``aux`` always equal what a rebuild
+    from the members gives.  Each aggregate endpoint is backed by a count of
+    members per distinct value, so an insert widens the aggregates and an
+    evict narrows one only when the last member holding the endpoint leaves.
+    """
+
+    __slots__ = (
+        "members", "keywords", "box", "aux", "sizes", "_kw_n", "_box_n", "_size_n", "_aux_n"
+    )
+
+    def __init__(self, s: TupleSummary):
+        self.members = {s.rid: s}  # rid -> TupleSummary
+        self.keywords = s.keywords
+        self.box = list(s.box)  # covering (lo, hi) per attr of main coordinates
+        self.aux = dict(s.aux)
+        self.sizes = [(si.min_size, si.max_size) for si in s.sizes]  # covering (min, max) per attr
+        # member counts per distinct endpoint value, keyed like the aggregates
+        self._kw_n = dict.fromkeys(s.keywords, 1)
+        self._box_n = [({lo: 1}, {hi: 1}) for lo, hi in self.box]
+        self._size_n = [({lo: 1}, {hi: 1}) for lo, hi in self.sizes]
+        self._aux_n = {key: ({lo: 1}, {hi: 1}) for key, (lo, hi) in self.aux.items()}
+
+    def add(self, s: TupleSummary) -> None:
+        self.members[s.rid] = s
+        if s.keywords:
+            kw_n = self._kw_n
+            for kw in s.keywords:
+                kw_n[kw] = kw_n.get(kw, 0) + 1
+            if not (s.keywords <= self.keywords):
+                self.keywords |= s.keywords
+        for x, (lo, hi) in enumerate(s.box):
+            _enter(self.box, self._box_n, x, lo, hi)
+        for x, si in enumerate(s.sizes):
+            _enter(self.sizes, self._size_n, x, si.min_size, si.max_size)
         for key, (lo, hi) in s.aux.items():
-            cur = self.aux.get(key)
-            self.aux[key] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
-        self.sizes = [
-            (min(lo, si.min_size), max(hi, si.max_size))
-            for (lo, hi), si in zip(self.sizes, s.sizes)
-        ]
+            if key in self._aux_n:
+                _enter(self.aux, self._aux_n, key, lo, hi)
+            else:
+                self.aux[key] = (lo, hi)
+                self._aux_n[key] = ({lo: 1}, {hi: 1})
 
-    def recompute(self) -> None:
-        """Rebuild aggregates exactly from the remaining members (evict path)."""
-        self.keywords, self.box, self.aux, self.sizes = frozenset(), None, {}, None
-        for s in self.members.values():
-            self.absorb(s)
+    def remove(self, s: TupleSummary) -> None:
+        """Drop a member; the cell must keep at least one other."""
+        del self.members[s.rid]
+        if s.keywords:
+            kw_n = self._kw_n
+            gone = False
+            for kw in s.keywords:
+                n = kw_n[kw] - 1
+                if n:
+                    kw_n[kw] = n
+                else:
+                    del kw_n[kw]
+                    gone = True
+            if gone:
+                self.keywords = frozenset(kw_n)
+        for x, (lo, hi) in enumerate(s.box):
+            _leave(self.box, self._box_n, x, lo, hi)
+        for x, si in enumerate(s.sizes):
+            _leave(self.sizes, self._size_n, x, si.min_size, si.max_size)
+        for key, (lo, hi) in s.aux.items():
+            if _leave(self.aux, self._aux_n, key, lo, hi):
+                del self.aux[key], self._aux_n[key]
+
+
+def _add_to(cells: dict, key: tuple, s: TupleSummary) -> None:
+    cell = cells.get(key)
+    if cell is None:
+        cells[key] = _Cell(s)
+    else:
+        cell.add(s)
+
+
+def _remove_from(cells: dict, key: tuple, s: TupleSummary) -> None:
+    cell = cells[key]
+    if len(cell.members) == 1:
+        del cells[key]
+    else:
+        cell.remove(s)
 
 
 class ErGrid:
@@ -176,13 +259,9 @@ class ErGrid:
         keys = list(product(*(_cell_span(lo, hi) for lo, hi in summary.box)))
         has_kw = bool(summary.keywords)
         for key in keys:
-            cell = self._cells.setdefault(key, _Cell())
-            cell.members[rid] = summary
-            cell.absorb(summary)
+            _add_to(self._cells, key, summary)
             if has_kw:
-                kw_cell = self._kw_cells.setdefault(key, _Cell())
-                kw_cell.members[rid] = summary
-                kw_cell.absorb(summary)
+                _add_to(self._kw_cells, key, summary)
         self._tuples[rid] = (summary, keys)
         self._rids.add(rid)
         if has_kw:
@@ -195,19 +274,9 @@ class ErGrid:
         summary, keys = entry
         has_kw = rid in self._kw_rids
         for key in keys:
-            cell = self._cells[key]
-            del cell.members[rid]
-            if cell.members:
-                cell.recompute()
-            else:
-                del self._cells[key]
+            _remove_from(self._cells, key, summary)
             if has_kw:
-                kw_cell = self._kw_cells[key]
-                del kw_cell.members[rid]
-                if kw_cell.members:
-                    kw_cell.recompute()
-                else:
-                    del self._kw_cells[key]
+                _remove_from(self._kw_cells, key, summary)
         self._rids.discard(rid)
         self._kw_rids.discard(rid)
         return summary

@@ -111,6 +111,7 @@ class ImputedTuple:
     _instances: Optional[list] = field(default=None, repr=False, compare=False)
     _rows: Optional[tuple] = field(default=None, repr=False, compare=False)
     _keyword_flags: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _token_unions: Optional[list] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         missing = set(self.base.missing_attrs())
@@ -165,6 +166,12 @@ class ImputedTuple:
             ]
             self._rows = ([list(ix) for ix in index], rows)
         return self._rows
+
+    def token_unions(self) -> list:
+        """Per attribute, the union of the tokens of all its values."""
+        if self._token_unions is None:
+            self._token_unions = [frozenset().union(*vals) for vals in self.instance_rows()[0]]
+        return self._token_unions
 
     def instance_keyword_flags(self, keywords: frozenset) -> list:
         """Per instance (aligned with :meth:`instances`): does any value hold a keyword?"""

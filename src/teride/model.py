@@ -120,17 +120,11 @@ class SlidingWindow:
             return q[0]
         return None
 
-    def contents(self, stream_id: int) -> list:
-        return list(self._streams.get(stream_id, ()))
-
     def live(self) -> list:
         out = []
         for sid in sorted(self._streams):
             out.extend(self._streams[sid])
         return out
-
-    def live_other(self, stream_id: int) -> list:
-        return [r for r in self.live() if r.stream_id != stream_id]
 
     def __len__(self) -> int:
         return sum(len(q) for q in self._streams.values())

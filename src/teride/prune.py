@@ -164,7 +164,19 @@ def instance_level_scan(
     (True, 0.0) is returned without sorting.  A full scan returns the same
     once its seen mass comes within alpha + 1e-9 of 1, which holds whenever
     the instance probabilities sum to 1 up to rounding.
+
+    Under Jaccard, which is exactly 0 on disjoint non-empty sets and never
+    above 1, the sum of the tables' maxima is at most the number of
+    attributes whose two token unions intersect.  Without ``max_pairs``, if
+    even that count fails the threshold, (True, 0.0) is returned before any
+    table is built.
     """
+    if max_pairs is None and dist.kind == DistanceFn.JACCARD:
+        shared = sum(
+            not a.isdisjoint(b) for a, b in zip(it_i.token_unions(), it_j.token_unions())
+        )
+        if not sim_matches(shared + _SUM_SLACK, gamma):
+            return True, 0.0
     values_i, rows_i = it_i.instance_rows()
     values_j, rows_j = it_j.instance_rows()
     tables = [

@@ -116,6 +116,41 @@ class TestGridMechanics:
         assert grid.snapshot() == reference.snapshot()
 
 
+def _cell_aggregates(cells: dict) -> dict:
+    return {
+        key: (cell.members, cell.keywords, cell.box, cell.sizes, cell.aux)
+        for key, cell in cells.items()
+    }
+
+
+class TestCountedAggregates:
+    def test_equal_a_rebuild_after_random_inserts_and_evicts(self, setup):
+        """Every cell, keyword-only cells included, holds exactly the members and
+        aggregates that a grid built from the live tuples holds."""
+        repo, _, _, _, summaries = setup
+        assert any(s.aux for s in summaries)
+        assert any(s.keywords for s in summaries) and not all(s.keywords for s in summaries)
+        for seed in range(4):
+            rng = random.Random(seed)
+            grid = ErGrid(d=repo.d)
+            live: dict = {}
+            waiting = list(summaries)
+            for _ in range(200):
+                if live and (not waiting or rng.random() < 0.45):
+                    rid = rng.choice(sorted(live))
+                    grid.evict(rid)
+                    waiting.append(live.pop(rid))
+                else:
+                    s = waiting.pop(rng.randrange(len(waiting)))
+                    grid.insert(s)
+                    live[s.rid] = s
+                reference = ErGrid(d=repo.d)
+                for s in live.values():
+                    reference.insert(s)
+                assert _cell_aggregates(grid._cells) == _cell_aggregates(reference._cells)
+                assert _cell_aggregates(grid._kw_cells) == _cell_aggregates(reference._kw_cells)
+
+
 class TestCandidates:
     def test_no_qualifying_pair_is_skipped(self, setup):
         repo, dist, pivots, keywords, summaries = setup

@@ -81,14 +81,14 @@ class TestSlidingWindow:
         assert w.advance(r2) is None
         assert w.pending_eviction(0) is r1
         assert w.advance(r3) is r1
-        assert w.contents(0) == [r2, r3]
+        assert w.live() == [r2, r3]
 
     def test_streams_are_independent(self):
         w = SlidingWindow(1)
         w.advance(make_tuple("a", 0, 1, ts("x")))
         w.advance(make_tuple("b", 1, 1, ts("y")))
         assert len(w) == 2
-        assert [r.rid for r in w.live_other(0)] == ["b"]
+        assert [r.rid for r in w.live()] == ["a", "b"]
 
     def test_out_of_order_rejected(self):
         w = SlidingWindow(3)

@@ -180,6 +180,18 @@ def _scan_workload(seed, fallback):
     return repo, dist, keywords, summaries, pairs
 
 
+class _CountingDistance(DistanceFn):
+    """Jaccard distance that counts the similarities asked of it."""
+
+    def __init__(self):
+        super().__init__()
+        self.sim_calls = 0
+
+    def sim(self, a, b):
+        self.sim_calls += 1
+        return super().sim(a, b)
+
+
 class TestInstanceScanMatchesReference:
     """The table-based scan returns exactly what the per-instance-pair scan returns."""
 
@@ -242,3 +254,57 @@ class TestInstanceScanMatchesReference:
         for s in summaries:
             assert s.pivot_stats == pivot_stats(s)
             assert s.dist_intervals == [DistInterval(lo, hi) for lo, hi in s.box]
+            assert s.imputed.token_unions() == [
+                frozenset().union(*(v for v, _ in s.imputed.attr_options(x)))
+                for x in range(repo.d)
+            ]
+
+    def test_absdiff_keeps_the_full_scan(self, absdiff):
+        # no attribute shares a token except the keyword one, yet the numeric
+        # attributes are close under absdiff, so the pair matches
+        keywords = frozenset({"topic0"})
+        a = ImputedTuple(
+            base=make_tuple("a", 0, 1, ts("topic0"), ts("0.2"), None),
+            per_attr_candidates={2: [(ts("0.1"), 0.6), (ts("0.9"), 0.4)]},
+        )
+        b = ImputedTuple(
+            base=make_tuple("b", 1, 1, ts("topic0"), ts("0.25"), ts("0.15")),
+        )
+        assert sum(not x.isdisjoint(y) for x, y in zip(a.token_unions(), b.token_unions())) == 1
+        for gamma in (1.5, 2.5):
+            for alpha in (0.0, 0.5):
+                args = (a, b, gamma, alpha, keywords, absdiff, None)
+                got = instance_level_scan(*args)
+                assert got == reference_instance_level_scan(*args), args
+                assert got[1] > 0.0
+
+    @staticmethod
+    def _shared_on(n_shared):
+        """A keyword-bearing pair over d=4 whose values are equal on the first
+        ``n_shared`` attributes and share no token on the others."""
+        same = [ts("topic0", "x"), ts("y", "z"), ts("u", "v"), ts("p", "q")]
+        other = [ts("topic1", "w1"), ts("w2"), ts("w3", "w4"), ts("w5")]
+        attrs_b = same[:n_shared] + other[n_shared:]
+        a = ImputedTuple(
+            base=make_tuple("a", 0, 1, *same[:3], None),
+            per_attr_candidates={3: [(same[3], 0.7), (ts("q", "r"), 0.3)]},
+        )
+        b = ImputedTuple(base=make_tuple("b", 1, 1, *attrs_b))
+        return a, b
+
+    @pytest.mark.parametrize("gamma", [2.0, 2.5])
+    def test_shared_token_count_at_the_threshold(self, gamma):
+        keywords = frozenset({"topic0"})
+        for n_shared, shortcut in ((int(gamma), True), (int(gamma) + 1, False)):
+            a, b = self._shared_on(n_shared)
+            for max_pairs in (None, 1, 5):
+                dist = _CountingDistance()
+                got = instance_level_scan(a, b, gamma, 0.2, keywords, dist, max_pairs)
+                # the shortcut builds no similarity table, and only when uncapped
+                assert (dist.sim_calls == 0) == (shortcut and max_pairs is None)
+                want = reference_instance_level_scan(a, b, gamma, 0.2, keywords, dist, max_pairs)
+                assert got == want, (n_shared, max_pairs)
+                if shortcut and max_pairs is None:
+                    assert got == (True, 0.0)
+            if not shortcut:
+                assert instance_level_scan(a, b, gamma, 0.2, keywords, DistanceFn())[1] > 0.2
