@@ -173,6 +173,23 @@ def detect_cdds(
     pair_dists = [
         [dist(samples[i].attrs[x], samples[k].attrs[x]) for x in range(d)] for i, k in pairs
     ]
+    # per pair and attribute, the options a determinant on it may take: its
+    # distance buckets, then the shared value when it is a frequent constant
+    bucket_opts: dict = {}  # distance -> bucket options, shared across pairs
+    distinct_rows: dict = {}  # few distinct rows: pairs share one copy of each
+    pair_opts = []
+    for (i, k), dists in zip(pairs, pair_dists):
+        row = []
+        for x, dx in enumerate(dists):
+            opts = bucket_opts.get(dx)
+            if opts is None:
+                opts = bucket_opts[dx] = tuple(("int", b) for b in _bucket_options(dx))
+            vi = samples[i].attrs[x]
+            if vi == samples[k].attrs[x] and vi in frequent[x]:
+                opts = opts + (("const", vi),)
+            row.append(opts)
+        row = tuple(row)
+        pair_opts.append(distinct_rows.setdefault(row, row))
 
     rules: dict = {}
     for j in range(d):
@@ -180,16 +197,9 @@ def detect_cdds(
         for size in range(1, max_determinants + 1):
             for det in itertools.combinations(others, size):
                 combos: dict = {}
-                for p, (i, k) in enumerate(pairs):
-                    per_attr = []
-                    for x in det:
-                        opts = [("int", b) for b in _bucket_options(pair_dists[p][x])]
-                        vi, vk = samples[i].attrs[x], samples[k].attrs[x]
-                        if vi == vk and vi in frequent[x]:
-                            opts.append(("const", vi))
-                        per_attr.append(opts)
-                    dep_d = pair_dists[p][j]
-                    for combo in itertools.product(*per_attr):
+                for opts, dists in zip(pair_opts, pair_dists):
+                    dep_d = dists[j]
+                    for combo in itertools.product(*(opts[x] for x in det)):
                         lo, hi, cnt = combos.get(combo, (1.0, 0.0, 0))
                         combos[combo] = (min(lo, dep_d), max(hi, dep_d), cnt + 1)
                 for combo, (lo, hi, cnt) in combos.items():

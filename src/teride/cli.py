@@ -15,7 +15,7 @@ import time
 
 from .cdd import detect_cdds, rules_from_text, rules_to_text
 from .engine import MODE_ENGINE, MODE_NOINDEX, MODES, Engine
-from .errors import InvalidRate, TerideError
+from .errors import ConfigError, InvalidRate, TerideError
 from .metric import DistanceFn
 from .model import (
     MISSING_CELL,
@@ -168,13 +168,20 @@ def f_score(result_keys: set, truth_keys: set) -> float | None:
 def _load_match_keys(path) -> set:
     keys = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ConfigError(f"{path}:{lineno}: expected a JSON object")
             if rec.get("kind") == "match":
-                keys.add((rec["ts"], rec["rid_a"], rec["rid_b"]))
+                try:
+                    keys.add((rec["ts"], rec["rid_a"], rec["rid_b"]))
+                except KeyError as exc:
+                    raise ConfigError(f"{path}:{lineno}: match record lacks {exc}") from exc
+                except TypeError as exc:  # an unhashable ts or rid
+                    raise ConfigError(f"{path}:{lineno}: bad match record: {exc}") from exc
     return keys
 
 

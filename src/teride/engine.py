@@ -2,9 +2,10 @@
 
 Three modes share identical semantics and must produce identical event streams:
 
-* ``engine`` — rules and repository samples are fetched through the rule and
-  repository trees, live tuples through the grid synopsis, and candidate
-  pairs run the pruning cascade before refinement.
+* ``engine`` — rules are fetched through the rule trees, the repository
+  samples a rule can use through the repository index's token and value
+  postings, live tuples through the grid synopsis, and candidate pairs run
+  the pruning cascade before refinement.
 * ``noindex`` — linear-scan imputation and the same pair-level pruning
   cascade, but no trees or grid.
 * ``oracle`` — every lookup is a plain scan and every cross-stream pair is
@@ -27,7 +28,8 @@ from .cdd import detect_cdds
 from .errors import ConfigError, DuplicateTuple, NoRulesFound, OutOfOrderArrival
 from .grid import STAGE_KEYWORD, STAGE_PIVOT, STAGE_SIZE, ErGrid, TupleSummary, summarize
 from .impute import ImputedTuple, impute_tuple
-from .index import DrIndex, build_cdd_index, build_dr_index, dr_query_box_for_rule
+from .index import DrIndex, build_cdd_index, build_dr_index
+from .index import dr_query_box_for_rule  # noqa: F401 - perfbench/tracer.py wraps this name
 from .metric import DistanceFn
 from .model import QueryConfig, Repository, SlidingWindow, StreamTuple
 from .pivot import PivotSet, select_pivots
@@ -155,6 +157,8 @@ class Engine:
     ):
         if mode not in MODES:
             raise ConfigError(f"unknown engine mode {mode!r}")
+        if instance_cap is not None and instance_cap < 0:
+            raise ConfigError(f"instance cap must be >= 0, got {instance_cap}")
         self.mode = mode
         self.config = config
         self.instance_cap = instance_cap
@@ -270,8 +274,9 @@ class Engine:
             cand = idx.candidate_rules(r, self.pre.pivots, self.dist)
             rules_by_dep[j] = cand
             for rule in cand:
-                box = dr_query_box_for_rule(rule, r, self.pre.pivots, self.dist)
-                samples_per_rule[rule] = self.pre.dr_index.range_samples(box)
+                samples_per_rule[rule] = self.pre.dr_index.rule_samples(
+                    rule, r, self.pre.pivots, self.dist
+                )
         return rules_by_dep, samples_per_rule
 
     def _impute(self, r: StreamTuple, selection) -> ImputedTuple:

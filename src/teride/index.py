@@ -108,11 +108,45 @@ class SamplePayload:
 
 
 class DrIndex:
-    """Aggregate R-tree over pivot-converted repository samples."""
+    """Aggregate R-tree over pivot-converted repository samples, plus per-attribute
+    postings (token -> sample positions, value -> sample positions) over the
+    repository for rule-driven retrieval."""
 
-    def __init__(self, root: Node, d: int):
+    def __init__(self, root: Node, d: int, samples: list, by_token: list, by_value: list):
         self.root = root
         self.d = d
+        self.samples = samples  # repository order; postings hold positions into it
+        self.by_token = by_token  # per attr: token -> frozenset of positions
+        self.by_value = by_value  # per attr: token set -> frozenset of positions
+
+    def rule_samples(
+        self, rule: CddRule, r: StreamTuple, pivots: PivotSet, dist: DistanceFn
+    ) -> list:
+        """Samples, in repository order, that may satisfy the rule's determinants for r.
+
+        A constant determinant needs the sample to hold the constant.  Under
+        Jaccard, disjoint token sets are at distance exactly 1.0, so an
+        interval determinant that rejects 1.0 needs the sample to share a token
+        with r's value.  The postings of these restricting determinants are
+        intersected; a rule with none falls back to the R-tree box.  Every
+        sample that satisfies the determinants is returned.
+        """
+        picked = None
+        for c in rule.determinants:
+            rv = r.attrs[c.attr]
+            if rv is None:
+                raise ConfigError(f"tuple {r.rid} lacks determinant {c.attr}")
+            if c.kind == CONST:
+                hits = self.by_value[c.attr].get(c.value, frozenset())
+            elif dist.kind == DistanceFn.JACCARD and not c.admits(1.0):
+                postings = self.by_token[c.attr]
+                hits = frozenset().union(*(postings.get(t, ()) for t in rv))
+            else:
+                continue
+            picked = hits if picked is None else picked & hits
+        if picked is None:
+            return self.range_samples(dr_query_box_for_rule(rule, r, pivots, dist))
+        return [self.samples[i] for i in sorted(picked)]
 
     def range_samples(self, box: dict) -> list:
         """Samples whose main-pivot coordinates intersect the (partial) query box.
@@ -142,7 +176,13 @@ def build_dr_index(
     repo: Repository, pivots: PivotSet, keywords: frozenset, dist: DistanceFn
 ) -> DrIndex:
     entries = []
-    for s in repo.samples:
+    by_token = [{} for _ in range(repo.d)]
+    by_value = [{} for _ in range(repo.d)]
+    for i, s in enumerate(repo.samples):
+        for x, v in enumerate(s.attrs):
+            by_value[x].setdefault(v, set()).add(i)
+            for t in v:
+                by_token[x].setdefault(t, set()).add(i)
         coords = [convert(s.attrs[x], x, pivots, dist) for x in range(repo.d)]
         box = [(coords[x][0], coords[x][0]) for x in range(repo.d)]
         all_tokens = frozenset().union(*s.attrs)
@@ -160,7 +200,13 @@ def build_dr_index(
     root = _str_pack(entries, dims=repo.d)
     for node in _walk(root):
         _set_dr_aggregates(node)
-    return DrIndex(root=root, d=repo.d)
+    return DrIndex(
+        root=root,
+        d=repo.d,
+        samples=repo.samples,
+        by_token=[{t: frozenset(ids) for t, ids in p.items()} for p in by_token],
+        by_value=[{v: frozenset(ids) for v, ids in p.items()} for p in by_value],
+    )
 
 
 def _set_dr_aggregates(node: Node) -> None:

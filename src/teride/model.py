@@ -145,20 +145,18 @@ class Repository:
         self.samples = samples
         self.d = d
         self.domains: list[list] = []
-        self._domain_counts: list[Counter] = []
+        self._by_frequency: list[list] = []  # per attr: domain by (-count, token order)
         for j in range(d):
             counts = Counter(s.attrs[j] for s in samples)
-            self._domain_counts.append(counts)
             self.domains.append(sorted(counts, key=token_key))
+            self._by_frequency.append(sorted(counts, key=lambda v: (-counts[v], token_key(v))))
 
     def domain(self, attr: int) -> list:
         return self.domains[attr]
 
     def top_values(self, attr: int, k: int) -> list:
         """The k most frequent domain values, ties broken by token order."""
-        counts = self._domain_counts[attr]
-        ranked = sorted(counts, key=lambda v: (-counts[v], token_key(v)))
-        return ranked[:k]
+        return self._by_frequency[attr][:k]
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -59,11 +59,19 @@ def entropy(candidate: TokenSet, attr: int, repo: Repository, P: int, dist: Dist
 
 def joint_entropy(pivots, attr: int, repo: Repository, P: int, dist: DistanceFn) -> float:
     """Entropy over the product bucket grid of several pivots on one attribute."""
+    return _keys_entropy(_bucket_keys(pivots, attr, repo, P, dist))
+
+
+def _bucket_keys(pivots, attr: int, repo: Repository, P: int, dist: DistanceFn) -> list:
+    """Per sample, in repository order, the tuple of its buckets for the pivots."""
+    return [tuple(_bucket(dist(s.attrs[attr], piv), P) for piv in pivots) for s in repo.samples]
+
+
+def _keys_entropy(keys: list) -> float:
     counts: dict = {}
-    for s in repo.samples:
-        key = tuple(_bucket(dist(s.attrs[attr], piv), P) for piv in pivots)
+    for key in keys:
         counts[key] = counts.get(key, 0) + 1
-    return _entropy_from_counts(counts.values(), len(repo.samples))
+    return _entropy_from_counts(counts.values(), len(keys))
 
 
 def _entropy_from_counts(counts, total: int) -> float:
@@ -98,8 +106,13 @@ def select_pivots(
             remaining = [v for v in domain if v not in chosen]
             if not remaining:
                 break
+            # the chosen pivots' buckets are shared by every candidate's joint entropy
+            keys = _bucket_keys(chosen, attr, repo, P, dist)
             best = _argmax(
-                remaining, lambda v: joint_entropy(chosen + [v], attr, repo, P, dist)
+                remaining,
+                lambda v: _keys_entropy(
+                    [k + b for k, b in zip(keys, _bucket_keys([v], attr, repo, P, dist))]
+                ),
             )
             chosen.append(best)
             h = joint_entropy(chosen, attr, repo, P, dist)

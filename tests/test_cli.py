@@ -328,6 +328,25 @@ class TestExitCodes:
         for mode in ("engine", "oracle"):
             assert main(run_args(workspace, mode, workspace / "r.jsonl")) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"kind": "match"}',
+            "[1, 2]",
+            '{"kind": "match", "ts": [1], "rid_a": "a", "rid_b": "b"}',
+        ],
+        ids=["lacks-keys", "not-an-object", "unhashable-ts"],
+    )
+    def test_malformed_groundtruth_is_2(self, workspace, line):
+        truth = workspace / "truth.jsonl"
+        truth.write_text('{"ts": 1, "kind": "expire", "rid_a": "x"}\n' + line + "\n")
+        args = run_args(workspace, "engine", workspace / "r.jsonl", extra=["--groundtruth", str(truth)])
+        assert main(args) == EXIT_CONFIG
+
+    def test_negative_instance_cap_is_2(self, workspace):
+        args = run_args(workspace, "engine", workspace / "r.jsonl", extra=["--instance-cap", "-3"])
+        assert main(args) == EXIT_CONFIG
+
     def test_bad_usage_is_2(self):
         assert main(["run"]) == EXIT_CONFIG
 

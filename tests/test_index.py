@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from teride.cdd import CONST, detect_cdds
+from teride.cdd import CONST, INTERVAL, AttrConstraint, CddRule, detect_cdds, satisfies_determinants
 from teride.errors import ConfigError, NoRulesFound
 from teride.index import (
     FANOUT,
@@ -14,7 +14,7 @@ from teride.metric import DistanceFn
 from teride.model import StreamTuple
 from teride.pivot import convert, select_pivots
 
-from .conftest import make_workload
+from .conftest import make_tuple, make_workload, ts
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +182,94 @@ class TestQueryBox:
                         assert s.rid in hits
                         checked += 1
         assert checked > 0
+
+
+def _satisfying(rule, r, samples, dist):
+    return {s.rid for s in samples if satisfies_determinants(rule, r, s, dist)}
+
+
+def _interval(x, lo, hi, min_open=False):
+    return AttrConstraint(attr=x, kind=INTERVAL, lo=lo, hi=hi, min_open=min_open)
+
+
+def _hand_built_rules(r, j):
+    """Rules on dependent j over r's first two other attributes, one per way a
+    determinant can (or cannot) restrict the samples."""
+    x0, x1 = [x for x in range(r.d) if x != j][:2]
+    const = AttrConstraint(attr=x0, kind=CONST, value=r.attrs[x0])
+    determinants = {
+        "const": (const,),
+        "bucket-9": (_interval(x0, 0.9, 1.0),),
+        "hi-within-tol-of-1": (_interval(x0, 0.0, 1 - 5e-10),),
+        "min-open": (_interval(x0, 0.2, 0.8, min_open=True),),
+        "min-open-to-1": (_interval(x0, 0.3, 1.0, min_open=True),),
+        "mixed": (_interval(x0, 0.0, 0.8), _interval(x1, 0.9, 1.0)),
+        "const-and-interval": (const, _interval(x1, 0.0, 0.7)),
+    }
+    return x0, {
+        name: CddRule(determinants=dets, dependent=j, dep_lo=0.0, dep_hi=0.1)
+        for name, dets in determinants.items()
+    }
+
+
+class TestRuleSamples:
+    """rule_samples() may skip only samples that cannot satisfy the determinants."""
+
+    def test_mined_rules_keep_every_satisfying_sample(self, setup):
+        repo, trace, dist, pivots, rules = setup
+        idx = build_dr_index(repo, pivots, frozenset(), dist)
+        checked = supported = 0
+        for r in trace:
+            for rule in rules:
+                if not rule.applicable_to(r):
+                    continue
+                got = idx.rule_samples(rule, r, pivots, dist)
+                want = _satisfying(rule, r, repo.samples, dist)
+                assert _satisfying(rule, r, got, dist) == want
+                checked += 1
+                supported += bool(want)
+        assert checked > 0 and supported > 0
+
+    def test_hand_built_rules_keep_every_satisfying_sample(self, setup):
+        repo, trace, dist, pivots, _ = setup
+        idx = build_dr_index(repo, pivots, frozenset(), dist)
+        hits: dict = {}  # rule name -> satisfying samples over the trace
+        disjoint_at_tol = 0  # samples sharing no token that the near-1 bound admits
+        for r in trace:
+            if len(r.missing_attrs()) != 1:
+                continue
+            x0, rules = _hand_built_rules(r, r.missing_attrs()[0])
+            for name, rule in rules.items():
+                want = _satisfying(rule, r, repo.samples, dist)
+                assert _satisfying(rule, r, idx.rule_samples(rule, r, pivots, dist), dist) == want
+                hits[name] = hits.get(name, 0) + len(want)
+                if name == "hi-within-tol-of-1":
+                    disjoint_at_tol += sum(
+                        s.rid in want and s.attrs[x0].isdisjoint(r.attrs[x0]) for s in repo.samples
+                    )
+        assert len(hits) == 7 and all(hits.values()), hits
+        assert disjoint_at_tol > 0
+
+    def test_rule_without_restricting_determinant_uses_the_box(self, setup):
+        repo, trace, dist, pivots, _ = setup
+        idx = build_dr_index(repo, pivots, frozenset(), dist)
+        r = next(r for r in trace if len(r.missing_attrs()) == 1)
+        _, rules = _hand_built_rules(r, r.missing_attrs()[0])
+        for name in ("bucket-9", "hi-within-tol-of-1", "min-open-to-1"):
+            rule = rules[name]
+            box = dr_query_box_for_rule(rule, r, pivots, dist)
+            assert idx.rule_samples(rule, r, pivots, dist) == idx.range_samples(box)
+
+    def test_absdiff_does_not_filter_by_token(self, numeric_repo, absdiff):
+        pivots = select_pivots(numeric_repo, dist=absdiff)
+        idx = build_dr_index(numeric_repo, pivots, frozenset({"a1"}), absdiff)
+        r = make_tuple("q", 0, 1, ts("a1"), ts("0.2"), None)
+        const = AttrConstraint(attr=0, kind=CONST, value=ts("a1"))
+        for dets, want in (
+            ((_interval(1, 0.0, 0.3),), {"s1", "s2", "s3"}),
+            ((const, _interval(1, 0.0, 0.15)), {"s1", "s2"}),
+        ):
+            rule = CddRule(determinants=dets, dependent=2, dep_lo=0.0, dep_hi=0.1)
+            assert _satisfying(rule, r, numeric_repo.samples, absdiff) == want
+            got = idx.rule_samples(rule, r, pivots, absdiff)
+            assert _satisfying(rule, r, got, absdiff) == want
