@@ -85,7 +85,19 @@ def gen_synthetic(
     keep most of each value's tokens.  Repository row ``i`` is one more noisy
     copy of stream entity ``i % length`` (a fresh entity when ``length`` is
     0), so the repository overlaps the streams.
+
+    Raises ConfigError for arguments it cannot honour: ``d``, ``n_streams``
+    and ``topic_count`` below 1, ``vocab_size`` below 3 (a value needs three
+    distinct tokens) and a negative ``length`` or ``repo_size``.
     """
+    if d < 1 or n_streams < 1 or topic_count < 1:
+        raise ConfigError(
+            f"d, streams and topics must be >= 1, got {d}, {n_streams}, {topic_count}"
+        )
+    if vocab_size < 3:
+        raise ConfigError(f"vocab must be >= 3, got {vocab_size}")
+    if length < 0 or (repo_size is not None and repo_size < 0):
+        raise ConfigError(f"length and repo size must be >= 0, got {length}, {repo_size}")
     rng = random.Random(seed)
     vocab = [f"w{i}" for i in range(vocab_size)]
     topics = [f"topic{t}" for t in range(topic_count)]

@@ -4,8 +4,8 @@ Three modes share identical semantics and must produce identical event streams:
 
 * ``engine`` — rules are fetched through the rule trees, the repository
   samples a rule can use through the repository index's token and value
-  postings, live tuples through the grid synopsis, and candidate pairs run
-  the pruning cascade before refinement.
+  postings, live tuples through the grid synopsis and its token postings,
+  and candidate pairs run the pruning cascade before refinement.
 * ``noindex`` — linear-scan imputation and the same pair-level pruning
   cascade, but no trees or grid.
 * ``oracle`` — every lookup is a plain scan and every cross-stream pair is
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .cdd import detect_cdds
 from .errors import ConfigError, DuplicateTuple, NoRulesFound, OutOfOrderArrival
-from .grid import STAGE_KEYWORD, STAGE_PIVOT, STAGE_SIZE, ErGrid, TupleSummary, summarize
+from .grid import ErGrid, TupleSummary, summarize
 from .impute import ImputedTuple, impute_tuple
 from .index import DrIndex, build_cdd_index, build_dr_index
 from .index import dr_query_box_for_rule  # noqa: F401 - perfbench/tracer.py wraps this name
@@ -247,7 +247,9 @@ class Engine:
         self.summaries[summary.rid] = summary
         self.live_counts[summary.stream_id] = self.live_counts.get(summary.stream_id, 0) + 1
         if self.mode == MODE_ENGINE:
-            grid = self.grids.setdefault(summary.stream_id, ErGrid(self.config.d))
+            grid = self.grids.get(summary.stream_id)
+            if grid is None:
+                grid = self.grids[summary.stream_id] = ErGrid(self.config.d, self.dist)
             grid.insert(summary)
 
     def _remove(self, victim: StreamTuple) -> None:
@@ -294,9 +296,7 @@ class Engine:
     def _probe(self, ts: int, summary: TupleSummary) -> list:
         self.pairs_considered += len(self.summaries) - self.live_counts.get(summary.stream_id, 0)
         if self.mode == MODE_ENGINE:
-            candidates, skipped = self._grid_candidates(summary)
-            for stage in (STAGE_KEYWORD, STAGE_SIZE, STAGE_PIVOT):
-                self.stage_counts[stage] += len(skipped[stage])
+            candidates = self._grid_candidates(summary)
         else:
             candidates = [s for s in self.summaries.values() if s.stream_id != summary.stream_id]
         matched = []
@@ -325,17 +325,17 @@ class Engine:
                 matched.append((other, verdict.prob))
         return self._emit(ts, summary, matched)
 
-    def _grid_candidates(self, summary: TupleSummary):
+    def _grid_candidates(self, summary: TupleSummary) -> list:
+        """Survivors of every other stream's grid; the grids' skips go to stage_counts."""
         candidates = []
-        skipped = {STAGE_KEYWORD: set(), STAGE_SIZE: set(), STAGE_PIVOT: set()}
         for sid, grid in self.grids.items():
             if sid == summary.stream_id:
                 continue
-            cands, sk = grid.candidates(summary, self.config.gamma, self.config.keywords)
+            cands, skipped = grid.candidates(summary, self.config.gamma, self.config.keywords)
             candidates.extend(cands)
-            for stage, rids in sk.items():
-                skipped[stage].update(rids)
-        return candidates, skipped
+            for stage, rids in skipped.items():
+                self.stage_counts[stage] += len(rids)
+        return candidates
 
     def _emit(self, ts: int, summary: TupleSummary, matched) -> list:
         events = []
@@ -355,7 +355,7 @@ class Engine:
         pruned = sum(self.stage_counts[s] for s in STAGES)
         total = self.pairs_considered
         return {
-            "schema": 1,
+            "schema": 2,
             "mode": self.mode,
             "arrivals": self.arrivals,
             "pairs_considered": total,

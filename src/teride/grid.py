@@ -5,11 +5,14 @@ of its possible instances and is registered in every grid cell that rectangle
 intersects.  Cells keep covering aggregates (keyword unions, pivot-distance
 intervals, token-size intervals) so whole cells can be skipped during
 candidate retrieval, with each skip attributed to the pruning stage that
-caused it.
+caused it.  Under Jaccard the grid also keeps per-attribute token postings,
+so a probe counts its shared-token attributes with every live tuple at once
+and settles the tuples that fail that count before any cell is checked.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -20,11 +23,26 @@ from .pivot import PivotSet, convert
 
 CELL_WIDTH = 0.1
 _TOL = 1e-9
+# sum() of floats is compensated from Python 3.12 on, so a sum of larger terms
+# may round a few ulps below a sum of smaller ones; a bound on such sums is
+# raised by this much before it is compared.
+_SUM_SLACK = 1e-12
 
 STAGE_KEYWORD = "keyword"
+STAGE_TOKEN = "sim_ub_token"
 STAGE_SIZE = "sim_ub_size"
 STAGE_PIVOT = "sim_ub_pivot"
-_STAGE_ORDER = {STAGE_KEYWORD: 0, STAGE_SIZE: 1, STAGE_PIVOT: 2}
+
+
+def token_count_prunes(shared: int, gamma: float) -> bool:
+    """True when tuples whose token unions intersect on ``shared`` attributes cannot match.
+
+    Under Jaccard, disjoint non-empty token sets have similarity exactly 0 and
+    any attribute contributes at most 1, so ``shared`` bounds the similarity
+    of every instance pair.  This is ``not prune.sim_matches(shared +
+    _SUM_SLACK, gamma)``, the test that bound sums get.
+    """
+    return shared + _SUM_SLACK <= gamma + _TOL
 
 
 @dataclass
@@ -232,16 +250,46 @@ def _remove_from(cells: dict, key: tuple, s: TupleSummary) -> None:
         cell.remove(s)
 
 
-class ErGrid:
-    """Per-stream grid over [0, 1]^d with cell-level pruning aggregates."""
+def _post(postings: list, rid: str, unions: list) -> None:
+    for post, tokens in zip(postings, unions):
+        for tok in tokens:
+            rids = post.get(tok)
+            if rids is None:
+                post[tok] = {rid}
+            else:
+                rids.add(rid)
 
-    def __init__(self, d: int):
+
+def _unpost(postings: list, rid: str, unions: list) -> None:
+    for post, tokens in zip(postings, unions):
+        for tok in tokens:
+            rids = post[tok]
+            if len(rids) == 1:
+                del post[tok]
+            else:
+                rids.remove(rid)
+
+
+class ErGrid:
+    """Per-stream grid over [0, 1]^d with cell-level pruning aggregates.
+
+    ``dist`` (default ``DistanceFn()``) decides whether the shared-token count
+    bounds similarity: only under Jaccard does the grid keep token postings.
+    """
+
+    def __init__(self, d: int, dist: DistanceFn | None = None):
         self.d = d
         self._cells: dict = {}  # cell key tuple -> _Cell
         self._kw_cells: dict = {}  # same keys, keyword-bearing members only
         self._tuples: dict = {}  # rid -> (TupleSummary, list of cell keys)
         self._rids: set = set()
         self._kw_rids: set = set()
+        # per attr: token -> rids whose token union holds it; the same over
+        # keyword-bearing rids only.  None when the distance is not Jaccard.
+        self._postings = self._kw_postings = None
+        if dist is None or dist.kind == DistanceFn.JACCARD:
+            self._postings = [{} for _ in range(d)]
+            self._kw_postings = [{} for _ in range(d)]
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -262,6 +310,11 @@ class ErGrid:
             _add_to(self._cells, key, summary)
             if has_kw:
                 _add_to(self._kw_cells, key, summary)
+        if self._postings is not None:
+            unions = summary.imputed.token_unions()
+            _post(self._postings, rid, unions)
+            if has_kw:
+                _post(self._kw_postings, rid, unions)
         self._tuples[rid] = (summary, keys)
         self._rids.add(rid)
         if has_kw:
@@ -277,6 +330,11 @@ class ErGrid:
             _remove_from(self._cells, key, summary)
             if has_kw:
                 _remove_from(self._kw_cells, key, summary)
+        if self._postings is not None:
+            unions = summary.imputed.token_unions()
+            _unpost(self._postings, rid, unions)
+            if has_kw:
+                _unpost(self._kw_postings, rid, unions)
         self._rids.discard(rid)
         self._kw_rids.discard(rid)
         return summary
@@ -285,34 +343,57 @@ class ErGrid:
         """Candidate summaries for a probe tuple, plus per-stage skipped rids.
 
         A keyword-free probe can only pair with keyword-bearing tuples, so it
-        scans the keyword-restricted cells (whose aggregates are tighter) and
-        keyword-skips every other live tuple in one set difference.  Each
-        surviving cell must pass every cell-level check; a tuple skipped in
-        all its cells is attributed to the first stage that discarded it.
+        reads the keyword-restricted postings and cells (whose aggregates are
+        tighter) and keyword-skips every other live tuple in one set
+        difference.  With postings, the probe then counts per live tuple the
+        attributes on which the postings of its token unions hit that tuple,
+        and skips every tuple whose count fails ``token_count_prunes``.  A
+        tuple left survives if one of its cells passes every cell-level
+        check; otherwise it is attributed to the size bound if one of its
+        cells failed that, else to the pivot bound.
         """
         if query.keywords:
-            cells = self._cells
+            cells, postings, live = self._cells, self._postings, self._rids
             skipped_kw: set = set()
         else:
-            cells = self._kw_cells
+            cells, postings, live = self._kw_cells, self._kw_postings, self._kw_rids
             skipped_kw = self._rids - self._kw_rids
-        survivors: dict = {}
-        skipped_stage: dict = {}
-        for cell in cells.values():
-            stage = self._cell_stage(cell, query, gamma)
-            if stage is None:
-                survivors.update(cell.members)
+        if postings is None:
+            passing = live
+            skipped_token: set = set()
+        else:
+            hits: Counter = Counter()
+            for post, tokens in zip(postings, query.imputed.token_unions()):
+                # the rids holding at least one of the probe's tokens here
+                hits.update(set().union(*filter(None, map(post.get, tokens))))
+            need = next(  # the least count that passes
+                (n for n in range(self.d + 1) if not token_count_prunes(n, gamma)), self.d + 1
+            )
+            passing = [rid for rid, n in hits.items() if n >= need]
+            skipped_token = live.difference(passing)
+        survivors = []
+        skipped = {
+            STAGE_KEYWORD: skipped_kw,
+            STAGE_TOKEN: skipped_token,
+            STAGE_SIZE: set(),
+            STAGE_PIVOT: set(),
+        }
+        stages: dict = {}  # cell key -> first cell-level check that discards it, or None
+        for rid in passing:
+            summary, keys = self._tuples[rid]
+            by_size = False
+            for key in keys:
+                if key in stages:
+                    stage = stages[key]
+                else:
+                    stage = stages[key] = self._cell_stage(cells[key], query, gamma)
+                if stage is None:
+                    survivors.append(summary)
+                    break
+                by_size = by_size or stage == STAGE_SIZE
             else:
-                order = _STAGE_ORDER[stage]
-                for rid in cell.members:
-                    cur = skipped_stage.get(rid)
-                    if cur is None or order < _STAGE_ORDER[cur]:
-                        skipped_stage[rid] = stage
-        skipped = {STAGE_KEYWORD: skipped_kw, STAGE_SIZE: set(), STAGE_PIVOT: set()}
-        for rid, stage in skipped_stage.items():
-            if rid not in survivors:
-                skipped[stage].add(rid)
-        return list(survivors.values()), skipped
+                skipped[STAGE_SIZE if by_size else STAGE_PIVOT].add(rid)
+        return survivors, skipped
 
     @staticmethod
     def _cell_stage(cell, query, gamma):

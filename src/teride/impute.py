@@ -170,7 +170,10 @@ class ImputedTuple:
     def token_unions(self) -> list:
         """Per attribute, the union of the tokens of all its values."""
         if self._token_unions is None:
-            self._token_unions = [frozenset().union(*vals) for vals in self.instance_rows()[0]]
+            self._token_unions = [
+                frozenset().union(*(v for v, _ in self.attr_options(j)))
+                for j in range(len(self.base.attrs))
+            ]
         return self._token_unions
 
     def instance_keyword_flags(self, keywords: frozenset) -> list:

@@ -1,9 +1,10 @@
 """Pair-level pruning cascade and exact match-probability computation.
 
 For a candidate tuple pair the checks run in a fixed order: topic keyword,
-similarity upper bound (token sizes, then pivot distances), Paley-Zygmund
-probability upper bound, and finally instance-pair-level pruning interleaved
-with refinement.  Every bound overestimates, so no qualifying pair is lost.
+similarity upper bound (shared-token attributes under Jaccard, token sizes,
+then pivot distances), Paley-Zygmund probability upper bound, and finally
+instance-pair-level pruning interleaved with refinement.  Every bound
+overestimates, so no qualifying pair is lost.
 """
 
 from __future__ import annotations
@@ -12,7 +13,16 @@ import itertools
 from dataclasses import dataclass
 
 # pivot_stats is re-exported: it belongs with the bounds that read its result
-from .grid import STAGE_KEYWORD, STAGE_PIVOT, STAGE_SIZE, TupleSummary, pivot_stats
+from .grid import (
+    _SUM_SLACK,
+    STAGE_KEYWORD,
+    STAGE_PIVOT,
+    STAGE_SIZE,
+    STAGE_TOKEN,
+    TupleSummary,
+    pivot_stats,
+    token_count_prunes,
+)
 from .impute import ImputedTuple
 from .metric import DistanceFn, attr_min_dist, attr_ub_sim_by_size
 from .model import contains_keyword
@@ -21,13 +31,9 @@ STAGE_PROB = "prob_ub"
 STAGE_INSTANCE = "instance_level"
 STAGE_REFINED = "refined"
 
-STAGES = (STAGE_KEYWORD, STAGE_SIZE, STAGE_PIVOT, STAGE_PROB, STAGE_INSTANCE)
+STAGES = (STAGE_KEYWORD, STAGE_TOKEN, STAGE_SIZE, STAGE_PIVOT, STAGE_PROB, STAGE_INSTANCE)
 
 _TOL = 1e-9
-# sum() of floats is compensated from Python 3.12 on, so a sum of larger terms
-# may round a few ulps below a sum of smaller ones; a bound on such sums is
-# raised by this much before it is compared.
-_SUM_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,18 @@ def prob_reports(prob: float, alpha: float) -> bool:
 def keyword_prune(si: TupleSummary, sj: TupleSummary) -> bool:
     """True when no instance of either tuple can contain a topic keyword."""
     return not si.keywords and not sj.keywords
+
+
+def sim_ub_token(si: TupleSummary, sj: TupleSummary) -> int:
+    """Number of attributes on which the two tuples' token unions intersect.
+
+    Under Jaccard it bounds every instance pair's similarity (see
+    ``token_count_prunes``); under other distances it bounds nothing.
+    """
+    return sum(
+        not a.isdisjoint(b)
+        for a, b in zip(si.imputed.token_unions(), sj.imputed.token_unions())
+    )
 
 
 def sim_ub_size(si: TupleSummary, sj: TupleSummary) -> float:
@@ -164,19 +182,7 @@ def instance_level_scan(
     (True, 0.0) is returned without sorting.  A full scan returns the same
     once its seen mass comes within alpha + 1e-9 of 1, which holds whenever
     the instance probabilities sum to 1 up to rounding.
-
-    Under Jaccard, which is exactly 0 on disjoint non-empty sets and never
-    above 1, the sum of the tables' maxima is at most the number of
-    attributes whose two token unions intersect.  Without ``max_pairs``, if
-    even that count fails the threshold, (True, 0.0) is returned before any
-    table is built.
     """
-    if max_pairs is None and dist.kind == DistanceFn.JACCARD:
-        shared = sum(
-            not a.isdisjoint(b) for a, b in zip(it_i.token_unions(), it_j.token_unions())
-        )
-        if not sim_matches(shared + _SUM_SLACK, gamma):
-            return True, 0.0
     values_i, rows_i = it_i.instance_rows()
     values_j, rows_j = it_j.instance_rows()
     tables = [
@@ -222,6 +228,8 @@ def judge_pair(
     """Run the full cascade on one candidate pair."""
     if keyword_prune(si, sj):
         return PairVerdict(stage=STAGE_KEYWORD)
+    if dist.kind == DistanceFn.JACCARD and token_count_prunes(sim_ub_token(si, sj), gamma):
+        return PairVerdict(stage=STAGE_TOKEN)
     if sim_ub_size(si, sj) <= gamma + _TOL:
         return PairVerdict(stage=STAGE_SIZE)
     if sim_ub_pivot(si, sj) <= gamma + _TOL:

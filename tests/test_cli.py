@@ -267,7 +267,7 @@ class TestRunAndBench:
             == EXIT_OK
         )
         rec = json.loads(metrics.read_text())
-        assert rec["schema"] == 1
+        assert rec["schema"] == 2
         assert rec["f_score"] == 1.0
         assert "pruning_power_by_stage" in rec
 
@@ -352,3 +352,27 @@ class TestExitCodes:
 
     def test_unknown_verb_is_2(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--d", "0"),
+            ("--streams", "0"),
+            ("--topics", "0"),
+            ("--vocab", "2"),
+            ("--length", "-1"),
+            ("--repo-size", "-1"),
+        ],
+    )
+    def test_gen_arguments_it_cannot_honour_are_2(self, tmp_path, flag, value):
+        # with nothing to generate, a check that stops rejecting the value
+        # fails this test instead of looping in the generator
+        args = {
+            "--d": "3", "--streams": "2", "--length": "0", "--repo-size": "0",
+            "--vocab": "25", "--topics": "2",
+        }
+        args[flag] = value
+        out = tmp_path / "out"
+        argv = ["gen", "--out-dir", str(out)] + [x for kv in args.items() for x in kv]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()

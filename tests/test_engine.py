@@ -43,11 +43,21 @@ class TestModesAgree:
     def test_all_three_modes_produce_identical_events(self, seed):
         repo, trace = make_workload(seed=seed, length=20, repo_size=30, xi=0.4, m=1)
         cfg = make_config(window=7)
-        logs = {}
-        for mode in (MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE):
-            logs[mode] = Engine(repo, cfg, mode=mode).run(list(trace))
-        assert logs[MODE_ENGINE].diff(logs[MODE_ORACLE]) == []
-        assert logs[MODE_NOINDEX].diff(logs[MODE_ORACLE]) == []
+        # the shared-token stage runs only under Jaccard, and settles pairs
+        # that a capped instance scan would hand on to refinement
+        for kind, cap in (
+            (DistanceFn.JACCARD, None),
+            (DistanceFn.JACCARD, 0),
+            (DistanceFn.JACCARD, 1),
+            (DistanceFn.ABSDIFF, None),
+        ):
+            logs = {}
+            for mode in (MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE):
+                engine = Engine(repo, cfg, dist=DistanceFn(kind), mode=mode, instance_cap=cap)
+                logs[mode] = engine.run(list(trace))
+            assert logs[MODE_ENGINE].diff(logs[MODE_ORACLE]) == [], (kind, cap)
+            assert logs[MODE_NOINDEX].diff(logs[MODE_ORACLE]) == [], (kind, cap)
+            assert logs[MODE_ORACLE].matches(), (kind, cap)
 
     def test_results_only_pair_cross_stream(self):
         repo, trace = make_workload(seed=64, n_streams=3, length=15, repo_size=30)
@@ -163,7 +173,7 @@ class TestMetrics:
         engine = Engine(repo, make_config(window=8))
         engine.run(trace)
         m = engine.metrics()
-        assert m["schema"] == 1
+        assert m["schema"] == 2
         assert m["mode"] == MODE_ENGINE
         assert m["arrivals"] == len(trace)
         settled = sum(m["stage_counts"].values())

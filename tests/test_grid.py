@@ -3,14 +3,14 @@ import random
 import pytest
 
 from teride.errors import DuplicateTuple, UnknownTuple
-from teride.grid import CELL_WIDTH, ErGrid, summarize
-from teride.impute import impute_tuple
+from teride.grid import CELL_WIDTH, ErGrid, summarize, token_count_prunes
+from teride.impute import ImputedTuple, impute_tuple
 from teride.metric import DistanceFn
 from teride.model import QueryConfig
-from teride.pivot import select_pivots
-from teride.prune import sim_matches
+from teride.pivot import PivotSet, select_pivots
+from teride.prune import sim_matches, sim_ub_token
 
-from .conftest import make_workload, naive_pair_probability
+from .conftest import make_tuple, make_workload, naive_pair_probability, ts
 
 
 @pytest.fixture(scope="module")
@@ -149,9 +149,25 @@ class TestCountedAggregates:
                     reference.insert(s)
                 assert _cell_aggregates(grid._cells) == _cell_aggregates(reference._cells)
                 assert _cell_aggregates(grid._kw_cells) == _cell_aggregates(reference._kw_cells)
+                assert grid._postings == reference._postings
+                assert grid._kw_postings == reference._kw_postings
 
 
 class TestCandidates:
+    def test_shared_token_count_applies_under_jaccard_only(self, absdiff):
+        # the pair shares a token only on the keyword attribute, yet its
+        # numeric attributes are close under absdiff
+        keywords = frozenset({"topic0"})
+        a = ImputedTuple(base=make_tuple("a", 0, 1, ts("topic0"), ts("0.2"), ts("0.1")))
+        b = ImputedTuple(base=make_tuple("b", 1, 1, ts("topic0"), ts("0.25"), ts("0.15")))
+        pivots = PivotSet(per_attr=[[ts("0.0")] for _ in range(3)])
+        for dist, survivors in ((absdiff, ["b"]), (DistanceFn(), [])):
+            grid = ErGrid(d=3, dist=dist)
+            grid.insert(summarize(b, pivots, keywords, dist))
+            cands, skipped = grid.candidates(summarize(a, pivots, keywords, dist), 1.5, keywords)
+            assert [c.rid for c in cands] == survivors
+            assert skipped["sim_ub_token"] == ({"b"} - set(survivors))
+
     def test_no_qualifying_pair_is_skipped(self, setup):
         repo, dist, pivots, keywords, summaries = setup
         gamma = 0.6 * repo.d
@@ -183,13 +199,18 @@ class TestCandidates:
         for s in stream1:
             grid.insert(s)
         by_rid = {s.rid: s for s in stream1}
+        token_skips = 0
         for q in [s for s in summaries if s.stream_id == 0][:15]:
             _, skipped = grid.candidates(q, gamma, keywords)
             for rid in skipped["keyword"]:
                 assert not q.keywords and not by_rid[rid].keywords
+            for rid in skipped["sim_ub_token"]:
+                assert token_count_prunes(sim_ub_token(q, by_rid[rid]), gamma)
+                token_skips += 1
             for rid in skipped["sim_ub_size"] | skipped["sim_ub_pivot"]:
                 other = by_rid[rid]
                 for ia, pa in q.imputed.instances():
                     for ib, pb in other.imputed.instances():
                         sim = sum(dist.sim(x, y) for x, y in zip(ia.attrs, ib.attrs))
                         assert not sim_matches(sim, gamma)
+        assert token_skips

@@ -4,9 +4,10 @@ from teride.grid import summarize
 from teride.metric import DistInterval
 from teride.impute import ImputedTuple, impute_tuple
 from teride.metric import DistanceFn
-from teride.pivot import select_pivots
+from teride.pivot import PivotSet, select_pivots
 from teride.prune import (
     STAGE_REFINED,
+    STAGE_TOKEN,
     instance_level_scan,
     judge_pair,
     pair_probability,
@@ -16,6 +17,7 @@ from teride.prune import (
     sim_matches,
     sim_ub_pivot,
     sim_ub_size,
+    sim_ub_token,
 )
 
 from .conftest import (
@@ -91,6 +93,7 @@ class TestBoundsDominate:
                     for ib, _ in b.imputed.instances()
                 )
                 assert sim_ub_size(a, b) + 1e-9 >= max_sim
+                assert sim_ub_token(a, b) + 1e-9 >= max_sim
                 assert sim_ub_pivot(a, b) + 1e-9 >= max_sim
                 ub = prob_ub_paley_zygmund(pivot_stats(a), pivot_stats(b), repo.d, gamma)
                 assert ub + 1e-9 >= exact
@@ -147,6 +150,44 @@ class TestCascade:
                 else:
                     # any stage short of refinement must only discard non-matches
                     assert not prob_reports(exact, alpha)
+
+    @staticmethod
+    def _shared_on(n_shared, dist):
+        """Summaries of a keyword-bearing pair over d=4 whose values are equal on
+        the first ``n_shared`` attributes and share no token on the others.
+        Attribute 0 is imputed for ``a``, and only its second option is the
+        shared value."""
+        same = [ts("p", "q"), ts("topic0", "x"), ts("y", "z"), ts("u", "v")]
+        other = [ts("w5"), ts("topic1", "w1"), ts("w2"), ts("w3", "w4")]
+        a = ImputedTuple(
+            base=make_tuple("a", 0, 1, None, *same[1:]),
+            per_attr_candidates={0: [(ts("r", "s"), 0.7), (same[0], 0.3)]},
+        )
+        b = ImputedTuple(base=make_tuple("b", 1, 1, *same[:n_shared], *other[n_shared:]))
+        pivots = PivotSet(per_attr=[[ts("pivot")] for _ in range(4)])
+        keywords = frozenset({"topic0"})
+        return [summarize(it, pivots, keywords, dist) for it in (a, b)]
+
+    @pytest.mark.parametrize("gamma", [2.0, 2.5])
+    def test_shared_token_count_at_the_threshold(self, gamma, absdiff):
+        keywords = frozenset({"topic0"})
+        for cap in (None, 1, 2):
+            # floor(gamma) shared attributes: settled before any similarity
+            a, b = self._shared_on(int(gamma), DistanceFn())
+            dist = _CountingDistance()
+            verdict = judge_pair(a, b, gamma, 0.2, keywords, dist, instance_cap=cap)
+            assert verdict.stage == STAGE_TOKEN
+            assert dist.sim_calls == 0
+            # one more: the imputed option shared on attribute 0 lifts the pair
+            a, b = self._shared_on(int(gamma) + 1, DistanceFn())
+            verdict = judge_pair(a, b, gamma, 0.2, keywords, DistanceFn(), instance_cap=cap)
+            assert verdict.stage == STAGE_REFINED and verdict.matched
+            assert verdict.prob == pytest.approx(0.3)
+            # the count bounds nothing under absdiff
+            for n_shared in (int(gamma), int(gamma) + 1):
+                a, b = self._shared_on(n_shared, absdiff)
+                verdict = judge_pair(a, b, gamma, 0.2, keywords, absdiff, instance_cap=cap)
+                assert verdict.stage != STAGE_TOKEN
 
 
 def _scan_workload(seed, fallback):
@@ -277,34 +318,3 @@ class TestInstanceScanMatchesReference:
                 got = instance_level_scan(*args)
                 assert got == reference_instance_level_scan(*args), args
                 assert got[1] > 0.0
-
-    @staticmethod
-    def _shared_on(n_shared):
-        """A keyword-bearing pair over d=4 whose values are equal on the first
-        ``n_shared`` attributes and share no token on the others."""
-        same = [ts("topic0", "x"), ts("y", "z"), ts("u", "v"), ts("p", "q")]
-        other = [ts("topic1", "w1"), ts("w2"), ts("w3", "w4"), ts("w5")]
-        attrs_b = same[:n_shared] + other[n_shared:]
-        a = ImputedTuple(
-            base=make_tuple("a", 0, 1, *same[:3], None),
-            per_attr_candidates={3: [(same[3], 0.7), (ts("q", "r"), 0.3)]},
-        )
-        b = ImputedTuple(base=make_tuple("b", 1, 1, *attrs_b))
-        return a, b
-
-    @pytest.mark.parametrize("gamma", [2.0, 2.5])
-    def test_shared_token_count_at_the_threshold(self, gamma):
-        keywords = frozenset({"topic0"})
-        for n_shared, shortcut in ((int(gamma), True), (int(gamma) + 1, False)):
-            a, b = self._shared_on(n_shared)
-            for max_pairs in (None, 1, 5):
-                dist = _CountingDistance()
-                got = instance_level_scan(a, b, gamma, 0.2, keywords, dist, max_pairs)
-                # the shortcut builds no similarity table, and only when uncapped
-                assert (dist.sim_calls == 0) == (shortcut and max_pairs is None)
-                want = reference_instance_level_scan(a, b, gamma, 0.2, keywords, dist, max_pairs)
-                assert got == want, (n_shared, max_pairs)
-                if shortcut and max_pairs is None:
-                    assert got == (True, 0.0)
-            if not shortcut:
-                assert instance_level_scan(a, b, gamma, 0.2, keywords, DistanceFn())[1] > 0.2
