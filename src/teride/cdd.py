@@ -2,21 +2,23 @@
 
 A rule X -> A_j carries per-determinant constraints (a constant value or a
 distance interval) and a dependent distance interval.  Detection mines rules
-from a complete repository by scanning sample pairs: determinant distances are
+from a complete repository over its sample pairs: determinant distances are
 quantized into buckets of width 0.1, constants come from frequent values, and
 the dependent interval is the tightest interval covering every conforming
 pair, so every emitted rule holds on 100% of repository pairs by construction.
+Pairs are counted by their distinct profiles rather than held one by one.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DeterminantMissing, NoRulesFound
 from .metric import DistanceFn
-from .model import Repository, StreamTuple, TokenSet, token_key
+from .model import Repository, StreamTuple, TokenSet, token_key, token_postings
 
 CONST = "const"
 INTERVAL = "interval"
@@ -157,51 +159,32 @@ def detect_cdds(
         raise ConfigError("max_dep_lo must be in [0, 1]")
     if min_support < 2:
         raise ConfigError("min_support must be >= 2")
-    samples = repo.samples
+    if max_determinants < 1:
+        raise ConfigError("max_determinants must be >= 1")
     d = repo.d
-    n = len(samples)
+    columns = [[s.attrs[x] for s in repo.samples] for x in range(d)]
 
     # frequent constants per attribute
     frequent: list = []
-    for x in range(d):
+    for col in columns:
         counts: dict = {}
-        for s in samples:
-            counts[s.attrs[x]] = counts.get(s.attrs[x], 0) + 1
+        for v in col:
+            counts[v] = counts.get(v, 0) + 1
         frequent.append({v for v, c in counts.items() if c >= min_support})
 
-    pairs = [(i, k) for i in range(n) for k in range(i, n)]
-    pair_dists = [
-        [dist(samples[i].attrs[x], samples[k].attrs[x]) for x in range(d)] for i, k in pairs
-    ]
-    # per pair and attribute, the options a determinant on it may take: its
-    # distance buckets, then the shared value when it is a frequent constant
-    bucket_opts: dict = {}  # distance -> bucket options, shared across pairs
-    distinct_rows: dict = {}  # few distinct rows: pairs share one copy of each
-    pair_opts = []
-    for (i, k), dists in zip(pairs, pair_dists):
-        row = []
-        for x, dx in enumerate(dists):
-            opts = bucket_opts.get(dx)
-            if opts is None:
-                opts = bucket_opts[dx] = tuple(("int", b) for b in _bucket_options(dx))
-            vi = samples[i].attrs[x]
-            if vi == samples[k].attrs[x] and vi in frequent[x]:
-                opts = opts + (("const", vi),)
-            row.append(opts)
-        row = tuple(row)
-        pair_opts.append(distinct_rows.setdefault(row, row))
+    profiles = _pair_profiles(columns, frequent, dist)
 
-    rules: dict = {}
+    rules = []
     for j in range(d):
         others = [x for x in range(d) if x != j]
         for size in range(1, max_determinants + 1):
             for det in itertools.combinations(others, size):
                 combos: dict = {}
-                for opts, dists in zip(pair_opts, pair_dists):
+                for (opts, dists), mult in profiles.items():
                     dep_d = dists[j]
                     for combo in itertools.product(*(opts[x] for x in det)):
                         lo, hi, cnt = combos.get(combo, (1.0, 0.0, 0))
-                        combos[combo] = (min(lo, dep_d), max(hi, dep_d), cnt + 1)
+                        combos[combo] = (min(lo, dep_d), max(hi, dep_d), cnt + mult)
                 for combo, (lo, hi, cnt) in combos.items():
                     if (
                         cnt < min_support
@@ -223,17 +206,70 @@ def detect_cdds(
                                     hi=round(min((b + 1) * BUCKET_WIDTH, 1.0), 10),
                                 )
                             )
-                    rule = CddRule(
-                        determinants=tuple(constraints), dependent=j, dep_lo=lo, dep_hi=hi
+                    rules.append(
+                        CddRule(determinants=tuple(constraints), dependent=j, dep_lo=lo, dep_hi=hi)
                     )
-                    sig = _signature(rule)
-                    kept = rules.get(sig)
-                    if kept is None or (rule.dep_hi - rule.dep_lo) < (kept.dep_hi - kept.dep_lo):
-                        rules[sig] = rule
-    out = sorted(rules.values(), key=_sort_key)
+    # each (dependent, determinant set, combo) has its own signature, so the
+    # sort key orders the rules totally and enumeration order cannot show
+    out = sorted(rules, key=_sort_key)
     if not out:
         raise NoRulesFound("no rule passed the support/width thresholds")
     return out
+
+
+def _pair_profiles(columns: list, frequent: list, dist: DistanceFn) -> dict:
+    """Count the sample pairs ``i <= k`` by profile: (options row, distance row).
+
+    A pair's options row holds, per attribute, what a determinant on it may
+    take: its distance buckets, then the shared value when it is a frequent
+    constant.  Under Jaccard, token sets that share no token are at distance
+    exactly 1.0, so only the pairs sharing a token on some attribute are
+    enumerated, through per-attribute token postings, and a token-disjoint
+    attribute of such a pair takes 1.0 without a call to ``dist``.  Every other
+    pair is disjoint on all attributes and joins one all-1.0 profile: no
+    self-pair is disjoint, and a constant needs equal values.  Under absdiff,
+    disjoint numeric values can be close, so every pair is a partner.
+    """
+    n = len(columns[0])
+    jaccard = dist.kind == DistanceFn.JACCARD
+    postings = [token_postings(col) for col in columns] if jaccard else None
+    bucket_opts: dict = {}  # distance -> bucket options, shared across pairs
+
+    def buckets(distance: float) -> tuple:
+        opts = bucket_opts.get(distance)
+        if opts is None:
+            opts = bucket_opts[distance] = tuple(("int", b) for b in _bucket_options(distance))
+        return opts
+
+    profiles: dict = {}
+    for i in range(n):
+        if jaccard:
+            partners: set = set()
+            for col, post in zip(columns, postings):
+                for t in col[i]:
+                    ks = post[t]
+                    partners.update(ks[bisect_left(ks, i):])
+        else:
+            partners = range(i, n)
+        for k in partners:
+            opts_row = []
+            dist_row = []
+            for x, col in enumerate(columns):
+                a, b = col[i], col[k]
+                dx = 1.0 if jaccard and a.isdisjoint(b) else dist(a, b)
+                opts = buckets(dx)
+                if a == b and a in frequent[x]:
+                    opts = opts + (("const", a),)
+                opts_row.append(opts)
+                dist_row.append(dx)
+            key = (tuple(opts_row), tuple(dist_row))
+            profiles[key] = profiles.get(key, 0) + 1
+    disjoint = n * (n + 1) // 2 - sum(profiles.values())
+    if disjoint:
+        d = len(columns)
+        key = ((buckets(1.0),) * d, (1.0,) * d)
+        profiles[key] = profiles.get(key, 0) + disjoint
+    return profiles
 
 
 def _signature(rule: CddRule):

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .cdd import CONST, INTERVAL, CddRule
 from .errors import ConfigError
 from .metric import DistanceFn
-from .model import Repository, StreamTuple, TokenSet
+from .model import Repository, StreamTuple, TokenSet, token_postings
 from .pivot import PivotSet, convert
 
 FANOUT = 8
@@ -176,13 +176,10 @@ def build_dr_index(
     repo: Repository, pivots: PivotSet, keywords: frozenset, dist: DistanceFn
 ) -> DrIndex:
     entries = []
-    by_token = [{} for _ in range(repo.d)]
     by_value = [{} for _ in range(repo.d)]
     for i, s in enumerate(repo.samples):
         for x, v in enumerate(s.attrs):
             by_value[x].setdefault(v, set()).add(i)
-            for t in v:
-                by_token[x].setdefault(t, set()).add(i)
         coords = [convert(s.attrs[x], x, pivots, dist) for x in range(repo.d)]
         box = [(coords[x][0], coords[x][0]) for x in range(repo.d)]
         all_tokens = frozenset().union(*s.attrs)
@@ -204,7 +201,10 @@ def build_dr_index(
         root=root,
         d=repo.d,
         samples=repo.samples,
-        by_token=[{t: frozenset(ids) for t, ids in p.items()} for p in by_token],
+        by_token=[
+            {t: frozenset(ids) for t, ids in token_postings([s.attrs[x] for s in repo.samples]).items()}
+            for x in range(repo.d)
+        ],
         by_value=[{v: frozenset(ids) for v, ids in p.items()} for p in by_value],
     )
 

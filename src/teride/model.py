@@ -47,6 +47,15 @@ def token_key(value: TokenSet) -> tuple:
     return tuple(sorted(value))
 
 
+def token_postings(values: Sequence[TokenSet]) -> dict:
+    """Token -> ascending positions of the values that hold it."""
+    postings: dict = {}
+    for i, v in enumerate(values):
+        for t in v:
+            postings.setdefault(t, []).append(i)
+    return postings
+
+
 @dataclass(frozen=True)
 class StreamTuple:
     """One record of an (incomplete) stream.

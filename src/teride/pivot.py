@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, EmptyDomain
 from .metric import DistanceFn
-from .model import Repository, TokenSet, token_key
+from .model import Repository, TokenSet, token_key, token_postings
 
 DEFAULT_P = 10
 DEFAULT_EMIN = 1.5
@@ -90,9 +90,16 @@ def select_pivots(
     cntMax: int = DEFAULT_CNTMAX,
     dist: DistanceFn | None = None,
 ) -> PivotSet:
-    """Select main and auxiliary pivots per attribute from the repository domains."""
+    """Select main and auxiliary pivots per attribute from the repository domains.
+
+    Scores equal :func:`entropy` for the main pivot and :func:`joint_entropy`
+    for the auxiliary ones; under Jaccard, distances are computed only to the
+    samples a candidate shares a token with (see :class:`_AttrSamples`).
+    """
     if dist is None:
         dist = DistanceFn()
+    if P < 2:
+        raise ConfigError("P must be >= 2")
     if cntMax < 1:
         raise ConfigError("cntMax must be >= 1")
     per_attr = []
@@ -100,33 +107,103 @@ def select_pivots(
         domain = repo.domain(attr)
         if not domain:
             raise EmptyDomain(f"attribute {attr} has no domain values")
-        chosen = [_argmax(domain, lambda v: entropy(v, attr, repo, P, dist))]
-        h = entropy(chosen[0], attr, repo, P, dist)
+        samples = _AttrSamples([s.attrs[attr] for s in repo.samples], P, dist)
+        main, h = _argmax(domain, samples.entropy)
+        chosen = [main]
         while h < eMin and len(chosen) < cntMax:
             remaining = [v for v in domain if v not in chosen]
             if not remaining:
                 break
             # the chosen pivots' buckets are shared by every candidate's joint entropy
-            keys = _bucket_keys(chosen, attr, repo, P, dist)
-            best = _argmax(
-                remaining,
-                lambda v: _keys_entropy(
-                    [k + b for k, b in zip(keys, _bucket_keys([v], attr, repo, P, dist))]
-                ),
-            )
+            samples.choose(chosen[-1])
+            best, h = _argmax(remaining, samples.joint_entropy)
             chosen.append(best)
-            h = joint_entropy(chosen, attr, repo, P, dist)
         per_attr.append(chosen)
     return PivotSet(per_attr=per_attr, bucket_count=P, entropy_threshold=eMin, max_pivots=cntMax)
 
 
-def _argmax(values, score):
+class _AttrSamples:
+    """One attribute's sample values, bucketed against the chosen pivots and a candidate.
+
+    Under Jaccard a sample that shares no token with a candidate is at
+    distance exactly 1.0, in bucket P-1, so distances are computed only for
+    the candidate's partners: the samples in the union of its tokens'
+    postings.  Under absdiff disjoint numeric values can be close, so every
+    sample is a partner.
+    """
+
+    def __init__(self, values: list, P: int, dist: DistanceFn):
+        self.values = values
+        self.P = P
+        self.dist = dist
+        self.postings = token_postings(values) if dist.kind == DistanceFn.JACCARD else None
+        self.keys = [()] * len(values)  # per sample, its buckets for the chosen pivots
+        self.groups = {(): list(range(len(values)))}  # key -> ascending sample positions
+
+    def buckets(self, v: TokenSet) -> dict:
+        """Ascending partner position -> its bucket for candidate v."""
+        if self.postings is None:
+            partners = range(len(self.values))
+        else:
+            partners = sorted(set().union(*(self.postings.get(t, ()) for t in v)))
+        values, P, dist = self.values, self.P, self.dist
+        return {i: _bucket(dist(values[i], v), P) for i in partners}
+
+    def entropy(self, v: TokenSet) -> float:
+        """:func:`entropy` of candidate v."""
+        hits = self.buckets(v)
+        counts = [0] * self.P
+        for b in hits.values():
+            counts[b] += 1
+        counts[-1] += len(self.values) - len(hits)
+        return _entropy_from_counts(counts, len(self.values))
+
+    def choose(self, v: TokenSet) -> None:
+        """Append each sample's bucket for pivot v to its key."""
+        hits = self.buckets(v)
+        last = self.P - 1
+        self.keys = [key + (hits.get(i, last),) for i, key in enumerate(self.keys)]
+        self.groups = {}
+        for i, key in enumerate(self.keys):
+            self.groups.setdefault(key, []).append(i)
+
+    def joint_entropy(self, v: TokenSet) -> float:
+        """:func:`joint_entropy` of the chosen pivots plus candidate v.
+
+        The non-partners under each key are counted by subtraction, and the
+        terms are summed in order of each joint key's first sample, the order
+        :func:`_keys_entropy` sums in.
+        """
+        hits = self.buckets(v)
+        counts: dict = {}
+        first: dict = {}
+        hits_per_key: dict = {}
+        for i, b in hits.items():  # ascending positions
+            key = self.keys[i]
+            hits_per_key[key] = hits_per_key.get(key, 0) + 1
+            joint = key + (b,)
+            counts[joint] = counts.get(joint, 0) + 1
+            first.setdefault(joint, i)
+        last = (self.P - 1,)
+        for key, members in self.groups.items():
+            rest = len(members) - hits_per_key.get(key, 0)
+            if rest:
+                joint = key + last
+                counts[joint] = counts.get(joint, 0) + rest
+                at = next(i for i in members if i not in hits)
+                first[joint] = min(first.get(joint, at), at)
+        ordered = sorted(counts, key=first.__getitem__)
+        return _entropy_from_counts((counts[k] for k in ordered), len(self.values))
+
+
+def _argmax(values, score) -> tuple:
+    """(value, score) of the best-scoring value; ties go to the first in token order."""
     best_v, best_s = None, None
     for v in sorted(values, key=token_key):
         s = score(v)
         if best_s is None or s > best_s + _EDGE_TOL:
             best_v, best_s = v, s
-    return best_v
+    return best_v, best_s
 
 
 def convert(value: TokenSet, attr: int, pivots: PivotSet, dist: DistanceFn) -> list:

@@ -155,6 +155,10 @@ class TestDetection:
         with pytest.raises(ConfigError):
             detect_cdds(numeric_repo, absdiff, min_support=1)
 
+    def test_determinant_count_validation(self, numeric_repo, absdiff):
+        with pytest.raises(ConfigError, match="max_determinants must be >= 1"):
+            detect_cdds(numeric_repo, absdiff, max_determinants=0)
+
     def test_no_rules_raises(self, absdiff):
         repo = Repository(
             [

@@ -347,6 +347,21 @@ class TestExitCodes:
         args = run_args(workspace, "engine", workspace / "r.jsonl", extra=["--instance-cap", "-3"])
         assert main(args) == EXIT_CONFIG
 
+    def test_pivots_with_fewer_than_two_buckets_is_2(self, workspace):
+        out = workspace / "pivots.txt"
+        argv = ["pivots", "--repo", str(workspace / "repository.csv"), "--p", "1", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_detect_without_determinants_is_2(self, workspace):
+        out = workspace / "rules.txt"
+        argv = [
+            "detect", "--repo", str(workspace / "repository.csv"),
+            "--max-determinants", "0", "--out", str(out),
+        ]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_bad_usage_is_2(self):
         assert main(["run"]) == EXIT_CONFIG
 

@@ -1,0 +1,311 @@
+"""Offline stages against pinned outputs and brute-force references.
+
+``detect_cdds`` counts sample pairs by profile and ``select_pivots`` buckets
+candidates through token postings; both skip the distances between token sets
+that share no token.  The references here compute every pair's distance, and
+the digests pin the rules and pivots of the benchmark-shaped repositories.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from teride.cdd import CONST, INTERVAL, AttrConstraint, CddRule, detect_cdds, rules_to_text
+from teride.cli import gen_synthetic
+from teride.errors import NoRulesFound
+from teride.metric import DistanceFn
+from teride.model import Repository, token_key
+from teride.pivot import (
+    PivotSet,
+    _AttrSamples,
+    entropy,
+    joint_entropy,
+    pivots_to_text,
+    select_pivots,
+)
+
+from .conftest import make_tuple, make_workload, ts
+
+_TOL = 1e-9
+
+
+def _bucket_options(distance):
+    b = min(int(distance / 0.1 + _TOL), 9)
+    return [b, b - 1] if b > 0 and abs(distance - b * 0.1) <= _TOL else [b]
+
+
+def reference_detect_cdds(
+    repo, dist, max_interval_width=0.3, min_support=3, max_determinants=2, max_dep_lo=0.1
+):
+    """Every pair ``i <= k`` on its own, with every distance computed."""
+    samples, d = repo.samples, repo.d
+    n = len(samples)
+    frequent = [
+        {v for v, c in Counter(s.attrs[x] for s in samples).items() if c >= min_support}
+        for x in range(d)
+    ]
+
+    def options(i, k, x):
+        a, b = samples[i].attrs[x], samples[k].attrs[x]
+        opts = [("int", bucket) for bucket in _bucket_options(dist(a, b))]
+        if a == b and a in frequent[x]:
+            opts.append(("const", a))
+        return opts
+
+    rules = []
+    for j in range(d):
+        others = [x for x in range(d) if x != j]
+        for size in range(1, max_determinants + 1):
+            for det in itertools.combinations(others, size):
+                deps: dict = {}
+                for i in range(n):
+                    for k in range(i, n):
+                        dep = dist(samples[i].attrs[j], samples[k].attrs[j])
+                        for combo in itertools.product(*(options(i, k, x) for x in det)):
+                            deps.setdefault(combo, []).append(dep)
+                for combo, ds in deps.items():
+                    lo, hi = min(ds), max(ds)
+                    if len(ds) < min_support or hi - lo > max_interval_width + _TOL:
+                        continue
+                    if lo > max_dep_lo + _TOL:
+                        continue
+                    constraints = tuple(
+                        AttrConstraint(attr=x, kind=CONST, value=payload)
+                        if kind == "const"
+                        else AttrConstraint(
+                            attr=x,
+                            kind=INTERVAL,
+                            lo=round(payload * 0.1, 10),
+                            hi=round(min((payload + 1) * 0.1, 1.0), 10),
+                        )
+                        for x, (kind, payload) in zip(det, combo)
+                    )
+                    rules.append(CddRule(constraints, dependent=j, dep_lo=lo, dep_hi=hi))
+    return rules
+
+
+def reference_select_pivots(repo, P=10, eMin=1.5, cntMax=3, dist=None):
+    """Greedy selection scored by ``entropy`` and ``joint_entropy`` over every sample."""
+
+    def argmax(values, score):
+        best_v, best_s = None, None
+        for v in sorted(values, key=token_key):
+            s = score(v)
+            if best_s is None or s > best_s + _TOL:
+                best_v, best_s = v, s
+        return best_v
+
+    per_attr = []
+    for attr in range(repo.d):
+        domain = repo.domain(attr)
+        chosen = [argmax(domain, lambda v: entropy(v, attr, repo, P, dist))]
+        h = entropy(chosen[0], attr, repo, P, dist)
+        while h < eMin and len(chosen) < cntMax:
+            remaining = [v for v in domain if v not in chosen]
+            if not remaining:
+                break
+            chosen.append(
+                argmax(remaining, lambda v: joint_entropy(chosen + [v], attr, repo, P, dist))
+            )
+            h = joint_entropy(chosen, attr, repo, P, dist)
+        per_attr.append(chosen)
+    return PivotSet(per_attr=per_attr, bucket_count=P, entropy_threshold=eMin, max_pivots=cntMax)
+
+
+def _rules_text(repo, dist, **kwargs):
+    try:
+        return rules_to_text(detect_cdds(repo, dist, **kwargs))
+    except NoRulesFound:
+        return None
+
+
+def _reference_rules_text(repo, dist, **kwargs):
+    rules = reference_detect_cdds(repo, dist, **kwargs)
+    return rules_to_text(rules) if rules else None
+
+
+def _numeric_repo(seed, n=14, d=3):
+    """Singleton numeric values, so disjoint values lie at every absdiff distance."""
+    rng = random.Random(seed)
+    rows = [
+        make_tuple(f"n{i}", -1, 0, *(ts(f"{rng.randrange(11) / 10:.1f}") for _ in range(d)))
+        for i in range(n)
+    ]
+    return Repository(rows)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# rules and pivots text of the two benchmark workload shapes (d=4, vocab 120,
+# 16 topics), recorded before pair profiles and token postings replaced the
+# all-pairs scans
+_RULES_SHA = "a00556084186d19af4835dee522694d95f7784ed1f270203380bdf03d3ed0c92"
+PINNED = [
+    # streams, length, repository rows, seed, rules sha256, pivots sha256
+    (2, 1000, 150, 3, _RULES_SHA, "2b39e6c32806c108092726ca472d5ae715a6994f579699545a3ce9c86acc2a66"),
+    (2, 1000, 150, 103, _RULES_SHA, "c14bcb938768ecdea5ac4ebc6a068a7a83a2bc1482a727ec41aeda72d9933c86"),
+    (3, 1500, 90, 1, _RULES_SHA, "38408eea1587ba38aef492efe0f951f16cb7d2ba64f1e2cb96fd91441f7eb7ea"),
+    (3, 1500, 90, 101, _RULES_SHA, "c7a915403c8c673c2e4ea06e72cac6a0a6a74da5df1c4d5db2f3748923077f43"),
+]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize(
+        "streams,length,rows,seed,rules_sha,pivots_sha",
+        PINNED,
+        ids=["tight_rho-3", "tight_rho-103", "impute_heavy-1", "impute_heavy-101"],
+    )
+    def test_rules_and_pivots_digests(self, streams, length, rows, seed, rules_sha, pivots_sha):
+        repo_rows, _ = gen_synthetic(
+            d=4, n_streams=streams, length=length, vocab_size=120, topic_count=16,
+            seed=seed, repo_size=rows,
+        )
+        repo = Repository(repo_rows)
+        dist = DistanceFn()
+        assert _sha(rules_to_text(detect_cdds(repo, dist))) == rules_sha
+        assert _sha(pivots_to_text(select_pivots(repo, dist=dist))) == pivots_sha
+
+
+# (detect_cdds keyword arguments) exercised by the differential tests: the
+# defaults, then wide intervals whose rules reach bucket 9 and distance 1.0
+DETECT_ARGS = [
+    {},
+    {"min_support": 2, "max_interval_width": 1.0, "max_dep_lo": 1.0},
+    {"min_support": 2, "max_interval_width": 0.5, "max_dep_lo": 0.6, "max_determinants": 3},
+    {"max_determinants": 1, "max_interval_width": 1.0, "max_dep_lo": 1.0},
+]
+
+PIVOT_ARGS = [
+    {},
+    {"P": 2, "eMin": 5.0, "cntMax": 4},
+    {"P": 3, "eMin": 3.0, "cntMax": 3},
+    {"P": 10, "eMin": 10.0, "cntMax": 3},
+]
+
+
+class TestMatchesBruteForce:
+    @pytest.mark.parametrize("vocab", [5, 8, 14, 30])
+    @pytest.mark.parametrize("kwargs", DETECT_ARGS, ids=range(len(DETECT_ARGS)))
+    def test_rules_on_small_vocabularies(self, vocab, kwargs):
+        # few tokens: many shared tokens, many distances on bucket edges
+        repo, _ = make_workload(seed=20 + vocab, d=4, length=10, vocab=vocab, topics=2, repo_size=24)
+        got = _rules_text(repo, DistanceFn(), **kwargs)
+        assert got == _reference_rules_text(repo, DistanceFn(), **kwargs)
+
+    @pytest.mark.parametrize("vocab", [5, 8, 14, 30])
+    @pytest.mark.parametrize("kwargs", PIVOT_ARGS, ids=range(len(PIVOT_ARGS)))
+    def test_pivots_on_small_vocabularies(self, vocab, kwargs):
+        repo, _ = make_workload(seed=40 + vocab, d=3, length=10, vocab=vocab, topics=2, repo_size=30)
+        got = select_pivots(repo, dist=DistanceFn(), **kwargs)
+        want = reference_select_pivots(repo, dist=DistanceFn(), **kwargs)
+        assert pivots_to_text(got) == pivots_to_text(want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        vocab=st.integers(4, 20),
+        rows=st.integers(2, 20),
+        detect=st.sampled_from(DETECT_ARGS),
+        pivot=st.sampled_from(PIVOT_ARGS),
+    )
+    def test_random_repositories(self, seed, vocab, rows, detect, pivot):
+        repo, _ = make_workload(seed=seed, d=3, length=6, vocab=vocab, topics=2, repo_size=rows)
+        assert _rules_text(repo, DistanceFn(), **detect) == _reference_rules_text(
+            repo, DistanceFn(), **detect
+        )
+        got = select_pivots(repo, dist=DistanceFn(), **pivot)
+        want = reference_select_pivots(repo, dist=DistanceFn(), **pivot)
+        assert pivots_to_text(got) == pivots_to_text(want)
+
+    @pytest.mark.parametrize("kwargs", DETECT_ARGS, ids=range(len(DETECT_ARGS)))
+    def test_absdiff_rules(self, numeric_repo, kwargs):
+        for repo in (numeric_repo, _numeric_repo(1), _numeric_repo(2)):
+            got = _rules_text(repo, DistanceFn(DistanceFn.ABSDIFF), **kwargs)
+            assert got == _reference_rules_text(repo, DistanceFn(DistanceFn.ABSDIFF), **kwargs)
+
+    @pytest.mark.parametrize("kwargs", PIVOT_ARGS, ids=range(len(PIVOT_ARGS)))
+    def test_absdiff_pivots(self, numeric_repo, kwargs):
+        for repo in (numeric_repo, _numeric_repo(1), _numeric_repo(2)):
+            got = select_pivots(repo, dist=DistanceFn(DistanceFn.ABSDIFF), **kwargs)
+            want = reference_select_pivots(repo, dist=DistanceFn(DistanceFn.ABSDIFF), **kwargs)
+            assert pivots_to_text(got) == pivots_to_text(want)
+
+
+class TestScoresEqualReference:
+    """Pivot scores through postings equal entropy() and joint_entropy() exactly,
+    float for float, so ties break as they would over every sample."""
+
+    @pytest.mark.parametrize("P", [2, 3, 10])
+    def test_scores_are_bit_identical(self, P):
+        repo, _ = make_workload(seed=77, d=3, length=10, vocab=12, topics=2, repo_size=40)
+        dist = DistanceFn()
+        for attr in range(repo.d):
+            domain = repo.domain(attr)
+            samples = _AttrSamples([s.attrs[attr] for s in repo.samples], P, dist)
+            for v in domain:
+                assert samples.entropy(v) == entropy(v, attr, repo, P, dist)
+            chosen = []
+            for pivot in domain[:3]:
+                samples.choose(pivot)
+                chosen.append(pivot)
+                for v in domain:
+                    assert samples.joint_entropy(v) == joint_entropy(chosen + [v], attr, repo, P, dist)
+
+
+class _RecordingDistance(DistanceFn):
+    """A distance that records every pair of values it is asked about."""
+
+    def __init__(self, kind=DistanceFn.JACCARD):
+        super().__init__(kind)
+        self.asked = set()
+
+    def __call__(self, a, b):
+        self.asked.add((a, b))
+        self.asked.add((b, a))
+        return super().__call__(a, b)
+
+
+def _value_pairs(repo):
+    """Every (attribute, value, value) of the sample pairs i <= k."""
+    samples = repo.samples
+    return {
+        (x, samples[i].attrs[x], samples[k].attrs[x])
+        for i in range(len(samples))
+        for k in range(i, len(samples))
+        for x in range(repo.d)
+    }
+
+
+class TestDisjointPairsSkipped:
+    def test_jaccard_never_asks_a_disjoint_pair(self):
+        repo, _ = make_workload(seed=8, d=4, length=20, vocab=40, topics=4, repo_size=40)
+        disjoint = {(a, b) for _, a, b in _value_pairs(repo) if a.isdisjoint(b)}
+        assert disjoint  # the repository has pairs to skip
+        for run in (
+            lambda dist: detect_cdds(repo, dist, min_support=2, max_interval_width=1.0),
+            lambda dist: select_pivots(repo, dist=dist, eMin=10.0),
+        ):
+            dist = _RecordingDistance()
+            run(dist)
+            assert dist.asked
+            assert not any(a.isdisjoint(b) for a, b in dist.asked)
+
+    def test_absdiff_asks_every_pair(self):
+        repo = _numeric_repo(3)
+        dist = _RecordingDistance(DistanceFn.ABSDIFF)
+        detect_cdds(repo, dist, min_support=2, max_interval_width=1.0, max_dep_lo=1.0)
+        assert all((a, b) in dist.asked for _, a, b in _value_pairs(repo))
+        dist = _RecordingDistance(DistanceFn.ABSDIFF)
+        select_pivots(repo, dist=dist)
+        for attr in range(repo.d):
+            for candidate in repo.domain(attr):
+                assert all((s.attrs[attr], candidate) in dist.asked for s in repo.samples)

@@ -109,6 +109,11 @@ class TestSelection:
         b = select_pivots(repo, dist=dist)
         assert a.per_attr == b.per_attr
 
+    def test_p_validation(self, numeric_repo, absdiff):
+        for dist in (absdiff, DistanceFn()):
+            with pytest.raises(ConfigError, match="P must be >= 2"):
+                select_pivots(numeric_repo, P=1, dist=dist)
+
     def test_cntmax_validation(self, numeric_repo, absdiff):
         with pytest.raises(ConfigError):
             select_pivots(numeric_repo, cntMax=0, dist=absdiff)
