@@ -22,8 +22,10 @@ from .model import (
     QueryConfig,
     Repository,
     StreamTuple,
+    read_csv,
     read_repository,
     read_tuples,
+    tokenize,
     write_tuples,
 )
 from .pivot import (
@@ -202,7 +204,7 @@ def _build_engine(args, mode: str) -> tuple:
     if args.repo_ratio != 1.0:
         repo = subsample_repo(repo, args.repo_ratio, args.seed)
     config = QueryConfig(
-        keywords=frozenset(args.keywords.split(",")),
+        keywords=tokenize(args.keywords),
         d=repo.d,
         rho=args.rho,
         alpha=args.alpha,
@@ -263,9 +265,8 @@ def _cmd_pivots(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    tuples = read_tuples(args.input)
+    d, tuples = read_csv(args.input)
     injected = inject_missing(tuples, args.missing_rate, args.missing_attrs, args.seed)
-    d = injected[0].d if injected else 0
     write_tuples(args.out, injected, d)
     return EXIT_OK
 
@@ -335,7 +336,7 @@ def _cmd_bench(args) -> int:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--repo", required=True)
     p.add_argument("--streams", nargs="+", required=True)
-    p.add_argument("--keywords", required=True, help="comma-separated topic keywords")
+    p.add_argument("--keywords", required=True, help="topic keywords, tokenized like attribute values")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--window", type=int, required=True)

@@ -210,6 +210,12 @@ def csv_header(d: int) -> list:
 
 
 def read_tuples(path) -> list:
+    return read_csv(path)[1]
+
+
+def read_csv(path) -> tuple:
+    """``(d, tuples)`` of a stream CSV; ``d`` comes from the header, so a
+    header-only file keeps its width."""
     tuples = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -234,7 +240,7 @@ def read_tuples(path) -> list:
                     attrs=tuple(attrs),
                 )
             )
-    return tuples
+    return d, tuples
 
 
 def write_tuples(path, tuples: Iterable[StreamTuple], d: int) -> None:

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
+from hypothesis import settings
 
 from teride.cli import gen_synthetic, inject_missing
 from teride.metric import DistanceFn
 from teride.model import Repository, StreamTuple
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def ts(*tokens):

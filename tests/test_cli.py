@@ -104,6 +104,18 @@ class TestGen:
         lines = (tmp_path / "stream_0.csv").read_text().strip().splitlines()
         assert len(lines) == 1
 
+    def test_inject_keeps_the_width_of_a_header_only_stream(self, tmp_path):
+        gen = ["gen", "--out-dir", str(tmp_path), "--d", "3", "--streams", "1", "--length", "0",
+               "--vocab", "10", "--topics", "1", "--repo-size", "4"]
+        assert main(gen) == EXIT_OK
+        src = tmp_path / "stream_0.csv"
+        for out in (tmp_path / "once.csv", tmp_path / "twice.csv"):
+            argv = ["inject", "--input", str(src), "--out", str(out),
+                    "--missing-rate", "0.5", "--missing-attrs", "1"]
+            assert main(argv) == EXIT_OK
+            assert out.read_bytes() == (tmp_path / "stream_0.csv").read_bytes()
+            src = out
+
     def test_cross_stream_duplicates_share_most_tokens(self):
         _, streams = gen_synthetic(d=3, n_streams=2, length=20, vocab_size=40, topic_count=3, seed=8)
         shares = []
@@ -271,6 +283,16 @@ class TestRunAndBench:
         assert rec["f_score"] == 1.0
         assert "pruning_power_by_stage" in rec
 
+    def test_keywords_are_tokenized_like_values(self, workspace):
+        lower = workspace / "lower.jsonl"
+        upper = workspace / "upper.jsonl"
+        assert main(run_args(workspace, "engine", lower)) == EXIT_OK
+        args = run_args(workspace, "engine", upper)
+        args[args.index("--keywords") + 1] = "TOPIC0"
+        assert main(args) == EXIT_OK
+        assert '"kind": "match"' in lower.read_text()
+        assert upper.read_bytes() == lower.read_bytes()
+
     def test_bench_reports_both_modes(self, workspace):
         metrics = workspace / "bench.json"
         args = run_args(workspace, "engine", workspace / "ignored.jsonl", metrics=metrics)
@@ -298,6 +320,12 @@ class TestExitCodes:
         out = workspace / "r.jsonl"
         args = run_args(workspace, "engine", out)
         args[args.index("--rho") + 1] = "2.0"  # gamma outside (0, d)
+        assert main(args) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("keywords", ["", ","], ids=["empty", "comma"])
+    def test_keywords_without_a_token_are_2(self, workspace, keywords):
+        args = run_args(workspace, "engine", workspace / "r.jsonl")
+        args[args.index("--keywords") + 1] = keywords
         assert main(args) == EXIT_CONFIG
 
     def test_missing_file_is_3(self, tmp_path):

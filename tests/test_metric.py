@@ -19,6 +19,8 @@ from teride.metric import (
 from .conftest import make_tuple, ts
 
 tokens = st.frozensets(st.sampled_from("abcdefgh"), min_size=1, max_size=6)
+# token sets plus numeric singletons, which absdiff treats as numbers
+values = tokens | st.floats(0, 2, allow_nan=False).map(lambda x: frozenset({str(x)}))
 
 
 class TestJaccard:
@@ -55,11 +57,10 @@ class TestDistanceFn:
         assert absdiff(ts("a1"), ts("a1")) == 0.0
         assert absdiff(ts("a1"), ts("a2")) == 1.0
 
-    def test_memoization_is_symmetric(self):
-        dist = DistanceFn()
-        a, b = ts("a", "b"), ts("c")
-        d1 = dist(a, b)
-        assert dist._cache[(b, a)] == d1
+    @given(st.sampled_from([DistanceFn.JACCARD, DistanceFn.ABSDIFF]), values, values)
+    def test_symmetric_under_both_kinds(self, kind, a, b):
+        dist = DistanceFn(kind)
+        assert dist(a, b) == dist(b, a)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
