@@ -4,7 +4,7 @@ from .cdd import AttrConstraint, CddRule, detect_cdds, rules_from_text, rules_to
 from .engine import Engine, Event, MatchResultSet, precompute
 from .errors import TerideError
 from .grid import ErGrid, TupleSummary, summarize
-from .impute import ImputedTuple, expand_instances, impute_tuple
+from .impute import ImputedTuple, impute_tuple
 from .index import build_cdd_index, build_dr_index
 from .metric import DistanceFn, jaccard_dist, jaccard_sim, tuple_sim
 from .model import (
@@ -41,7 +41,6 @@ __all__ = [
     "build_cdd_index",
     "build_dr_index",
     "detect_cdds",
-    "expand_instances",
     "impute_tuple",
     "jaccard_dist",
     "jaccard_sim",

@@ -219,15 +219,7 @@ def _build_engine(args, mode: str) -> tuple:
     if getattr(args, "pivots", None):
         with open(args.pivots, encoding="utf-8") as fh:
             pivots = pivots_from_text(fh.read())
-    engine = Engine(
-        repo,
-        config,
-        dist=dist,
-        mode=mode,
-        rules=rules,
-        pivots=pivots,
-        instance_cap=args.instance_cap,
-    )
+    engine = Engine(repo, config, dist=dist, mode=mode, rules=rules, pivots=pivots)
     trace = []
     for path in args.streams:
         trace.extend(read_tuples(path))
@@ -341,7 +333,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--repo-ratio", type=float, default=1.0)
-    p.add_argument("--instance-cap", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rules", default=None, help="precomputed rule file")
     p.add_argument("--pivots", default=None, help="precomputed pivot file")

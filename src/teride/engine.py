@@ -153,15 +153,11 @@ class Engine:
         mode: str = MODE_ENGINE,
         rules: list | None = None,
         pivots: PivotSet | None = None,
-        instance_cap: int | None = None,
     ):
         if mode not in MODES:
             raise ConfigError(f"unknown engine mode {mode!r}")
-        if instance_cap is not None and instance_cap < 0:
-            raise ConfigError(f"instance cap must be >= 0, got {instance_cap}")
         self.mode = mode
         self.config = config
-        self.instance_cap = instance_cap
         self.dist = dist if dist is not None else DistanceFn()
         self.pre = precompute(repo, config, self.dist, mode=mode, rules=rules, pivots=pivots)
         self.window = SlidingWindow(config.window_size)
@@ -318,7 +314,6 @@ class Engine:
                 self.config.alpha,
                 self.config.keywords,
                 self.dist,
-                instance_cap=self.instance_cap,
             )
             self.stage_counts[verdict.stage] += 1
             if verdict.matched:

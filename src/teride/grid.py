@@ -294,12 +294,6 @@ class ErGrid:
     def __len__(self) -> int:
         return len(self._tuples)
 
-    def __contains__(self, rid: str) -> bool:
-        return rid in self._tuples
-
-    def summaries(self):
-        return [s for s, _ in self._tuples.values()]
-
     def insert(self, summary: TupleSummary) -> None:
         rid = summary.rid
         if rid in self._tuples:

@@ -8,7 +8,7 @@ rules are pooled and normalized into an existence-probability distribution.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -18,7 +18,6 @@ from .metric import DistanceFn
 from .model import Repository, StreamTuple, TokenSet, contains_keyword, token_key
 
 PROB_TOL = 1e-9
-DEFAULT_INSTANCE_LIMIT = 64
 FALLBACK_TOP_K = 5
 
 
@@ -28,9 +27,6 @@ class CandidateDistribution:
 
     attr: int
     entries: dict  # value -> positive frequency
-
-    def total(self) -> int:
-        return sum(self.entries.values())
 
 
 def impute_single_rule(
@@ -149,22 +145,19 @@ class ImputedTuple:
         return n
 
     def instances(self) -> list:
-        """All concrete instances as (complete StreamTuple, prob), descending prob."""
+        """All concrete instances as (complete StreamTuple, prob), aligned with
+        the rows of :meth:`instance_rows`."""
         if self._instances is None:
-            self._instances = _enumerate_instances(self, None)[0]
+            self._rows, self._instances = _enumerate_instances(self)
         return self._instances
 
     def instance_rows(self) -> tuple:
-        """(values, rows): each attribute's distinct values in the order the
-        instances first use them, and per instance the index of its value in
-        each attribute's list.  Rows are aligned with :meth:`instances`."""
+        """(values, rows): per attribute the values of its options (the present
+        value, or the candidates by descending probability, ties in token
+        order), and every option-index row, sorted by (-p, row) where p is the
+        row's joint probability."""
         if self._rows is None:
-            index = [{} for _ in self.base.attrs]  # per attr: value -> position
-            rows = [
-                tuple(ix.setdefault(v, len(ix)) for ix, v in zip(index, inst.attrs))
-                for inst, _ in self.instances()
-            ]
-            self._rows = ([list(ix) for ix in index], rows)
+            self._rows, self._instances = _enumerate_instances(self)
         return self._rows
 
     def token_unions(self) -> list:
@@ -186,42 +179,33 @@ class ImputedTuple:
         return self._keyword_flags[1]
 
 
-def _enumerate_instances(it: ImputedTuple, limit: Optional[int]):
-    """Instances in descending probability order, plus truncated residual mass."""
+def _enumerate_instances(it: ImputedTuple) -> tuple:
+    """((values, rows), instances) over every option-index row, sorted by (-p, row)."""
     base = it.base
-    missing = sorted(it.per_attr_candidates)
-    if not missing:
-        base.require_complete()
-        return [(base, 1.0)], 0.0
-    option_lists = []
-    for j in missing:
-        opts = sorted(it.per_attr_candidates[j], key=lambda vp: (-vp[1], token_key(vp[0])))
-        option_lists.append(opts)
-    # best-first search over the index lattice (probabilities multiply)
-    out = []
-    start = tuple(0 for _ in missing)
-    seen = {start}
-    heap = [(-_joint(option_lists, start), start)]
-    kept_mass = 0.0
-    while heap and (limit is None or len(out) < limit):
-        negp, idx = heapq.heappop(heap)
-        prob = -negp
-        attrs = list(base.attrs)
-        for j, opts, i in zip(missing, option_lists, idx):
-            attrs[j] = opts[i][0]
-        inst = StreamTuple(
-            rid=base.rid, stream_id=base.stream_id, arrival_time=base.arrival_time, attrs=tuple(attrs)
+    options = [
+        [(v, 1.0)]
+        if v is not None
+        else sorted(it.per_attr_candidates[j], key=lambda vp: (-vp[1], token_key(vp[0])))
+        for j, v in enumerate(base.attrs)
+    ]
+    scored = sorted(
+        (-_joint(options, row), row)
+        for row in itertools.product(*(range(len(opts)) for opts in options))
+    )
+    values = [[v for v, _ in opts] for opts in options]
+    instances = [
+        (
+            StreamTuple(
+                rid=base.rid,
+                stream_id=base.stream_id,
+                arrival_time=base.arrival_time,
+                attrs=tuple(vals[i] for vals, i in zip(values, row)),
+            ),
+            -negp,
         )
-        out.append((inst, prob))
-        kept_mass += prob
-        for pos in range(len(missing)):
-            if idx[pos] + 1 < len(option_lists[pos]):
-                nxt = idx[:pos] + (idx[pos] + 1,) + idx[pos + 1 :]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    heapq.heappush(heap, (-_joint(option_lists, nxt), nxt))
-    residual = max(0.0, 1.0 - kept_mass) if heap else 0.0
-    return out, residual
+        for negp, row in scored
+    ]
+    return (values, [row for _, row in scored]), instances
 
 
 def _joint(option_lists, idx) -> float:
@@ -229,13 +213,6 @@ def _joint(option_lists, idx) -> float:
     for opts, i in zip(option_lists, idx):
         p *= opts[i][1]
     return p
-
-
-def expand_instances(it: ImputedTuple, limit: int = DEFAULT_INSTANCE_LIMIT):
-    """Top-``limit`` instances by probability and the residual truncated mass."""
-    if limit < 1:
-        raise ImputationFailed("instance limit must be >= 1")
-    return _enumerate_instances(it, limit)
 
 
 def impute_tuple(

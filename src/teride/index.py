@@ -271,13 +271,13 @@ class CddIndex:
         """Rules whose determinants could be satisfied by r (no false dismissals)."""
         if r.attrs[self.dependent] is not None:
             raise ConfigError(f"tuple {r.rid} is not missing attribute {self.dependent}")
+        # groups share determinant attributes: convert each one once per call
+        coords = {
+            x: None if r.attrs[x] is None else convert(r.attrs[x], x, pivots, dist)
+            for x in {x for group in self.groups for x in group.attrs}
+        }
         out = []
         for group in self.groups:
-            coords = {}
-            usable = True
-            for x in group.attrs:
-                v = r.attrs[x]
-                coords[x] = None if v is None else convert(v, x, pivots, dist)
             stack = [group.root]
             while stack:
                 node = stack.pop()

@@ -166,14 +166,11 @@ def instance_level_scan(
     alpha: float,
     keywords: frozenset,
     dist: DistanceFn,
-    max_pairs: int | None = None,
 ) -> tuple:
     """Partial scan over instance pairs in descending joint probability.
 
     Returns (pruned, confirmed) where ``pruned`` is True once the confirmed
-    probability plus the unexamined mass can no longer exceed alpha.  With
-    ``max_pairs`` the scan gives up (without pruning) after that many pairs,
-    capping the effort spent before full refinement.
+    probability plus the unexamined mass can no longer exceed alpha.
 
     Similarities come from one option-vs-option table per attribute (1x1 for
     a present attribute): an instance pair's similarity is the sum of its
@@ -189,9 +186,7 @@ def instance_level_scan(
         [[dist.sim(vi, vj) for vj in vals_j] for vi in vals_i]
         for vals_i, vals_j in zip(values_i, values_j)
     ]
-    if max_pairs is None and not sim_matches(
-        sum(max(map(max, table)) for table in tables) + _SUM_SLACK, gamma
-    ):
+    if not sim_matches(sum(max(map(max, table)) for table in tables) + _SUM_SLACK, gamma):
         return True, 0.0
     inst_i = it_i.instances()
     inst_j = it_j.instances()
@@ -203,9 +198,7 @@ def instance_level_scan(
     seen_mass = 0.0
     kw_i = it_i.instance_keyword_flags(keywords)
     kw_j = it_j.instance_keyword_flags(keywords)
-    for examined, (mass, a, b) in enumerate(pairs):
-        if max_pairs is not None and examined >= max_pairs:
-            return False, confirmed
+    for mass, a, b in pairs:
         if (kw_i[a] or kw_j[b]) and sim_matches(
             sum(table[x][y] for table, x, y in zip(tables, rows_i[a], rows_j[b])), gamma
         ):
@@ -223,7 +216,6 @@ def judge_pair(
     alpha: float,
     keywords: frozenset,
     dist: DistanceFn,
-    instance_cap: int | None = None,
 ) -> PairVerdict:
     """Run the full cascade on one candidate pair."""
     if keyword_prune(si, sj):
@@ -238,10 +230,7 @@ def judge_pair(
     ub = prob_ub_paley_zygmund(si.pivot_stats, sj.pivot_stats, d, gamma)
     if ub <= alpha + _TOL:
         return PairVerdict(stage=STAGE_PROB)
-    max_pairs = None if instance_cap is None else instance_cap * instance_cap
-    pruned, _ = instance_level_scan(
-        si.imputed, sj.imputed, gamma, alpha, keywords, dist, max_pairs=max_pairs
-    )
+    pruned, _ = instance_level_scan(si.imputed, sj.imputed, gamma, alpha, keywords, dist)
     if pruned:
         return PairVerdict(stage=STAGE_INSTANCE)
     prob = pair_probability(si.imputed, sj.imputed, gamma, keywords, dist)

@@ -92,11 +92,11 @@ def all_instance_pairs(it_i, it_j):
     return list(itertools.product(it_i.instances(), it_j.instances()))
 
 
-def reference_instance_level_scan(it_i, it_j, gamma, alpha, keywords, dist, max_pairs=None):
+def reference_instance_level_scan(it_i, it_j, gamma, alpha, keywords, dist):
     """Instance-level scan that checks every instance pair on its own values.
 
     The reference for ``teride.prune.instance_level_scan``: same pair order
-    (descending joint probability, stable), same give-up and prune rules, with
+    (descending joint probability, stable), same prune rule, with
     each pair's keyword test and similarity taken directly from the two
     instances' attribute values.
     """
@@ -110,9 +110,7 @@ def reference_instance_level_scan(it_i, it_j, gamma, alpha, keywords, dist, max_
     kw_j = [any(not v.isdisjoint(keywords) for v in t.attrs) for t, _ in inst_j]
     confirmed = 0.0
     seen_mass = 0.0
-    for examined, (mass, a, b) in enumerate(pairs):
-        if max_pairs is not None and examined >= max_pairs:
-            return False, confirmed
+    for mass, a, b in pairs:
         ti, tj = inst_i[a][0], inst_j[b][0]
         if (kw_i[a] or kw_j[b]) and sum(
             dist.sim(x, y) for x, y in zip(ti.attrs, tj.attrs)

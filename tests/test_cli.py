@@ -371,10 +371,6 @@ class TestExitCodes:
         args = run_args(workspace, "engine", workspace / "r.jsonl", extra=["--groundtruth", str(truth)])
         assert main(args) == EXIT_CONFIG
 
-    def test_negative_instance_cap_is_2(self, workspace):
-        args = run_args(workspace, "engine", workspace / "r.jsonl", extra=["--instance-cap", "-3"])
-        assert main(args) == EXIT_CONFIG
-
     def test_pivots_with_fewer_than_two_buckets_is_2(self, workspace):
         out = workspace / "pivots.txt"
         argv = ["pivots", "--repo", str(workspace / "repository.csv"), "--p", "1", "--out", str(out)]

@@ -43,21 +43,15 @@ class TestModesAgree:
     def test_all_three_modes_produce_identical_events(self, seed):
         repo, trace = make_workload(seed=seed, length=20, repo_size=30, xi=0.4, m=1)
         cfg = make_config(window=7)
-        # the shared-token stage runs only under Jaccard, and settles pairs
-        # that a capped instance scan would hand on to refinement
-        for kind, cap in (
-            (DistanceFn.JACCARD, None),
-            (DistanceFn.JACCARD, 0),
-            (DistanceFn.JACCARD, 1),
-            (DistanceFn.ABSDIFF, None),
-        ):
+        # the shared-token stage runs only under Jaccard
+        for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
             logs = {}
             for mode in (MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE):
-                engine = Engine(repo, cfg, dist=DistanceFn(kind), mode=mode, instance_cap=cap)
+                engine = Engine(repo, cfg, dist=DistanceFn(kind), mode=mode)
                 logs[mode] = engine.run(list(trace))
-            assert logs[MODE_ENGINE].diff(logs[MODE_ORACLE]) == [], (kind, cap)
-            assert logs[MODE_NOINDEX].diff(logs[MODE_ORACLE]) == [], (kind, cap)
-            assert logs[MODE_ORACLE].matches(), (kind, cap)
+            assert logs[MODE_ENGINE].diff(logs[MODE_ORACLE]) == [], kind
+            assert logs[MODE_NOINDEX].diff(logs[MODE_ORACLE]) == [], kind
+            assert logs[MODE_ORACLE].matches(), kind
 
     def test_results_only_pair_cross_stream(self):
         repo, trace = make_workload(seed=64, n_streams=3, length=15, repo_size=30)

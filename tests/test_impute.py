@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,12 +7,12 @@ from hypothesis import strategies as st
 from teride.errors import ImputationFailed, NoSupportingSample
 from teride.impute import (
     ImputedTuple,
-    expand_instances,
     fallback_candidates,
     impute_multi_rule,
     impute_single_rule,
     impute_tuple,
 )
+from teride.model import StreamTuple, token_key
 
 from .conftest import make_tuple, make_workload, ts
 from .test_cdd import cdd1, cdd2
@@ -112,21 +114,6 @@ class TestImputedTuple:
         for t, _ in inst:
             assert t.is_complete()
 
-    def test_expand_cap_and_residual(self):
-        r = make_tuple("r", 0, 1, None, None)
-        it = ImputedTuple(
-            base=r,
-            per_attr_candidates={
-                0: [(ts("x"), 0.7), (ts("y"), 0.3)],
-                1: [(ts("u"), 0.6), (ts("v"), 0.4)],
-            },
-        )
-        top, residual = expand_instances(it, limit=2)
-        assert len(top) == 2
-        assert residual == pytest.approx(1.0 - (0.42 + 0.28), abs=1e-9)
-        full, residual_full = expand_instances(it, limit=64)
-        assert len(full) == 4 and residual_full == 0.0
-
 
 class TestImputeTuple:
     def test_pipeline_reference(self, numeric_repo, absdiff, incomplete_r):
@@ -152,6 +139,70 @@ class TestImputeTuple:
         n2 = len(it.per_attr_candidates[2])
         assert it.instance_count() == n1 * n2
         assert sum(p for _, p in it.instances()) == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_enumeration(it):
+    """(values, rows, instances) by brute force: every option-index row, sorted by (-p, row).
+
+    Each attribute's options are its present value, or its candidates in
+    descending probability with ties broken by token order; ``p`` multiplies
+    the chosen options' probabilities in attribute order.
+    """
+    options = [
+        [(v, 1.0)]
+        if v is not None
+        else sorted(it.per_attr_candidates[j], key=lambda vp: (-vp[1], token_key(vp[0])))
+        for j, v in enumerate(it.base.attrs)
+    ]
+    scored = []
+    for row in itertools.product(*(range(len(opts)) for opts in options)):
+        p = 1.0
+        for opts, i in zip(options, row):
+            p *= opts[i][1]
+        scored.append((-p, row))
+    scored.sort()
+    values = [[v for v, _ in opts] for opts in options]
+    base = it.base
+    instances = [
+        (
+            StreamTuple(
+                rid=base.rid,
+                stream_id=base.stream_id,
+                arrival_time=base.arrival_time,
+                attrs=tuple(vals[i] for vals, i in zip(values, row)),
+            ),
+            -negp,
+        )
+        for negp, row in scored
+    ]
+    return values, [row for _, row in scored], instances
+
+
+_token_sets = st.frozensets(st.sampled_from("abcdef"), min_size=1, max_size=2)
+
+
+@st.composite
+def uniform_imputed_tuples(draw):
+    """Imputed tuples whose candidate lists are uniform, so that equal joint
+    probabilities (ties) are common."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    attrs, cands = [], {}
+    for j in range(d):
+        if draw(st.booleans()):
+            attrs.append(draw(_token_sets))
+            continue
+        vals = draw(st.lists(_token_sets, min_size=1, max_size=4, unique=True))
+        attrs.append(None)
+        cands[j] = [(v, 1.0 / len(vals)) for v in vals]
+    return ImputedTuple(base=make_tuple("r", 0, 1, *attrs), per_attr_candidates=cands)
+
+
+@settings(max_examples=300, deadline=None)
+@given(it=uniform_imputed_tuples())
+def test_instances_are_option_rows_sorted_by_probability_then_row(it):
+    values, rows, instances = reference_enumeration(it)
+    assert it.instances() == instances
+    assert it.instance_rows() == (values, rows)
 
 
 @settings(max_examples=20, deadline=None)

@@ -126,15 +126,6 @@ class TestInstanceLevel:
                     assert exact <= alpha + 1e-9
                 assert confirmed <= exact + 1e-9
 
-    def test_max_pairs_gives_up_without_pruning(self, setup):
-        repo, dist, keywords, s0, s1 = setup
-        gamma, alpha = 0.6 * repo.d, 0.3
-        a, b = s0[0], s1[0]
-        pruned, _ = instance_level_scan(
-            a.imputed, b.imputed, gamma, alpha, keywords, dist, max_pairs=0
-        )
-        assert not pruned
-
 
 class TestCascade:
     def test_verdict_agrees_with_exact_evaluation(self, setup):
@@ -171,23 +162,22 @@ class TestCascade:
     @pytest.mark.parametrize("gamma", [2.0, 2.5])
     def test_shared_token_count_at_the_threshold(self, gamma, absdiff):
         keywords = frozenset({"topic0"})
-        for cap in (None, 1, 2):
-            # floor(gamma) shared attributes: settled before any similarity
-            a, b = self._shared_on(int(gamma), DistanceFn())
-            dist = _CountingDistance()
-            verdict = judge_pair(a, b, gamma, 0.2, keywords, dist, instance_cap=cap)
-            assert verdict.stage == STAGE_TOKEN
-            assert dist.sim_calls == 0
-            # one more: the imputed option shared on attribute 0 lifts the pair
-            a, b = self._shared_on(int(gamma) + 1, DistanceFn())
-            verdict = judge_pair(a, b, gamma, 0.2, keywords, DistanceFn(), instance_cap=cap)
-            assert verdict.stage == STAGE_REFINED and verdict.matched
-            assert verdict.prob == pytest.approx(0.3)
-            # the count bounds nothing under absdiff
-            for n_shared in (int(gamma), int(gamma) + 1):
-                a, b = self._shared_on(n_shared, absdiff)
-                verdict = judge_pair(a, b, gamma, 0.2, keywords, absdiff, instance_cap=cap)
-                assert verdict.stage != STAGE_TOKEN
+        # floor(gamma) shared attributes: settled before any similarity
+        a, b = self._shared_on(int(gamma), DistanceFn())
+        dist = _CountingDistance()
+        verdict = judge_pair(a, b, gamma, 0.2, keywords, dist)
+        assert verdict.stage == STAGE_TOKEN
+        assert dist.sim_calls == 0
+        # one more: the imputed option shared on attribute 0 lifts the pair
+        a, b = self._shared_on(int(gamma) + 1, DistanceFn())
+        verdict = judge_pair(a, b, gamma, 0.2, keywords, DistanceFn())
+        assert verdict.stage == STAGE_REFINED and verdict.matched
+        assert verdict.prob == pytest.approx(0.3)
+        # the count bounds nothing under absdiff
+        for n_shared in (int(gamma), int(gamma) + 1):
+            a, b = self._shared_on(n_shared, absdiff)
+            verdict = judge_pair(a, b, gamma, 0.2, keywords, absdiff)
+            assert verdict.stage != STAGE_TOKEN
 
 
 def _scan_workload(seed, fallback):
@@ -247,17 +237,14 @@ class TestInstanceScanMatchesReference:
         for rho in (0.45, 0.6):
             gamma = rho * repo.d
             for alpha in (0.0, 0.2, 0.5):
-                for max_pairs in (None, 0, 1, 5):
-                    for a, b in pairs:
-                        want = reference_instance_level_scan(
-                            a.imputed, b.imputed, gamma, alpha, keywords, dist, max_pairs
-                        )
-                        got = instance_level_scan(
-                            a.imputed, b.imputed, gamma, alpha, keywords, dist, max_pairs
-                        )
-                        assert got == want, (a.rid, b.rid, gamma, alpha, max_pairs)
-                        if got == (True, 0.0):
-                            shortcut += 1
+                for a, b in pairs:
+                    want = reference_instance_level_scan(
+                        a.imputed, b.imputed, gamma, alpha, keywords, dist
+                    )
+                    got = instance_level_scan(a.imputed, b.imputed, gamma, alpha, keywords, dist)
+                    assert got == want, (a.rid, b.rid, gamma, alpha)
+                    if got == (True, 0.0):
+                        shortcut += 1
         for s in summaries:
             keyword_free += not any(s.imputed.instance_keyword_flags(keywords))
         # the workload reaches keyword-free tuples and scans that end pruned
@@ -280,12 +267,12 @@ class TestInstanceScanMatchesReference:
         outcomes = set()
         for tenth in range(5, 30):
             for alpha in (0.0, 0.1, 0.3, 0.5, 0.7):
-                for max_pairs in (None, 0, 1, 5):
-                    args = (a, b, tenth / 10, alpha, keywords, dist, max_pairs)
-                    got = instance_level_scan(*args)
-                    assert got == reference_instance_level_scan(*args), args
-                    outcomes.add((got[0], got[1] > 0.0))
-        assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+                args = (a, b, tenth / 10, alpha, keywords, dist)
+                got = instance_level_scan(*args)
+                assert got == reference_instance_level_scan(*args), args
+                outcomes.add((got[0], got[1] > 0.0))
+        # an uncapped scan that confirms nothing always ends pruned
+        assert outcomes == {(True, False), (True, True), (False, True)}
 
     def test_cached_summary_state_equals_fresh_computation(self):
         repo, dist, keywords, summaries, pairs = _scan_workload(41, False)
@@ -314,7 +301,7 @@ class TestInstanceScanMatchesReference:
         assert sum(not x.isdisjoint(y) for x, y in zip(a.token_unions(), b.token_unions())) == 1
         for gamma in (1.5, 2.5):
             for alpha in (0.0, 0.5):
-                args = (a, b, gamma, alpha, keywords, absdiff, None)
+                args = (a, b, gamma, alpha, keywords, absdiff)
                 got = instance_level_scan(*args)
                 assert got == reference_instance_level_scan(*args), args
                 assert got[1] > 0.0
