@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DeterminantMissing, NoRulesFound
@@ -109,18 +109,6 @@ def satisfies_determinants(rule: CddRule, r: StreamTuple, s: StreamTuple, dist: 
                 return False
         else:  # pragma: no cover - MISSING never appears in mined rules
             raise ConfigError("missing-marker constraints are index-only")
-    return True
-
-
-def rule_is_valid(rule: CddRule, repo: Repository, dist: DistanceFn) -> bool:
-    """Brute-force validity check over all repository sample pairs."""
-    n = len(repo.samples)
-    for i in range(n):
-        for k in range(i, n):
-            s1, s2 = repo.samples[i], repo.samples[k]
-            if satisfies_determinants(rule, s1, s2, dist):
-                if not rule.dep_admits(dist(s1.attrs[rule.dependent], s2.attrs[rule.dependent])):
-                    return False
     return True
 
 

@@ -321,15 +321,15 @@ class Engine:
         return self._emit(ts, summary, matched)
 
     def _grid_candidates(self, summary: TupleSummary) -> list:
-        """Survivors of every other stream's grid; the grids' skips go to stage_counts."""
+        """Survivors of every other stream's grid; the grids' skip counts go to stage_counts."""
         candidates = []
         for sid, grid in self.grids.items():
             if sid == summary.stream_id:
                 continue
             cands, skipped = grid.candidates(summary, self.config.gamma, self.config.keywords)
             candidates.extend(cands)
-            for stage, rids in skipped.items():
-                self.stage_counts[stage] += len(rids)
+            for stage, n in skipped.items():
+                self.stage_counts[stage] += n
         return candidates
 
     def _emit(self, ts: int, summary: TupleSummary, matched) -> list:

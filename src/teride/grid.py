@@ -2,12 +2,14 @@
 
 Each tuple occupies the hyper-rectangle spanned by the main-pivot coordinates
 of its possible instances and is registered in every grid cell that rectangle
-intersects.  Cells keep covering aggregates (keyword unions, pivot-distance
-intervals, token-size intervals) so whole cells can be skipped during
-candidate retrieval, with each skip attributed to the pruning stage that
-caused it.  Under Jaccard the grid also keeps per-attribute token postings,
-so a probe counts its shared-token attributes with every live tuple at once
-and settles the tuples that fail that count before any cell is checked.
+intersects.  Cells keep exact covering aggregates (keyword unions,
+pivot-distance intervals, token-size intervals) over their members; candidate
+retrieval reads none of them.  Retrieval applies two exact set-level filters
+only: a keyword-free probe reads only the keyword-bearing tuples, and under
+Jaccard per-attribute token postings let a probe count its shared-token
+attributes with every live tuple at once and drop the tuples that fail that
+count.  It reports how many tuples each filter skipped; every other bound runs
+pair by pair in ``prune.judge_pair``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import product
 
 from .errors import DuplicateTuple, UnknownTuple
 from .impute import ImputedTuple
-from .metric import DistanceFn, DistInterval, SizeInterval, attr_min_dist, attr_ub_sim_by_size
+from .metric import DistanceFn, DistInterval, SizeInterval
 from .pivot import PivotSet, convert
 
 CELL_WIDTH = 0.1
@@ -30,8 +32,6 @@ _SUM_SLACK = 1e-12
 
 STAGE_KEYWORD = "keyword"
 STAGE_TOKEN = "sim_ub_token"
-STAGE_SIZE = "sim_ub_size"
-STAGE_PIVOT = "sim_ub_pivot"
 
 
 def token_count_prunes(shared: int, gamma: float) -> bool:
@@ -271,7 +271,7 @@ def _unpost(postings: list, rid: str, unions: list) -> None:
 
 
 class ErGrid:
-    """Per-stream grid over [0, 1]^d with cell-level pruning aggregates.
+    """Per-stream grid over [0, 1]^d that fetches the candidates of a probe.
 
     ``dist`` (default ``DistanceFn()``) decides whether the shared-token count
     bounds similarity: only under Jaccard does the grid keep token postings.
@@ -334,27 +334,23 @@ class ErGrid:
         return summary
 
     def candidates(self, query: TupleSummary, gamma: float, keywords: frozenset):
-        """Candidate summaries for a probe tuple, plus per-stage skipped rids.
+        """Candidate summaries for a probe tuple, plus how many tuples each filter skipped.
 
         A keyword-free probe can only pair with keyword-bearing tuples, so it
-        reads the keyword-restricted postings and cells (whose aggregates are
-        tighter) and keyword-skips every other live tuple in one set
-        difference.  With postings, the probe then counts per live tuple the
+        reads the keyword-restricted postings and keyword-skips every other
+        live tuple.  With postings, the probe then counts per live tuple the
         attributes on which the postings of its token unions hit that tuple,
-        and skips every tuple whose count fails ``token_count_prunes``.  A
-        tuple left survives if one of its cells passes every cell-level
-        check; otherwise it is attributed to the size bound if one of its
-        cells failed that, else to the pivot bound.
+        and skips every tuple whose count fails ``token_count_prunes``.  Every
+        other bound is left to ``prune.judge_pair``.
         """
         if query.keywords:
-            cells, postings, live = self._cells, self._postings, self._rids
-            skipped_kw: set = set()
+            postings, live = self._postings, self._rids
+            skipped_kw = 0
         else:
-            cells, postings, live = self._kw_cells, self._kw_postings, self._kw_rids
-            skipped_kw = self._rids - self._kw_rids
+            postings, live = self._kw_postings, self._kw_rids
+            skipped_kw = len(self._rids) - len(live)
         if postings is None:
             passing = live
-            skipped_token: set = set()
         else:
             hits: Counter = Counter()
             for post, tokens in zip(postings, query.imputed.token_unions()):
@@ -364,54 +360,8 @@ class ErGrid:
                 (n for n in range(self.d + 1) if not token_count_prunes(n, gamma)), self.d + 1
             )
             passing = [rid for rid, n in hits.items() if n >= need]
-            skipped_token = live.difference(passing)
-        survivors = []
-        skipped = {
-            STAGE_KEYWORD: skipped_kw,
-            STAGE_TOKEN: skipped_token,
-            STAGE_SIZE: set(),
-            STAGE_PIVOT: set(),
-        }
-        stages: dict = {}  # cell key -> first cell-level check that discards it, or None
-        for rid in passing:
-            summary, keys = self._tuples[rid]
-            by_size = False
-            for key in keys:
-                if key in stages:
-                    stage = stages[key]
-                else:
-                    stage = stages[key] = self._cell_stage(cells[key], query, gamma)
-                if stage is None:
-                    survivors.append(summary)
-                    break
-                by_size = by_size or stage == STAGE_SIZE
-            else:
-                skipped[STAGE_SIZE if by_size else STAGE_PIVOT].add(rid)
-        return survivors, skipped
-
-    @staticmethod
-    def _cell_stage(cell, query, gamma):
-        """First cell-level check that discards the whole cell, or None."""
-        ub_size = 0.0
-        for qs, (lo, hi) in zip(query.sizes, cell.sizes):
-            q_lo, q_hi = qs.min_size, qs.max_size
-            if q_lo > hi:
-                ub_size += hi / q_lo
-            elif q_hi < lo:
-                ub_size += q_hi / lo
-            else:
-                ub_size += 1.0
-        if ub_size <= gamma + _TOL:
-            return STAGE_SIZE
-        min_total = 0.0
-        for (q_lo, q_hi), (c_lo, c_hi) in zip(query.box, cell.box):
-            if q_lo > c_hi:
-                min_total += q_lo - c_hi
-            elif c_lo > q_hi:
-                min_total += c_lo - q_hi
-        if len(query.box) - min_total <= gamma + _TOL:
-            return STAGE_PIVOT
-        return None
+        survivors = [self._tuples[rid][0] for rid in passing]
+        return survivors, {STAGE_KEYWORD: skipped_kw, STAGE_TOKEN: len(live) - len(survivors)}
 
     def snapshot(self) -> dict:
         """Structural view for invariant checking: cell keys, members, aggregates."""

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .cdd import CddRule, satisfies_determinants
 from .errors import ImputationFailed, NoSupportingSample
 from .metric import DistanceFn
-from .model import Repository, StreamTuple, TokenSet, contains_keyword, token_key
+from .model import Repository, StreamTuple, contains_keyword, token_key
 
 PROB_TOL = 1e-9
 FALLBACK_TOP_K = 5
@@ -220,7 +220,6 @@ def impute_tuple(
     rules_by_dep: dict,
     repo: Repository,
     dist: DistanceFn,
-    fallback_k: int = FALLBACK_TOP_K,
     samples_per_rule: Optional[dict] = None,
 ) -> ImputedTuple:
     """Impute every missing attribute of r independently; complete tuples pass through.
@@ -241,7 +240,7 @@ def impute_tuple(
             except ImputationFailed:
                 cands = None
         if cands is None:
-            cands = fallback_candidates(repo, j, fallback_k)
+            cands = fallback_candidates(repo, j)
             fallback.add(j)
         per_attr[j] = cands
     return ImputedTuple(base=r, per_attr_candidates=per_attr, fallback_attrs=frozenset(fallback))

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cdd import CONST, INTERVAL, CddRule
 from .errors import ConfigError
 from .metric import DistanceFn
-from .model import Repository, StreamTuple, TokenSet, token_postings
+from .model import Repository, StreamTuple, token_postings
 from .pivot import PivotSet, convert
 
 FANOUT = 8

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import (

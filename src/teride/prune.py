@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from .grid import (
     _SUM_SLACK,
     STAGE_KEYWORD,
-    STAGE_PIVOT,
-    STAGE_SIZE,
     STAGE_TOKEN,
     TupleSummary,
     pivot_stats,
@@ -27,6 +25,8 @@ from .impute import ImputedTuple
 from .metric import DistanceFn, attr_min_dist, attr_ub_sim_by_size
 from .model import contains_keyword
 
+STAGE_SIZE = "sim_ub_size"
+STAGE_PIVOT = "sim_ub_pivot"
 STAGE_PROB = "prob_ub"
 STAGE_INSTANCE = "instance_level"
 STAGE_REFINED = "refined"

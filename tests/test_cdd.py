@@ -6,15 +6,27 @@ from teride.cdd import (
     AttrConstraint,
     CddRule,
     detect_cdds,
-    rule_is_valid,
     rules_from_text,
     rules_to_text,
     satisfies_determinants,
 )
 from teride.errors import ConfigError, DeterminantMissing, NoRulesFound
+from teride.metric import DistanceFn
 from teride.model import Repository
 
 from .conftest import make_tuple, ts
+
+
+def rule_is_valid(rule: CddRule, repo: Repository, dist: DistanceFn) -> bool:
+    """Brute-force validity check over all repository sample pairs."""
+    n = len(repo.samples)
+    for i in range(n):
+        for k in range(i, n):
+            s1, s2 = repo.samples[i], repo.samples[k]
+            if satisfies_determinants(rule, s1, s2, dist):
+                if not rule.dep_admits(dist(s1.attrs[rule.dependent], s2.attrs[rule.dependent])):
+                    return False
+    return True
 
 
 def cdd1():
@@ -128,8 +140,6 @@ class TestDetection:
         from .conftest import make_workload
 
         repo, _ = make_workload(seed=7, length=12, repo_size=24)
-        from teride.metric import DistanceFn
-
         dist = DistanceFn()
         rules = detect_cdds(repo, dist)
         for rule in rules:

@@ -46,12 +46,17 @@ class TestModesAgree:
         # the shared-token stage runs only under Jaccard
         for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
             logs = {}
+            metrics = {}
             for mode in (MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE):
                 engine = Engine(repo, cfg, dist=DistanceFn(kind), mode=mode)
                 logs[mode] = engine.run(list(trace))
+                metrics[mode] = engine.metrics()
             assert logs[MODE_ENGINE].diff(logs[MODE_ORACLE]) == [], kind
             assert logs[MODE_NOINDEX].diff(logs[MODE_ORACLE]) == [], kind
             assert logs[MODE_ORACLE].matches(), kind
+            # engine and noindex differ only in how candidates are fetched
+            for key in ("stage_counts", "pairs_considered"):
+                assert metrics[MODE_ENGINE][key] == metrics[MODE_NOINDEX][key], (kind, key)
 
     def test_results_only_pair_cross_stream(self):
         repo, trace = make_workload(seed=64, n_streams=3, length=15, repo_size=30)

@@ -8,7 +8,7 @@ from teride.impute import ImputedTuple, impute_tuple
 from teride.metric import DistanceFn
 from teride.model import QueryConfig
 from teride.pivot import PivotSet, select_pivots
-from teride.prune import sim_matches, sim_ub_token
+from teride.prune import keyword_prune, sim_ub_token
 
 from .conftest import make_tuple, make_workload, naive_pair_probability, ts
 
@@ -166,7 +166,7 @@ class TestCandidates:
             grid.insert(summarize(b, pivots, keywords, dist))
             cands, skipped = grid.candidates(summarize(a, pivots, keywords, dist), 1.5, keywords)
             assert [c.rid for c in cands] == survivors
-            assert skipped["sim_ub_token"] == ({"b"} - set(survivors))
+            assert skipped == {"keyword": 0, "sim_ub_token": 1 - len(survivors)}
 
     def test_no_qualifying_pair_is_skipped(self, setup):
         repo, dist, pivots, keywords, summaries = setup
@@ -179,9 +179,9 @@ class TestCandidates:
         for q in stream0:
             cands, skipped = grid.candidates(q, gamma, keywords)
             cand_rids = {c.rid for c in cands}
-            all_rids = cand_rids | set().union(*skipped.values())
-            assert all_rids == {s.rid for s in stream1}
-            assert not cand_rids & set().union(*skipped.values())
+            assert len(cand_rids) == len(cands)
+            assert cand_rids <= {s.rid for s in stream1}
+            assert len(cands) + sum(skipped.values()) == len(stream1)
             for other in stream1:
                 prob = naive_pair_probability(
                     q.imputed, other.imputed, gamma, keywords, dist
@@ -192,25 +192,31 @@ class TestCandidates:
                     )
 
     def test_skipped_stages_are_justified(self, setup):
-        repo, dist, pivots, keywords, summaries = setup
+        """Survivors are exactly the tuples that pass the keyword and shared-token
+        tests (the latter under Jaccard only), and each count is a brute-force count."""
+        repo, _, _, keywords, summaries = setup
         gamma = 0.6 * repo.d
-        grid = ErGrid(d=repo.d)
+        stream0 = [s for s in summaries if s.stream_id == 0][:15]
         stream1 = [s for s in summaries if s.stream_id == 1][:15]
-        for s in stream1:
-            grid.insert(s)
-        by_rid = {s.rid: s for s in stream1}
-        token_skips = 0
-        for q in [s for s in summaries if s.stream_id == 0][:15]:
-            _, skipped = grid.candidates(q, gamma, keywords)
-            for rid in skipped["keyword"]:
-                assert not q.keywords and not by_rid[rid].keywords
-            for rid in skipped["sim_ub_token"]:
-                assert token_count_prunes(sim_ub_token(q, by_rid[rid]), gamma)
-                token_skips += 1
-            for rid in skipped["sim_ub_size"] | skipped["sim_ub_pivot"]:
-                other = by_rid[rid]
-                for ia, pa in q.imputed.instances():
-                    for ib, pb in other.imputed.instances():
-                        sim = sum(dist.sim(x, y) for x, y in zip(ia.attrs, ib.attrs))
-                        assert not sim_matches(sim, gamma)
-        assert token_skips
+        for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
+            grid = ErGrid(d=repo.d, dist=DistanceFn(kind))
+            for s in stream1:
+                grid.insert(s)
+            token_skips = 0
+            for q in stream0:
+                expected = {"keyword": 0, "sim_ub_token": 0}
+                passing = set()
+                for other in stream1:
+                    if keyword_prune(q, other):
+                        expected["keyword"] += 1
+                    elif kind == DistanceFn.JACCARD and token_count_prunes(
+                        sim_ub_token(q, other), gamma
+                    ):
+                        expected["sim_ub_token"] += 1
+                    else:
+                        passing.add(other.rid)
+                cands, skipped = grid.candidates(q, gamma, keywords)
+                assert {c.rid for c in cands} == passing, kind
+                assert skipped == expected, kind
+                token_skips += skipped["sim_ub_token"]
+            assert bool(token_skips) == (kind == DistanceFn.JACCARD)
