@@ -6,16 +6,19 @@ intersects.  Cells keep exact covering aggregates (keyword unions,
 pivot-distance intervals, token-size intervals) over their members; candidate
 retrieval reads none of them.  Retrieval applies two exact set-level filters
 only: a keyword-free probe reads only the keyword-bearing tuples, and under
-Jaccard per-attribute token postings let a probe count its shared-token
-attributes with every live tuple at once and drop the tuples that fail that
-count.  It reports how many tuples each filter skipped; every other bound runs
-pair by pair in ``prune.judge_pair``.
+Jaccard a tuple must share tokens with the probe on ``need`` of the ``d``
+attributes.  That filter is a pigeonhole (prefix) filter over per-attribute
+token postings: a survivor hits at least one of any ``d - need + 1``
+attributes, so only the postings of the ``d - need + 1`` attributes with the
+fewest posted tuples are gathered, and the gathered tuples' other attributes
+are checked set against set.  Retrieval reports how many tuples each filter
+skipped; every other bound runs pair by pair in ``prune.judge_pair``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 from .errors import DuplicateTuple, UnknownTuple
@@ -45,6 +48,12 @@ def token_count_prunes(shared: int, gamma: float) -> bool:
     return shared + _SUM_SLACK <= gamma + _TOL
 
 
+@lru_cache(maxsize=64)
+def _least_passing_count(d: int, gamma: float) -> int:
+    """The least shared-attribute count that ``token_count_prunes`` lets pass (d + 1 if none)."""
+    return next((n for n in range(d + 1) if not token_count_prunes(n, gamma)), d + 1)
+
+
 @dataclass
 class TupleSummary:
     """Index-ready digest of one probabilistic tuple.
@@ -59,12 +68,13 @@ class TupleSummary:
     sizes: list  # per-attr SizeInterval over all options
     keywords: frozenset  # query keywords present in at least one option
     option_coords: list  # per-attr main-pivot coordinate per option, aligned with attr_options
+    pivot_stats: tuple | None = None  # see pivot_stats(); computed when not given
     dist_intervals: list = field(init=False)  # per-attr DistInterval of box
-    pivot_stats: tuple = field(init=False)  # see pivot_stats()
 
     def __post_init__(self):
         self.dist_intervals = [DistInterval(lo, hi) for lo, hi in self.box]
-        self.pivot_stats = pivot_stats(self)
+        if self.pivot_stats is None:
+            self.pivot_stats = pivot_stats(self)
 
     @property
     def rid(self) -> str:
@@ -96,24 +106,50 @@ def pivot_stats(summary: TupleSummary) -> tuple:
 def summarize(
     it: ImputedTuple, pivots: PivotSet, keywords: frozenset, dist: DistanceFn
 ) -> TupleSummary:
-    d = pivots.d
+    """Digest one tuple in one pass per attribute.
+
+    A present attribute has a single option, so its coordinates give the box
+    and aux endpoints directly.  ``pivot_stats`` is accumulated in the same
+    pass and order as :func:`pivot_stats`, so it equals that function's result.
+    """
     box = []
     aux: dict = {}
     sizes = []
     kws: set = set()
     option_coords = []
-    for x in range(d):
-        options = it.attr_options(x)
+    exp = lb = ub = 0.0
+    attrs = it.base.attrs
+    for x in range(pivots.d):
+        v = attrs[x]
+        if v is not None:
+            coords = convert(v, x, pivots, dist)
+            c = coords[0]
+            option_coords.append([c])
+            box.append((c, c))
+            for a in range(1, len(coords)):
+                aux[(x, a)] = (coords[a], coords[a])
+            sizes.append(SizeInterval(len(v), len(v)))
+            kws.update(keywords & v)
+            lb += c
+            ub += c
+            exp += c  # pivot_stats() adds sum([1.0 * c]), which is c
+            continue
+        options = it.per_attr_candidates[x]
         coords = [convert(v, x, pivots, dist) for v, _ in options]
-        option_coords.append([c[0] for c in coords])
-        box.append((min(c[0] for c in coords), max(c[0] for c in coords)))
-        for a in range(1, pivots.n_pivots(x)):
-            aux[(x, a)] = (min(c[a] for c in coords), max(c[a] for c in coords))
-        sizes.append(
-            SizeInterval(min(len(v) for v, _ in options), max(len(v) for v, _ in options))
-        )
+        main = [c[0] for c in coords]
+        option_coords.append(main)
+        lo, hi = min(main), max(main)
+        box.append((lo, hi))
+        for a in range(1, len(coords[0])):
+            col = [c[a] for c in coords]
+            aux[(x, a)] = (min(col), max(col))
+        lens = [len(v) for v, _ in options]
+        sizes.append(SizeInterval(min(lens), max(lens)))
         for v, _ in options:
             kws.update(keywords & v)
+        lb += lo
+        ub += hi
+        exp += sum(p * c for (_, p), c in zip(options, main))
     return TupleSummary(
         imputed=it,
         box=box,
@@ -121,6 +157,7 @@ def summarize(
         sizes=sizes,
         keywords=frozenset(kws),
         option_coords=option_coords,
+        pivot_stats=(exp, lb, ub),
     )
 
 
@@ -338,10 +375,15 @@ class ErGrid:
 
         A keyword-free probe can only pair with keyword-bearing tuples, so it
         reads the keyword-restricted postings and keyword-skips every other
-        live tuple.  With postings, the probe then counts per live tuple the
-        attributes on which the postings of its token unions hit that tuple,
-        and skips every tuple whose count fails ``token_count_prunes``.  Every
-        other bound is left to ``prune.judge_pair``.
+        live tuple.  With postings, a survivor must share tokens with the
+        probe on ``need`` of the ``d`` attributes (the least count that passes
+        ``token_count_prunes``), so by pigeonhole it hits at least one of any
+        ``d - need + 1`` of them.  Rids are collected only from the probe's
+        postings on the ``d - need + 1`` attributes with the fewest posted
+        rids; each of them has its other attributes checked with
+        ``isdisjoint`` against the probe's token unions, and every live tuple
+        whose count falls short of ``need`` is token-skipped.  Every other
+        bound is left to ``prune.judge_pair``.
         """
         if query.keywords:
             postings, live = self._postings, self._rids
@@ -350,18 +392,45 @@ class ErGrid:
             postings, live = self._kw_postings, self._kw_rids
             skipped_kw = len(self._rids) - len(live)
         if postings is None:
-            passing = live
+            survivors = [self._tuples[rid][0] for rid in live]
         else:
-            hits: Counter = Counter()
-            for post, tokens in zip(postings, query.imputed.token_unions()):
-                # the rids holding at least one of the probe's tokens here
-                hits.update(set().union(*filter(None, map(post.get, tokens))))
-            need = next(  # the least count that passes
-                (n for n in range(self.d + 1) if not token_count_prunes(n, gamma)), self.d + 1
-            )
-            passing = [rid for rid, n in hits.items() if n >= need]
-        survivors = [self._tuples[rid][0] for rid in passing]
+            survivors = self._pigeonhole(postings, query.imputed.token_unions(), gamma)
         return survivors, {STAGE_KEYWORD: skipped_kw, STAGE_TOKEN: len(live) - len(survivors)}
+
+    def _pigeonhole(self, postings: list, unions: list, gamma: float) -> list:
+        """Summaries of the tuples whose token unions meet the probe's on enough attributes."""
+        d = self.d
+        spare = d - _least_passing_count(d, gamma)  # attributes a survivor may miss
+        posted = []  # per attribute, the rids the probe's tokens post there, with repeats
+        empty = 0
+        for post, tokens in zip(postings, unions):
+            n = sum(map(len, filter(None, map(post.get, tokens))))
+            if not n:
+                empty += 1
+                if empty > spare:  # every survivor would have to hit one of these
+                    return []
+            posted.append(n)
+        order = sorted(range(d), key=posted.__getitem__)
+        hits: dict = {}  # rid -> how many of the spare + 1 attributes read it hits
+        for x in order[: spare + 1]:
+            for rid in set().union(*filter(None, map(postings[x].get, unions[x]))):
+                hits[rid] = hits.get(rid, 0) + 1
+        rest = order[spare + 1 :]
+        tuples = self._tuples
+        survivors = []
+        for rid, n in hits.items():
+            summary = tuples[rid][0]
+            missed = spare + 1 - n
+            if rest:
+                other = summary.imputed.token_unions()
+                for x in rest:
+                    if unions[x].isdisjoint(other[x]):
+                        missed += 1
+                        if missed > spare:
+                            break
+            if missed <= spare:
+                survivors.append(summary)
+        return survivors
 
     def snapshot(self) -> dict:
         """Structural view for invariant checking: cell keys, members, aggregates."""

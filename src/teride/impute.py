@@ -161,11 +161,12 @@ class ImputedTuple:
         return self._rows
 
     def token_unions(self) -> list:
-        """Per attribute, the union of the tokens of all its values."""
+        """Per attribute, the union of the tokens of all its values (a present value as it is)."""
         if self._token_unions is None:
             self._token_unions = [
-                frozenset().union(*(v for v, _ in self.attr_options(j)))
-                for j in range(len(self.base.attrs))
+                v if v is not None
+                else frozenset().union(*(c for c, _ in self.per_attr_candidates[j]))
+                for j, v in enumerate(self.base.attrs)
             ]
         return self._token_unions
 

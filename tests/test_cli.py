@@ -13,7 +13,7 @@ from teride.cli import (
     subsample_repo,
 )
 from teride.errors import InvalidRate
-from teride.model import Repository, StreamTuple, read_tuples, write_tuples
+from teride.model import StreamTuple, read_tuples, write_tuples
 
 from .conftest import make_workload
 

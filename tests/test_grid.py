@@ -3,10 +3,16 @@ import random
 import pytest
 
 from teride.errors import DuplicateTuple, UnknownTuple
-from teride.grid import CELL_WIDTH, ErGrid, summarize, token_count_prunes
+from teride.grid import (
+    CELL_WIDTH,
+    ErGrid,
+    TupleSummary,
+    pivot_stats,
+    summarize,
+    token_count_prunes,
+)
 from teride.impute import ImputedTuple, impute_tuple
-from teride.metric import DistanceFn
-from teride.model import QueryConfig
+from teride.metric import DistanceFn, DistInterval, SizeInterval
 from teride.pivot import PivotSet, select_pivots
 from teride.prune import keyword_prune, sim_ub_token
 
@@ -55,6 +61,75 @@ class TestSummary:
                 for v, _ in s.imputed.attr_options(x):
                     expected |= keywords & v
             assert s.keywords == frozenset(expected)
+
+
+def _reference_summary(it, pivots, keywords, dist):
+    """A summary built per option: every option's distance to every pivot, then min/max."""
+    box, aux, sizes, kws, option_coords = [], {}, [], set(), []
+    for x in range(pivots.d):
+        options = it.attr_options(x)
+        coords = [[dist(v, p) for p in pivots.per_attr[x]] for v, _ in options]
+        option_coords.append([c[0] for c in coords])
+        for a in range(pivots.n_pivots(x)):
+            lo_hi = (min(c[a] for c in coords), max(c[a] for c in coords))
+            if a == 0:
+                box.append(lo_hi)
+            else:
+                aux[(x, a)] = lo_hi
+        sizes.append(SizeInterval(min(len(v) for v, _ in options), max(len(v) for v, _ in options)))
+        for v, _ in options:
+            kws |= keywords & v
+    return TupleSummary(
+        imputed=it, box=box, aux=aux, sizes=sizes, keywords=frozenset(kws),
+        option_coords=option_coords,
+    )
+
+
+def _bits(obj):
+    """Floats as their exact hex form, so two structures compare float for float."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (list, tuple)):
+        return [_bits(o) for o in obj]
+    if isinstance(obj, dict):
+        return sorted((k, _bits(v)) for k, v in obj.items())
+    if isinstance(obj, DistInterval):
+        return ("dist", _bits(obj.lb), _bits(obj.ub))
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    return obj
+
+
+class TestSummaryReference:
+    FIELDS = ("box", "aux", "sizes", "keywords", "option_coords", "pivot_stats", "dist_intervals")
+
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_every_field_equals_the_per_option_reference(self, kind, seed):
+        from teride.cdd import detect_cdds
+        from teride.errors import NoRulesFound
+
+        repo, trace = make_workload(seed=seed, d=4, length=30, repo_size=40, xi=0.5, m=2)
+        dist = DistanceFn(kind)
+        pivots = select_pivots(repo, dist=dist)
+        assert any(pivots.n_pivots(x) > 1 for x in range(repo.d))
+        try:
+            rules = detect_cdds(repo, dist)
+        except NoRulesFound:
+            rules = []
+        by_dep = {}
+        for rule in rules:
+            by_dep.setdefault(rule.dependent, []).append(rule)
+        keywords = frozenset({"topic0"})
+        imputed = [impute_tuple(r, by_dep, repo, dist) for r in trace]
+        assert any(it.per_attr_candidates for it in imputed)
+        assert any(not it.per_attr_candidates for it in imputed)
+        for it in imputed:
+            got = summarize(it, pivots, keywords, dist)
+            assert got.pivot_stats == pivot_stats(got)
+            ref = _reference_summary(it, pivots, keywords, dist)
+            for name in self.FIELDS:
+                assert _bits(getattr(got, name)) == _bits(getattr(ref, name)), (it.rid, name)
 
 
 class TestGridMechanics:
@@ -193,9 +268,17 @@ class TestCandidates:
 
     def test_skipped_stages_are_justified(self, setup):
         """Survivors are exactly the tuples that pass the keyword and shared-token
-        tests (the latter under Jaccard only), and each count is a brute-force count."""
+        tests (the latter under Jaccard only), and each count is a brute-force count.
+
+        The gammas need every shared-attribute count from 1 to d, so the
+        pigeonhole fetch reads every number of attributes from d down to 1."""
         repo, _, _, keywords, summaries = setup
-        gamma = 0.6 * repo.d
+        gammas = [need - 0.5 for need in range(1, repo.d + 1)] + [0.6 * repo.d]
+        needs = {
+            next(n for n in range(repo.d + 1) if not token_count_prunes(n, gamma))
+            for gamma in gammas
+        }
+        assert needs == set(range(1, repo.d + 1))
         stream0 = [s for s in summaries if s.stream_id == 0][:15]
         stream1 = [s for s in summaries if s.stream_id == 1][:15]
         for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
@@ -203,20 +286,22 @@ class TestCandidates:
             for s in stream1:
                 grid.insert(s)
             token_skips = 0
-            for q in stream0:
-                expected = {"keyword": 0, "sim_ub_token": 0}
-                passing = set()
-                for other in stream1:
-                    if keyword_prune(q, other):
-                        expected["keyword"] += 1
-                    elif kind == DistanceFn.JACCARD and token_count_prunes(
-                        sim_ub_token(q, other), gamma
-                    ):
-                        expected["sim_ub_token"] += 1
-                    else:
-                        passing.add(other.rid)
-                cands, skipped = grid.candidates(q, gamma, keywords)
-                assert {c.rid for c in cands} == passing, kind
-                assert skipped == expected, kind
-                token_skips += skipped["sim_ub_token"]
+            for gamma in gammas:
+                for q in stream0:
+                    expected = {"keyword": 0, "sim_ub_token": 0}
+                    passing = set()
+                    for other in stream1:
+                        if keyword_prune(q, other):
+                            expected["keyword"] += 1
+                        elif kind == DistanceFn.JACCARD and token_count_prunes(
+                            sim_ub_token(q, other), gamma
+                        ):
+                            expected["sim_ub_token"] += 1
+                        else:
+                            passing.add(other.rid)
+                    cands, skipped = grid.candidates(q, gamma, keywords)
+                    assert len(cands) == len(passing), (kind, gamma)
+                    assert {c.rid for c in cands} == passing, (kind, gamma)
+                    assert skipped == expected, (kind, gamma)
+                    token_skips += skipped["sim_ub_token"]
             assert bool(token_skips) == (kind == DistanceFn.JACCARD)

@@ -11,7 +11,6 @@ from teride.index import (
     dr_query_box_for_rule,
 )
 from teride.metric import DistanceFn
-from teride.model import StreamTuple
 from teride.pivot import convert, select_pivots
 
 from .conftest import make_tuple, make_workload, ts

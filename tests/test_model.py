@@ -13,7 +13,6 @@ from teride.model import (
     QueryConfig,
     Repository,
     SlidingWindow,
-    StreamTuple,
     contains_keyword,
     read_repository,
     read_tuples,

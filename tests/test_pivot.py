@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teride.errors import ConfigError
-from teride.metric import DistanceFn
+from teride.errors import ConfigError, EmptyValue
+from teride.metric import DistanceFn, jaccard_dist
 from teride.model import Repository
 from teride.pivot import (
     DEFAULT_CNTMAX,
     DEFAULT_EMIN,
     DEFAULT_P,
+    PivotSet,
     convert,
     entropy,
     joint_entropy,
@@ -125,6 +126,20 @@ class TestConvert:
         coords = convert(ts("0.3"), 1, pivots, absdiff)
         assert len(coords) == pivots.n_pivots(1)
         assert coords[0] == absdiff(ts("0.3"), pivots.main(1))
+
+    @given(
+        value=st.frozensets(st.sampled_from("abcdefg"), max_size=5),
+        plist=st.lists(st.frozensets(st.sampled_from("abcdefg"), min_size=1, max_size=5),
+                       min_size=1, max_size=3),
+    )
+    def test_jaccard_equals_jaccard_dist_bit_for_bit(self, value, plist):
+        pivots = PivotSet(per_attr=[plist])
+        if not value:
+            with pytest.raises(EmptyValue):
+                convert(value, 0, pivots, DistanceFn())
+            return
+        got = convert(value, 0, pivots, DistanceFn())
+        assert [c.hex() for c in got] == [jaccard_dist(value, p).hex() for p in plist]
 
 
 class TestSerialization:
