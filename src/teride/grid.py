@@ -18,7 +18,6 @@ skipped; every other bound runs pair by pair in ``prune.judge_pair``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 
 from .errors import DuplicateTuple, UnknownTuple
@@ -48,12 +47,6 @@ def token_count_prunes(shared: int, gamma: float) -> bool:
     return shared + _SUM_SLACK <= gamma + _TOL
 
 
-@lru_cache(maxsize=64)
-def _least_passing_count(d: int, gamma: float) -> int:
-    """The least shared-attribute count that ``token_count_prunes`` lets pass (d + 1 if none)."""
-    return next((n for n in range(d + 1) if not token_count_prunes(n, gamma)), d + 1)
-
-
 @dataclass
 class TupleSummary:
     """Index-ready digest of one probabilistic tuple.
@@ -68,13 +61,12 @@ class TupleSummary:
     sizes: list  # per-attr SizeInterval over all options
     keywords: frozenset  # query keywords present in at least one option
     option_coords: list  # per-attr main-pivot coordinate per option, aligned with attr_options
-    pivot_stats: tuple | None = None  # see pivot_stats(); computed when not given
     dist_intervals: list = field(init=False)  # per-attr DistInterval of box
+    pivot_stats: tuple = field(init=False)  # see pivot_stats()
 
     def __post_init__(self):
         self.dist_intervals = [DistInterval(lo, hi) for lo, hi in self.box]
-        if self.pivot_stats is None:
-            self.pivot_stats = pivot_stats(self)
+        self.pivot_stats = pivot_stats(self)
 
     @property
     def rid(self) -> str:
@@ -109,15 +101,13 @@ def summarize(
     """Digest one tuple in one pass per attribute.
 
     A present attribute has a single option, so its coordinates give the box
-    and aux endpoints directly.  ``pivot_stats`` is accumulated in the same
-    pass and order as :func:`pivot_stats`, so it equals that function's result.
+    and aux endpoints directly.
     """
     box = []
     aux: dict = {}
     sizes = []
     kws: set = set()
     option_coords = []
-    exp = lb = ub = 0.0
     attrs = it.base.attrs
     for x in range(pivots.d):
         v = attrs[x]
@@ -130,16 +120,12 @@ def summarize(
                 aux[(x, a)] = (coords[a], coords[a])
             sizes.append(SizeInterval(len(v), len(v)))
             kws.update(keywords & v)
-            lb += c
-            ub += c
-            exp += c  # pivot_stats() adds sum([1.0 * c]), which is c
             continue
         options = it.per_attr_candidates[x]
         coords = [convert(v, x, pivots, dist) for v, _ in options]
         main = [c[0] for c in coords]
         option_coords.append(main)
-        lo, hi = min(main), max(main)
-        box.append((lo, hi))
+        box.append((min(main), max(main)))
         for a in range(1, len(coords[0])):
             col = [c[a] for c in coords]
             aux[(x, a)] = (min(col), max(col))
@@ -147,9 +133,6 @@ def summarize(
         sizes.append(SizeInterval(min(lens), max(lens)))
         for v, _ in options:
             kws.update(keywords & v)
-        lb += lo
-        ub += hi
-        exp += sum(p * c for (_, p), c in zip(options, main))
     return TupleSummary(
         imputed=it,
         box=box,
@@ -157,7 +140,6 @@ def summarize(
         sizes=sizes,
         keywords=frozenset(kws),
         option_coords=option_coords,
-        pivot_stats=(exp, lb, ub),
     )
 
 
@@ -400,7 +382,8 @@ class ErGrid:
     def _pigeonhole(self, postings: list, unions: list, gamma: float) -> list:
         """Summaries of the tuples whose token unions meet the probe's on enough attributes."""
         d = self.d
-        spare = d - _least_passing_count(d, gamma)  # attributes a survivor may miss
+        need = next((n for n in range(d + 1) if not token_count_prunes(n, gamma)), d + 1)
+        spare = d - need  # attributes a survivor may miss
         posted = []  # per attribute, the rids the probe's tokens post there, with repeats
         empty = 0
         for post, tokens in zip(postings, unions):

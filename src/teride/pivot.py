@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, EmptyDomain, EmptyValue
-from .metric import DistanceFn
+from .errors import ConfigError, EmptyDomain
+from .metric import DistanceFn, jaccard_dist
 from .model import Repository, TokenSet, token_key, token_postings
 
 DEFAULT_P = 10
@@ -209,16 +209,11 @@ def _argmax(values, score) -> tuple:
 def convert(value: TokenSet, attr: int, pivots: PivotSet, dist: DistanceFn) -> list:
     """Distances from a value to each pivot of the attribute; index 0 is the main coordinate.
 
-    Under Jaccard the distance is bound once per call: each coordinate is the
-    expression ``metric.jaccard_dist`` evaluates, so the floats are the same.
+    The kind-specific distance is bound once per call: ``jaccard_dist`` under
+    Jaccard, ``dist`` itself otherwise.
     """
-    plist = pivots.per_attr[attr]
-    if dist.kind != DistanceFn.JACCARD:
-        return [dist(value, piv) for piv in plist]
-    if not value:
-        raise EmptyValue("jaccard_sim requires non-empty token sets")
-    n = len(value)
-    return [1.0 - (i := len(value & piv)) / (n + len(piv) - i) for piv in plist]
+    f = jaccard_dist if dist.kind == DistanceFn.JACCARD else dist
+    return [f(value, piv) for piv in pivots.per_attr[attr]]
 
 
 # ---------------------------------------------------------------------------

@@ -129,12 +129,12 @@ class TestConvert:
 
     @given(
         value=st.frozensets(st.sampled_from("abcdefg"), max_size=5),
-        plist=st.lists(st.frozensets(st.sampled_from("abcdefg"), min_size=1, max_size=5),
+        plist=st.lists(st.frozensets(st.sampled_from("abcdefg"), max_size=5),
                        min_size=1, max_size=3),
     )
     def test_jaccard_equals_jaccard_dist_bit_for_bit(self, value, plist):
         pivots = PivotSet(per_attr=[plist])
-        if not value:
+        if not value or not all(plist):
             with pytest.raises(EmptyValue):
                 convert(value, 0, pivots, DistanceFn())
             return
