@@ -22,7 +22,6 @@ from .model import Repository, StreamTuple, TokenSet, token_key, token_postings
 
 CONST = "const"
 INTERVAL = "interval"
-MISSING = "missing"
 
 BUCKET_WIDTH = 0.1
 _EDGE_TOL = 1e-9
@@ -30,11 +29,7 @@ _EDGE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AttrConstraint:
-    """One determinant constraint: a constant value or a distance interval.
-
-    The "missing" kind is a reserved placeholder used only when encoding
-    rules into index coordinates; it never takes part in satisfaction checks.
-    """
+    """One determinant constraint: a constant value or a distance interval."""
 
     attr: int
     kind: str
@@ -44,7 +39,7 @@ class AttrConstraint:
     min_open: bool = False  # interval excludes its lower endpoint
 
     def __post_init__(self):
-        if self.kind not in (CONST, INTERVAL, MISSING):
+        if self.kind not in (CONST, INTERVAL):
             raise ConfigError(f"unknown constraint kind {self.kind!r}")
         if self.kind == CONST and (self.value is None or not self.value):
             raise ConfigError("constant constraint requires a non-empty value")
@@ -104,11 +99,8 @@ def satisfies_determinants(rule: CddRule, r: StreamTuple, s: StreamTuple, dist: 
         if c.kind == CONST:
             if rv != c.value or sv != c.value:
                 return False
-        elif c.kind == INTERVAL:
-            if not c.admits(dist(rv, sv)):
-                return False
-        else:  # pragma: no cover - MISSING never appears in mined rules
-            raise ConfigError("missing-marker constraints are index-only")
+        elif not c.admits(dist(rv, sv)):
+            return False
     return True
 
 

@@ -130,9 +130,17 @@ def precompute(
             rules = []
     rules_by_dep: dict = {}
     for rule in rules:
+        for x in (rule.dependent, *(c.attr for c in rule.determinants)):
+            if not 0 <= x < repo.d:
+                raise ConfigError(f"rule names attribute {x}, outside [0, {repo.d})")
         rules_by_dep.setdefault(rule.dependent, []).append(rule)
     if pivots is None:
         pivots = select_pivots(repo, dist=dist)
+    elif pivots.d != repo.d or not all(pivots.per_attr):
+        raise ConfigError(
+            f"pivot counts per attribute {[len(p) for p in pivots.per_attr]} do not give"
+            f" each of the repository's {repo.d} attributes a pivot"
+        )
     pre = Precomputed(repo=repo, rules=rules, rules_by_dep=rules_by_dep, pivots=pivots)
     if mode == MODE_ENGINE:
         pre.dr_index = build_dr_index(repo, pivots, config.keywords, dist)

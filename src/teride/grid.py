@@ -2,17 +2,18 @@
 
 Each tuple occupies the hyper-rectangle spanned by the main-pivot coordinates
 of its possible instances and is registered in every grid cell that rectangle
-intersects.  Cells keep exact covering aggregates (keyword unions,
-pivot-distance intervals, token-size intervals) over their members; candidate
-retrieval reads none of them.  Retrieval applies two exact set-level filters
-only: a keyword-free probe reads only the keyword-bearing tuples, and under
-Jaccard a tuple must share tokens with the probe on ``need`` of the ``d``
-attributes.  That filter is a pigeonhole (prefix) filter over per-attribute
-token postings: a survivor hits at least one of any ``d - need + 1``
-attributes, so only the postings of the ``d - need + 1`` attributes with the
-fewest posted tuples are gathered, and the gathered tuples' other attributes
-are checked set against set.  Retrieval reports how many tuples each filter
-skipped; every other bound runs pair by pair in ``prune.judge_pair``.
+intersects.  A cell holds only its members; its covering aggregates (keyword
+union, pivot-distance box, token-size intervals, auxiliary intervals) are
+computed from them when read, and candidate retrieval reads none of them.
+Retrieval applies two exact set-level filters only: a keyword-free probe reads
+only the keyword-bearing tuples, and under Jaccard a tuple must share tokens
+with the probe on ``need`` of the ``d`` attributes.  That filter is a
+pigeonhole (prefix) filter over per-attribute token postings: a survivor hits
+at least one of any ``d - need + 1`` attributes, so only the postings of the
+``d - need + 1`` attributes with the fewest posted tuples are gathered, and
+the gathered tuples' other attributes are checked set against set.  Retrieval
+reports how many tuples each filter skipped; every other bound runs pair by
+pair in ``prune.judge_pair``.
 """
 
 from __future__ import annotations
@@ -150,123 +151,61 @@ def _cell_span(lo: float, hi: float) -> range:
     return range(c_lo, c_hi + 1)
 
 
-def _enter(agg, counts, key, lo: float, hi: float) -> None:
-    """Count one member's (lo, hi) under ``key`` and widen ``agg[key]`` to cover it."""
-    lo_n, hi_n = counts[key]
-    lo_n[lo] = lo_n.get(lo, 0) + 1
-    hi_n[hi] = hi_n.get(hi, 0) + 1
-    c_lo, c_hi = agg[key]
-    if lo < c_lo or hi > c_hi:
-        agg[key] = (min(c_lo, lo), max(c_hi, hi))
-
-
-def _leave(agg, counts, key, lo: float, hi: float) -> bool:
-    """Uncount one member's (lo, hi) under ``key``; True when no member is left there.
-
-    An endpoint of ``agg[key]`` is re-derived from the distinct values left
-    only when the last member holding it leaves.
-    """
-    lo_n, hi_n = counts[key]
-    n = lo_n[lo] - 1
-    if n:
-        lo_n[lo] = n
-    else:
-        del lo_n[lo]
-    m = hi_n[hi] - 1
-    if m:
-        hi_n[hi] = m
-    else:
-        del hi_n[hi]
-    if not lo_n:
-        return True
-    if not n or not m:
-        c_lo, c_hi = agg[key]
-        agg[key] = (c_lo if n or lo != c_lo else min(lo_n), c_hi if m or hi != c_hi else max(hi_n))
-    return False
-
-
 class _Cell:
-    """One grid cell: its members and exact covering aggregates over them.
+    """One grid cell: its members, and covering aggregates derived from them on read.
 
-    ``keywords``, ``box``, ``sizes`` and ``aux`` always equal what a rebuild
-    from the members gives.  Each aggregate endpoint is backed by a count of
-    members per distinct value, so an insert widens the aggregates and an
-    evict narrows one only when the last member holding the endpoint leaves.
+    ``keywords``, ``box``, ``sizes`` and ``aux`` are the exact covers (union,
+    or min/max per attribute or aux key) over the current members.  No query
+    reads them, so nothing keeps them up to date between reads.
     """
 
-    __slots__ = (
-        "members", "keywords", "box", "aux", "sizes", "_kw_n", "_box_n", "_size_n", "_aux_n"
-    )
+    __slots__ = ("members",)
 
-    def __init__(self, s: TupleSummary):
-        self.members = {s.rid: s}  # rid -> TupleSummary
-        self.keywords = s.keywords
-        self.box = list(s.box)  # covering (lo, hi) per attr of main coordinates
-        self.aux = dict(s.aux)
-        self.sizes = [(si.min_size, si.max_size) for si in s.sizes]  # covering (min, max) per attr
-        # member counts per distinct endpoint value, keyed like the aggregates
-        self._kw_n = dict.fromkeys(s.keywords, 1)
-        self._box_n = [({lo: 1}, {hi: 1}) for lo, hi in self.box]
-        self._size_n = [({lo: 1}, {hi: 1}) for lo, hi in self.sizes]
-        self._aux_n = {key: ({lo: 1}, {hi: 1}) for key, (lo, hi) in self.aux.items()}
+    def __init__(self):
+        self.members: dict = {}  # rid -> TupleSummary
 
-    def add(self, s: TupleSummary) -> None:
-        self.members[s.rid] = s
-        if s.keywords:
-            kw_n = self._kw_n
-            for kw in s.keywords:
-                kw_n[kw] = kw_n.get(kw, 0) + 1
-            if not (s.keywords <= self.keywords):
-                self.keywords |= s.keywords
-        for x, (lo, hi) in enumerate(s.box):
-            _enter(self.box, self._box_n, x, lo, hi)
-        for x, si in enumerate(s.sizes):
-            _enter(self.sizes, self._size_n, x, si.min_size, si.max_size)
-        for key, (lo, hi) in s.aux.items():
-            if key in self._aux_n:
-                _enter(self.aux, self._aux_n, key, lo, hi)
-            else:
-                self.aux[key] = (lo, hi)
-                self._aux_n[key] = ({lo: 1}, {hi: 1})
+    @property
+    def keywords(self) -> frozenset:
+        return frozenset().union(*(s.keywords for s in self.members.values()))
 
-    def remove(self, s: TupleSummary) -> None:
-        """Drop a member; the cell must keep at least one other."""
-        del self.members[s.rid]
-        if s.keywords:
-            kw_n = self._kw_n
-            gone = False
-            for kw in s.keywords:
-                n = kw_n[kw] - 1
-                if n:
-                    kw_n[kw] = n
-                else:
-                    del kw_n[kw]
-                    gone = True
-            if gone:
-                self.keywords = frozenset(kw_n)
-        for x, (lo, hi) in enumerate(s.box):
-            _leave(self.box, self._box_n, x, lo, hi)
-        for x, si in enumerate(s.sizes):
-            _leave(self.sizes, self._size_n, x, si.min_size, si.max_size)
-        for key, (lo, hi) in s.aux.items():
-            if _leave(self.aux, self._aux_n, key, lo, hi):
-                del self.aux[key], self._aux_n[key]
+    @property
+    def box(self) -> list:
+        """Covering (lo, hi) per attribute of the members' main coordinates."""
+        boxes = [s.box for s in self.members.values()]
+        return [(min(lo for lo, _ in col), max(hi for _, hi in col)) for col in zip(*boxes)]
+
+    @property
+    def sizes(self) -> list:
+        """Covering (min, max) token-set size per attribute."""
+        sizes = [s.sizes for s in self.members.values()]
+        return [
+            (min(si.min_size for si in col), max(si.max_size for si in col))
+            for col in zip(*sizes)
+        ]
+
+    @property
+    def aux(self) -> dict:
+        """Covering (lo, hi) per auxiliary key held by any member."""
+        out: dict = {}
+        for s in self.members.values():
+            for key, (lo, hi) in s.aux.items():
+                c = out.get(key)
+                out[key] = (lo, hi) if c is None else (min(c[0], lo), max(c[1], hi))
+        return out
 
 
 def _add_to(cells: dict, key: tuple, s: TupleSummary) -> None:
     cell = cells.get(key)
     if cell is None:
-        cells[key] = _Cell(s)
-    else:
-        cell.add(s)
+        cell = cells[key] = _Cell()
+    cell.members[s.rid] = s
 
 
 def _remove_from(cells: dict, key: tuple, s: TupleSummary) -> None:
-    cell = cells[key]
-    if len(cell.members) == 1:
+    members = cells[key].members
+    del members[s.rid]
+    if not members:
         del cells[key]
-    else:
-        cell.remove(s)
 
 
 def _post(postings: list, rid: str, unions: list) -> None:

@@ -213,17 +213,27 @@ def read_tuples(path) -> list:
     return read_csv(path)[1]
 
 
+def _csv_rows(fh, path):
+    """Rows of an open CSV file; a row ``csv`` cannot parse (say, a field over
+    its size limit) raises ConfigError naming the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def read_csv(path) -> tuple:
     """``(d, tuples)`` of a stream CSV; ``d`` comes from the header, so a
     header-only file keeps its width."""
     tuples = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(fh, path)
+        header = next(rows, None)
         if header is None or len(header) < 4 or header[:3] != ["rid", "stream_id", "arrival_time"]:
             raise ConfigError(f"{path}: bad stream CSV header")
         d = len(header) - 3
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if len(row) != d + 3:
                 raise ConfigError(f"{path}:{lineno}: expected {d + 3} cells, got {len(row)}")
             attrs = []

@@ -22,7 +22,7 @@ from .grid import (
     token_count_prunes,
 )
 from .impute import ImputedTuple
-from .metric import DistanceFn, attr_min_dist, attr_ub_sim_by_size
+from .metric import DistanceFn, ub_sim_by_pivot, ub_sim_by_size
 from .model import contains_keyword
 
 STAGE_SIZE = "sim_ub_size"
@@ -77,12 +77,11 @@ def sim_ub_token(si: TupleSummary, sj: TupleSummary) -> int:
 
 
 def sim_ub_size(si: TupleSummary, sj: TupleSummary) -> float:
-    return sum(attr_ub_sim_by_size(a, b) for a, b in zip(si.sizes, sj.sizes))
+    return ub_sim_by_size(si.sizes, sj.sizes)
 
 
 def sim_ub_pivot(si: TupleSummary, sj: TupleSummary) -> float:
-    d = len(si.box)
-    return d - sum(attr_min_dist(a, b) for a, b in zip(si.dist_intervals, sj.dist_intervals))
+    return ub_sim_by_pivot(si.dist_intervals, sj.dist_intervals)
 
 
 def prob_ub_paley_zygmund(stats_i: tuple, stats_j: tuple, d: int, gamma: float) -> float:

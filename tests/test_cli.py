@@ -371,6 +371,35 @@ class TestExitCodes:
         args = run_args(workspace, "engine", workspace / "r.jsonl", extra=["--groundtruth", str(truth)])
         assert main(args) == EXIT_CONFIG
 
+    def test_field_over_the_csv_size_limit_is_2(self, workspace, capsys):
+        stream = workspace / "stream_0.csv"
+        lines = stream.read_text().splitlines()
+        rid, sid, t, *attrs = lines[1].split(",")
+        lines[1] = ",".join([rid, sid, t, "x" * 200_000] + attrs[1:])
+        stream.write_text("\n".join(lines) + "\n")
+        inject = ["inject", "--input", str(stream), "--out", str(workspace / "out.csv"),
+                  "--missing-rate", "0.5", "--missing-attrs", "1"]
+        assert main(inject) == EXIT_CONFIG
+        assert main(run_args(workspace, "engine", workspace / "r.jsonl")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{stream}:2:" in err and "field larger than field limit" in err
+
+    @pytest.mark.parametrize(
+        "flag,text",
+        [
+            ("--rules", "DEP=0 | 5:INT:0.0,0.1 -> [0.0,0.1]\n"),
+            ("--pivots", "PIVOT attr=0 idx=0 tokens=w1\n"),
+        ],
+        ids=["rule-attr-out-of-range", "pivots-for-one-attr"],
+    )
+    def test_rule_or_pivot_file_outside_the_schema_is_2(self, workspace, flag, text):
+        path = workspace / "file.txt"
+        path.write_text(text)
+        for mode in ("engine", "oracle"):
+            args = run_args(workspace, mode, workspace / "r.jsonl", extra=[flag, str(path)])
+            assert main(args) == EXIT_CONFIG
+        assert not (workspace / "r.jsonl").exists()
+
     def test_pivots_with_fewer_than_two_buckets_is_2(self, workspace):
         out = workspace / "pivots.txt"
         argv = ["pivots", "--repo", str(workspace / "repository.csv"), "--p", "1", "--out", str(out)]

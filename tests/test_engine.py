@@ -1,5 +1,6 @@
 import pytest
 
+from teride.cdd import rules_from_text
 from teride.engine import (
     KIND_EXPIRE,
     KIND_MATCH,
@@ -13,6 +14,7 @@ from teride.engine import (
 from teride.errors import ConfigError, DuplicateTuple, OutOfOrderArrival
 from teride.metric import DistanceFn
 from teride.model import QueryConfig
+from teride.pivot import PivotSet, select_pivots
 
 from .conftest import make_tuple, make_workload, ts
 
@@ -36,6 +38,28 @@ class TestPrecompute:
         repo, _ = make_workload(seed=51, length=15, repo_size=30)
         with pytest.raises(ConfigError):
             precompute(repo, make_config(d=4), DistanceFn())
+        # rules and pivots read from files must fit the repository's d = 3
+        rules = rules_from_text("DEP=0 | 1:INT:0.0,0.1 -> [0.0,0.1]\n")
+        pivots = select_pivots(repo, dist=DistanceFn())
+        precompute(repo, make_config(), DistanceFn(), rules=rules, pivots=pivots)
+        bad_rules = [
+            "DEP=0 | 5:INT:0.0,0.1 -> [0.0,0.1]",
+            "DEP=3 | 1:INT:0.0,0.1 -> [0.0,0.1]",
+            "DEP=0 | -1:INT:0.0,0.1 -> [0.0,0.1]",
+        ]
+        bad_pivots = [
+            PivotSet(per_attr=pivots.per_attr[:1]),
+            PivotSet(per_attr=pivots.per_attr + [[ts("w1")]]),
+            PivotSet(per_attr=[pivots.per_attr[0], [], pivots.per_attr[2]]),
+        ]
+        for mode in (MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE):
+            for text in bad_rules:
+                with pytest.raises(ConfigError):
+                    precompute(repo, make_config(), DistanceFn(), mode=mode,
+                               rules=rules_from_text(text), pivots=pivots)
+            for bad in bad_pivots:
+                with pytest.raises(ConfigError):
+                    precompute(repo, make_config(), DistanceFn(), mode=mode, pivots=bad)
 
 
 class TestModesAgree:

@@ -196,7 +196,7 @@ def _cell_aggregates(cells: dict) -> dict:
     }
 
 
-class TestCountedAggregates:
+class TestCellChurn:
     def test_equal_a_rebuild_after_random_inserts_and_evicts(self, setup):
         """Every cell, keyword-only cells included, holds exactly the members and
         aggregates that a grid built from the live tuples holds."""
