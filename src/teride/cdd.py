@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigError, DeterminantMissing, NoRulesFound
 from .metric import DistanceFn
-from .model import Repository, StreamTuple, TokenSet, token_key, token_postings
+from .model import Repository, StreamTuple, TokenSet, parse_token_set, token_key, token_postings
 
 CONST = "const"
 INTERVAL = "interval"
@@ -301,7 +301,7 @@ def rules_from_text(text: str) -> list:
                 attr_s, kind, payload = f.split(":", 2)
                 if kind == "CONST":
                     constraints.append(
-                        AttrConstraint(attr=int(attr_s), kind=CONST, value=frozenset(payload.split("+")))
+                        AttrConstraint(attr=int(attr_s), kind=CONST, value=parse_token_set(payload))
                     )
                 elif kind == "INT":
                     lo_s, hi_s = payload.split(",")

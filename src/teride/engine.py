@@ -141,6 +141,11 @@ def precompute(
             f"pivot counts per attribute {[len(p) for p in pivots.per_attr]} do not give"
             f" each of the repository's {repo.d} attributes a pivot"
         )
+    else:
+        for x, plist in enumerate(pivots.per_attr):
+            for a, piv in enumerate(plist):
+                if not piv:
+                    raise ConfigError(f"pivot {a} of attribute {x} is an empty token set")
     pre = Precomputed(repo=repo, rules=rules, rules_by_dep=rules_by_dep, pivots=pivots)
     if mode == MODE_ENGINE:
         pre.dr_index = build_dr_index(repo, pivots, config.keywords, dist)
@@ -178,6 +183,8 @@ class Engine:
         self.pairs_considered = 0
         self.matches_reported = 0
         self.arrivals = 0
+        # seconds per phase; "imputation" includes summarize, and the summary
+        # fields computed on first read (by the pair bounds) are charged to "er"
         self.timings = {"rule_selection": 0.0, "imputation": 0.0, "er": 0.0}
         self.step_times: list = []
 

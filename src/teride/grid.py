@@ -2,9 +2,12 @@
 
 Each tuple occupies the hyper-rectangle spanned by the main-pivot coordinates
 of its possible instances and is registered in every grid cell that rectangle
-intersects.  A cell holds only its members; its covering aggregates (keyword
-union, pivot-distance box, token-size intervals, auxiliary intervals) are
-computed from them when read, and candidate retrieval reads none of them.
+intersects.  At arrival a tuple's summary holds only what the grid reads: the
+main-pivot coordinates and the query keywords.  The fields only the pair
+bounds read are computed when first read (see ``TupleSummary``).  A cell
+holds only its members; its covering aggregates (keyword union, pivot-distance
+box, token-size intervals, auxiliary intervals) are computed from them when
+read, and candidate retrieval reads none of them.
 Retrieval applies two exact set-level filters only: a keyword-free probe reads
 only the keyword-bearing tuples, and under Jaccard a tuple must share tokens
 with the probe on ``need`` of the ``d`` attributes.  That filter is a
@@ -18,13 +21,13 @@ pair in ``prune.judge_pair``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .errors import DuplicateTuple, UnknownTuple
 from .impute import ImputedTuple
 from .metric import DistanceFn, DistInterval, SizeInterval
-from .pivot import PivotSet, convert
+from .pivot import PivotSet
 
 CELL_WIDTH = 0.1
 _TOL = 1e-9
@@ -48,26 +51,38 @@ def token_count_prunes(shared: int, gamma: float) -> bool:
     return shared + _SUM_SLACK <= gamma + _TOL
 
 
-@dataclass
 class TupleSummary:
     """Index-ready digest of one probabilistic tuple.
 
-    What the pair bounds read of one tuple alone (token sizes, pivot-distance
-    intervals and statistics) is computed here once per tuple, not per pair.
+    What the grid reads is computed at arrival: ``box``, ``option_coords``
+    and ``keywords``.  What only the pair bounds read (``aux``, ``sizes``,
+    ``dist_intervals`` and ``pivot_stats``) is computed the first time it is
+    read and kept, so a tuple that no pair bound reaches never pays for it.
+    ``aux`` and ``sizes`` may also be given eagerly; ``aux`` computed on read
+    needs ``pivots`` and ``dist``.
     """
 
-    imputed: ImputedTuple
-    box: list  # per-attr (lo, hi) of the main-pivot coordinate over all options
-    aux: dict  # (attr, pivot_idx) -> (lo, hi) over all options, pivot_idx >= 1
-    sizes: list  # per-attr SizeInterval over all options
-    keywords: frozenset  # query keywords present in at least one option
-    option_coords: list  # per-attr main-pivot coordinate per option, aligned with attr_options
-    dist_intervals: list = field(init=False)  # per-attr DistInterval of box
-    pivot_stats: tuple = field(init=False)  # see pivot_stats()
-
-    def __post_init__(self):
-        self.dist_intervals = [DistInterval(lo, hi) for lo, hi in self.box]
-        self.pivot_stats = pivot_stats(self)
+    def __init__(
+        self,
+        imputed: ImputedTuple,
+        box: list,
+        keywords: frozenset,
+        option_coords: list,
+        aux: dict | None = None,
+        sizes: list | None = None,
+        pivots: PivotSet | None = None,
+        dist: DistanceFn | None = None,
+    ):
+        self.imputed = imputed
+        self.box = box  # per-attr (lo, hi) of the main-pivot coordinate over all options
+        self.keywords = keywords  # query keywords present in at least one option
+        self.option_coords = option_coords  # per-attr main-pivot coordinate per option
+        self._pivots = pivots
+        self._dist = dist
+        if aux is not None:
+            self.aux = aux
+        if sizes is not None:
+            self.sizes = sizes
 
     @property
     def rid(self) -> str:
@@ -77,13 +92,44 @@ class TupleSummary:
     def stream_id(self) -> int:
         return self.imputed.stream_id
 
+    @cached_property
+    def aux(self) -> dict:
+        """(attr, pivot_idx) -> (lo, hi) of the distance over all options, pivot_idx >= 1."""
+        f = self._dist.bind()
+        out = {}
+        for x, plist in enumerate(self._pivots.per_attr):
+            values = [v for v, _ in self.imputed.attr_options(x)]
+            for a in range(1, len(plist)):
+                col = [f(v, plist[a]) for v in values]
+                out[(x, a)] = (min(col), max(col))
+        return out
+
+    @cached_property
+    def sizes(self) -> list:
+        """Per-attr SizeInterval of the token-set size over all options."""
+        out = []
+        for x in range(len(self.box)):
+            lens = [len(v) for v, _ in self.imputed.attr_options(x)]
+            out.append(SizeInterval(min(lens), max(lens)))
+        return out
+
+    @cached_property
+    def dist_intervals(self) -> list:
+        """Per-attr DistInterval of ``box``."""
+        return [DistInterval(lo, hi) for lo, hi in self.box]
+
+    @cached_property
+    def pivot_stats(self) -> tuple:
+        """The module-level :func:`pivot_stats` of this summary."""
+        return pivot_stats(self)
+
 
 def pivot_stats(summary: TupleSummary) -> tuple:
     """(expectation, lower bound, upper bound) of the tuple's main-pivot distance.
 
     The expectation weighs each candidate value's main-pivot distance by its
     existence probability; present attributes contribute a fixed distance.
-    Every summary carries the result as ``summary.pivot_stats``.
+    Every summary keeps the result as ``summary.pivot_stats``.
     """
     it = summary.imputed
     exp = lb = ub = 0.0
@@ -99,48 +145,37 @@ def pivot_stats(summary: TupleSummary) -> tuple:
 def summarize(
     it: ImputedTuple, pivots: PivotSet, keywords: frozenset, dist: DistanceFn
 ) -> TupleSummary:
-    """Digest one tuple in one pass per attribute.
+    """Digest one tuple at arrival: each option's main-pivot coordinate, and the keywords.
 
-    A present attribute has a single option, so its coordinates give the box
-    and aux endpoints directly.
+    The fields only pair bounds read are left to be computed on first read.
     """
+    f = dist.bind()
     box = []
-    aux: dict = {}
-    sizes = []
     kws: set = set()
     option_coords = []
     attrs = it.base.attrs
-    for x in range(pivots.d):
+    for x, plist in enumerate(pivots.per_attr):
+        main = plist[0]
         v = attrs[x]
         if v is not None:
-            coords = convert(v, x, pivots, dist)
-            c = coords[0]
+            c = f(v, main)
             option_coords.append([c])
             box.append((c, c))
-            for a in range(1, len(coords)):
-                aux[(x, a)] = (coords[a], coords[a])
-            sizes.append(SizeInterval(len(v), len(v)))
             kws.update(keywords & v)
             continue
         options = it.per_attr_candidates[x]
-        coords = [convert(v, x, pivots, dist) for v, _ in options]
-        main = [c[0] for c in coords]
-        option_coords.append(main)
-        box.append((min(main), max(main)))
-        for a in range(1, len(coords[0])):
-            col = [c[a] for c in coords]
-            aux[(x, a)] = (min(col), max(col))
-        lens = [len(v) for v, _ in options]
-        sizes.append(SizeInterval(min(lens), max(lens)))
+        coords = [f(v, main) for v, _ in options]
+        option_coords.append(coords)
+        box.append((min(coords), max(coords)))
         for v, _ in options:
             kws.update(keywords & v)
     return TupleSummary(
         imputed=it,
         box=box,
-        aux=aux,
-        sizes=sizes,
         keywords=frozenset(kws),
         option_coords=option_coords,
+        pivots=pivots,
+        dist=dist,
     )
 
 

@@ -61,6 +61,10 @@ class DistanceFn:
             return 0.0 if a == b else 1.0
         return min(abs(x - y), 1.0)
 
+    def bind(self):
+        """This distance as a plain function: ``jaccard_dist`` under Jaccard, else itself."""
+        return jaccard_dist if self.kind == self.JACCARD else self
+
     def sim(self, a: TokenSet, b: TokenSet) -> float:
         return 1.0 - self(a, b)
 

@@ -47,6 +47,17 @@ def token_key(value: TokenSet) -> tuple:
     return tuple(sorted(value))
 
 
+def parse_token_set(text: str) -> TokenSet:
+    """A token set written as its tokens joined by ``+`` (as in rule and pivot files).
+
+    An empty token (``""``, ``"a++b"``) raises ValueError.
+    """
+    tokens = text.split("+")
+    if not all(tokens):
+        raise ValueError(f"empty token in {text!r}")
+    return frozenset(tokens)
+
+
 def token_postings(values: Sequence[TokenSet]) -> dict:
     """Token -> ascending positions of the values that hold it."""
     postings: dict = {}

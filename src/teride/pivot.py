@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, EmptyDomain
-from .metric import DistanceFn, jaccard_dist
-from .model import Repository, TokenSet, token_key, token_postings
+from .metric import DistanceFn
+from .model import Repository, TokenSet, parse_token_set, token_key, token_postings
 
 DEFAULT_P = 10
 DEFAULT_EMIN = 1.5
@@ -209,10 +209,9 @@ def _argmax(values, score) -> tuple:
 def convert(value: TokenSet, attr: int, pivots: PivotSet, dist: DistanceFn) -> list:
     """Distances from a value to each pivot of the attribute; index 0 is the main coordinate.
 
-    The kind-specific distance is bound once per call: ``jaccard_dist`` under
-    Jaccard, ``dist`` itself otherwise.
+    The kind-specific distance is bound once per call (``DistanceFn.bind``).
     """
-    f = jaccard_dist if dist.kind == DistanceFn.JACCARD else dist
+    f = dist.bind()
     return [f(value, piv) for piv in pivots.per_attr[attr]]
 
 
@@ -242,7 +241,10 @@ def pivots_from_text(text: str) -> PivotSet:
                 P, eMin, cntMax = int(kv["P"]), float(kv["eMin"]), int(kv["cntMax"])
                 continue
             kv = dict(part.split("=", 1) for part in line.split()[1:])
-            entries[(int(kv["attr"]), int(kv["idx"]))] = frozenset(kv["tokens"].split("+"))
+            x, a = int(kv["attr"]), int(kv["idx"])
+            if x < 0 or a < 0:
+                raise ValueError(f"negative attr or idx in {line!r}")
+            entries[(x, a)] = parse_token_set(kv["tokens"])
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"pivot file line {lineno}: {exc}") from exc
     if not entries:

@@ -191,6 +191,14 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="line 1"):
             rules_from_text("not a rule\n")
 
+    @pytest.mark.parametrize("payload", ["", "a++b", "a+", "+a"])
+    def test_empty_token_in_a_constant_rejected(self, payload):
+        assert rules_from_text("DEP=0 | 1:CONST:a+b -> [0.0,0.1]\n")[0].determinants[0].value == ts(
+            "a", "b"
+        )
+        with pytest.raises(ConfigError, match="line 1"):
+            rules_from_text(f"DEP=0 | 1:CONST:{payload} -> [0.0,0.1]\n")
+
     def test_open_interval_not_serializable(self):
         with pytest.raises(ConfigError):
             rules_to_text([cdd2()])

@@ -400,6 +400,30 @@ class TestExitCodes:
             assert main(args) == EXIT_CONFIG
         assert not (workspace / "r.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "flag,bad_line",
+        [
+            ("--pivots", "PIVOT attr=-1 idx=0 tokens=w1"),
+            ("--pivots", "PIVOT attr=0 idx={next_idx} tokens="),
+            ("--pivots", "PIVOT attr=0 idx={next_idx} tokens=w1++w2"),
+            ("--rules", "DEP=0 | 1:CONST:w1++w2 -> [0.0,0.1]"),
+        ],
+        ids=["pivot-negative-attr", "pivot-no-tokens", "pivot-empty-token", "rule-empty-token"],
+    )
+    def test_bad_line_in_a_valid_rule_or_pivot_file_is_2(self, workspace, capsys, flag, bad_line):
+        path = workspace / "file.txt"
+        verb = "pivots" if flag == "--pivots" else "detect"
+        assert main([verb, "--repo", str(workspace / "repository.csv"), "--out", str(path)]) == EXIT_OK
+        text = path.read_text()
+        next_idx = text.count("PIVOT attr=0 ")
+        path.write_text(text + bad_line.format(next_idx=next_idx) + "\n")
+        for mode in ("engine", "noindex", "oracle"):
+            args = run_args(workspace, mode, workspace / "r.jsonl", extra=[flag, str(path)])
+            assert main(args) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "line" in err and "Traceback" not in err
+        assert not (workspace / "r.jsonl").exists()
+
     def test_pivots_with_fewer_than_two_buckets_is_2(self, workspace):
         out = workspace / "pivots.txt"
         argv = ["pivots", "--repo", str(workspace / "repository.csv"), "--p", "1", "--out", str(out)]

@@ -61,6 +61,20 @@ class TestPrecompute:
                 with pytest.raises(ConfigError):
                     precompute(repo, make_config(), DistanceFn(), mode=mode, pivots=bad)
 
+    @pytest.mark.parametrize("mode", [MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE])
+    @pytest.mark.parametrize("where", ["main", "aux"])
+    def test_empty_pivot_rejected(self, mode, where):
+        # an empty auxiliary pivot is read only by the pair bounds, mid-step,
+        # so precompute is where it must be caught
+        repo, _ = make_workload(seed=51, length=15, repo_size=30)
+        per_attr = [list(p) for p in select_pivots(repo, dist=DistanceFn()).per_attr]
+        if where == "main":
+            per_attr[1][0] = frozenset()
+        else:
+            per_attr[1].append(frozenset())
+        with pytest.raises(ConfigError, match="empty token set"):
+            Engine(repo, make_config(), mode=mode, pivots=PivotSet(per_attr=per_attr))
+
 
 class TestModesAgree:
     @pytest.mark.parametrize("seed", [61, 62, 63])

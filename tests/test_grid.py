@@ -130,6 +130,46 @@ class TestSummaryReference:
                 assert _bits(getattr(got, name)) == _bits(getattr(ref, name)), (it.rid, name)
 
 
+class _CountingDist(DistanceFn):
+    """A distance that counts its calls."""
+
+    def __init__(self, kind):
+        super().__init__(kind)
+        self.calls = 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return super().__call__(a, b)
+
+
+class TestArrivalWork:
+    def test_arrival_computes_main_coordinates_only_and_aux_once(self):
+        from teride.cdd import detect_cdds
+
+        repo, trace = make_workload(seed=31, d=4, length=30, repo_size=40, xi=0.5, m=2)
+        # under absdiff the bound distance is the DistanceFn itself, so every call counts
+        dist = _CountingDist(DistanceFn.ABSDIFF)
+        pivots = select_pivots(repo, dist=dist)
+        n_aux = [pivots.n_pivots(x) - 1 for x in range(repo.d)]
+        assert any(n_aux)
+        by_dep = {}
+        for rule in detect_cdds(repo, dist):
+            by_dep.setdefault(rule.dependent, []).append(rule)
+        imputed = [impute_tuple(r, by_dep, repo, dist) for r in trace]
+        assert any(it.per_attr_candidates for it in imputed)
+        for it in imputed:
+            n_options = [len(it.attr_options(x)) for x in range(repo.d)]
+            dist.calls = 0
+            s = summarize(it, pivots, frozenset({"topic0"}), dist)
+            assert dist.calls == sum(n_options)
+            dist.calls = 0
+            s.aux
+            assert dist.calls == sum(n * a for n, a in zip(n_options, n_aux))
+            dist.calls = 0
+            s.aux, s.sizes, s.dist_intervals, s.pivot_stats
+            assert dist.calls == 0
+
+
 class TestGridMechanics:
     def test_insert_evict_restores_state(self, setup):
         _, _, _, _, summaries = setup

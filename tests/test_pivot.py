@@ -154,3 +154,19 @@ class TestSerialization:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             pivots_from_text("\n")
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "PIVOT attr=-1 idx=0 tokens=w1",
+            "PIVOT attr=1 idx=-1 tokens=w1",
+            "PIVOT attr=1 idx=1 tokens=",
+            "PIVOT attr=1 idx=1 tokens=w1++w2",
+            "PIVOT attr=1 idx=1 tokens=w1+",
+        ],
+    )
+    def test_negative_index_or_empty_token_rejected(self, bad_line):
+        good = "PIVOT attr=0 idx=0 tokens=a\nPIVOT attr=1 idx=0 tokens=b+c\n"
+        assert pivots_from_text(good).per_attr == [[ts("a")], [ts("b", "c")]]
+        with pytest.raises(ConfigError, match="line 3"):
+            pivots_from_text(good + bad_line + "\n")
