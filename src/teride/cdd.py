@@ -69,8 +69,12 @@ class CddRule:
             raise ConfigError("one constraint per determinant attribute")
         if self.dependent in attrs:
             raise ConfigError("dependent attribute cannot be a determinant")
-        if self.dep_lo > self.dep_hi:
-            raise ConfigError("dependent interval endpoints out of order")
+        # also rejects NaN, which fails every comparison
+        if not (-_EDGE_TOL <= self.dep_lo <= self.dep_hi <= 1.0 + _EDGE_TOL):
+            raise ConfigError(
+                f"bad dependent interval [{self.dep_lo}, {self.dep_hi}]:"
+                " endpoints must be ordered and within [0, 1]"
+            )
 
     @property
     def det_attrs(self) -> frozenset:
@@ -310,9 +314,9 @@ def rules_from_text(text: str) -> list:
                     )
                 else:
                     raise ValueError(f"unknown constraint kind {kind!r}")
-        except (ValueError, IndexError) as exc:
+            rules.append(
+                CddRule(determinants=tuple(constraints), dependent=dependent, dep_lo=dep_lo, dep_hi=dep_hi)
+            )
+        except (ValueError, IndexError, ConfigError) as exc:
             raise ConfigError(f"rule file line {lineno}: {exc}") from exc
-        rules.append(
-            CddRule(determinants=tuple(constraints), dependent=dependent, dep_lo=dep_lo, dep_hi=dep_hi)
-        )
     return rules

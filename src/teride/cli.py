@@ -186,7 +186,10 @@ def _load_match_keys(path) -> set:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             if not isinstance(rec, dict):
                 raise ConfigError(f"{path}:{lineno}: expected a JSON object")
             if rec.get("kind") == "match":

@@ -272,24 +272,20 @@ class Engine:
     # -- imputation ---------------------------------------------------------
 
     def _select_rules(self, r: StreamTuple):
-        """Engine mode: the candidate rules per missing attribute and the repository
-        samples per rule, fetched through the indexes.  None when the tuple is
-        complete or another mode scans instead."""
+        """Engine mode: the candidate rules per missing attribute, from the rule
+        trees, and the repository samples per rule, from one DR-index retrieval
+        for the tuple that computes each distinct determinant's admitted samples
+        once (``DrIndex.samples_per_rule``).  None when the tuple is complete
+        or another mode scans instead."""
         if self.mode != MODE_ENGINE or r.is_complete():
             return None
         rules_by_dep: dict = {}
-        samples_per_rule: dict = {}
         for j in r.missing_attrs():
             idx = self.pre.cdd_indexes.get(j)
-            if idx is None:
-                rules_by_dep[j] = []
-                continue
-            cand = idx.candidate_rules(r, self.pre.pivots, self.dist)
-            rules_by_dep[j] = cand
-            for rule in cand:
-                samples_per_rule[rule] = self.pre.dr_index.rule_samples(
-                    rule, r, self.pre.pivots, self.dist
-                )
+            rules_by_dep[j] = [] if idx is None else idx.candidate_rules(r, self.pre.pivots, self.dist)
+        samples_per_rule = self.pre.dr_index.samples_per_rule(
+            [rule for rules in rules_by_dep.values() for rule in rules], r, self.pre.pivots, self.dist
+        )
         return rules_by_dep, samples_per_rule
 
     def _impute(self, r: StreamTuple, selection) -> ImputedTuple:
@@ -299,7 +295,12 @@ class Engine:
             return impute_tuple(r, self.pre.rules_by_dep, self.pre.repo, self.dist)
         rules_by_dep, samples_per_rule = selection
         return impute_tuple(
-            r, rules_by_dep, self.pre.repo, self.dist, samples_per_rule=samples_per_rule
+            r,
+            rules_by_dep,
+            self.pre.repo,
+            self.dist,
+            samples_per_rule=samples_per_rule,
+            dr_index=self.pre.dr_index,
         )
 
     # -- matching -----------------------------------------------------------

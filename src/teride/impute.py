@@ -4,6 +4,14 @@ A single rule contributes, for each repository sample satisfying its
 determinants, every domain value whose distance to the sample's dependent
 value lies in the rule's dependent interval.  Frequencies from all applicable
 rules are pooled and normalized into an existence-probability distribution.
+
+Without an index every rule scans all samples and every sample the whole
+dependent domain.  With one (``engine`` mode), each rule scans only the
+samples the DR-index served it, and under Jaccard, when the dependent
+interval rejects distance 1.0, each sample only the domain values that its
+value's prefix postings reach (``DrIndex.near_values``).  Both are supersets
+of what the scan accepts and every value is still checked, so the result is
+the same.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from typing import Optional, Sequence
 
 from .cdd import CddRule, satisfies_determinants
 from .errors import ImputationFailed, NoSupportingSample
+from .index import DrIndex
 from .metric import DistanceFn
 from .model import Repository, StreamTuple, contains_keyword, token_key
 
@@ -35,12 +44,19 @@ def impute_single_rule(
     repo: Repository,
     dist: DistanceFn,
     samples: Optional[Sequence[StreamTuple]] = None,
+    dr_index: Optional[DrIndex] = None,
 ) -> CandidateDistribution:
-    """Candidate frequencies from one rule, scanning the given samples (default: whole repo)."""
+    """Candidate frequencies from one rule, scanning the given samples (default: whole repo).
+
+    With a ``dr_index`` under Jaccard and a dependent interval that rejects
+    1.0, a sample's candidates are drawn from ``dr_index.near_values`` instead
+    of the whole domain.
+    """
     if samples is None:
         samples = repo.samples
     j = rule.dependent
     domain = repo.domain(j)
+    near = dr_index is not None and dist.kind == DistanceFn.JACCARD and not rule.dep_admits(1.0)
     entries: dict = {}
     supported = False
     for s in samples:
@@ -48,7 +64,7 @@ def impute_single_rule(
             continue
         supported = True
         sv = s.attrs[j]
-        for val in domain:
+        for val in dr_index.near_values(j, sv, rule.dep_hi) if near else domain:
             if rule.dep_admits(dist(sv, val)):
                 entries[val] = entries.get(val, 0) + 1
     if not supported:
@@ -62,18 +78,22 @@ def impute_multi_rule(
     repo: Repository,
     dist: DistanceFn,
     samples_per_rule: Optional[dict] = None,
+    dr_index: Optional[DrIndex] = None,
 ) -> list:
     """Pooled candidate probabilities over all applicable rules.
 
-    Returns (value, prob) pairs sorted by descending probability.  Rules with
-    no supporting sample contribute nothing (to either sum).
+    Returns (value, prob) pairs sorted by descending probability, ties in
+    token order.  Rules with no supporting sample, among them those served
+    no sample at all, contribute nothing (to either sum).
     """
     totals: dict = {}
     denom = 0
     for rule in rules:
         samples = None if samples_per_rule is None else samples_per_rule.get(rule)
+        if samples is not None and not samples:
+            continue
         try:
-            cd = impute_single_rule(r, rule, repo, dist, samples=samples)
+            cd = impute_single_rule(r, rule, repo, dist, samples=samples, dr_index=dr_index)
         except NoSupportingSample:
             continue
         for val, freq in cd.entries.items():
@@ -222,11 +242,14 @@ def impute_tuple(
     repo: Repository,
     dist: DistanceFn,
     samples_per_rule: Optional[dict] = None,
+    dr_index: Optional[DrIndex] = None,
 ) -> ImputedTuple:
     """Impute every missing attribute of r independently; complete tuples pass through.
 
-    When no rule yields support for an attribute, falls back to a uniform
-    distribution over the most frequent domain values and flags the tuple.
+    ``samples_per_rule`` and ``dr_index`` narrow the scans (see the module
+    docstring) without changing the result.  When no rule yields support for
+    an attribute, falls back to a uniform distribution over the most frequent
+    domain values and flags the tuple.
     """
     if r.is_complete():
         return ImputedTuple(base=r)
@@ -237,7 +260,9 @@ def impute_tuple(
         cands = None
         if applicable:
             try:
-                cands = impute_multi_rule(r, applicable, repo, dist, samples_per_rule=samples_per_rule)
+                cands = impute_multi_rule(
+                    r, applicable, repo, dist, samples_per_rule=samples_per_rule, dr_index=dr_index
+                )
             except ImputationFailed:
                 cands = None
         if cands is None:

@@ -99,6 +99,29 @@ def _box_intersects(box, query) -> bool:
 # ---------------------------------------------------------------------------
 # DR-index
 
+# An admitted distance may exceed an interval's upper end by 1e-9; the prefix
+# length allows a thousand times that, so rounding cannot drop a value.
+_PREFIX_SLACK = 1e-6
+
+
+def prefix_positions(postings: dict, v, hi: float) -> set:
+    """Positions, from ``postings`` (token -> positions), of every value at a
+    Jaccard distance below 1.0 and at most ``hi`` (plus 1e-9) from the token set v.
+
+    Such a value s has ``|v & s| / |v| >= sim(v, s) >= 1 - hi - 1e-9``, so it
+    shares at least ``need = max(1, ceil((1 - hi - 1e-6) * |v|))`` of v's
+    tokens (at least one, as it is not at distance 1.0), and so holds one of
+    any ``|v| - need + 1`` of them.  The union of the postings of v's rarest
+    ``|v| - need + 1`` tokens therefore covers it: the prefix filter of
+    Chaudhuri, Ganti and Kaushik (ICDE 2006).  The result is a superset, and
+    it never covers distance 1.0: callers use it only for intervals that
+    reject 1.0 and check each value's distance.
+    """
+    need = max(1, math.ceil((1.0 - hi - _PREFIX_SLACK) * len(v)))
+    prefix = sorted(v, key=lambda t: (len(postings.get(t, ())), t))[: len(v) - need + 1]
+    return set().union(*(postings.get(t, ()) for t in prefix))
+
+
 @dataclass
 class SamplePayload:
     sample: StreamTuple
@@ -110,7 +133,13 @@ class SamplePayload:
 class DrIndex:
     """Aggregate R-tree over pivot-converted repository samples, plus per-attribute
     postings (token -> sample positions, value -> sample positions) over the
-    repository for rule-driven retrieval."""
+    repository.
+
+    Imputation fetches its samples through the postings: :meth:`samples_per_rule`
+    makes one retrieval per tuple for all of its candidate rules, and
+    :meth:`near_values` gives the dependent values a sample's value can reach.
+    Both use the prefix filter of :func:`prefix_positions` under Jaccard.
+    """
 
     def __init__(self, root: Node, d: int, samples: list, by_token: list, by_value: list):
         self.root = root
@@ -119,34 +148,63 @@ class DrIndex:
         self.by_token = by_token  # per attr: token -> frozenset of positions
         self.by_value = by_value  # per attr: token set -> frozenset of positions
 
+    def samples_per_rule(
+        self, rules, r: StreamTuple, pivots: PivotSet, dist: DistanceFn
+    ) -> dict:
+        """Rule -> the samples, in repository order, that may satisfy its
+        determinants for r: one retrieval for all of r's candidate rules.
+
+        A constant determinant reads the posting of its value.  Under
+        Jaccard, an interval determinant that rejects 1.0 reads the prefix
+        postings of r's value (:func:`prefix_positions`) and keeps a position
+        only if its distance is admitted; each distinct such interval is
+        computed once and shared by every rule that has it.  A rule intersects
+        the positions of these restricting determinants; a rule with none
+        falls back to the R-tree box.  Every sample that satisfies a rule's
+        determinants is returned for it.
+        """
+        jaccard = dist.kind == DistanceFn.JACCARD
+        measure = dist.bind()
+        admitted: dict = {}  # (attr, lo, hi, min_open) of an interval -> admitted positions
+        out = {}
+        for rule in rules:
+            picked = None
+            for c in rule.determinants:
+                rv = r.attrs[c.attr]
+                if rv is None:
+                    raise ConfigError(f"tuple {r.rid} lacks determinant {c.attr}")
+                if c.kind == CONST:
+                    hits = self.by_value[c.attr].get(c.value, frozenset())
+                elif jaccard and not c.admits(1.0):
+                    key = (c.attr, c.lo, c.hi, c.min_open)
+                    hits = admitted.get(key)
+                    if hits is None:
+                        hits = admitted[key] = {
+                            i
+                            for i in prefix_positions(self.by_token[c.attr], rv, c.hi)
+                            if c.admits(measure(rv, self.samples[i].attrs[c.attr]))
+                        }
+                else:
+                    continue
+                picked = hits if picked is None else picked & hits
+            if picked is None:
+                out[rule] = self.range_samples(dr_query_box_for_rule(rule, r, pivots, dist))
+            else:
+                out[rule] = [self.samples[i] for i in sorted(picked)]
+        return out
+
     def rule_samples(
         self, rule: CddRule, r: StreamTuple, pivots: PivotSet, dist: DistanceFn
     ) -> list:
-        """Samples, in repository order, that may satisfy the rule's determinants for r.
+        """Samples, in repository order, that may satisfy one rule's determinants
+        for r: :meth:`samples_per_rule` for that rule alone."""
+        return self.samples_per_rule((rule,), r, pivots, dist)[rule]
 
-        A constant determinant needs the sample to hold the constant.  Under
-        Jaccard, disjoint token sets are at distance exactly 1.0, so an
-        interval determinant that rejects 1.0 needs the sample to share a token
-        with r's value.  The postings of these restricting determinants are
-        intersected; a rule with none falls back to the R-tree box.  Every
-        sample that satisfies the determinants is returned.
-        """
-        picked = None
-        for c in rule.determinants:
-            rv = r.attrs[c.attr]
-            if rv is None:
-                raise ConfigError(f"tuple {r.rid} lacks determinant {c.attr}")
-            if c.kind == CONST:
-                hits = self.by_value[c.attr].get(c.value, frozenset())
-            elif dist.kind == DistanceFn.JACCARD and not c.admits(1.0):
-                postings = self.by_token[c.attr]
-                hits = frozenset().union(*(postings.get(t, ()) for t in rv))
-            else:
-                continue
-            picked = hits if picked is None else picked & hits
-        if picked is None:
-            return self.range_samples(dr_query_box_for_rule(rule, r, pivots, dist))
-        return [self.samples[i] for i in sorted(picked)]
+    def near_values(self, attr: int, v, hi: float) -> set:
+        """The repository's attribute-``attr`` values that can lie within Jaccard
+        distance ``hi`` (below 1.0) of v, reached through v's prefix postings
+        (:func:`prefix_positions`)."""
+        return {self.samples[i].attrs[attr] for i in prefix_positions(self.by_token[attr], v, hi)}
 
     def range_samples(self, box: dict) -> list:
         """Samples whose main-pivot coordinates intersect the (partial) query box.
@@ -271,17 +329,15 @@ class CddIndex:
         """Rules whose determinants could be satisfied by r (no false dismissals)."""
         if r.attrs[self.dependent] is not None:
             raise ConfigError(f"tuple {r.rid} is not missing attribute {self.dependent}")
-        # groups share determinant attributes: convert each one once per call
-        coords = {
-            x: None if r.attrs[x] is None else convert(r.attrs[x], x, pivots, dist)
-            for x in {x for group in self.groups for x in group.attrs}
-        }
+        # pivot coordinates of r's values, converted when an all-constant node
+        # first needs them and shared by the groups
+        coords: dict = {}
         out = []
         for group in self.groups:
             stack = [group.root]
             while stack:
                 node = stack.pop()
-                if self._prune_node(node, group, coords):
+                if self._prune_node(node, group, r, coords, pivots, dist):
                     continue
                 if node.is_leaf:
                     for _, entry in node.items:
@@ -298,22 +354,27 @@ class CddIndex:
         return out
 
     @staticmethod
-    def _prune_node(node: Node, group: RuleGroup, coords: dict) -> bool:
+    def _prune_node(
+        node: Node, group: RuleGroup, r: StreamTuple, coords: dict, pivots: PivotSet, dist: DistanceFn
+    ) -> bool:
         for k, x in enumerate(group.attrs):
             lo, hi = node.box[k]
-            if coords[x] is None:
+            if r.attrs[x] is None:
                 # r lacks attr x: only rules without a real constraint on x apply
                 if lo > MISSING_COORD + _TOL:
                     return True
                 continue
             if not node.agg["all_const"][k]:
                 continue
-            cx = coords[x][0]
+            cc = coords.get(x)
+            if cc is None:
+                cc = coords[x] = convert(r.attrs[x], x, pivots, dist)
+            cx = cc[0]
             if cx < lo - _TOL or cx > hi + _TOL:
                 return True
             for (ax, a), (alo, ahi) in node.agg["aux"].items():
-                if ax == x and a < len(coords[x]):
-                    ca = coords[x][a]
+                if ax == x and a < len(cc):
+                    ca = cc[a]
                     if ca < alo - _TOL or ca > ahi + _TOL:
                         return True
         return False

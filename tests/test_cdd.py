@@ -85,6 +85,26 @@ class TestRule:
                 dep_hi=0.1,
             )
 
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (float("nan"), float("nan")),
+            (0.0, float("nan")),
+            (-5.0, 7.0),
+            (0.0, float("inf")),
+            (-1e-8, 0.1),
+            (0.5, 1.0 + 1e-8),
+            (0.5, 0.2),
+        ],
+        ids=["nan", "nan-hi", "outside", "infinite", "below-tol", "above-tol", "out-of-order"],
+    )
+    def test_dependent_interval_outside_the_unit_interval_rejected(self, lo, hi):
+        interval = (AttrConstraint(attr=0, kind=INTERVAL, lo=0.0, hi=0.1),)
+        with pytest.raises(ConfigError):
+            CddRule(determinants=interval, dependent=1, dep_lo=lo, dep_hi=hi)
+        # the endpoints' 1e-9 tolerance is that of the determinant intervals
+        assert CddRule(determinants=interval, dependent=1, dep_lo=-5e-10, dep_hi=1.0 + 5e-10)
+
     def test_applicable_to(self):
         rule = cdd1()
         missing_c = make_tuple("r", 0, 1, ts("a1"), ts("0.3"), None)
@@ -198,6 +218,11 @@ class TestSerialization:
         )
         with pytest.raises(ConfigError, match="line 1"):
             rules_from_text(f"DEP=0 | 1:CONST:{payload} -> [0.0,0.1]\n")
+
+    @pytest.mark.parametrize("interval", ["[nan,nan]", "[-5,7]", "[0.0,inf]"])
+    def test_dependent_interval_outside_the_unit_interval_reports_line(self, interval):
+        with pytest.raises(ConfigError, match="line 2"):
+            rules_from_text(f"DEP=0 | 1:INT:0.0,0.1 -> [0.0,0.1]\nDEP=0 | 1:INT:0.0,0.1 -> {interval}\n")
 
     def test_open_interval_not_serializable(self):
         with pytest.raises(ConfigError):

@@ -362,14 +362,16 @@ class TestExitCodes:
             '{"kind": "match"}',
             "[1, 2]",
             '{"kind": "match", "ts": [1], "rid_a": "a", "rid_b": "b"}',
+            '{"kind": "match",',
         ],
-        ids=["lacks-keys", "not-an-object", "unhashable-ts"],
+        ids=["lacks-keys", "not-an-object", "unhashable-ts", "not-json"],
     )
-    def test_malformed_groundtruth_is_2(self, workspace, line):
+    def test_malformed_groundtruth_is_2(self, workspace, capsys, line):
         truth = workspace / "truth.jsonl"
         truth.write_text('{"ts": 1, "kind": "expire", "rid_a": "x"}\n' + line + "\n")
         args = run_args(workspace, "engine", workspace / "r.jsonl", extra=["--groundtruth", str(truth)])
         assert main(args) == EXIT_CONFIG
+        assert f"{truth}:2:" in capsys.readouterr().err
 
     def test_field_over_the_csv_size_limit_is_2(self, workspace, capsys):
         stream = workspace / "stream_0.csv"
@@ -407,8 +409,14 @@ class TestExitCodes:
             ("--pivots", "PIVOT attr=0 idx={next_idx} tokens="),
             ("--pivots", "PIVOT attr=0 idx={next_idx} tokens=w1++w2"),
             ("--rules", "DEP=0 | 1:CONST:w1++w2 -> [0.0,0.1]"),
+            ("--rules", "DEP=0 | 1:INT:0.0,0.1 -> [nan,nan]"),
+            ("--rules", "DEP=0 | 1:INT:0.0,0.1 -> [-5,7]"),
+            ("--rules", "DEP=0 | 1:INT:0.0,0.1 -> [0.0,inf]"),
         ],
-        ids=["pivot-negative-attr", "pivot-no-tokens", "pivot-empty-token", "rule-empty-token"],
+        ids=[
+            "pivot-negative-attr", "pivot-no-tokens", "pivot-empty-token", "rule-empty-token",
+            "rule-dep-nan", "rule-dep-outside", "rule-dep-infinite",
+        ],
     )
     def test_bad_line_in_a_valid_rule_or_pivot_file_is_2(self, workspace, capsys, flag, bad_line):
         path = workspace / "file.txt"

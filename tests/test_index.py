@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teride.cdd import CONST, INTERVAL, AttrConstraint, CddRule, detect_cdds, satisfies_determinants
+from teride.engine import MODE_ENGINE, Engine
 from teride.errors import ConfigError, NoRulesFound
+from teride.impute import impute_tuple
 from teride.index import (
     FANOUT,
     build_cdd_index,
@@ -11,9 +15,11 @@ from teride.index import (
     dr_query_box_for_rule,
 )
 from teride.metric import DistanceFn
-from teride.pivot import convert, select_pivots
+from teride.model import Repository
+from teride.pivot import PivotSet, convert, select_pivots
 
 from .conftest import make_tuple, make_workload, ts
+from .test_acceptance import EQUIVALENCE_WORKLOADS, make_config, mine_rules
 
 
 @pytest.fixture(scope="module")
@@ -272,3 +278,88 @@ class TestRuleSamples:
             assert _satisfying(rule, r, numeric_repo.samples, absdiff) == want
             got = idx.rule_samples(rule, r, pivots, absdiff)
             assert _satisfying(rule, r, got, absdiff) == want
+
+
+# Both filters against the scans they replace: served samples must hold every
+# sample that satisfies a rule, near values every value the dependent interval
+# admits, and imputation through them must equal the scan bit for bit.
+
+# numeric singletons are numbers under absdiff and plain tokens under Jaccard
+_VOCAB = ("a", "b", "c", "d", "e", "0", "0.2", "0.25", "0.5", "1")
+_values = st.frozensets(st.sampled_from(_VOCAB), min_size=1, max_size=5)
+# k/m is a Jaccard similarity and 1 - k/m a distance that can sit exactly on
+# an endpoint; 1 - 1e-9 is the widest upper end that still rejects 1.0
+_fractions = st.integers(1, 6).flatmap(lambda m: st.integers(0, m).map(lambda k: k / m))
+_upper_ends = st.one_of(_fractions, _fractions.map(lambda f: 1.0 - f), st.just(1.0 - 1e-9))
+
+
+@st.composite
+def _intervals(draw, x):
+    hi = draw(_upper_ends)
+    lo = draw(st.sampled_from([0.0, hi / 2, hi]))
+    return AttrConstraint(attr=x, kind=INTERVAL, lo=lo, hi=hi, min_open=draw(st.booleans()))
+
+
+@st.composite
+def _rules(draw, r, repo_values):
+    shape = draw(st.sampled_from(["interval", "two-intervals", "const-and-interval"]))
+    if shape == "interval":
+        dets = (draw(_intervals(0)),)
+    elif shape == "two-intervals":
+        dets = (draw(_intervals(0)), draw(_intervals(1)))
+    else:
+        value = draw(st.sampled_from([r.attrs[0], *repo_values]))
+        dets = (AttrConstraint(attr=0, kind=CONST, value=value), draw(_intervals(1)))
+    dep_hi = draw(_upper_ends)
+    dep_lo = draw(st.sampled_from([0.0, dep_hi]))
+    return CddRule(determinants=dets, dependent=2, dep_lo=dep_lo, dep_hi=dep_hi)
+
+
+@st.composite
+def _retrieval_cases(draw):
+    rows = draw(st.lists(st.tuples(_values, _values, _values), min_size=1, max_size=12))
+    repo = Repository([make_tuple(f"s{i}", -1, 0, *row) for i, row in enumerate(rows)])
+    r = make_tuple("q", 0, 1, draw(_values), draw(_values), None)
+    rules = draw(st.lists(_rules(r, [row[0] for row in rows]), min_size=1, max_size=4))
+    return repo, r, rules, DistanceFn(draw(st.sampled_from([DistanceFn.JACCARD, DistanceFn.ABSDIFF])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_retrieval_cases())
+def test_prefix_filters_keep_every_admitted_sample_and_value(case):
+    repo, r, rules, dist = case
+    pivots = PivotSet(per_attr=[[repo.samples[0].attrs[x]] for x in range(3)])
+    idx = build_dr_index(repo, pivots, frozenset({"a"}), dist)
+    served = idx.samples_per_rule(rules, r, pivots, dist)
+    for rule in rules:
+        assert _satisfying(rule, r, repo.samples, dist) <= {s.rid for s in served[rule]}
+        assert idx.rule_samples(rule, r, pivots, dist) == served[rule]
+        if dist.kind == DistanceFn.JACCARD and not rule.dep_admits(1.0):
+            domain = repo.domain(2)
+            for sv in domain:
+                admitted = {v for v in domain if rule.dep_admits(dist(sv, v))}
+                assert admitted <= idx.near_values(2, sv, rule.dep_hi)
+    by_dep = {2: rules}
+    indexed = impute_tuple(r, by_dep, repo, dist, samples_per_rule=served, dr_index=idx)
+    assert indexed == impute_tuple(r, by_dep, repo, dist)
+
+
+def test_indexed_imputation_equals_the_scan_on_acceptance_workloads():
+    checked = 0
+    for seed, n, d, window, xi, m in EQUIVALENCE_WORKLOADS:
+        repo, trace = make_workload(
+            seed=seed, n_streams=n, d=d, length=25, vocab=50, topics=3, xi=xi, m=m, repo_size=30,
+        )
+        dist = DistanceFn()
+        engine = Engine(repo, make_config(d=d, window=window), dist, mode=MODE_ENGINE,
+                        rules=mine_rules(repo, dist))
+        for r in trace:
+            if r.is_complete():
+                continue
+            got = engine._impute(r, engine._select_rules(r))
+            want = impute_tuple(r, engine.pre.rules_by_dep, repo, dist)
+            # == on the (value, prob) lists compares the floats bit for bit
+            assert got.per_attr_candidates == want.per_attr_candidates, (seed, r.rid)
+            assert got.fallback_attrs == want.fallback_attrs
+            checked += len(want.per_attr_candidates) - len(want.fallback_attrs)
+    assert checked > 0
