@@ -1,20 +1,25 @@
 """Streaming engine: ingest, imputation, candidate retrieval, and match reporting.
 
-Three modes share identical semantics and must produce identical event streams:
+Every arrival runs one pipeline: select the rules and samples that can impute
+it, impute and summarize it, fetch candidates among the other streams' live
+tuples, and judge each pair.  A mode is a fetcher plus a judge, both picked
+when the engine is built, and all three modes give identical event streams:
 
-* ``engine`` — rules are fetched through the rule trees, the repository
-  samples a rule can use through the repository index's token and value
-  postings, live tuples through the grid synopsis and its token postings,
-  and candidate pairs run the pruning cascade before refinement.
-* ``noindex`` — linear-scan imputation and the same pair-level pruning
-  cascade, but no trees or grid.
-* ``oracle`` — every lookup is a plain scan and every cross-stream pair is
-  fully evaluated; this is the reference implementation.
+* ``engine`` — the index fetcher (rule trees, the repository index's token
+  and value postings, one grid synopsis per stream) and the pruning cascade.
+* ``noindex`` — the scan fetcher (every rule, sample and live tuple) and the
+  same cascade.
+* ``oracle`` — the scan fetcher, and every pair is fully evaluated; this is
+  the reference implementation.
 
 Per step, the whole batch of arrivals is validated first, so a rejected step
 leaves the state as it was.  Then evictions across all streams happen, then
 arrivals are processed in (stream_id, rid) order; each arrival is probed
 against the live tuples of the other streams.
+
+Fetchers and judges look up the index builders, ``impute_tuple``, ``judge_pair``
+and ``pair_probability`` in this module's globals at each call, so a wrapper
+installed on one of those names (``perfbench/tracer.py``) sees every call.
 """
 
 from __future__ import annotations
@@ -22,24 +27,18 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cdd import detect_cdds
 from .errors import ConfigError, DuplicateTuple, NoRulesFound, OutOfOrderArrival
 from .grid import ErGrid, TupleSummary, summarize
 from .impute import ImputedTuple, impute_tuple
-from .index import DrIndex, build_cdd_index, build_dr_index
+from .index import build_cdd_index, build_dr_index
 from .index import dr_query_box_for_rule  # noqa: F401 - perfbench/tracer.py wraps this name
 from .metric import DistanceFn
 from .model import QueryConfig, Repository, SlidingWindow, StreamTuple
 from .pivot import PivotSet, select_pivots
-from .prune import (
-    STAGE_REFINED,
-    STAGES,
-    judge_pair,
-    pair_probability,
-    prob_reports,
-)
+from .prune import STAGE_REFINED, STAGES, PairVerdict, judge_pair, pair_probability, prob_reports
 
 MODE_ENGINE = "engine"
 MODE_NOINDEX = "noindex"
@@ -109,15 +108,12 @@ class Precomputed:
     rules: list
     rules_by_dep: dict
     pivots: PivotSet
-    dr_index: DrIndex | None = None
-    cdd_indexes: dict = field(default_factory=dict)  # dependent attr -> CddIndex
 
 
 def precompute(
     repo: Repository,
     config: QueryConfig,
     dist: DistanceFn,
-    mode: str = MODE_ENGINE,
     rules: list | None = None,
     pivots: PivotSet | None = None,
 ) -> Precomputed:
@@ -146,13 +142,96 @@ def precompute(
             for a, piv in enumerate(plist):
                 if not piv:
                     raise ConfigError(f"pivot {a} of attribute {x} is an empty token set")
-    pre = Precomputed(repo=repo, rules=rules, rules_by_dep=rules_by_dep, pivots=pivots)
-    if mode == MODE_ENGINE:
-        pre.dr_index = build_dr_index(repo, pivots, config.keywords, dist)
-        pre.cdd_indexes = {
-            j: build_cdd_index(js_rules, pivots, dist) for j, js_rules in rules_by_dep.items()
-        }
-    return pre
+    return Precomputed(repo=repo, rules=rules, rules_by_dep=rules_by_dep, pivots=pivots)
+
+
+class _ScanFetch:
+    """``noindex`` and ``oracle``: scan every rule, sample and live tuple; no index."""
+
+    def __init__(self, pre: Precomputed, config: QueryConfig, dist: DistanceFn):
+        self.pre = pre
+        self.dist = dist
+
+    def select(self, r: StreamTuple) -> dict:
+        return self.pre.rules_by_dep
+
+    def impute(self, r: StreamTuple, rules_by_dep: dict) -> ImputedTuple:
+        return impute_tuple(r, rules_by_dep, self.pre.repo, self.dist)
+
+    def add(self, summary: TupleSummary) -> None:
+        pass
+
+    def remove(self, victim: StreamTuple) -> None:
+        pass
+
+    def candidates(self, summary: TupleSummary, live: dict, stage_counts: dict) -> list:
+        return [s for s in live.values() if s.stream_id != summary.stream_id]
+
+
+class _IndexFetch:
+    """``engine``: rules from the rule trees, repository samples and dependent values
+    from the DR-index, and candidates from each stream's grid of live tuples."""
+
+    def __init__(self, pre: Precomputed, config: QueryConfig, dist: DistanceFn):
+        self.pre = pre
+        self.config = config
+        self.dist = dist
+        self.dr_index = build_dr_index(pre.repo, pre.pivots, config.keywords, dist)
+        by_dep = pre.rules_by_dep
+        self.cdd_indexes = {j: build_cdd_index(by_dep[j], pre.pivots, dist) for j in by_dep}
+        self.grids: dict = {}  # stream_id -> ErGrid of its live tuples
+
+    def select(self, r: StreamTuple) -> tuple:
+        """The candidate rules per missing attribute, from the rule trees, and the
+        samples per rule, from one DR-index retrieval (``DrIndex.samples_per_rule``)."""
+        pivots, dist = self.pre.pivots, self.dist
+        rules_by_dep: dict = {}
+        for j in r.missing_attrs():
+            idx = self.cdd_indexes.get(j)
+            rules_by_dep[j] = [] if idx is None else idx.candidate_rules(r, pivots, dist)
+        samples_per_rule = self.dr_index.samples_per_rule(
+            [rule for rules in rules_by_dep.values() for rule in rules], r, pivots, dist
+        )
+        return rules_by_dep, samples_per_rule
+
+    def impute(self, r: StreamTuple, selection: tuple) -> ImputedTuple:
+        rules_by_dep, samples_per_rule = selection
+        return impute_tuple(
+            r, rules_by_dep, self.pre.repo, self.dist,
+            samples_per_rule=samples_per_rule, dr_index=self.dr_index,
+        )
+
+    def add(self, summary: TupleSummary) -> None:
+        grid = self.grids.get(summary.stream_id)
+        if grid is None:
+            grid = self.grids[summary.stream_id] = ErGrid(self.config.d, self.dist)
+        grid.insert(summary)
+
+    def remove(self, victim: StreamTuple) -> None:
+        self.grids[victim.stream_id].evict(victim.rid)
+
+    def candidates(self, summary: TupleSummary, live: dict, stage_counts: dict) -> list:
+        """Survivors of every other stream's grid; the grids' skip counts go to stage_counts."""
+        out = []
+        for sid, grid in self.grids.items():
+            if sid == summary.stream_id:
+                continue
+            cands, skipped = grid.candidates(summary, self.config.gamma, self.config.keywords)
+            out.extend(cands)
+            for stage, n in skipped.items():
+                stage_counts[stage] += n
+        return out
+
+
+def _judge_cascade(si, sj, gamma, alpha, keywords, dist) -> PairVerdict:
+    """``engine`` and ``noindex``: the pruning cascade, then refinement."""
+    return judge_pair(si, sj, gamma, alpha, keywords, dist)
+
+
+def _judge_exhaustive(si, sj, gamma, alpha, keywords, dist) -> PairVerdict:
+    """``oracle``: every pair is refined."""
+    prob = pair_probability(si.imputed, sj.imputed, gamma, keywords, dist)
+    return PairVerdict(STAGE_REFINED, prob_reports(prob, alpha), prob)
 
 
 class Engine:
@@ -172,14 +251,15 @@ class Engine:
         self.mode = mode
         self.config = config
         self.dist = dist if dist is not None else DistanceFn()
-        self.pre = precompute(repo, config, self.dist, mode=mode, rules=rules, pivots=pivots)
+        self.pre = precompute(repo, config, self.dist, rules=rules, pivots=pivots)
+        fetcher = _IndexFetch if mode == MODE_ENGINE else _ScanFetch
+        self.fetch = fetcher(self.pre, config, self.dist)
+        self.judge = _judge_exhaustive if mode == MODE_ORACLE else _judge_cascade
         self.window = SlidingWindow(config.window_size)
-        self.grids: dict = {}  # stream_id -> ErGrid (engine mode only)
         self.summaries: dict = {}  # rid -> TupleSummary (all live tuples)
         self.live_counts: dict = {}  # stream_id -> number of live tuples
         self.results = MatchResultSet()
-        self.stage_counts = {stage: 0 for stage in STAGES}
-        self.stage_counts[STAGE_REFINED] = 0
+        self.stage_counts = dict.fromkeys((*STAGES, STAGE_REFINED), 0)
         self.pairs_considered = 0
         self.matches_reported = 0
         self.arrivals = 0
@@ -198,27 +278,31 @@ class Engine:
         arrivals = sorted(arrivals, key=lambda r: (r.stream_id, r.rid))
         victims = self._validate(ts, arrivals)
         step_t0 = time.perf_counter()
+        fetch = self.fetch
         events = []
         # phase 1: evictions on every stream that is full and about to receive
         for victim in victims:
-            self._remove(victim)
+            del self.summaries[victim.rid]
+            self.live_counts[victim.stream_id] -= 1
+            fetch.remove(victim)
             events.append(Event(ts=ts, kind=KIND_EXPIRE, rid_a=victim.rid))
-        # phase 2: insert and probe in arrival order
+        # phase 2: impute, probe and insert in arrival order
         for r in arrivals:
             self.window.advance(r)  # any evicted tuple was handled in phase 1
             t0 = time.perf_counter()
-            selection = self._select_rules(r)
+            selection = None if r.is_complete() else fetch.select(r)
             t1 = time.perf_counter()
-            summary = summarize(
-                self._impute(r, selection), self.pre.pivots, self.config.keywords, self.dist
-            )
+            imputed = ImputedTuple(base=r) if selection is None else fetch.impute(r, selection)
+            summary = summarize(imputed, self.pre.pivots, self.config.keywords, self.dist)
             t2 = time.perf_counter()
             events.extend(self._probe(ts, summary))
             t3 = time.perf_counter()
             self.timings["rule_selection"] += t1 - t0
             self.timings["imputation"] += t2 - t1
             self.timings["er"] += t3 - t2
-            self._register(summary)
+            self.summaries[summary.rid] = summary
+            self.live_counts[summary.stream_id] = self.live_counts.get(summary.stream_id, 0) + 1
+            fetch.add(summary)
             self.arrivals += 1
         self.step_times.append(time.perf_counter() - step_t0)
         self.results.extend(events)
@@ -254,110 +338,23 @@ class Engine:
             self.step(ts, by_ts[ts])
         return self.results
 
-    def _register(self, summary: TupleSummary) -> None:
-        self.summaries[summary.rid] = summary
-        self.live_counts[summary.stream_id] = self.live_counts.get(summary.stream_id, 0) + 1
-        if self.mode == MODE_ENGINE:
-            grid = self.grids.get(summary.stream_id)
-            if grid is None:
-                grid = self.grids[summary.stream_id] = ErGrid(self.config.d, self.dist)
-            grid.insert(summary)
-
-    def _remove(self, victim: StreamTuple) -> None:
-        del self.summaries[victim.rid]
-        self.live_counts[victim.stream_id] -= 1
-        if self.mode == MODE_ENGINE:
-            self.grids[victim.stream_id].evict(victim.rid)
-
-    # -- imputation ---------------------------------------------------------
-
-    def _select_rules(self, r: StreamTuple):
-        """Engine mode: the candidate rules per missing attribute, from the rule
-        trees, and the repository samples per rule, from one DR-index retrieval
-        for the tuple that computes each distinct determinant's admitted samples
-        once (``DrIndex.samples_per_rule``).  None when the tuple is complete
-        or another mode scans instead."""
-        if self.mode != MODE_ENGINE or r.is_complete():
-            return None
-        rules_by_dep: dict = {}
-        for j in r.missing_attrs():
-            idx = self.pre.cdd_indexes.get(j)
-            rules_by_dep[j] = [] if idx is None else idx.candidate_rules(r, self.pre.pivots, self.dist)
-        samples_per_rule = self.pre.dr_index.samples_per_rule(
-            [rule for rules in rules_by_dep.values() for rule in rules], r, self.pre.pivots, self.dist
-        )
-        return rules_by_dep, samples_per_rule
-
-    def _impute(self, r: StreamTuple, selection) -> ImputedTuple:
-        if r.is_complete():
-            return ImputedTuple(base=r)
-        if selection is None:
-            return impute_tuple(r, self.pre.rules_by_dep, self.pre.repo, self.dist)
-        rules_by_dep, samples_per_rule = selection
-        return impute_tuple(
-            r,
-            rules_by_dep,
-            self.pre.repo,
-            self.dist,
-            samples_per_rule=samples_per_rule,
-            dr_index=self.pre.dr_index,
-        )
-
     # -- matching -----------------------------------------------------------
 
     def _probe(self, ts: int, summary: TupleSummary) -> list:
+        """Judge the fetched candidates; the events of the pairs reported, by partner."""
         self.pairs_considered += len(self.summaries) - self.live_counts.get(summary.stream_id, 0)
-        if self.mode == MODE_ENGINE:
-            candidates = self._grid_candidates(summary)
-        else:
-            candidates = [s for s in self.summaries.values() if s.stream_id != summary.stream_id]
+        cfg, judge, counts = self.config, self.judge, self.stage_counts
         matched = []
-        if self.mode == MODE_ORACLE:
-            for other in candidates:
-                prob = pair_probability(
-                    summary.imputed, other.imputed, self.config.gamma, self.config.keywords, self.dist
-                )
-                self.stage_counts[STAGE_REFINED] += 1
-                if prob_reports(prob, self.config.alpha):
-                    matched.append((other, prob))
-            return self._emit(ts, summary, matched)
-
-        for other in candidates:
-            verdict = judge_pair(
-                summary,
-                other,
-                self.config.gamma,
-                self.config.alpha,
-                self.config.keywords,
-                self.dist,
-            )
-            self.stage_counts[verdict.stage] += 1
+        for other in self.fetch.candidates(summary, self.summaries, counts):
+            verdict = judge(summary, other, cfg.gamma, cfg.alpha, cfg.keywords, self.dist)
+            counts[verdict.stage] += 1
             if verdict.matched:
                 matched.append((other, verdict.prob))
-        return self._emit(ts, summary, matched)
-
-    def _grid_candidates(self, summary: TupleSummary) -> list:
-        """Survivors of every other stream's grid; the grids' skip counts go to stage_counts."""
-        candidates = []
-        for sid, grid in self.grids.items():
-            if sid == summary.stream_id:
-                continue
-            cands, skipped = grid.candidates(summary, self.config.gamma, self.config.keywords)
-            candidates.extend(cands)
-            for stage, n in skipped.items():
-                self.stage_counts[stage] += n
-        return candidates
-
-    def _emit(self, ts: int, summary: TupleSummary, matched) -> list:
         events = []
         for other, prob in sorted(matched, key=lambda mp: (mp[0].stream_id, mp[0].rid)):
-            first, second = sorted(
-                (summary, other), key=lambda s: (s.stream_id, s.rid)
-            )
-            events.append(
-                Event(ts=ts, kind=KIND_MATCH, rid_a=first.rid, rid_b=second.rid, prob=prob)
-            )
-            self.matches_reported += 1
+            first, second = sorted((summary, other), key=lambda s: (s.stream_id, s.rid))
+            events.append(Event(ts=ts, kind=KIND_MATCH, rid_a=first.rid, rid_b=second.rid, prob=prob))
+        self.matches_reported += len(events)
         return events
 
     # -- reporting ----------------------------------------------------------

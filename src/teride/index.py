@@ -8,6 +8,8 @@ without false dismissals.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -193,13 +195,6 @@ class DrIndex:
                 out[rule] = [self.samples[i] for i in sorted(picked)]
         return out
 
-    def rule_samples(
-        self, rule: CddRule, r: StreamTuple, pivots: PivotSet, dist: DistanceFn
-    ) -> list:
-        """Samples, in repository order, that may satisfy one rule's determinants
-        for r: :meth:`samples_per_rule` for that rule alone."""
-        return self.samples_per_rule((rule,), r, pivots, dist)[rule]
-
     def near_values(self, attr: int, v, hi: float) -> set:
         """The repository's attribute-``attr`` values that can lie within Jaccard
         distance ``hi`` (below 1.0) of v, reached through v's prefix postings
@@ -225,9 +220,6 @@ class DrIndex:
             else:
                 stack.extend(node.children)
         return out
-
-    def nodes(self):
-        return _walk(self.root)
 
 
 def build_dr_index(
@@ -318,12 +310,18 @@ class RuleGroup:
 
 
 class CddIndex:
-    """Rule index for one dependent attribute: lattice descriptors plus group trees."""
+    """Rule index for one dependent attribute: one tree per group of determinant sets."""
 
-    def __init__(self, dependent: int, groups: list, lattice: list):
+    def __init__(self, dependent: int, groups: list):
         self.dependent = dependent
         self.groups = groups
-        self.lattice = lattice  # level l -> list of frozenset attribute combinations
+
+    @functools.cached_property
+    def lattice(self) -> list:
+        """Level l -> the distinct unions of l groups' attribute sets.  No query
+        reads it, and a rule set with g groups has 2^g - 1 combinations, so it
+        is built only when read."""
+        return _build_lattice([frozenset(g.attrs) for g in self.groups])
 
     def candidate_rules(self, r: StreamTuple, pivots: PivotSet, dist: DistanceFn) -> list:
         """Rules whose determinants could be satisfied by r (no false dismissals)."""
@@ -379,14 +377,6 @@ class CddIndex:
                         return True
         return False
 
-    def all_rules(self) -> list:
-        out = []
-        for group in self.groups:
-            for node in _walk(group.root):
-                if node.is_leaf:
-                    out.extend(entry.rule for _, entry in node.items)
-        return out
-
 
 def build_cdd_index(rules: Sequence[CddRule], pivots: PivotSet, dist: DistanceFn) -> CddIndex:
     rules = list(rules)
@@ -440,8 +430,7 @@ def build_cdd_index(rules: Sequence[CddRule], pivots: PivotSet, dist: DistanceFn
             _set_cdd_aggregates(node, attrs)
         groups.append(RuleGroup(attrs=attrs, root=root))
 
-    lattice = _build_lattice(group_attrs)
-    return CddIndex(dependent=dependent, groups=groups, lattice=lattice)
+    return CddIndex(dependent=dependent, groups=groups)
 
 
 def _set_cdd_aggregates(node: Node, attrs: list) -> None:
@@ -482,8 +471,6 @@ def _set_cdd_aggregates(node: Node, attrs: list) -> None:
 
 
 def _build_lattice(group_attrs: list) -> list:
-    import itertools
-
     heads = [frozenset(g) for g in group_attrs]
     lattice = []
     for level in range(1, len(heads) + 1):

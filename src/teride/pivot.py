@@ -102,6 +102,8 @@ def select_pivots(
         raise ConfigError("P must be >= 2")
     if cntMax < 1:
         raise ConfigError("cntMax must be >= 1")
+    if not math.isfinite(eMin):
+        raise ConfigError("eMin must be finite")
     per_attr = []
     for attr in range(repo.d):
         domain = repo.domain(attr)
@@ -239,11 +241,16 @@ def pivots_from_text(text: str) -> PivotSet:
             if line.startswith("PARAMS"):
                 kv = dict(part.split("=") for part in line.split()[1:])
                 P, eMin, cntMax = int(kv["P"]), float(kv["eMin"]), int(kv["cntMax"])
+                # the parameters select_pivots accepts
+                if P < 2 or cntMax < 1 or not math.isfinite(eMin):
+                    raise ValueError(f"need P >= 2, cntMax >= 1 and a finite eMin in {line!r}")
                 continue
             kv = dict(part.split("=", 1) for part in line.split()[1:])
             x, a = int(kv["attr"]), int(kv["idx"])
             if x < 0 or a < 0:
                 raise ValueError(f"negative attr or idx in {line!r}")
+            if (x, a) in entries:
+                raise ValueError(f"a second pivot for attr={x} idx={a}")
             entries[(x, a)] = parse_token_set(kv["tokens"])
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"pivot file line {lineno}: {exc}") from exc

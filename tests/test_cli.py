@@ -408,13 +408,15 @@ class TestExitCodes:
             ("--pivots", "PIVOT attr=-1 idx=0 tokens=w1"),
             ("--pivots", "PIVOT attr=0 idx={next_idx} tokens="),
             ("--pivots", "PIVOT attr=0 idx={next_idx} tokens=w1++w2"),
+            ("--pivots", "PIVOT attr=0 idx=0 tokens=w1"),
             ("--rules", "DEP=0 | 1:CONST:w1++w2 -> [0.0,0.1]"),
             ("--rules", "DEP=0 | 1:INT:0.0,0.1 -> [nan,nan]"),
             ("--rules", "DEP=0 | 1:INT:0.0,0.1 -> [-5,7]"),
             ("--rules", "DEP=0 | 1:INT:0.0,0.1 -> [0.0,inf]"),
         ],
         ids=[
-            "pivot-negative-attr", "pivot-no-tokens", "pivot-empty-token", "rule-empty-token",
+            "pivot-negative-attr", "pivot-no-tokens", "pivot-empty-token", "pivot-duplicate",
+            "rule-empty-token",
             "rule-dep-nan", "rule-dep-outside", "rule-dep-infinite",
         ],
     )

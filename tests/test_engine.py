@@ -28,11 +28,13 @@ def make_config(d=3, rho=0.6, alpha=0.2, window=10, keywords=("topic0",)):
 class TestPrecompute:
     def test_builds_rules_pivots_and_indexes(self):
         repo, _ = make_workload(seed=51, length=15, repo_size=30)
-        pre = precompute(repo, make_config(), DistanceFn(), mode=MODE_ENGINE)
+        pre = precompute(repo, make_config(), DistanceFn())
         assert pre.rules
-        assert pre.dr_index is not None
-        assert set(pre.cdd_indexes) == set(pre.rules_by_dep)
         assert pre.pivots.d == repo.d
+        # the indexes belong to the engine mode's fetcher, one rule tree per dependent
+        fetch = Engine(repo, make_config(), mode=MODE_ENGINE).fetch
+        assert fetch.dr_index is not None
+        assert set(fetch.cdd_indexes) == set(pre.rules_by_dep)
 
     def test_schema_mismatch_rejected(self):
         repo, _ = make_workload(seed=51, length=15, repo_size=30)
@@ -55,11 +57,10 @@ class TestPrecompute:
         for mode in (MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE):
             for text in bad_rules:
                 with pytest.raises(ConfigError):
-                    precompute(repo, make_config(), DistanceFn(), mode=mode,
-                               rules=rules_from_text(text), pivots=pivots)
+                    Engine(repo, make_config(), mode=mode, rules=rules_from_text(text), pivots=pivots)
             for bad in bad_pivots:
                 with pytest.raises(ConfigError):
-                    precompute(repo, make_config(), DistanceFn(), mode=mode, pivots=bad)
+                    Engine(repo, make_config(), mode=mode, pivots=bad)
 
     @pytest.mark.parametrize("mode", [MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE])
     @pytest.mark.parametrize("where", ["main", "aux"])
@@ -158,7 +159,8 @@ def engine_state(engine):
     return (
         [r.rid for r in engine.window.live()],
         dict(engine.summaries),
-        {sid: grid.snapshot() for sid, grid in engine.grids.items()},
+        # only the engine mode's fetcher keeps grids
+        {sid: grid.snapshot() for sid, grid in getattr(engine.fetch, "grids", {}).items()},
         len(engine.results.events),
     )
 

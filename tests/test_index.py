@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from teride.errors import ConfigError, NoRulesFound
 from teride.impute import impute_tuple
 from teride.index import (
     FANOUT,
+    _build_lattice,
+    _walk,
     build_cdd_index,
     build_dr_index,
     dr_query_box_for_rule,
@@ -70,7 +73,7 @@ class TestDrIndex:
                 for c in node.children:
                     yield from leaves_under(c)
 
-        for node in idx.nodes():
+        for node in _walk(idx.root):
             payloads = [p for _, p in leaves_under(node)]
             kw_union = frozenset().union(*(p.keywords for p in payloads))
             assert kw_union <= node.agg["keywords"]
@@ -87,7 +90,7 @@ class TestDrIndex:
     def test_fanout_respected(self, setup):
         repo, _, dist, pivots, _ = setup
         idx = build_dr_index(repo, pivots, frozenset(), dist)
-        for node in idx.nodes():
+        for node in _walk(idx.root):
             assert len(node.children) <= FANOUT
             assert len(node.items) <= FANOUT
 
@@ -123,13 +126,27 @@ class TestCddIndex:
         dep = rules[0].dependent
         same_dep = [r for r in rules if r.dependent == dep]
         idx = build_cdd_index(same_dep, pivots, dist)
-        assert sorted(r.dep_lo for r in idx.all_rules()) == sorted(
-            r.dep_lo for r in same_dep
-        )
+        indexed = [e.rule for g in idx.groups for node in _walk(g.root) for _, e in node.items]
+        assert sorted(r.dep_lo for r in indexed) == sorted(r.dep_lo for r in same_dep)
         group_sets = [frozenset(g.attrs) for g in idx.groups]
         for rule in same_dep:
             assert any(rule.det_attrs <= gs for gs in group_sets)
-        assert len(idx.lattice[0]) >= 1
+        # the lattice is built on first read, over the groups' attribute sets
+        assert "lattice" not in vars(idx)
+        assert idx.lattice == _build_lattice(group_sets)
+        assert idx.lattice[0] == sorted(set(group_sets), key=lambda s: (len(s), sorted(s)))
+        assert idx.lattice[-1] == [frozenset().union(*group_sets)]
+
+    def test_engine_at_d10_builds_without_the_lattice(self):
+        # every dependent here has about 36 groups: a lattice built with the
+        # index would enumerate 2^36 group combinations
+        repo, _ = make_workload(seed=7, d=10, length=100, repo_size=100)
+        t0 = time.perf_counter()
+        engine = Engine(repo, make_config(d=10, window=30), mode=MODE_ENGINE)
+        assert time.perf_counter() - t0 < 60
+        indexes = engine.fetch.cdd_indexes.values()
+        assert max(len(idx.groups) for idx in indexes) >= 30
+        assert not any("lattice" in vars(idx) for idx in indexes)
 
     def test_mixed_dependents_rejected(self, setup):
         _, _, dist, pivots, rules = setup
@@ -147,8 +164,6 @@ class TestCddIndex:
         repo, _, dist, pivots, rules = setup
         dep = rules[0].dependent
         idx = build_cdd_index([r for r in rules if r.dependent == dep], pivots, dist)
-        from teride.index import _walk
-
         for group in idx.groups:
             for node in _walk(group.root):
                 members = []
@@ -189,6 +204,10 @@ class TestQueryBox:
         assert checked > 0
 
 
+def _rule_samples(idx, rule, r, pivots, dist):
+    return idx.samples_per_rule((rule,), r, pivots, dist)[rule]
+
+
 def _satisfying(rule, r, samples, dist):
     return {s.rid for s in samples if satisfies_determinants(rule, r, s, dist)}
 
@@ -218,7 +237,7 @@ def _hand_built_rules(r, j):
 
 
 class TestRuleSamples:
-    """rule_samples() may skip only samples that cannot satisfy the determinants."""
+    """samples_per_rule() may skip only samples that cannot satisfy the determinants."""
 
     def test_mined_rules_keep_every_satisfying_sample(self, setup):
         repo, trace, dist, pivots, rules = setup
@@ -228,7 +247,7 @@ class TestRuleSamples:
             for rule in rules:
                 if not rule.applicable_to(r):
                     continue
-                got = idx.rule_samples(rule, r, pivots, dist)
+                got = _rule_samples(idx, rule, r, pivots, dist)
                 want = _satisfying(rule, r, repo.samples, dist)
                 assert _satisfying(rule, r, got, dist) == want
                 checked += 1
@@ -246,7 +265,7 @@ class TestRuleSamples:
             x0, rules = _hand_built_rules(r, r.missing_attrs()[0])
             for name, rule in rules.items():
                 want = _satisfying(rule, r, repo.samples, dist)
-                assert _satisfying(rule, r, idx.rule_samples(rule, r, pivots, dist), dist) == want
+                assert _satisfying(rule, r, _rule_samples(idx, rule, r, pivots, dist), dist) == want
                 hits[name] = hits.get(name, 0) + len(want)
                 if name == "hi-within-tol-of-1":
                     disjoint_at_tol += sum(
@@ -263,7 +282,7 @@ class TestRuleSamples:
         for name in ("bucket-9", "hi-within-tol-of-1", "min-open-to-1"):
             rule = rules[name]
             box = dr_query_box_for_rule(rule, r, pivots, dist)
-            assert idx.rule_samples(rule, r, pivots, dist) == idx.range_samples(box)
+            assert _rule_samples(idx, rule, r, pivots, dist) == idx.range_samples(box)
 
     def test_absdiff_does_not_filter_by_token(self, numeric_repo, absdiff):
         pivots = select_pivots(numeric_repo, dist=absdiff)
@@ -276,7 +295,7 @@ class TestRuleSamples:
         ):
             rule = CddRule(determinants=dets, dependent=2, dep_lo=0.0, dep_hi=0.1)
             assert _satisfying(rule, r, numeric_repo.samples, absdiff) == want
-            got = idx.rule_samples(rule, r, pivots, absdiff)
+            got = _rule_samples(idx, rule, r, pivots, absdiff)
             assert _satisfying(rule, r, got, absdiff) == want
 
 
@@ -333,7 +352,7 @@ def test_prefix_filters_keep_every_admitted_sample_and_value(case):
     served = idx.samples_per_rule(rules, r, pivots, dist)
     for rule in rules:
         assert _satisfying(rule, r, repo.samples, dist) <= {s.rid for s in served[rule]}
-        assert idx.rule_samples(rule, r, pivots, dist) == served[rule]
+        assert _rule_samples(idx, rule, r, pivots, dist) == served[rule]
         if dist.kind == DistanceFn.JACCARD and not rule.dep_admits(1.0):
             domain = repo.domain(2)
             for sv in domain:
@@ -356,7 +375,7 @@ def test_indexed_imputation_equals_the_scan_on_acceptance_workloads():
         for r in trace:
             if r.is_complete():
                 continue
-            got = engine._impute(r, engine._select_rules(r))
+            got = engine.fetch.impute(r, engine.fetch.select(r))
             want = impute_tuple(r, engine.pre.rules_by_dep, repo, dist)
             # == on the (value, prob) lists compares the floats bit for bit
             assert got.per_attr_candidates == want.per_attr_candidates, (seed, r.rid)

@@ -119,6 +119,11 @@ class TestSelection:
         with pytest.raises(ConfigError):
             select_pivots(numeric_repo, cntMax=0, dist=absdiff)
 
+    @pytest.mark.parametrize("emin", [math.nan, math.inf])
+    def test_emin_must_be_finite(self, numeric_repo, absdiff, emin):
+        with pytest.raises(ConfigError, match="eMin must be finite"):
+            select_pivots(numeric_repo, eMin=emin, dist=absdiff)
+
 
 class TestConvert:
     def test_distances_to_each_pivot(self, numeric_repo, absdiff):
@@ -163,6 +168,10 @@ class TestSerialization:
             "PIVOT attr=1 idx=1 tokens=",
             "PIVOT attr=1 idx=1 tokens=w1++w2",
             "PIVOT attr=1 idx=1 tokens=w1+",
+            "PIVOT attr=1 idx=0 tokens=w1",
+            "PARAMS P=0 eMin=1.5 cntMax=3",
+            "PARAMS P=10 eMin=nan cntMax=3",
+            "PARAMS P=10 eMin=1.5 cntMax=0",
         ],
     )
     def test_negative_index_or_empty_token_rejected(self, bad_line):
