@@ -75,6 +75,14 @@ class CddRule:
                 f"bad dependent interval [{self.dep_lo}, {self.dep_hi}]:"
                 " endpoints must be ordered and within [0, 1]"
             )
+        # rules key the per-tuple sample dicts, so the hash is computed once;
+        # it is the value the generated __hash__ would give
+        object.__setattr__(
+            self, "_hash", hash((self.determinants, self.dependent, self.dep_lo, self.dep_hi))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def det_attrs(self) -> frozenset:

@@ -1,13 +1,9 @@
-"""Grid synopsis over live probabilistic tuples, keyed by main-pivot coordinates.
+"""Candidate retrieval over live probabilistic tuples, keyed by main-pivot coordinates.
 
-Each tuple occupies the hyper-rectangle spanned by the main-pivot coordinates
-of its possible instances and is registered in every grid cell that rectangle
-intersects.  At arrival a tuple's summary holds only what the grid reads: the
-main-pivot coordinates and the query keywords.  The fields only the pair
-bounds read are computed when first read (see ``TupleSummary``).  A cell
-holds only its members; its covering aggregates (keyword union, pivot-distance
-box, token-size intervals, auxiliary intervals) are computed from them when
-read, and candidate retrieval reads none of them.
+A grid keeps only what retrieval reads: a live map from rid to summary, the
+keyword-bearing rids and, under Jaccard, per-attribute token postings.  A
+summary holds at arrival only the main-pivot coordinates and the query
+keywords (see ``TupleSummary``).
 Retrieval applies two exact set-level filters only: a keyword-free probe reads
 only the keyword-bearing tuples, and under Jaccard a tuple must share tokens
 with the probe on ``need`` of the ``d`` attributes.  That filter is a
@@ -17,6 +13,9 @@ at least one of any ``d - need + 1`` attributes, so only the postings of the
 the gathered tuples' other attributes are checked set against set.  Retrieval
 reports how many tuples each filter skipped; every other bound runs pair by
 pair in ``prune.judge_pair``.
+The grid cells over [0, 1]^d, each holding the tuples whose main-pivot
+rectangle intersects it, are derived from the live map when read; no step
+reads them.
 """
 
 from __future__ import annotations
@@ -58,8 +57,6 @@ class TupleSummary:
     and ``keywords``.  What only the pair bounds read (``aux``, ``sizes``,
     ``dist_intervals`` and ``pivot_stats``) is computed the first time it is
     read and kept, so a tuple that no pair bound reaches never pays for it.
-    ``aux`` and ``sizes`` may also be given eagerly; ``aux`` computed on read
-    needs ``pivots`` and ``dist``.
     """
 
     def __init__(
@@ -68,10 +65,8 @@ class TupleSummary:
         box: list,
         keywords: frozenset,
         option_coords: list,
-        aux: dict | None = None,
-        sizes: list | None = None,
-        pivots: PivotSet | None = None,
-        dist: DistanceFn | None = None,
+        pivots: PivotSet,
+        dist: DistanceFn,
     ):
         self.imputed = imputed
         self.box = box  # per-attr (lo, hi) of the main-pivot coordinate over all options
@@ -79,10 +74,6 @@ class TupleSummary:
         self.option_coords = option_coords  # per-attr main-pivot coordinate per option
         self._pivots = pivots
         self._dist = dist
-        if aux is not None:
-            self.aux = aux
-        if sizes is not None:
-            self.sizes = sizes
 
     @property
     def rid(self) -> str:
@@ -187,11 +178,10 @@ def _cell_span(lo: float, hi: float) -> range:
 
 
 class _Cell:
-    """One grid cell: its members, and covering aggregates derived from them on read.
+    """One grid cell of the read-only cell view: its members, and covering aggregates.
 
     ``keywords``, ``box``, ``sizes`` and ``aux`` are the exact covers (union,
-    or min/max per attribute or aux key) over the current members.  No query
-    reads them, so nothing keeps them up to date between reads.
+    or min/max per attribute or aux key) over the members, computed when read.
     """
 
     __slots__ = ("members",)
@@ -229,20 +219,6 @@ class _Cell:
         return out
 
 
-def _add_to(cells: dict, key: tuple, s: TupleSummary) -> None:
-    cell = cells.get(key)
-    if cell is None:
-        cell = cells[key] = _Cell()
-    cell.members[s.rid] = s
-
-
-def _remove_from(cells: dict, key: tuple, s: TupleSummary) -> None:
-    members = cells[key].members
-    del members[s.rid]
-    if not members:
-        del cells[key]
-
-
 def _post(postings: list, rid: str, unions: list) -> None:
     for post, tokens in zip(postings, unions):
         for tok in tokens:
@@ -264,18 +240,15 @@ def _unpost(postings: list, rid: str, unions: list) -> None:
 
 
 class ErGrid:
-    """Per-stream grid over [0, 1]^d that fetches the candidates of a probe.
+    """Per-stream store of live tuples that fetches the candidates of a probe.
 
-    ``dist`` (default ``DistanceFn()``) decides whether the shared-token count
-    bounds similarity: only under Jaccard does the grid keep token postings.
+    Only under Jaccard (``dist``, default ``DistanceFn()``) does it keep token
+    postings.  Its cells are read-only views (see ``_cell_view``).
     """
 
     def __init__(self, d: int, dist: DistanceFn | None = None):
         self.d = d
-        self._cells: dict = {}  # cell key tuple -> _Cell
-        self._kw_cells: dict = {}  # same keys, keyword-bearing members only
-        self._tuples: dict = {}  # rid -> (TupleSummary, list of cell keys)
-        self._rids: set = set()
+        self._live: dict = {}  # rid -> TupleSummary
         self._kw_rids: set = set()
         # per attr: token -> rids whose token union holds it; the same over
         # keyword-bearing rids only.  None when the distance is not Jaccard.
@@ -283,46 +256,33 @@ class ErGrid:
         if dist is None or dist.kind == DistanceFn.JACCARD:
             self._postings = [{} for _ in range(d)]
             self._kw_postings = [{} for _ in range(d)]
+        self._view = None  # see _cell_view
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._live)
 
     def insert(self, summary: TupleSummary) -> None:
         rid = summary.rid
-        if rid in self._tuples:
+        if rid in self._live:
             raise DuplicateTuple(f"tuple {rid} is already registered")
-        keys = list(product(*(_cell_span(lo, hi) for lo, hi in summary.box)))
-        has_kw = bool(summary.keywords)
-        for key in keys:
-            _add_to(self._cells, key, summary)
-            if has_kw:
-                _add_to(self._kw_cells, key, summary)
         if self._postings is not None:
             unions = summary.imputed.token_unions()
             _post(self._postings, rid, unions)
-            if has_kw:
+            if summary.keywords:
                 _post(self._kw_postings, rid, unions)
-        self._tuples[rid] = (summary, keys)
-        self._rids.add(rid)
-        if has_kw:
+        self._live[rid] = summary
+        if summary.keywords:
             self._kw_rids.add(rid)
 
     def evict(self, rid: str) -> TupleSummary:
-        entry = self._tuples.pop(rid, None)
-        if entry is None:
+        summary = self._live.pop(rid, None)
+        if summary is None:
             raise UnknownTuple(f"tuple {rid} is not registered")
-        summary, keys = entry
-        has_kw = rid in self._kw_rids
-        for key in keys:
-            _remove_from(self._cells, key, summary)
-            if has_kw:
-                _remove_from(self._kw_cells, key, summary)
         if self._postings is not None:
             unions = summary.imputed.token_unions()
             _unpost(self._postings, rid, unions)
-            if has_kw:
+            if summary.keywords:
                 _unpost(self._kw_postings, rid, unions)
-        self._rids.discard(rid)
         self._kw_rids.discard(rid)
         return summary
 
@@ -342,13 +302,13 @@ class ErGrid:
         bound is left to ``prune.judge_pair``.
         """
         if query.keywords:
-            postings, live = self._postings, self._rids
+            postings, live = self._postings, self._live
             skipped_kw = 0
         else:
             postings, live = self._kw_postings, self._kw_rids
-            skipped_kw = len(self._rids) - len(live)
+            skipped_kw = len(self._live) - len(live)
         if postings is None:
-            survivors = [self._tuples[rid][0] for rid in live]
+            survivors = [self._live[rid] for rid in live]
         else:
             survivors = self._pigeonhole(postings, query.imputed.token_unions(), gamma)
         return survivors, {STAGE_KEYWORD: skipped_kw, STAGE_TOKEN: len(live) - len(survivors)}
@@ -373,10 +333,10 @@ class ErGrid:
             for rid in set().union(*filter(None, map(postings[x].get, unions[x]))):
                 hits[rid] = hits.get(rid, 0) + 1
         rest = order[spare + 1 :]
-        tuples = self._tuples
+        live = self._live
         survivors = []
         for rid, n in hits.items():
-            summary = tuples[rid][0]
+            summary = live[rid]
             missed = spare + 1 - n
             if rest:
                 other = summary.imputed.token_unions()
@@ -388,6 +348,30 @@ class ErGrid:
             if missed <= spare:
                 survivors.append(summary)
         return survivors
+
+    # -- the cell view, derived from the live map when read --
+
+    _rids = property(lambda self: self._live.keys())
+    _tuples = property(lambda self: self._cell_view()[1])  # rid -> (summary, its cell keys)
+    _cells = property(lambda self: self._cell_view()[2])  # cell key -> _Cell of the tuples in it
+    _kw_cells = property(lambda self: self._cell_view()[3])  # the same, keyword-bearing tuples only
+
+    def _cell_view(self) -> tuple:
+        """(live summaries, ``_tuples``, ``_cells``, ``_kw_cells``), kept while the
+        live summaries, compared by identity, are the ones it was derived from."""
+        summaries = list(self._live.values())
+        view = self._view
+        if view is None or view[0] != summaries:
+            tuples, cells, kw_cells = {}, {}, {}
+            for s in summaries:
+                keys = list(product(*(_cell_span(lo, hi) for lo, hi in s.box)))
+                tuples[s.rid] = (s, keys)
+                for key in keys:
+                    cells.setdefault(key, _Cell()).members[s.rid] = s
+                    if s.keywords:
+                        kw_cells.setdefault(key, _Cell()).members[s.rid] = s
+            view = self._view = (summaries, tuples, cells, kw_cells)
+        return view
 
     def snapshot(self) -> dict:
         """Structural view for invariant checking: cell keys, members, aggregates."""

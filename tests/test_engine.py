@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from teride.cdd import rules_from_text
@@ -97,6 +99,24 @@ class TestModesAgree:
             for key in ("stage_counts", "pairs_considered"):
                 assert metrics[MODE_ENGINE][key] == metrics[MODE_NOINDEX][key], (kind, key)
 
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_no_step_reads_or_builds_a_grid_cell(self, kind, monkeypatch):
+        """Retrieval reads the grids' live maps and token postings only; their
+        cells are derived when read, so a run with evictions never spans one."""
+        import teride.grid
+
+        def no_cells(lo, hi):
+            raise AssertionError("a step computed a grid cell span")
+
+        repo, trace = make_workload(seed=61, length=20, repo_size=30, xi=0.4, m=1)
+        cfg = make_config(window=7)
+        oracle = Engine(repo, cfg, dist=DistanceFn(kind), mode=MODE_ORACLE).run(list(trace))
+        monkeypatch.setattr(teride.grid, "_cell_span", no_cells)
+        results = Engine(repo, cfg, dist=DistanceFn(kind), mode=MODE_ENGINE).run(list(trace))
+        assert any(e.kind == KIND_EXPIRE for e in results.events)
+        assert oracle.matches()
+        assert results.to_jsonl() == oracle.to_jsonl()
+
     def test_results_only_pair_cross_stream(self):
         repo, trace = make_workload(seed=64, n_streams=3, length=15, repo_size=30)
         cfg = make_config(window=6)
@@ -156,12 +176,21 @@ class TestWindowSemantics:
 
 def engine_state(engine):
     """Everything a step may change, in comparable form."""
+    # only the engine mode's fetcher keeps grids
+    grids = getattr(engine.fetch, "grids", {})
     return (
         [r.rid for r in engine.window.live()],
         dict(engine.summaries),
-        # only the engine mode's fetcher keeps grids
-        {sid: grid.snapshot() for sid, grid in getattr(engine.fetch, "grids", {}).items()},
+        {sid: grid.snapshot() for sid, grid in grids.items()},
+        {
+            sid: (dict(grid._live), set(grid._kw_rids), copy.deepcopy([grid._postings, grid._kw_postings]))
+            for sid, grid in grids.items()
+        },
         len(engine.results.events),
+        dict(engine.live_counts),
+        dict(engine.stage_counts),
+        engine.pairs_considered,
+        engine.arrivals,
     )
 
 

@@ -6,7 +6,6 @@ from teride.errors import DuplicateTuple, UnknownTuple
 from teride.grid import (
     CELL_WIDTH,
     ErGrid,
-    TupleSummary,
     summarize,
     token_count_prunes,
 )
@@ -63,8 +62,10 @@ class TestSummary:
 
 
 def _reference_summary(it, pivots, keywords, dist):
-    """A summary built per option: every option's distance to every pivot, then min/max."""
+    """Every summary field built per option: every option's distance to every
+    pivot, then min/max and probability-weighted sums."""
     box, aux, sizes, kws, option_coords = [], {}, [], set(), []
+    exp = lb = ub = 0.0
     for x in range(pivots.d):
         options = it.attr_options(x)
         coords = [[dist(v, p) for p in pivots.per_attr[x]] for v, _ in options]
@@ -78,10 +79,18 @@ def _reference_summary(it, pivots, keywords, dist):
         sizes.append(SizeInterval(min(len(v) for v, _ in options), max(len(v) for v, _ in options)))
         for v, _ in options:
             kws |= keywords & v
-    return TupleSummary(
-        imputed=it, box=box, aux=aux, sizes=sizes, keywords=frozenset(kws),
-        option_coords=option_coords,
-    )
+        lb += box[x][0]
+        ub += box[x][1]
+        exp += sum(p * c[0] for (_, p), c in zip(options, coords))
+    return {
+        "box": box,
+        "aux": aux,
+        "sizes": sizes,
+        "keywords": frozenset(kws),
+        "option_coords": option_coords,
+        "pivot_stats": (exp, lb, ub),
+        "dist_intervals": [DistInterval(lo, hi) for lo, hi in box],
+    }
 
 
 def _bits(obj):
@@ -127,7 +136,7 @@ class TestSummaryReference:
             got = summarize(it, pivots, keywords, dist)
             ref = _reference_summary(it, pivots, keywords, dist)
             for name in self.FIELDS:
-                assert _bits(getattr(got, name)) == _bits(getattr(ref, name)), (it.rid, name)
+                assert _bits(getattr(got, name)) == _bits(ref[name]), (it.rid, name)
 
 
 class _CountingDist(DistanceFn):
@@ -238,8 +247,9 @@ def _cell_aggregates(cells: dict) -> dict:
 
 class TestCellChurn:
     def test_equal_a_rebuild_after_random_inserts_and_evicts(self, setup):
-        """Every cell, keyword-only cells included, holds exactly the members and
-        aggregates that a grid built from the live tuples holds."""
+        """The live map, the keyword-bearing rids, the token postings and every
+        cell, keyword-only cells included, equal those of a grid built from
+        the live tuples."""
         repo, _, _, _, summaries = setup
         assert any(s.aux for s in summaries)
         assert any(s.keywords for s in summaries) and not all(s.keywords for s in summaries)
@@ -260,6 +270,8 @@ class TestCellChurn:
                 reference = ErGrid(d=repo.d)
                 for s in live.values():
                     reference.insert(s)
+                assert grid._live == reference._live
+                assert grid._kw_rids == reference._kw_rids
                 assert _cell_aggregates(grid._cells) == _cell_aggregates(reference._cells)
                 assert _cell_aggregates(grid._kw_cells) == _cell_aggregates(reference._kw_cells)
                 assert grid._postings == reference._postings
