@@ -224,7 +224,7 @@ class _IndexFetch:
 
 
 def _judge_cascade(si, sj, gamma, alpha, keywords, dist) -> PairVerdict:
-    """``engine`` and ``noindex``: the pruning cascade, then refinement."""
+    """``engine`` and ``noindex``: the pruning cascade, whose unpruned scans are refined."""
     return judge_pair(si, sj, gamma, alpha, keywords, dist)
 
 

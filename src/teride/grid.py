@@ -1,4 +1,4 @@
-"""Candidate retrieval over live probabilistic tuples, keyed by main-pivot coordinates.
+"""Candidate retrieval over live probabilistic tuples through token postings.
 
 A grid keeps only what retrieval reads: a live map from rid to summary, the
 keyword-bearing rids and, under Jaccard, per-attribute token postings.  A

@@ -125,7 +125,7 @@ class ImputedTuple:
     per_attr_candidates: dict = field(default_factory=dict)  # attr -> [(value, prob)]
     fallback_attrs: frozenset = frozenset()
     _instances: Optional[list] = field(default=None, repr=False, compare=False)
-    _rows: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _enumeration: Optional[tuple] = field(default=None, repr=False, compare=False)
     _keyword_flags: Optional[tuple] = field(default=None, repr=False, compare=False)
     _token_unions: Optional[list] = field(default=None, repr=False, compare=False)
 
@@ -166,9 +166,22 @@ class ImputedTuple:
 
     def instances(self) -> list:
         """All concrete instances as (complete StreamTuple, prob), aligned with
-        the rows of :meth:`instance_rows`."""
+        the rows of :meth:`instance_rows`; built on the first call."""
         if self._instances is None:
-            self._rows, self._instances = _enumerate_instances(self)
+            base = self.base
+            values, rows = self.instance_rows()
+            self._instances = [
+                (
+                    StreamTuple(
+                        rid=base.rid,
+                        stream_id=base.stream_id,
+                        arrival_time=base.arrival_time,
+                        attrs=tuple(vals[i] for vals, i in zip(values, row)),
+                    ),
+                    p,
+                )
+                for row, p in zip(rows, self.instance_probs())
+            ]
         return self._instances
 
     def instance_rows(self) -> tuple:
@@ -176,9 +189,15 @@ class ImputedTuple:
         value, or the candidates by descending probability, ties in token
         order), and every option-index row, sorted by (-p, row) where p is the
         row's joint probability."""
-        if self._rows is None:
-            self._rows, self._instances = _enumerate_instances(self)
-        return self._rows
+        if self._enumeration is None:
+            self._enumeration = _enumerate_instances(self)
+        return self._enumeration[:2]
+
+    def instance_probs(self) -> list:
+        """Per row of :meth:`instance_rows`, its joint probability."""
+        if self._enumeration is None:
+            self._enumeration = _enumerate_instances(self)
+        return self._enumeration[2]
 
     def token_unions(self) -> list:
         """Per attribute, the union of the tokens of all its values (a present value as it is)."""
@@ -201,32 +220,19 @@ class ImputedTuple:
 
 
 def _enumerate_instances(it: ImputedTuple) -> tuple:
-    """((values, rows), instances) over every option-index row, sorted by (-p, row)."""
-    base = it.base
+    """(values, rows, probs) over every option-index row, sorted by (-p, row)."""
     options = [
         [(v, 1.0)]
         if v is not None
         else sorted(it.per_attr_candidates[j], key=lambda vp: (-vp[1], token_key(vp[0])))
-        for j, v in enumerate(base.attrs)
+        for j, v in enumerate(it.base.attrs)
     ]
     scored = sorted(
         (-_joint(options, row), row)
         for row in itertools.product(*(range(len(opts)) for opts in options))
     )
     values = [[v for v, _ in opts] for opts in options]
-    instances = [
-        (
-            StreamTuple(
-                rid=base.rid,
-                stream_id=base.stream_id,
-                arrival_time=base.arrival_time,
-                attrs=tuple(vals[i] for vals, i in zip(values, row)),
-            ),
-            -negp,
-        )
-        for negp, row in scored
-    ]
-    return (values, [row for _, row in scored]), instances
+    return values, [row for _, row in scored], [-negp for negp, _ in scored]
 
 
 def _joint(option_lists, idx) -> float:

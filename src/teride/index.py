@@ -245,8 +245,7 @@ def build_dr_index(
         )
         entries.append((box, payload))
     root = _str_pack(entries, dims=repo.d)
-    for node in _walk(root):
-        _set_dr_aggregates(node)
+    _set_dr_aggregates(root)
     return DrIndex(
         root=root,
         d=repo.d,
@@ -260,14 +259,14 @@ def build_dr_index(
 
 
 def _set_dr_aggregates(node: Node) -> None:
+    """Set ``node.agg`` and, first, the aggregates of every node below it."""
     if node.is_leaf:
         kws = [p.keywords for _, p in node.items]
         auxes = [p.aux for _, p in node.items]
         sizes = [p.sizes for _, p in node.items]
     else:
         for c in node.children:
-            if not c.agg:
-                _set_dr_aggregates(c)
+            _set_dr_aggregates(c)
         kws = [c.agg["keywords"] for c in node.children]
         auxes = [c.agg["aux"] for c in node.children]
         sizes_lo = [c.agg["size_lo"] for c in node.children]
@@ -426,14 +425,14 @@ def build_cdd_index(rules: Sequence[CddRule], pivots: PivotSet, dist: DistanceFn
                     kinds[x] = INTERVAL
             entries.append((box, RuleEntry(rule=rule, kinds=kinds, aux=aux)))
         root = _str_pack(entries, dims=len(attrs))
-        for node in _walk(root):
-            _set_cdd_aggregates(node, attrs)
+        _set_cdd_aggregates(root, attrs)
         groups.append(RuleGroup(attrs=attrs, root=root))
 
     return CddIndex(dependent=dependent, groups=groups)
 
 
 def _set_cdd_aggregates(node: Node, attrs: list) -> None:
+    """Set ``node.agg`` and, first, the aggregates of every node below it."""
     if node.is_leaf:
         entries = [e for _, e in node.items]
         node.agg["dep_interval"] = (
@@ -453,8 +452,7 @@ def _set_cdd_aggregates(node: Node, attrs: list) -> None:
         node.agg["aux"] = aux_cover
     else:
         for c in node.children:
-            if not c.agg:
-                _set_cdd_aggregates(c, attrs)
+            _set_cdd_aggregates(c, attrs)
         node.agg["dep_interval"] = (
             min(c.agg["dep_interval"][0] for c in node.children),
             max(c.agg["dep_interval"][1] for c in node.children),

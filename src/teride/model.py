@@ -18,6 +18,7 @@ from .errors import (
     EmptyValue,
     IncompleteTuple,
     OutOfOrderArrival,
+    TerideError,
 )
 
 TokenSet = frozenset  # frozenset[str]
@@ -225,11 +226,13 @@ def read_tuples(path) -> list:
 
 
 def _csv_rows(fh, path):
-    """Rows of an open CSV file; a row ``csv`` cannot parse (say, a field over
-    its size limit) raises ConfigError naming the line."""
+    """(line, row) pairs of an open CSV file, ``line`` being where the row ends
+    (a quoted cell may span lines); a row ``csv`` cannot parse (say, a field
+    over its size limit) raises ConfigError naming the line."""
     reader = csv.reader(fh)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
 
@@ -240,27 +243,24 @@ def read_csv(path) -> tuple:
     tuples = []
     with open(path, newline="", encoding="utf-8") as fh:
         rows = _csv_rows(fh, path)
-        header = next(rows, None)
+        _, header = next(rows, (1, None))
         if header is None or len(header) < 4 or header[:3] != ["rid", "stream_id", "arrival_time"]:
             raise ConfigError(f"{path}: bad stream CSV header")
         d = len(header) - 3
-        for lineno, row in enumerate(rows, start=2):
+        for lineno, row in rows:
             if len(row) != d + 3:
                 raise ConfigError(f"{path}:{lineno}: expected {d + 3} cells, got {len(row)}")
-            attrs = []
-            for cell in row[3:]:
-                if cell == MISSING_CELL:
-                    attrs.append(None)
-                else:
-                    attrs.append(tokenize(cell))
-            tuples.append(
-                StreamTuple(
-                    rid=row[0],
-                    stream_id=int(row[1]),
-                    arrival_time=int(row[2]),
-                    attrs=tuple(attrs),
+            try:
+                tuples.append(
+                    StreamTuple(
+                        rid=row[0],
+                        stream_id=int(row[1]),
+                        arrival_time=int(row[2]),
+                        attrs=tuple(None if c == MISSING_CELL else tokenize(c) for c in row[3:]),
+                    )
                 )
-            )
+            except (ValueError, TerideError) as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return d, tuples
 
 

@@ -3,13 +3,19 @@
 For a candidate tuple pair the checks run in a fixed order: topic keyword,
 similarity upper bound (shared-token attributes under Jaccard, token sizes,
 then pivot distances), Paley-Zygmund probability upper bound, and finally
-instance-pair-level pruning interleaved with refinement.  Every bound
-overestimates, so no qualifying pair is lost.
+the instance-level scan.  Every bound overestimates, so no qualifying pair is
+lost.
+
+One kernel, :func:`instance_level_scan`, sums joint probabilities over
+instance pairs in descending joint probability.  It stops as soon as the pair
+cannot exceed alpha; a scan that ends without stopping has visited every
+instance pair, so its sum is the exact match probability and refinement is
+that sum.  :func:`pair_probability`, which the ``oracle`` judge calls, is the
+same scan with no early stop.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 # pivot_stats is re-exported: it belongs with the bounds that read its result
@@ -23,7 +29,6 @@ from .grid import (
 )
 from .impute import ImputedTuple
 from .metric import DistanceFn, ub_sim_by_pivot, ub_sim_by_size
-from .model import contains_keyword
 
 STAGE_SIZE = "sim_ub_size"
 STAGE_PIVOT = "sim_ub_pivot"
@@ -105,59 +110,6 @@ def prob_ub_paley_zygmund(stats_i: tuple, stats_j: tuple, d: int, gamma: float) 
     return best
 
 
-def _pair_options(it: ImputedTuple, keywords: frozenset) -> list:
-    """Per-attribute (value, prob, has_keyword) option lists for one tuple."""
-    d = len(it.base.attrs)
-    out = []
-    for x in range(d):
-        opts = []
-        for v, p in it.attr_options(x):
-            opts.append((v, p, contains_keyword(v, keywords)))
-        out.append(opts)
-    return out
-
-
-def pair_probability(
-    it_i: ImputedTuple,
-    it_j: ImputedTuple,
-    gamma: float,
-    keywords: frozenset,
-    dist: DistanceFn,
-) -> float:
-    """Exact match probability by the full double sum over instance pairs.
-
-    Both the engine's refinement and the reference evaluation call this,
-    accumulating in the same natural enumeration order.
-    """
-    opts_i = _pair_options(it_i, keywords)
-    opts_j = _pair_options(it_j, keywords)
-    d = len(opts_i)
-    # per-attribute option-vs-option similarity tables
-    sim_tab = [
-        [[dist.sim(vi, vj) for vj, _, _ in opts_j[x]] for vi, _, _ in opts_i[x]]
-        for x in range(d)
-    ]
-    total = 0.0
-    for ci in itertools.product(*(range(len(o)) for o in opts_i)):
-        p_i = 1.0
-        kw_i = False
-        for x, ix in enumerate(ci):
-            p_i *= opts_i[x][ix][1]
-            kw_i = kw_i or opts_i[x][ix][2]
-        for cj in itertools.product(*(range(len(o)) for o in opts_j)):
-            p_j = 1.0
-            kw_j = False
-            for x, jx in enumerate(cj):
-                p_j *= opts_j[x][jx][1]
-                kw_j = kw_j or opts_j[x][jx][2]
-            if not (kw_i or kw_j):
-                continue
-            sim = sum(sim_tab[x][ix][jx] for x, (ix, jx) in enumerate(zip(ci, cj)))
-            if sim_matches(sim, gamma):
-                total += p_i * p_j
-    return total
-
-
 def instance_level_scan(
     it_i: ImputedTuple,
     it_j: ImputedTuple,
@@ -169,7 +121,9 @@ def instance_level_scan(
     """Partial scan over instance pairs in descending joint probability.
 
     Returns (pruned, confirmed) where ``pruned`` is True once the confirmed
-    probability plus the unexamined mass can no longer exceed alpha.
+    probability plus the unexamined mass can no longer exceed alpha.  A scan
+    that ends unpruned has summed every matching instance pair: ``confirmed``
+    is then the exact match probability.
 
     Similarities come from one option-vs-option table per attribute (1x1 for
     a present attribute): an instance pair's similarity is the sum of its
@@ -187,10 +141,10 @@ def instance_level_scan(
     ]
     if not sim_matches(sum(max(map(max, table)) for table in tables) + _SUM_SLACK, gamma):
         return True, 0.0
-    inst_i = it_i.instances()
-    inst_j = it_j.instances()
+    probs_i = it_i.instance_probs()
+    probs_j = it_j.instance_probs()
     pairs = sorted(
-        ((pi * pj, a, b) for a, (_, pi) in enumerate(inst_i) for b, (_, pj) in enumerate(inst_j)),
+        ((pi * pj, a, b) for a, pi in enumerate(probs_i) for b, pj in enumerate(probs_j)),
         key=lambda t: -t[0],
     )
     confirmed = 0.0
@@ -206,6 +160,22 @@ def instance_level_scan(
         if confirmed + (1.0 - seen_mass) <= alpha + _TOL:
             return True, confirmed
     return False, confirmed
+
+
+def pair_probability(
+    it_i: ImputedTuple,
+    it_j: ImputedTuple,
+    gamma: float,
+    keywords: frozenset,
+    dist: DistanceFn,
+) -> float:
+    """Exact match probability: :func:`instance_level_scan` run to its end.
+
+    An alpha below 0 never meets the prune test, so every instance pair is
+    visited in the scan's order and the confirmed sum is the probability,
+    bit-identical to what an unpruned scan reports to ``judge_pair``.
+    """
+    return instance_level_scan(it_i, it_j, gamma, -1.0, keywords, dist)[1]
 
 
 def judge_pair(
@@ -229,8 +199,8 @@ def judge_pair(
     ub = prob_ub_paley_zygmund(si.pivot_stats, sj.pivot_stats, d, gamma)
     if ub <= alpha + _TOL:
         return PairVerdict(stage=STAGE_PROB)
-    pruned, _ = instance_level_scan(si.imputed, sj.imputed, gamma, alpha, keywords, dist)
+    pruned, prob = instance_level_scan(si.imputed, sj.imputed, gamma, alpha, keywords, dist)
     if pruned:
         return PairVerdict(stage=STAGE_INSTANCE)
-    prob = pair_probability(si.imputed, sj.imputed, gamma, keywords, dist)
+    # a scan that ends unpruned has visited every instance pair: its sum is exact
     return PairVerdict(stage=STAGE_REFINED, matched=prob_reports(prob, alpha), prob=prob)

@@ -387,6 +387,27 @@ class TestExitCodes:
         assert f"{stream}:2:" in err and "field larger than field limit" in err
 
     @pytest.mark.parametrize(
+        "cell,value,message",
+        [
+            (1, "x", "invalid literal for int()"),
+            (2, "x", "invalid literal for int()"),
+            (2, "-1", "arrival_time must be non-negative"),
+            (3, "!!", "tokenizes to nothing"),
+        ],
+        ids=["stream-id-not-an-int", "arrival-time-not-an-int", "negative-arrival-time", "empty-value"],
+    )
+    def test_bad_stream_row_names_the_file_and_line_is_2(self, workspace, capsys, cell, value, message):
+        stream = workspace / "stream_0.csv"
+        lines = stream.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[cell] = value
+        lines[3] = ",".join(cells)
+        stream.write_text("\n".join(lines) + "\n")
+        assert main(run_args(workspace, "engine", workspace / "r.jsonl")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{stream}:4: " in err and message in err
+
+    @pytest.mark.parametrize(
         "flag,text",
         [
             ("--rules", "DEP=0 | 5:INT:0.0,0.1 -> [0.0,0.1]\n"),

@@ -117,6 +117,26 @@ class TestModesAgree:
         assert oracle.matches()
         assert results.to_jsonl() == oracle.to_jsonl()
 
+    @pytest.mark.parametrize("mode", [MODE_ENGINE, MODE_NOINDEX])
+    def test_refinement_makes_no_second_pass(self, mode, monkeypatch):
+        """An unpruned instance-level scan is the refinement: the cascade
+        reports its sum and never calls ``pair_probability``."""
+        import teride.engine
+        import teride.prune
+
+        def no_second_pass(*args):
+            raise AssertionError("a refined pair was enumerated twice")
+
+        repo, trace = make_workload(seed=61, length=20, repo_size=30, xi=0.4, m=1)
+        cfg = make_config(window=7)
+        oracle = Engine(repo, cfg, mode=MODE_ORACLE).run(list(trace))
+        monkeypatch.setattr(teride.engine, "pair_probability", no_second_pass)
+        monkeypatch.setattr(teride.prune, "pair_probability", no_second_pass)
+        engine = Engine(repo, cfg, mode=mode)
+        results = engine.run(list(trace))
+        assert engine.stage_counts["refined"] and oracle.matches()
+        assert results.to_jsonl() == oracle.to_jsonl()
+
     def test_results_only_pair_cross_stream(self):
         repo, trace = make_workload(seed=64, n_streams=3, length=15, repo_size=30)
         cfg = make_config(window=6)

@@ -87,6 +87,27 @@ class TestDrIndex:
                 for k, (lo, hi) in enumerate(node.box):
                     assert lo - 1e-9 <= ibox[k][0] and ibox[k][1] <= hi + 1e-9
 
+    def test_aggregates_are_computed_once_per_node(self, setup, monkeypatch):
+        import teride.index
+
+        repo, _, dist, pivots, rules = setup
+        calls = []
+        for name in ("_set_dr_aggregates", "_set_cdd_aggregates"):
+            fn = getattr(teride.index, name)
+
+            def counted(node, *args, fn=fn):
+                calls.append(node)
+                return fn(node, *args)
+
+            monkeypatch.setattr(teride.index, name, counted)
+        roots = [build_dr_index(repo, pivots, frozenset({"topic0"}), dist).root]
+        for dep in {r.dependent for r in rules}:
+            idx = build_cdd_index([r for r in rules if r.dependent == dep], pivots, dist)
+            roots.extend(g.root for g in idx.groups)
+        nodes = [n for root in roots for n in _walk(root)]
+        assert len(nodes) > len(roots)
+        assert sorted(map(id, calls)) == sorted(map(id, nodes))
+
     def test_fanout_respected(self, setup):
         repo, _, dist, pivots, _ = setup
         idx = build_dr_index(repo, pivots, frozenset(), dist)

@@ -157,6 +157,14 @@ class TestCsv:
         with pytest.raises(ConfigError):
             read_tuples(path)
 
+    def test_bad_row_error_names_the_line_it_ends_on(self, tmp_path):
+        # the first row's quoted cell spans two lines, so the bad row is on line 4
+        path = tmp_path / "s.csv"
+        path.write_text('rid,stream_id,arrival_time,attr_1\nr1,0,1,"a\nb"\nr2,x,2,c\n')
+        with pytest.raises(ConfigError) as exc:
+            read_tuples(path)
+        assert str(exc.value).startswith(f"{path}:4: ")
+
     def test_read_repository_requires_complete(self, tmp_path, numeric_repo):
         path = tmp_path / "r.csv"
         write_tuples(path, numeric_repo.samples, 3)

@@ -124,6 +124,9 @@ class TestInstanceLevel:
                 exact = naive_pair_probability(a.imputed, b.imputed, gamma, keywords, dist)
                 if pruned:
                     assert exact <= alpha + 1e-9
+                else:
+                    # an unpruned scan is the refinement: its sum is the exact probability
+                    assert confirmed == pair_probability(a.imputed, b.imputed, gamma, keywords, dist)
                 assert confirmed <= exact + 1e-9
 
 
