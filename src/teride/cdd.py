@@ -299,6 +299,7 @@ def rules_to_text(rules: Sequence[CddRule]) -> str:
 
 def rules_from_text(text: str) -> list:
     rules = []
+    line_of: dict = {}  # rule, determinants in attribute order -> the line it was read from
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -322,9 +323,14 @@ def rules_from_text(text: str) -> list:
                     )
                 else:
                     raise ValueError(f"unknown constraint kind {kind!r}")
-            rules.append(
-                CddRule(determinants=tuple(constraints), dependent=dependent, dep_lo=dep_lo, dep_hi=dep_hi)
+            rule = CddRule(
+                determinants=tuple(constraints), dependent=dependent, dep_lo=dep_lo, dep_hi=dep_hi
             )
+            key = (tuple(sorted(constraints, key=lambda c: c.attr)), dependent, dep_lo, dep_hi)
+            if key in line_of:
+                raise ValueError(f"the rule of line {line_of[key]} again")
+            line_of[key] = lineno
+            rules.append(rule)
         except (ValueError, IndexError, ConfigError) as exc:
             raise ConfigError(f"rule file line {lineno}: {exc}") from exc
     return rules

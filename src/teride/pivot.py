@@ -5,12 +5,22 @@ repository samples spread most evenly over P equal buckets of [0, 1] (maximum
 Shannon entropy, base 2).  If the main pivot alone does not reach the entropy
 threshold, auxiliary pivots are added greedily, scoring candidates by joint
 entropy over the product bucket grid of the chosen pivots plus the candidate.
+
+Each candidate's buckets against the samples are computed once per attribute,
+by the main round, and every auxiliary round reads them again.  An auxiliary
+round splits only the groups of samples (equal buckets for the chosen pivots)
+that hold one of the candidate's partners, the samples it has a distance for
+(under Jaccard, those sharing a token with it); every other group counts with
+its recorded first sample and size.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from operator import add
 
 from .errors import ConfigError, EmptyDomain
 from .metric import DistanceFn
@@ -93,8 +103,10 @@ def select_pivots(
     """Select main and auxiliary pivots per attribute from the repository domains.
 
     Scores equal :func:`entropy` for the main pivot and :func:`joint_entropy`
-    for the auxiliary ones; under Jaccard, distances are computed only to the
-    samples a candidate shares a token with (see :class:`_AttrSamples`).
+    for the auxiliary ones, float for float.  Each distance between a distinct
+    sample value and a candidate is computed at most once per attribute, and
+    under Jaccard only for values that share a token with the candidate (see
+    :class:`_AttrSamples`).
     """
     if dist is None:
         dist = DistanceFn()
@@ -125,77 +137,117 @@ def select_pivots(
 
 
 class _AttrSamples:
-    """One attribute's sample values, bucketed against the chosen pivots and a candidate.
+    """One attribute's sample values, grouped by their buckets for the chosen pivots.
 
-    Under Jaccard a sample that shares no token with a candidate is at
-    distance exactly 1.0, in bucket P-1, so distances are computed only for
-    the candidate's partners: the samples in the union of its tokens'
-    postings.  Under absdiff disjoint numeric values can be close, so every
-    sample is a partner.
+    Samples holding the same value share every bucket, so work is done per
+    distinct value, weighted by its sample count; distinct values are
+    numbered in order of their first sample.  Under Jaccard a value that
+    shares no token with a candidate is at distance exactly 1.0, in bucket
+    P-1, so distances are computed only for the candidate's partners: the
+    values in the union of its tokens' postings.  Under absdiff disjoint
+    numeric values can be close, so every value is a partner.
+
+    A candidate's partner buckets are computed once, by the main round, and
+    read again by every auxiliary round: one distance per (value, candidate)
+    per attribute.  They are stored as a partner tuple (a shared range under
+    absdiff) and an array of buckets, and dropped with the attribute.  Each
+    :meth:`choose` records every group's first value, size and members, and
+    an auxiliary score splits only the groups that hold a partner.
     """
 
     def __init__(self, values: list, P: int, dist: DistanceFn):
-        self.values = values
+        weights = Counter(values)
+        self.values = list(weights)  # distinct values, in order of first sample
+        self.weight = list(weights.values())
+        self.n = len(values)
         self.P = P
         self.dist = dist
-        self.postings = token_postings(values) if dist.kind == DistanceFn.JACCARD else None
-        self.keys = [()] * len(values)  # per sample, its buckets for the chosen pivots
-        self.groups = {(): list(range(len(values)))}  # key -> ascending sample positions
+        self.postings = token_postings(self.values) if dist.kind == DistanceFn.JACCARD else None
+        self.cache: dict = {}  # candidate -> (ascending partners, their buckets)
+        # groups of equal buckets for the chosen pivots, numbered in order of first sample
+        self.key_of = [0] * len(self.values)  # per value, P times its group
+        self.groups = [[0, self.n]]  # per group: [first value, sample count]
+        self.members = [list(range(len(self.values)))]  # per group: ascending values
 
-    def buckets(self, v: TokenSet) -> dict:
-        """Ascending partner position -> its bucket for candidate v."""
-        if self.postings is None:
-            partners = range(len(self.values))
-        else:
-            partners = sorted(set().union(*(self.postings.get(t, ()) for t in v)))
-        values, P, dist = self.values, self.P, self.dist
-        return {i: _bucket(dist(values[i], v), P) for i in partners}
+    def buckets(self, v: TokenSet) -> tuple:
+        """(ascending partners, array of their buckets for candidate v), computed once."""
+        hit = self.cache.get(v)
+        if hit is None:
+            if self.postings is None:
+                partners = range(len(self.values))
+            else:
+                partners = tuple(sorted(set().union(*(self.postings.get(t, ()) for t in v))))
+            values, P, dist, last = self.values, self.P, self.dist, self.P - 1
+            # _bucket, inlined
+            bs = array(
+                "B" if P <= 0x100 else "Q",
+                [min(int(dist(values[u], v) * P + _EDGE_TOL), last) for u in partners],
+            )
+            hit = self.cache[v] = (partners, bs)
+        return hit
 
     def entropy(self, v: TokenSet) -> float:
         """:func:`entropy` of candidate v."""
-        hits = self.buckets(v)
         counts = [0] * self.P
-        for b in hits.values():
-            counts[b] += 1
-        counts[-1] += len(self.values) - len(hits)
-        return _entropy_from_counts(counts, len(self.values))
+        weight = self.weight
+        for u, b in zip(*self.buckets(v)):
+            counts[b] += weight[u]
+        counts[-1] = self.n - sum(counts[:-1])  # non-partners and partners in bucket P-1
+        return _entropy_from_counts(counts, self.n)
 
     def choose(self, v: TokenSet) -> None:
-        """Append each sample's bucket for pivot v to its key."""
-        hits = self.buckets(v)
-        last = self.P - 1
-        self.keys = [key + (hits.get(i, last),) for i, key in enumerate(self.keys)]
-        self.groups = {}
-        for i, key in enumerate(self.keys):
-            self.groups.setdefault(key, []).append(i)
+        """Split each group by its values' buckets for pivot v."""
+        P = self.P
+        bucket_of = [P - 1] * len(self.values)
+        for u, b in zip(*self.buckets(v)):
+            bucket_of[u] = b
+        numbered: dict = {}  # P * old group + bucket -> new group
+        groups, members = [], []
+        for u, key in enumerate(map(add, self.key_of, bucket_of)):
+            g = numbered.setdefault(key, len(numbered))
+            if g == len(groups):
+                groups.append([u, 0])
+                members.append([])
+            groups[g][1] += self.weight[u]
+            members[g].append(u)
+            self.key_of[u] = g * P
+        self.groups, self.members = groups, members
 
     def joint_entropy(self, v: TokenSet) -> float:
         """:func:`joint_entropy` of the chosen pivots plus candidate v.
 
-        The non-partners under each key are counted by subtraction, and the
-        terms are summed in order of each joint key's first sample, the order
+        Only the groups that hold a partner of v are split; every other group
+        lies whole in bucket P-1 and contributes its recorded size.  A split
+        group's non-partners are counted by subtraction.  The terms are summed
+        in order of each joint key's first sample, the order
         :func:`_keys_entropy` sums in.
         """
-        hits = self.buckets(v)
-        counts: dict = {}
-        first: dict = {}
-        hits_per_key: dict = {}
-        for i, b in hits.items():  # ascending positions
-            key = self.keys[i]
-            hits_per_key[key] = hits_per_key.get(key, 0) + 1
-            joint = key + (b,)
-            counts[joint] = counts.get(joint, 0) + 1
-            first.setdefault(joint, i)
-        last = (self.P - 1,)
-        for key, members in self.groups.items():
-            rest = len(members) - hits_per_key.get(key, 0)
+        partners, bs = self.buckets(v)
+        key_of, weight, P = self.key_of, self.weight, self.P
+        split: dict = {}  # P * group + bucket -> [first value, sample count]
+        for u, b in zip(partners, bs):  # ascending values
+            k = key_of[u] + b
+            if k in split:
+                split[k][1] += weight[u]
+            else:
+                split[k] = [u, weight[u]]
+        hit: dict = {}  # group -> sample count of its partners
+        for k, (_, c) in split.items():
+            hit[k // P] = hit.get(k // P, 0) + c
+        is_partner = None
+        for g, hits in hit.items():
+            rest = self.groups[g][1] - hits
             if rest:
-                joint = key + last
-                counts[joint] = counts.get(joint, 0) + rest
-                at = next(i for i in members if i not in hits)
-                first[joint] = min(first.get(joint, at), at)
-        ordered = sorted(counts, key=first.__getitem__)
-        return _entropy_from_counts((counts[k] for k in ordered), len(self.values))
+                if is_partner is None:
+                    is_partner = set(partners)
+                at = next(u for u in self.members[g] if u not in is_partner)
+                entry = split.setdefault(P * g + P - 1, [at, 0])
+                entry[0] = min(entry[0], at)
+                entry[1] += rest
+        terms = [grp for g, grp in enumerate(self.groups) if g not in hit]
+        terms.extend(split.values())
+        terms.sort()
+        return _entropy_from_counts((c for _, c in terms), self.n)
 
 
 def _argmax(values, score) -> tuple:
@@ -230,29 +282,44 @@ def pivots_to_text(pivots: PivotSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(parts: list, keys: tuple) -> dict:
+    """The ``key=value`` parts of a line, which must name each of ``keys`` once and nothing else."""
+    kv = dict(part.split("=", 1) for part in parts)
+    if len(kv) != len(parts) or set(kv) != set(keys):
+        raise ValueError(f"need the fields {', '.join(keys)} once each")
+    return kv
+
+
 def pivots_from_text(text: str) -> PivotSet:
     P, eMin, cntMax = DEFAULT_P, DEFAULT_EMIN, DEFAULT_CNTMAX
+    params_line = None
     entries: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            if line.startswith("PARAMS"):
-                kv = dict(part.split("=") for part in line.split()[1:])
+            kind, *parts = line.split()
+            if kind == "PARAMS":
+                if params_line is not None:
+                    raise ValueError(f"a second PARAMS line; the first is line {params_line}")
+                params_line = lineno
+                kv = _fields(parts, ("P", "eMin", "cntMax"))
                 P, eMin, cntMax = int(kv["P"]), float(kv["eMin"]), int(kv["cntMax"])
                 # the parameters select_pivots accepts
                 if P < 2 or cntMax < 1 or not math.isfinite(eMin):
                     raise ValueError(f"need P >= 2, cntMax >= 1 and a finite eMin in {line!r}")
                 continue
-            kv = dict(part.split("=", 1) for part in line.split()[1:])
+            if kind != "PIVOT":
+                raise ValueError(f"unknown line kind {kind!r}; expected PARAMS or PIVOT")
+            kv = _fields(parts, ("attr", "idx", "tokens"))
             x, a = int(kv["attr"]), int(kv["idx"])
             if x < 0 or a < 0:
                 raise ValueError(f"negative attr or idx in {line!r}")
             if (x, a) in entries:
                 raise ValueError(f"a second pivot for attr={x} idx={a}")
             entries[(x, a)] = parse_token_set(kv["tokens"])
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"pivot file line {lineno}: {exc}") from exc
     if not entries:
         raise ConfigError("pivot file holds no pivots")

@@ -227,3 +227,19 @@ class TestSerialization:
     def test_open_interval_not_serializable(self):
         with pytest.raises(ConfigError):
             rules_to_text([cdd2()])
+
+    @pytest.mark.parametrize(
+        "again",
+        [
+            "DEP=0 | 1:INT:0.0,0.1 | 2:CONST:a -> [0.0,0.1]",
+            "DEP=0 | 2:CONST:a | 1:INT:0.0,0.1 -> [0.0,0.1]",
+            "DEP=0 | 1:INT:0.00,0.10 | 2:CONST:a -> [0.0,0.1]",
+        ],
+        ids=["same-text", "reordered", "same-floats"],
+    )
+    def test_a_rule_read_twice_names_both_lines(self, again):
+        first = "DEP=0 | 1:INT:0.0,0.1 | 2:CONST:a -> [0.0,0.1]\n"
+        other = "DEP=0 | 1:INT:0.0,0.1 | 2:CONST:b -> [0.0,0.1]\n"
+        assert len(rules_from_text(first + other)) == 2
+        with pytest.raises(ConfigError, match="line 3: the rule of line 1 again"):
+            rules_from_text(first + other + again + "\n")

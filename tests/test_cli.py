@@ -430,15 +430,20 @@ class TestExitCodes:
             ("--pivots", "PIVOT attr=0 idx={next_idx} tokens="),
             ("--pivots", "PIVOT attr=0 idx={next_idx} tokens=w1++w2"),
             ("--pivots", "PIVOT attr=0 idx=0 tokens=w1"),
+            ("--pivots", "PARAMS P=4 eMin=1.5 cntMax=3"),
+            ("--pivots", "BOGUS attr=0 idx={next_idx} tokens=w1"),
+            ("--pivots", "PIVOT attr=0 idx={next_idx} tokens=w1 extra=1"),
             ("--rules", "DEP=0 | 1:CONST:w1++w2 -> [0.0,0.1]"),
             ("--rules", "DEP=0 | 1:INT:0.0,0.1 -> [nan,nan]"),
             ("--rules", "DEP=0 | 1:INT:0.0,0.1 -> [-5,7]"),
             ("--rules", "DEP=0 | 1:INT:0.0,0.1 -> [0.0,inf]"),
+            ("--rules", "{first_line}"),
         ],
         ids=[
             "pivot-negative-attr", "pivot-no-tokens", "pivot-empty-token", "pivot-duplicate",
+            "pivot-second-params", "pivot-unknown-kind", "pivot-extra-key",
             "rule-empty-token",
-            "rule-dep-nan", "rule-dep-outside", "rule-dep-infinite",
+            "rule-dep-nan", "rule-dep-outside", "rule-dep-infinite", "rule-duplicate",
         ],
     )
     def test_bad_line_in_a_valid_rule_or_pivot_file_is_2(self, workspace, capsys, flag, bad_line):
@@ -447,7 +452,8 @@ class TestExitCodes:
         assert main([verb, "--repo", str(workspace / "repository.csv"), "--out", str(path)]) == EXIT_OK
         text = path.read_text()
         next_idx = text.count("PIVOT attr=0 ")
-        path.write_text(text + bad_line.format(next_idx=next_idx) + "\n")
+        bad_line = bad_line.format(next_idx=next_idx, first_line=text.splitlines()[0])
+        path.write_text(text + bad_line + "\n")
         for mode in ("engine", "noindex", "oracle"):
             args = run_args(workspace, mode, workspace / "r.jsonl", extra=[flag, str(path)])
             assert main(args) == EXIT_CONFIG

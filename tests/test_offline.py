@@ -189,6 +189,8 @@ PIVOT_ARGS = [
     {"P": 2, "eMin": 5.0, "cntMax": 4},
     {"P": 3, "eMin": 3.0, "cntMax": 3},
     {"P": 10, "eMin": 10.0, "cntMax": 3},
+    # more buckets than one byte holds
+    {"P": 300, "eMin": 20.0, "cntMax": 3},
 ]
 
 
@@ -247,7 +249,15 @@ class TestScoresEqualReference:
     @pytest.mark.parametrize("P", [2, 3, 10])
     def test_scores_are_bit_identical(self, P):
         repo, _ = make_workload(seed=77, d=3, length=10, vocab=12, topics=2, repo_size=40)
-        dist = DistanceFn()
+        self._check_scores(repo, P, DistanceFn())
+
+    @pytest.mark.parametrize("P", [2, 3, 10])
+    def test_absdiff_scores_are_bit_identical(self, P):
+        # 40 samples over 11 values: equal samples share every group
+        self._check_scores(_numeric_repo(77, n=40), P, DistanceFn(DistanceFn.ABSDIFF))
+
+    @staticmethod
+    def _check_scores(repo, P, dist):
         for attr in range(repo.d):
             domain = repo.domain(attr)
             samples = _AttrSamples([s.attrs[attr] for s in repo.samples], P, dist)
@@ -259,6 +269,42 @@ class TestScoresEqualReference:
                 chosen.append(pivot)
                 for v in domain:
                     assert samples.joint_entropy(v) == joint_entropy(chosen + [v], attr, repo, P, dist)
+
+
+class _CountingDistance(DistanceFn):
+    """A distance that counts how often it is asked about each ordered pair of values."""
+
+    def __init__(self, kind=DistanceFn.JACCARD):
+        super().__init__(kind)
+        self.asked = Counter()
+
+    def __call__(self, a, b):
+        self.asked[(a, b)] += 1
+        return super().__call__(a, b)
+
+
+class TestEachDistanceOnce:
+    """Auxiliary rounds read the buckets the main round computed."""
+
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_each_value_candidate_pair_at_most_once_per_attribute(self, kind):
+        if kind == DistanceFn.JACCARD:
+            repo, _ = make_workload(seed=8, d=4, length=20, vocab=12, topics=2, repo_size=40)
+        else:
+            repo = _numeric_repo(5, n=30)
+        dist = _CountingDistance(kind)
+        # eMin out of reach, so every attribute runs its auxiliary rounds
+        pivots = select_pivots(repo, dist=dist, eMin=10.0, cntMax=4)
+        assert all(pivots.n_pivots(x) > 1 for x in range(repo.d))
+        attrs_asking = Counter(
+            (a, b)
+            for x in range(repo.d)
+            for a in {s.attrs[x] for s in repo.samples}
+            for b in repo.domain(x)
+        )
+        assert dist.asked
+        over = {pair: n for pair, n in dist.asked.items() if n > attrs_asking[pair]}
+        assert not over
 
 
 class _RecordingDistance(DistanceFn):

@@ -151,7 +151,9 @@ class TestSerialization:
     def test_roundtrip(self):
         repo, _ = make_workload(seed=9, length=10, repo_size=20)
         pivots = select_pivots(repo, dist=DistanceFn())
-        back = pivots_from_text(pivots_to_text(pivots))
+        text = pivots_to_text(pivots)
+        back = pivots_from_text(text)
+        assert pivots_to_text(back) == text
         assert back.per_attr == pivots.per_attr
         assert back.bucket_count == pivots.bucket_count
         assert back.entropy_threshold == pivots.entropy_threshold
@@ -172,6 +174,15 @@ class TestSerialization:
             "PARAMS P=0 eMin=1.5 cntMax=3",
             "PARAMS P=10 eMin=nan cntMax=3",
             "PARAMS P=10 eMin=1.5 cntMax=0",
+            "PARAMS P=10 eMin=1.5 cntMax=3 extra=1",
+            "PARAMS P=10 eMin=1.5",
+            "PARAMS P=10 P=4 eMin=1.5 cntMax=3",
+            "PIVOT attr=1 idx=1 tokens=w1 extra=1",
+            "PIVOT attr=1 idx=1 idx=2 tokens=w1",
+            "PIVOT attr=1 idx=1",
+            "PIVOT attr=1 idx=1 tokens",
+            "BOGUS attr=1 idx=1 tokens=w1",
+            "PARAMSX P=10 eMin=1.5 cntMax=3",
         ],
     )
     def test_negative_index_or_empty_token_rejected(self, bad_line):
@@ -179,3 +190,9 @@ class TestSerialization:
         assert pivots_from_text(good).per_attr == [[ts("a")], [ts("b", "c")]]
         with pytest.raises(ConfigError, match="line 3"):
             pivots_from_text(good + bad_line + "\n")
+
+    def test_a_second_params_line_names_the_first(self):
+        good = "PARAMS P=10 eMin=1.5 cntMax=3\nPIVOT attr=0 idx=0 tokens=a\n"
+        assert pivots_from_text(good).bucket_count == 10
+        with pytest.raises(ConfigError, match="line 3: a second PARAMS line; the first is line 1"):
+            pivots_from_text(good + "PARAMS P=4 eMin=1.5 cntMax=3\n")
