@@ -216,7 +216,7 @@ class _IndexFetch:
         for sid, grid in self.grids.items():
             if sid == summary.stream_id:
                 continue
-            cands, skipped = grid.candidates(summary, self.config.gamma, self.config.keywords)
+            cands, skipped = grid.candidates(summary, self.config.gamma)
             out.extend(cands)
             for stage, n in skipped.items():
                 stage_counts[stage] += n

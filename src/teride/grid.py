@@ -1,18 +1,21 @@
-"""Candidate retrieval over live probabilistic tuples through token postings.
+"""Candidate retrieval over live probabilistic tuples through slot bitmaps.
 
-A grid keeps only what retrieval reads: a live map from rid to summary, the
-keyword-bearing rids and, under Jaccard, per-attribute token postings.  A
-summary holds at arrival only the main-pivot coordinates and the query
-keywords (see ``TupleSummary``).
+A grid keeps only what retrieval reads: a live map from rid to slot, a slot
+table of summaries, and bitmaps over slots: the live slots, the
+keyword-bearing slots and, under Jaccard, per-attribute token postings.  A
+slot freed by eviction is the next one taken, so no bitmap is wider than the
+most tuples live at once.  A summary holds at arrival only the main-pivot
+coordinates and the query keywords (see ``TupleSummary``).
 Retrieval applies two exact set-level filters only: a keyword-free probe reads
-only the keyword-bearing tuples, and under Jaccard a tuple must share tokens
-with the probe on ``need`` of the ``d`` attributes.  That filter is a
-pigeonhole (prefix) filter over per-attribute token postings: a survivor hits
-at least one of any ``d - need + 1`` attributes, so only the postings of the
-``d - need + 1`` attributes with the fewest posted tuples are gathered, and
-the gathered tuples' other attributes are checked set against set.  Retrieval
-reports how many tuples each filter skipped; every other bound runs pair by
-pair in ``prune.judge_pair``.
+only the keyword-bearing slots, and under Jaccard a tuple must share tokens
+with the probe on ``need`` of the ``d`` attributes.  That filter ORs the
+probe's postings per attribute into a hit bitmap and counts hits per slot in
+bit-sliced "hit on at least k attributes" bitmaps; by pigeonhole (the prefix
+filter) a survivor has been hit on ``need - (d - i)`` of the first ``i``
+attributes, so only the levels that can still reach ``need`` are updated
+and an empty required level ends the probe.  Survivors are decoded from the
+final bitmap in slot order.  Retrieval reports how many tuples each filter
+skipped; every other bound runs pair by pair in ``prune.judge_pair``.
 The grid cells over [0, 1]^d, each holding the tuples whose main-pivot
 rectangle intersects it, are derived from the live map when read; no step
 reads them.
@@ -20,7 +23,7 @@ reads them.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import DuplicateTuple, UnknownTuple
@@ -219,28 +222,15 @@ class _Cell:
         return out
 
 
-def _post(postings: list, rid: str, unions: list) -> None:
-    for post, tokens in zip(postings, unions):
-        for tok in tokens:
-            rids = post.get(tok)
-            if rids is None:
-                post[tok] = {rid}
-            else:
-                rids.add(rid)
-
-
-def _unpost(postings: list, rid: str, unions: list) -> None:
-    for post, tokens in zip(postings, unions):
-        for tok in tokens:
-            rids = post[tok]
-            if len(rids) == 1:
-                del post[tok]
-            else:
-                rids.remove(rid)
+@lru_cache(maxsize=16)  # a query has one gamma
+def token_need(d: int, gamma: float) -> int:
+    """The least number of shared-token attributes, of ``d``, that ``token_count_prunes``
+    lets pass at ``gamma``; ``d + 1`` when no count does."""
+    return next((n for n in range(d + 1) if not token_count_prunes(n, gamma)), d + 1)
 
 
 class ErGrid:
-    """Per-stream store of live tuples that fetches the candidates of a probe.
+    """Per-stream store of live tuples, by slot, that fetches the candidates of a probe.
 
     Only under Jaccard (``dist``, default ``DistanceFn()``) does it keep token
     postings.  Its cells are read-only views (see ``_cell_view``).
@@ -248,14 +238,15 @@ class ErGrid:
 
     def __init__(self, d: int, dist: DistanceFn | None = None):
         self.d = d
-        self._live: dict = {}  # rid -> TupleSummary
-        self._kw_rids: set = set()
-        # per attr: token -> rids whose token union holds it; the same over
-        # keyword-bearing rids only.  None when the distance is not Jaccard.
-        self._postings = self._kw_postings = None
+        self._live: dict = {}  # rid -> slot
+        self._slots: list = []  # slot -> TupleSummary, None when free
+        self._occupied = 0  # bitmap of the live slots; its zero bits are the free slots
+        self._kw_mask = 0  # bitmap of the keyword-bearing slots
+        # per attr: token -> bitmap of the slots whose token union holds it;
+        # None when the distance is not Jaccard
+        self._postings = None
         if dist is None or dist.kind == DistanceFn.JACCARD:
             self._postings = [{} for _ in range(d)]
-            self._kw_postings = [{} for _ in range(d)]
         self._view = None  # see _cell_view
 
     def __len__(self) -> int:
@@ -265,93 +256,103 @@ class ErGrid:
         rid = summary.rid
         if rid in self._live:
             raise DuplicateTuple(f"tuple {rid} is already registered")
+        occupied = self._occupied
+        bit = ~occupied & (occupied + 1)  # the lowest free slot
+        slot = bit.bit_length() - 1
         if self._postings is not None:
-            unions = summary.imputed.token_unions()
-            _post(self._postings, rid, unions)
-            if summary.keywords:
-                _post(self._kw_postings, rid, unions)
-        self._live[rid] = summary
+            for post, tokens in zip(self._postings, summary.imputed.token_unions()):
+                for tok in tokens:
+                    post[tok] = post.get(tok, 0) | bit
+        if slot == len(self._slots):
+            self._slots.append(summary)
+        else:
+            self._slots[slot] = summary
+        self._live[rid] = slot
+        self._occupied = occupied | bit
         if summary.keywords:
-            self._kw_rids.add(rid)
+            self._kw_mask |= bit
 
     def evict(self, rid: str) -> TupleSummary:
-        summary = self._live.pop(rid, None)
-        if summary is None:
+        slot = self._live.pop(rid, None)
+        if slot is None:
             raise UnknownTuple(f"tuple {rid} is not registered")
+        summary = self._slots[slot]
+        self._slots[slot] = None
+        bit = 1 << slot
         if self._postings is not None:
-            unions = summary.imputed.token_unions()
-            _unpost(self._postings, rid, unions)
-            if summary.keywords:
-                _unpost(self._kw_postings, rid, unions)
-        self._kw_rids.discard(rid)
+            for post, tokens in zip(self._postings, summary.imputed.token_unions()):
+                for tok in tokens:
+                    rest = post[tok] ^ bit
+                    if rest:
+                        post[tok] = rest
+                    else:
+                        del post[tok]
+        self._occupied ^= bit
+        if summary.keywords:
+            self._kw_mask ^= bit
         return summary
 
-    def candidates(self, query: TupleSummary, gamma: float, keywords: frozenset):
+    def candidates(self, query: TupleSummary, gamma: float):
         """Candidate summaries for a probe tuple, plus how many tuples each filter skipped.
 
         A keyword-free probe can only pair with keyword-bearing tuples, so it
-        reads the keyword-restricted postings and keyword-skips every other
+        reads only the keyword-bearing slots and keyword-skips every other
         live tuple.  With postings, a survivor must share tokens with the
-        probe on ``need`` of the ``d`` attributes (the least count that passes
-        ``token_count_prunes``), so by pigeonhole it hits at least one of any
-        ``d - need + 1`` of them.  Rids are collected only from the probe's
-        postings on the ``d - need + 1`` attributes with the fewest posted
-        rids; each of them has its other attributes checked with
-        ``isdisjoint`` against the probe's token unions, and every live tuple
-        whose count falls short of ``need`` is token-skipped.  Every other
-        bound is left to ``prune.judge_pair``.
+        probe on ``need`` of the ``d`` attributes (``token_need``); every live
+        tuple whose count falls short is token-skipped (see ``_pigeonhole``).
+        Survivors come in slot order.  Every other bound is left to
+        ``prune.judge_pair``.
         """
-        if query.keywords:
-            postings, live = self._postings, self._live
-            skipped_kw = 0
-        else:
-            postings, live = self._kw_postings, self._kw_rids
-            skipped_kw = len(self._live) - len(live)
-        if postings is None:
-            survivors = [self._live[rid] for rid in live]
-        else:
-            survivors = self._pigeonhole(postings, query.imputed.token_unions(), gamma)
-        return survivors, {STAGE_KEYWORD: skipped_kw, STAGE_TOKEN: len(live) - len(survivors)}
+        read = self._occupied if query.keywords else self._kw_mask
+        n_read = read.bit_count()
+        found = read
+        if self._postings is not None:
+            found = self._pigeonhole(query.imputed.token_unions(), token_need(self.d, gamma), read)
+        survivors = self._summaries(found)
+        return survivors, {
+            STAGE_KEYWORD: len(self._live) - n_read,
+            STAGE_TOKEN: n_read - len(survivors),
+        }
 
-    def _pigeonhole(self, postings: list, unions: list, gamma: float) -> list:
-        """Summaries of the tuples whose token unions meet the probe's on enough attributes."""
+    def _summaries(self, mask: int) -> list:
+        """The summaries in the slots of ``mask``, in slot order."""
+        slots = self._slots
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(slots[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def _pigeonhole(self, unions: list, need: int, read: int) -> int:
+        """Bitmap of the slots in ``read`` whose token unions meet the probe's on
+        at least ``need`` attributes.
+
+        Per attribute, the probe's postings are ORed into one hit bitmap, and
+        ``at[k]`` keeps the slots hit on at least ``k`` of the attributes read
+        so far (bit-sliced counting: ``at[k] |= at[k - 1] & hit``).  After
+        ``i`` attributes a survivor has reached ``need - (d - i)`` (the
+        pigeonhole, or prefix, filter), so lower levels are no longer updated,
+        and once that level is empty no tuple survives.
+        """
         d = self.d
-        need = next((n for n in range(d + 1) if not token_count_prunes(n, gamma)), d + 1)
-        spare = d - need  # attributes a survivor may miss
-        posted = []  # per attribute, the rids the probe's tokens post there, with repeats
-        empty = 0
-        for post, tokens in zip(postings, unions):
-            n = sum(map(len, filter(None, map(post.get, tokens))))
-            if not n:
-                empty += 1
-                if empty > spare:  # every survivor would have to hit one of these
-                    return []
-            posted.append(n)
-        order = sorted(range(d), key=posted.__getitem__)
-        hits: dict = {}  # rid -> how many of the spare + 1 attributes read it hits
-        for x in order[: spare + 1]:
-            for rid in set().union(*filter(None, map(postings[x].get, unions[x]))):
-                hits[rid] = hits.get(rid, 0) + 1
-        rest = order[spare + 1 :]
-        live = self._live
-        survivors = []
-        for rid, n in hits.items():
-            summary = live[rid]
-            missed = spare + 1 - n
-            if rest:
-                other = summary.imputed.token_unions()
-                for x in rest:
-                    if unions[x].isdisjoint(other[x]):
-                        missed += 1
-                        if missed > spare:
-                            break
-            if missed <= spare:
-                survivors.append(summary)
-        return survivors
+        at = [read] + [0] * need  # at[k]: slots hit on at least k attributes read
+        for i, (post, tokens) in enumerate(zip(self._postings, unions), 1):
+            hit = 0
+            for tok in tokens:
+                hit |= post.get(tok, 0)
+            floor = need - d + i  # the level every survivor has reached by now
+            if hit:
+                for k in range(min(i, need), max(floor, 1) - 1, -1):
+                    at[k] |= at[k - 1] & hit
+            if floor > 0 and not at[floor]:
+                return 0
+        return at[need]
 
     # -- the cell view, derived from the live map when read --
 
     _rids = property(lambda self: self._live.keys())
+    _kw_rids = property(lambda self: {s.rid for s in self._summaries(self._kw_mask)})
     _tuples = property(lambda self: self._cell_view()[1])  # rid -> (summary, its cell keys)
     _cells = property(lambda self: self._cell_view()[2])  # cell key -> _Cell of the tuples in it
     _kw_cells = property(lambda self: self._cell_view()[3])  # the same, keyword-bearing tuples only
@@ -359,7 +360,7 @@ class ErGrid:
     def _cell_view(self) -> tuple:
         """(live summaries, ``_tuples``, ``_cells``, ``_kw_cells``), kept while the
         live summaries, compared by identity, are the ones it was derived from."""
-        summaries = list(self._live.values())
+        summaries = list(map(self._slots.__getitem__, self._live.values()))
         view = self._view
         if view is None or view[0] != summaries:
             tuples, cells, kw_cells = {}, {}, {}

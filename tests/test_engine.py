@@ -1,5 +1,3 @@
-import copy
-
 import pytest
 
 from teride.cdd import rules_from_text
@@ -203,7 +201,16 @@ def engine_state(engine):
         dict(engine.summaries),
         {sid: grid.snapshot() for sid, grid in grids.items()},
         {
-            sid: (dict(grid._live), set(grid._kw_rids), copy.deepcopy([grid._postings, grid._kw_postings]))
+            sid: (
+                dict(grid._live),
+                list(grid._slots),
+                grid._occupied,
+                grid._kw_mask,
+                [
+                    {tok: {s.rid for s in grid._summaries(mask)} for tok, mask in post.items()}
+                    for post in grid._postings or ()
+                ],
+            )
             for sid, grid in grids.items()
         },
         len(engine.results.events),

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from teride.grid import (
     ErGrid,
     summarize,
     token_count_prunes,
+    token_need,
 )
 from teride.impute import ImputedTuple, impute_tuple
 from teride.metric import DistanceFn, DistInterval, SizeInterval
@@ -245,11 +247,49 @@ def _cell_aggregates(cells: dict) -> dict:
     }
 
 
+def _rid_state(grid) -> tuple:
+    """The grid's live tuples, keyword-bearing rids and postings, by rid rather than slot."""
+    postings = None
+    if grid._postings is not None:
+        postings = [
+            {tok: {s.rid for s in grid._summaries(mask)} for tok, mask in post.items()}
+            for post in grid._postings
+        ]
+    live = {rid: grid._slots[slot] for rid, slot in grid._live.items()}
+    return live, grid._kw_rids, postings
+
+
+def _slot_state(grid) -> tuple:
+    """The slot table, the live and keyword-bearing slot bitmaps and the postings."""
+    return (
+        dict(grid._live),
+        list(grid._slots),
+        grid._occupied,
+        grid._kw_mask,
+        copy.deepcopy(grid._postings),
+    )
+
+
+def _brute_force(q, live, gamma: float, jaccard: bool) -> tuple:
+    """The rids of ``live`` that pass the keyword and shared-token tests, and how
+    many each test skips, pair by pair."""
+    skipped = {"keyword": 0, "sim_ub_token": 0}
+    passing = set()
+    for other in live:
+        if keyword_prune(q, other):
+            skipped["keyword"] += 1
+        elif jaccard and token_count_prunes(sim_ub_token(q, other), gamma):
+            skipped["sim_ub_token"] += 1
+        else:
+            passing.add(other.rid)
+    return passing, skipped
+
+
 class TestCellChurn:
     def test_equal_a_rebuild_after_random_inserts_and_evicts(self, setup):
-        """The live map, the keyword-bearing rids, the token postings and every
-        cell, keyword-only cells included, equal those of a grid built from
-        the live tuples."""
+        """The live map, the keyword-bearing rids, the token postings (all by
+        rid, since slot numbers differ) and every cell, keyword-only cells
+        included, equal those of a grid built from the live tuples."""
         repo, _, _, _, summaries = setup
         assert any(s.aux for s in summaries)
         assert any(s.keywords for s in summaries) and not all(s.keywords for s in summaries)
@@ -270,12 +310,76 @@ class TestCellChurn:
                 reference = ErGrid(d=repo.d)
                 for s in live.values():
                     reference.insert(s)
-                assert grid._live == reference._live
-                assert grid._kw_rids == reference._kw_rids
+                assert _rid_state(grid) == _rid_state(reference)
                 assert _cell_aggregates(grid._cells) == _cell_aggregates(reference._cells)
                 assert _cell_aggregates(grid._kw_cells) == _cell_aggregates(reference._kw_cells)
-                assert grid._postings == reference._postings
-                assert grid._kw_postings == reference._kw_postings
+
+
+class TestSlotBitmaps:
+    def test_candidates_equal_a_scan_under_churn(self, setup):
+        """Random inserts, evicts and re-inserts of the tuple just evicted: after
+        every operation each probe's survivors and skip counts equal a pair-by-pair
+        scan, for every ``need`` from 1 to d, keyword-bearing and keyword-free
+        probes, under Jaccard and absdiff; and no slot reaches the most tuples
+        ever live at once, so slots are recycled."""
+        repo, _, _, _, summaries = setup
+        gammas = [need - 0.5 for need in range(1, repo.d + 1)]
+        assert [token_need(repo.d, gamma) for gamma in gammas] == list(range(1, repo.d + 1))
+        probes = [s for s in summaries if s.keywords][:2] + [s for s in summaries if not s.keywords][:2]
+        assert len(probes) == 4
+        for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
+            jaccard = kind == DistanceFn.JACCARD
+            for seed in range(4):
+                rng = random.Random(seed)
+                grid = ErGrid(d=repo.d, dist=DistanceFn(kind))
+                live: dict = {}
+                waiting = list(summaries)
+                evicted = None
+                peak = 0
+                for _ in range(120):
+                    if evicted is not None and rng.random() < 0.3:
+                        s, evicted = evicted, None
+                        waiting.remove(s)
+                    elif live and (not waiting or rng.random() < 0.45):
+                        evicted = live.pop(rng.choice(sorted(live)))
+                        grid.evict(evicted.rid)
+                        waiting.append(evicted)
+                        s = None
+                    else:
+                        s = waiting.pop(rng.randrange(len(waiting)))
+                        evicted = None
+                    if s is not None:
+                        grid.insert(s)
+                        live[s.rid] = s
+                        peak = max(peak, len(live))
+                        assert grid._live[s.rid] < peak
+                    assert len(grid._slots) <= peak
+                    assert grid._occupied.bit_length() <= peak
+                    for gamma in gammas:
+                        for q in probes:
+                            passing, expected = _brute_force(q, live.values(), gamma, jaccard)
+                            cands, skipped = grid.candidates(q, gamma)
+                            assert len(cands) == len(passing), (kind, seed, gamma)
+                            assert {c.rid for c in cands} == passing, (kind, seed, gamma)
+                            assert skipped == expected, (kind, seed, gamma)
+                assert peak < len(summaries)
+
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_rejected_insert_and_evict_change_nothing(self, setup, kind):
+        _, _, _, _, summaries = setup
+        grid = ErGrid(d=summaries[0].imputed.base.d, dist=DistanceFn(kind))
+        for s in summaries[:12]:
+            grid.insert(s)
+        for s in summaries[2:6]:
+            grid.evict(s.rid)
+        before = _slot_state(grid)
+        assert before[2].bit_count() < len(before[1])  # some slots are free
+        with pytest.raises(DuplicateTuple):
+            grid.insert(summaries[0])
+        assert _slot_state(grid) == before
+        with pytest.raises(UnknownTuple):
+            grid.evict(summaries[3].rid)
+        assert _slot_state(grid) == before
 
 
 class TestCandidates:
@@ -289,7 +393,7 @@ class TestCandidates:
         for dist, survivors in ((absdiff, ["b"]), (DistanceFn(), [])):
             grid = ErGrid(d=3, dist=dist)
             grid.insert(summarize(b, pivots, keywords, dist))
-            cands, skipped = grid.candidates(summarize(a, pivots, keywords, dist), 1.5, keywords)
+            cands, skipped = grid.candidates(summarize(a, pivots, keywords, dist), 1.5)
             assert [c.rid for c in cands] == survivors
             assert skipped == {"keyword": 0, "sim_ub_token": 1 - len(survivors)}
 
@@ -302,7 +406,7 @@ class TestCandidates:
         for s in stream1:
             grid.insert(s)
         for q in stream0:
-            cands, skipped = grid.candidates(q, gamma, keywords)
+            cands, skipped = grid.candidates(q, gamma)
             cand_rids = {c.rid for c in cands}
             assert len(cand_rids) == len(cands)
             assert cand_rids <= {s.rid for s in stream1}
@@ -321,13 +425,10 @@ class TestCandidates:
         tests (the latter under Jaccard only), and each count is a brute-force count.
 
         The gammas need every shared-attribute count from 1 to d, so the
-        pigeonhole fetch reads every number of attributes from d down to 1."""
-        repo, _, _, keywords, summaries = setup
+        bitmap filter counts to every depth from 1 to d."""
+        repo, _, _, _, summaries = setup
         gammas = [need - 0.5 for need in range(1, repo.d + 1)] + [0.6 * repo.d]
-        needs = {
-            next(n for n in range(repo.d + 1) if not token_count_prunes(n, gamma))
-            for gamma in gammas
-        }
+        needs = {token_need(repo.d, gamma) for gamma in gammas}
         assert needs == set(range(1, repo.d + 1))
         stream0 = [s for s in summaries if s.stream_id == 0][:15]
         stream1 = [s for s in summaries if s.stream_id == 1][:15]
@@ -338,18 +439,10 @@ class TestCandidates:
             token_skips = 0
             for gamma in gammas:
                 for q in stream0:
-                    expected = {"keyword": 0, "sim_ub_token": 0}
-                    passing = set()
-                    for other in stream1:
-                        if keyword_prune(q, other):
-                            expected["keyword"] += 1
-                        elif kind == DistanceFn.JACCARD and token_count_prunes(
-                            sim_ub_token(q, other), gamma
-                        ):
-                            expected["sim_ub_token"] += 1
-                        else:
-                            passing.add(other.rid)
-                    cands, skipped = grid.candidates(q, gamma, keywords)
+                    passing, expected = _brute_force(
+                        q, stream1, gamma, kind == DistanceFn.JACCARD
+                    )
+                    cands, skipped = grid.candidates(q, gamma)
                     assert len(cands) == len(passing), (kind, gamma)
                     assert {c.rid for c in cands} == passing, (kind, gamma)
                     assert skipped == expected, (kind, gamma)
