@@ -10,7 +10,6 @@ from .metric import DistanceFn, jaccard_dist, jaccard_sim, tuple_sim
 from .model import (
     QueryConfig,
     Repository,
-    SlidingWindow,
     StreamTuple,
     read_repository,
     read_tuples,
@@ -34,7 +33,6 @@ __all__ = [
     "PivotSet",
     "QueryConfig",
     "Repository",
-    "SlidingWindow",
     "StreamTuple",
     "TerideError",
     "TupleSummary",

@@ -14,7 +14,7 @@ import sys
 import time
 
 from .cdd import detect_cdds, rules_from_text, rules_to_text
-from .engine import MODE_ENGINE, MODE_NOINDEX, MODES, Engine
+from .engine import MODE_ENGINE, MODE_NOINDEX, MODES, Engine, check_pivots, check_rules
 from .errors import ConfigError, InvalidRate, TerideError
 from .metric import DistanceFn
 from .model import (
@@ -202,6 +202,24 @@ def _load_match_keys(path) -> set:
     return keys
 
 
+def _read_file(path, parse):
+    """What ``parse`` makes of a text file's contents; an error in them names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (TerideError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _write_out(path, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _build_engine(args, mode: str) -> tuple:
     repo = read_repository(args.repo)
     if args.repo_ratio != 1.0:
@@ -214,14 +232,11 @@ def _build_engine(args, mode: str) -> tuple:
         window_size=args.window,
     )
     dist = DistanceFn()
-    rules = None
-    if getattr(args, "rules", None):
-        with open(args.rules, encoding="utf-8") as fh:
-            rules = rules_from_text(fh.read())
-    pivots = None
-    if getattr(args, "pivots", None):
-        with open(args.pivots, encoding="utf-8") as fh:
-            pivots = pivots_from_text(fh.read())
+    rules = pivots = None
+    if args.rules:
+        rules = _read_file(args.rules, lambda text: check_rules(rules_from_text(text), repo.d))
+    if args.pivots:
+        pivots = _read_file(args.pivots, lambda text: check_pivots(pivots_from_text(text), repo.d))
     engine = Engine(repo, config, dist=dist, mode=mode, rules=rules, pivots=pivots)
     trace = []
     for path in args.streams:
@@ -238,24 +253,14 @@ def _cmd_detect(args) -> int:
         min_support=args.min_support,
         max_determinants=args.max_determinants,
     )
-    text = rules_to_text(rules)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, rules_to_text(rules))
     return EXIT_OK
 
 
 def _cmd_pivots(args) -> int:
     repo = read_repository(args.repo)
     pivots = select_pivots(repo, P=args.p, eMin=args.emin, cntMax=args.cntmax)
-    text = pivots_to_text(pivots)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, pivots_to_text(pivots))
     return EXIT_OK
 
 
@@ -288,11 +293,7 @@ def _cmd_run(args) -> int:
     t0 = time.perf_counter()
     results = engine.run(trace)
     wall = time.perf_counter() - t0
-    if args.results:
-        with open(args.results, "w", encoding="utf-8") as fh:
-            fh.write(results.to_jsonl())
-    else:
-        sys.stdout.write(results.to_jsonl())
+    _write_out(args.results, results.to_jsonl())
     metrics = engine.metrics()
     metrics["wall_clock"] = round(wall, 6)
     metrics["f_score"] = (
@@ -301,9 +302,7 @@ def _cmd_run(args) -> int:
         else None
     )
     if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=2)
-            fh.write("\n")
+        _write_out(args.metrics, json.dumps(metrics, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -319,12 +318,7 @@ def _cmd_bench(args) -> int:
         m["wall_clock"] = round(walls[mode], 6)
         report["modes"][mode] = m
     report["speedup"] = (walls[MODE_NOINDEX] / walls[MODE_ENGINE]) if walls[MODE_ENGINE] else None
-    text = json.dumps(report, indent=2) + "\n"
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.metrics, json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 

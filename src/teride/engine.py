@@ -12,10 +12,14 @@ when the engine is built, and all three modes give identical event streams:
 * ``oracle`` — the scan fetcher, and every pair is fully evaluated; this is
   the reference implementation.
 
-Per step, the whole batch of arrivals is validated first, so a rejected step
-leaves the state as it was.  Then evictions across all streams happen, then
-arrivals are processed in (stream_id, rid) order; each arrival is probed
-against the live tuples of the other streams.
+Each stream's count-based sliding window is one deque of its live tuple
+summaries, oldest first (``Engine.windows``).  Per step, the whole batch of
+arrivals is validated first against those deques, so a rejected step leaves
+the state as it was: each arrival must be later than its stream's newest live
+tuple, and a full window names its oldest tuple as the victim.  Then the
+victims of all streams are evicted, then arrivals are processed in
+(stream_id, rid) order; each arrival is probed against the live tuples of
+the other streams.
 
 Fetchers and judges look up the index builders, ``impute_tuple``, ``judge_pair``
 and ``pair_probability`` in this module's globals at each call, so a wrapper
@@ -27,6 +31,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from .cdd import detect_cdds
@@ -36,7 +41,7 @@ from .impute import ImputedTuple, impute_tuple
 from .index import build_cdd_index, build_dr_index
 from .index import dr_query_box_for_rule  # noqa: F401 - perfbench/tracer.py wraps this name
 from .metric import DistanceFn
-from .model import QueryConfig, Repository, SlidingWindow, StreamTuple
+from .model import QueryConfig, Repository, StreamTuple
 from .pivot import PivotSet, select_pivots
 from .prune import STAGE_REFINED, STAGES, PairVerdict, judge_pair, pair_probability, prob_reports
 
@@ -110,6 +115,29 @@ class Precomputed:
     pivots: PivotSet
 
 
+def check_rules(rules: list, d: int) -> list:
+    """The rules, unless one names an attribute outside ``[0, d)``."""
+    for rule in rules:
+        for x in (rule.dependent, *(c.attr for c in rule.determinants)):
+            if not 0 <= x < d:
+                raise ConfigError(f"rule names attribute {x}, outside [0, {d})")
+    return rules
+
+
+def check_pivots(pivots: PivotSet, d: int) -> PivotSet:
+    """The pivots, unless they fail to give each of ``d`` attributes a non-empty pivot set."""
+    if pivots.d != d or not all(pivots.per_attr):
+        raise ConfigError(
+            f"pivot counts per attribute {[len(p) for p in pivots.per_attr]} do not give"
+            f" each of the repository's {d} attributes a pivot"
+        )
+    for x, plist in enumerate(pivots.per_attr):
+        for a, piv in enumerate(plist):
+            if not piv:
+                raise ConfigError(f"pivot {a} of attribute {x} is an empty token set")
+    return pivots
+
+
 def precompute(
     repo: Repository,
     config: QueryConfig,
@@ -125,23 +153,12 @@ def precompute(
         except NoRulesFound:
             rules = []
     rules_by_dep: dict = {}
-    for rule in rules:
-        for x in (rule.dependent, *(c.attr for c in rule.determinants)):
-            if not 0 <= x < repo.d:
-                raise ConfigError(f"rule names attribute {x}, outside [0, {repo.d})")
+    for rule in check_rules(rules, repo.d):
         rules_by_dep.setdefault(rule.dependent, []).append(rule)
     if pivots is None:
         pivots = select_pivots(repo, dist=dist)
-    elif pivots.d != repo.d or not all(pivots.per_attr):
-        raise ConfigError(
-            f"pivot counts per attribute {[len(p) for p in pivots.per_attr]} do not give"
-            f" each of the repository's {repo.d} attributes a pivot"
-        )
     else:
-        for x, plist in enumerate(pivots.per_attr):
-            for a, piv in enumerate(plist):
-                if not piv:
-                    raise ConfigError(f"pivot {a} of attribute {x} is an empty token set")
+        check_pivots(pivots, repo.d)
     return Precomputed(repo=repo, rules=rules, rules_by_dep=rules_by_dep, pivots=pivots)
 
 
@@ -161,11 +178,12 @@ class _ScanFetch:
     def add(self, summary: TupleSummary) -> None:
         pass
 
-    def remove(self, victim: StreamTuple) -> None:
+    def remove(self, victim: TupleSummary) -> None:
         pass
 
-    def candidates(self, summary: TupleSummary, live: dict, stage_counts: dict) -> list:
-        return [s for s in live.values() if s.stream_id != summary.stream_id]
+    def candidates(self, summary: TupleSummary, windows: dict, stage_counts: dict) -> list:
+        sid = summary.stream_id
+        return [s for other, q in windows.items() if other != sid for s in q]
 
 
 class _IndexFetch:
@@ -207,10 +225,10 @@ class _IndexFetch:
             grid = self.grids[summary.stream_id] = ErGrid(self.config.d, self.dist)
         grid.insert(summary)
 
-    def remove(self, victim: StreamTuple) -> None:
+    def remove(self, victim: TupleSummary) -> None:
         self.grids[victim.stream_id].evict(victim.rid)
 
-    def candidates(self, summary: TupleSummary, live: dict, stage_counts: dict) -> list:
+    def candidates(self, summary: TupleSummary, windows: dict, stage_counts: dict) -> list:
         """Survivors of every other stream's grid; the grids' skip counts go to stage_counts."""
         out = []
         for sid, grid in self.grids.items():
@@ -255,9 +273,8 @@ class Engine:
         fetcher = _IndexFetch if mode == MODE_ENGINE else _ScanFetch
         self.fetch = fetcher(self.pre, config, self.dist)
         self.judge = _judge_exhaustive if mode == MODE_ORACLE else _judge_cascade
-        self.window = SlidingWindow(config.window_size)
+        self.windows: dict = {}  # stream_id -> deque of its live TupleSummaries, oldest first
         self.summaries: dict = {}  # rid -> TupleSummary (all live tuples)
-        self.live_counts: dict = {}  # stream_id -> number of live tuples
         self.results = MatchResultSet()
         self.stage_counts = dict.fromkeys((*STAGES, STAGE_REFINED), 0)
         self.pairs_considered = 0
@@ -278,17 +295,16 @@ class Engine:
         arrivals = sorted(arrivals, key=lambda r: (r.stream_id, r.rid))
         victims = self._validate(ts, arrivals)
         step_t0 = time.perf_counter()
-        fetch = self.fetch
+        fetch, windows = self.fetch, self.windows
         events = []
         # phase 1: evictions on every stream that is full and about to receive
         for victim in victims:
+            windows[victim.stream_id].popleft()
             del self.summaries[victim.rid]
-            self.live_counts[victim.stream_id] -= 1
             fetch.remove(victim)
             events.append(Event(ts=ts, kind=KIND_EXPIRE, rid_a=victim.rid))
         # phase 2: impute, probe and insert in arrival order
         for r in arrivals:
-            self.window.advance(r)  # any evicted tuple was handled in phase 1
             t0 = time.perf_counter()
             selection = None if r.is_complete() else fetch.select(r)
             t1 = time.perf_counter()
@@ -301,7 +317,7 @@ class Engine:
             self.timings["imputation"] += t2 - t1
             self.timings["er"] += t3 - t2
             self.summaries[summary.rid] = summary
-            self.live_counts[summary.stream_id] = self.live_counts.get(summary.stream_id, 0) + 1
+            windows.setdefault(summary.stream_id, deque()).append(summary)
             fetch.add(summary)
             self.arrivals += 1
         self.step_times.append(time.perf_counter() - step_t0)
@@ -309,7 +325,7 @@ class Engine:
         return events
 
     def _validate(self, ts: int, arrivals: list) -> list:
-        """Check a sorted batch against the current state; return the tuples it evicts."""
+        """Check a sorted batch against the current state; return the summaries it evicts."""
         for r in arrivals:
             if r.arrival_time != ts:
                 raise ConfigError(f"tuple {r.rid} stamped {r.arrival_time}, step is {ts}")
@@ -317,10 +333,17 @@ class Engine:
                 raise ConfigError(f"tuple {r.rid} has {r.d} attributes, expected {self.config.d}")
         if len({r.stream_id for r in arrivals}) != len(arrivals):
             raise OutOfOrderArrival("at most one arrival per stream per step")
+        victims = []
         for r in arrivals:
-            self.window.check_order(r)
-        victims = [self.window.pending_eviction(r.stream_id) for r in arrivals]
-        victims = [v for v in victims if v is not None]
+            q = self.windows.get(r.stream_id)
+            if not q:
+                continue
+            if q[-1].arrival_time >= r.arrival_time:
+                raise OutOfOrderArrival(
+                    f"stream {r.stream_id}: arrival {r.arrival_time} not after {q[-1].arrival_time}"
+                )
+            if len(q) == self.config.window_size:
+                victims.append(q[0])
         evicted = {v.rid for v in victims}
         seen: set = set()
         for r in arrivals:
@@ -342,10 +365,10 @@ class Engine:
 
     def _probe(self, ts: int, summary: TupleSummary) -> list:
         """Judge the fetched candidates; the events of the pairs reported, by partner."""
-        self.pairs_considered += len(self.summaries) - self.live_counts.get(summary.stream_id, 0)
+        self.pairs_considered += len(self.summaries) - len(self.windows.get(summary.stream_id, ()))
         cfg, judge, counts = self.config, self.judge, self.stage_counts
         matched = []
-        for other in self.fetch.candidates(summary, self.summaries, counts):
+        for other in self.fetch.candidates(summary, self.windows, counts):
             verdict = judge(summary, other, cfg.gamma, cfg.alpha, cfg.keywords, self.dist)
             counts[verdict.stage] += 1
             if verdict.matched:

@@ -86,6 +86,10 @@ class TupleSummary:
     def stream_id(self) -> int:
         return self.imputed.stream_id
 
+    @property
+    def arrival_time(self) -> int:
+        return self.imputed.base.arrival_time
+
     @cached_property
     def aux(self) -> dict:
         """(attr, pivot_idx) -> (lo, hi) of the distance over all options, pivot_idx >= 1."""

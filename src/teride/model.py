@@ -1,4 +1,4 @@
-"""Core data model: tuples, token sets, sliding windows, the repository, and query config.
+"""Core data model: tuples, token sets, the repository, and query config.
 
 A token set is a plain ``frozenset[str]``.  A missing attribute value is
 represented by ``None``; a present value is a non-empty frozenset (an empty
@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import csv
 import re
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import (
-    ConfigError,
-    EmptyValue,
-    IncompleteTuple,
-    OutOfOrderArrival,
-    TerideError,
-)
+from .errors import ConfigError, EmptyValue, IncompleteTuple, TerideError
 
 TokenSet = frozenset  # frozenset[str]
 
@@ -103,54 +97,6 @@ class StreamTuple:
             raise IncompleteTuple(f"tuple {self.rid} has missing attributes {self.missing_attrs()}")
 
 
-class SlidingWindow:
-    """Count-based sliding windows of capacity w, one FIFO per stream.
-
-    Single-writer: only the engine's ingest loop mutates it.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigError("window capacity must be >= 1")
-        self.capacity = capacity
-        self._streams: dict[int, deque] = {}
-
-    def check_order(self, incoming: StreamTuple) -> None:
-        """Raise OutOfOrderArrival unless the tuple is later than its stream's last arrival."""
-        q = self._streams.get(incoming.stream_id)
-        if q and q[-1].arrival_time >= incoming.arrival_time:
-            raise OutOfOrderArrival(
-                f"stream {incoming.stream_id}: arrival {incoming.arrival_time} "
-                f"not after {q[-1].arrival_time}"
-            )
-
-    def advance(self, incoming: StreamTuple) -> Optional[StreamTuple]:
-        """Append a tuple; return the evicted oldest tuple if the stream was full."""
-        self.check_order(incoming)
-        q = self._streams.setdefault(incoming.stream_id, deque())
-        evicted = None
-        if len(q) == self.capacity:
-            evicted = q.popleft()
-        q.append(incoming)
-        return evicted
-
-    def pending_eviction(self, stream_id: int) -> Optional[StreamTuple]:
-        """The tuple that would be evicted if one more tuple arrived on this stream."""
-        q = self._streams.get(stream_id)
-        if q is not None and len(q) == self.capacity:
-            return q[0]
-        return None
-
-    def live(self) -> list:
-        out = []
-        for sid in sorted(self._streams):
-            out.extend(self._streams[sid])
-        return out
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._streams.values())
-
-
 class Repository:
     """A complete sample collection plus per-attribute value domains."""
 
@@ -203,6 +149,9 @@ class QueryConfig:
             raise ConfigError("rho must be in (0, 1) so gamma lies in (0, d)")
         if not (0.0 <= self.alpha < 1.0):
             raise ConfigError("alpha must be in [0, 1)")
+        # a float size would never equal a window's length, so nothing would expire
+        if isinstance(self.window_size, bool) or not isinstance(self.window_size, int):
+            raise ConfigError(f"window_size must be an integer, got {self.window_size!r}")
         if self.window_size < 1:
             raise ConfigError("window_size must be >= 1")
         if self.d < 1:

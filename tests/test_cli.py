@@ -415,12 +415,13 @@ class TestExitCodes:
         ],
         ids=["rule-attr-out-of-range", "pivots-for-one-attr"],
     )
-    def test_rule_or_pivot_file_outside_the_schema_is_2(self, workspace, flag, text):
+    def test_rule_or_pivot_file_outside_the_schema_is_2(self, workspace, capsys, flag, text):
         path = workspace / "file.txt"
         path.write_text(text)
         for mode in ("engine", "oracle"):
             args = run_args(workspace, mode, workspace / "r.jsonl", extra=[flag, str(path)])
             assert main(args) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(f"teride: {path}: ")
         assert not (workspace / "r.jsonl").exists()
 
     @pytest.mark.parametrize(
@@ -458,7 +459,7 @@ class TestExitCodes:
             args = run_args(workspace, mode, workspace / "r.jsonl", extra=[flag, str(path)])
             assert main(args) == EXIT_CONFIG
             err = capsys.readouterr().err
-            assert "line" in err and "Traceback" not in err
+            assert err.startswith(f"teride: {path}: ") and "line" in err and "Traceback" not in err
         assert not (workspace / "r.jsonl").exists()
 
     def test_pivots_with_fewer_than_two_buckets_is_2(self, workspace):

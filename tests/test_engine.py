@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from teride.cdd import rules_from_text
@@ -7,6 +9,7 @@ from teride.engine import (
     MODE_ENGINE,
     MODE_NOINDEX,
     MODE_ORACLE,
+    MODES,
     Engine,
     Event,
     precompute,
@@ -150,7 +153,40 @@ def prob_in_range(p):
     return 0.0 <= p <= 1.0 + 1e-9
 
 
+def window_rids(engine):
+    """Each stream's live rids, oldest first."""
+    return {sid: [s.rid for s in q] for sid, q in engine.windows.items()}
+
+
 class TestWindowSemantics:
+    def test_eviction_at_capacity(self):
+        repo, _ = make_workload(seed=71, length=10, repo_size=20)
+        engine = Engine(repo, make_config(window=2))
+        assert engine.step(1, [topic_row("r1", 0, 1)]) == []
+        assert engine.step(2, [topic_row("r2", 0, 2)]) == []
+        events = engine.step(3, [topic_row("r3", 0, 3)])
+        assert [e.rid_a for e in events if e.kind == KIND_EXPIRE] == ["r1"]
+        assert window_rids(engine) == {0: ["r2", "r3"]}
+        assert set(engine.summaries) == {"r2", "r3"}
+
+    def test_streams_evict_independently_at_window_1(self):
+        repo, _ = make_workload(seed=71, length=10, repo_size=20)
+        engine = Engine(repo, make_config(window=1))
+        engine.step(1, [topic_row("a", 0, 1), topic_row("b", 1, 1)])
+        assert window_rids(engine) == {0: ["a"], 1: ["b"]}
+        events = engine.step(2, [topic_row("c", 1, 2)])
+        assert [e.rid_a for e in events if e.kind == KIND_EXPIRE] == ["b"]
+        assert window_rids(engine) == {0: ["a"], 1: ["c"]}
+        assert set(engine.summaries) == {"a", "c"}
+
+    def test_repeated_timestamp_on_a_stream_rejected(self):
+        repo, _ = make_workload(seed=71, length=10, repo_size=20)
+        engine = Engine(repo, make_config(window=3))
+        engine.step(5, [topic_row("a", 0, 5)])
+        with pytest.raises(OutOfOrderArrival):
+            engine.step(5, [topic_row("b", 0, 5)])
+        assert window_rids(engine) == {0: ["a"]}
+
     def test_scripted_expirations(self):
         repo, _ = make_workload(seed=71, length=10, repo_size=20)
         cfg = make_config(window=3, alpha=0.0)
@@ -197,7 +233,7 @@ def engine_state(engine):
     # only the engine mode's fetcher keeps grids
     grids = getattr(engine.fetch, "grids", {})
     return (
-        [r.rid for r in engine.window.live()],
+        window_rids(engine),
         dict(engine.summaries),
         {sid: grid.snapshot() for sid, grid in grids.items()},
         {
@@ -214,7 +250,6 @@ def engine_state(engine):
             for sid, grid in grids.items()
         },
         len(engine.results.events),
-        dict(engine.live_counts),
         dict(engine.stage_counts),
         engine.pairs_considered,
         engine.arrivals,
@@ -260,6 +295,56 @@ class TestRejectedStepChangesNothing:
         events = engine.step(2, [topic_row("y", 0, 2), topic_row("x", 1, 2)])
         assert [e.rid_a for e in events if e.kind == KIND_EXPIRE] == ["x"]
         assert set(engine.summaries) == {"x", "y"}
+
+
+class TestWindowModel:
+    """Random steps, rejected ones included, against a plain dict-of-lists window."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_steps_match_a_list_model(self, mode, window):
+        repo, _ = make_workload(seed=71, length=10, repo_size=20)
+        engine = Engine(repo, make_config(window=window, alpha=0.0), mode=mode)
+        rng = random.Random(window)
+        model = {}  # stream id -> live (rid, arrival time), oldest first
+        used = []  # every rid offered so far
+        clock = 0
+        rejected = set()
+        for _ in range(60):
+            # a step before the clock is late on any stream that has arrived since
+            ts = clock + 1 if rng.random() < 0.8 else rng.randint(1, clock + 1)
+            batch = []
+            for sid in sorted(rng.sample(range(3), rng.randint(1, 3))):
+                # reuse an offered rid now and then: live, expiring, expired or twice in the batch
+                rid = rng.choice(used) if used and rng.random() < 0.15 else f"s{sid}t{ts}n{len(used)}"
+                used.append(rid)
+                batch.append(topic_row(rid, sid, ts))
+            # the model: order first, then duplicates, as the engine checks them
+            victims = [model[r.stream_id][0][0] for r in batch if len(model.get(r.stream_id, ())) == window]
+            live = {rid for q in model.values() for rid, _ in q} - set(victims)
+            rids = [r.rid for r in batch]
+            if any(model.get(r.stream_id) and model[r.stream_id][-1][1] >= ts for r in batch):
+                expected = OutOfOrderArrival
+            elif len(set(rids)) != len(rids) or live & set(rids):
+                expected = DuplicateTuple
+            else:
+                expected = None
+            if expected is not None:
+                with pytest.raises(expected):
+                    engine.step(ts, batch)
+                rejected.add(expected)
+            else:
+                events = engine.step(ts, batch)
+                assert [e.rid_a for e in events if e.kind == KIND_EXPIRE] == victims
+                for r in batch:
+                    q = model.setdefault(r.stream_id, [])
+                    if len(q) == window:
+                        q.pop(0)
+                    q.append((r.rid, ts))
+                clock = max(clock, ts)
+            assert set(engine.summaries) == {rid for q in model.values() for rid, _ in q}
+            assert window_rids(engine) == {sid: [rid for rid, _ in q] for sid, q in model.items()}
+        assert rejected == {OutOfOrderArrival, DuplicateTuple}
 
 
 class TestMetrics:

@@ -2,17 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teride.errors import (
-    ConfigError,
-    EmptyValue,
-    IncompleteTuple,
-    OutOfOrderArrival,
-)
+from teride.errors import ConfigError, EmptyValue, IncompleteTuple
 from teride.model import (
     MISSING_CELL,
     QueryConfig,
     Repository,
-    SlidingWindow,
     contains_keyword,
     read_repository,
     read_tuples,
@@ -70,36 +64,6 @@ class TestStreamTuple:
             make_tuple("r1", 0, -1, ts("a"))
 
 
-class TestSlidingWindow:
-    def test_eviction_after_capacity(self):
-        w = SlidingWindow(2)
-        r1 = make_tuple("r1", 0, 1, ts("a"))
-        r2 = make_tuple("r2", 0, 2, ts("b"))
-        r3 = make_tuple("r3", 0, 3, ts("c"))
-        assert w.advance(r1) is None
-        assert w.advance(r2) is None
-        assert w.pending_eviction(0) is r1
-        assert w.advance(r3) is r1
-        assert w.live() == [r2, r3]
-
-    def test_streams_are_independent(self):
-        w = SlidingWindow(1)
-        w.advance(make_tuple("a", 0, 1, ts("x")))
-        w.advance(make_tuple("b", 1, 1, ts("y")))
-        assert len(w) == 2
-        assert [r.rid for r in w.live()] == ["a", "b"]
-
-    def test_out_of_order_rejected(self):
-        w = SlidingWindow(3)
-        w.advance(make_tuple("a", 0, 5, ts("x")))
-        with pytest.raises(OutOfOrderArrival):
-            w.advance(make_tuple("b", 0, 5, ts("y")))
-
-    def test_capacity_validation(self):
-        with pytest.raises(ConfigError):
-            SlidingWindow(0)
-
-
 class TestRepository:
     def test_domains_and_top_values(self, numeric_repo):
         assert numeric_repo.d == 3
@@ -129,6 +93,11 @@ class TestQueryConfig:
             dict(alpha=1.0),
             dict(alpha=-0.1),
             dict(window_size=0),
+            # a size that is not an int would never equal a window's length
+            dict(window_size=2.5),
+            dict(window_size=3.0),
+            dict(window_size="3"),
+            dict(window_size=True),
             dict(keywords=frozenset()),
         ],
     )
