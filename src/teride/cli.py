@@ -24,7 +24,6 @@ from .model import (
     StreamTuple,
     read_csv,
     read_repository,
-    read_tuples,
     tokenize,
     write_tuples,
 )
@@ -181,24 +180,24 @@ def f_score(result_keys: set, truth_keys: set) -> float | None:
 
 def _load_match_keys(path) -> set:
     keys = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    # read() turns each line end into "\n", so lines number as iterating the file would
+    for lineno, line in enumerate(_read_file(path, lambda text: text.split("\n")), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ConfigError(f"{path}:{lineno}: expected a JSON object")
+        if rec.get("kind") == "match":
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise ConfigError(f"{path}:{lineno}: expected a JSON object")
-            if rec.get("kind") == "match":
-                try:
-                    keys.add((rec["ts"], rec["rid_a"], rec["rid_b"]))
-                except KeyError as exc:
-                    raise ConfigError(f"{path}:{lineno}: match record lacks {exc}") from exc
-                except TypeError as exc:  # an unhashable ts or rid
-                    raise ConfigError(f"{path}:{lineno}: bad match record: {exc}") from exc
+                keys.add((rec["ts"], rec["rid_a"], rec["rid_b"]))
+            except KeyError as exc:
+                raise ConfigError(f"{path}:{lineno}: match record lacks {exc}") from exc
+            except TypeError as exc:  # an unhashable ts or rid
+                raise ConfigError(f"{path}:{lineno}: bad match record: {exc}") from exc
     return keys
 
 
@@ -237,10 +236,13 @@ def _build_engine(args, mode: str) -> tuple:
         rules = _read_file(args.rules, lambda text: check_rules(rules_from_text(text), repo.d))
     if args.pivots:
         pivots = _read_file(args.pivots, lambda text: check_pivots(pivots_from_text(text), repo.d))
-    engine = Engine(repo, config, dist=dist, mode=mode, rules=rules, pivots=pivots)
     trace = []
     for path in args.streams:
-        trace.extend(read_tuples(path))
+        d, tuples = read_csv(path)
+        if d != repo.d:
+            raise ConfigError(f"{path}: {d} attributes per tuple, the repository has {repo.d}")
+        trace.extend(tuples)
+    engine = Engine(repo, config, dist=dist, mode=mode, rules=rules, pivots=pivots)
     return engine, trace
 
 
@@ -289,6 +291,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    truth = _load_match_keys(args.groundtruth) if args.groundtruth else None
     engine, trace = _build_engine(args, args.mode)
     t0 = time.perf_counter()
     results = engine.run(trace)
@@ -296,11 +299,7 @@ def _cmd_run(args) -> int:
     _write_out(args.results, results.to_jsonl())
     metrics = engine.metrics()
     metrics["wall_clock"] = round(wall, 6)
-    metrics["f_score"] = (
-        f_score(results.match_keys(), _load_match_keys(args.groundtruth))
-        if args.groundtruth
-        else None
-    )
+    metrics["f_score"] = None if truth is None else f_score(results.match_keys(), truth)
     if args.metrics:
         _write_out(args.metrics, json.dumps(metrics, indent=2) + "\n")
     return EXIT_OK

@@ -1,9 +1,11 @@
 """Streaming engine: ingest, imputation, candidate retrieval, and match reporting.
 
-Every arrival runs one pipeline: select the rules and samples that can impute
-it, impute and summarize it, fetch candidates among the other streams' live
-tuples, and judge each pair.  A mode is a fetcher plus a judge, both picked
-when the engine is built, and all three modes give identical event streams:
+Every arrival runs one pipeline: the fetcher selects the rules and samples
+that can impute it, ``impute_tuple`` imputes it from that selection, the
+step summarizes it, the fetcher fetches candidates among the other streams'
+live tuples, and the judge judges each pair.  A fetcher selects and fetches;
+it does not impute.  A mode is a fetcher plus a judge, both picked when the
+engine is built, and all three modes give identical event streams:
 
 * ``engine`` — the index fetcher (rule trees, the repository index's token
   and value postings, one grid synopsis per stream) and the pruning cascade.
@@ -21,9 +23,10 @@ victims of all streams are evicted, then arrivals are processed in
 (stream_id, rid) order; each arrival is probed against the live tuples of
 the other streams.
 
-Fetchers and judges look up the index builders, ``impute_tuple``, ``judge_pair``
-and ``pair_probability`` in this module's globals at each call, so a wrapper
-installed on one of those names (``perfbench/tracer.py``) sees every call.
+The step, the fetchers and the judges look up the index builders,
+``impute_tuple``, ``judge_pair`` and ``pair_probability`` in this module's
+globals at each call, so a wrapper installed on one of those names
+(``perfbench/tracer.py``) sees every call.
 """
 
 from __future__ import annotations
@@ -165,15 +168,14 @@ def precompute(
 class _ScanFetch:
     """``noindex`` and ``oracle``: scan every rule, sample and live tuple; no index."""
 
+    dr_index = None
+
     def __init__(self, pre: Precomputed, config: QueryConfig, dist: DistanceFn):
         self.pre = pre
-        self.dist = dist
 
-    def select(self, r: StreamTuple) -> dict:
-        return self.pre.rules_by_dep
-
-    def impute(self, r: StreamTuple, rules_by_dep: dict) -> ImputedTuple:
-        return impute_tuple(r, rules_by_dep, self.pre.repo, self.dist)
+    def select(self, r: StreamTuple) -> tuple:
+        """Every rule, and no samples per rule: each rule scans the whole repository."""
+        return self.pre.rules_by_dep, None
 
     def add(self, summary: TupleSummary) -> None:
         pass
@@ -211,13 +213,6 @@ class _IndexFetch:
             [rule for rules in rules_by_dep.values() for rule in rules], r, pivots, dist
         )
         return rules_by_dep, samples_per_rule
-
-    def impute(self, r: StreamTuple, selection: tuple) -> ImputedTuple:
-        rules_by_dep, samples_per_rule = selection
-        return impute_tuple(
-            r, rules_by_dep, self.pre.repo, self.dist,
-            samples_per_rule=samples_per_rule, dr_index=self.dr_index,
-        )
 
     def add(self, summary: TupleSummary) -> None:
         grid = self.grids.get(summary.stream_id)
@@ -295,7 +290,7 @@ class Engine:
         arrivals = sorted(arrivals, key=lambda r: (r.stream_id, r.rid))
         victims = self._validate(ts, arrivals)
         step_t0 = time.perf_counter()
-        fetch, windows = self.fetch, self.windows
+        fetch, windows, repo = self.fetch, self.windows, self.pre.repo
         events = []
         # phase 1: evictions on every stream that is full and about to receive
         for victim in victims:
@@ -308,7 +303,11 @@ class Engine:
             t0 = time.perf_counter()
             selection = None if r.is_complete() else fetch.select(r)
             t1 = time.perf_counter()
-            imputed = ImputedTuple(base=r) if selection is None else fetch.impute(r, selection)
+            if selection is None:
+                imputed = ImputedTuple(base=r)
+            else:
+                rules_by_dep, samples_per_rule = selection
+                imputed = impute_tuple(r, rules_by_dep, repo, self.dist, samples_per_rule, fetch.dr_index)
             summary = summarize(imputed, self.pre.pivots, self.config.keywords, self.dist)
             t2 = time.perf_counter()
             events.extend(self._probe(ts, summary))

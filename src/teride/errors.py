@@ -25,10 +25,6 @@ class NoRulesFound(TerideError):
     """Rule detection produced nothing under the given thresholds."""
 
 
-class NoSupportingSample(TerideError):
-    """No repository sample satisfied a rule's determinant constraints."""
-
-
 class ImputationFailed(TerideError):
     """No rule produced any candidate value for a missing attribute."""
 

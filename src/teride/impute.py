@@ -1,17 +1,19 @@
 """Imputation of missing attributes via rules, and probabilistic tuple expansion.
 
-A single rule contributes, for each repository sample satisfying its
-determinants, every domain value whose distance to the sample's dependent
-value lies in the rule's dependent interval.  Frequencies from all applicable
-rules are pooled and normalized into an existence-probability distribution.
+A missing attribute is imputed by one counting loop: for each applicable
+rule, every repository sample that satisfies the rule's determinants adds 1
+to each domain value whose distance to the sample's dependent value lies in
+the rule's dependent interval.  The pooled counts are normalized into an
+existence-probability distribution.
 
-Without an index every rule scans all samples and every sample the whole
-dependent domain.  With one (``engine`` mode), each rule scans only the
-samples the DR-index served it, and under Jaccard, when the dependent
-interval rejects distance 1.0, each sample only the domain values that its
-value's prefix postings reach (``DrIndex.near_values``).  Both are supersets
-of what the scan accepts and every value is still checked, so the result is
-the same.
+The engine's fetcher only selects what the loop reads.  The scan fetcher
+(``noindex``, ``oracle``) selects every rule, so each rule scans all samples
+and each sample the whole dependent domain.  The index fetcher (``engine``)
+selects rules from the rule trees and, per rule, the samples the DR-index
+serves it; under Jaccard, when the dependent interval rejects distance 1.0,
+each sample then checks only the domain values that its value's prefix
+postings reach (``DrIndex.near_values``).  Both are supersets of what the
+scan accepts and every value is still checked, so the result is the same.
 """
 
 from __future__ import annotations
@@ -21,55 +23,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .cdd import CddRule, satisfies_determinants
-from .errors import ImputationFailed, NoSupportingSample
+from .errors import ImputationFailed
 from .index import DrIndex
 from .metric import DistanceFn
 from .model import Repository, StreamTuple, contains_keyword, token_key
 
 PROB_TOL = 1e-9
 FALLBACK_TOP_K = 5
-
-
-@dataclass
-class CandidateDistribution:
-    """Frequency counts of candidate values for one missing attribute."""
-
-    attr: int
-    entries: dict  # value -> positive frequency
-
-
-def impute_single_rule(
-    r: StreamTuple,
-    rule: CddRule,
-    repo: Repository,
-    dist: DistanceFn,
-    samples: Optional[Sequence[StreamTuple]] = None,
-    dr_index: Optional[DrIndex] = None,
-) -> CandidateDistribution:
-    """Candidate frequencies from one rule, scanning the given samples (default: whole repo).
-
-    With a ``dr_index`` under Jaccard and a dependent interval that rejects
-    1.0, a sample's candidates are drawn from ``dr_index.near_values`` instead
-    of the whole domain.
-    """
-    if samples is None:
-        samples = repo.samples
-    j = rule.dependent
-    domain = repo.domain(j)
-    near = dr_index is not None and dist.kind == DistanceFn.JACCARD and not rule.dep_admits(1.0)
-    entries: dict = {}
-    supported = False
-    for s in samples:
-        if not satisfies_determinants(rule, r, s, dist):
-            continue
-        supported = True
-        sv = s.attrs[j]
-        for val in dr_index.near_values(j, sv, rule.dep_hi) if near else domain:
-            if rule.dep_admits(dist(sv, val)):
-                entries[val] = entries.get(val, 0) + 1
-    if not supported:
-        raise NoSupportingSample(f"no sample satisfies rule determinants for tuple {r.rid}")
-    return CandidateDistribution(attr=j, entries=entries)
 
 
 def impute_multi_rule(
@@ -80,28 +40,30 @@ def impute_multi_rule(
     samples_per_rule: Optional[dict] = None,
     dr_index: Optional[DrIndex] = None,
 ) -> list:
-    """Pooled candidate probabilities over all applicable rules.
+    """Pooled candidate probabilities over all the rules (see the module docstring).
 
+    A rule that ``samples_per_rule`` does not name scans the whole repository.
     Returns (value, prob) pairs sorted by descending probability, ties in
-    token order.  Rules with no supporting sample, among them those served
-    no sample at all, contribute nothing (to either sum).
+    token order; raises ImputationFailed when no value was counted.
     """
-    totals: dict = {}
-    denom = 0
+    served = samples_per_rule or {}
+    counts: dict = {}
     for rule in rules:
-        samples = None if samples_per_rule is None else samples_per_rule.get(rule)
-        if samples is not None and not samples:
-            continue
-        try:
-            cd = impute_single_rule(r, rule, repo, dist, samples=samples, dr_index=dr_index)
-        except NoSupportingSample:
-            continue
-        for val, freq in cd.entries.items():
-            totals[val] = totals.get(val, 0) + freq
-            denom += freq
-    if denom == 0:
+        samples = served.get(rule, repo.samples)
+        j = rule.dependent
+        domain = repo.domain(j)
+        near = dr_index is not None and dist.kind == DistanceFn.JACCARD and not rule.dep_admits(1.0)
+        for s in samples:
+            if not satisfies_determinants(rule, r, s, dist):
+                continue
+            sv = s.attrs[j]
+            for val in dr_index.near_values(j, sv, rule.dep_hi) if near else domain:
+                if rule.dep_admits(dist(sv, val)):
+                    counts[val] = counts.get(val, 0) + 1
+    if not counts:
         raise ImputationFailed(f"no rule yields a candidate for tuple {r.rid}")
-    out = [(val, freq / denom) for val, freq in totals.items()]
+    denom = sum(counts.values())
+    out = [(val, freq / denom) for val, freq in counts.items()]
     out.sort(key=lambda vp: (-vp[1], token_key(vp[0])))
     return out
 
@@ -263,16 +225,9 @@ def impute_tuple(
     fallback: set = set()
     for j in r.missing_attrs():
         applicable = [rule for rule in rules_by_dep.get(j, ()) if rule.applicable_to(r)]
-        cands = None
-        if applicable:
-            try:
-                cands = impute_multi_rule(
-                    r, applicable, repo, dist, samples_per_rule=samples_per_rule, dr_index=dr_index
-                )
-            except ImputationFailed:
-                cands = None
-        if cands is None:
-            cands = fallback_candidates(repo, j)
+        try:
+            per_attr[j] = impute_multi_rule(r, applicable, repo, dist, samples_per_rule, dr_index)
+        except ImputationFailed:
+            per_attr[j] = fallback_candidates(repo, j)
             fallback.add(j)
-        per_attr[j] = cands
     return ImputedTuple(base=r, per_attr_candidates=per_attr, fallback_attrs=frozenset(fallback))

@@ -177,13 +177,17 @@ def read_tuples(path) -> list:
 def _csv_rows(fh, path):
     """(line, row) pairs of an open CSV file, ``line`` being where the row ends
     (a quoted cell may span lines); a row ``csv`` cannot parse (say, a field
-    over its size limit) raises ConfigError naming the line."""
+    over its size limit) raises ConfigError naming the line, and bytes that are
+    not UTF-8 raise ConfigError naming the file (the text layer decodes ahead
+    in chunks, so no line is known)."""
     reader = csv.reader(fh)
     try:
         for row in reader:
             yield reader.line_num, row
     except csv.Error as exc:
         raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def read_csv(path) -> tuple:

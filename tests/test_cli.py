@@ -372,6 +372,49 @@ class TestExitCodes:
         args = run_args(workspace, "engine", workspace / "r.jsonl", extra=["--groundtruth", str(truth)])
         assert main(args) == EXIT_CONFIG
         assert f"{truth}:2:" in capsys.readouterr().err
+        # the ground truth is read before the engine runs, so no results are written
+        assert not (workspace / "r.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "verb,flag",
+        [
+            ("run", "--streams"),
+            ("run", "--repo"),
+            ("run", "--groundtruth"),
+            ("inject", "--input"),
+            ("detect", "--repo"),
+            ("pivots", "--repo"),
+        ],
+        ids=["run-streams", "run-repo", "run-groundtruth", "inject-input", "detect-repo", "pivots-repo"],
+    )
+    def test_file_that_is_not_utf8_is_2(self, workspace, capsys, verb, flag):
+        bad = workspace / "bad.bin"
+        bad.write_bytes(b"\xff\xfe")
+        if flag == "--groundtruth":
+            args = run_args(workspace, "engine", workspace / "r.jsonl", extra=[flag, str(bad)])
+        elif verb == "run":
+            args = run_args(workspace, "engine", workspace / "r.jsonl")
+            args[args.index(flag) + 1] = str(bad)
+        else:
+            args = [verb, flag, str(bad), "--out", str(workspace / "out.txt")]
+            if verb == "inject":
+                args += ["--missing-rate", "0.5", "--missing-attrs", "1"]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"teride: {bad}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("length", ["12", "0"], ids=["rows", "header-only"])
+    def test_stream_file_of_another_width_is_2(self, workspace, capsys, length):
+        gen = ["gen", "--out-dir", str(workspace / "d4"), "--d", "4", "--streams", "1",
+               "--length", length, "--vocab", "30", "--topics", "2", "--repo-size", "4"]
+        assert main(gen) == EXIT_OK
+        wide = workspace / "d4" / "stream_0.csv"
+        args = run_args(workspace, "engine", workspace / "r.jsonl")
+        args[args.index("--streams") + 2] = str(wide)
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"teride: {wide}: 4 attributes") and "Traceback" not in err
+        assert not (workspace / "r.jsonl").exists()
 
     def test_field_over_the_csv_size_limit_is_2(self, workspace, capsys):
         stream = workspace / "stream_0.csv"

@@ -1,18 +1,22 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teride.errors import ImputationFailed, NoSupportingSample
+from teride.cdd import detect_cdds, satisfies_determinants
+from teride.errors import ImputationFailed
 from teride.impute import (
     ImputedTuple,
     fallback_candidates,
     impute_multi_rule,
-    impute_single_rule,
     impute_tuple,
 )
+from teride.index import build_dr_index
+from teride.metric import DistanceFn
 from teride.model import StreamTuple, token_key
+from teride.pivot import PivotSet, select_pivots
 
 from .conftest import make_tuple, make_workload, ts
 from .test_cdd import cdd1, cdd2
@@ -24,25 +28,28 @@ def incomplete_r():
 
 
 class TestSingleRule:
+    """One rule is the one-rule case of the pooled count."""
+
     def test_reference_distribution(self, numeric_repo, absdiff, incomplete_r):
-        cd = impute_single_rule(incomplete_r, cdd1(), numeric_repo, absdiff)
-        assert cd.entries == {ts("0.1"): 2, ts("0.2"): 2}
+        cands = impute_multi_rule(incomplete_r, [cdd1()], numeric_repo, absdiff)
+        assert dict(cands) == {ts("0.1"): 0.5, ts("0.2"): 0.5}
 
     def test_second_rule_distribution(self, numeric_repo, absdiff, incomplete_r):
-        cd = impute_single_rule(incomplete_r, cdd2(), numeric_repo, absdiff)
-        assert cd.entries == {ts("0.2"): 1, ts("0.35"): 1}
+        cands = impute_multi_rule(incomplete_r, [cdd2()], numeric_repo, absdiff)
+        assert dict(cands) == {ts("0.2"): 0.5, ts("0.35"): 0.5}
 
     def test_no_supporting_sample_raises(self, numeric_repo, absdiff):
         r = make_tuple("r", 0, 1, ts("a2"), ts("0.0"), None)
-        with pytest.raises(NoSupportingSample):
-            impute_single_rule(r, cdd1(), numeric_repo, absdiff)
+        with pytest.raises(ImputationFailed):
+            impute_multi_rule(r, [cdd1()], numeric_repo, absdiff)
 
     def test_sample_subset_gives_same_result(self, numeric_repo, absdiff, incomplete_r):
-        full = impute_single_rule(incomplete_r, cdd1(), numeric_repo, absdiff)
-        subset = impute_single_rule(
-            incomplete_r, cdd1(), numeric_repo, absdiff, samples=numeric_repo.samples[:2]
+        full = impute_multi_rule(incomplete_r, [cdd1()], numeric_repo, absdiff)
+        subset = impute_multi_rule(
+            incomplete_r, [cdd1()], numeric_repo, absdiff,
+            samples_per_rule={cdd1(): numeric_repo.samples[:2]},
         )
-        assert subset.entries == full.entries
+        assert subset == full
 
 
 class TestMultiRule:
@@ -66,10 +73,95 @@ class TestMultiRule:
         )
         assert dict(pooled) == dict(also)
 
+    def test_rule_the_dict_does_not_name_scans_the_repository(
+        self, numeric_repo, absdiff, incomplete_r
+    ):
+        full = impute_multi_rule(incomplete_r, [cdd1(), cdd2()], numeric_repo, absdiff)
+        # cdd2 is not named, so it scans every sample and still counts s3
+        named = impute_multi_rule(
+            incomplete_r, [cdd1(), cdd2()], numeric_repo, absdiff,
+            samples_per_rule={cdd1(): numeric_repo.samples[:2]},
+        )
+        assert named == full
+
+    def test_rule_served_no_sample_adds_nothing(self, numeric_repo, absdiff, incomplete_r):
+        alone = impute_multi_rule(incomplete_r, [cdd1()], numeric_repo, absdiff)
+        served = impute_multi_rule(
+            incomplete_r, [cdd1(), cdd2()], numeric_repo, absdiff, samples_per_rule={cdd2(): []}
+        )
+        assert served == alone
+        with pytest.raises(ImputationFailed):
+            impute_multi_rule(
+                incomplete_r, [cdd1()], numeric_repo, absdiff, samples_per_rule={cdd1(): []}
+            )
+
     def test_all_rules_unsupported_raises(self, numeric_repo, absdiff):
         r = make_tuple("r", 0, 1, ts("a2"), ts("0.0"), None)
         with pytest.raises(ImputationFailed):
             impute_multi_rule(r, [cdd1(), cdd2()], numeric_repo, absdiff)
+
+
+def brute_force_pool(r, rules, repo, dist):
+    """(value, prob) pairs from counting every (rule, repository sample, domain
+    value) triple whose sample satisfies the rule's determinants and whose
+    value the rule's dependent interval admits; None when nothing counts."""
+    counts = Counter()
+    for rule in rules:
+        j = rule.dependent
+        for s in repo.samples:
+            for val in repo.domain(j):
+                if satisfies_determinants(rule, r, s, dist) and rule.dep_admits(dist(s.attrs[j], val)):
+                    counts[val] += 1
+    if not counts:
+        return None
+    total = sum(counts.values())
+    return sorted(((v, c / total) for v, c in counts.items()), key=lambda vp: (-vp[1], token_key(vp[0])))
+
+
+def check_indexed_pooling(repo, tuples, rules, pivots, keywords, dist) -> tuple:
+    """Check impute_multi_rule, fed one DR-index retrieval per tuple and
+    attribute and the index's near values, against :func:`brute_force_pool`
+    bit for bit; return how many (tuple, attribute) pools counted something
+    and how many of those read ``near_values``."""
+    idx = build_dr_index(repo, pivots, keywords, dist)
+    counted = near = 0
+    for r in tuples:
+        for j in r.missing_attrs():
+            applicable = [rule for rule in rules if rule.dependent == j and rule.applicable_to(r)]
+            served = idx.samples_per_rule(applicable, r, pivots, dist)
+            want = brute_force_pool(r, applicable, repo, dist)
+            if want is None:
+                with pytest.raises(ImputationFailed):
+                    impute_multi_rule(r, applicable, repo, dist, served, idx)
+                continue
+            # == on the (value, prob) lists compares the floats bit for bit
+            assert impute_multi_rule(r, applicable, repo, dist, served, idx) == want, r.rid
+            counted += 1
+            jaccard = dist.kind == DistanceFn.JACCARD
+            near += jaccard and any(not rule.dep_admits(1.0) for rule in applicable)
+    return counted, near
+
+
+def test_indexed_pooling_equals_a_brute_force_count_under_absdiff(numeric_repo, absdiff):
+    pivots = PivotSet(per_attr=[[numeric_repo.samples[0].attrs[x]] for x in range(3)])
+    tuples = [
+        make_tuple(f"r{i}", 0, 1, ts(a), ts(b), None)
+        for i, (a, b) in enumerate([("a1", "0.3"), ("a1", "0.2"), ("a1", "0.5"), ("a2", "0.7"), ("a2", "0.0")])
+    ]
+    counted, _ = check_indexed_pooling(
+        numeric_repo, tuples, [cdd1(), cdd2()], pivots, frozenset({"a1"}), absdiff
+    )
+    assert counted >= 3
+
+
+def test_indexed_pooling_equals_a_brute_force_count_under_jaccard():
+    repo, trace = make_workload(seed=21, length=25, repo_size=50, xi=0.5, m=1)
+    dist = DistanceFn()
+    counted, near = check_indexed_pooling(
+        repo, trace, detect_cdds(repo, dist), select_pivots(repo, dist=dist),
+        frozenset({"topic0"}), dist,
+    )
+    assert counted > 0 and near > 0
 
 
 class TestFallback:

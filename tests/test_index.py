@@ -396,7 +396,8 @@ def test_indexed_imputation_equals_the_scan_on_acceptance_workloads():
         for r in trace:
             if r.is_complete():
                 continue
-            got = engine.fetch.impute(r, engine.fetch.select(r))
+            rules_by_dep, served = engine.fetch.select(r)
+            got = impute_tuple(r, rules_by_dep, repo, dist, served, engine.fetch.dr_index)
             want = impute_tuple(r, engine.pre.rules_by_dep, repo, dist)
             # == on the (value, prob) lists compares the floats bit for bit
             assert got.per_attr_candidates == want.per_attr_candidates, (seed, r.rid)
