@@ -6,7 +6,7 @@ from a complete repository over its sample pairs: determinant distances are
 quantized into buckets of width 0.1, constants come from frequent values, and
 the dependent interval is the tightest interval covering every conforming
 pair, so every emitted rule holds on 100% of repository pairs by construction.
-Pairs are counted by their distinct profiles rather than held one by one.
+Pairs are counted by distinct profile, in one pass per determinant set.
 """
 
 from __future__ import annotations
@@ -136,11 +136,13 @@ def detect_cdds(
 ) -> list:
     """Mine valid rules from the repository.
 
-    For every dependent attribute and determinant set of size <= 2, each
+    For every determinant set of size <= ``max_determinants``, each
     determinant may be constrained either by a 0.1-wide distance bucket or by
-    a frequent constant value; a combination is kept when at least
-    ``min_support`` sample pairs conform and the tightest dependent interval
-    covering them is no wider than ``max_interval_width``.  Intervals must
+    a frequent constant value.  One pass per determinant set over the pair
+    profiles keeps, per combination, its pair count and each attribute's
+    distance range; with at least ``min_support`` pairs it yields a rule for
+    each dependent outside the set whose range, the tightest interval covering
+    those pairs, is no wider than ``max_interval_width``.  Intervals must
     also start at or below ``max_dep_lo``: a rule concluding that the
     dependent values are *dissimilar* admits most of the domain as imputation
     candidates and carries no signal.
@@ -167,40 +169,38 @@ def detect_cdds(
     profiles = _pair_profiles(columns, frequent, dist)
 
     rules = []
-    for j in range(d):
-        others = [x for x in range(d) if x != j]
-        for size in range(1, max_determinants + 1):
-            for det in itertools.combinations(others, size):
-                combos: dict = {}
-                for (opts, dists), mult in profiles.items():
-                    dep_d = dists[j]
-                    for combo in itertools.product(*(opts[x] for x in det)):
-                        lo, hi, cnt = combos.get(combo, (1.0, 0.0, 0))
-                        combos[combo] = (min(lo, dep_d), max(hi, dep_d), cnt + mult)
-                for combo, (lo, hi, cnt) in combos.items():
-                    if (
-                        cnt < min_support
-                        or hi - lo > max_interval_width + _EDGE_TOL
-                        or lo > max_dep_lo + _EDGE_TOL
-                    ):
+    for size in range(1, max_determinants + 1):
+        for det in itertools.combinations(range(d), size):
+            combos: dict = {}  # combo -> [pair count, min distance row, max distance row]
+            for (opts, dists), mult in profiles.items():
+                for combo in itertools.product(*(opts[x] for x in det)):
+                    acc = combos.get(combo)
+                    if acc is None:
+                        combos[combo] = [mult, dists, dists]
+                    else:
+                        acc[0] += mult
+                        acc[1] = tuple(map(min, acc[1], dists))
+                        acc[2] = tuple(map(max, acc[2], dists))
+            for combo, (cnt, lows, highs) in combos.items():
+                if cnt < min_support:
+                    continue
+                constraints = None  # built once, shared by every dependent's rule
+                for j, (lo, hi) in enumerate(zip(lows, highs)):
+                    if j in det or hi - lo > max_interval_width + _EDGE_TOL or lo > max_dep_lo + _EDGE_TOL:
                         continue
-                    constraints = []
-                    for x, (kind, payload) in zip(det, combo):
-                        if kind == "const":
-                            constraints.append(AttrConstraint(attr=x, kind=CONST, value=payload))
-                        else:
-                            b = payload
-                            constraints.append(
-                                AttrConstraint(
-                                    attr=x,
-                                    kind=INTERVAL,
-                                    lo=round(b * BUCKET_WIDTH, 10),
-                                    hi=round(min((b + 1) * BUCKET_WIDTH, 1.0), 10),
-                                )
+                    if constraints is None:
+                        constraints = tuple(
+                            AttrConstraint(attr=x, kind=CONST, value=payload)
+                            if kind == "const"
+                            else AttrConstraint(
+                                attr=x,
+                                kind=INTERVAL,
+                                lo=round(payload * BUCKET_WIDTH, 10),
+                                hi=round(min((payload + 1) * BUCKET_WIDTH, 1.0), 10),
                             )
-                    rules.append(
-                        CddRule(determinants=tuple(constraints), dependent=j, dep_lo=lo, dep_hi=hi)
-                    )
+                            for x, (kind, payload) in zip(det, combo)
+                        )
+                    rules.append(CddRule(determinants=constraints, dependent=j, dep_lo=lo, dep_hi=hi))
     # each (dependent, determinant set, combo) has its own signature, so the
     # sort key orders the rules totally and enumeration order cannot show
     out = sorted(rules, key=_sort_key)

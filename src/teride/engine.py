@@ -330,8 +330,11 @@ class Engine:
                 raise ConfigError(f"tuple {r.rid} stamped {r.arrival_time}, step is {ts}")
             if r.d != self.config.d:
                 raise ConfigError(f"tuple {r.rid} has {r.d} attributes, expected {self.config.d}")
-        if len({r.stream_id for r in arrivals}) != len(arrivals):
-            raise OutOfOrderArrival("at most one arrival per stream per step")
+        for a, b in zip(arrivals, arrivals[1:]):  # sorted, so one stream's arrivals are adjacent
+            if a.stream_id == b.stream_id:
+                raise OutOfOrderArrival(
+                    f"stream {a.stream_id}: two arrivals at step {ts}, {a.rid} and {b.rid}"
+                )
         victims = []
         for r in arrivals:
             q = self.windows.get(r.stream_id)

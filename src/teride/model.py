@@ -227,4 +227,10 @@ def write_tuples(path, tuples: Iterable[StreamTuple], d: int) -> None:
 
 
 def read_repository(path) -> Repository:
-    return Repository(read_tuples(path))
+    """The repository in a stream CSV; a file with no rows or a missing cell
+    raises ConfigError naming the file."""
+    samples = read_tuples(path)
+    try:
+        return Repository(samples)
+    except (ConfigError, IncompleteTuple) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

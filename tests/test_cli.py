@@ -416,6 +416,40 @@ class TestExitCodes:
         assert err.startswith(f"teride: {wide}: 4 attributes") and "Traceback" not in err
         assert not (workspace / "r.jsonl").exists()
 
+    def test_one_stream_file_twice_is_2(self, workspace, capsys):
+        args = run_args(workspace, "engine", workspace / "r.jsonl")
+        at = args.index("--streams")
+        args[at + 2] = args[at + 1]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == "teride: stream 0: two arrivals at step 1, s0t0 and s0t0\n"
+        assert not (workspace / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "bench", "detect", "pivots"])
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("header-only", "repository must be non-empty"),
+            ("missing-cell", "tuple r0 has missing attributes (2,)"),
+        ],
+        ids=["header-only", "missing-cell"],
+    )
+    def test_bad_repository_names_the_file_is_2(self, workspace, capsys, verb, kind, message):
+        repo = workspace / "repository.csv"
+        lines = repo.read_text().splitlines()
+        if kind == "header-only":
+            del lines[1:]
+        else:
+            lines[1] = lines[1].rsplit(",", 1)[0] + ",__MISSING__"
+        repo.write_text("\n".join(lines) + "\n")
+        if verb in ("run", "bench"):
+            args = run_args(workspace, "engine", workspace / "r.jsonl")
+            if verb == "bench":
+                args = ["bench"] + args[1 : args.index("--mode")]
+        else:
+            args = [verb, "--repo", str(repo), "--out", str(workspace / "out.txt")]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"teride: {repo}: {message}\n"
+
     def test_field_over_the_csv_size_limit_is_2(self, workspace, capsys):
         stream = workspace / "stream_0.csv"
         lines = stream.read_text().splitlines()

@@ -217,8 +217,8 @@ class TestWindowSemantics:
         engine = Engine(repo, make_config(window=3))
         a = make_tuple("a", 0, 1, ts("x"), ts("y"), ts("z"))
         b = make_tuple("b", 0, 1, ts("x"), ts("y"), ts("z"))
-        with pytest.raises(OutOfOrderArrival):
-            engine.step(1, [a, b])
+        with pytest.raises(OutOfOrderArrival, match=r"^stream 0: two arrivals at step 1, a and b$"):
+            engine.step(1, [b, a])
 
     def test_wrong_timestamp_rejected(self):
         repo, _ = make_workload(seed=71, length=5, repo_size=10)

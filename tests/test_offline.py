@@ -195,11 +195,17 @@ PIVOT_ARGS = [
 
 
 class TestMatchesBruteForce:
-    @pytest.mark.parametrize("vocab", [5, 8, 14, 30])
+    # d=6 gives each determinant set more dependents to share its pass; it
+    # runs on two vocabularies only, as the reference miner is slowest there
+    @pytest.mark.parametrize(
+        "d,vocab",
+        [(4, 5), (4, 8), (4, 14), (4, 30), (6, 5), (6, 14)],
+        ids=["5", "8", "14", "30", "d6-5", "d6-14"],
+    )
     @pytest.mark.parametrize("kwargs", DETECT_ARGS, ids=range(len(DETECT_ARGS)))
-    def test_rules_on_small_vocabularies(self, vocab, kwargs):
+    def test_rules_on_small_vocabularies(self, d, vocab, kwargs):
         # few tokens: many shared tokens, many distances on bucket edges
-        repo, _ = make_workload(seed=20 + vocab, d=4, length=10, vocab=vocab, topics=2, repo_size=24)
+        repo, _ = make_workload(seed=20 + vocab, d=d, length=10, vocab=vocab, topics=2, repo_size=24)
         got = _rules_text(repo, DistanceFn(), **kwargs)
         assert got == _reference_rules_text(repo, DistanceFn(), **kwargs)
 
