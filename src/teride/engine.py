@@ -196,7 +196,7 @@ class _IndexFetch:
         self.pre = pre
         self.config = config
         self.dist = dist
-        self.dr_index = build_dr_index(pre.repo, pre.pivots, config.keywords, dist)
+        self.dr_index = build_dr_index(pre.repo, pre.pivots, dist)
         by_dep = pre.rules_by_dep
         self.cdd_indexes = {j: build_cdd_index(by_dep[j], pre.pivots, dist) for j in by_dep}
         self.grids: dict = {}  # stream_id -> ErGrid of its live tuples

@@ -16,22 +16,17 @@ attributes, so only the levels that can still reach ``need`` are updated
 and an empty required level ends the probe.  Survivors are decoded from the
 final bitmap in slot order.  Retrieval reports how many tuples each filter
 skipped; every other bound runs pair by pair in ``prune.judge_pair``.
-The grid cells over [0, 1]^d, each holding the tuples whose main-pivot
-rectangle intersects it, are derived from the live map when read; no step
-reads them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .errors import DuplicateTuple, UnknownTuple
 from .impute import ImputedTuple
 from .metric import DistanceFn, DistInterval, SizeInterval
 from .pivot import PivotSet
 
-CELL_WIDTH = 0.1
 _TOL = 1e-9
 # sum() of floats is compensated from Python 3.12 on, so a sum of larger terms
 # may round a few ulps below a sum of smaller ones; a bound on such sums is
@@ -57,26 +52,16 @@ class TupleSummary:
     """Index-ready digest of one probabilistic tuple.
 
     What the grid reads is computed at arrival: ``box``, ``option_coords``
-    and ``keywords``.  What only the pair bounds read (``aux``, ``sizes``,
+    and ``keywords``.  What only the pair bounds read (``sizes``,
     ``dist_intervals`` and ``pivot_stats``) is computed the first time it is
     read and kept, so a tuple that no pair bound reaches never pays for it.
     """
 
-    def __init__(
-        self,
-        imputed: ImputedTuple,
-        box: list,
-        keywords: frozenset,
-        option_coords: list,
-        pivots: PivotSet,
-        dist: DistanceFn,
-    ):
+    def __init__(self, imputed: ImputedTuple, box: list, keywords: frozenset, option_coords: list):
         self.imputed = imputed
         self.box = box  # per-attr (lo, hi) of the main-pivot coordinate over all options
         self.keywords = keywords  # query keywords present in at least one option
         self.option_coords = option_coords  # per-attr main-pivot coordinate per option
-        self._pivots = pivots
-        self._dist = dist
 
     @property
     def rid(self) -> str:
@@ -89,18 +74,6 @@ class TupleSummary:
     @property
     def arrival_time(self) -> int:
         return self.imputed.base.arrival_time
-
-    @cached_property
-    def aux(self) -> dict:
-        """(attr, pivot_idx) -> (lo, hi) of the distance over all options, pivot_idx >= 1."""
-        f = self._dist.bind()
-        out = {}
-        for x, plist in enumerate(self._pivots.per_attr):
-            values = [v for v, _ in self.imputed.attr_options(x)]
-            for a in range(1, len(plist)):
-                col = [f(v, plist[a]) for v in values]
-                out[(x, a)] = (min(col), max(col))
-        return out
 
     @cached_property
     def sizes(self) -> list:
@@ -172,58 +145,7 @@ def summarize(
         box=box,
         keywords=frozenset(kws),
         option_coords=option_coords,
-        pivots=pivots,
-        dist=dist,
     )
-
-
-def _cell_span(lo: float, hi: float) -> range:
-    n_cells = int(round(1.0 / CELL_WIDTH))
-    c_lo = max(0, min(int(lo / CELL_WIDTH + _TOL), n_cells - 1))
-    c_hi = max(0, min(int(hi / CELL_WIDTH + _TOL), n_cells - 1))
-    return range(c_lo, c_hi + 1)
-
-
-class _Cell:
-    """One grid cell of the read-only cell view: its members, and covering aggregates.
-
-    ``keywords``, ``box``, ``sizes`` and ``aux`` are the exact covers (union,
-    or min/max per attribute or aux key) over the members, computed when read.
-    """
-
-    __slots__ = ("members",)
-
-    def __init__(self):
-        self.members: dict = {}  # rid -> TupleSummary
-
-    @property
-    def keywords(self) -> frozenset:
-        return frozenset().union(*(s.keywords for s in self.members.values()))
-
-    @property
-    def box(self) -> list:
-        """Covering (lo, hi) per attribute of the members' main coordinates."""
-        boxes = [s.box for s in self.members.values()]
-        return [(min(lo for lo, _ in col), max(hi for _, hi in col)) for col in zip(*boxes)]
-
-    @property
-    def sizes(self) -> list:
-        """Covering (min, max) token-set size per attribute."""
-        sizes = [s.sizes for s in self.members.values()]
-        return [
-            (min(si.min_size for si in col), max(si.max_size for si in col))
-            for col in zip(*sizes)
-        ]
-
-    @property
-    def aux(self) -> dict:
-        """Covering (lo, hi) per auxiliary key held by any member."""
-        out: dict = {}
-        for s in self.members.values():
-            for key, (lo, hi) in s.aux.items():
-                c = out.get(key)
-                out[key] = (lo, hi) if c is None else (min(c[0], lo), max(c[1], hi))
-        return out
 
 
 @lru_cache(maxsize=16)  # a query has one gamma
@@ -237,7 +159,7 @@ class ErGrid:
     """Per-stream store of live tuples, by slot, that fetches the candidates of a probe.
 
     Only under Jaccard (``dist``, default ``DistanceFn()``) does it keep token
-    postings.  Its cells are read-only views (see ``_cell_view``).
+    postings.
     """
 
     def __init__(self, d: int, dist: DistanceFn | None = None):
@@ -251,7 +173,6 @@ class ErGrid:
         self._postings = None
         if dist is None or dist.kind == DistanceFn.JACCARD:
             self._postings = [{} for _ in range(d)]
-        self._view = None  # see _cell_view
 
     def __len__(self) -> int:
         return len(self._live)
@@ -352,40 +273,3 @@ class ErGrid:
             if floor > 0 and not at[floor]:
                 return 0
         return at[need]
-
-    # -- the cell view, derived from the live map when read --
-
-    _rids = property(lambda self: self._live.keys())
-    _kw_rids = property(lambda self: {s.rid for s in self._summaries(self._kw_mask)})
-    _tuples = property(lambda self: self._cell_view()[1])  # rid -> (summary, its cell keys)
-    _cells = property(lambda self: self._cell_view()[2])  # cell key -> _Cell of the tuples in it
-    _kw_cells = property(lambda self: self._cell_view()[3])  # the same, keyword-bearing tuples only
-
-    def _cell_view(self) -> tuple:
-        """(live summaries, ``_tuples``, ``_cells``, ``_kw_cells``), kept while the
-        live summaries, compared by identity, are the ones it was derived from."""
-        summaries = list(map(self._slots.__getitem__, self._live.values()))
-        view = self._view
-        if view is None or view[0] != summaries:
-            tuples, cells, kw_cells = {}, {}, {}
-            for s in summaries:
-                keys = list(product(*(_cell_span(lo, hi) for lo, hi in s.box)))
-                tuples[s.rid] = (s, keys)
-                for key in keys:
-                    cells.setdefault(key, _Cell()).members[s.rid] = s
-                    if s.keywords:
-                        kw_cells.setdefault(key, _Cell()).members[s.rid] = s
-            view = self._view = (summaries, tuples, cells, kw_cells)
-        return view
-
-    def snapshot(self) -> dict:
-        """Structural view for invariant checking: cell keys, members, aggregates."""
-        return {
-            key: {
-                "members": sorted(cell.members),
-                "keywords": sorted(cell.keywords),
-                "box": list(cell.box),
-                "sizes": list(cell.sizes),
-            }
-            for key, cell in self._cells.items()
-        }

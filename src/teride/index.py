@@ -1,9 +1,12 @@
-"""Aggregate R-trees over rules (CDD-index) and repository samples (DR-index).
+"""R-trees over rules (CDD-index) and repository samples (DR-index).
 
 Both trees are bulk-loaded with sort-tile-recursive packing at fanout 8 and
-are immutable after construction.  Non-leaf entries carry covering aggregates
-(keyword unions, distance/size intervals) so whole subtrees can be pruned
-without false dismissals.
+are immutable after construction.  A DR-index node carries only the box
+covering its samples' main-pivot coordinates.  A rule-tree node also carries
+the aggregates ``CddIndex._prune_node`` reads: per determinant attribute,
+whether every rule below has a constant there (``all_const``), and the
+interval of those constants' auxiliary-pivot distances (``aux``), so whole
+subtrees can be pruned without false dismissals.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cdd import CONST, INTERVAL, CddRule
+from .cdd import CONST, CddRule
 from .errors import ConfigError
 from .metric import DistanceFn
 from .model import Repository, StreamTuple, token_postings
@@ -124,18 +127,10 @@ def prefix_positions(postings: dict, v, hi: float) -> set:
     return set().union(*(postings.get(t, ()) for t in prefix))
 
 
-@dataclass
-class SamplePayload:
-    sample: StreamTuple
-    keywords: frozenset  # query keywords present anywhere in the sample
-    aux: dict  # (attr, pivot_idx>=1) -> distance
-    sizes: list  # per-attr token set size
-
-
 class DrIndex:
-    """Aggregate R-tree over pivot-converted repository samples, plus per-attribute
-    postings (token -> sample positions, value -> sample positions) over the
-    repository.
+    """R-tree over the repository samples' main-pivot coordinates, plus
+    per-attribute postings (token -> sample positions, value -> sample
+    positions) over the repository.
 
     Imputation fetches its samples through the postings: :meth:`samples_per_rule`
     makes one retrieval per tuple for all of its candidate rules, and
@@ -214,40 +209,26 @@ class DrIndex:
             if not _box_intersects(node.box, query):
                 continue
             if node.is_leaf:
-                for ibox, payload in node.items:
+                for ibox, sample in node.items:
                     if _box_intersects(ibox, query):
-                        out.append(payload.sample)
+                        out.append(sample)
             else:
                 stack.extend(node.children)
         return out
 
 
-def build_dr_index(
-    repo: Repository, pivots: PivotSet, keywords: frozenset, dist: DistanceFn
-) -> DrIndex:
+def build_dr_index(repo: Repository, pivots: PivotSet, dist: DistanceFn) -> DrIndex:
+    f = dist.bind()
+    mains = [pivots.main(x) for x in range(repo.d)]
     entries = []
     by_value = [{} for _ in range(repo.d)]
     for i, s in enumerate(repo.samples):
         for x, v in enumerate(s.attrs):
             by_value[x].setdefault(v, set()).add(i)
-        coords = [convert(s.attrs[x], x, pivots, dist) for x in range(repo.d)]
-        box = [(coords[x][0], coords[x][0]) for x in range(repo.d)]
-        all_tokens = frozenset().union(*s.attrs)
-        payload = SamplePayload(
-            sample=s,
-            keywords=frozenset(keywords & all_tokens),
-            aux={
-                (x, a): coords[x][a]
-                for x in range(repo.d)
-                for a in range(1, pivots.n_pivots(x))
-            },
-            sizes=[len(s.attrs[x]) for x in range(repo.d)],
-        )
-        entries.append((box, payload))
-    root = _str_pack(entries, dims=repo.d)
-    _set_dr_aggregates(root)
+        box = [(c, c) for c in map(f, s.attrs, mains)]
+        entries.append((box, s))
     return DrIndex(
-        root=root,
+        root=_str_pack(entries, dims=repo.d),
         d=repo.d,
         samples=repo.samples,
         by_token=[
@@ -258,47 +239,12 @@ def build_dr_index(
     )
 
 
-def _set_dr_aggregates(node: Node) -> None:
-    """Set ``node.agg`` and, first, the aggregates of every node below it."""
-    if node.is_leaf:
-        kws = [p.keywords for _, p in node.items]
-        auxes = [p.aux for _, p in node.items]
-        sizes = [p.sizes for _, p in node.items]
-    else:
-        for c in node.children:
-            _set_dr_aggregates(c)
-        kws = [c.agg["keywords"] for c in node.children]
-        auxes = [c.agg["aux"] for c in node.children]
-        sizes_lo = [c.agg["size_lo"] for c in node.children]
-        sizes_hi = [c.agg["size_hi"] for c in node.children]
-    node.agg["keywords"] = frozenset().union(*kws) if kws else frozenset()
-    aux_cover: dict = {}
-    for aux in auxes:
-        for key, val in aux.items():
-            if isinstance(val, tuple):
-                lo, hi = val
-            else:
-                lo = hi = val
-            cur = aux_cover.get(key)
-            aux_cover[key] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
-    node.agg["aux"] = aux_cover
-    if node.is_leaf:
-        d = len(sizes[0]) if sizes else 0
-        node.agg["size_lo"] = [min(sz[x] for sz in sizes) for x in range(d)]
-        node.agg["size_hi"] = [max(sz[x] for sz in sizes) for x in range(d)]
-    else:
-        d = len(sizes_lo[0])
-        node.agg["size_lo"] = [min(lo[x] for lo in sizes_lo) for x in range(d)]
-        node.agg["size_hi"] = [max(hi[x] for hi in sizes_hi) for x in range(d)]
-
-
 # ---------------------------------------------------------------------------
 # CDD-index
 
 @dataclass
 class RuleEntry:
     rule: CddRule
-    kinds: dict  # dim attr -> CONST | INTERVAL | "missing"
     aux: dict  # (attr, pivot_idx>=1) -> distance of the constant to that pivot
 
 
@@ -406,24 +352,20 @@ def build_cdd_index(rules: Sequence[CddRule], pivots: PivotSet, dist: DistanceFn
         entries = []
         for rule in members:
             box = []
-            kinds = {}
             aux = {}
             by_attr = {c.attr: c for c in rule.determinants}
             for x in attrs:
                 c = by_attr.get(x)
                 if c is None:
                     box.append((MISSING_COORD, MISSING_COORD))
-                    kinds[x] = "missing"
                 elif c.kind == CONST:
                     cc = convert(c.value, x, pivots, dist)
                     box.append((cc[0], cc[0]))
-                    kinds[x] = CONST
                     for a in range(1, len(cc)):
                         aux[(x, a)] = cc[a]
                 else:
                     box.append((c.lo, c.hi))
-                    kinds[x] = INTERVAL
-            entries.append((box, RuleEntry(rule=rule, kinds=kinds, aux=aux)))
+            entries.append((box, RuleEntry(rule=rule, aux=aux)))
         root = _str_pack(entries, dims=len(attrs))
         _set_cdd_aggregates(root, attrs)
         groups.append(RuleGroup(attrs=attrs, root=root))
@@ -435,13 +377,8 @@ def _set_cdd_aggregates(node: Node, attrs: list) -> None:
     """Set ``node.agg`` and, first, the aggregates of every node below it."""
     if node.is_leaf:
         entries = [e for _, e in node.items]
-        node.agg["dep_interval"] = (
-            min(e.rule.dep_lo for e in entries),
-            max(e.rule.dep_hi for e in entries),
-        )
-        node.agg["all_const"] = [
-            all(e.kinds[x] == CONST for e in entries) for x in attrs
-        ]
+        consts = [{c.attr for c in e.rule.determinants if c.kind == CONST} for e in entries]
+        node.agg["all_const"] = [all(x in cs for cs in consts) for x in attrs]
         aux_cover: dict = {}
         for e in entries:
             for key, val in e.aux.items():
@@ -453,10 +390,6 @@ def _set_cdd_aggregates(node: Node, attrs: list) -> None:
     else:
         for c in node.children:
             _set_cdd_aggregates(c, attrs)
-        node.agg["dep_interval"] = (
-            min(c.agg["dep_interval"][0] for c in node.children),
-            max(c.agg["dep_interval"][1] for c in node.children),
-        )
         node.agg["all_const"] = [
             all(c.agg["all_const"][k] for c in node.children) for k in range(len(attrs))
         ]

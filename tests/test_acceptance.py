@@ -23,7 +23,7 @@ from teride.engine import (
     Engine,
 )
 from teride.errors import NoRulesFound
-from teride.grid import CELL_WIDTH, ErGrid, _cell_span, summarize
+from teride.grid import ErGrid, summarize
 from teride.impute import impute_multi_rule, impute_tuple
 from teride.index import build_cdd_index, build_dr_index, _walk
 from teride.metric import DistanceFn, DistInterval, SizeInterval, ub_sim_by_pivot, ub_sim_by_size
@@ -325,15 +325,9 @@ def _check_dr_invariants(index):
         for box in boxes:
             for (lo, hi), (nlo, nhi) in zip(box, node.box):
                 assert nlo - 1e-9 <= lo and hi <= nhi + 1e-9
-        payloads = _dr_payloads(node)
-        seen += len(payloads) if node.is_leaf else 0
-        for p in payloads:
-            assert p.keywords <= node.agg["keywords"]
-            for key, val in p.aux.items():
-                lo, hi = node.agg["aux"][key]
-                assert lo - 1e-9 <= val <= hi + 1e-9
-            for x, size in enumerate(p.sizes):
-                assert node.agg["size_lo"][x] <= size <= node.agg["size_hi"][x]
+        seen += len(node.items) if node.is_leaf else 0
+    # the leaf items are the repository's samples, each once
+    assert sorted(map(id, _dr_payloads(index.root))) == sorted(map(id, index.samples))
     return seen
 
 
@@ -361,61 +355,46 @@ def _check_cdd_invariants(index):
                     assert nlo - 1e-9 <= lo and hi <= nhi + 1e-9
             entries = _cdd_entries(node)
             total += len(entries) if node.is_leaf else 0
-            dep_lo, dep_hi = node.agg["dep_interval"]
             for e in entries:
-                assert dep_lo - 1e-9 <= e.rule.dep_lo
-                assert e.rule.dep_hi <= dep_hi + 1e-9
                 for key, val in e.aux.items():
                     lo, hi = node.agg["aux"][key]
                     assert lo - 1e-9 <= val <= hi + 1e-9
+            consts = [{c.attr for c in e.rule.determinants if c.kind == CONST} for e in entries]
             for k, x in enumerate(group.attrs):
-                if node.agg["all_const"][k]:
-                    assert all(e.kinds[x] == CONST for e in entries)
+                assert node.agg["all_const"][k] == all(x in cs for cs in consts)
     return total
 
 
-def _check_grid_invariants(grid):
-    live = dict(grid._tuples)
-    assert set(grid._rids) == set(live)
-    assert grid._kw_rids == {rid for rid, (s, _) in live.items() if s.keywords}
-    # every tuple is registered in exactly the cells its rectangle spans
-    for rid, (s, keys) in live.items():
-        expected = set(product(*(_cell_span(lo, hi) for lo, hi in s.box)))
-        assert set(keys) == expected
-        for key in keys:
-            assert rid in grid._cells[key].members
-            if s.keywords:
-                assert rid in grid._kw_cells[key].members
-    for cells, kw_only in ((grid._cells, False), (grid._kw_cells, True)):
-        for key, cell in cells.items():
-            assert cell.members, f"empty cell {key} retained"
-            for rid, s in cell.members.items():
-                assert rid in live
-                if kw_only:
-                    assert s.keywords
-                assert s.keywords <= cell.keywords
-                for x, (lo, hi) in enumerate(s.box):
-                    clo, chi = cell.box[x]
-                    assert clo - 1e-9 <= lo and hi <= chi + 1e-9
-                    # the rectangle genuinely intersects this cell
-                    assert lo <= (key[x] + 1) * CELL_WIDTH + 1e-9
-                    assert hi >= key[x] * CELL_WIDTH - 1e-9
-                for akey, (alo, ahi) in s.aux.items():
-                    glo, ghi = cell.aux[akey]
-                    assert glo - 1e-9 <= alo and ahi <= ghi + 1e-9
-                for x, si in enumerate(s.sizes):
-                    slo, shi = cell.sizes[x]
-                    assert slo <= si.min_size and si.max_size <= shi
+def _check_grid_invariants(grid, peak):
+    """What insert and evict maintain, given the most tuples ever live at once."""
+    live, slots, occupied = grid._live, grid._slots, grid._occupied
+    # slots are recycled, so no slot index reaches the peak live count
+    assert len(slots) <= peak
+    assert occupied.bit_count() == len(live)
+    for rid, slot in live.items():
+        assert occupied >> slot & 1 and slots[slot].rid == rid
+    held = set(live.values())
+    assert all(s is None for slot, s in enumerate(slots) if slot not in held)
+    assert grid._kw_mask == sum(1 << slot for slot in held if slots[slot].keywords)
+    for x, post in enumerate(grid._postings):
+        for tok, mask in post.items():
+            assert mask and not mask & ~occupied, (x, tok)
+        unions: dict = {}
+        for slot in held:
+            for tok in slots[slot].imputed.token_unions()[x]:
+                unions[tok] = unions.get(tok, 0) | 1 << slot
+        assert post == unions, x
 
 
 class TestStructuralInvariants:
-    """Tree and grid aggregates cover their subtrees after randomized operations."""
+    """Tree aggregates cover their subtrees, and a grid's slot table, bitmaps and
+    token postings are exactly those of its live tuples, after randomized operations."""
 
     def test_tree_aggregates_cover_descendants(self):
         repo, _ = make_workload(seed=700, length=40, vocab=50, topics=3, repo_size=80)
         dist = DistanceFn()
         pivots = select_pivots(repo, dist=dist)
-        dr = build_dr_index(repo, pivots, frozenset({"topic0"}), dist)
+        dr = build_dr_index(repo, pivots, dist)
         assert _check_dr_invariants(dr) == len(repo.samples)
         rules = mine_rules(repo, dist)
         assert rules
@@ -447,6 +426,7 @@ class TestStructuralInvariants:
         rng = random.Random(9)
         grid = ErGrid(d=repo.d)
         live = []
+        peak = 0
         ops = 0
         pending = list(summaries)
         while pending or live:
@@ -454,15 +434,17 @@ class TestStructuralInvariants:
                 s = pending.pop()
                 grid.insert(s)
                 live.append(s)
+                peak = max(peak, len(live))
             else:
                 victim = live.pop(rng.randrange(len(live)))
                 grid.evict(victim.rid)
             ops += 1
             if ops % 250 == 0:
-                _check_grid_invariants(grid)
+                _check_grid_invariants(grid, peak)
         assert ops >= 1000
-        assert len(grid) == 0 and not grid._cells and not grid._kw_cells
-        _check_grid_invariants(grid)
+        assert len(grid) == 0 and grid._occupied == 0 and grid._kw_mask == 0
+        assert not any(grid._postings)
+        _check_grid_invariants(grid, peak)
 
     def test_insert_then_evict_restores_grid_exactly(self):
         repo, trace = make_workload(seed=702, length=40, repo_size=40, xi=0.3, m=1)
@@ -476,15 +458,26 @@ class TestStructuralInvariants:
             summarize(impute_tuple(r, by_dep, repo, dist), pivots, frozenset({"topic0"}), dist)
             for r in trace
         ]
+
+        def rid_state(grid):
+            """The live summaries, keyword-bearing rids and postings, by rid."""
+            return (
+                {rid: grid._slots[slot] for rid, slot in grid._live.items()},
+                {s.rid for s in grid._summaries(grid._kw_mask)},
+                [
+                    {tok: {s.rid for s in grid._summaries(mask)} for tok, mask in post.items()}
+                    for post in grid._postings
+                ],
+            )
+
         grid = ErGrid(d=repo.d)
         for s in summaries[:30]:
             grid.insert(s)
-        before = grid.snapshot()
-        kw_before = {k: sorted(c.members) for k, c in grid._kw_cells.items()}
+        before = rid_state(grid)
+        assert before[1] and any(before[2])
         for s in summaries[30:40]:
             grid.insert(s)
         for s in summaries[30:40]:
             grid.evict(s.rid)
-        assert grid.snapshot() == before
-        assert {k: sorted(c.members) for k, c in grid._kw_cells.items()} == kw_before
-        _check_grid_invariants(grid)
+        _check_grid_invariants(grid, peak=40)
+        assert rid_state(grid) == before

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teride.cdd import rules_from_text
+from teride.cdd import detect_cdds, rules_from_text
 from teride.engine import (
     KIND_EXPIRE,
     KIND_MATCH,
@@ -14,7 +16,8 @@ from teride.engine import (
     Event,
     precompute,
 )
-from teride.errors import ConfigError, DuplicateTuple, OutOfOrderArrival
+from teride.errors import ConfigError, DuplicateTuple, NoRulesFound, OutOfOrderArrival
+from teride.grid import token_need
 from teride.metric import DistanceFn
 from teride.model import QueryConfig
 from teride.pivot import PivotSet, select_pivots
@@ -101,18 +104,12 @@ class TestModesAgree:
                 assert metrics[MODE_ENGINE][key] == metrics[MODE_NOINDEX][key], (kind, key)
 
     @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
-    def test_no_step_reads_or_builds_a_grid_cell(self, kind, monkeypatch):
-        """Retrieval reads the grids' live maps and token postings only; their
-        cells are derived when read, so a run with evictions never spans one."""
-        import teride.grid
-
-        def no_cells(lo, hi):
-            raise AssertionError("a step computed a grid cell span")
-
+    def test_no_step_reads_or_builds_a_grid_cell(self, kind):
+        """Retrieval reads the grids' slot bitmaps and token postings only, and
+        a run with evictions gives the events of ``oracle``."""
         repo, trace = make_workload(seed=61, length=20, repo_size=30, xi=0.4, m=1)
         cfg = make_config(window=7)
         oracle = Engine(repo, cfg, dist=DistanceFn(kind), mode=MODE_ORACLE).run(list(trace))
-        monkeypatch.setattr(teride.grid, "_cell_span", no_cells)
         results = Engine(repo, cfg, dist=DistanceFn(kind), mode=MODE_ENGINE).run(list(trace))
         assert any(e.kind == KIND_EXPIRE for e in results.events)
         assert oracle.matches()
@@ -147,6 +144,64 @@ class TestModesAgree:
         for e in results.matches():
             assert streams[e.rid_a] != streams[e.rid_b]
             assert prob_in_range(e.prob)
+
+
+# at every d from 2 to 5 these reach every token_need level, 1 to d
+FUZZ_RHOS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def test_fuzz_rhos_reach_every_token_need_level():
+    for d in range(2, 6):
+        assert {token_need(d, rho * d) for rho in FUZZ_RHOS} == set(range(1, d + 1))
+
+
+@st.composite
+def drawn_queries(draw):
+    """A small workload and a query over it: d, stream count, missing rate and
+    holes per tuple, rho, alpha, window, distance kind and keywords, some of
+    which no value holds."""
+    d = draw(st.integers(2, 5))
+    repo, trace = make_workload(
+        seed=draw(st.integers(0, 10_000)),
+        n_streams=draw(st.integers(2, 3)),
+        d=d,
+        length=draw(st.integers(4, 20)),
+        vocab=30,
+        topics=3,
+        xi=draw(st.sampled_from((0.0, 0.3, 0.6))),
+        m=draw(st.integers(1, d - 1)),
+        repo_size=draw(st.integers(10, 40)),
+    )
+    cfg = make_config(
+        d=d,
+        rho=draw(st.sampled_from(FUZZ_RHOS)),
+        alpha=draw(st.sampled_from((0.0, 0.2, 0.5))),
+        window=draw(st.integers(1, 8)),
+        keywords=draw(st.sampled_from((("topic0",), ("topic1", "absent"), ("absent",)))),
+    )
+    return repo, trace, cfg, DistanceFn(draw(st.sampled_from((DistanceFn.JACCARD, DistanceFn.ABSDIFF))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(query=drawn_queries())
+def test_three_modes_agree_on_drawn_queries(query):
+    """``engine``, ``noindex`` and ``oracle`` write byte-identical events, and
+    ``engine`` and ``noindex``, which differ only in fetching, count each stage alike."""
+    repo, trace, cfg, dist = query
+    try:
+        rules = detect_cdds(repo, dist)
+    except NoRulesFound:
+        rules = []
+    pivots = select_pivots(repo, dist=dist)
+    logs, metrics = {}, {}
+    for mode in (MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE):
+        engine = Engine(repo, cfg, dist=dist, mode=mode, rules=rules, pivots=pivots)
+        logs[mode] = engine.run(list(trace)).to_jsonl()
+        metrics[mode] = engine.metrics()
+    assert logs[MODE_ENGINE] == logs[MODE_ORACLE]
+    assert logs[MODE_NOINDEX] == logs[MODE_ORACLE]
+    for key in ("stage_counts", "pairs_considered"):
+        assert metrics[MODE_ENGINE][key] == metrics[MODE_NOINDEX][key], key
 
 
 def prob_in_range(p):
@@ -235,7 +290,6 @@ def engine_state(engine):
     return (
         window_rids(engine),
         dict(engine.summaries),
-        {sid: grid.snapshot() for sid, grid in grids.items()},
         {
             sid: (
                 dict(grid._live),

@@ -5,7 +5,6 @@ import pytest
 
 from teride.errors import DuplicateTuple, UnknownTuple
 from teride.grid import (
-    CELL_WIDTH,
     ErGrid,
     summarize,
     token_count_prunes,
@@ -64,29 +63,23 @@ class TestSummary:
 
 
 def _reference_summary(it, pivots, keywords, dist):
-    """Every summary field built per option: every option's distance to every
-    pivot, then min/max and probability-weighted sums."""
-    box, aux, sizes, kws, option_coords = [], {}, [], set(), []
+    """Every summary field built per option: every option's distance to the
+    main pivot, then min/max and probability-weighted sums."""
+    box, sizes, kws, option_coords = [], [], set(), []
     exp = lb = ub = 0.0
     for x in range(pivots.d):
         options = it.attr_options(x)
-        coords = [[dist(v, p) for p in pivots.per_attr[x]] for v, _ in options]
-        option_coords.append([c[0] for c in coords])
-        for a in range(pivots.n_pivots(x)):
-            lo_hi = (min(c[a] for c in coords), max(c[a] for c in coords))
-            if a == 0:
-                box.append(lo_hi)
-            else:
-                aux[(x, a)] = lo_hi
+        coords = [dist(v, pivots.main(x)) for v, _ in options]
+        option_coords.append(coords)
+        box.append((min(coords), max(coords)))
         sizes.append(SizeInterval(min(len(v) for v, _ in options), max(len(v) for v, _ in options)))
         for v, _ in options:
             kws |= keywords & v
         lb += box[x][0]
         ub += box[x][1]
-        exp += sum(p * c[0] for (_, p), c in zip(options, coords))
+        exp += sum(p * c for (_, p), c in zip(options, coords))
     return {
         "box": box,
-        "aux": aux,
         "sizes": sizes,
         "keywords": frozenset(kws),
         "option_coords": option_coords,
@@ -111,7 +104,7 @@ def _bits(obj):
 
 
 class TestSummaryReference:
-    FIELDS = ("box", "aux", "sizes", "keywords", "option_coords", "pivot_stats", "dist_intervals")
+    FIELDS = ("box", "sizes", "keywords", "option_coords", "pivot_stats", "dist_intervals")
 
     @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
     @pytest.mark.parametrize("seed", [31, 32])
@@ -154,7 +147,7 @@ class _CountingDist(DistanceFn):
 
 
 class TestArrivalWork:
-    def test_arrival_computes_main_coordinates_only_and_aux_once(self):
+    def test_arrival_computes_main_coordinates_only(self):
         from teride.cdd import detect_cdds
 
         repo, trace = make_workload(seed=31, d=4, length=30, repo_size=40, xi=0.5, m=2)
@@ -174,10 +167,7 @@ class TestArrivalWork:
             s = summarize(it, pivots, frozenset({"topic0"}), dist)
             assert dist.calls == sum(n_options)
             dist.calls = 0
-            s.aux
-            assert dist.calls == sum(n * a for n, a in zip(n_options, n_aux))
-            dist.calls = 0
-            s.aux, s.sizes, s.dist_intervals, s.pivot_stats
+            s.sizes, s.dist_intervals, s.pivot_stats
             assert dist.calls == 0
 
 
@@ -187,10 +177,13 @@ class TestGridMechanics:
         grid = ErGrid(d=summaries[0].imputed.base.d)
         for s in summaries[:10]:
             grid.insert(s)
-        before = grid.snapshot()
+        before = _slot_state(grid)
         grid.insert(summaries[10])
         grid.evict(summaries[10].rid)
-        assert grid.snapshot() == before
+        after = _slot_state(grid)
+        # the freed slot stays in the table, empty
+        assert after[1] == before[1] + [None]
+        assert after[:1] + after[2:] == before[:1] + before[2:]
 
     def test_duplicate_and_unknown_rejected(self, setup):
         _, _, _, _, summaries = setup
@@ -200,28 +193,6 @@ class TestGridMechanics:
             grid.insert(summaries[0])
         with pytest.raises(UnknownTuple):
             grid.evict("nope")
-
-    def test_cell_aggregates_cover_members(self, setup):
-        repo, _, _, _, summaries = setup
-        grid = ErGrid(d=repo.d)
-        for s in summaries[:20]:
-            grid.insert(s)
-        for key, cell in grid.snapshot().items():
-            members = [s for s in summaries[:20] if s.rid in cell["members"]]
-            assert members
-            for x in range(repo.d):
-                lo, hi = cell["box"][x]
-                slo, shi = cell["sizes"][x]
-                for m in members:
-                    assert lo - 1e-9 <= m.box[x][0] and m.box[x][1] <= hi + 1e-9
-                    assert slo <= m.sizes[x].min_size and m.sizes[x].max_size <= shi
-            for m in members:
-                assert m.keywords <= frozenset(cell["keywords"])
-            # each member's rectangle really intersects this cell
-            for m in members:
-                for x, k in enumerate(key):
-                    assert m.box[x][0] <= (k + 1) * CELL_WIDTH + 1e-9
-                    assert m.box[x][1] >= k * CELL_WIDTH - 1e-9
 
     def test_eviction_recomputes_exactly(self, setup):
         repo, _, _, _, summaries = setup
@@ -237,14 +208,7 @@ class TestGridMechanics:
         reference = ErGrid(d=repo.d)
         for s in live:
             reference.insert(s)
-        assert grid.snapshot() == reference.snapshot()
-
-
-def _cell_aggregates(cells: dict) -> dict:
-    return {
-        key: (cell.members, cell.keywords, cell.box, cell.sizes, cell.aux)
-        for key, cell in cells.items()
-    }
+        assert _rid_state(grid) == _rid_state(reference)
 
 
 def _rid_state(grid) -> tuple:
@@ -256,7 +220,7 @@ def _rid_state(grid) -> tuple:
             for post in grid._postings
         ]
     live = {rid: grid._slots[slot] for rid, slot in grid._live.items()}
-    return live, grid._kw_rids, postings
+    return live, {s.rid for s in grid._summaries(grid._kw_mask)}, postings
 
 
 def _slot_state(grid) -> tuple:
@@ -287,11 +251,10 @@ def _brute_force(q, live, gamma: float, jaccard: bool) -> tuple:
 
 class TestCellChurn:
     def test_equal_a_rebuild_after_random_inserts_and_evicts(self, setup):
-        """The live map, the keyword-bearing rids, the token postings (all by
-        rid, since slot numbers differ) and every cell, keyword-only cells
-        included, equal those of a grid built from the live tuples."""
+        """The live map, the keyword-bearing rids and the token postings (all by
+        rid, since slot numbers differ) equal those of a grid built from the
+        live tuples."""
         repo, _, _, _, summaries = setup
-        assert any(s.aux for s in summaries)
         assert any(s.keywords for s in summaries) and not all(s.keywords for s in summaries)
         for seed in range(4):
             rng = random.Random(seed)
@@ -311,8 +274,6 @@ class TestCellChurn:
                 for s in live.values():
                     reference.insert(s)
                 assert _rid_state(grid) == _rid_state(reference)
-                assert _cell_aggregates(grid._cells) == _cell_aggregates(reference._cells)
-                assert _cell_aggregates(grid._kw_cells) == _cell_aggregates(reference._kw_cells)
 
 
 class TestSlotBitmaps:

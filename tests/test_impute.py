@@ -118,12 +118,12 @@ def brute_force_pool(r, rules, repo, dist):
     return sorted(((v, c / total) for v, c in counts.items()), key=lambda vp: (-vp[1], token_key(vp[0])))
 
 
-def check_indexed_pooling(repo, tuples, rules, pivots, keywords, dist) -> tuple:
+def check_indexed_pooling(repo, tuples, rules, pivots, dist) -> tuple:
     """Check impute_multi_rule, fed one DR-index retrieval per tuple and
     attribute and the index's near values, against :func:`brute_force_pool`
     bit for bit; return how many (tuple, attribute) pools counted something
     and how many of those read ``near_values``."""
-    idx = build_dr_index(repo, pivots, keywords, dist)
+    idx = build_dr_index(repo, pivots, dist)
     counted = near = 0
     for r in tuples:
         for j in r.missing_attrs():
@@ -148,9 +148,7 @@ def test_indexed_pooling_equals_a_brute_force_count_under_absdiff(numeric_repo, 
         make_tuple(f"r{i}", 0, 1, ts(a), ts(b), None)
         for i, (a, b) in enumerate([("a1", "0.3"), ("a1", "0.2"), ("a1", "0.5"), ("a2", "0.7"), ("a2", "0.0")])
     ]
-    counted, _ = check_indexed_pooling(
-        numeric_repo, tuples, [cdd1(), cdd2()], pivots, frozenset({"a1"}), absdiff
-    )
+    counted, _ = check_indexed_pooling(numeric_repo, tuples, [cdd1(), cdd2()], pivots, absdiff)
     assert counted >= 3
 
 
@@ -158,8 +156,7 @@ def test_indexed_pooling_equals_a_brute_force_count_under_jaccard():
     repo, trace = make_workload(seed=21, length=25, repo_size=50, xi=0.5, m=1)
     dist = DistanceFn()
     counted, near = check_indexed_pooling(
-        repo, trace, detect_cdds(repo, dist), select_pivots(repo, dist=dist),
-        frozenset({"topic0"}), dist,
+        repo, trace, detect_cdds(repo, dist), select_pivots(repo, dist=dist), dist
     )
     assert counted > 0 and near > 0
 

@@ -41,7 +41,7 @@ def setup():
 class TestDrIndex:
     def test_range_query_equals_linear_scan(self, setup):
         repo, _, dist, pivots, _ = setup
-        idx = build_dr_index(repo, pivots, frozenset({"topic0"}), dist)
+        idx = build_dr_index(repo, pivots, dist)
         rng = random.Random(4)
         for _ in range(50):
             box = {}
@@ -64,7 +64,7 @@ class TestDrIndex:
 
     def test_node_aggregates_cover_descendants(self, setup):
         repo, _, dist, pivots, _ = setup
-        idx = build_dr_index(repo, pivots, frozenset({"topic0"}), dist)
+        idx = build_dr_index(repo, pivots, dist)
 
         def leaves_under(node):
             if node.is_leaf:
@@ -74,33 +74,41 @@ class TestDrIndex:
                     yield from leaves_under(c)
 
         for node in _walk(idx.root):
-            payloads = [p for _, p in leaves_under(node)]
-            kw_union = frozenset().union(*(p.keywords for p in payloads))
-            assert kw_union <= node.agg["keywords"]
-            for x in range(repo.d):
-                assert node.agg["size_lo"][x] <= min(p.sizes[x] for p in payloads)
-                assert node.agg["size_hi"][x] >= max(p.sizes[x] for p in payloads)
-            for key, (lo, hi) in node.agg["aux"].items():
-                for p in payloads:
-                    assert lo - 1e-9 <= p.aux[key] <= hi + 1e-9
-            for (ibox, _) in (i for n in [node] if n.is_leaf for i in n.items):
+            for ibox, _ in leaves_under(node):
                 for k, (lo, hi) in enumerate(node.box):
                     assert lo - 1e-9 <= ibox[k][0] and ibox[k][1] <= hi + 1e-9
 
+    def test_fanout_respected(self, setup):
+        repo, _, dist, pivots, _ = setup
+        idx = build_dr_index(repo, pivots, dist)
+        for node in _walk(idx.root):
+            assert len(node.children) <= FANOUT
+            assert len(node.items) <= FANOUT
+
+
+class TestCddIndex:
     def test_aggregates_are_computed_once_per_node(self, setup, monkeypatch):
         import teride.index
 
         repo, _, dist, pivots, rules = setup
         calls = []
-        for name in ("_set_dr_aggregates", "_set_cdd_aggregates"):
-            fn = getattr(teride.index, name)
+        fn = teride.index._set_cdd_aggregates
 
-            def counted(node, *args, fn=fn):
-                calls.append(node)
-                return fn(node, *args)
+        def counted(node, *args):
+            calls.append(node)
+            return fn(node, *args)
 
-            monkeypatch.setattr(teride.index, name, counted)
-        roots = [build_dr_index(repo, pivots, frozenset({"topic0"}), dist).root]
+        monkeypatch.setattr(teride.index, "_set_cdd_aggregates", counted)
+        # one constant rule per value of attribute 0, so that a group holds
+        # more rules than a leaf and its tree has inner nodes
+        rules = rules + [
+            CddRule(
+                determinants=(AttrConstraint(attr=0, kind=CONST, value=v),),
+                dependent=2, dep_lo=0.0, dep_hi=0.1,
+            )
+            for v in repo.domain(0)
+        ]
+        roots = []
         for dep in {r.dependent for r in rules}:
             idx = build_cdd_index([r for r in rules if r.dependent == dep], pivots, dist)
             roots.extend(g.root for g in idx.groups)
@@ -108,15 +116,6 @@ class TestDrIndex:
         assert len(nodes) > len(roots)
         assert sorted(map(id, calls)) == sorted(map(id, nodes))
 
-    def test_fanout_respected(self, setup):
-        repo, _, dist, pivots, _ = setup
-        idx = build_dr_index(repo, pivots, frozenset(), dist)
-        for node in _walk(idx.root):
-            assert len(node.children) <= FANOUT
-            assert len(node.items) <= FANOUT
-
-
-class TestCddIndex:
     def test_candidate_rules_match_linear_filter(self, setup):
         repo, trace, dist, pivots, rules = setup
         by_dep = {}
@@ -197,12 +196,12 @@ class TestCddIndex:
                             collect(c)
 
                 collect(node)
-                lo, hi = node.agg["dep_interval"]
-                for e in members:
-                    assert lo - 1e-9 <= e.rule.dep_lo and e.rule.dep_hi <= hi + 1e-9
                 for k, x in enumerate(group.attrs):
                     if node.agg["all_const"][k]:
-                        assert all(e.kinds[x] == CONST for e in members)
+                        assert all(
+                            any(c.attr == x and c.kind == CONST for c in e.rule.determinants)
+                            for e in members
+                        )
 
 
 class TestQueryBox:
@@ -210,7 +209,7 @@ class TestQueryBox:
         repo, trace, dist, pivots, rules = setup
         from teride.cdd import satisfies_determinants
 
-        idx = build_dr_index(repo, pivots, frozenset(), dist)
+        idx = build_dr_index(repo, pivots, dist)
         checked = 0
         for r in trace:
             for rule in rules:
@@ -262,7 +261,7 @@ class TestRuleSamples:
 
     def test_mined_rules_keep_every_satisfying_sample(self, setup):
         repo, trace, dist, pivots, rules = setup
-        idx = build_dr_index(repo, pivots, frozenset(), dist)
+        idx = build_dr_index(repo, pivots, dist)
         checked = supported = 0
         for r in trace:
             for rule in rules:
@@ -277,7 +276,7 @@ class TestRuleSamples:
 
     def test_hand_built_rules_keep_every_satisfying_sample(self, setup):
         repo, trace, dist, pivots, _ = setup
-        idx = build_dr_index(repo, pivots, frozenset(), dist)
+        idx = build_dr_index(repo, pivots, dist)
         hits: dict = {}  # rule name -> satisfying samples over the trace
         disjoint_at_tol = 0  # samples sharing no token that the near-1 bound admits
         for r in trace:
@@ -297,7 +296,7 @@ class TestRuleSamples:
 
     def test_rule_without_restricting_determinant_uses_the_box(self, setup):
         repo, trace, dist, pivots, _ = setup
-        idx = build_dr_index(repo, pivots, frozenset(), dist)
+        idx = build_dr_index(repo, pivots, dist)
         r = next(r for r in trace if len(r.missing_attrs()) == 1)
         _, rules = _hand_built_rules(r, r.missing_attrs()[0])
         for name in ("bucket-9", "hi-within-tol-of-1", "min-open-to-1"):
@@ -307,7 +306,7 @@ class TestRuleSamples:
 
     def test_absdiff_does_not_filter_by_token(self, numeric_repo, absdiff):
         pivots = select_pivots(numeric_repo, dist=absdiff)
-        idx = build_dr_index(numeric_repo, pivots, frozenset({"a1"}), absdiff)
+        idx = build_dr_index(numeric_repo, pivots, absdiff)
         r = make_tuple("q", 0, 1, ts("a1"), ts("0.2"), None)
         const = AttrConstraint(attr=0, kind=CONST, value=ts("a1"))
         for dets, want in (
@@ -369,7 +368,7 @@ def _retrieval_cases(draw):
 def test_prefix_filters_keep_every_admitted_sample_and_value(case):
     repo, r, rules, dist = case
     pivots = PivotSet(per_attr=[[repo.samples[0].attrs[x]] for x in range(3)])
-    idx = build_dr_index(repo, pivots, frozenset({"a"}), dist)
+    idx = build_dr_index(repo, pivots, dist)
     served = idx.samples_per_rule(rules, r, pivots, dist)
     for rule in rules:
         assert _satisfying(rule, r, repo.samples, dist) <= {s.rid for s in served[rule]}
