@@ -7,8 +7,9 @@ live tuples, and the judge judges each pair.  A fetcher selects and fetches;
 it does not impute.  A mode is a fetcher plus a judge, both picked when the
 engine is built, and all three modes give identical event streams:
 
-* ``engine`` — the index fetcher (rule trees, the repository index's token
-  and value postings, one grid synopsis per stream) and the pruning cascade.
+* ``engine`` — the index fetcher (a hash join of the tuple's values on the
+  rules' constant determinants, the repository index's token and value
+  postings, one grid synopsis per stream) and the pruning cascade.
 * ``noindex`` — the scan fetcher (every rule, sample and live tuple) and the
   same cascade.
 * ``oracle`` — the scan fetcher, and every pair is fully evaluated; this is
@@ -189,28 +190,28 @@ class _ScanFetch:
 
 
 class _IndexFetch:
-    """``engine``: rules from the rule trees, repository samples and dependent values
-    from the DR-index, and candidates from each stream's grid of live tuples."""
+    """``engine``: rules from each dependent's hash join on constant determinants
+    (``CddIndex``), repository samples and dependent values from the DR-index, and
+    candidates from each stream's grid of live tuples."""
 
     def __init__(self, pre: Precomputed, config: QueryConfig, dist: DistanceFn):
         self.pre = pre
         self.config = config
         self.dist = dist
         self.dr_index = build_dr_index(pre.repo, pre.pivots, dist)
-        by_dep = pre.rules_by_dep
-        self.cdd_indexes = {j: build_cdd_index(by_dep[j], pre.pivots, dist) for j in by_dep}
+        self.cdd_indexes = {j: build_cdd_index(rules) for j, rules in pre.rules_by_dep.items()}
         self.grids: dict = {}  # stream_id -> ErGrid of its live tuples
 
     def select(self, r: StreamTuple) -> tuple:
-        """The candidate rules per missing attribute, from the rule trees, and the
-        samples per rule, from one DR-index retrieval (``DrIndex.samples_per_rule``)."""
-        pivots, dist = self.pre.pivots, self.dist
+        """The candidate rules per missing attribute, one bucket lookup per rule
+        shape (``CddIndex.candidate_rules``), and the samples per rule, from one
+        DR-index retrieval (``DrIndex.samples_per_rule``)."""
         rules_by_dep: dict = {}
         for j in r.missing_attrs():
             idx = self.cdd_indexes.get(j)
-            rules_by_dep[j] = [] if idx is None else idx.candidate_rules(r, pivots, dist)
+            rules_by_dep[j] = [] if idx is None else idx.candidate_rules(r)
         samples_per_rule = self.dr_index.samples_per_rule(
-            [rule for rules in rules_by_dep.values() for rule in rules], r, pivots, dist
+            [rule for rules in rules_by_dep.values() for rule in rules], r, self.pre.pivots, self.dist
         )
         return rules_by_dep, samples_per_rule
 

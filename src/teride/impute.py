@@ -9,11 +9,13 @@ existence-probability distribution.
 The engine's fetcher only selects what the loop reads.  The scan fetcher
 (``noindex``, ``oracle``) selects every rule, so each rule scans all samples
 and each sample the whole dependent domain.  The index fetcher (``engine``)
-selects rules from the rule trees and, per rule, the samples the DR-index
-serves it; under Jaccard, when the dependent interval rejects distance 1.0,
-each sample then checks only the domain values that its value's prefix
-postings reach (``DrIndex.near_values``).  Both are supersets of what the
-scan accepts and every value is still checked, so the result is the same.
+selects the rules whose determinants the tuple holds and whose constants it
+equals (one hash lookup per rule shape) and, per rule, the samples the
+DR-index serves it; under Jaccard, when the dependent interval rejects
+distance 1.0, each sample then checks only the domain values that its
+value's prefix postings reach (``DrIndex.near_values``).  Both are supersets
+of what the scan accepts and every value is still checked, so the result is
+the same.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""R-trees over rules (CDD-index) and repository samples (DR-index).
+"""The repository index (DR-index) and the rule index (CDD-index).
 
-Both trees are bulk-loaded with sort-tile-recursive packing at fanout 8 and
-are immutable after construction.  A DR-index node carries only the box
-covering its samples' main-pivot coordinates.  A rule-tree node also carries
-the aggregates ``CddIndex._prune_node`` reads: per determinant attribute,
-whether every rule below has a constant there (``all_const``), and the
-interval of those constants' auxiliary-pivot distances (``aux``), so whole
-subtrees can be pruned without false dismissals.
+The DR-index is an R-tree over the repository samples' main-pivot
+coordinates, bulk-loaded with sort-tile-recursive packing at fanout 8, plus
+per-attribute token and value postings; each node carries only the box
+covering its samples.  The CDD-index of a dependent attribute is a hash join
+on constant determinants: its rules are bucketed by shape (determinant
+attributes, and which of them are constants) and constant values, so the
+rules a tuple could satisfy are one lookup per shape on the tuple's values.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .model import Repository, StreamTuple, token_postings
 from .pivot import PivotSet, convert
 
 FANOUT = 8
-MISSING_COORD = -1.0
 _TOL = 1e-9
 
 
@@ -35,7 +34,6 @@ class Node:
     box: list  # per-dim (lo, hi)
     children: list = field(default_factory=list)
     items: list = field(default_factory=list)
-    agg: dict = field(default_factory=dict)
 
     @property
     def is_leaf(self) -> bool:
@@ -242,163 +240,61 @@ def build_dr_index(repo: Repository, pivots: PivotSet, dist: DistanceFn) -> DrIn
 # ---------------------------------------------------------------------------
 # CDD-index
 
-@dataclass
-class RuleEntry:
-    rule: CddRule
-    aux: dict  # (attr, pivot_idx>=1) -> distance of the constant to that pivot
-
-
-@dataclass
-class RuleGroup:
-    attrs: list  # sorted determinant attributes X_m of the group
-    root: Node
-
-
 class CddIndex:
-    """Rule index for one dependent attribute: one tree per group of determinant sets."""
+    """Rule index for one dependent attribute: a hash join on constant determinants.
 
-    def __init__(self, dependent: int, groups: list):
+    A rule's shape is its determinant attributes in attribute order and, of
+    those, the ones it holds constant.  ``buckets`` maps (shape, constant
+    values in attribute order) to the rules of that shape with those
+    constants, so a tuple finds its rules with one lookup per shape.
+    """
+
+    def __init__(self, dependent: int, buckets: dict):
         self.dependent = dependent
-        self.groups = groups
+        self.buckets = buckets
+        self.shapes = list(dict.fromkeys(shape for shape, _ in buckets))
 
     @functools.cached_property
     def lattice(self) -> list:
-        """Level l -> the distinct unions of l groups' attribute sets.  No query
-        reads it, and a rule set with g groups has 2^g - 1 combinations, so it
-        is built only when read."""
-        return _build_lattice([frozenset(g.attrs) for g in self.groups])
+        """Level l -> the distinct unions of l groups' attribute sets, the groups
+        being a greedy superset cover of the rules' determinant sets, largest
+        first.  No query reads it, and g groups have 2^g - 1 combinations, so
+        it is built only when read."""
+        det_sets = {frozenset(attrs) for attrs, _ in self.shapes}
+        groups: list = []
+        for ds in sorted(det_sets, key=lambda s: (-len(s), sorted(s))):
+            if not any(ds <= g for g in groups):
+                groups.append(ds)
+        return _build_lattice(groups)
 
-    def candidate_rules(self, r: StreamTuple, pivots: PivotSet, dist: DistanceFn) -> list:
-        """Rules whose determinants could be satisfied by r (no false dismissals)."""
-        if r.attrs[self.dependent] is not None:
+    def candidate_rules(self, r: StreamTuple) -> list:
+        """The rules r could satisfy, each once: r holds every determinant
+        attribute and equals every constant."""
+        attrs = r.attrs
+        if attrs[self.dependent] is not None:
             raise ConfigError(f"tuple {r.rid} is not missing attribute {self.dependent}")
-        # pivot coordinates of r's values, converted when an all-constant node
-        # first needs them and shared by the groups
-        coords: dict = {}
         out = []
-        for group in self.groups:
-            stack = [group.root]
-            while stack:
-                node = stack.pop()
-                if self._prune_node(node, group, r, coords, pivots, dist):
-                    continue
-                if node.is_leaf:
-                    for _, entry in node.items:
-                        rule = entry.rule
-                        if not rule.applicable_to(r):
-                            continue
-                        if all(
-                            c.kind != CONST or r.attrs[c.attr] == c.value
-                            for c in rule.determinants
-                        ):
-                            out.append(rule)
-                else:
-                    stack.extend(node.children)
+        for shape in self.shapes:
+            det_attrs, const_attrs = shape
+            if all(attrs[x] is not None for x in det_attrs):
+                out.extend(self.buckets.get((shape, tuple(attrs[x] for x in const_attrs)), ()))
         return out
 
-    @staticmethod
-    def _prune_node(
-        node: Node, group: RuleGroup, r: StreamTuple, coords: dict, pivots: PivotSet, dist: DistanceFn
-    ) -> bool:
-        for k, x in enumerate(group.attrs):
-            lo, hi = node.box[k]
-            if r.attrs[x] is None:
-                # r lacks attr x: only rules without a real constraint on x apply
-                if lo > MISSING_COORD + _TOL:
-                    return True
-                continue
-            if not node.agg["all_const"][k]:
-                continue
-            cc = coords.get(x)
-            if cc is None:
-                cc = coords[x] = convert(r.attrs[x], x, pivots, dist)
-            cx = cc[0]
-            if cx < lo - _TOL or cx > hi + _TOL:
-                return True
-            for (ax, a), (alo, ahi) in node.agg["aux"].items():
-                if ax == x and a < len(cc):
-                    ca = cc[a]
-                    if ca < alo - _TOL or ca > ahi + _TOL:
-                        return True
-        return False
 
-
-def build_cdd_index(rules: Sequence[CddRule], pivots: PivotSet, dist: DistanceFn) -> CddIndex:
+def build_cdd_index(rules: Sequence[CddRule]) -> CddIndex:
     rules = list(rules)
     if not rules:
         raise ConfigError("cannot index an empty rule set")
     dependents = {r.dependent for r in rules}
     if len(dependents) != 1:
         raise ConfigError("one CDD-index per dependent attribute")
-    dependent = dependents.pop()
-
-    # greedy superset cover: largest determinant sets first
-    det_sets = sorted({r.det_attrs for r in rules}, key=lambda s: (-len(s), sorted(s)))
-    group_attrs: list = []
-    assignment: dict = {}
-    for ds in det_sets:
-        for gi, ga in enumerate(group_attrs):
-            if ds <= ga:
-                assignment[ds] = gi
-                break
-        else:
-            assignment[ds] = len(group_attrs)
-            group_attrs.append(ds)
-
-    groups = []
-    for gi, ga in enumerate(group_attrs):
-        attrs = sorted(ga)
-        members = [r for r in rules if assignment[r.det_attrs] == gi]
-        entries = []
-        for rule in members:
-            box = []
-            aux = {}
-            by_attr = {c.attr: c for c in rule.determinants}
-            for x in attrs:
-                c = by_attr.get(x)
-                if c is None:
-                    box.append((MISSING_COORD, MISSING_COORD))
-                elif c.kind == CONST:
-                    cc = convert(c.value, x, pivots, dist)
-                    box.append((cc[0], cc[0]))
-                    for a in range(1, len(cc)):
-                        aux[(x, a)] = cc[a]
-                else:
-                    box.append((c.lo, c.hi))
-            entries.append((box, RuleEntry(rule=rule, aux=aux)))
-        root = _str_pack(entries, dims=len(attrs))
-        _set_cdd_aggregates(root, attrs)
-        groups.append(RuleGroup(attrs=attrs, root=root))
-
-    return CddIndex(dependent=dependent, groups=groups)
-
-
-def _set_cdd_aggregates(node: Node, attrs: list) -> None:
-    """Set ``node.agg`` and, first, the aggregates of every node below it."""
-    if node.is_leaf:
-        entries = [e for _, e in node.items]
-        consts = [{c.attr for c in e.rule.determinants if c.kind == CONST} for e in entries]
-        node.agg["all_const"] = [all(x in cs for cs in consts) for x in attrs]
-        aux_cover: dict = {}
-        for e in entries:
-            for key, val in e.aux.items():
-                cur = aux_cover.get(key)
-                aux_cover[key] = (
-                    (val, val) if cur is None else (min(cur[0], val), max(cur[1], val))
-                )
-        node.agg["aux"] = aux_cover
-    else:
-        for c in node.children:
-            _set_cdd_aggregates(c, attrs)
-        node.agg["all_const"] = [
-            all(c.agg["all_const"][k] for c in node.children) for k in range(len(attrs))
-        ]
-        aux_cover = {}
-        for c in node.children:
-            for key, (lo, hi) in c.agg["aux"].items():
-                cur = aux_cover.get(key)
-                aux_cover[key] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
-        node.agg["aux"] = aux_cover
+    buckets: dict = {}
+    for rule in rules:
+        dets = sorted(rule.determinants, key=lambda c: c.attr)
+        consts = [c for c in dets if c.kind == CONST]
+        shape = (tuple(c.attr for c in dets), tuple(c.attr for c in consts))
+        buckets.setdefault((shape, tuple(c.value for c in consts)), []).append(rule)
+    return CddIndex(dependent=dependents.pop(), buckets=buckets)
 
 
 def _build_lattice(group_attrs: list) -> list:

@@ -337,32 +337,21 @@ def _dr_payloads(node):
     return [p for c in node.children for p in _dr_payloads(c)]
 
 
-def _cdd_entries(node):
-    if node.is_leaf:
-        return [e for _, e in node.items]
-    return [e for c in node.children for e in _cdd_entries(c)]
-
-
-def _check_cdd_invariants(index):
+def _check_cdd_invariants(index, rules):
+    """Every rule of the dependent sits in exactly one bucket, the one keyed by
+    its own shape (determinant attributes in order, and which are constants)
+    and constant values."""
     from teride.cdd import CONST
 
-    total = 0
-    for group in index.groups:
-        for node in _walk(group.root):
-            boxes = [c.box for c in node.children] or [b for b, _ in node.items]
-            for box in boxes:
-                for (lo, hi), (nlo, nhi) in zip(box, node.box):
-                    assert nlo - 1e-9 <= lo and hi <= nhi + 1e-9
-            entries = _cdd_entries(node)
-            total += len(entries) if node.is_leaf else 0
-            for e in entries:
-                for key, val in e.aux.items():
-                    lo, hi = node.agg["aux"][key]
-                    assert lo - 1e-9 <= val <= hi + 1e-9
-            consts = [{c.attr for c in e.rule.determinants if c.kind == CONST} for e in entries]
-            for k, x in enumerate(group.attrs):
-                assert node.agg["all_const"][k] == all(x in cs for cs in consts)
-    return total
+    placed = [(key, rule) for key, bucket in index.buckets.items() for rule in bucket]
+    assert sorted(id(rule) for _, rule in placed) == sorted(map(id, rules))
+    for (shape, values), rule in placed:
+        assert rule.dependent == index.dependent
+        by_attr = {c.attr: c for c in rule.determinants}
+        consts = tuple(x for x in sorted(by_attr) if by_attr[x].kind == CONST)
+        assert shape == (tuple(sorted(by_attr)), consts)
+        assert values == tuple(by_attr[x].value for x in consts)
+    return len(placed)
 
 
 def _check_grid_invariants(grid, peak):
@@ -387,8 +376,9 @@ def _check_grid_invariants(grid, peak):
 
 
 class TestStructuralInvariants:
-    """Tree aggregates cover their subtrees, and a grid's slot table, bitmaps and
-    token postings are exactly those of its live tuples, after randomized operations."""
+    """DR-tree boxes cover their subtrees, each rule sits in the bucket of its
+    shape and constants, and a grid's slot table, bitmaps and token postings are
+    exactly those of its live tuples, after randomized operations."""
 
     def test_tree_aggregates_cover_descendants(self):
         repo, _ = make_workload(seed=700, length=40, vocab=50, topics=3, repo_size=80)
@@ -403,8 +393,7 @@ class TestStructuralInvariants:
             by_dep.setdefault(rule.dependent, []).append(rule)
         indexed = 0
         for j, js_rules in by_dep.items():
-            idx = build_cdd_index(js_rules, pivots, dist)
-            indexed += _check_cdd_invariants(idx)
+            indexed += _check_cdd_invariants(build_cdd_index(js_rules), js_rules)
         assert indexed == len(rules)
 
     def test_grid_invariants_after_randomized_ops(self):

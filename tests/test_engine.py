@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teride.cdd import detect_cdds, rules_from_text
+from teride.cdd import CONST, INTERVAL, AttrConstraint, CddRule, detect_cdds, rules_from_text
 from teride.engine import (
     KIND_EXPIRE,
     KIND_MATCH,
@@ -156,10 +156,10 @@ def test_fuzz_rhos_reach_every_token_need_level():
 
 
 @st.composite
-def drawn_queries(draw):
+def drawn_queries(draw, max_holes=4):
     """A small workload and a query over it: d, stream count, missing rate and
-    holes per tuple, rho, alpha, window, distance kind and keywords, some of
-    which no value holds."""
+    holes per tuple (at most ``max_holes``), rho, alpha, window, distance kind
+    and keywords, some of which no value holds."""
     d = draw(st.integers(2, 5))
     repo, trace = make_workload(
         seed=draw(st.integers(0, 10_000)),
@@ -169,7 +169,7 @@ def drawn_queries(draw):
         vocab=30,
         topics=3,
         xi=draw(st.sampled_from((0.0, 0.3, 0.6))),
-        m=draw(st.integers(1, d - 1)),
+        m=draw(st.integers(1, min(d - 1, max_holes))),
         repo_size=draw(st.integers(10, 40)),
     )
     cfg = make_config(
@@ -182,16 +182,9 @@ def drawn_queries(draw):
     return repo, trace, cfg, DistanceFn(draw(st.sampled_from((DistanceFn.JACCARD, DistanceFn.ABSDIFF))))
 
 
-@settings(max_examples=150, deadline=None)
-@given(query=drawn_queries())
-def test_three_modes_agree_on_drawn_queries(query):
+def assert_three_modes_agree(repo, trace, cfg, dist, rules):
     """``engine``, ``noindex`` and ``oracle`` write byte-identical events, and
     ``engine`` and ``noindex``, which differ only in fetching, count each stage alike."""
-    repo, trace, cfg, dist = query
-    try:
-        rules = detect_cdds(repo, dist)
-    except NoRulesFound:
-        rules = []
     pivots = select_pivots(repo, dist=dist)
     logs, metrics = {}, {}
     for mode in (MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE):
@@ -202,6 +195,51 @@ def test_three_modes_agree_on_drawn_queries(query):
     assert logs[MODE_NOINDEX] == logs[MODE_ORACLE]
     for key in ("stage_counts", "pairs_considered"):
         assert metrics[MODE_ENGINE][key] == metrics[MODE_NOINDEX][key], key
+
+
+@settings(max_examples=150, deadline=None)
+@given(query=drawn_queries())
+def test_three_modes_agree_on_drawn_queries(query):
+    repo, trace, cfg, dist = query
+    try:
+        rules = detect_cdds(repo, dist)
+    except NoRulesFound:
+        rules = []
+    assert_three_modes_agree(repo, trace, cfg, dist, rules)
+
+
+@st.composite
+def hand_built_rules(draw, repo, trace):
+    """A rule on one or two determinants, each a constant or a distance
+    interval, some of which admit 1.0.  Each constant is a repository value:
+    the one an anchor tuple drawn from the trace holds, if the repository
+    holds it too, so that tuples meet one- and two-constant rules."""
+    anchor = draw(st.sampled_from([r for r in trace if not r.is_complete()] or trace))
+    j = draw(st.sampled_from(anchor.missing_attrs() or range(repo.d)))
+    xs = draw(st.lists(st.sampled_from([x for x in range(repo.d) if x != j]), min_size=1, max_size=2, unique=True))
+    dets = []
+    for x in xs:
+        kind = draw(st.sampled_from(("const", "interval", "admits-1")))
+        if kind == "const":
+            held = anchor.attrs[x] in repo.domain(x)
+            value = anchor.attrs[x] if held else draw(st.sampled_from(sorted(repo.domain(x), key=sorted)))
+            dets.append(AttrConstraint(attr=x, kind=CONST, value=value))
+        else:
+            hi = 1.0 if kind == "admits-1" else draw(st.sampled_from((0.2, 0.5, 0.8)))
+            lo = draw(st.sampled_from((0.0, hi / 2)))
+            dets.append(AttrConstraint(attr=x, kind=INTERVAL, lo=lo, hi=hi, min_open=draw(st.booleans())))
+    dep_hi = draw(st.sampled_from((0.0, 0.2, 0.5)))
+    return CddRule(determinants=tuple(dets), dependent=j, dep_lo=0.0, dep_hi=dep_hi)
+
+
+# loose rules impute many candidates per hole, and a tuple's instances are
+# the product over its holes, so these queries have at most two holes
+@settings(max_examples=150, deadline=None)
+@given(query=drawn_queries(max_holes=2), data=st.data())
+def test_three_modes_agree_on_hand_built_rules(query, data):
+    repo, trace, cfg, dist = query
+    rules = data.draw(st.lists(hand_built_rules(repo, trace), min_size=1, max_size=12))
+    assert_three_modes_agree(repo, trace, cfg, dist, rules)
 
 
 def prob_in_range(p):

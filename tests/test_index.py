@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -86,122 +87,113 @@ class TestDrIndex:
             assert len(node.items) <= FANOUT
 
 
+def _linear_filter(rules, r):
+    """The rules r could satisfy, by the definition: applicable, and equal to every constant."""
+    return [
+        rule for rule in rules
+        if rule.applicable_to(r)
+        and all(c.kind != CONST or r.attrs[c.attr] == c.value for c in rule.determinants)
+    ]
+
+
+def _check_candidate_rules(rules, tuples) -> list:
+    """Index the rules per dependent and check, for each tuple and each missing
+    attribute with rules, that ``candidate_rules`` gives the linear filter's
+    rules, each once; returns the (tuple, rules) pairs it checked."""
+    by_dep = {}
+    for rule in rules:
+        by_dep.setdefault(rule.dependent, []).append(rule)
+    indexes = {j: build_cdd_index(rs) for j, rs in by_dep.items()}
+    checked = []
+    for r in tuples:
+        for j in r.missing_attrs():
+            if j in indexes:
+                got = indexes[j].candidate_rules(r)
+                assert len(set(map(id, got))) == len(got), r
+                assert set(map(id, got)) == set(map(id, _linear_filter(by_dep[j], r))), r
+                checked.append((r, got))
+    return checked
+
+
+def _const(x, value):
+    return AttrConstraint(attr=x, kind=CONST, value=value)
+
+
 class TestCddIndex:
-    def test_aggregates_are_computed_once_per_node(self, setup, monkeypatch):
-        import teride.index
-
-        repo, _, dist, pivots, rules = setup
-        calls = []
-        fn = teride.index._set_cdd_aggregates
-
-        def counted(node, *args):
-            calls.append(node)
-            return fn(node, *args)
-
-        monkeypatch.setattr(teride.index, "_set_cdd_aggregates", counted)
-        # one constant rule per value of attribute 0, so that a group holds
-        # more rules than a leaf and its tree has inner nodes
-        rules = rules + [
-            CddRule(
-                determinants=(AttrConstraint(attr=0, kind=CONST, value=v),),
-                dependent=2, dep_lo=0.0, dep_hi=0.1,
-            )
-            for v in repo.domain(0)
-        ]
-        roots = []
-        for dep in {r.dependent for r in rules}:
-            idx = build_cdd_index([r for r in rules if r.dependent == dep], pivots, dist)
-            roots.extend(g.root for g in idx.groups)
-        nodes = [n for root in roots for n in _walk(root)]
-        assert len(nodes) > len(roots)
-        assert sorted(map(id, calls)) == sorted(map(id, nodes))
-
     def test_candidate_rules_match_linear_filter(self, setup):
-        repo, trace, dist, pivots, rules = setup
-        by_dep = {}
-        for rule in rules:
-            by_dep.setdefault(rule.dependent, []).append(rule)
-        indexes = {j: build_cdd_index(rs, pivots, dist) for j, rs in by_dep.items()}
-        checked = 0
-        for r in trace:
-            for j in r.missing_attrs():
-                if j not in indexes:
-                    continue
-                got = {id(rule) for rule in indexes[j].candidate_rules(r, pivots, dist)}
-                expected = set()
-                for rule in by_dep[j]:
-                    if not rule.applicable_to(r):
-                        continue
-                    if all(
-                        c.kind != CONST or r.attrs[c.attr] == c.value
-                        for c in rule.determinants
-                    ):
-                        expected.add(id(rule))
-                assert got == expected
-                checked += 1
-        assert checked > 0
+        repo, trace, _, _, rules = setup
+        assert _check_candidate_rules(rules, trace)
+        # hand-built rules on dependent 2 over attributes 0 and 1: constants
+        # are two repository values per attribute, and a third value equals
+        # none of them
+        v0s, v1s = (sorted(repo.domain(x), key=sorted)[:3] for x in (0, 1))
+
+        def rule(*dets):
+            return CddRule(determinants=dets, dependent=2, dep_lo=0.0, dep_hi=0.1)
+
+        built = [rule(_interval(0, 0.0, 0.5), _interval(1, 0.2, 1.0)), rule(_interval(1, 0.0, 1.0))]
+        for v0, v1 in itertools.product(v0s[:2], v1s[:2]):
+            built += [
+                rule(_const(0, v0), _const(1, v1)),
+                rule(_const(1, v1), _const(0, v0)),
+                rule(_const(0, v0), _interval(1, 0.0, 0.5)),
+                rule(_interval(1, 0.1, 0.5), _const(0, v0)),
+                rule(_interval(0, 0.0, 0.5), _const(1, v1)),
+                rule(_const(0, v0)),
+            ]
+        # listing a rule's determinants in another order gives the same shape
+        assert len(build_cdd_index(built).shapes) == 6
+        # queries that hold both determinant attributes, or lack attribute 1
+        queries = [make_tuple("q", 0, 1, v0, v1, None) for v0, v1 in itertools.product(v0s, (*v1s, None))]
+        checked = _check_candidate_rules(built, queries)
+        assert any(
+            len(found.determinants) == 2 and all(c.kind == CONST for c in found.determinants)
+            for _, got in checked for found in got
+        )
+        assert any(got for q, got in checked if q.attrs[1] is None)
+
+    def test_candidate_rules_rejects_a_tuple_holding_the_dependent(self, setup):
+        _, trace, _, _, rules = setup
+        dep = rules[0].dependent
+        idx = build_cdd_index([r for r in rules if r.dependent == dep])
+        r = next(r for r in trace if r.attrs[dep] is not None)
+        with pytest.raises(ConfigError, match="is not missing attribute"):
+            idx.candidate_rules(r)
 
     def test_group_cover(self, setup):
-        repo, _, dist, pivots, rules = setup
+        _, _, _, _, rules = setup
         dep = rules[0].dependent
-        same_dep = [r for r in rules if r.dependent == dep]
-        idx = build_cdd_index(same_dep, pivots, dist)
-        indexed = [e.rule for g in idx.groups for node in _walk(g.root) for _, e in node.items]
-        assert sorted(r.dep_lo for r in indexed) == sorted(r.dep_lo for r in same_dep)
-        group_sets = [frozenset(g.attrs) for g in idx.groups]
-        for rule in same_dep:
-            assert any(rule.det_attrs <= gs for gs in group_sets)
-        # the lattice is built on first read, over the groups' attribute sets
+        idx = build_cdd_index([r for r in rules if r.dependent == dep])
+        # greedy superset cover of the determinant sets, largest first
+        groups = []
+        for ds in sorted({r.det_attrs for r in rules if r.dependent == dep}, key=lambda s: (-len(s), sorted(s))):
+            if not any(ds <= g for g in groups):
+                groups.append(ds)
         assert "lattice" not in vars(idx)
-        assert idx.lattice == _build_lattice(group_sets)
-        assert idx.lattice[0] == sorted(set(group_sets), key=lambda s: (len(s), sorted(s)))
-        assert idx.lattice[-1] == [frozenset().union(*group_sets)]
+        assert idx.lattice == _build_lattice(groups)
+        assert idx.lattice[0] == sorted(groups, key=lambda s: (len(s), sorted(s)))
+        assert idx.lattice[-1] == [frozenset().union(*groups)]
 
     def test_engine_at_d10_builds_without_the_lattice(self):
-        # every dependent here has about 36 groups: a lattice built with the
-        # index would enumerate 2^36 group combinations
+        # a lattice built with the index would enumerate 2^g combinations of
+        # g groups, about 36 per dependent here
         repo, _ = make_workload(seed=7, d=10, length=100, repo_size=100)
         t0 = time.perf_counter()
         engine = Engine(repo, make_config(d=10, window=30), mode=MODE_ENGINE)
         assert time.perf_counter() - t0 < 60
         indexes = engine.fetch.cdd_indexes.values()
-        assert max(len(idx.groups) for idx in indexes) >= 30
         assert not any("lattice" in vars(idx) for idx in indexes)
 
     def test_mixed_dependents_rejected(self, setup):
-        _, _, dist, pivots, rules = setup
+        _, _, _, _, rules = setup
         deps = {r.dependent for r in rules}
         if len(deps) > 1:
             with pytest.raises(ConfigError):
-                build_cdd_index(rules, pivots, dist)
+                build_cdd_index(rules)
 
-    def test_empty_rejected(self, setup):
-        _, _, dist, pivots, _ = setup
+    def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            build_cdd_index([], pivots, dist)
-
-    def test_node_aggregates_cover_descendants(self, setup):
-        repo, _, dist, pivots, rules = setup
-        dep = rules[0].dependent
-        idx = build_cdd_index([r for r in rules if r.dependent == dep], pivots, dist)
-        for group in idx.groups:
-            for node in _walk(group.root):
-                members = []
-
-                def collect(n):
-                    if n.is_leaf:
-                        members.extend(e for _, e in n.items)
-                    else:
-                        for c in n.children:
-                            collect(c)
-
-                collect(node)
-                for k, x in enumerate(group.attrs):
-                    if node.agg["all_const"][k]:
-                        assert all(
-                            any(c.attr == x and c.kind == CONST for c in e.rule.determinants)
-                            for e in members
-                        )
+            build_cdd_index([])
 
 
 class TestQueryBox:
