@@ -43,7 +43,9 @@ from .errors import ConfigError, DuplicateTuple, NoRulesFound, OutOfOrderArrival
 from .grid import ErGrid, TupleSummary, summarize
 from .impute import ImputedTuple, impute_tuple
 from .index import build_cdd_index, build_dr_index
-from .index import dr_query_box_for_rule  # noqa: F401 - perfbench/tracer.py wraps this name
+# unread: kept so perfbench/tracer.py resolves the name, but DrIndex.samples_per_rule
+# calls the one in teride.index, so a wrap of this name records no call
+from .index import dr_query_box_for_rule  # noqa: F401
 from .metric import DistanceFn
 from .model import QueryConfig, Repository, StreamTuple
 from .pivot import PivotSet, select_pivots

@@ -1,12 +1,12 @@
 """The repository index (DR-index) and the rule index (CDD-index).
 
-The DR-index is an R-tree over the repository samples' main-pivot
-coordinates, bulk-loaded with sort-tile-recursive packing at fanout 8, plus
-per-attribute token and value postings; each node carries only the box
-covering its samples.  The CDD-index of a dependent attribute is a hash join
-on constant determinants: its rules are bucketed by shape (determinant
-attributes, and which of them are constants) and constant values, so the
-rules a tuple could satisfy are one lookup per shape on the tuple's values.
+The DR-index holds, per attribute, the repository samples' main-pivot
+coordinates in ascending order, so a range of coordinates is two bisections,
+plus per-attribute token and value postings.  The CDD-index of a dependent
+attribute is a hash join on constant determinants: its rules are bucketed by
+shape (determinant attributes, and which of them are constants) and constant
+values, so the rules a tuple could satisfy are one lookup per shape on the
+tuple's values.
 """
 
 from __future__ import annotations
@@ -14,90 +14,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .cdd import CONST, CddRule
 from .errors import ConfigError
 from .metric import DistanceFn
 from .model import Repository, StreamTuple, token_postings
-from .pivot import PivotSet, convert
-
-FANOUT = 8
-_TOL = 1e-9
-
-
-@dataclass
-class Node:
-    """An R-tree node: a covering box plus either child nodes or leaf items."""
-
-    box: list  # per-dim (lo, hi)
-    children: list = field(default_factory=list)
-    items: list = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-def _cover(boxes) -> list:
-    dims = len(boxes[0])
-    return [
-        (min(b[k][0] for b in boxes), max(b[k][1] for b in boxes)) for k in range(dims)
-    ]
-
-
-def _str_pack(entries, dims: int, fanout: int = FANOUT) -> Node:
-    """Sort-tile-recursive bulk load; `entries` are (box, payload) pairs."""
-
-    def tile(group, dim):
-        if len(group) <= fanout:
-            return [group]
-        group = sorted(
-            group, key=lambda e: ((e[0][dim][0] + e[0][dim][1]) / 2.0, e[2])
-        )
-        n_leaves = math.ceil(len(group) / fanout)
-        n_slabs = math.ceil(n_leaves ** (1.0 / max(1, dims - dim)))
-        slab_size = math.ceil(len(group) / n_slabs)
-        out = []
-        for i in range(0, len(group), slab_size):
-            slab = group[i : i + slab_size]
-            if dim + 1 < dims:
-                out.extend(tile(slab, dim + 1))
-            else:
-                for k in range(0, len(slab), fanout):
-                    out.append(slab[k : k + fanout])
-        return out
-
-    indexed = [(box, payload, i) for i, (box, payload) in enumerate(entries)]
-    groups = tile(indexed, 0)
-    nodes = [
-        Node(box=_cover([e[0] for e in g]), items=[(e[0], e[1]) for e in g]) for g in groups
-    ]
-    while len(nodes) > 1:
-        nodes = sorted(
-            nodes, key=lambda n: tuple((lo + hi) / 2.0 for lo, hi in n.box)
-        )
-        parents = []
-        for i in range(0, len(nodes), fanout):
-            kids = nodes[i : i + fanout]
-            parents.append(Node(box=_cover([k.box for k in kids]), children=kids))
-        nodes = parents
-    return nodes[0]
-
-
-def _walk(node: Node):
-    yield node
-    for c in node.children:
-        yield from _walk(c)
-
-
-def _box_intersects(box, query) -> bool:
-    for (lo, hi), (qlo, qhi) in zip(box, query):
-        if hi < qlo - _TOL or lo > qhi + _TOL:
-            return False
-    return True
-
+from .pivot import PivotSet
 
 # ---------------------------------------------------------------------------
 # DR-index
@@ -126,9 +50,9 @@ def prefix_positions(postings: dict, v, hi: float) -> set:
 
 
 class DrIndex:
-    """R-tree over the repository samples' main-pivot coordinates, plus
-    per-attribute postings (token -> sample positions, value -> sample
-    positions) over the repository.
+    """Per attribute, the repository samples' main-pivot coordinates in
+    ascending order with their sample positions, plus per-attribute postings
+    (token -> sample positions, value -> sample positions) over the repository.
 
     Imputation fetches its samples through the postings: :meth:`samples_per_rule`
     makes one retrieval per tuple for all of its candidate rules, and
@@ -136,10 +60,9 @@ class DrIndex:
     Both use the prefix filter of :func:`prefix_positions` under Jaccard.
     """
 
-    def __init__(self, root: Node, d: int, samples: list, by_token: list, by_value: list):
-        self.root = root
-        self.d = d
+    def __init__(self, samples: list, by_coord: list, by_token: list, by_value: list):
         self.samples = samples  # repository order; postings hold positions into it
+        self.by_coord = by_coord  # per attr: (ascending coordinates, their positions)
         self.by_token = by_token  # per attr: token -> frozenset of positions
         self.by_value = by_value  # per attr: token set -> frozenset of positions
 
@@ -155,8 +78,8 @@ class DrIndex:
         only if its distance is admitted; each distinct such interval is
         computed once and shared by every rule that has it.  A rule intersects
         the positions of these restricting determinants; a rule with none
-        falls back to the R-tree box.  Every sample that satisfies a rule's
-        determinants is returned for it.
+        falls back to the range query on its box (:meth:`range_samples`).
+        Every sample that satisfies a rule's determinants is returned for it.
         """
         jaccard = dist.kind == DistanceFn.JACCARD
         measure = dist.bind()
@@ -195,46 +118,34 @@ class DrIndex:
         return {self.samples[i].attrs[attr] for i in prefix_positions(self.by_token[attr], v, hi)}
 
     def range_samples(self, box: dict) -> list:
-        """Samples whose main-pivot coordinates intersect the (partial) query box.
-
-        `box` maps attribute index to (lo, hi); unconstrained attributes span [0, 1].
-        """
-        query = [box.get(x, (0.0, 1.0)) for x in range(self.d)]
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if not _box_intersects(node.box, query):
-                continue
-            if node.is_leaf:
-                for ibox, sample in node.items:
-                    if _box_intersects(ibox, query):
-                        out.append(sample)
-            else:
-                stack.extend(node.children)
-        return out
+        """Samples, in repository order, whose main-pivot coordinate on each
+        attribute of the (partial) query box lies within its (lo, hi), give
+        or take 1e-9; a box that names no attribute returns every sample."""
+        picked = None
+        for x, (lo, hi) in box.items():
+            coords, positions = self.by_coord[x]
+            hits = positions[bisect_left(coords, lo - 1e-9) : bisect_right(coords, hi + 1e-9)]
+            picked = set(hits) if picked is None else picked.intersection(hits)
+        if picked is None:
+            return list(self.samples)
+        return [self.samples[i] for i in sorted(picked)]
 
 
 def build_dr_index(repo: Repository, pivots: PivotSet, dist: DistanceFn) -> DrIndex:
     f = dist.bind()
-    mains = [pivots.main(x) for x in range(repo.d)]
-    entries = []
-    by_value = [{} for _ in range(repo.d)]
-    for i, s in enumerate(repo.samples):
-        for x, v in enumerate(s.attrs):
-            by_value[x].setdefault(v, set()).add(i)
-        box = [(c, c) for c in map(f, s.attrs, mains)]
-        entries.append((box, s))
-    return DrIndex(
-        root=_str_pack(entries, dims=repo.d),
-        d=repo.d,
-        samples=repo.samples,
-        by_token=[
-            {t: frozenset(ids) for t, ids in token_postings([s.attrs[x] for s in repo.samples]).items()}
-            for x in range(repo.d)
-        ],
-        by_value=[{v: frozenset(ids) for v, ids in p.items()} for p in by_value],
-    )
+    by_coord, by_token, by_value = [], [], []
+    for x in range(repo.d):
+        values = [s.attrs[x] for s in repo.samples]
+        main = pivots.main(x)
+        coords = [f(v, main) for v in values]
+        positions = sorted(range(len(values)), key=coords.__getitem__)
+        by_coord.append(([coords[i] for i in positions], positions))
+        by_token.append({t: frozenset(ids) for t, ids in token_postings(values).items()})
+        postings: dict = {}
+        for i, v in enumerate(values):
+            postings.setdefault(v, []).append(i)
+        by_value.append({v: frozenset(ids) for v, ids in postings.items()})
+    return DrIndex(samples=repo.samples, by_coord=by_coord, by_token=by_token, by_value=by_value)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +228,13 @@ def dr_query_box_for_rule(
     Constant constraints pin the coordinate; interval constraints widen r's
     coordinate by the interval's upper bound (triangle inequality).
     """
+    f = dist.bind()
     box = {}
     for c in rule.determinants:
         rv = r.attrs[c.attr]
         if rv is None:
             raise ConfigError(f"tuple {r.rid} lacks determinant {c.attr}")
-        cx = convert(rv, c.attr, pivots, dist)[0]
+        cx = f(rv, pivots.main(c.attr))
         if c.kind == CONST:
             box[c.attr] = (cx, cx)
         else:

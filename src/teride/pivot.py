@@ -1,4 +1,4 @@
-"""Entropy-based pivot selection and conversion of token sets to pivot distances.
+"""Entropy-based pivot selection, and the pivot file format.
 
 For each attribute the main pivot is the domain value whose distances to the
 repository samples spread most evenly over P equal buckets of [0, 1] (maximum
@@ -258,15 +258,6 @@ def _argmax(values, score) -> tuple:
         if best_s is None or s > best_s + _EDGE_TOL:
             best_v, best_s = v, s
     return best_v, best_s
-
-
-def convert(value: TokenSet, attr: int, pivots: PivotSet, dist: DistanceFn) -> list:
-    """Distances from a value to each pivot of the attribute; index 0 is the main coordinate.
-
-    The kind-specific distance is bound once per call (``DistanceFn.bind``).
-    """
-    f = dist.bind()
-    return [f(value, piv) for piv in pivots.per_attr[attr]]
 
 
 # ---------------------------------------------------------------------------

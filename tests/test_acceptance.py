@@ -3,7 +3,7 @@
 Each test class pins one externally visible property: reference-value
 exactness, equivalence with the exhaustive reference mode, soundness and
 power of the pruning cascade, indexed speedup, pivot selection, window
-semantics, and structural invariants of the index/grid aggregates.
+semantics, and structural invariants of the indexes and the grid.
 """
 
 import math
@@ -25,7 +25,7 @@ from teride.engine import (
 from teride.errors import NoRulesFound
 from teride.grid import ErGrid, summarize
 from teride.impute import impute_multi_rule, impute_tuple
-from teride.index import build_cdd_index, build_dr_index, _walk
+from teride.index import build_cdd_index, build_dr_index
 from teride.metric import DistanceFn, DistInterval, SizeInterval, ub_sim_by_pivot, ub_sim_by_size
 from teride.model import QueryConfig
 from teride.pivot import (
@@ -318,23 +318,26 @@ class TestWindowSemantics:
                     assert e.rid_a in live and e.rid_b in live
 
 
-def _check_dr_invariants(index):
-    seen = 0
-    for node in _walk(index.root):
-        boxes = [c.box for c in node.children] or [b for b, _ in node.items]
-        for box in boxes:
-            for (lo, hi), (nlo, nhi) in zip(box, node.box):
-                assert nlo - 1e-9 <= lo and hi <= nhi + 1e-9
-        seen += len(node.items) if node.is_leaf else 0
-    # the leaf items are the repository's samples, each once
-    assert sorted(map(id, _dr_payloads(index.root))) == sorted(map(id, index.samples))
-    return seen
-
-
-def _dr_payloads(node):
-    if node.is_leaf:
-        return [p for _, p in node.items]
-    return [p for c in node.children for p in _dr_payloads(c)]
+def _check_dr_invariants(index, repo, pivots, dist):
+    """Each attribute's coordinates ascend and are, bit for bit, the main-pivot
+    distances of the samples at their positions, which list each sample once;
+    the postings hold each sample's tokens and values, each position once."""
+    assert list(map(id, index.samples)) == list(map(id, repo.samples))
+    assert len(index.by_coord) == len(index.by_token) == len(index.by_value) == repo.d
+    n = len(repo.samples)
+    for x, (coords, positions) in enumerate(index.by_coord):
+        assert sorted(positions) == list(range(n))
+        assert all(a <= b for a, b in zip(coords, coords[1:]))
+        main = pivots.main(x)
+        assert [c.hex() for c in coords] == [dist(repo.samples[i].attrs[x], main).hex() for i in positions]
+        tokens, values = {}, {}
+        for i, s in enumerate(repo.samples):
+            for t in s.attrs[x]:
+                tokens.setdefault(t, []).append(i)
+            values.setdefault(s.attrs[x], []).append(i)
+        assert {t: sorted(ids) for t, ids in index.by_token[x].items()} == tokens
+        assert {v: sorted(ids) for v, ids in index.by_value[x].items()} == values
+    return n
 
 
 def _check_cdd_invariants(index, rules):
@@ -376,16 +379,17 @@ def _check_grid_invariants(grid, peak):
 
 
 class TestStructuralInvariants:
-    """DR-tree boxes cover their subtrees, each rule sits in the bucket of its
-    shape and constants, and a grid's slot table, bitmaps and token postings are
-    exactly those of its live tuples, after randomized operations."""
+    """The DR-index's coordinates and postings hold each sample once, each rule
+    sits in the bucket of its shape and constants, and a grid's slot table,
+    bitmaps and token postings are exactly those of its live tuples, after
+    randomized operations."""
 
-    def test_tree_aggregates_cover_descendants(self):
+    def test_index_coordinates_postings_and_buckets_hold_each_sample_and_rule(self):
         repo, _ = make_workload(seed=700, length=40, vocab=50, topics=3, repo_size=80)
         dist = DistanceFn()
         pivots = select_pivots(repo, dist=dist)
         dr = build_dr_index(repo, pivots, dist)
-        assert _check_dr_invariants(dr) == len(repo.samples)
+        assert _check_dr_invariants(dr, repo, pivots, dist) == len(repo.samples)
         rules = mine_rules(repo, dist)
         assert rules
         by_dep = {}

@@ -11,16 +11,14 @@ from teride.engine import MODE_ENGINE, Engine
 from teride.errors import ConfigError, NoRulesFound
 from teride.impute import impute_tuple
 from teride.index import (
-    FANOUT,
     _build_lattice,
-    _walk,
     build_cdd_index,
     build_dr_index,
     dr_query_box_for_rule,
 )
 from teride.metric import DistanceFn
 from teride.model import Repository
-from teride.pivot import PivotSet, convert, select_pivots
+from teride.pivot import PivotSet, select_pivots
 
 from .conftest import make_tuple, make_workload, ts
 from .test_acceptance import EQUIVALENCE_WORKLOADS, make_config, mine_rules
@@ -39,10 +37,20 @@ def setup():
     return repo, trace, dist, pivots, rules
 
 
+def _in_box(box, coords, i):
+    """Whether sample i's coordinates (``coords[x][i]``) lie in the box, by the definition."""
+    return all(lo - 1e-9 <= coords[x][i] <= hi + 1e-9 for x, (lo, hi) in box.items())
+
+
+def _main_coords(repo, pivots, dist):
+    return [[dist(s.attrs[x], pivots.main(x)) for s in repo.samples] for x in range(repo.d)]
+
+
 class TestDrIndex:
     def test_range_query_equals_linear_scan(self, setup):
         repo, _, dist, pivots, _ = setup
         idx = build_dr_index(repo, pivots, dist)
+        coords = _main_coords(repo, pivots, dist)
         rng = random.Random(4)
         for _ in range(50):
             box = {}
@@ -50,41 +58,39 @@ class TestDrIndex:
                 if rng.random() < 0.7:
                     lo = rng.random()
                     box[x] = (max(0.0, lo - 0.2), min(1.0, lo + 0.2))
-            got = {s.rid for s in idx.range_samples(box)}
-            expected = set()
-            for s in repo.samples:
-                ok = True
-                for x, (lo, hi) in box.items():
-                    c = convert(s.attrs[x], x, pivots, dist)[0]
-                    if c < lo - 1e-9 or c > hi + 1e-9:
-                        ok = False
-                        break
-                if ok:
-                    expected.add(s.rid)
-            assert got == expected
+            want = [s for i, s in enumerate(repo.samples) if _in_box(box, coords, i)]
+            assert idx.range_samples(box) == want
 
-    def test_node_aggregates_cover_descendants(self, setup):
-        repo, _, dist, pivots, _ = setup
-        idx = build_dr_index(repo, pivots, dist)
-
-        def leaves_under(node):
-            if node.is_leaf:
-                yield from node.items
-            else:
-                for c in node.children:
-                    yield from leaves_under(c)
-
-        for node in _walk(idx.root):
-            for ibox, _ in leaves_under(node):
-                for k, (lo, hi) in enumerate(node.box):
-                    assert lo - 1e-9 <= ibox[k][0] and ibox[k][1] <= hi + 1e-9
-
-    def test_fanout_respected(self, setup):
-        repo, _, dist, pivots, _ = setup
-        idx = build_dr_index(repo, pivots, dist)
-        for node in _walk(idx.root):
-            assert len(node.children) <= FANOUT
-            assert len(node.items) <= FANOUT
+    def test_box_ends_on_and_beside_sample_coordinates(self, absdiff):
+        """Under absdiff, with box ends exactly on sample coordinates and 1e-9
+        and 2e-9 inside or outside them, the range query keeps the samples the
+        definition keeps, in repository order; the empty box keeps them all."""
+        rng = random.Random(5)
+        rows = [
+            make_tuple(f"s{i}", -1, 0, *(ts(f"{rng.randrange(100) / 100}") for _ in range(2)))
+            for i in range(60)
+        ]
+        repo = Repository(rows)
+        pivots = select_pivots(repo, dist=absdiff)
+        idx = build_dr_index(repo, pivots, absdiff)
+        coords = _main_coords(repo, pivots, absdiff)
+        assert idx.range_samples({}) == repo.samples
+        dropped = 0
+        for _ in range(40):
+            x = rng.randrange(2)
+            a, b = sorted(rng.sample(sorted(set(coords[x])), 2))
+            other = {} if rng.random() < 0.5 else {1 - x: (0.0, rng.choice(coords[1 - x]))}
+            for shift in (-2e-9, -1e-9, 0.0, 1e-9, 2e-9):
+                box = {x: (a + shift, b - shift), **other}
+                got = idx.range_samples(box)
+                assert got == [s for i, s in enumerate(repo.samples) if _in_box(box, coords, i)]
+                on_ends = [i for i in range(len(rows)) if coords[x][i] in (a, b) and _in_box(other, coords, i)]
+                if shift <= 0.0:
+                    assert {id(repo.samples[i]) for i in on_ends} <= set(map(id, got))
+                elif shift == 2e-9:
+                    assert not {id(repo.samples[i]) for i in on_ends} & set(map(id, got))
+                    dropped += len(on_ends)
+        assert dropped > 0
 
 
 def _linear_filter(rules, r):
@@ -197,6 +203,17 @@ class TestCddIndex:
 
 
 class TestQueryBox:
+    def test_box_is_built_on_the_main_coordinate(self, numeric_repo, absdiff):
+        pivots = select_pivots(numeric_repo, dist=absdiff)
+        r = make_tuple("q", 0, 1, ts("a1"), ts("0.3"), None)
+        cx = absdiff(ts("0.3"), pivots.main(1))
+        for c, want in (
+            (AttrConstraint(attr=1, kind=CONST, value=ts("0.3")), (cx, cx)),
+            (_interval(1, 0.0, 0.15), (max(0.0, cx - 0.15), min(1.0, cx + 0.15))),
+        ):
+            rule = CddRule(determinants=(c,), dependent=2, dep_lo=0.0, dep_hi=0.1)
+            assert dr_query_box_for_rule(rule, r, pivots, absdiff) == {1: want}
+
     def test_box_contains_every_satisfying_sample(self, setup):
         repo, trace, dist, pivots, rules = setup
         from teride.cdd import satisfies_determinants
@@ -289,12 +306,17 @@ class TestRuleSamples:
     def test_rule_without_restricting_determinant_uses_the_box(self, setup):
         repo, trace, dist, pivots, _ = setup
         idx = build_dr_index(repo, pivots, dist)
+        position = {id(s): i for i, s in enumerate(repo.samples)}
         r = next(r for r in trace if len(r.missing_attrs()) == 1)
         _, rules = _hand_built_rules(r, r.missing_attrs()[0])
         for name in ("bucket-9", "hi-within-tol-of-1", "min-open-to-1"):
             rule = rules[name]
             box = dr_query_box_for_rule(rule, r, pivots, dist)
-            assert _rule_samples(idx, rule, r, pivots, dist) == idx.range_samples(box)
+            got = _rule_samples(idx, rule, r, pivots, dist)
+            assert got == idx.range_samples(box)
+            # samples_per_rule promises repository order
+            positions = [position[id(s)] for s in got]
+            assert positions and positions == sorted(positions)
 
     def test_absdiff_does_not_filter_by_token(self, numeric_repo, absdiff):
         pivots = select_pivots(numeric_repo, dist=absdiff)

@@ -62,6 +62,22 @@ class TestDistanceFn:
         dist = DistanceFn(kind)
         assert dist(a, b) == dist(b, a)
 
+    @given(
+        st.sampled_from([DistanceFn.JACCARD, DistanceFn.ABSDIFF]),
+        values | st.just(frozenset()),
+        values | st.just(frozenset()),
+    )
+    def test_bind_equals_the_distance_bit_for_bit(self, kind, a, b):
+        dist = DistanceFn(kind)
+        f = dist.bind()
+        if kind == DistanceFn.JACCARD and not (a and b):
+            with pytest.raises(EmptyValue):
+                f(a, b)
+            return
+        assert f(a, b).hex() == dist(a, b).hex()
+        if kind == DistanceFn.JACCARD:
+            assert f(a, b).hex() == jaccard_dist(a, b).hex()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             DistanceFn("cosine")

@@ -5,7 +5,9 @@ import teride
 
 # (file name, imported name) pairs kept on purpose although the module never reads them
 DELIBERATELY_UNUSED = {
-    ("engine.py", "dr_query_box_for_rule"),  # perfbench/tracer.py wraps this name
+    # perfbench/tracer.py wraps this name, but the index calls it through
+    # teride.index, so the wrap resolves and never records a call
+    ("engine.py", "dr_query_box_for_rule"),
     ("prune.py", "pivot_stats"),  # re-exported next to the bounds that read its result
 }
 

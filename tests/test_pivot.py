@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teride.errors import ConfigError, EmptyValue
-from teride.metric import DistanceFn, jaccard_dist
+from teride.errors import ConfigError
+from teride.metric import DistanceFn
 from teride.model import Repository
 from teride.pivot import (
     DEFAULT_CNTMAX,
     DEFAULT_EMIN,
     DEFAULT_P,
-    PivotSet,
-    convert,
     entropy,
     joint_entropy,
     pivots_from_text,
@@ -123,28 +121,6 @@ class TestSelection:
     def test_emin_must_be_finite(self, numeric_repo, absdiff, emin):
         with pytest.raises(ConfigError, match="eMin must be finite"):
             select_pivots(numeric_repo, eMin=emin, dist=absdiff)
-
-
-class TestConvert:
-    def test_distances_to_each_pivot(self, numeric_repo, absdiff):
-        pivots = select_pivots(numeric_repo, dist=absdiff)
-        coords = convert(ts("0.3"), 1, pivots, absdiff)
-        assert len(coords) == pivots.n_pivots(1)
-        assert coords[0] == absdiff(ts("0.3"), pivots.main(1))
-
-    @given(
-        value=st.frozensets(st.sampled_from("abcdefg"), max_size=5),
-        plist=st.lists(st.frozensets(st.sampled_from("abcdefg"), max_size=5),
-                       min_size=1, max_size=3),
-    )
-    def test_jaccard_equals_jaccard_dist_bit_for_bit(self, value, plist):
-        pivots = PivotSet(per_attr=[plist])
-        if not value or not all(plist):
-            with pytest.raises(EmptyValue):
-                convert(value, 0, pivots, DistanceFn())
-            return
-        got = convert(value, 0, pivots, DistanceFn())
-        assert [c.hex() for c in got] == [jaccard_dist(value, p).hex() for p in plist]
 
 
 class TestSerialization:
