@@ -79,7 +79,7 @@ class Event:
 
 
 class MatchResultSet:
-    """Ordered event log with set-style comparison helpers."""
+    """Ordered event log; two logs agree when their ``to_jsonl()`` bytes do."""
 
     def __init__(self):
         self.events: list = []
@@ -92,20 +92,6 @@ class MatchResultSet:
 
     def match_keys(self) -> set:
         return {(e.ts, e.rid_a, e.rid_b) for e in self.matches()}
-
-    def diff(self, other: "MatchResultSet", prob_tol: float = 1e-9) -> list:
-        """Human-readable differences between two event logs."""
-        out = []
-        if len(self.events) != len(other.events):
-            out.append(f"event count {len(self.events)} != {len(other.events)}")
-        for i, (a, b) in enumerate(zip(self.events, other.events)):
-            if (a.ts, a.kind, a.rid_a, a.rid_b) != (b.ts, b.kind, b.rid_a, b.rid_b):
-                out.append(f"event {i}: {a} != {b}")
-            elif (a.prob is None) != (b.prob is None) or (
-                a.prob is not None and abs(a.prob - b.prob) > prob_tol
-            ):
-                out.append(f"event {i}: prob {a.prob} != {b.prob}")
-        return out
 
     def to_jsonl(self) -> str:
         return "".join(e.to_json() + "\n" for e in self.events)

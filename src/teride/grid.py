@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 from .errors import DuplicateTuple, UnknownTuple
 from .impute import ImputedTuple
-from .metric import DistanceFn, DistInterval, SizeInterval
+from .metric import DistanceFn
 from .pivot import PivotSet
 
 _TOL = 1e-9
@@ -52,9 +52,10 @@ class TupleSummary:
     """Index-ready digest of one probabilistic tuple.
 
     What the grid reads is computed at arrival: ``box``, ``option_coords``
-    and ``keywords``.  What only the pair bounds read (``sizes``,
-    ``dist_intervals`` and ``pivot_stats``) is computed the first time it is
-    read and kept, so a tuple that no pair bound reaches never pays for it.
+    and ``keywords``.  What only the pair bounds read (``sizes`` and
+    ``pivot_stats``) is computed the first time it is read and kept, so a
+    tuple that no pair bound reaches never pays for it.  The pivot-distance
+    bound reads ``box`` itself.
     """
 
     def __init__(self, imputed: ImputedTuple, box: list, keywords: frozenset, option_coords: list):
@@ -77,17 +78,9 @@ class TupleSummary:
 
     @cached_property
     def sizes(self) -> list:
-        """Per-attr SizeInterval of the token-set size over all options."""
-        out = []
-        for x in range(len(self.box)):
-            lens = [len(v) for v, _ in self.imputed.attr_options(x)]
-            out.append(SizeInterval(min(lens), max(lens)))
-        return out
-
-    @cached_property
-    def dist_intervals(self) -> list:
-        """Per-attr DistInterval of ``box``."""
-        return [DistInterval(lo, hi) for lo, hi in self.box]
+        """Per-attr (least, greatest) token-set size over all options."""
+        lens = ([len(v) for v, _ in self.imputed.attr_options(x)] for x in range(len(self.box)))
+        return [(min(n), max(n)) for n in lens]
 
     @cached_property
     def pivot_stats(self) -> tuple:

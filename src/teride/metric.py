@@ -1,13 +1,12 @@
-"""Jaccard similarity/distance, the d-attribute similarity, and similarity upper bounds.
+"""Distances over token sets: Jaccard, the pluggable ``DistanceFn``, and the
+d-attribute similarity of two complete tuples.
 
-Two attribute-level bounds are provided: one from token-set size intervals and
-one from distance intervals to a shared pivot (triangle inequality).  Both are
-computed attribute-wise and summed, with no extra tightening.
+The similarity upper bounds built on them live in ``prune``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .errors import EmptyValue
 from .model import StreamTuple, TokenSet
@@ -26,21 +25,23 @@ def jaccard_dist(a: TokenSet, b: TokenSet) -> float:
 
 
 def _as_number(v: TokenSet):
+    """The one token of ``v`` as a finite number, else None."""
     if len(v) != 1:
         return None
     try:
-        return float(next(iter(v)))
+        x = float(next(iter(v)))
     except ValueError:
         return None
+    return x if math.isfinite(x) else None
 
 
 class DistanceFn:
     """Pluggable metric distance over token sets, range [0, 1].
 
     kind "jaccard" is the production path.  kind "absdiff" treats singleton
-    numeric token sets as numbers and uses |x - y| (clamped to [0, 1]); it
-    exists to reproduce numeric fixtures and falls back to equality (0/1)
-    for non-numeric values.
+    token sets of a finite number as numbers and uses |x - y| (clamped to
+    [0, 1]); it exists to reproduce numeric fixtures and falls back to
+    equality (0/1) for every other value, ``nan`` and ``inf`` included.
     """
 
     JACCARD = "jaccard"
@@ -72,30 +73,6 @@ class DistanceFn:
         return f"DistanceFn({self.kind!r})"
 
 
-@dataclass(frozen=True)
-class SizeInterval:
-    """Min/max token-set size over the possible values of one attribute."""
-
-    min_size: int
-    max_size: int
-
-    def __post_init__(self):
-        if not (1 <= self.min_size <= self.max_size):
-            raise ValueError("size interval requires 1 <= min <= max")
-
-
-@dataclass(frozen=True)
-class DistInterval:
-    """Lower/upper bound of a pivot distance, within [0, 1]."""
-
-    lb: float
-    ub: float
-
-    def __post_init__(self):
-        if not (-1e-9 <= self.lb <= self.ub <= 1.0 + 1e-9):
-            raise ValueError(f"bad distance interval [{self.lb}, {self.ub}]")
-
-
 def tuple_sim(r: StreamTuple, r2: StreamTuple, dist: DistanceFn | None = None) -> float:
     """Sum of per-attribute similarities between two complete tuples."""
     r.require_complete()
@@ -104,34 +81,3 @@ def tuple_sim(r: StreamTuple, r2: StreamTuple, dist: DistanceFn | None = None) -
         return sum(jaccard_sim(a, b) for a, b in zip(r.attrs, r2.attrs))
     return sum(dist.sim(a, b) for a, b in zip(r.attrs, r2.attrs))
 
-
-def attr_ub_sim_by_size(si_i: SizeInterval, si_j: SizeInterval) -> float:
-    if si_i.min_size > si_j.max_size:
-        return si_j.max_size / si_i.min_size
-    if si_i.max_size < si_j.min_size:
-        return si_i.max_size / si_j.min_size
-    return 1.0
-
-
-def ub_sim_by_size(si_i, si_j) -> float:
-    """Similarity upper bound from per-attribute token-set size intervals."""
-    return sum(attr_ub_sim_by_size(a, b) for a, b in zip(si_i, si_j))
-
-
-def attr_min_dist(x: DistInterval, y: DistInterval) -> float:
-    if x.lb > y.ub:
-        return x.lb - y.ub
-    if y.lb > x.ub:
-        return y.lb - x.ub
-    return 0.0
-
-
-def ub_sim_by_pivot(di_i, di_j) -> float:
-    """Similarity upper bound from per-attribute distance intervals to one pivot.
-
-    Equals d minus the summed minimum possible per-attribute distances.
-    """
-    di_i = list(di_i)
-    di_j = list(di_j)
-    d = len(di_i)
-    return d - sum(attr_min_dist(x, y) for x, y in zip(di_i, di_j))

@@ -4,7 +4,9 @@ For a candidate tuple pair the checks run in a fixed order: topic keyword,
 similarity upper bound (shared-token attributes under Jaccard, token sizes,
 then pivot distances), Paley-Zygmund probability upper bound, and finally
 the instance-level scan.  Every bound overestimates, so no qualifying pair is
-lost.
+lost.  The two similarity bounds this module owns, :func:`ub_sim_by_size` and
+:func:`ub_sim_by_pivot`, read plain per-attribute ``(lo, hi)`` pairs: a
+summary's ``sizes`` and its main-pivot ``box``.
 
 One kernel, :func:`instance_level_scan`, sums joint probabilities over
 instance pairs in descending joint probability.  It stops as soon as the pair
@@ -18,17 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# pivot_stats is re-exported: it belongs with the bounds that read its result
-from .grid import (
-    _SUM_SLACK,
-    STAGE_KEYWORD,
-    STAGE_TOKEN,
-    TupleSummary,
-    pivot_stats,
-    token_count_prunes,
-)
+from .grid import _SUM_SLACK, STAGE_KEYWORD, STAGE_TOKEN, TupleSummary, token_count_prunes
 from .impute import ImputedTuple
-from .metric import DistanceFn, ub_sim_by_pivot, ub_sim_by_size
+from .metric import DistanceFn
 
 STAGE_SIZE = "sim_ub_size"
 STAGE_PIVOT = "sim_ub_pivot"
@@ -81,12 +75,22 @@ def sim_ub_token(si: TupleSummary, sj: TupleSummary) -> int:
     )
 
 
-def sim_ub_size(si: TupleSummary, sj: TupleSummary) -> float:
-    return ub_sim_by_size(si.sizes, sj.sizes)
+def ub_sim_by_size(sizes_i: list, sizes_j: list) -> float:
+    """Similarity upper bound from per-attribute (least, greatest) token-set sizes:
+    where two size ranges are disjoint, the smaller size over the larger, else 1."""
+    return sum(
+        gj / li if li > gj else gi / lj if gi < lj else 1.0
+        for (li, gi), (lj, gj) in zip(sizes_i, sizes_j)
+    )
 
 
-def sim_ub_pivot(si: TupleSummary, sj: TupleSummary) -> float:
-    return ub_sim_by_pivot(si.dist_intervals, sj.dist_intervals)
+def ub_sim_by_pivot(box_i: list, box_j: list) -> float:
+    """Similarity upper bound from per-attribute (lo, hi) distances to one pivot:
+    d minus the gaps between the ranges, each a distance lower bound (triangle inequality)."""
+    return len(box_i) - sum(
+        lo_i - hi_j if lo_i > hi_j else lo_j - hi_i if lo_j > hi_i else 0.0
+        for (lo_i, hi_i), (lo_j, hi_j) in zip(box_i, box_j)
+    )
 
 
 def prob_ub_paley_zygmund(stats_i: tuple, stats_j: tuple, d: int, gamma: float) -> float:
@@ -191,9 +195,9 @@ def judge_pair(
         return PairVerdict(stage=STAGE_KEYWORD)
     if dist.kind == DistanceFn.JACCARD and token_count_prunes(sim_ub_token(si, sj), gamma):
         return PairVerdict(stage=STAGE_TOKEN)
-    if sim_ub_size(si, sj) <= gamma + _TOL:
+    if ub_sim_by_size(si.sizes, sj.sizes) <= gamma + _TOL:
         return PairVerdict(stage=STAGE_SIZE)
-    if sim_ub_pivot(si, sj) <= gamma + _TOL:
+    if ub_sim_by_pivot(si.box, sj.box) <= gamma + _TOL:
         return PairVerdict(stage=STAGE_PIVOT)
     d = len(si.box)
     ub = prob_ub_paley_zygmund(si.pivot_stats, sj.pivot_stats, d, gamma)

@@ -23,10 +23,10 @@ from teride.engine import (
     Engine,
 )
 from teride.errors import NoRulesFound
-from teride.grid import ErGrid, summarize
+from teride.grid import ErGrid, pivot_stats, summarize
 from teride.impute import impute_multi_rule, impute_tuple
 from teride.index import build_cdd_index, build_dr_index
-from teride.metric import DistanceFn, DistInterval, SizeInterval, ub_sim_by_pivot, ub_sim_by_size
+from teride.metric import DistanceFn
 from teride.model import QueryConfig
 from teride.pivot import (
     DEFAULT_CNTMAX,
@@ -40,11 +40,10 @@ from teride.prune import (
     instance_level_scan,
     judge_pair,
     keyword_prune,
-    pivot_stats,
     prob_reports,
     prob_ub_paley_zygmund,
-    sim_ub_pivot,
-    sim_ub_size,
+    ub_sim_by_pivot,
+    ub_sim_by_size,
 )
 
 from .conftest import make_tuple, make_workload, naive_pair_probability, ts
@@ -80,15 +79,11 @@ class TestReferenceValues:
         assert pooled[ts("0.2")] == pytest.approx(3 / 6, abs=1e-9)
         assert pooled[ts("0.35")] == pytest.approx(1 / 6, abs=1e-9)
 
-        size_ub = ub_sim_by_size(
-            [SizeInterval(10, 10), SizeInterval(7, 7), SizeInterval(5, 7)],
-            [SizeInterval(8, 8), SizeInterval(10, 10), SizeInterval(10, 12)],
-        )
+        size_ub = ub_sim_by_size([(10, 10), (7, 7), (5, 7)], [(8, 8), (10, 10), (10, 12)])
         assert size_ub == pytest.approx(2.2, abs=1e-9)
 
         pivot_ub = ub_sim_by_pivot(
-            [DistInterval(0.3, 0.3), DistInterval(0.3, 0.3), DistInterval(0.1, 0.2)],
-            [DistInterval(0.7, 0.7), DistInterval(0.8, 0.8), DistInterval(0.7, 0.9)],
+            [(0.3, 0.3), (0.3, 0.3), (0.1, 0.2)], [(0.7, 0.7), (0.8, 0.8), (0.7, 0.9)]
         )
         assert pivot_ub == pytest.approx(1.6, abs=1e-9)
 
@@ -142,9 +137,7 @@ class TestOracleEquivalence:
             oracle = Engine(repo, cfg, dist, mode=MODE_ORACLE, rules=rules, pivots=pivots)
             got = engine.run(list(trace))
             want = oracle.run(list(trace))
-            assert got.diff(want, prob_tol=1e-9) == [], (
-                f"workload seed={seed}: {got.diff(want)[:5]}"
-            )
+            assert got.to_jsonl() == want.to_jsonl(), f"workload seed={seed}"
         assert time.perf_counter() - t0 < 120.0
 
 
@@ -183,8 +176,8 @@ class TestPruningSoundness:
                 )
                 if keyword_prune(a, b):
                     assert exact == 0.0
-                assert sim_ub_size(a, b) + 1e-9 >= max_sim
-                assert sim_ub_pivot(a, b) + 1e-9 >= max_sim
+                assert ub_sim_by_size(a.sizes, b.sizes) + 1e-9 >= max_sim
+                assert ub_sim_by_pivot(a.box, b.box) + 1e-9 >= max_sim
                 pz = prob_ub_paley_zygmund(pivot_stats(a), pivot_stats(b), repo.d, gamma)
                 assert pz + 1e-9 >= exact
                 pruned, confirmed = instance_level_scan(
@@ -249,7 +242,7 @@ class TestIndexedSpeedup:
         slow = Engine(repo, cfg, dist, mode=MODE_NOINDEX, rules=rules, pivots=pivots)
         got = fast.run(list(trace))
         want = slow.run(list(trace))
-        assert got.diff(want, prob_tol=1e-9) == []
+        assert got.to_jsonl() == want.to_jsonl()
         mean_fast = fast.metrics()["step_wall_clock"]["mean"]
         mean_slow = slow.metrics()["step_wall_clock"]["mean"]
         assert mean_fast > 0.0

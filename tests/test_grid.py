@@ -11,7 +11,7 @@ from teride.grid import (
     token_need,
 )
 from teride.impute import ImputedTuple, impute_tuple
-from teride.metric import DistanceFn, DistInterval, SizeInterval
+from teride.metric import DistanceFn
 from teride.pivot import PivotSet, select_pivots
 from teride.prune import keyword_prune, sim_ub_token
 
@@ -50,7 +50,7 @@ class TestSummary:
                 assert 0.0 <= lo <= hi <= 1.0
                 for (v, _), c in zip(s.imputed.attr_options(x), s.option_coords[x]):
                     assert lo - 1e-9 <= c <= hi + 1e-9
-                    assert s.sizes[x].min_size <= len(v) <= s.sizes[x].max_size
+                    assert s.sizes[x][0] <= len(v) <= s.sizes[x][1]
 
     def test_keywords_union_over_options(self, setup):
         repo, dist, pivots, keywords, summaries = setup
@@ -72,7 +72,7 @@ def _reference_summary(it, pivots, keywords, dist):
         coords = [dist(v, pivots.main(x)) for v, _ in options]
         option_coords.append(coords)
         box.append((min(coords), max(coords)))
-        sizes.append(SizeInterval(min(len(v) for v, _ in options), max(len(v) for v, _ in options)))
+        sizes.append((min(len(v) for v, _ in options), max(len(v) for v, _ in options)))
         for v, _ in options:
             kws |= keywords & v
         lb += box[x][0]
@@ -84,7 +84,6 @@ def _reference_summary(it, pivots, keywords, dist):
         "keywords": frozenset(kws),
         "option_coords": option_coords,
         "pivot_stats": (exp, lb, ub),
-        "dist_intervals": [DistInterval(lo, hi) for lo, hi in box],
     }
 
 
@@ -96,15 +95,13 @@ def _bits(obj):
         return [_bits(o) for o in obj]
     if isinstance(obj, dict):
         return sorted((k, _bits(v)) for k, v in obj.items())
-    if isinstance(obj, DistInterval):
-        return ("dist", _bits(obj.lb), _bits(obj.ub))
     if isinstance(obj, frozenset):
         return sorted(obj)
     return obj
 
 
 class TestSummaryReference:
-    FIELDS = ("box", "sizes", "keywords", "option_coords", "pivot_stats", "dist_intervals")
+    FIELDS = ("box", "sizes", "keywords", "option_coords", "pivot_stats")
 
     @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
     @pytest.mark.parametrize("seed", [31, 32])
@@ -167,7 +164,7 @@ class TestArrivalWork:
             s = summarize(it, pivots, frozenset({"topic0"}), dist)
             assert dist.calls == sum(n_options)
             dist.calls = 0
-            s.sizes, s.dist_intervals, s.pivot_stats
+            s.sizes, s.pivot_stats
             assert dist.calls == 0
 
 

@@ -3,18 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teride.errors import EmptyValue
-from teride.metric import (
-    DistanceFn,
-    DistInterval,
-    SizeInterval,
-    attr_min_dist,
-    attr_ub_sim_by_size,
-    jaccard_dist,
-    jaccard_sim,
-    tuple_sim,
-    ub_sim_by_pivot,
-    ub_sim_by_size,
-)
+from teride.metric import DistanceFn, jaccard_dist, jaccard_sim, tuple_sim
+from teride.model import Repository
+from teride.pivot import select_pivots
 
 from .conftest import make_tuple, ts
 
@@ -57,6 +48,21 @@ class TestDistanceFn:
         assert absdiff(ts("a1"), ts("a1")) == 0.0
         assert absdiff(ts("a1"), ts("a2")) == 1.0
 
+    def test_absdiff_non_finite_numbers_fall_back_to_equality(self, absdiff):
+        non_finite = ("nan", "inf", "-inf", "1e999")
+        for a in non_finite:
+            for b in (*non_finite, "0.5", "a1"):
+                want = 0.0 if a == b else 1.0
+                assert absdiff(ts(a), ts(b)) == absdiff(ts(b), ts(a)) == want, (a, b)
+
+    def test_pivots_over_non_finite_numbers(self, absdiff):
+        rows = [
+            make_tuple(f"s{i}", -1, 0, ts(v), ts(f"a{i % 2}"))
+            for i, v in enumerate(["nan", "0.2", "inf", "0.3", "1e999", "nan", "0.7"])
+        ]
+        pivots = select_pivots(Repository(rows), dist=absdiff)
+        assert pivots.d == 2
+
     @given(st.sampled_from([DistanceFn.JACCARD, DistanceFn.ABSDIFF]), values, values)
     def test_symmetric_under_both_kinds(self, kind, a, b):
         dist = DistanceFn(kind)
@@ -95,41 +101,3 @@ class TestTupleSim:
         with pytest.raises(Exception):
             tuple_sim(r1, r2)
 
-
-class TestSizeBound:
-    def test_reference_value(self):
-        # size intervals A: 10 vs 8, B: 7 vs 10, C: [5,7] vs [10,12] -> 2.2
-        ub = ub_sim_by_size(
-            [SizeInterval(10, 10), SizeInterval(7, 7), SizeInterval(5, 7)],
-            [SizeInterval(8, 8), SizeInterval(10, 10), SizeInterval(10, 12)],
-        )
-        assert ub == pytest.approx(2.2, abs=1e-9)
-
-    def test_overlapping_sizes_give_one(self):
-        assert attr_ub_sim_by_size(SizeInterval(3, 5), SizeInterval(4, 6)) == 1.0
-
-    @given(tokens, tokens)
-    def test_dominates_exact_similarity(self, a, b):
-        ub = attr_ub_sim_by_size(
-            SizeInterval(len(a), len(a)), SizeInterval(len(b), len(b))
-        )
-        assert ub + 1e-12 >= jaccard_sim(a, b)
-
-
-class TestPivotBound:
-    def test_reference_value(self):
-        # distances to pivot: {0.3, 0.3, [0.1,0.2]} vs {0.7, 0.8, [0.7,0.9]} -> 1.6
-        ub = ub_sim_by_pivot(
-            [DistInterval(0.3, 0.3), DistInterval(0.3, 0.3), DistInterval(0.1, 0.2)],
-            [DistInterval(0.7, 0.7), DistInterval(0.8, 0.8), DistInterval(0.7, 0.9)],
-        )
-        assert ub == pytest.approx(1.6, abs=1e-9)
-
-    def test_overlapping_intervals_no_tightening(self):
-        assert attr_min_dist(DistInterval(0.1, 0.5), DistInterval(0.4, 0.8)) == 0.0
-
-    @given(tokens, tokens, tokens)
-    def test_dominates_exact_similarity(self, a, b, piv):
-        da, db = jaccard_dist(a, piv), jaccard_dist(b, piv)
-        ub = ub_sim_by_pivot([DistInterval(da, da)], [DistInterval(db, db)])
-        assert ub + 1e-12 >= jaccard_sim(a, b)

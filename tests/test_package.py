@@ -8,7 +8,6 @@ DELIBERATELY_UNUSED = {
     # perfbench/tracer.py wraps this name, but the index calls it through
     # teride.index, so the wrap resolves and never records a call
     ("engine.py", "dr_query_box_for_rule"),
-    ("prune.py", "pivot_stats"),  # re-exported next to the bounds that read its result
 }
 
 

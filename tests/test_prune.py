@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from teride.grid import summarize
-from teride.metric import DistInterval
+from teride.grid import pivot_stats, summarize
 from teride.impute import ImputedTuple, impute_tuple
-from teride.metric import DistanceFn
+from teride.metric import DistanceFn, jaccard_dist, jaccard_sim
 from teride.pivot import PivotSet, select_pivots
 from teride.prune import (
     STAGE_REFINED,
@@ -11,13 +12,12 @@ from teride.prune import (
     instance_level_scan,
     judge_pair,
     pair_probability,
-    pivot_stats,
     prob_reports,
     prob_ub_paley_zygmund,
     sim_matches,
-    sim_ub_pivot,
-    sim_ub_size,
     sim_ub_token,
+    ub_sim_by_pivot,
+    ub_sim_by_size,
 )
 
 from .conftest import (
@@ -27,6 +27,8 @@ from .conftest import (
     reference_instance_level_scan,
     ts,
 )
+
+tokens = st.frozensets(st.sampled_from("abcdefgh"), min_size=1, max_size=6)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,39 @@ class TestThresholds:
         assert not prob_reports(0.2, 0.2)
 
 
+class TestSizeBound:
+    def test_reference_value(self):
+        # size intervals A: 10 vs 8, B: 7 vs 10, C: [5,7] vs [10,12] -> 2.2
+        ub = ub_sim_by_size([(10, 10), (7, 7), (5, 7)], [(8, 8), (10, 10), (10, 12)])
+        assert ub == pytest.approx(2.2, abs=1e-9)
+
+    def test_overlapping_sizes_give_one(self):
+        assert ub_sim_by_size([(3, 5)], [(4, 6)]) == 1.0
+
+    @given(tokens, tokens)
+    def test_dominates_exact_similarity(self, a, b):
+        ub = ub_sim_by_size([(len(a), len(a))], [(len(b), len(b))])
+        assert ub + 1e-12 >= jaccard_sim(a, b)
+
+
+class TestPivotBound:
+    def test_reference_value(self):
+        # distances to pivot: {0.3, 0.3, [0.1,0.2]} vs {0.7, 0.8, [0.7,0.9]} -> 1.6
+        ub = ub_sim_by_pivot(
+            [(0.3, 0.3), (0.3, 0.3), (0.1, 0.2)], [(0.7, 0.7), (0.8, 0.8), (0.7, 0.9)]
+        )
+        assert ub == pytest.approx(1.6, abs=1e-9)
+
+    def test_overlapping_intervals_no_tightening(self):
+        assert ub_sim_by_pivot([(0.1, 0.5)], [(0.4, 0.8)]) == 1.0
+
+    @given(tokens, tokens, tokens)
+    def test_dominates_exact_similarity(self, a, b, piv):
+        da, db = jaccard_dist(a, piv), jaccard_dist(b, piv)
+        ub = ub_sim_by_pivot([(da, da)], [(db, db)])
+        assert ub + 1e-12 >= jaccard_sim(a, b)
+
+
 class TestPaleyZygmund:
     def test_reference_value(self):
         # E(X)=0.7, lb_X=0.3, ub_X=1.1; E(Y)=1.2, lb_Y=1.1, ub_Y=1.3; d=3, gamma=2.8
@@ -92,9 +127,9 @@ class TestBoundsDominate:
                     for ia, _ in a.imputed.instances()
                     for ib, _ in b.imputed.instances()
                 )
-                assert sim_ub_size(a, b) + 1e-9 >= max_sim
+                assert ub_sim_by_size(a.sizes, b.sizes) + 1e-9 >= max_sim
                 assert sim_ub_token(a, b) + 1e-9 >= max_sim
-                assert sim_ub_pivot(a, b) + 1e-9 >= max_sim
+                assert ub_sim_by_pivot(a.box, b.box) + 1e-9 >= max_sim
                 ub = prob_ub_paley_zygmund(pivot_stats(a), pivot_stats(b), repo.d, gamma)
                 assert ub + 1e-9 >= exact
                 checked += 1
@@ -183,14 +218,14 @@ class TestCascade:
             assert verdict.stage != STAGE_TOKEN
 
 
-def _scan_workload(seed, fallback):
+def _scan_workload(seed, fallback, kind=DistanceFn.JACCARD):
     """Cross-stream summary pairs of one seeded workload; with ``fallback`` every
     missing attribute is imputed by the uniform fallback instead of by rules."""
     from teride.cdd import detect_cdds
     from teride.errors import NoRulesFound
 
     repo, trace = make_workload(seed=seed, length=16, repo_size=30, xi=0.6, m=1)
-    dist = DistanceFn()
+    dist = DistanceFn(kind)
     pivots = select_pivots(repo, dist=dist)
     by_dep = {}
     if not fallback:
@@ -278,17 +313,20 @@ class TestInstanceScanMatchesReference:
         assert outcomes == {(True, False), (True, True), (False, True)}
 
     def test_cached_summary_state_equals_fresh_computation(self):
-        repo, dist, keywords, summaries, pairs = _scan_workload(41, False)
-        gamma = 0.6 * repo.d
-        for a, b in pairs[:200]:
-            judge_pair(a, b, gamma, 0.2, keywords, dist)
-        for s in summaries:
-            assert s.pivot_stats == pivot_stats(s)
-            assert s.dist_intervals == [DistInterval(lo, hi) for lo, hi in s.box]
-            assert s.imputed.token_unions() == [
-                frozenset().union(*(v for v, _ in s.imputed.attr_options(x)))
-                for x in range(repo.d)
-            ]
+        for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
+            repo, dist, keywords, summaries, pairs = _scan_workload(41, False, kind)
+            gamma = 0.6 * repo.d
+            for a, b in pairs[:200]:
+                judge_pair(a, b, gamma, 0.2, keywords, dist)
+            for s in summaries:
+                assert s.pivot_stats == pivot_stats(s)
+                assert s.imputed.token_unions() == [
+                    frozenset().union(*(v for v, _ in s.imputed.attr_options(x)))
+                    for x in range(repo.d)
+                ]
+                # the ranges the size and pivot bounds assume
+                assert all(-1e-9 <= lo <= hi <= 1.0 + 1e-9 for lo, hi in s.box), (kind, s.rid)
+                assert all(1 <= least <= greatest for least, greatest in s.sizes), (kind, s.rid)
 
     def test_absdiff_keeps_the_full_scan(self, absdiff):
         # no attribute shares a token except the keyword one, yet the numeric
