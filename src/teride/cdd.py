@@ -297,9 +297,26 @@ def rules_to_text(rules: Sequence[CddRule]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _constraint_from_text(field: str) -> AttrConstraint:
+    attr_s, kind, payload = field.split(":", 2)
+    if kind == "CONST":
+        return AttrConstraint(attr=int(attr_s), kind=CONST, value=parse_token_set(payload))
+    if kind == "INT":
+        lo_s, hi_s = payload.split(",")
+        return AttrConstraint(attr=int(attr_s), kind=INTERVAL, lo=float(lo_s), hi=float(hi_s))
+    raise ValueError(f"unknown constraint kind {kind!r}")
+
+
 def rules_from_text(text: str) -> list:
+    """The rules of a rule file, in file order.
+
+    Far fewer distinct determinant fields exist than rules, so each distinct
+    field is parsed once and its ``AttrConstraint`` shared by every rule that
+    names it; a bad field fails on the first line that names it.
+    """
     rules = []
     line_of: dict = {}  # rule, determinants in attribute order -> the line it was read from
+    constraint_of: dict = {}  # determinant field -> its AttrConstraint
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -311,18 +328,10 @@ def rules_from_text(text: str) -> list:
             dependent = int(fields[0].removeprefix("DEP="))
             constraints = []
             for f in fields[1:]:
-                attr_s, kind, payload = f.split(":", 2)
-                if kind == "CONST":
-                    constraints.append(
-                        AttrConstraint(attr=int(attr_s), kind=CONST, value=parse_token_set(payload))
-                    )
-                elif kind == "INT":
-                    lo_s, hi_s = payload.split(",")
-                    constraints.append(
-                        AttrConstraint(attr=int(attr_s), kind=INTERVAL, lo=float(lo_s), hi=float(hi_s))
-                    )
-                else:
-                    raise ValueError(f"unknown constraint kind {kind!r}")
+                c = constraint_of.get(f)
+                if c is None:
+                    c = constraint_of[f] = _constraint_from_text(f)
+                constraints.append(c)
             rule = CddRule(
                 determinants=tuple(constraints), dependent=dependent, dep_lo=dep_lo, dep_hi=dep_hi
             )

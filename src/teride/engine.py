@@ -9,7 +9,7 @@ engine is built, and all three modes give identical event streams:
 
 * ``engine`` — the index fetcher (a hash join of the tuple's values on the
   rules' constant determinants, the repository index's token and value
-  postings, one grid synopsis per stream) and the pruning cascade.
+  postings, one grid of all streams' live tuples) and the pruning cascade.
 * ``noindex`` — the scan fetcher (every rule, sample and live tuple) and the
   same cascade.
 * ``oracle`` — the scan fetcher, and every pair is fully evaluated; this is
@@ -180,15 +180,15 @@ class _ScanFetch:
 class _IndexFetch:
     """``engine``: rules from each dependent's hash join on constant determinants
     (``CddIndex``), repository samples and dependent values from the DR-index, and
-    candidates from each stream's grid of live tuples."""
+    candidates from one grid of every stream's live tuples."""
 
     def __init__(self, pre: Precomputed, config: QueryConfig, dist: DistanceFn):
         self.pre = pre
-        self.config = config
+        self.gamma = config.gamma
         self.dist = dist
         self.dr_index = build_dr_index(pre.repo, pre.pivots, dist)
         self.cdd_indexes = {j: build_cdd_index(rules) for j, rules in pre.rules_by_dep.items()}
-        self.grids: dict = {}  # stream_id -> ErGrid of its live tuples
+        self.grid = ErGrid(config.d, dist)
 
     def select(self, r: StreamTuple) -> tuple:
         """The candidate rules per missing attribute, one bucket lookup per rule
@@ -204,25 +204,17 @@ class _IndexFetch:
         return rules_by_dep, samples_per_rule
 
     def add(self, summary: TupleSummary) -> None:
-        grid = self.grids.get(summary.stream_id)
-        if grid is None:
-            grid = self.grids[summary.stream_id] = ErGrid(self.config.d, self.dist)
-        grid.insert(summary)
+        self.grid.insert(summary)
 
     def remove(self, victim: TupleSummary) -> None:
-        self.grids[victim.stream_id].evict(victim.rid)
+        self.grid.evict(victim.rid)
 
     def candidates(self, summary: TupleSummary, windows: dict, stage_counts: dict) -> list:
-        """Survivors of every other stream's grid; the grids' skip counts go to stage_counts."""
-        out = []
-        for sid, grid in self.grids.items():
-            if sid == summary.stream_id:
-                continue
-            cands, skipped = grid.candidates(summary, self.config.gamma)
-            out.extend(cands)
-            for stage, n in skipped.items():
-                stage_counts[stage] += n
-        return out
+        """The grid's survivors in the other streams; its skip counts go to stage_counts."""
+        cands, skipped = self.grid.candidates(summary, self.gamma)
+        for stage, n in skipped.items():
+            stage_counts[stage] += n
+        return cands
 
 
 def _judge_cascade(si, sj, gamma, alpha, keywords, dist) -> PairVerdict:

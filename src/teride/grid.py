@@ -1,21 +1,22 @@
 """Candidate retrieval over live probabilistic tuples through slot bitmaps.
 
-A grid keeps only what retrieval reads: a live map from rid to slot, a slot
-table of summaries, and bitmaps over slots: the live slots, the
-keyword-bearing slots and, under Jaccard, per-attribute token postings.  A
-slot freed by eviction is the next one taken, so no bitmap is wider than the
-most tuples live at once.  A summary holds at arrival only the main-pivot
-coordinates and the query keywords (see ``TupleSummary``).
-Retrieval applies two exact set-level filters only: a keyword-free probe reads
-only the keyword-bearing slots, and under Jaccard a tuple must share tokens
-with the probe on ``need`` of the ``d`` attributes.  That filter ORs the
-probe's postings per attribute into a hit bitmap and counts hits per slot in
-bit-sliced "hit on at least k attributes" bitmaps; by pigeonhole (the prefix
-filter) a survivor has been hit on ``need - (d - i)`` of the first ``i``
-attributes, so only the levels that can still reach ``need`` are updated
-and an empty required level ends the probe.  Survivors are decoded from the
-final bitmap in slot order.  Retrieval reports how many tuples each filter
-skipped; every other bound runs pair by pair in ``prune.judge_pair``.
+One grid keeps what retrieval reads of every stream's live tuples: a live map
+from rid to slot, a slot table of summaries, and bitmaps over slots: the live
+slots, each stream's live slots, the keyword-bearing slots and, under
+Jaccard, per-attribute token postings.  A slot freed by eviction is the next
+one taken, so no bitmap is wider than the most tuples live at once.  A
+summary holds at arrival only the main-pivot coordinates and the query
+keywords (see ``TupleSummary``).  A probe reads the other streams' live slots
+in one pass and applies two exact set-level filters only: a keyword-free
+probe reads only the keyword-bearing slots, and under Jaccard a tuple must
+share tokens with the probe on ``need`` of the ``d`` attributes.  That filter
+ORs the probe's postings per attribute into a hit bitmap and counts hits per
+slot in bit-sliced "hit on at least k attributes" bitmaps; by pigeonhole (the
+prefix filter) a survivor has been hit on ``need - (d - i)`` of the first
+``i`` attributes, so only the levels that can still reach ``need`` are
+updated and an empty required level ends the probe.  Survivors are decoded
+from the final bitmap in slot order.  Retrieval reports how many tuples each
+filter skipped; every other bound runs pair by pair in ``prune.judge_pair``.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def token_need(d: int, gamma: float) -> int:
 
 
 class ErGrid:
-    """Per-stream store of live tuples, by slot, that fetches the candidates of a probe.
+    """Store of every stream's live tuples, by slot, that fetches the candidates of a probe.
 
     Only under Jaccard (``dist``, default ``DistanceFn()``) does it keep token
     postings.
@@ -160,6 +161,7 @@ class ErGrid:
         self._live: dict = {}  # rid -> slot
         self._slots: list = []  # slot -> TupleSummary, None when free
         self._occupied = 0  # bitmap of the live slots; its zero bits are the free slots
+        self._streams: dict = {}  # stream_id -> bitmap of its live slots (0 when it has none)
         self._kw_mask = 0  # bitmap of the keyword-bearing slots
         # per attr: token -> bitmap of the slots whose token union holds it;
         # None when the distance is not Jaccard
@@ -187,6 +189,7 @@ class ErGrid:
             self._slots[slot] = summary
         self._live[rid] = slot
         self._occupied = occupied | bit
+        self._streams[summary.stream_id] = self._streams.get(summary.stream_id, 0) | bit
         if summary.keywords:
             self._kw_mask |= bit
 
@@ -206,29 +209,32 @@ class ErGrid:
                     else:
                         del post[tok]
         self._occupied ^= bit
+        self._streams[summary.stream_id] ^= bit
         if summary.keywords:
             self._kw_mask ^= bit
         return summary
 
     def candidates(self, query: TupleSummary, gamma: float):
-        """Candidate summaries for a probe tuple, plus how many tuples each filter skipped.
+        """Candidates among the other streams' live tuples for a probe tuple, plus
+        how many of those tuples each filter skipped.
 
         A keyword-free probe can only pair with keyword-bearing tuples, so it
-        reads only the keyword-bearing slots and keyword-skips every other
-        live tuple.  With postings, a survivor must share tokens with the
-        probe on ``need`` of the ``d`` attributes (``token_need``); every live
-        tuple whose count falls short is token-skipped (see ``_pigeonhole``).
+        reads only their slots and keyword-skips the others.  With postings, a
+        survivor must share tokens with the probe on ``need`` of the ``d``
+        attributes (``token_need``); every tuple read whose count falls short
+        is token-skipped (see ``_pigeonhole``).
         Survivors come in slot order.  Every other bound is left to
         ``prune.judge_pair``.
         """
-        read = self._occupied if query.keywords else self._kw_mask
+        others = self._occupied & ~self._streams.get(query.stream_id, 0)
+        read = others if query.keywords else others & self._kw_mask
         n_read = read.bit_count()
         found = read
         if self._postings is not None:
             found = self._pigeonhole(query.imputed.token_unions(), token_need(self.d, gamma), read)
         survivors = self._summaries(found)
         return survivors, {
-            STAGE_KEYWORD: len(self._live) - n_read,
+            STAGE_KEYWORD: others.bit_count() - n_read,
             STAGE_TOKEN: n_read - len(survivors),
         }
 

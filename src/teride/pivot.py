@@ -284,7 +284,7 @@ def _fields(parts: list, keys: tuple) -> dict:
 def pivots_from_text(text: str) -> PivotSet:
     P, eMin, cntMax = DEFAULT_P, DEFAULT_EMIN, DEFAULT_CNTMAX
     params_line = None
-    entries: dict = {}
+    by_attr: dict = {}  # attr -> {idx: pivot}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -307,18 +307,22 @@ def pivots_from_text(text: str) -> PivotSet:
             x, a = int(kv["attr"]), int(kv["idx"])
             if x < 0 or a < 0:
                 raise ValueError(f"negative attr or idx in {line!r}")
-            if (x, a) in entries:
+            pivots = by_attr.setdefault(x, {})
+            if a in pivots:
                 raise ValueError(f"a second pivot for attr={x} idx={a}")
-            entries[(x, a)] = parse_token_set(kv["tokens"])
+            pivots[a] = parse_token_set(kv["tokens"])
         except ValueError as exc:
             raise ConfigError(f"pivot file line {lineno}: {exc}") from exc
-    if not entries:
+    if not by_attr:
         raise ConfigError("pivot file holds no pivots")
-    d = max(x for x, _ in entries) + 1
+    # checked on the attributes named, so no loop runs to an attribute number
+    for x, named in enumerate(sorted(by_attr)):
+        if named != x:
+            raise ConfigError(f"pivot file: no pivot for attr {x}, below attr {max(by_attr)}")
     per_attr = []
-    for x in range(d):
-        idxs = sorted(a for (xx, a) in entries if xx == x)
-        if idxs != list(range(len(idxs))):
+    for x in range(len(by_attr)):
+        pivots = by_attr[x]
+        if sorted(pivots) != list(range(len(pivots))):
             raise ConfigError(f"pivot file: non-contiguous pivot indexes for attr {x}")
-        per_attr.append([entries[(x, a)] for a in idxs])
+        per_attr.append([pivots[a] for a in range(len(pivots))])
     return PivotSet(per_attr=per_attr, bucket_count=P, entropy_threshold=eMin, max_pivots=cntMax)

@@ -358,6 +358,16 @@ def _check_grid_invariants(grid, peak):
     assert occupied.bit_count() == len(live)
     for rid, slot in live.items():
         assert occupied >> slot & 1 and slots[slot].rid == rid
+    # the per-stream bitmaps are disjoint and cover the live slots, and each
+    # live slot's bit sits in the bitmap of its summary's stream
+    streams = grid._streams
+    assert sum(mask.bit_count() for mask in streams.values()) == occupied.bit_count()
+    union = 0
+    for mask in streams.values():
+        union |= mask
+    assert union == occupied
+    for slot in live.values():
+        assert streams[slots[slot].stream_id] >> slot & 1
     held = set(live.values())
     assert all(s is None for slot, s in enumerate(slots) if slot not in held)
     assert grid._kw_mask == sum(1 << slot for slot in held if slots[slot].keywords)
@@ -395,7 +405,7 @@ class TestStructuralInvariants:
 
     def test_grid_invariants_after_randomized_ops(self):
         repo, trace = make_workload(
-            seed=701, n_streams=2, d=3, length=350, vocab=60, topics=4,
+            seed=701, n_streams=3, d=3, length=350, vocab=60, topics=4,
             xi=0.3, m=1, repo_size=60,
         )
         dist = DistanceFn()
@@ -429,6 +439,7 @@ class TestStructuralInvariants:
                 _check_grid_invariants(grid, peak)
         assert ops >= 1000
         assert len(grid) == 0 and grid._occupied == 0 and grid._kw_mask == 0
+        assert sorted(grid._streams) == [0, 1, 2] and not any(grid._streams.values())
         assert not any(grid._postings)
         _check_grid_invariants(grid, peak)
 

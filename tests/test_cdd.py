@@ -224,6 +224,18 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="line 2"):
             rules_from_text(f"DEP=0 | 1:INT:0.0,0.1 -> [0.0,0.1]\nDEP=0 | 1:INT:0.0,0.1 -> {interval}\n")
 
+    def test_rules_naming_one_field_share_its_constraint(self):
+        text = "DEP=0 | 1:INT:0.0,0.1 | 2:CONST:a -> [0.0,0.1]\nDEP=3 | 2:CONST:a -> [0.0,0.2]\n"
+        first, second = rules_from_text(text)
+        assert first.determinants[1] is second.determinants[0]
+        assert rules_to_text([first, second]) == text
+
+    def test_a_bad_field_names_the_first_line_that_holds_it(self):
+        good = "DEP=0 | 1:CONST:a -> [0.0,0.1]\n"
+        bad = "DEP=0 | 1:INT:0.3,0.1 -> [0.0,0.1]\n"
+        with pytest.raises(ConfigError, match="^rule file line 2: bad constraint interval"):
+            rules_from_text(good + bad + bad.replace("DEP=0", "DEP=2"))
+
     def test_open_interval_not_serializable(self):
         with pytest.raises(ConfigError):
             rules_to_text([cdd2()])

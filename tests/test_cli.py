@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -537,6 +538,20 @@ class TestExitCodes:
             assert main(args) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith(f"teride: {path}: ") and "line" in err and "Traceback" not in err
+        assert not (workspace / "r.jsonl").exists()
+
+    def test_pivot_file_naming_a_huge_attribute_is_2_at_once(self, workspace, capsys):
+        """The reader rejects the unnamed attributes below the one named before
+        it builds anything sized by that attribute number."""
+        path = workspace / "pivots.txt"
+        path.write_text("PIVOT attr=100000000 idx=0 tokens=w1\n")
+        t0 = time.perf_counter()
+        args = run_args(workspace, "engine", workspace / "r.jsonl", extra=["--pivots", str(path)])
+        assert main(args) == EXIT_CONFIG
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"teride: {path}: ") and "no pivot for attr 0" in err
+        assert "Traceback" not in err
         assert not (workspace / "r.jsonl").exists()
 
     def test_pivots_with_fewer_than_two_buckets_is_2(self, workspace):

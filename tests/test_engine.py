@@ -105,7 +105,7 @@ class TestModesAgree:
 
     @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
     def test_no_step_reads_or_builds_a_grid_cell(self, kind):
-        """Retrieval reads the grids' slot bitmaps and token postings only, and
+        """Retrieval reads the grid's slot bitmaps and token postings only, and
         a run with evictions gives the events of ``oracle``."""
         repo, trace = make_workload(seed=61, length=20, repo_size=30, xi=0.4, m=1)
         cfg = make_config(window=7)
@@ -323,24 +323,24 @@ class TestWindowSemantics:
 
 def engine_state(engine):
     """Everything a step may change, in comparable form."""
-    # only the engine mode's fetcher keeps grids
-    grids = getattr(engine.fetch, "grids", {})
+    # only the engine mode's fetcher keeps a grid
+    grid = getattr(engine.fetch, "grid", None)
     return (
         window_rids(engine),
         dict(engine.summaries),
-        {
-            sid: (
-                dict(grid._live),
-                list(grid._slots),
-                grid._occupied,
-                grid._kw_mask,
-                [
-                    {tok: {s.rid for s in grid._summaries(mask)} for tok, mask in post.items()}
-                    for post in grid._postings or ()
-                ],
-            )
-            for sid, grid in grids.items()
-        },
+        None
+        if grid is None
+        else (
+            dict(grid._live),
+            list(grid._slots),
+            grid._occupied,
+            dict(grid._streams),
+            grid._kw_mask,
+            [
+                {tok: {s.rid for s in grid._summaries(mask)} for tok, mask in post.items()}
+                for post in grid._postings or ()
+            ],
+        ),
         len(engine.results.events),
         dict(engine.stage_counts),
         engine.pairs_considered,

@@ -23,7 +23,7 @@ def setup():
     from teride.cdd import detect_cdds
     from teride.errors import NoRulesFound
 
-    repo, trace = make_workload(seed=31, length=30, repo_size=40, xi=0.4, m=1)
+    repo, trace = make_workload(seed=31, n_streams=3, length=30, repo_size=40, xi=0.4, m=1)
     dist = DistanceFn()
     pivots = select_pivots(repo, dist=dist)
     try:
@@ -217,26 +217,30 @@ def _rid_state(grid) -> tuple:
             for post in grid._postings
         ]
     live = {rid: grid._slots[slot] for rid, slot in grid._live.items()}
-    return live, {s.rid for s in grid._summaries(grid._kw_mask)}, postings
+    streams = {sid: {s.rid for s in grid._summaries(mask)} for sid, mask in grid._streams.items() if mask}
+    return live, streams, {s.rid for s in grid._summaries(grid._kw_mask)}, postings
 
 
 def _slot_state(grid) -> tuple:
-    """The slot table, the live and keyword-bearing slot bitmaps and the postings."""
+    """The slot table, the live, per-stream and keyword-bearing slot bitmaps and the postings."""
     return (
         dict(grid._live),
         list(grid._slots),
         grid._occupied,
+        dict(grid._streams),
         grid._kw_mask,
         copy.deepcopy(grid._postings),
     )
 
 
 def _brute_force(q, live, gamma: float, jaccard: bool) -> tuple:
-    """The rids of ``live`` that pass the keyword and shared-token tests, and how
-    many each test skips, pair by pair."""
+    """The rids of the tuples of ``live`` from streams other than ``q``'s that pass
+    the keyword and shared-token tests, and how many each test skips, pair by pair."""
     skipped = {"keyword": 0, "sim_ub_token": 0}
     passing = set()
     for other in live:
+        if other.stream_id == q.stream_id:
+            continue
         if keyword_prune(q, other):
             skipped["keyword"] += 1
         elif jaccard and token_count_prunes(sim_ub_token(q, other), gamma):
@@ -248,11 +252,12 @@ def _brute_force(q, live, gamma: float, jaccard: bool) -> tuple:
 
 class TestCellChurn:
     def test_equal_a_rebuild_after_random_inserts_and_evicts(self, setup):
-        """The live map, the keyword-bearing rids and the token postings (all by
-        rid, since slot numbers differ) equal those of a grid built from the
-        live tuples."""
+        """The live map, the per-stream and keyword-bearing rids and the token
+        postings (all by rid, since slot numbers differ) equal those of a grid
+        built from the live tuples, which come from three streams."""
         repo, _, _, _, summaries = setup
         assert any(s.keywords for s in summaries) and not all(s.keywords for s in summaries)
+        assert {s.stream_id for s in summaries} == {0, 1, 2}
         for seed in range(4):
             rng = random.Random(seed)
             grid = ErGrid(d=repo.d)
@@ -275,16 +280,21 @@ class TestCellChurn:
 
 class TestSlotBitmaps:
     def test_candidates_equal_a_scan_under_churn(self, setup):
-        """Random inserts, evicts and re-inserts of the tuple just evicted: after
-        every operation each probe's survivors and skip counts equal a pair-by-pair
-        scan, for every ``need`` from 1 to d, keyword-bearing and keyword-free
-        probes, under Jaccard and absdiff; and no slot reaches the most tuples
-        ever live at once, so slots are recycled."""
+        """Random inserts, evicts and re-inserts of the tuple just evicted, over
+        three streams' tuples: after every operation each probe's survivors and
+        skip counts equal a pair-by-pair scan of the other streams' live tuples,
+        for every ``need`` from 1 to d, keyword-bearing and keyword-free probes
+        of each stream, under Jaccard and absdiff; no survivor shares the
+        probe's stream; and no slot reaches the most tuples ever live at once,
+        so slots are recycled."""
         repo, _, _, _, summaries = setup
         gammas = [need - 0.5 for need in range(1, repo.d + 1)]
         assert [token_need(repo.d, gamma) for gamma in gammas] == list(range(1, repo.d + 1))
-        probes = [s for s in summaries if s.keywords][:2] + [s for s in summaries if not s.keywords][:2]
-        assert len(probes) == 4
+        probes = [
+            next(s for s in summaries if s.stream_id == sid and bool(s.keywords) == kw)
+            for sid in range(3)
+            for kw in (True, False)
+        ]
         for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
             jaccard = kind == DistanceFn.JACCARD
             for seed in range(4):
@@ -317,6 +327,7 @@ class TestSlotBitmaps:
                         for q in probes:
                             passing, expected = _brute_force(q, live.values(), gamma, jaccard)
                             cands, skipped = grid.candidates(q, gamma)
+                            assert all(c.stream_id != q.stream_id for c in cands)
                             assert len(cands) == len(passing), (kind, seed, gamma)
                             assert {c.rid for c in cands} == passing, (kind, seed, gamma)
                             assert skipped == expected, (kind, seed, gamma)

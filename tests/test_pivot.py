@@ -167,6 +167,13 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="line 3"):
             pivots_from_text(good + bad_line + "\n")
 
+    @pytest.mark.parametrize("named", [(0, 2), (1, 2), (2, 0, 3)])
+    def test_an_unnamed_attribute_below_the_largest_is_rejected(self, named):
+        text = "".join(f"PIVOT attr={x} idx=0 tokens=w{x}\n" for x in named)
+        missing = min(set(range(max(named))) - set(named))
+        with pytest.raises(ConfigError, match=f"no pivot for attr {missing}, below attr {max(named)}$"):
+            pivots_from_text(text)
+
     def test_a_second_params_line_names_the_first(self):
         good = "PARAMS P=10 eMin=1.5 cntMax=3\nPIVOT attr=0 idx=0 tokens=a\n"
         assert pivots_from_text(good).bucket_count == 10
