@@ -13,9 +13,10 @@ selects the rules whose determinants the tuple holds and whose constants it
 equals (one hash lookup per rule shape) and, per rule, the samples the
 DR-index serves it; under Jaccard, when the dependent interval rejects
 distance 1.0, each sample then checks only the domain values that its
-value's prefix postings reach (``DrIndex.near_values``).  Both are supersets
-of what the scan accepts and every value is still checked, so the result is
-the same.
+value's prefix postings reach, or its value alone when the interval is too
+narrow to reach another (``DrIndex.near_values``).  Both are supersets of
+what the scan accepts and every value is still checked, so the result is the
+same.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ def impute_multi_rule(
     counts: dict = {}
     for rule in rules:
         samples = served.get(rule, repo.samples)
+        if not samples:
+            continue
         j = rule.dependent
         domain = repo.domain(j)
         near = dr_index is not None and dist.kind == DistanceFn.JACCARD and not rule.dep_admits(1.0)

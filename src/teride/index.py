@@ -2,7 +2,11 @@
 
 The DR-index holds, per attribute, the repository samples' main-pivot
 coordinates in ascending order, so a range of coordinates is two bisections,
-plus per-attribute token and value postings.  The CDD-index of a dependent
+plus per-attribute token and value postings.  Under Jaccard, an interval that
+rejects distance 1.0 is served from the postings: by the value posting of the
+tuple's value v alone when ``hi + 1e-6 < 1 / (|v| + 1)`` (no other token set
+is that close to v; the 1e-6 slack covers the intervals' 1e-9 tolerance),
+else by a prefix filter on v's tokens.  The CDD-index of a dependent
 attribute is a hash join on constant determinants: its rules are bucketed by
 shape (determinant attributes, and which of them are constants) and constant
 values, so the rules a tuple could satisfy are one lookup per shape on the
@@ -27,8 +31,23 @@ from .pivot import PivotSet
 # DR-index
 
 # An admitted distance may exceed an interval's upper end by 1e-9; the prefix
-# length allows a thousand times that, so rounding cannot drop a value.
+# length and the equality bound allow a thousand times that, so rounding
+# cannot drop a value.
 _PREFIX_SLACK = 1e-6
+_UNSEEN = object()
+_EMPTY = frozenset()
+
+
+def equality_only(v, hi: float) -> bool:
+    """True when, under Jaccard, no token set other than v lies within
+    distance ``hi`` (plus 1e-9) of v.
+
+    A set s other than v, with v of n tokens, is at distance at least
+    ``1 / (n + 1)``: a superset shares n of at least n + 1 tokens, any other
+    set misses one of v's tokens and shares at most n - 1 of at least n.  So
+    ``hi + 1e-6 < 1 / (n + 1)`` leaves only v itself, at distance 0.0.
+    """
+    return hi + _PREFIX_SLACK < 1.0 / (len(v) + 1)
 
 
 def prefix_positions(postings: dict, v, hi: float) -> set:
@@ -42,7 +61,9 @@ def prefix_positions(postings: dict, v, hi: float) -> set:
     ``|v| - need + 1`` tokens therefore covers it: the prefix filter of
     Chaudhuri, Ganti and Kaushik (ICDE 2006).  The result is a superset, and
     it never covers distance 1.0: callers use it only for intervals that
-    reject 1.0 and check each value's distance.
+    reject 1.0 and check each value's distance, and only when
+    :func:`equality_only` does not hold, as then the value posting of v alone
+    is exact.
     """
     need = max(1, math.ceil((1.0 - hi - _PREFIX_SLACK) * len(v)))
     prefix = sorted(v, key=lambda t: (len(postings.get(t, ())), t))[: len(v) - need + 1]
@@ -57,7 +78,10 @@ class DrIndex:
     Imputation fetches its samples through the postings: :meth:`samples_per_rule`
     makes one retrieval per tuple for all of its candidate rules, and
     :meth:`near_values` gives the dependent values a sample's value can reach.
-    Both use the prefix filter of :func:`prefix_positions` under Jaccard.
+    Under Jaccard both read only the value posting of an interval that
+    :func:`equality_only` bounds (``hi + 1e-6 < 1 / (|v| + 1)``), and the
+    prefix filter of :func:`prefix_positions` for any other interval that
+    rejects 1.0.
     """
 
     def __init__(self, samples: list, by_coord: list, by_token: list, by_value: list):
@@ -73,48 +97,65 @@ class DrIndex:
         determinants for r: one retrieval for all of r's candidate rules.
 
         A constant determinant reads the posting of its value.  Under
-        Jaccard, an interval determinant that rejects 1.0 reads the prefix
-        postings of r's value (:func:`prefix_positions`) and keeps a position
-        only if its distance is admitted; each distinct such interval is
-        computed once and shared by every rule that has it.  A rule intersects
-        the positions of these restricting determinants; a rule with none
-        falls back to the range query on its box (:meth:`range_samples`).
-        Every sample that satisfies a rule's determinants is returned for it.
+        Jaccard, an interval determinant that rejects 1.0 reads, when
+        :func:`equality_only` holds for r's value and its upper end (``hi +
+        1e-6 < 1 / (|v| + 1)``), the posting of r's value if it admits 0.0
+        and nothing otherwise; else it reads the prefix postings of r's value
+        (:func:`prefix_positions`) and keeps a position only if its distance
+        is admitted.  Each distinct determinant is worked out once per tuple
+        and shared by every rule that has it.  A rule intersects the
+        positions of these restricting determinants, up to the first empty
+        intersection; a rule with none falls back to the range query on its
+        box (:meth:`range_samples`).  Every sample that satisfies a rule's
+        determinants is returned for it.
         """
         jaccard = dist.kind == DistanceFn.JACCARD
         measure = dist.bind()
-        admitted: dict = {}  # (attr, lo, hi, min_open) of an interval -> admitted positions
+        attrs = r.attrs
+        hits_of: dict = {}  # determinant -> its positions for r, None if it restricts none
         out = {}
         for rule in rules:
+            for c in rule.determinants:
+                if attrs[c.attr] is None:
+                    raise ConfigError(f"tuple {r.rid} lacks determinant {c.attr}")
             picked = None
             for c in rule.determinants:
-                rv = r.attrs[c.attr]
-                if rv is None:
-                    raise ConfigError(f"tuple {r.rid} lacks determinant {c.attr}")
-                if c.kind == CONST:
-                    hits = self.by_value[c.attr].get(c.value, frozenset())
-                elif jaccard and not c.admits(1.0):
-                    key = (c.attr, c.lo, c.hi, c.min_open)
-                    hits = admitted.get(key)
-                    if hits is None:
-                        hits = admitted[key] = {
-                            i
-                            for i in prefix_positions(self.by_token[c.attr], rv, c.hi)
-                            if c.admits(measure(rv, self.samples[i].attrs[c.attr]))
-                        }
-                else:
+                hits = hits_of.get(c, _UNSEEN)
+                if hits is _UNSEEN:
+                    hits = hits_of[c] = self._hits(c, attrs[c.attr], jaccard, measure)
+                if hits is None:
                     continue
                 picked = hits if picked is None else picked & hits
+                if not picked:
+                    break
             if picked is None:
                 out[rule] = self.range_samples(dr_query_box_for_rule(rule, r, pivots, dist))
-            else:
-                out[rule] = [self.samples[i] for i in sorted(picked)]
+            else:  # most intersections are empty, and skip the sort
+                out[rule] = [self.samples[i] for i in sorted(picked)] if picked else []
         return out
+
+    def _hits(self, c, rv, jaccard: bool, measure):
+        """The positions whose values can meet determinant c for r's value rv,
+        or None when c restricts none (see :meth:`samples_per_rule`)."""
+        if c.kind == CONST:
+            return self.by_value[c.attr].get(c.value, _EMPTY)
+        if not jaccard or c.admits_one:
+            return None
+        if equality_only(rv, c.hi):
+            return self.by_value[c.attr].get(rv, _EMPTY) if c.admits(0.0) else _EMPTY
+        return {
+            i
+            for i in prefix_positions(self.by_token[c.attr], rv, c.hi)
+            if c.admits(measure(rv, self.samples[i].attrs[c.attr]))
+        }
 
     def near_values(self, attr: int, v, hi: float) -> set:
         """The repository's attribute-``attr`` values that can lie within Jaccard
-        distance ``hi`` (below 1.0) of v, reached through v's prefix postings
-        (:func:`prefix_positions`)."""
+        distance ``hi`` (below 1.0) of v: v alone when :func:`equality_only`
+        holds (``hi + 1e-6 < 1 / (|v| + 1)``), else those reached through v's
+        prefix postings (:func:`prefix_positions`)."""
+        if equality_only(v, hi):
+            return {v}
         return {self.samples[i].attrs[attr] for i in prefix_positions(self.by_token[attr], v, hi)}
 
     def range_samples(self, box: dict) -> list:

@@ -15,8 +15,9 @@ from teride.index import (
     build_cdd_index,
     build_dr_index,
     dr_query_box_for_rule,
+    equality_only,
 )
-from teride.metric import DistanceFn
+from teride.metric import DistanceFn, jaccard_dist
 from teride.model import Repository
 from teride.pivot import PivotSet, select_pivots
 
@@ -341,9 +342,16 @@ class TestRuleSamples:
 _VOCAB = ("a", "b", "c", "d", "e", "0", "0.2", "0.25", "0.5", "1")
 _values = st.frozensets(st.sampled_from(_VOCAB), min_size=1, max_size=5)
 # k/m is a Jaccard similarity and 1 - k/m a distance that can sit exactly on
-# an endpoint; 1 - 1e-9 is the widest upper end that still rejects 1.0
+# an endpoint; 1 - 1e-9 is the widest upper end that still rejects 1.0.
+# 1/(n+1) is the nearest a set other than an n-token value can be, the
+# equality bound, so ends are also drawn at it and just either side of it.
 _fractions = st.integers(1, 6).flatmap(lambda m: st.integers(0, m).map(lambda k: k / m))
-_upper_ends = st.one_of(_fractions, _fractions.map(lambda f: 1.0 - f), st.just(1.0 - 1e-9))
+_near_bound = st.integers(1, 5).flatmap(
+    lambda n: st.sampled_from([1 / (n + 1) + eps for eps in (0.0, -1e-9, -1e-7, 1e-9)])
+)
+_upper_ends = st.one_of(
+    _fractions, _fractions.map(lambda f: 1.0 - f), st.just(1.0 - 1e-9), _near_bound
+)
 
 
 @st.composite
@@ -387,6 +395,13 @@ def test_prefix_filters_keep_every_admitted_sample_and_value(case):
     for rule in rules:
         assert _satisfying(rule, r, repo.samples, dist) <= {s.rid for s in served[rule]}
         assert _rule_samples(idx, rule, r, pivots, dist) == served[rule]
+        if dist.kind == DistanceFn.JACCARD and all(
+            c.kind == INTERVAL and equality_only(r.attrs[c.attr], c.hi) for c in rule.determinants
+        ):
+            # the value postings are exact: no sample to check, none left out
+            assert [s.rid for s in served[rule]] == [
+                s.rid for s in repo.samples if satisfies_determinants(rule, r, s, dist)
+            ]
         if dist.kind == DistanceFn.JACCARD and not rule.dep_admits(1.0):
             domain = repo.domain(2)
             for sv in domain:
@@ -417,3 +432,44 @@ def test_indexed_imputation_equals_the_scan_on_acceptance_workloads():
             assert got.fallback_attrs == want.fallback_attrs
             checked += len(want.per_attr_candidates) - len(want.fallback_attrs)
     assert checked > 0
+
+
+def test_no_other_token_set_is_nearer_than_the_equality_bound():
+    """Over a 7-token vocabulary, every set s other than v is at least
+    1/(|v| + 1) from v, and a superset with one extra token is that far; the
+    floats may fall short of the bound only by rounding, far inside the 1e-6
+    slack that ``equality_only`` keeps."""
+    vocab = "abcdefg"
+    sets = [
+        frozenset(c) for k in range(1, len(vocab) + 1) for c in itertools.combinations(vocab, k)
+    ]
+    for v in sets:
+        bound = 1 / (len(v) + 1)
+        nearest = min(jaccard_dist(v, s) for s in sets if s != v)
+        assert nearest >= bound - 1e-15
+        for extra in set(vocab) - v:
+            assert jaccard_dist(v, v | {extra}) == pytest.approx(bound, rel=0, abs=1e-15)
+        # so an interval the bound leaves to equality admits no other set
+        hi = bound - 2e-6
+        assert equality_only(v, hi) and nearest > hi + 1e-9
+        assert not equality_only(v, bound - 1e-7)
+
+
+def test_a_lacking_determinant_raises_after_an_empty_one(setup):
+    repo, trace, dist, pivots, _ = setup
+    idx = build_dr_index(repo, pivots, dist)
+    r = next(r for r in trace if len(r.missing_attrs()) == 1)
+    j = r.missing_attrs()[0]
+    x0, y = [x for x in range(r.d) if x != j][:2]
+    # within the bound but away from 0: it admits nothing, not even r's value
+    hi = 0.5 / (len(r.attrs[x0]) + 1)
+    empty = _interval(x0, hi, hi)
+    assert equality_only(r.attrs[x0], hi) and not empty.admits(0.0)
+    rule = CddRule(
+        determinants=(empty, _interval(y, 0.0, 0.1)), dependent=j, dep_lo=0.0, dep_hi=0.1
+    )
+    assert _rule_samples(idx, rule, r, pivots, dist) == []
+    holey_attrs = (None if x == y else v for x, v in enumerate(r.attrs))
+    holey = make_tuple("q", r.stream_id, r.arrival_time, *holey_attrs)
+    with pytest.raises(ConfigError, match="lacks determinant"):
+        idx.samples_per_rule((rule,), holey, pivots, dist)
