@@ -29,11 +29,7 @@ _EDGE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AttrConstraint:
-    """One determinant constraint: a constant value or a distance interval.
-
-    ``admits_one`` is True for an interval that admits distance 1.0; the
-    DR-index reads it to tell the intervals it can narrow by shared tokens.
-    """
+    """One determinant constraint: a constant value or a distance interval."""
 
     attr: int
     kind: str
@@ -49,7 +45,6 @@ class AttrConstraint:
             raise ConfigError("constant constraint requires a non-empty value")
         if self.kind == INTERVAL and not (-1e-9 <= self.lo <= self.hi <= 1.0 + 1e-9):
             raise ConfigError(f"bad constraint interval [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "admits_one", self.kind == INTERVAL and self.admits(1.0))
         # constraints key the rules' hashes and the DR-index's per-tuple hits,
         # so the hash is computed once; it is the value the generated __hash__ would give
         object.__setattr__(

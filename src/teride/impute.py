@@ -13,8 +13,7 @@ selects the rules whose determinants the tuple holds and whose constants it
 equals (one hash lookup per rule shape) and, per rule, the samples the
 DR-index serves it; under Jaccard, when the dependent interval rejects
 distance 1.0, each sample then checks only the domain values that its
-value's prefix postings reach, or its value alone when the interval is too
-narrow to reach another (``DrIndex.near_values``).  Both are supersets of
+value's prefix postings reach (``DrIndex.near_values``).  Both are supersets of
 what the scan accepts and every value is still checked, so the result is the
 same.
 """

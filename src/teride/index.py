@@ -2,9 +2,9 @@
 
 The DR-index holds, per attribute, the repository samples' main-pivot
 coordinates in ascending order, so a range of coordinates is two bisections,
-plus per-attribute token and value postings.  Under Jaccard, an interval that
-rejects distance 1.0 is served from the postings: by the value posting of the
-tuple's value v alone when ``hi + 1e-6 < 1 / (|v| + 1)`` (no other token set
+plus per-attribute token and value postings.  Under Jaccard, a determinant
+interval that rejects distance 1.0 is served from the postings: by the value
+posting of the tuple's value v alone when ``hi + 1e-6 < 1 / (|v| + 1)`` (no other token set
 is that close to v; the 1e-6 slack covers the intervals' 1e-9 tolerance),
 else by a prefix filter on v's tokens.  The CDD-index of a dependent
 attribute is a hash join on constant determinants: its rules are bucketed by
@@ -61,9 +61,9 @@ def prefix_positions(postings: dict, v, hi: float) -> set:
     ``|v| - need + 1`` tokens therefore covers it: the prefix filter of
     Chaudhuri, Ganti and Kaushik (ICDE 2006).  The result is a superset, and
     it never covers distance 1.0: callers use it only for intervals that
-    reject 1.0 and check each value's distance, and only when
-    :func:`equality_only` does not hold, as then the value posting of v alone
-    is exact.
+    reject 1.0 and check each value's distance.  :meth:`DrIndex.samples_per_rule`
+    skips it when :func:`equality_only` holds, as then the value posting of v
+    alone is exact.
     """
     need = max(1, math.ceil((1.0 - hi - _PREFIX_SLACK) * len(v)))
     prefix = sorted(v, key=lambda t: (len(postings.get(t, ())), t))[: len(v) - need + 1]
@@ -78,10 +78,10 @@ class DrIndex:
     Imputation fetches its samples through the postings: :meth:`samples_per_rule`
     makes one retrieval per tuple for all of its candidate rules, and
     :meth:`near_values` gives the dependent values a sample's value can reach.
-    Under Jaccard both read only the value posting of an interval that
-    :func:`equality_only` bounds (``hi + 1e-6 < 1 / (|v| + 1)``), and the
-    prefix filter of :func:`prefix_positions` for any other interval that
-    rejects 1.0.
+    Under Jaccard both use the prefix filter of :func:`prefix_positions` on an
+    interval that rejects 1.0, except that :meth:`samples_per_rule` reads
+    only the value posting of a determinant interval that
+    :func:`equality_only` bounds (``hi + 1e-6 < 1 / (|v| + 1)``).
     """
 
     def __init__(self, samples: list, by_coord: list, by_token: list, by_value: list):
@@ -139,7 +139,7 @@ class DrIndex:
         or None when c restricts none (see :meth:`samples_per_rule`)."""
         if c.kind == CONST:
             return self.by_value[c.attr].get(c.value, _EMPTY)
-        if not jaccard or c.admits_one:
+        if not jaccard or c.admits(1.0):
             return None
         if equality_only(rv, c.hi):
             return self.by_value[c.attr].get(rv, _EMPTY) if c.admits(0.0) else _EMPTY
@@ -151,11 +151,8 @@ class DrIndex:
 
     def near_values(self, attr: int, v, hi: float) -> set:
         """The repository's attribute-``attr`` values that can lie within Jaccard
-        distance ``hi`` (below 1.0) of v: v alone when :func:`equality_only`
-        holds (``hi + 1e-6 < 1 / (|v| + 1)``), else those reached through v's
-        prefix postings (:func:`prefix_positions`)."""
-        if equality_only(v, hi):
-            return {v}
+        distance ``hi`` (below 1.0) of v, reached through v's prefix postings
+        (:func:`prefix_positions`)."""
         return {self.samples[i].attrs[attr] for i in prefix_positions(self.by_token[attr], v, hi)}
 
     def range_samples(self, box: dict) -> list:

@@ -66,14 +66,13 @@ class TestConstraints:
         assert not c.admits(0.1)
         assert c.admits(0.15) and c.admits(0.2)
 
-    def test_hash_is_the_generated_one_and_admits_one_is_fixed_at_construction(self):
-        for c, admits_one in (
-            (AttrConstraint(attr=1, kind=CONST, value=ts("a+b")), False),
-            (AttrConstraint(attr=0, kind=INTERVAL, lo=0.0, hi=0.1), False),
-            (AttrConstraint(attr=0, kind=INTERVAL, lo=0.3, hi=1 - 5e-10, min_open=True), True),
+    def test_hash_is_the_generated_one(self):
+        for c in (
+            AttrConstraint(attr=1, kind=CONST, value=ts("a+b")),
+            AttrConstraint(attr=0, kind=INTERVAL, lo=0.0, hi=0.1),
+            AttrConstraint(attr=0, kind=INTERVAL, lo=0.3, hi=1 - 5e-10, min_open=True),
         ):
             assert hash(c) == hash((c.attr, c.kind, c.value, c.lo, c.hi, c.min_open))
-            assert c.admits_one is admits_one
             twin = AttrConstraint(
                 attr=c.attr, kind=c.kind, value=c.value, lo=c.lo, hi=c.hi, min_open=c.min_open
             )
