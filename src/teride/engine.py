@@ -191,16 +191,24 @@ class _IndexFetch:
         self.grid = ErGrid(config.d, dist)
 
     def select(self, r: StreamTuple) -> tuple:
-        """The candidate rules per missing attribute, one bucket lookup per rule
-        shape (``CddIndex.candidate_rules``), and the samples per rule, from one
-        DR-index retrieval (``DrIndex.samples_per_rule``)."""
-        rules_by_dep: dict = {}
+        """Per missing attribute, the candidate rules that were served samples,
+        and the samples per rule.
+
+        The candidate rules come from one bucket lookup per rule shape
+        (``CddIndex.candidate_rules``) and their samples from one DR-index
+        retrieval (``DrIndex.samples_per_rule``).  A rule served no sample
+        adds nothing to ``impute_multi_rule``'s counts, so it is not handed on.
+        """
+        candidates = {}
         for j in r.missing_attrs():
             idx = self.cdd_indexes.get(j)
-            rules_by_dep[j] = [] if idx is None else idx.candidate_rules(r)
+            candidates[j] = [] if idx is None else idx.candidate_rules(r)
         samples_per_rule = self.dr_index.samples_per_rule(
-            [rule for rules in rules_by_dep.values() for rule in rules], r, self.pre.pivots, self.dist
+            [rule for rules in candidates.values() for rule in rules], r, self.pre.pivots, self.dist
         )
+        rules_by_dep = {
+            j: [rule for rule in rules if samples_per_rule[rule]] for j, rules in candidates.items()
+        }
         return rules_by_dep, samples_per_rule
 
     def add(self, summary: TupleSummary) -> None:

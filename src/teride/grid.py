@@ -21,7 +21,7 @@ filter skipped; every other bound runs pair by pair in ``prune.judge_pair``.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import DuplicateTuple, UnknownTuple
 from .impute import ImputedTuple
@@ -52,58 +52,67 @@ def token_count_prunes(shared: int, gamma: float) -> bool:
 class TupleSummary:
     """Index-ready digest of one probabilistic tuple.
 
-    What the grid reads is computed at arrival: ``box``, ``option_coords``
-    and ``keywords``.  What only the pair bounds read (``sizes`` and
-    ``pivot_stats``) is computed the first time it is read and kept, so a
-    tuple that no pair bound reaches never pays for it.  The pivot-distance
-    bound reads ``box`` itself.
+    What the grid and the engine read is set at arrival as plain attributes:
+    ``rid``, ``stream_id``, ``arrival_time``, ``box``, ``option_coords`` and
+    ``keywords``.  What only the pair bounds read (``sizes`` and
+    ``pivot_stats``) is computed from ``per_attr_candidates`` and
+    ``option_coords`` the first time it is read and kept, so a tuple that no
+    pair bound reaches never pays for it.  The pivot-distance bound reads
+    ``box`` itself.
     """
 
     def __init__(self, imputed: ImputedTuple, box: list, keywords: frozenset, option_coords: list):
+        base = imputed.base
         self.imputed = imputed
+        self.rid = base.rid
+        self.stream_id = base.stream_id
+        self.arrival_time = base.arrival_time
         self.box = box  # per-attr (lo, hi) of the main-pivot coordinate over all options
         self.keywords = keywords  # query keywords present in at least one option
         self.option_coords = option_coords  # per-attr main-pivot coordinate per option
+        self._sizes = None
+        self._pivot_stats = None
 
     @property
-    def rid(self) -> str:
-        return self.imputed.rid
-
-    @property
-    def stream_id(self) -> int:
-        return self.imputed.stream_id
-
-    @property
-    def arrival_time(self) -> int:
-        return self.imputed.base.arrival_time
-
-    @cached_property
     def sizes(self) -> list:
         """Per-attr (least, greatest) token-set size over all options."""
-        lens = ([len(v) for v, _ in self.imputed.attr_options(x)] for x in range(len(self.box)))
-        return [(min(n), max(n)) for n in lens]
+        if self._sizes is None:
+            cands = self.imputed.per_attr_candidates
+            sizes = []
+            for x, v in enumerate(self.imputed.base.attrs):
+                if v is not None:
+                    sizes.append((len(v), len(v)))
+                else:
+                    lens = [len(c) for c, _ in cands[x]]
+                    sizes.append((min(lens), max(lens)))
+            self._sizes = sizes
+        return self._sizes
 
-    @cached_property
+    @property
     def pivot_stats(self) -> tuple:
         """The module-level :func:`pivot_stats` of this summary."""
-        return pivot_stats(self)
+        if self._pivot_stats is None:
+            self._pivot_stats = pivot_stats(self)
+        return self._pivot_stats
 
 
 def pivot_stats(summary: TupleSummary) -> tuple:
     """(expectation, lower bound, upper bound) of the tuple's main-pivot distance.
 
-    The expectation weighs each candidate value's main-pivot distance by its
-    existence probability; present attributes contribute a fixed distance.
-    Every summary keeps the result as ``summary.pivot_stats``.
+    The expectation weighs each candidate value's main-pivot coordinate
+    (``option_coords``, in ``per_attr_candidates`` order) by its existence
+    probability; a present attribute contributes its one coordinate at
+    probability 1.  Every summary keeps the result as ``summary.pivot_stats``.
     """
-    it = summary.imputed
+    cands = summary.imputed.per_attr_candidates
     exp = lb = ub = 0.0
-    for x, (lo, hi) in enumerate(summary.box):
+    for x, ((lo, hi), coords) in enumerate(zip(summary.box, summary.option_coords)):
         lb += lo
         ub += hi
-        exp += sum(
-            p * c for (_, p), c in zip(it.attr_options(x), summary.option_coords[x])
-        )
+        if x in cands:
+            exp += sum(p * c for (_, p), c in zip(cands[x], coords))
+        else:
+            exp += coords[0]
     return exp, lb, ub
 
 

@@ -9,13 +9,19 @@ existence-probability distribution.
 The engine's fetcher only selects what the loop reads.  The scan fetcher
 (``noindex``, ``oracle``) selects every rule, so each rule scans all samples
 and each sample the whole dependent domain.  The index fetcher (``engine``)
-selects the rules whose determinants the tuple holds and whose constants it
-equals (one hash lookup per rule shape) and, per rule, the samples the
-DR-index serves it; under Jaccard, when the dependent interval rejects
-distance 1.0, each sample then checks only the domain values that its
-value's prefix postings reach (``DrIndex.near_values``).  Both are supersets of
-what the scan accepts and every value is still checked, so the result is the
-same.
+finds the rules whose determinants the tuple holds and whose constants it
+equals (one hash lookup per rule shape), asks the DR-index for each rule's
+samples, and hands on only the rules it served a sample, with those samples;
+under Jaccard, when the dependent interval rejects distance 1.0, each sample
+then checks only the domain values that its value's prefix postings reach
+(``DrIndex.near_values``).  A rule served no sample counts nothing, the rest
+are supersets of what the scan accepts, and every value is still checked, so
+the result is the same.
+
+An ``ImputedTuple`` keeps per attribute the values of its options, by
+descending probability (``option_values``): the instance-level scan builds
+its similarity tables from them, and the instance enumeration, which only a
+scan past its table-maxima test reads, indexes into them.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ def impute_multi_rule(
         raise ImputationFailed(f"no rule yields a candidate for tuple {r.rid}")
     denom = sum(counts.values())
     out = [(val, freq / denom) for val, freq in counts.items()]
-    out.sort(key=lambda vp: (-vp[1], token_key(vp[0])))
+    out.sort(key=_by_prob_then_token)
     return out
 
 
@@ -94,6 +100,7 @@ class ImputedTuple:
     _enumeration: Optional[tuple] = field(default=None, repr=False, compare=False)
     _keyword_flags: Optional[tuple] = field(default=None, repr=False, compare=False)
     _token_unions: Optional[list] = field(default=None, repr=False, compare=False)
+    _option_values: Optional[list] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         missing = set(self.base.missing_attrs())
@@ -117,12 +124,16 @@ class ImputedTuple:
     def stream_id(self) -> int:
         return self.base.stream_id
 
-    def attr_options(self, j: int) -> list:
-        """(value, prob) options for attribute j; a single certain option if present."""
-        v = self.base.attrs[j]
-        if v is not None:
-            return [(v, 1.0)]
-        return list(self.per_attr_candidates[j])
+    def option_values(self) -> list:
+        """Per attribute, the values of its options: the present value, or the
+        candidate values by descending probability, ties in token order."""
+        if self._option_values is None:
+            self._option_values = [
+                [v] if v is not None
+                else [c for c, _ in sorted(self.per_attr_candidates[j], key=_by_prob_then_token)]
+                for j, v in enumerate(self.base.attrs)
+            ]
+        return self._option_values
 
     def instance_count(self) -> int:
         n = 1
@@ -151,10 +162,8 @@ class ImputedTuple:
         return self._instances
 
     def instance_rows(self) -> tuple:
-        """(values, rows): per attribute the values of its options (the present
-        value, or the candidates by descending probability, ties in token
-        order), and every option-index row, sorted by (-p, row) where p is the
-        row's joint probability."""
+        """(values, rows): :meth:`option_values`, and every option-index row
+        into it, sorted by (-p, row) where p is the row's joint probability."""
         if self._enumeration is None:
             self._enumeration = _enumerate_instances(self)
         return self._enumeration[:2]
@@ -185,26 +194,32 @@ class ImputedTuple:
         return self._keyword_flags[1]
 
 
+def _by_prob_then_token(vp) -> tuple:
+    return -vp[1], token_key(vp[0])
+
+
 def _enumerate_instances(it: ImputedTuple) -> tuple:
-    """(values, rows, probs) over every option-index row, sorted by (-p, row)."""
-    options = [
-        [(v, 1.0)]
-        if v is not None
-        else sorted(it.per_attr_candidates[j], key=lambda vp: (-vp[1], token_key(vp[0])))
+    """(values, rows, probs) over every option-index row, sorted by (-p, row).
+
+    ``values`` is :meth:`ImputedTuple.option_values`; its order puts each
+    attribute's probabilities in descending order, so sorting them alone
+    aligns them with it."""
+    probs = [
+        [1.0] if v is not None
+        else sorted((p for _, p in it.per_attr_candidates[j]), reverse=True)
         for j, v in enumerate(it.base.attrs)
     ]
     scored = sorted(
-        (-_joint(options, row), row)
-        for row in itertools.product(*(range(len(opts)) for opts in options))
+        (-_joint(probs, row), row)
+        for row in itertools.product(*(range(len(ps)) for ps in probs))
     )
-    values = [[v for v, _ in opts] for opts in options]
-    return values, [row for _, row in scored], [-negp for negp, _ in scored]
+    return it.option_values(), [row for _, row in scored], [-negp for negp, _ in scored]
 
 
-def _joint(option_lists, idx) -> float:
+def _joint(prob_lists, idx) -> float:
     p = 1.0
-    for opts, i in zip(option_lists, idx):
-        p *= opts[i][1]
+    for ps, i in zip(prob_lists, idx):
+        p *= ps[i]
     return p
 
 

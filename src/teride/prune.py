@@ -9,11 +9,13 @@ lost.  The two similarity bounds this module owns, :func:`ub_sim_by_size` and
 summary's ``sizes`` and its main-pivot ``box``.
 
 One kernel, :func:`instance_level_scan`, sums joint probabilities over
-instance pairs in descending joint probability.  It stops as soon as the pair
-cannot exceed alpha; a scan that ends without stopping has visited every
-instance pair, so its sum is the exact match probability and refinement is
-that sum.  :func:`pair_probability`, which the ``oracle`` judge calls, is the
-same scan with no early stop.
+instance pairs in descending joint probability.  It builds its per-attribute
+similarity tables from the two tuples' option values first, and reads their
+instance rows only when the sum of the tables' maxima can pass the threshold.
+It stops as soon as the pair cannot exceed alpha; a scan that ends without
+stopping has visited every instance pair, so its sum is the exact match
+probability and refinement is that sum.  :func:`pair_probability`, which
+the ``oracle`` judge calls, is the same scan with no early stop.
 """
 
 from __future__ import annotations
@@ -129,22 +131,27 @@ def instance_level_scan(
     that ends unpruned has summed every matching instance pair: ``confirmed``
     is then the exact match probability.
 
-    Similarities come from one option-vs-option table per attribute (1x1 for
-    a present attribute): an instance pair's similarity is the sum of its
+    The tables come first.  Similarities come from one option-vs-option table
+    per attribute over the two tuples' ``option_values()`` (1x1 for a present
+    attribute), each entry ``1.0 - f(a, b)`` with ``f = dist.bind()``, the
+    float ``dist.sim`` gives: an instance pair's similarity is the sum of its
     entries in attribute order.  If even the sum of the tables' maxima fails
     the threshold, no instance pair can match: the exact probability is 0 and
-    (True, 0.0) is returned without sorting.  A full scan returns the same
-    once its seen mass comes within alpha + 1e-9 of 1, which holds whenever
-    the instance probabilities sum to 1 up to rounding.
+    the scan returns (0.0 <= alpha + 1e-9, 0.0) without enumerating either
+    tuple's instances.  That is what the full scan returns once its seen mass
+    comes within alpha + 1e-9 of 1, which holds whenever the instance
+    probabilities sum to 1 up to rounding.  Only past this test are the
+    instance rows, their probabilities and their keyword flags read.
     """
-    values_i, rows_i = it_i.instance_rows()
-    values_j, rows_j = it_j.instance_rows()
+    f = dist.bind()
     tables = [
-        [[dist.sim(vi, vj) for vj in vals_j] for vi in vals_i]
-        for vals_i, vals_j in zip(values_i, values_j)
+        [[1.0 - f(vi, vj) for vj in vals_j] for vi in vals_i]
+        for vals_i, vals_j in zip(it_i.option_values(), it_j.option_values())
     ]
     if not sim_matches(sum(max(map(max, table)) for table in tables) + _SUM_SLACK, gamma):
-        return True, 0.0
+        return 0.0 <= alpha + _TOL, 0.0
+    _, rows_i = it_i.instance_rows()
+    _, rows_j = it_j.instance_rows()
     probs_i = it_i.instance_probs()
     probs_j = it_j.instance_probs()
     pairs = sorted(
@@ -175,9 +182,11 @@ def pair_probability(
 ) -> float:
     """Exact match probability: :func:`instance_level_scan` run to its end.
 
-    An alpha below 0 never meets the prune test, so every instance pair is
-    visited in the scan's order and the confirmed sum is the probability,
-    bit-identical to what an unpruned scan reports to ``judge_pair``.
+    An alpha below 0 never meets the prune test, so the scan ends unpruned:
+    it returns 0.0 when the table-maxima test rules out every instance pair,
+    and otherwise visits every instance pair in the scan's order, so the
+    confirmed sum is the probability, bit-identical to what an unpruned scan
+    reports to ``judge_pair``.
     """
     return instance_level_scan(it_i, it_j, gamma, -1.0, keywords, dist)[1]
 

@@ -135,6 +135,35 @@ class TestModesAgree:
         assert engine.stage_counts["refined"] and oracle.matches()
         assert results.to_jsonl() == oracle.to_jsonl()
 
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_served_rules_impute_as_every_rule_does(self, kind, monkeypatch):
+        """The index fetcher hands imputation only the candidate rules it served
+        samples, and every tuple it imputes equals its imputation from all rules."""
+        import teride.engine
+        from teride.impute import impute_tuple
+
+        repo, trace = make_workload(seed=65, length=30, repo_size=40, xi=0.6, m=1)
+        engine = Engine(repo, make_config(window=7), dist=DistanceFn(kind), mode=MODE_ENGINE)
+        seen = {"tuples": 0, "served": 0, "candidates": 0, "ruled": 0}
+
+        def checked(r, rules_by_dep, repo, dist, samples_per_rule, dr_index):
+            got = impute_tuple(r, rules_by_dep, repo, dist, samples_per_rule, dr_index)
+            assert got == impute_tuple(r, engine.pre.rules_by_dep, repo, dist), r.rid
+            seen["tuples"] += 1
+            seen["served"] += sum(map(len, rules_by_dep.values()))
+            seen["candidates"] += len(samples_per_rule)
+            seen["ruled"] += len(got.per_attr_candidates) > len(got.fallback_attrs)
+            assert all(samples_per_rule[rule] for rules in rules_by_dep.values() for rule in rules)
+            return got
+
+        monkeypatch.setattr(teride.engine, "impute_tuple", checked)
+        engine.run(list(trace))
+        # some tuples are imputed from rules; under Jaccard, where an interval
+        # determinant restricts the samples, some candidate rules are not served
+        assert seen["tuples"] and seen["ruled"], seen
+        if kind == DistanceFn.JACCARD:
+            assert seen["served"] < seen["candidates"], seen
+
     def test_results_only_pair_cross_stream(self):
         repo, trace = make_workload(seed=64, n_streams=3, length=15, repo_size=30)
         cfg = make_config(window=6)

@@ -48,16 +48,17 @@ class TestSummary:
             for x in range(repo.d):
                 lo, hi = s.box[x]
                 assert 0.0 <= lo <= hi <= 1.0
-                for (v, _), c in zip(s.imputed.attr_options(x), s.option_coords[x]):
+                for c in s.option_coords[x]:
                     assert lo - 1e-9 <= c <= hi + 1e-9
+                for v in s.imputed.option_values()[x]:
                     assert s.sizes[x][0] <= len(v) <= s.sizes[x][1]
 
     def test_keywords_union_over_options(self, setup):
         repo, dist, pivots, keywords, summaries = setup
         for s in summaries:
             expected = set()
-            for x in range(repo.d):
-                for v, _ in s.imputed.attr_options(x):
+            for vals in s.imputed.option_values():
+                for v in vals:
                     expected |= keywords & v
             assert s.keywords == frozenset(expected)
 
@@ -68,7 +69,7 @@ def _reference_summary(it, pivots, keywords, dist):
     box, sizes, kws, option_coords = [], [], set(), []
     exp = lb = ub = 0.0
     for x in range(pivots.d):
-        options = it.attr_options(x)
+        options = it.per_attr_candidates.get(x, [(it.base.attrs[x], 1.0)])
         coords = [dist(v, pivots.main(x)) for v, _ in options]
         option_coords.append(coords)
         box.append((min(coords), max(coords)))
@@ -159,7 +160,7 @@ class TestArrivalWork:
         imputed = [impute_tuple(r, by_dep, repo, dist) for r in trace]
         assert any(it.per_attr_candidates for it in imputed)
         for it in imputed:
-            n_options = [len(it.attr_options(x)) for x in range(repo.d)]
+            n_options = [len(vals) for vals in it.option_values()]
             dist.calls = 0
             s = summarize(it, pivots, frozenset({"topic0"}), dist)
             assert dist.calls == sum(n_options)

@@ -205,12 +205,15 @@ class TestCascade:
         dist = _CountingDistance()
         verdict = judge_pair(a, b, gamma, 0.2, keywords, dist)
         assert verdict.stage == STAGE_TOKEN
-        assert dist.sim_calls == 0
-        # one more: the imputed option shared on attribute 0 lifts the pair
+        assert dist.calls == 0
+        # one more: the imputed option shared on attribute 0 lifts the pair,
+        # and the refinement that settles it does compute distances
         a, b = self._shared_on(int(gamma) + 1, DistanceFn())
-        verdict = judge_pair(a, b, gamma, 0.2, keywords, DistanceFn())
+        dist = _CountingDistance()
+        verdict = judge_pair(a, b, gamma, 0.2, keywords, dist)
         assert verdict.stage == STAGE_REFINED and verdict.matched
         assert verdict.prob == pytest.approx(0.3)
+        assert dist.calls > 0
         # the count bounds nothing under absdiff
         for n_shared in (int(gamma), int(gamma) + 1):
             a, b = self._shared_on(n_shared, absdiff)
@@ -250,15 +253,25 @@ def _scan_workload(seed, fallback, kind=DistanceFn.JACCARD):
 
 
 class _CountingDistance(DistanceFn):
-    """Jaccard distance that counts the similarities asked of it."""
+    """Jaccard distance that counts the distances asked of it: every call, and
+    every call of the function ``bind()`` returns."""
 
     def __init__(self):
         super().__init__()
-        self.sim_calls = 0
+        self.calls = 0
 
-    def sim(self, a, b):
-        self.sim_calls += 1
-        return super().sim(a, b)
+    def __call__(self, a, b):
+        self.calls += 1
+        return super().__call__(a, b)
+
+    def bind(self):
+        f = super().bind()
+
+        def counted(a, b):
+            self.calls += 1
+            return f(a, b)
+
+        return counted
 
 
 class TestInstanceScanMatchesReference:
@@ -268,26 +281,28 @@ class TestInstanceScanMatchesReference:
         "seed,fallback", [(41, False), (42, False), (43, True), (44, True)]
     )
     def test_exact_agreement(self, seed, fallback):
-        repo, dist, keywords, summaries, pairs = _scan_workload(seed, fallback)
-        if fallback:
-            assert any(s.imputed.fallback_attrs for s in summaries)
-        keyword_free = shortcut = 0
-        for rho in (0.45, 0.6):
-            gamma = rho * repo.d
-            for alpha in (0.0, 0.2, 0.5):
-                for a, b in pairs:
-                    want = reference_instance_level_scan(
-                        a.imputed, b.imputed, gamma, alpha, keywords, dist
-                    )
-                    got = instance_level_scan(a.imputed, b.imputed, gamma, alpha, keywords, dist)
-                    assert got == want, (a.rid, b.rid, gamma, alpha)
-                    if got == (True, 0.0):
-                        shortcut += 1
-        for s in summaries:
-            keyword_free += not any(s.imputed.instance_keyword_flags(keywords))
-        # the workload reaches keyword-free tuples and scans that end pruned
-        # with nothing confirmed
-        assert keyword_free and shortcut
+        for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
+            repo, dist, keywords, summaries, pairs = _scan_workload(seed, fallback, kind)
+            if fallback:
+                assert any(s.imputed.fallback_attrs for s in summaries)
+            keyword_free = shortcut = 0
+            for rho in (0.45, 0.6):
+                gamma = rho * repo.d
+                # alpha -1 is the pair_probability scan, which never prunes
+                for alpha in (-1.0, 0.0, 0.2, 0.5):
+                    for a, b in pairs:
+                        want = reference_instance_level_scan(
+                            a.imputed, b.imputed, gamma, alpha, keywords, dist
+                        )
+                        got = instance_level_scan(a.imputed, b.imputed, gamma, alpha, keywords, dist)
+                        assert got == want, (kind, a.rid, b.rid, gamma, alpha)
+                        if got == (True, 0.0):
+                            shortcut += 1
+            for s in summaries:
+                keyword_free += not any(s.imputed.instance_keyword_flags(keywords))
+            # the workload reaches keyword-free tuples and scans that end pruned
+            # with nothing confirmed
+            assert keyword_free and shortcut, kind
 
     def test_instances_differing_in_keyword(self):
         keywords = frozenset({"topic0"})
@@ -321,8 +336,7 @@ class TestInstanceScanMatchesReference:
             for s in summaries:
                 assert s.pivot_stats == pivot_stats(s)
                 assert s.imputed.token_unions() == [
-                    frozenset().union(*(v for v, _ in s.imputed.attr_options(x)))
-                    for x in range(repo.d)
+                    frozenset().union(*vals) for vals in s.imputed.option_values()
                 ]
                 # the ranges the size and pivot bounds assume
                 assert all(-1e-9 <= lo <= hi <= 1.0 + 1e-9 for lo, hi in s.box), (kind, s.rid)
