@@ -18,15 +18,15 @@ then checks only the domain values that its value's prefix postings reach
 are supersets of what the scan accepts, and every value is still checked, so
 the result is the same.
 
-An ``ImputedTuple`` keeps per attribute the values of its options, by
-descending probability (``option_values``): the instance-level scan builds
-its similarity tables from them, and the instance enumeration, which only a
-scan past its table-maxima test reads, indexes into them.
+An ``ImputedTuple`` keeps per attribute its options by descending
+probability, as two aligned lists (``option_values`` and ``option_probs``):
+the instance-level scan builds its similarity tables from the values and
+convolves the probabilities attribute by attribute, so no instance of the
+product is ever listed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -34,7 +34,7 @@ from .cdd import CddRule, satisfies_determinants
 from .errors import ImputationFailed
 from .index import DrIndex
 from .metric import DistanceFn
-from .model import Repository, StreamTuple, contains_keyword, token_key
+from .model import Repository, StreamTuple, token_key
 
 PROB_TOL = 1e-9
 FALLBACK_TOP_K = 5
@@ -89,18 +89,17 @@ def fallback_candidates(repo: Repository, attr: int, k: int = FALLBACK_TOP_K) ->
 class ImputedTuple:
     """A probabilistic tuple: per-missing-attribute weighted candidate values.
 
-    Complete tuples have no candidate entries and exactly one instance with
-    probability 1.  Candidate probabilities per attribute sum to 1.
+    Each candidate probability lies in (0, 1] and each attribute's
+    probabilities sum to 1.  A complete tuple has no candidate entries and
+    one instance; an incomplete one has an instance per combination of its
+    attributes' options, at the product of their probabilities.
     """
 
     base: StreamTuple
     per_attr_candidates: dict = field(default_factory=dict)  # attr -> [(value, prob)]
     fallback_attrs: frozenset = frozenset()
-    _instances: Optional[list] = field(default=None, repr=False, compare=False)
-    _enumeration: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _keyword_flags: Optional[tuple] = field(default=None, repr=False, compare=False)
     _token_unions: Optional[list] = field(default=None, repr=False, compare=False)
-    _option_values: Optional[list] = field(default=None, repr=False, compare=False)
+    _options: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         missing = set(self.base.missing_attrs())
@@ -112,7 +111,11 @@ class ImputedTuple:
         for j, cands in self.per_attr_candidates.items():
             if not cands:
                 raise ImputationFailed(f"tuple {self.base.rid}: empty candidate list for attr {j}")
-            total = sum(p for _, p in cands)
+            total = 0.0
+            for _, p in cands:
+                if not 0.0 < p <= 1.0:  # NaN fails too
+                    raise ImputationFailed(f"tuple {self.base.rid}: attr {j} has probability {p}")
+                total += p
             if abs(total - 1.0) > PROB_TOL:
                 raise ImputationFailed(f"tuple {self.base.rid}: attr {j} probs sum to {total}")
 
@@ -127,52 +130,30 @@ class ImputedTuple:
     def option_values(self) -> list:
         """Per attribute, the values of its options: the present value, or the
         candidate values by descending probability, ties in token order."""
-        if self._option_values is None:
-            self._option_values = [
-                [v] if v is not None
-                else [c for c, _ in sorted(self.per_attr_candidates[j], key=_by_prob_then_token)]
+        return self._sorted_options()[0]
+
+    def option_probs(self) -> list:
+        """Per attribute, its options' probabilities, aligned with :meth:`option_values`."""
+        return self._sorted_options()[1]
+
+    def _sorted_options(self) -> tuple:
+        if self._options is None:
+            options = [
+                [(v, 1.0)] if v is not None
+                else sorted(self.per_attr_candidates[j], key=_by_prob_then_token)
                 for j, v in enumerate(self.base.attrs)
             ]
-        return self._option_values
+            self._options = (
+                [[c for c, _ in opts] for opts in options],
+                [[p for _, p in opts] for opts in options],
+            )
+        return self._options
 
     def instance_count(self) -> int:
         n = 1
         for cands in self.per_attr_candidates.values():
             n *= len(cands)
         return n
-
-    def instances(self) -> list:
-        """All concrete instances as (complete StreamTuple, prob), aligned with
-        the rows of :meth:`instance_rows`; built on the first call."""
-        if self._instances is None:
-            base = self.base
-            values, rows = self.instance_rows()
-            self._instances = [
-                (
-                    StreamTuple(
-                        rid=base.rid,
-                        stream_id=base.stream_id,
-                        arrival_time=base.arrival_time,
-                        attrs=tuple(vals[i] for vals, i in zip(values, row)),
-                    ),
-                    p,
-                )
-                for row, p in zip(rows, self.instance_probs())
-            ]
-        return self._instances
-
-    def instance_rows(self) -> tuple:
-        """(values, rows): :meth:`option_values`, and every option-index row
-        into it, sorted by (-p, row) where p is the row's joint probability."""
-        if self._enumeration is None:
-            self._enumeration = _enumerate_instances(self)
-        return self._enumeration[:2]
-
-    def instance_probs(self) -> list:
-        """Per row of :meth:`instance_rows`, its joint probability."""
-        if self._enumeration is None:
-            self._enumeration = _enumerate_instances(self)
-        return self._enumeration[2]
 
     def token_unions(self) -> list:
         """Per attribute, the union of the tokens of all its values (a present value as it is)."""
@@ -184,43 +165,9 @@ class ImputedTuple:
             ]
         return self._token_unions
 
-    def instance_keyword_flags(self, keywords: frozenset) -> list:
-        """Per instance (aligned with :meth:`instances`): does any value hold a keyword?"""
-        if self._keyword_flags is None or self._keyword_flags[0] != keywords:
-            values, rows = self.instance_rows()
-            hits = [[contains_keyword(v, keywords) for v in vals] for vals in values]
-            flags = [any(h[i] for h, i in zip(hits, row)) for row in rows]
-            self._keyword_flags = (keywords, flags)
-        return self._keyword_flags[1]
-
 
 def _by_prob_then_token(vp) -> tuple:
     return -vp[1], token_key(vp[0])
-
-
-def _enumerate_instances(it: ImputedTuple) -> tuple:
-    """(values, rows, probs) over every option-index row, sorted by (-p, row).
-
-    ``values`` is :meth:`ImputedTuple.option_values`; its order puts each
-    attribute's probabilities in descending order, so sorting them alone
-    aligns them with it."""
-    probs = [
-        [1.0] if v is not None
-        else sorted((p for _, p in it.per_attr_candidates[j]), reverse=True)
-        for j, v in enumerate(it.base.attrs)
-    ]
-    scored = sorted(
-        (-_joint(probs, row), row)
-        for row in itertools.product(*(range(len(ps)) for ps in probs))
-    )
-    return it.option_values(), [row for _, row in scored], [-negp for negp, _ in scored]
-
-
-def _joint(prob_lists, idx) -> float:
-    p = 1.0
-    for ps, i in zip(prob_lists, idx):
-        p *= ps[i]
-    return p
 
 
 def impute_tuple(

@@ -8,14 +8,14 @@ lost.  The two similarity bounds this module owns, :func:`ub_sim_by_size` and
 :func:`ub_sim_by_pivot`, read plain per-attribute ``(lo, hi)`` pairs: a
 summary's ``sizes`` and its main-pivot ``box``.
 
-One kernel, :func:`instance_level_scan`, sums joint probabilities over
-instance pairs in descending joint probability.  It builds its per-attribute
-similarity tables from the two tuples' option values first, and reads their
-instance rows only when the sum of the tables' maxima can pass the threshold.
-It stops as soon as the pair cannot exceed alpha; a scan that ends without
-stopping has visited every instance pair, so its sum is the exact match
-probability and refinement is that sum.  :func:`pair_probability`, which
-the ``oracle`` judge calls, is the same scan with no early stop.
+One kernel, :func:`instance_level_scan`, computes the exact match
+probability.  It builds its per-attribute similarity tables from the two
+tuples' option values first, and goes on only when the sum of the tables'
+maxima can pass the threshold.  Since the attributes are imputed
+independently, it then convolves the per-attribute option pairs attribute
+by attribute, keeping only partial sums that can still match, and stops as
+soon as the pair cannot exceed alpha.  :func:`pair_probability`, which the
+``oracle`` judge calls, is the same scan with no early stop.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .grid import _SUM_SLACK, STAGE_KEYWORD, STAGE_TOKEN, TupleSummary, token_count_prunes
 from .impute import ImputedTuple
 from .metric import DistanceFn
+from .model import contains_keyword
 
 STAGE_SIZE = "sim_ub_size"
 STAGE_PIVOT = "sim_ub_pivot"
@@ -124,53 +125,62 @@ def instance_level_scan(
     keywords: frozenset,
     dist: DistanceFn,
 ) -> tuple:
-    """Partial scan over instance pairs in descending joint probability.
+    """Exact match probability by convolution over the attributes, stopping
+    as soon as the pair cannot exceed alpha.
 
-    Returns (pruned, confirmed) where ``pruned`` is True once the confirmed
-    probability plus the unexamined mass can no longer exceed alpha.  A scan
-    that ends unpruned has summed every matching instance pair: ``confirmed``
-    is then the exact match probability.
+    Returns (pruned, prob).  ``pruned`` is True when the match probability is
+    at most alpha + 1e-9, and ``prob`` is then 0.0; otherwise ``prob`` is
+    the exact match probability.
 
     The tables come first.  Similarities come from one option-vs-option table
     per attribute over the two tuples' ``option_values()`` (1x1 for a present
     attribute), each entry ``1.0 - f(a, b)`` with ``f = dist.bind()``, the
-    float ``dist.sim`` gives: an instance pair's similarity is the sum of its
-    entries in attribute order.  If even the sum of the tables' maxima fails
-    the threshold, no instance pair can match: the exact probability is 0 and
-    the scan returns (0.0 <= alpha + 1e-9, 0.0) without enumerating either
-    tuple's instances.  That is what the full scan returns once its seen mass
-    comes within alpha + 1e-9 of 1, which holds whenever the instance
-    probabilities sum to 1 up to rounding.  Only past this test are the
-    instance rows, their probabilities and their keyword flags read.
+    float ``dist.sim`` gives.  If even the sum of the tables' maxima fails
+    the threshold, no instance pair can match: the probability is 0 and the
+    scan returns (0.0 <= alpha + 1e-9, 0.0) before reading any probability.
+
+    Past that test, the attributes are imputed independently, so the scan
+    walks them in order over states ``(s, keyword_seen)``: ``s`` is the
+    partial similarity, added from 0.0 one table entry at a time (the float
+    an instance pair's ``sum()`` gives before Python 3.12), and the state's
+    value is the mass ``mass * pu * pv`` of the option pairs that reach it.
+    After each attribute a state is dropped when even the later tables'
+    maxima cannot lift it past gamma, or when it has seen no keyword and no
+    later option of either tuple holds one.  The scan stops pruned once the
+    mass left is at most alpha + 1e-9; at the end, the states that pass the
+    threshold hold the match probability.
     """
     f = dist.bind()
     tables = [
         [[1.0 - f(vi, vj) for vj in vals_j] for vi in vals_i]
         for vals_i, vals_j in zip(it_i.option_values(), it_j.option_values())
     ]
-    if not sim_matches(sum(max(map(max, table)) for table in tables) + _SUM_SLACK, gamma):
+    maxima = [max(map(max, table)) for table in tables]
+    if not sim_matches(sum(maxima) + _SUM_SLACK, gamma):
         return 0.0 <= alpha + _TOL, 0.0
-    _, rows_i = it_i.instance_rows()
-    _, rows_j = it_j.instance_rows()
-    probs_i = it_i.instance_probs()
-    probs_j = it_j.instance_probs()
-    pairs = sorted(
-        ((pi * pj, a, b) for a, pi in enumerate(probs_i) for b, pj in enumerate(probs_j)),
-        key=lambda t: -t[0],
-    )
-    confirmed = 0.0
-    seen_mass = 0.0
-    kw_i = it_i.instance_keyword_flags(keywords)
-    kw_j = it_j.instance_keyword_flags(keywords)
-    for mass, a, b in pairs:
-        if (kw_i[a] or kw_j[b]) and sim_matches(
-            sum(table[x][y] for table, x, y in zip(tables, rows_i[a], rows_j[b])), gamma
-        ):
-            confirmed += mass
-        seen_mass += mass
-        if confirmed + (1.0 - seen_mass) <= alpha + _TOL:
-            return True, confirmed
-    return False, confirmed
+    hits_i = [[contains_keyword(v, keywords) for v in vals] for vals in it_i.option_values()]
+    hits_j = [[contains_keyword(v, keywords) for v in vals] for vals in it_j.option_values()]
+    states = {(0.0, False): 1.0}
+    attrs = zip(tables, it_i.option_probs(), it_j.option_probs(), hits_i, hits_j)
+    for done, (table, probs_i, probs_j, kw_i, kw_j) in enumerate(attrs, 1):
+        reach = sum(maxima[done:]) + _SUM_SLACK
+        kw_later = any(map(any, hits_i[done:])) or any(map(any, hits_j[done:]))
+        after: dict = {}
+        for (s, seen), mass in states.items():
+            for row, pu, kw_u in zip(table, probs_i, kw_i):
+                mass_u = mass * pu
+                for sim, pv, kw_v in zip(row, probs_j, kw_j):
+                    kw = seen or kw_u or kw_v
+                    t = s + sim
+                    if (kw or kw_later) and sim_matches(t + reach, gamma):
+                        after[t, kw] = after.get((t, kw), 0.0) + mass_u * pv
+        states = after
+        if sum(states.values()) <= alpha + _TOL:
+            return True, 0.0
+    prob = sum(mass for (s, kw), mass in states.items() if kw and sim_matches(s, gamma))
+    if prob <= alpha + _TOL:
+        return True, 0.0
+    return False, prob
 
 
 def pair_probability(
@@ -180,13 +190,11 @@ def pair_probability(
     keywords: frozenset,
     dist: DistanceFn,
 ) -> float:
-    """Exact match probability: :func:`instance_level_scan` run to its end.
+    """Exact match probability: :func:`instance_level_scan` with no early stop.
 
-    An alpha below 0 never meets the prune test, so the scan ends unpruned:
-    it returns 0.0 when the table-maxima test rules out every instance pair,
-    and otherwise visits every instance pair in the scan's order, so the
-    confirmed sum is the probability, bit-identical to what an unpruned scan
-    reports to ``judge_pair``.
+    An alpha below 0 never meets the prune test, so the scan walks every
+    attribute and returns the same float an unpruned scan reports to
+    ``judge_pair``: its states are dropped by rules that do not read alpha.
     """
     return instance_level_scan(it_i, it_j, gamma, -1.0, keywords, dist)[1]
 
@@ -215,5 +223,4 @@ def judge_pair(
     pruned, prob = instance_level_scan(si.imputed, sj.imputed, gamma, alpha, keywords, dist)
     if pruned:
         return PairVerdict(stage=STAGE_INSTANCE)
-    # a scan that ends unpruned has visited every instance pair: its sum is exact
     return PairVerdict(stage=STAGE_REFINED, matched=prob_reports(prob, alpha), prob=prob)

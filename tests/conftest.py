@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from teride.cli import gen_synthetic, inject_missing
 from teride.metric import DistanceFn
-from teride.model import Repository, StreamTuple
+from teride.model import Repository, StreamTuple, token_key
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -70,6 +70,35 @@ def make_workload(
     return Repository(repo_rows), trace
 
 
+def enumerate_instances(it):
+    """Every instance of an imputed tuple as (complete StreamTuple, prob), by brute force.
+
+    Each attribute's options are its present value at probability 1, or its
+    candidates by descending probability, ties in token order; the instances
+    are the ``itertools.product`` of the options, each at the product of its
+    options' probabilities in attribute order, sorted by descending
+    probability, ties in product order.
+    """
+    options = [
+        [(v, 1.0)]
+        if v is not None
+        else sorted(it.per_attr_candidates[j], key=lambda vp: (-vp[1], token_key(vp[0])))
+        for j, v in enumerate(it.base.attrs)
+    ]
+    instances = []
+    for combo in itertools.product(*options):
+        p = 1.0
+        for _, q in combo:
+            p *= q
+        base = it.base
+        attrs = tuple(v for v, _ in combo)
+        instances.append(
+            (StreamTuple(rid=base.rid, stream_id=base.stream_id, arrival_time=base.arrival_time, attrs=attrs), p)
+        )
+    instances.sort(key=lambda inst: -inst[1])
+    return instances
+
+
 def naive_pair_probability(it_i, it_j, gamma, keywords, dist):
     """Independent exhaustive evaluation of the matching probability.
 
@@ -77,8 +106,8 @@ def naive_pair_probability(it_i, it_j, gamma, keywords, dist):
     and strict similarity conditions directly, and sums joint probabilities.
     """
     total = 0.0
-    for inst_a, p_a in it_i.instances():
-        for inst_b, p_b in it_j.instances():
+    for inst_a, p_a in enumerate_instances(it_i):
+        for inst_b, p_b in enumerate_instances(it_j):
             has_kw = any(not v.isdisjoint(keywords) for v in inst_a.attrs) or any(
                 not v.isdisjoint(keywords) for v in inst_b.attrs
             )
@@ -88,20 +117,18 @@ def naive_pair_probability(it_i, it_j, gamma, keywords, dist):
     return total
 
 
-def all_instance_pairs(it_i, it_j):
-    return list(itertools.product(it_i.instances(), it_j.instances()))
-
-
 def reference_instance_level_scan(it_i, it_j, gamma, alpha, keywords, dist):
     """Instance-level scan that checks every instance pair on its own values.
 
-    The reference for ``teride.prune.instance_level_scan``: same pair order
-    (descending joint probability, stable), same prune rule, with
-    each pair's keyword test and similarity taken directly from the two
-    instances' attribute values.
+    The reference for ``teride.prune.instance_level_scan``'s decision: it
+    walks the instance pairs in descending joint probability (stable) and
+    stops pruned once the confirmed mass plus the unexamined mass is at most
+    alpha + 1e-9, with each pair's keyword test and similarity taken directly
+    from the two instances' attribute values.  Returns (pruned, confirmed);
+    a scan that ends unpruned has confirmed the exact probability.
     """
-    inst_i = it_i.instances()
-    inst_j = it_j.instances()
+    inst_i = enumerate_instances(it_i)
+    inst_j = enumerate_instances(it_j)
     pairs = sorted(
         ((pi * pj, a, b) for a, (_, pi) in enumerate(inst_i) for b, (_, pj) in enumerate(inst_j)),
         key=lambda t: -t[0],

@@ -46,7 +46,7 @@ from teride.prune import (
     ub_sim_by_size,
 )
 
-from .conftest import make_tuple, make_workload, naive_pair_probability, ts
+from .conftest import enumerate_instances, make_tuple, make_workload, naive_pair_probability, ts
 from .test_cdd import cdd1, cdd2
 
 
@@ -171,8 +171,8 @@ class TestPruningSoundness:
                 exact = naive_pair_probability(a.imputed, b.imputed, gamma, keywords, dist)
                 max_sim = max(
                     sum(dist.sim(x, y) for x, y in zip(ia.attrs, ib.attrs))
-                    for ia, _ in a.imputed.instances()
-                    for ib, _ in b.imputed.instances()
+                    for ia, _ in enumerate_instances(a.imputed)
+                    for ib, _ in enumerate_instances(b.imputed)
                 )
                 if keyword_prune(a, b):
                     assert exact == 0.0

@@ -1,9 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teride
 from teride.cdd import CONST, INTERVAL, AttrConstraint, CddRule, detect_cdds, rules_from_text
 from teride.engine import (
     KIND_EXPIRE,
@@ -185,10 +191,10 @@ def test_fuzz_rhos_reach_every_token_need_level():
 
 
 @st.composite
-def drawn_queries(draw, max_holes=4):
+def drawn_queries(draw):
     """A small workload and a query over it: d, stream count, missing rate and
-    holes per tuple (at most ``max_holes``), rho, alpha, window, distance kind
-    and keywords, some of which no value holds."""
+    holes per tuple (up to d - 1), rho, alpha, window, distance kind and
+    keywords, some of which no value holds."""
     d = draw(st.integers(2, 5))
     repo, trace = make_workload(
         seed=draw(st.integers(0, 10_000)),
@@ -198,7 +204,7 @@ def drawn_queries(draw, max_holes=4):
         vocab=30,
         topics=3,
         xi=draw(st.sampled_from((0.0, 0.3, 0.6))),
-        m=draw(st.integers(1, min(d - 1, max_holes))),
+        m=draw(st.integers(1, d - 1)),
         repo_size=draw(st.integers(10, 40)),
     )
     cfg = make_config(
@@ -257,18 +263,62 @@ def hand_built_rules(draw, repo, trace):
             hi = 1.0 if kind == "admits-1" else draw(st.sampled_from((0.2, 0.5, 0.8)))
             lo = draw(st.sampled_from((0.0, hi / 2)))
             dets.append(AttrConstraint(attr=x, kind=INTERVAL, lo=lo, hi=hi, min_open=draw(st.booleans())))
-    dep_hi = draw(st.sampled_from((0.0, 0.2, 0.5)))
+    dep_hi = draw(st.sampled_from((0.0, 0.2, 0.5, 1.0)))
     return CddRule(determinants=tuple(dets), dependent=j, dep_lo=0.0, dep_hi=dep_hi)
 
 
-# loose rules impute many candidates per hole, and a tuple's instances are
-# the product over its holes, so these queries have at most two holes
 @settings(max_examples=150, deadline=None)
-@given(query=drawn_queries(max_holes=2), data=st.data())
+@given(query=drawn_queries(), data=st.data())
 def test_three_modes_agree_on_hand_built_rules(query, data):
     repo, trace, cfg, dist = query
     rules = data.draw(st.lists(hand_built_rules(repo, trace), min_size=1, max_size=12))
     assert_three_modes_agree(repo, trace, cfg, dist, rules)
+
+
+# one rule per dependent whose determinant and dependent intervals are both
+# [0, 1]: every domain value is a candidate for every hole, so a tuple with m
+# holes has the product of m domains as its instances
+WIDE_RULES = "".join(f"DEP={j} | {(j + 1) % 5}:INT:0.0,1.0 -> [0.0,1.0]\n" for j in range(5))
+
+# the m=3 query of TestManyHoles in a fresh process, built as make_workload
+# builds it, printing the engine run's seconds and the process's peak RSS in KB
+_WIDE_RUN = """
+import json, resource, sys, time
+from teride.cdd import rules_from_text
+from teride.cli import gen_synthetic, inject_missing
+from teride.engine import Engine
+from teride.metric import DistanceFn
+from teride.model import QueryConfig, Repository
+rows, streams = gen_synthetic(d=5, n_streams=2, length=10, vocab_size=30, topic_count=3, seed=3, repo_size=30)
+trace = inject_missing([t for s in streams for t in s], 0.6, 3, seed=4)
+cfg = QueryConfig(keywords=frozenset({"topic0"}), d=5, rho=0.6, alpha=0.2, window_size=10)
+t0 = time.perf_counter()
+Engine(Repository(rows), cfg, DistanceFn(), "engine", rules=rules_from_text(sys.argv[1])).run(trace)
+print(json.dumps([time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+class TestManyHoles:
+    """Three and four holes per tuple under rules that admit every value: the
+    match probability must not cost the product of the holes' candidates."""
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_three_modes_agree(self, m):
+        repo, trace = make_workload(seed=3, d=5, length=10, vocab=30, repo_size=30, xi=0.6, m=m)
+        cfg = make_config(d=5, rho=0.6, alpha=0.2, window=10)
+        assert_three_modes_agree(repo, trace, cfg, DistanceFn(), rules_from_text(WIDE_RULES))
+
+    def test_engine_run_is_bounded(self):
+        src = str(Path(teride.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run(
+            [sys.executable, "-c", _WIDE_RUN, WIDE_RULES],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        seconds, peak_kb = json.loads(out.stdout)
+        assert seconds < 5.0
+        assert peak_kb / 1024 < 150.0
 
 
 def prob_in_range(p):

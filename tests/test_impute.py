@@ -1,4 +1,3 @@
-import itertools
 from collections import Counter
 
 import pytest
@@ -15,10 +14,10 @@ from teride.impute import (
 )
 from teride.index import build_dr_index
 from teride.metric import DistanceFn
-from teride.model import StreamTuple, token_key
+from teride.model import token_key
 from teride.pivot import PivotSet, select_pivots
 
-from .conftest import make_tuple, make_workload, ts
+from .conftest import enumerate_instances, make_tuple, make_workload, ts
 from .test_cdd import cdd1, cdd2
 
 
@@ -172,7 +171,8 @@ class TestImputedTuple:
     def test_complete_tuple_single_instance(self):
         r = make_tuple("r", 0, 1, ts("a"), ts("b"))
         it = ImputedTuple(base=r)
-        assert it.instances() == [(r, 1.0)]
+        assert it.option_values() == [[ts("a")], [ts("b")]]
+        assert it.option_probs() == [[1.0], [1.0]]
         assert it.instance_count() == 1
 
     def test_candidates_must_cover_missing(self):
@@ -185,6 +185,23 @@ class TestImputedTuple:
         with pytest.raises(ImputationFailed):
             ImputedTuple(base=r, per_attr_candidates={1: [(ts("x"), 0.4)]})
 
+    @pytest.mark.parametrize(
+        "cands",
+        [
+            [(ts("x"), float("nan"))],
+            [(ts("x"), 0.5), (ts("y"), float("nan"))],
+            [(ts("x"), 1.5), (ts("y"), -0.5)],
+            [(ts("x"), 1.0), (ts("y"), 0.0)],
+            [(ts("x"), float("inf")), (ts("y"), float("-inf"))],
+        ],
+    )
+    def test_probs_must_lie_in_zero_one(self, cands):
+        # each list above sums to 1 or to NaN; every one holds a probability
+        # outside (0, 1]
+        r = make_tuple("r", 0, 1, ts("a"), None)
+        with pytest.raises(ImputationFailed):
+            ImputedTuple(base=r, per_attr_candidates={1: cands})
+
     def test_instances_descending_and_normalized(self):
         r = make_tuple("r", 0, 1, None, None)
         it = ImputedTuple(
@@ -194,8 +211,10 @@ class TestImputedTuple:
                 1: [(ts("u"), 0.6), (ts("v"), 0.4)],
             },
         )
-        inst = it.instances()
-        assert len(inst) == 4
+        assert it.option_values() == [[ts("x"), ts("y")], [ts("u"), ts("v")]]
+        assert it.option_probs() == [[0.7, 0.3], [0.6, 0.4]]
+        inst = enumerate_instances(it)
+        assert len(inst) == it.instance_count() == 4
         probs = [p for _, p in inst]
         assert probs == sorted(probs, reverse=True)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
@@ -227,44 +246,23 @@ class TestImputeTuple:
         n1 = len(it.per_attr_candidates[1])
         n2 = len(it.per_attr_candidates[2])
         assert it.instance_count() == n1 * n2
-        assert sum(p for _, p in it.instances()) == pytest.approx(1.0, abs=1e-9)
+        assert all(sum(ps) == pytest.approx(1.0, abs=1e-9) for ps in it.option_probs())
 
 
 def reference_enumeration(it):
-    """(values, rows, instances) by brute force: every option-index row, sorted by (-p, row).
-
-    Each attribute's options are its present value, or its candidates in
-    descending probability with ties broken by token order; ``p`` multiplies
-    the chosen options' probabilities in attribute order.
-    """
+    """(values, probs, instances) by brute force: per attribute its option values
+    and probabilities, the present value at probability 1 or the candidates by
+    descending probability with ties broken by token order; and every instance
+    (``enumerate_instances``)."""
     options = [
         [(v, 1.0)]
         if v is not None
         else sorted(it.per_attr_candidates[j], key=lambda vp: (-vp[1], token_key(vp[0])))
         for j, v in enumerate(it.base.attrs)
     ]
-    scored = []
-    for row in itertools.product(*(range(len(opts)) for opts in options)):
-        p = 1.0
-        for opts, i in zip(options, row):
-            p *= opts[i][1]
-        scored.append((-p, row))
-    scored.sort()
     values = [[v for v, _ in opts] for opts in options]
-    base = it.base
-    instances = [
-        (
-            StreamTuple(
-                rid=base.rid,
-                stream_id=base.stream_id,
-                arrival_time=base.arrival_time,
-                attrs=tuple(vals[i] for vals, i in zip(values, row)),
-            ),
-            -negp,
-        )
-        for negp, row in scored
-    ]
-    return values, [row for _, row in scored], instances
+    probs = [[p for _, p in opts] for opts in options]
+    return values, probs, enumerate_instances(it)
 
 
 _token_sets = st.frozensets(st.sampled_from("abcdef"), min_size=1, max_size=2)
@@ -289,9 +287,10 @@ def uniform_imputed_tuples(draw):
 @settings(max_examples=300, deadline=None)
 @given(it=uniform_imputed_tuples())
 def test_instances_are_option_rows_sorted_by_probability_then_row(it):
-    values, rows, instances = reference_enumeration(it)
-    assert it.instances() == instances
-    assert it.instance_rows() == (values, rows)
+    values, probs, instances = reference_enumeration(it)
+    assert it.option_values() == values
+    assert it.option_probs() == probs
+    assert it.instance_count() == len(instances)
 
 
 @settings(max_examples=20, deadline=None)
