@@ -14,8 +14,8 @@ import sys
 import time
 
 from .cdd import detect_cdds, rules_from_text, rules_to_text
-from .engine import MODE_ENGINE, MODE_NOINDEX, MODES, Engine, check_pivots, check_rules
-from .errors import ConfigError, InvalidRate, TerideError
+from .engine import MODE_ENGINE, MODE_NOINDEX, MODES, Engine
+from .errors import ConfigError, InvalidRate, PivotSchemaMismatch, RuleSchemaMismatch, TerideError
 from .metric import DistanceFn
 from .model import (
     MISSING_CELL,
@@ -230,19 +230,21 @@ def _build_engine(args, mode: str) -> tuple:
         alpha=args.alpha,
         window_size=args.window,
     )
-    dist = DistanceFn()
-    rules = pivots = None
-    if args.rules:
-        rules = _read_file(args.rules, lambda text: check_rules(rules_from_text(text), repo.d))
-    if args.pivots:
-        pivots = _read_file(args.pivots, lambda text: check_pivots(pivots_from_text(text), repo.d))
+    rules = _read_file(args.rules, rules_from_text) if args.rules else None
+    pivots = _read_file(args.pivots, pivots_from_text) if args.pivots else None
     trace = []
     for path in args.streams:
         d, tuples = read_csv(path)
         if d != repo.d:
             raise ConfigError(f"{path}: {d} attributes per tuple, the repository has {repo.d}")
         trace.extend(tuples)
-    engine = Engine(repo, config, dist=dist, mode=mode, rules=rules, pivots=pivots)
+    # the engine checks the rules and pivots against the repository's schema
+    try:
+        engine = Engine(repo, config, dist=DistanceFn(), mode=mode, rules=rules, pivots=pivots)
+    except RuleSchemaMismatch as exc:
+        raise ConfigError(f"{args.rules}: {exc}") from exc
+    except PivotSchemaMismatch as exc:
+        raise ConfigError(f"{args.pivots}: {exc}") from exc
     return engine, trace
 
 

@@ -39,7 +39,14 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cdd import detect_cdds
-from .errors import ConfigError, DuplicateTuple, NoRulesFound, OutOfOrderArrival
+from .errors import (
+    ConfigError,
+    DuplicateTuple,
+    NoRulesFound,
+    OutOfOrderArrival,
+    PivotSchemaMismatch,
+    RuleSchemaMismatch,
+)
 from .grid import ErGrid, TupleSummary, summarize
 from .impute import ImputedTuple, impute_tuple
 from .index import build_cdd_index, build_dr_index
@@ -112,21 +119,21 @@ def check_rules(rules: list, d: int) -> list:
     for rule in rules:
         for x in (rule.dependent, *(c.attr for c in rule.determinants)):
             if not 0 <= x < d:
-                raise ConfigError(f"rule names attribute {x}, outside [0, {d})")
+                raise RuleSchemaMismatch(f"rule names attribute {x}, outside [0, {d})")
     return rules
 
 
 def check_pivots(pivots: PivotSet, d: int) -> PivotSet:
     """The pivots, unless they fail to give each of ``d`` attributes a non-empty pivot set."""
     if pivots.d != d or not all(pivots.per_attr):
-        raise ConfigError(
+        raise PivotSchemaMismatch(
             f"pivot counts per attribute {[len(p) for p in pivots.per_attr]} do not give"
             f" each of the repository's {d} attributes a pivot"
         )
     for x, plist in enumerate(pivots.per_attr):
         for a, piv in enumerate(plist):
             if not piv:
-                raise ConfigError(f"pivot {a} of attribute {x} is an empty token set")
+                raise PivotSchemaMismatch(f"pivot {a} of attribute {x} is an empty token set")
     return pivots
 
 
@@ -200,7 +207,7 @@ class _IndexFetch:
         adds nothing to ``impute_multi_rule``'s counts, so it is not handed on.
         """
         candidates = {}
-        for j in r.missing_attrs():
+        for j in r.missing:
             idx = self.cdd_indexes.get(j)
             candidates[j] = [] if idx is None else idx.candidate_rules(r)
         samples_per_rule = self.dr_index.samples_per_rule(
@@ -264,8 +271,9 @@ class Engine:
         self.pairs_considered = 0
         self.matches_reported = 0
         self.arrivals = 0
-        # seconds per phase; "imputation" includes summarize, and the summary
-        # fields computed on first read (by the pair bounds) are charged to "er"
+        # seconds per phase; "imputation" includes summarize, which computes
+        # only the keywords, and the summary fields computed on first read by
+        # the pair bounds, main-pivot coordinates included, are charged to "er"
         self.timings = {"rule_selection": 0.0, "imputation": 0.0, "er": 0.0}
         self.step_times: list = []
 

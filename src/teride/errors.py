@@ -45,5 +45,13 @@ class ConfigError(TerideError):
     """Invalid run or query configuration."""
 
 
+class RuleSchemaMismatch(ConfigError):
+    """A given rule names an attribute outside the repository's schema."""
+
+
+class PivotSchemaMismatch(ConfigError):
+    """Given pivots do not give each of the repository's attributes a non-empty pivot set."""
+
+
 class InvalidRate(TerideError):
     """A rate or ratio parameter is outside its valid range."""

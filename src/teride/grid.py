@@ -5,18 +5,19 @@ from rid to slot, a slot table of summaries, and bitmaps over slots: the live
 slots, each stream's live slots, the keyword-bearing slots and, under
 Jaccard, per-attribute token postings.  A slot freed by eviction is the next
 one taken, so no bitmap is wider than the most tuples live at once.  A
-summary holds at arrival only the main-pivot coordinates and the query
-keywords (see ``TupleSummary``).  A probe reads the other streams' live slots
-in one pass and applies two exact set-level filters only: a keyword-free
-probe reads only the keyword-bearing slots, and under Jaccard a tuple must
-share tokens with the probe on ``need`` of the ``d`` attributes.  That filter
-ORs the probe's postings per attribute into a hit bitmap and counts hits per
-slot in bit-sliced "hit on at least k attributes" bitmaps; by pigeonhole (the
-prefix filter) a survivor has been hit on ``need - (d - i)`` of the first
-``i`` attributes, so only the levels that can still reach ``need`` are
-updated and an empty required level ends the probe.  Survivors are decoded
-from the final bitmap in slot order.  Retrieval reports how many tuples each
-filter skipped; every other bound runs pair by pair in ``prune.judge_pair``.
+summary holds at arrival only the query keywords; its main-pivot coordinates
+are computed when a pair bound first reads them (see ``TupleSummary``).  A
+probe reads the other streams' live slots in one pass and applies two exact
+set-level filters only: a keyword-free probe reads only the keyword-bearing
+slots, and under Jaccard a tuple must share tokens with the probe on ``need``
+of the ``d`` attributes.  That filter ORs the probe's postings per attribute
+into a hit bitmap and counts hits per slot in bit-sliced "hit on at least k
+attributes" bitmaps; by pigeonhole (the prefix filter) a survivor has been
+hit on ``need - (d - i)`` of the first ``i`` attributes, so only the levels
+that can still reach ``need`` are updated and an empty required level ends
+the probe.  Survivors are decoded from the final bitmap in slot order.
+Retrieval reports how many tuples each filter skipped; every other bound
+runs pair by pair in ``prune.judge_pair``.
 """
 
 from __future__ import annotations
@@ -53,25 +54,62 @@ class TupleSummary:
     """Index-ready digest of one probabilistic tuple.
 
     What the grid and the engine read is set at arrival as plain attributes:
-    ``rid``, ``stream_id``, ``arrival_time``, ``box``, ``option_coords`` and
-    ``keywords``.  What only the pair bounds read (``sizes`` and
-    ``pivot_stats``) is computed from ``per_attr_candidates`` and
-    ``option_coords`` the first time it is read and kept, so a tuple that no
-    pair bound reaches never pays for it.  The pivot-distance bound reads
-    ``box`` itself.
+    ``rid``, ``stream_id``, ``arrival_time`` and ``keywords``.  What only the
+    pair bounds read is computed the first time it is read and kept, so a
+    tuple that no pair bound reaches never pays for it: ``box`` and
+    ``option_coords`` together, from the bound distance and the main pivots
+    the summary keeps, and ``sizes`` and ``pivot_stats`` from those and
+    ``per_attr_candidates``.
     """
 
-    def __init__(self, imputed: ImputedTuple, box: list, keywords: frozenset, option_coords: list):
+    def __init__(
+        self, imputed: ImputedTuple, keywords: frozenset, pivots: PivotSet, dist: DistanceFn
+    ):
         base = imputed.base
         self.imputed = imputed
         self.rid = base.rid
         self.stream_id = base.stream_id
         self.arrival_time = base.arrival_time
-        self.box = box  # per-attr (lo, hi) of the main-pivot coordinate over all options
         self.keywords = keywords  # query keywords present in at least one option
-        self.option_coords = option_coords  # per-attr main-pivot coordinate per option
+        self._dist = dist.bind()
+        self._pivots = pivots
+        self._box = None
+        self._option_coords = None
         self._sizes = None
         self._pivot_stats = None
+
+    @property
+    def box(self) -> list:
+        """Per-attr (lo, hi) of the main-pivot coordinate over all options."""
+        if self._box is None:
+            self._coordinates()
+        return self._box
+
+    @property
+    def option_coords(self) -> list:
+        """Per-attr main-pivot coordinate per option, in ``per_attr_candidates`` order."""
+        if self._option_coords is None:
+            self._coordinates()
+        return self._option_coords
+
+    def _coordinates(self) -> None:
+        """Each option's main-pivot coordinate, and their per-attr (lo, hi)."""
+        f = self._dist
+        cands = self.imputed.per_attr_candidates
+        box = []
+        option_coords = []
+        for x, (v, plist) in enumerate(zip(self.imputed.base.attrs, self._pivots.per_attr)):
+            main = plist[0]
+            if v is not None:
+                c = f(v, main)
+                option_coords.append([c])
+                box.append((c, c))
+            else:
+                coords = [f(val, main) for val, _ in cands[x]]
+                option_coords.append(coords)
+                box.append((min(coords), max(coords)))
+        self._box = box
+        self._option_coords = option_coords
 
     @property
     def sizes(self) -> list:
@@ -119,36 +157,20 @@ def pivot_stats(summary: TupleSummary) -> tuple:
 def summarize(
     it: ImputedTuple, pivots: PivotSet, keywords: frozenset, dist: DistanceFn
 ) -> TupleSummary:
-    """Digest one tuple at arrival: each option's main-pivot coordinate, and the keywords.
+    """Digest one tuple at arrival: only the query keywords any option holds.
 
-    The fields only pair bounds read are left to be computed on first read.
+    No distance is computed here; the fields only pair bounds read, the
+    main-pivot coordinates among them, are computed on first read.
     """
-    f = dist.bind()
-    box = []
     kws: set = set()
-    option_coords = []
-    attrs = it.base.attrs
-    for x, plist in enumerate(pivots.per_attr):
-        main = plist[0]
-        v = attrs[x]
+    cands = it.per_attr_candidates
+    for x, v in enumerate(it.base.attrs):
         if v is not None:
-            c = f(v, main)
-            option_coords.append([c])
-            box.append((c, c))
             kws.update(keywords & v)
-            continue
-        options = it.per_attr_candidates[x]
-        coords = [f(v, main) for v, _ in options]
-        option_coords.append(coords)
-        box.append((min(coords), max(coords)))
-        for v, _ in options:
-            kws.update(keywords & v)
-    return TupleSummary(
-        imputed=it,
-        box=box,
-        keywords=frozenset(kws),
-        option_coords=option_coords,
-    )
+        else:
+            for val, _ in cands[x]:
+                kws.update(keywords & val)
+    return TupleSummary(it, frozenset(kws), pivots, dist)
 
 
 @lru_cache(maxsize=16)  # a query has one gamma

@@ -102,11 +102,11 @@ class ImputedTuple:
     _options: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        missing = set(self.base.missing_attrs())
-        if set(self.per_attr_candidates) != missing:
+        missing = self.base.missing
+        if self.per_attr_candidates.keys() != set(missing):
             raise ImputationFailed(
                 f"tuple {self.base.rid}: candidates cover {sorted(self.per_attr_candidates)} "
-                f"but missing attrs are {sorted(missing)}"
+                f"but missing attrs are {list(missing)}"
             )
         for j, cands in self.per_attr_candidates.items():
             if not cands:
@@ -185,11 +185,11 @@ def impute_tuple(
     an attribute, falls back to a uniform distribution over the most frequent
     domain values and flags the tuple.
     """
-    if r.is_complete():
+    if not r.missing:
         return ImputedTuple(base=r)
     per_attr: dict = {}
     fallback: set = set()
-    for j in r.missing_attrs():
+    for j in r.missing:
         applicable = [rule for rule in rules_by_dep.get(j, ()) if rule.applicable_to(r)]
         try:
             per_attr[j] = impute_multi_rule(r, applicable, repo, dist, samples_per_rule, dr_index)

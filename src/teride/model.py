@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, EmptyValue, IncompleteTuple, TerideError
@@ -67,30 +67,36 @@ class StreamTuple:
     """One record of an (incomplete) stream.
 
     ``attrs`` has exactly d entries; each is either a non-empty frozenset of
-    tokens or ``None`` for a missing value.
+    tokens or ``None`` for a missing value.  ``missing`` holds the indices of
+    the missing ones, ascending, found once at construction.
     """
 
     rid: str
     stream_id: int
     arrival_time: int
     attrs: tuple
+    missing: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arrival_time < 0:
             raise ConfigError("arrival_time must be non-negative")
-        for v in self.attrs:
-            if v is not None and (not isinstance(v, frozenset) or not v):
+        missing = []
+        for j, v in enumerate(self.attrs):
+            if v is None:
+                missing.append(j)
+            elif not isinstance(v, frozenset) or not v:
                 raise EmptyValue(f"tuple {self.rid}: present attribute values must be non-empty token sets")
+        object.__setattr__(self, "missing", tuple(missing))
 
     @property
     def d(self) -> int:
         return len(self.attrs)
 
     def is_complete(self) -> bool:
-        return all(v is not None for v in self.attrs)
+        return not self.missing
 
     def missing_attrs(self) -> tuple:
-        return tuple(j for j, v in enumerate(self.attrs) if v is None)
+        return self.missing
 
     def require_complete(self) -> None:
         if not self.is_complete():

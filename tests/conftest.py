@@ -40,6 +40,25 @@ def numeric_repo():
 
 
 @pytest.fixture
+def schema_checks(monkeypatch):
+    """Calls per rule and pivot schema check, by check name, made through
+    ``teride.engine`` or any module that imports the check from it."""
+    import teride.cli
+    import teride.engine
+
+    calls = {"check_rules": 0, "check_pivots": 0}
+    for name in calls:
+        def counted(*args, _check=getattr(teride.engine, name), _name=name):
+            calls[_name] += 1
+            return _check(*args)
+
+        for module in (teride.engine, teride.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
 def absdiff():
     return DistanceFn(DistanceFn.ABSDIFF)
 

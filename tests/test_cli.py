@@ -502,6 +502,25 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith(f"teride: {path}: ")
         assert not (workspace / "r.jsonl").exists()
 
+    @pytest.mark.parametrize("bad", ["--rules", "--pivots"])
+    def test_rule_and_pivot_files_are_checked_once(self, workspace, capsys, schema_checks, bad):
+        files = {"--rules": workspace / "rules.txt", "--pivots": workspace / "pivots.txt"}
+        for verb, flag in (("detect", "--rules"), ("pivots", "--pivots")):
+            argv = [verb, "--repo", str(workspace / "repository.csv"), "--out", str(files[flag])]
+            assert main(argv) == EXIT_OK
+        extra = [arg for flag, path in files.items() for arg in (flag, str(path))]
+        assert main(run_args(workspace, "engine", workspace / "r.jsonl", extra=extra)) == EXIT_OK
+        assert schema_checks == {"check_rules": 1, "check_pivots": 1}
+        # a file outside the three-attribute schema: still exit 2 naming that file
+        files[bad].write_text(
+            "DEP=0 | 5:INT:0.0,0.1 -> [0.0,0.1]\n" if bad == "--rules" else "PIVOT attr=0 idx=0 tokens=w1\n"
+        )
+        schema_checks.update(dict.fromkeys(schema_checks, 0))
+        assert main(run_args(workspace, "engine", workspace / "r.jsonl", extra=extra)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"teride: {files[bad]}: ") and "Traceback" not in err
+        assert schema_checks == {"check_rules": 1, "check_pivots": int(bad == "--pivots")}
+
     @pytest.mark.parametrize(
         "flag,bad_line",
         [

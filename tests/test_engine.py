@@ -74,6 +74,18 @@ class TestPrecompute:
                 with pytest.raises(ConfigError):
                     Engine(repo, make_config(), mode=mode, pivots=bad)
 
+    def test_given_rules_and_pivots_are_checked_once(self, schema_checks):
+        repo, _ = make_workload(seed=51, length=15, repo_size=30)
+        rules = rules_from_text("DEP=0 | 1:INT:0.0,0.1 -> [0.0,0.1]\n")
+        pivots = select_pivots(repo, dist=DistanceFn())
+        Engine(repo, make_config(), rules=rules, pivots=pivots)
+        assert schema_checks == {"check_rules": 1, "check_pivots": 1}
+        with pytest.raises(ConfigError, match="outside"):
+            Engine(repo, make_config(), rules=rules_from_text("DEP=3 | 1:INT:0.0,0.1 -> [0.0,0.1]\n"))
+        with pytest.raises(ConfigError, match="do not give"):
+            Engine(repo, make_config(), rules=rules, pivots=PivotSet(per_attr=pivots.per_attr[:1]))
+        assert schema_checks == {"check_rules": 3, "check_pivots": 2}
+
     @pytest.mark.parametrize("mode", [MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE])
     @pytest.mark.parametrize("where", ["main", "aux"])
     def test_empty_pivot_rejected(self, mode, where):

@@ -138,9 +138,11 @@ class _CountingDist(DistanceFn):
     def __init__(self, kind):
         super().__init__(kind)
         self.calls = 0
+        self.seen = []
 
     def __call__(self, a, b):
         self.calls += 1
+        self.seen.append((a, b))
         return super().__call__(a, b)
 
 
@@ -159,14 +161,20 @@ class TestArrivalWork:
             by_dep.setdefault(rule.dependent, []).append(rule)
         imputed = [impute_tuple(r, by_dep, repo, dist) for r in trace]
         assert any(it.per_attr_candidates for it in imputed)
-        for it in imputed:
-            n_options = [len(vals) for vals in it.option_values()]
-            dist.calls = 0
-            s = summarize(it, pivots, frozenset({"topic0"}), dist)
-            assert dist.calls == sum(n_options)
-            dist.calls = 0
-            s.sizes, s.pivot_stats
-            assert dist.calls == 0
+        for field in ("box", "option_coords", "pivot_stats"):
+            for it in imputed:
+                # one call per option, against its attribute's main pivot
+                mains = [pivots.main(x) for x, vals in enumerate(it.option_values()) for _ in vals]
+                dist.calls = 0
+                s = summarize(it, pivots, frozenset({"topic0"}), dist)
+                assert dist.calls == 0
+                dist.seen = []
+                getattr(s, field)
+                assert dist.calls == len(mains)
+                assert all(b is main for (_, b), main in zip(dist.seen, mains))
+                dist.calls = 0
+                s.box, s.option_coords, s.sizes, s.pivot_stats
+                assert dist.calls == 0
 
 
 class TestGridMechanics:

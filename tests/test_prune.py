@@ -8,6 +8,7 @@ from teride.metric import DistanceFn, jaccard_dist, jaccard_sim
 from teride.model import contains_keyword
 from teride.pivot import PivotSet, select_pivots
 from teride.prune import (
+    STAGE_PIVOT,
     STAGE_REFINED,
     STAGE_TOKEN,
     instance_level_scan,
@@ -181,6 +182,30 @@ class TestCascade:
                 else:
                     # any stage short of refinement must only discard non-matches
                     assert not prob_reports(exact, alpha)
+
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_verdict_does_not_depend_on_coordinates_read_before(self, kind):
+        # the main-pivot coordinates are computed on first read; reading them
+        # on neither, either or both summaries before judging changes nothing
+        repo, dist, keywords, summaries, pairs = _scan_workload(41, False, kind)
+        pivots = select_pivots(repo, dist=dist)
+
+        def judged(a, b, gamma, read):
+            fresh = [summarize(s.imputed, pivots, keywords, dist) for s in (a, b)]
+            for s, first in zip(fresh, read):
+                if first:
+                    s.box, s.option_coords, s.pivot_stats
+            return judge_pair(*fresh, gamma, 0.2, keywords, dist)
+
+        stages = set()
+        for rho in (0.6, 0.85):
+            gamma = rho * repo.d
+            for a, b in pairs:
+                verdict = judged(a, b, gamma, (False, False))
+                stages.add(verdict.stage)
+                for read in ((True, False), (False, True), (True, True)):
+                    assert judged(a, b, gamma, read) == verdict, (kind, rho, a.rid, b.rid, read)
+        assert {STAGE_PIVOT, STAGE_REFINED} <= stages
 
     @staticmethod
     def _shared_on(n_shared, dist):
