@@ -5,8 +5,8 @@ from rid to slot, a slot table of summaries, and bitmaps over slots: the live
 slots, each stream's live slots, the keyword-bearing slots and, under
 Jaccard, per-attribute token postings.  A slot freed by eviction is the next
 one taken, so no bitmap is wider than the most tuples live at once.  A
-summary holds at arrival only the query keywords; its main-pivot coordinates
-are computed when a pair bound first reads them (see ``TupleSummary``).  A
+summary holds at arrival only the query keywords; what the pair bounds read
+is computed when a pair bound first reads it (see ``TupleSummary``).  A
 probe reads the other streams' live slots in one pass and applies two exact
 set-level filters only: a keyword-free probe reads only the keyword-bearing
 slots, and under Jaccard a tuple must share tokens with the probe on ``need``
@@ -55,11 +55,11 @@ class TupleSummary:
 
     What the grid and the engine read is set at arrival as plain attributes:
     ``rid``, ``stream_id``, ``arrival_time`` and ``keywords``.  What only the
-    pair bounds read is computed the first time it is read and kept, so a
-    tuple that no pair bound reaches never pays for it: ``box`` and
-    ``option_coords`` together, from the bound distance and the main pivots
-    the summary keeps, and ``sizes`` and ``pivot_stats`` from those and
-    ``per_attr_candidates``.
+    pair bounds read, ``sizes``, ``box``, ``option_coords`` and
+    ``pivot_stats``, is computed together, in one pass over
+    ``imputed.options`` with the bound distance and the main pivots the
+    summary keeps, the first time any of them is read; so a tuple that no
+    pair bound reaches never pays for it.
     """
 
     def __init__(
@@ -73,85 +73,53 @@ class TupleSummary:
         self.keywords = keywords  # query keywords present in at least one option
         self._dist = dist.bind()
         self._pivots = pivots
-        self._box = None
-        self._option_coords = None
-        self._sizes = None
-        self._pivot_stats = None
-
-    @property
-    def box(self) -> list:
-        """Per-attr (lo, hi) of the main-pivot coordinate over all options."""
-        if self._box is None:
-            self._coordinates()
-        return self._box
-
-    @property
-    def option_coords(self) -> list:
-        """Per-attr main-pivot coordinate per option, in ``per_attr_candidates`` order."""
-        if self._option_coords is None:
-            self._coordinates()
-        return self._option_coords
-
-    def _coordinates(self) -> None:
-        """Each option's main-pivot coordinate, and their per-attr (lo, hi)."""
-        f = self._dist
-        cands = self.imputed.per_attr_candidates
-        box = []
-        option_coords = []
-        for x, (v, plist) in enumerate(zip(self.imputed.base.attrs, self._pivots.per_attr)):
-            main = plist[0]
-            if v is not None:
-                c = f(v, main)
-                option_coords.append([c])
-                box.append((c, c))
-            else:
-                coords = [f(val, main) for val, _ in cands[x]]
-                option_coords.append(coords)
-                box.append((min(coords), max(coords)))
-        self._box = box
-        self._option_coords = option_coords
+        self._bounds = None  # (sizes, box, option_coords, pivot_stats) once read
 
     @property
     def sizes(self) -> list:
         """Per-attr (least, greatest) token-set size over all options."""
-        if self._sizes is None:
-            cands = self.imputed.per_attr_candidates
-            sizes = []
-            for x, v in enumerate(self.imputed.base.attrs):
-                if v is not None:
-                    sizes.append((len(v), len(v)))
-                else:
-                    lens = [len(c) for c, _ in cands[x]]
-                    sizes.append((min(lens), max(lens)))
-            self._sizes = sizes
-        return self._sizes
+        if self._bounds is None:
+            self._bound_fields()
+        return self._bounds[0]
+
+    @property
+    def box(self) -> list:
+        """Per-attr (lo, hi) of the main-pivot coordinate over all options."""
+        if self._bounds is None:
+            self._bound_fields()
+        return self._bounds[1]
+
+    @property
+    def option_coords(self) -> list:
+        """Per-attr main-pivot coordinate per option, in ``imputed.options`` order."""
+        if self._bounds is None:
+            self._bound_fields()
+        return self._bounds[2]
 
     @property
     def pivot_stats(self) -> tuple:
-        """The module-level :func:`pivot_stats` of this summary."""
-        if self._pivot_stats is None:
-            self._pivot_stats = pivot_stats(self)
-        return self._pivot_stats
+        """(expectation, lower bound, upper bound) of the tuple's main-pivot distance:
+        each option's coordinate weighed by its probability, and the sums of ``box``."""
+        if self._bounds is None:
+            self._bound_fields()
+        return self._bounds[3]
 
-
-def pivot_stats(summary: TupleSummary) -> tuple:
-    """(expectation, lower bound, upper bound) of the tuple's main-pivot distance.
-
-    The expectation weighs each candidate value's main-pivot coordinate
-    (``option_coords``, in ``per_attr_candidates`` order) by its existence
-    probability; a present attribute contributes its one coordinate at
-    probability 1.  Every summary keeps the result as ``summary.pivot_stats``.
-    """
-    cands = summary.imputed.per_attr_candidates
-    exp = lb = ub = 0.0
-    for x, ((lo, hi), coords) in enumerate(zip(summary.box, summary.option_coords)):
-        lb += lo
-        ub += hi
-        if x in cands:
-            exp += sum(p * c for (_, p), c in zip(cands[x], coords))
-        else:
-            exp += coords[0]
-    return exp, lb, ub
+    def _bound_fields(self) -> None:
+        f = self._dist
+        sizes, box, option_coords = [], [], []
+        exp = lb = ub = 0.0
+        for opts, plist in zip(self.imputed.options, self._pivots.per_attr):
+            main = plist[0]
+            lens = [len(v) for v, _ in opts]
+            coords = [f(v, main) for v, _ in opts]
+            lo, hi = min(coords), max(coords)
+            sizes.append((min(lens), max(lens)))
+            box.append((lo, hi))
+            option_coords.append(coords)
+            lb += lo
+            ub += hi
+            exp += sum(p * c for (_, p), c in zip(opts, coords))
+        self._bounds = sizes, box, option_coords, (exp, lb, ub)
 
 
 def summarize(

@@ -18,11 +18,13 @@ then checks only the domain values that its value's prefix postings reach
 are supersets of what the scan accepts, and every value is still checked, so
 the result is the same.
 
-An ``ImputedTuple`` keeps per attribute its options by descending
-probability, as two aligned lists (``option_values`` and ``option_probs``):
-the instance-level scan builds its similarity tables from the values and
-convolves the probabilities attribute by attribute, so no instance of the
-product is ever listed.
+An ``ImputedTuple`` lists per attribute its options as ``(value, prob)``
+pairs (``options``): a present value at 1.0, or the candidates by descending
+probability, ties in token order.  Every candidate list ``impute_tuple``
+builds is already in that order.  The pair bounds and the instance-level
+scan both read ``options``; the scan builds its similarity tables from the
+values and convolves the probabilities attribute by attribute, so no
+instance of the product is ever listed.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def impute_multi_rule(
 
 
 def fallback_candidates(repo: Repository, attr: int, k: int = FALLBACK_TOP_K) -> list:
-    """Uniform distribution over the k most frequent domain values."""
+    """Uniform distribution over the k most frequent domain values, in token order."""
     top = repo.top_values(attr, k)
     p = 1.0 / len(top)
     return [(val, p) for val in top]
@@ -99,7 +101,7 @@ class ImputedTuple:
     per_attr_candidates: dict = field(default_factory=dict)  # attr -> [(value, prob)]
     fallback_attrs: frozenset = frozenset()
     _token_unions: Optional[list] = field(default=None, repr=False, compare=False)
-    _options: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _options: Optional[list] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         missing = self.base.missing
@@ -127,26 +129,16 @@ class ImputedTuple:
     def stream_id(self) -> int:
         return self.base.stream_id
 
-    def option_values(self) -> list:
-        """Per attribute, the values of its options: the present value, or the
-        candidate values by descending probability, ties in token order."""
-        return self._sorted_options()[0]
-
-    def option_probs(self) -> list:
-        """Per attribute, its options' probabilities, aligned with :meth:`option_values`."""
-        return self._sorted_options()[1]
-
-    def _sorted_options(self) -> tuple:
+    @property
+    def options(self) -> list:
+        """Per attribute, its options as (value, prob) pairs: the present value
+        at 1.0, or the candidates by descending probability, ties in token order."""
         if self._options is None:
-            options = [
+            self._options = [
                 [(v, 1.0)] if v is not None
                 else sorted(self.per_attr_candidates[j], key=_by_prob_then_token)
                 for j, v in enumerate(self.base.attrs)
             ]
-            self._options = (
-                [[c for c, _ in opts] for opts in options],
-                [[p for _, p in opts] for opts in options],
-            )
         return self._options
 
     def instance_count(self) -> int:

@@ -95,12 +95,9 @@ class StreamTuple:
     def is_complete(self) -> bool:
         return not self.missing
 
-    def missing_attrs(self) -> tuple:
-        return self.missing
-
     def require_complete(self) -> None:
         if not self.is_complete():
-            raise IncompleteTuple(f"tuple {self.rid} has missing attributes {self.missing_attrs()}")
+            raise IncompleteTuple(f"tuple {self.rid} has missing attributes {self.missing}")
 
 
 class Repository:
@@ -118,18 +115,20 @@ class Repository:
         self.samples = samples
         self.d = d
         self.domains: list[list] = []
-        self._by_frequency: list[list] = []  # per attr: domain by (-count, token order)
+        self._by_frequency: list[list] = []  # per attr: domain positions by (-count, token order)
         for j in range(d):
             counts = Counter(s.attrs[j] for s in samples)
-            self.domains.append(sorted(counts, key=token_key))
-            self._by_frequency.append(sorted(counts, key=lambda v: (-counts[v], token_key(v))))
+            domain = sorted(counts, key=token_key)
+            self.domains.append(domain)
+            self._by_frequency.append(sorted(range(len(domain)), key=lambda i: -counts[domain[i]]))
 
     def domain(self, attr: int) -> list:
         return self.domains[attr]
 
     def top_values(self, attr: int, k: int) -> list:
-        """The k most frequent domain values, ties broken by token order."""
-        return self._by_frequency[attr][:k]
+        """The k most frequent domain values, ties broken by token order; listed in token order."""
+        domain = self.domains[attr]
+        return [domain[i] for i in sorted(self._by_frequency[attr][:k])]
 
     def __len__(self) -> int:
         return len(self.samples)

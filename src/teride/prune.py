@@ -9,9 +9,9 @@ lost.  The two similarity bounds this module owns, :func:`ub_sim_by_size` and
 summary's ``sizes`` and its main-pivot ``box``.
 
 One kernel, :func:`instance_level_scan`, computes the exact match
-probability.  It builds its per-attribute similarity tables from the two
-tuples' option values first, and goes on only when the sum of the tables'
-maxima can pass the threshold.  Since the attributes are imputed
+probability.  It builds its per-attribute similarity tables from the values
+of the two tuples' ``options`` first, and goes on only when the sum of the
+tables' maxima can pass the threshold.  Since the attributes are imputed
 independently, it then convolves the per-attribute option pairs attribute
 by attribute, keeping only partial sums that can still match, and stops as
 soon as the pair cannot exceed alpha.  :func:`pair_probability`, which the
@@ -133,11 +133,12 @@ def instance_level_scan(
     the exact match probability.
 
     The tables come first.  Similarities come from one option-vs-option table
-    per attribute over the two tuples' ``option_values()`` (1x1 for a present
-    attribute), each entry ``1.0 - f(a, b)`` with ``f = dist.bind()``, the
-    float ``dist.sim`` gives.  If even the sum of the tables' maxima fails
-    the threshold, no instance pair can match: the probability is 0 and the
-    scan returns (0.0 <= alpha + 1e-9, 0.0) before reading any probability.
+    per attribute over the values of the two tuples' ``options`` (1x1 for a
+    present attribute), each entry ``1.0 - f(a, b)`` with
+    ``f = dist.bind()``, the float ``dist.sim`` gives.  If even the sum of
+    the tables' maxima fails the threshold, no instance pair can match: the
+    probability is 0 and the scan returns (0.0 <= alpha + 1e-9, 0.0) before
+    reading any probability.
 
     Past that test, the attributes are imputed independently, so the scan
     walks them in order over states ``(s, keyword_seen)``: ``s`` is the
@@ -151,25 +152,26 @@ def instance_level_scan(
     threshold hold the match probability.
     """
     f = dist.bind()
+    opts_i, opts_j = it_i.options, it_j.options
     tables = [
-        [[1.0 - f(vi, vj) for vj in vals_j] for vi in vals_i]
-        for vals_i, vals_j in zip(it_i.option_values(), it_j.option_values())
+        [[1.0 - f(vi, vj) for vj, _ in oj] for vi, _ in oi]
+        for oi, oj in zip(opts_i, opts_j)
     ]
     maxima = [max(map(max, table)) for table in tables]
     if not sim_matches(sum(maxima) + _SUM_SLACK, gamma):
         return 0.0 <= alpha + _TOL, 0.0
-    hits_i = [[contains_keyword(v, keywords) for v in vals] for vals in it_i.option_values()]
-    hits_j = [[contains_keyword(v, keywords) for v in vals] for vals in it_j.option_values()]
+    hits_i = [[contains_keyword(v, keywords) for v, _ in opts] for opts in opts_i]
+    hits_j = [[contains_keyword(v, keywords) for v, _ in opts] for opts in opts_j]
     states = {(0.0, False): 1.0}
-    attrs = zip(tables, it_i.option_probs(), it_j.option_probs(), hits_i, hits_j)
-    for done, (table, probs_i, probs_j, kw_i, kw_j) in enumerate(attrs, 1):
+    attrs = zip(tables, opts_i, opts_j, hits_i, hits_j)
+    for done, (table, oi, oj, kw_i, kw_j) in enumerate(attrs, 1):
         reach = sum(maxima[done:]) + _SUM_SLACK
         kw_later = any(map(any, hits_i[done:])) or any(map(any, hits_j[done:]))
         after: dict = {}
         for (s, seen), mass in states.items():
-            for row, pu, kw_u in zip(table, probs_i, kw_i):
+            for row, (_, pu), kw_u in zip(table, oi, kw_i):
                 mass_u = mass * pu
-                for sim, pv, kw_v in zip(row, probs_j, kw_j):
+                for sim, (_, pv), kw_v in zip(row, oj, kw_j):
                     kw = seen or kw_u or kw_v
                     t = s + sim
                     if (kw or kw_later) and sim_matches(t + reach, gamma):

@@ -23,7 +23,7 @@ from teride.engine import (
     Engine,
 )
 from teride.errors import NoRulesFound
-from teride.grid import ErGrid, pivot_stats, summarize
+from teride.grid import ErGrid, summarize
 from teride.impute import impute_multi_rule, impute_tuple
 from teride.index import build_cdd_index, build_dr_index
 from teride.metric import DistanceFn
@@ -178,7 +178,7 @@ class TestPruningSoundness:
                     assert exact == 0.0
                 assert ub_sim_by_size(a.sizes, b.sizes) + 1e-9 >= max_sim
                 assert ub_sim_by_pivot(a.box, b.box) + 1e-9 >= max_sim
-                pz = prob_ub_paley_zygmund(pivot_stats(a), pivot_stats(b), repo.d, gamma)
+                pz = prob_ub_paley_zygmund(a.pivot_stats, b.pivot_stats, repo.d, gamma)
                 assert pz + 1e-9 >= exact
                 pruned, confirmed = instance_level_scan(
                     a.imputed, b.imputed, gamma, alpha, keywords, dist

@@ -31,14 +31,14 @@ class TestInject:
     def test_full_rate_one_attr_each(self):
         trace = self._trace()
         out = inject_missing(trace, 1.0, 1, seed=3)
-        assert all(len(r.missing_attrs()) == 1 for r in out)
+        assert all(len(r.missing) == 1 for r in out)
 
     def test_partial_rate_counts(self):
         trace = self._trace()
         out = inject_missing(trace, 0.5, 2, seed=3)
-        holes = [r for r in out if r.missing_attrs()]
+        holes = [r for r in out if r.missing]
         assert len(holes) == int(0.5 * len(trace))
-        assert all(len(r.missing_attrs()) == 2 for r in holes)
+        assert all(len(r.missing) == 2 for r in holes)
 
     def test_seed_replay_is_byte_identical(self, tmp_path):
         trace = self._trace()

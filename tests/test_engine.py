@@ -262,7 +262,7 @@ def hand_built_rules(draw, repo, trace):
     the one an anchor tuple drawn from the trace holds, if the repository
     holds it too, so that tuples meet one- and two-constant rules."""
     anchor = draw(st.sampled_from([r for r in trace if not r.is_complete()] or trace))
-    j = draw(st.sampled_from(anchor.missing_attrs() or range(repo.d)))
+    j = draw(st.sampled_from(anchor.missing or range(repo.d)))
     xs = draw(st.lists(st.sampled_from([x for x in range(repo.d) if x != j]), min_size=1, max_size=2, unique=True))
     dets = []
     for x in xs:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from teride.cdd import detect_cdds, satisfies_determinants
 from teride.errors import ImputationFailed
 from teride.impute import (
+    FALLBACK_TOP_K,
     ImputedTuple,
     fallback_candidates,
     impute_multi_rule,
@@ -14,7 +15,7 @@ from teride.impute import (
 )
 from teride.index import build_dr_index
 from teride.metric import DistanceFn
-from teride.model import token_key
+from teride.model import Repository, token_key
 from teride.pivot import PivotSet, select_pivots
 
 from .conftest import enumerate_instances, make_tuple, make_workload, ts
@@ -125,7 +126,7 @@ def check_indexed_pooling(repo, tuples, rules, pivots, dist) -> tuple:
     idx = build_dr_index(repo, pivots, dist)
     counted = near = 0
     for r in tuples:
-        for j in r.missing_attrs():
+        for j in r.missing:
             applicable = [rule for rule in rules if rule.dependent == j and rule.applicable_to(r)]
             served = idx.samples_per_rule(applicable, r, pivots, dist)
             want = brute_force_pool(r, applicable, repo, dist)
@@ -166,13 +167,39 @@ class TestFallback:
         assert [v for v, _ in cands] == [ts("a1"), ts("a2")]
         assert all(p == pytest.approx(0.5) for _, p in cands)
 
+    def test_top_values_come_in_token_order(self):
+        # c is the most frequent value and a the next, so they are the top 2
+        repo = Repository([make_tuple(f"s{i}", -1, 0, ts(v)) for i, v in enumerate("cccbaa")])
+        assert [v for v, _ in fallback_candidates(repo, 0, k=2)] == [ts("a"), ts("c")]
+        assert [v for v, _ in fallback_candidates(repo, 0, k=1)] == [ts("c")]
+
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    @pytest.mark.parametrize("seed", [32, 33])
+    def test_candidate_lists_are_in_options_order(self, kind, seed):
+        repo, trace = make_workload(seed=seed, d=4, length=30, repo_size=40, xi=0.5, m=2)
+        dist = DistanceFn(kind)
+        by_dep = {}
+        for rule in detect_cdds(repo, dist):
+            by_dep.setdefault(rule.dependent, []).append(rule)
+        imputed = [impute_tuple(r, by_dep, repo, dist) for r in trace]
+        # both kinds of list occur, fallback ones over top values not in token order
+        assert any(set(it.per_attr_candidates) - it.fallback_attrs for it in imputed)
+        counts = [Counter(s.attrs[j] for s in repo.samples) for j in range(repo.d)]
+        by_count = [sorted(c, key=lambda v, c=c: (-c[v], token_key(v))) for c in counts]
+        tops = [top[:FALLBACK_TOP_K] for top in by_count]
+        assert any(
+            tops[j] != sorted(tops[j], key=token_key) for it in imputed for j in it.fallback_attrs
+        )
+        for it in imputed:
+            for j in it.base.missing:
+                assert it.per_attr_candidates[j] == it.options[j], (it.rid, j)
+
 
 class TestImputedTuple:
     def test_complete_tuple_single_instance(self):
         r = make_tuple("r", 0, 1, ts("a"), ts("b"))
         it = ImputedTuple(base=r)
-        assert it.option_values() == [[ts("a")], [ts("b")]]
-        assert it.option_probs() == [[1.0], [1.0]]
+        assert it.options == [[(ts("a"), 1.0)], [(ts("b"), 1.0)]]
         assert it.instance_count() == 1
 
     def test_candidates_must_cover_missing(self):
@@ -211,8 +238,7 @@ class TestImputedTuple:
                 1: [(ts("u"), 0.6), (ts("v"), 0.4)],
             },
         )
-        assert it.option_values() == [[ts("x"), ts("y")], [ts("u"), ts("v")]]
-        assert it.option_probs() == [[0.7, 0.3], [0.6, 0.4]]
+        assert it.options == [[(ts("x"), 0.7), (ts("y"), 0.3)], [(ts("u"), 0.6), (ts("v"), 0.4)]]
         inst = enumerate_instances(it)
         assert len(inst) == it.instance_count() == 4
         probs = [p for _, p in inst]
@@ -246,12 +272,12 @@ class TestImputeTuple:
         n1 = len(it.per_attr_candidates[1])
         n2 = len(it.per_attr_candidates[2])
         assert it.instance_count() == n1 * n2
-        assert all(sum(ps) == pytest.approx(1.0, abs=1e-9) for ps in it.option_probs())
+        assert all(sum(p for _, p in opts) == pytest.approx(1.0, abs=1e-9) for opts in it.options)
 
 
 def reference_enumeration(it):
-    """(values, probs, instances) by brute force: per attribute its option values
-    and probabilities, the present value at probability 1 or the candidates by
+    """(options, instances) by brute force: per attribute its (value, prob)
+    options, the present value at probability 1 or the candidates by
     descending probability with ties broken by token order; and every instance
     (``enumerate_instances``)."""
     options = [
@@ -260,9 +286,7 @@ def reference_enumeration(it):
         else sorted(it.per_attr_candidates[j], key=lambda vp: (-vp[1], token_key(vp[0])))
         for j, v in enumerate(it.base.attrs)
     ]
-    values = [[v for v, _ in opts] for opts in options]
-    probs = [[p for _, p in opts] for opts in options]
-    return values, probs, enumerate_instances(it)
+    return options, enumerate_instances(it)
 
 
 _token_sets = st.frozensets(st.sampled_from("abcdef"), min_size=1, max_size=2)
@@ -287,9 +311,8 @@ def uniform_imputed_tuples(draw):
 @settings(max_examples=300, deadline=None)
 @given(it=uniform_imputed_tuples())
 def test_instances_are_option_rows_sorted_by_probability_then_row(it):
-    values, probs, instances = reference_enumeration(it)
-    assert it.option_values() == values
-    assert it.option_probs() == probs
+    options, instances = reference_enumeration(it)
+    assert it.options == options
     assert it.instance_count() == len(instances)
 
 

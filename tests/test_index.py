@@ -113,7 +113,7 @@ def _check_candidate_rules(rules, tuples) -> list:
     indexes = {j: build_cdd_index(rs) for j, rs in by_dep.items()}
     checked = []
     for r in tuples:
-        for j in r.missing_attrs():
+        for j in r.missing:
             if j in indexes:
                 got = indexes[j].candidate_rules(r)
                 assert len(set(map(id, got))) == len(got), r
@@ -290,9 +290,9 @@ class TestRuleSamples:
         hits: dict = {}  # rule name -> satisfying samples over the trace
         disjoint_at_tol = 0  # samples sharing no token that the near-1 bound admits
         for r in trace:
-            if len(r.missing_attrs()) != 1:
+            if len(r.missing) != 1:
                 continue
-            x0, rules = _hand_built_rules(r, r.missing_attrs()[0])
+            x0, rules = _hand_built_rules(r, r.missing[0])
             for name, rule in rules.items():
                 want = _satisfying(rule, r, repo.samples, dist)
                 assert _satisfying(rule, r, _rule_samples(idx, rule, r, pivots, dist), dist) == want
@@ -308,8 +308,8 @@ class TestRuleSamples:
         repo, trace, dist, pivots, _ = setup
         idx = build_dr_index(repo, pivots, dist)
         position = {id(s): i for i, s in enumerate(repo.samples)}
-        r = next(r for r in trace if len(r.missing_attrs()) == 1)
-        _, rules = _hand_built_rules(r, r.missing_attrs()[0])
+        r = next(r for r in trace if len(r.missing) == 1)
+        _, rules = _hand_built_rules(r, r.missing[0])
         for name in ("bucket-9", "hi-within-tol-of-1", "min-open-to-1"):
             rule = rules[name]
             box = dr_query_box_for_rule(rule, r, pivots, dist)
@@ -458,8 +458,8 @@ def test_no_other_token_set_is_nearer_than_the_equality_bound():
 def test_a_lacking_determinant_raises_after_an_empty_one(setup):
     repo, trace, dist, pivots, _ = setup
     idx = build_dr_index(repo, pivots, dist)
-    r = next(r for r in trace if len(r.missing_attrs()) == 1)
-    j = r.missing_attrs()[0]
+    r = next(r for r in trace if len(r.missing) == 1)
+    j = r.missing[0]
     x0, y = [x for x in range(r.d) if x != j][:2]
     # within the bound but away from 0: it admits nothing, not even r's value
     hi = 0.5 / (len(r.attrs[x0]) + 1)

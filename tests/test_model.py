@@ -51,7 +51,7 @@ class TestStreamTuple:
     def test_missing_attrs_and_completeness(self):
         r = make_tuple("r1", 0, 1, ts("a"), None, ts("c"))
         assert not r.is_complete()
-        assert r.missing_attrs() == (1,)
+        assert r.missing == (1,)
         with pytest.raises(IncompleteTuple):
             r.require_complete()
 
@@ -70,6 +70,10 @@ class TestRepository:
         assert numeric_repo.domain(0) == [ts("a1"), ts("a2")]
         assert set(numeric_repo.domain(2)) == {ts("0.1"), ts("0.2"), ts("0.35"), ts("0.7")}
         assert numeric_repo.top_values(0, 1) == [ts("a1")]
+        # the most frequent values, listed in token order
+        repo = Repository([make_tuple(f"s{i}", -1, 0, ts(v)) for i, v in enumerate("cccbaad")])
+        assert repo.top_values(0, 2) == [ts("a"), ts("c")]
+        assert repo.top_values(0, 3) == [ts("a"), ts("b"), ts("c")]
 
     def test_incomplete_sample_rejected(self):
         with pytest.raises(IncompleteTuple):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teride.grid import pivot_stats, summarize
+from teride.grid import summarize
 from teride.impute import ImputedTuple, impute_tuple
 from teride.metric import DistanceFn, jaccard_dist, jaccard_sim
 from teride.model import contains_keyword
@@ -133,7 +133,7 @@ class TestBoundsDominate:
                 assert ub_sim_by_size(a.sizes, b.sizes) + 1e-9 >= max_sim
                 assert sim_ub_token(a, b) + 1e-9 >= max_sim
                 assert ub_sim_by_pivot(a.box, b.box) + 1e-9 >= max_sim
-                ub = prob_ub_paley_zygmund(pivot_stats(a), pivot_stats(b), repo.d, gamma)
+                ub = prob_ub_paley_zygmund(a.pivot_stats, b.pivot_stats, repo.d, gamma)
                 assert ub + 1e-9 >= exact
                 checked += 1
         assert checked > 0
@@ -340,7 +340,7 @@ class TestInstanceScanMatchesReference:
                             shortcut += 1
             for s in summaries:
                 keyword_free += not any(
-                    contains_keyword(v, keywords) for vals in s.imputed.option_values() for v in vals
+                    contains_keyword(v, keywords) for opts in s.imputed.options for v, _ in opts
                 )
             # the workload reaches keyword-free tuples and scans that end pruned
             # with nothing confirmed
@@ -358,8 +358,8 @@ class TestInstanceScanMatchesReference:
         )
         # only a's most likely option on attribute 0 and b's second option on
         # attribute 2 hold the keyword
-        assert [contains_keyword(v, keywords) for v in a.option_values()[0]] == [True, False, False]
-        assert [contains_keyword(v, keywords) for v in b.option_values()[2]] == [False, True, False]
+        assert [contains_keyword(v, keywords) for v, _ in a.options[0]] == [True, False, False]
+        assert [contains_keyword(v, keywords) for v, _ in b.options[2]] == [False, True, False]
         dist = DistanceFn()
         outcomes = set()
         for tenth in range(5, 30):
@@ -395,9 +395,8 @@ class TestInstanceScanMatchesReference:
             for a, b in pairs[:200]:
                 judge_pair(a, b, gamma, 0.2, keywords, dist)
             for s in summaries:
-                assert s.pivot_stats == pivot_stats(s)
                 assert s.imputed.token_unions() == [
-                    frozenset().union(*vals) for vals in s.imputed.option_values()
+                    frozenset().union(*(v for v, _ in opts)) for opts in s.imputed.options
                 ]
                 # the ranges the size and pivot bounds assume
                 assert all(-1e-9 <= lo <= hi <= 1.0 + 1e-9 for lo, hi in s.box), (kind, s.rid)
