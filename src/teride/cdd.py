@@ -177,6 +177,9 @@ def detect_cdds(
     profiles = _pair_profiles(columns, frequent, dist)
 
     rules = []
+    # (attr, (kind, payload)) -> its AttrConstraint, one object shared by
+    # every rule that has it, so per-determinant lookups match by identity
+    constraint_of: dict = {}
     for size in range(1, max_determinants + 1):
         for det in itertools.combinations(range(d), size):
             combos: dict = {}  # combo -> [pair count, min distance row, max distance row]
@@ -198,15 +201,8 @@ def detect_cdds(
                         continue
                     if constraints is None:
                         constraints = tuple(
-                            AttrConstraint(attr=x, kind=CONST, value=payload)
-                            if kind == "const"
-                            else AttrConstraint(
-                                attr=x,
-                                kind=INTERVAL,
-                                lo=round(payload * BUCKET_WIDTH, 10),
-                                hi=round(min((payload + 1) * BUCKET_WIDTH, 1.0), 10),
-                            )
-                            for x, (kind, payload) in zip(det, combo)
+                            constraint_of.get(key) or constraint_of.setdefault(key, _mined_constraint(*key))
+                            for key in zip(det, combo)
                         )
                     rules.append(CddRule(determinants=constraints, dependent=j, dep_lo=lo, dep_hi=hi))
     # each (dependent, determinant set, combo) has its own signature, so the
@@ -215,6 +211,21 @@ def detect_cdds(
     if not out:
         raise NoRulesFound("no rule passed the support/width thresholds")
     return out
+
+
+def _mined_constraint(x: int, option: tuple) -> AttrConstraint:
+    """The determinant on attribute x that a mined option names: a frequent
+    constant value, ``("const", value)``, or a 0.1-wide distance bucket,
+    ``("int", index)``."""
+    kind, payload = option
+    if kind == "const":
+        return AttrConstraint(attr=x, kind=CONST, value=payload)
+    return AttrConstraint(
+        attr=x,
+        kind=INTERVAL,
+        lo=round(payload * BUCKET_WIDTH, 10),
+        hi=round(min((payload + 1) * BUCKET_WIDTH, 1.0), 10),
+    )
 
 
 def _pair_profiles(columns: list, frequent: list, dist: DistanceFn) -> dict:

@@ -55,11 +55,10 @@ class TupleSummary:
 
     What the grid and the engine read is set at arrival as plain attributes:
     ``rid``, ``stream_id``, ``arrival_time`` and ``keywords``.  What only the
-    pair bounds read, ``sizes``, ``box``, ``option_coords`` and
-    ``pivot_stats``, is computed together, in one pass over
-    ``imputed.options`` with the bound distance and the main pivots the
-    summary keeps, the first time any of them is read; so a tuple that no
-    pair bound reaches never pays for it.
+    pair bounds read, ``sizes``, ``box`` and ``pivot_stats``, is computed
+    together, in one pass over ``imputed.options`` with the bound distance
+    and the main pivots the summary keeps, the first time any of them is
+    read; so a tuple that no pair bound reaches never pays for it.
     """
 
     def __init__(
@@ -73,7 +72,7 @@ class TupleSummary:
         self.keywords = keywords  # query keywords present in at least one option
         self._dist = dist.bind()
         self._pivots = pivots
-        self._bounds = None  # (sizes, box, option_coords, pivot_stats) once read
+        self._bounds = None  # (sizes, box, pivot_stats) once read
 
     @property
     def sizes(self) -> list:
@@ -90,23 +89,16 @@ class TupleSummary:
         return self._bounds[1]
 
     @property
-    def option_coords(self) -> list:
-        """Per-attr main-pivot coordinate per option, in ``imputed.options`` order."""
-        if self._bounds is None:
-            self._bound_fields()
-        return self._bounds[2]
-
-    @property
     def pivot_stats(self) -> tuple:
         """(expectation, lower bound, upper bound) of the tuple's main-pivot distance:
         each option's coordinate weighed by its probability, and the sums of ``box``."""
         if self._bounds is None:
             self._bound_fields()
-        return self._bounds[3]
+        return self._bounds[2]
 
     def _bound_fields(self) -> None:
         f = self._dist
-        sizes, box, option_coords = [], [], []
+        sizes, box = [], []
         exp = lb = ub = 0.0
         for opts, plist in zip(self.imputed.options, self._pivots.per_attr):
             main = plist[0]
@@ -115,11 +107,10 @@ class TupleSummary:
             lo, hi = min(coords), max(coords)
             sizes.append((min(lens), max(lens)))
             box.append((lo, hi))
-            option_coords.append(coords)
             lb += lo
             ub += hi
             exp += sum(p * c for (_, p), c in zip(opts, coords))
-        self._bounds = sizes, box, option_coords, (exp, lb, ub)
+        self._bounds = sizes, box, (exp, lb, ub)
 
 
 def summarize(

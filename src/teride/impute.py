@@ -10,21 +10,30 @@ The engine's fetcher only selects what the loop reads.  The scan fetcher
 (``noindex``, ``oracle``) selects every rule, so each rule scans all samples
 and each sample the whole dependent domain.  The index fetcher (``engine``)
 finds the rules whose determinants the tuple holds and whose constants it
-equals (one hash lookup per rule shape), asks the DR-index for each rule's
-samples, and hands on only the rules it served a sample, with those samples;
-under Jaccard, when the dependent interval rejects distance 1.0, each sample
-then checks only the domain values that its value's prefix postings reach
-(``DrIndex.near_values``).  A rule served no sample counts nothing, the rest
-are supersets of what the scan accepts, and every value is still checked, so
-the result is the same.
+equals (one hash lookup per rule shape that holds a constant; a shape with
+none has its one bucket resolved when the index is built), asks the
+DR-index for each rule's samples, and hands on only the rules it served a
+sample, with those samples; under Jaccard, when the dependent interval
+rejects distance 1.0, each sample then checks only the domain values that
+its value's prefix postings reach (``DrIndex.near_values``).  A rule served
+no sample counts nothing, the rest are supersets of what the scan accepts,
+and every value is still checked, so the result is the same.
+
+An attribute that no rule yields a candidate for falls back to a uniform
+distribution over the repository's most frequent values.  That fallback is
+the same for every tuple, so it is built once per repository and attribute
+(``shared_fallback``), with its token union, and every tuple that falls back
+on the attribute shares both, read only.
 
 An ``ImputedTuple`` lists per attribute its options as ``(value, prob)``
 pairs (``options``): a present value at 1.0, or the candidates by descending
 probability, ties in token order.  Every candidate list ``impute_tuple``
-builds is already in that order.  The pair bounds and the instance-level
-scan both read ``options``; the scan builds its similarity tables from the
-values and convolves the probabilities attribute by attribute, so no
-instance of the product is ever listed.
+builds is already in that order, so it hands the tuple its options and
+token unions as it builds them; a tuple built elsewhere sorts and unions
+on first read.  The pair bounds and the instance-level scan both read
+``options``; the scan builds its similarity tables from the values and
+convolves the probabilities attribute by attribute, so no instance of the
+product is ever listed.
 """
 
 from __future__ import annotations
@@ -56,6 +65,14 @@ def impute_multi_rule(
     Returns (value, prob) pairs sorted by descending probability, ties in
     token order; raises ImputationFailed when no value was counted.
     """
+    out = _pool(r, rules, repo, dist, samples_per_rule, dr_index)
+    if not out:
+        raise ImputationFailed(f"no rule yields a candidate for tuple {r.rid}")
+    return out
+
+
+def _pool(r, rules, repo, dist, samples_per_rule, dr_index) -> list:
+    """:func:`impute_multi_rule`'s pairs, or [] when no value was counted."""
     served = samples_per_rule or {}
     counts: dict = {}
     for rule in rules:
@@ -73,7 +90,7 @@ def impute_multi_rule(
                 if rule.dep_admits(dist(sv, val)):
                     counts[val] = counts.get(val, 0) + 1
     if not counts:
-        raise ImputationFailed(f"no rule yields a candidate for tuple {r.rid}")
+        return []
     denom = sum(counts.values())
     out = [(val, freq / denom) for val, freq in counts.items()]
     out.sort(key=_by_prob_then_token)
@@ -87,6 +104,17 @@ def fallback_candidates(repo: Repository, attr: int, k: int = FALLBACK_TOP_K) ->
     return [(val, p) for val in top]
 
 
+def shared_fallback(repo: Repository, attr: int) -> tuple:
+    """``(fallback_candidates(repo, attr), the union of their tokens)``, built
+    once per repository and attribute and kept in ``repo.fallbacks``; callers
+    share both and must not change them."""
+    fb = repo.fallbacks.get(attr)
+    if fb is None:
+        cands = fallback_candidates(repo, attr)
+        fb = repo.fallbacks[attr] = (cands, frozenset().union(*(v for v, _ in cands)))
+    return fb
+
+
 @dataclass
 class ImputedTuple:
     """A probabilistic tuple: per-missing-attribute weighted candidate values.
@@ -95,6 +123,10 @@ class ImputedTuple:
     probabilities sum to 1.  A complete tuple has no candidate entries and
     one instance; an incomplete one has an instance per combination of its
     attributes' options, at the product of their probabilities.
+    ``options`` and ``token_unions()`` are built on first read, unless the
+    maker hands them over (``impute_tuple`` does).  A candidate list, option
+    list or token union may be shared with other tuples (a fallback
+    attribute's is), so it is read, never changed.
     """
 
     base: StreamTuple
@@ -175,17 +207,30 @@ def impute_tuple(
     ``samples_per_rule`` and ``dr_index`` narrow the scans (see the module
     docstring) without changing the result.  When no rule yields support for
     an attribute, falls back to a uniform distribution over the most frequent
-    domain values and flags the tuple.
+    domain values (``shared_fallback``) and flags the tuple.  The tuple is
+    handed its options and token unions, as every list built here is already
+    in ``options`` order.
     """
     if not r.missing:
         return ImputedTuple(base=r)
+    attrs = r.attrs
+    options = [None if v is None else [(v, 1.0)] for v in attrs]
+    unions = list(attrs)
     per_attr: dict = {}
     fallback: set = set()
     for j in r.missing:
         applicable = [rule for rule in rules_by_dep.get(j, ()) if rule.applicable_to(r)]
-        try:
-            per_attr[j] = impute_multi_rule(r, applicable, repo, dist, samples_per_rule, dr_index)
-        except ImputationFailed:
-            per_attr[j] = fallback_candidates(repo, j)
+        cands = _pool(r, applicable, repo, dist, samples_per_rule, dr_index)
+        if cands:
+            unions[j] = frozenset().union(*(v for v, _ in cands))
+        else:
+            cands, unions[j] = shared_fallback(repo, j)
             fallback.add(j)
-    return ImputedTuple(base=r, per_attr_candidates=per_attr, fallback_attrs=frozenset(fallback))
+        per_attr[j] = options[j] = cands
+    return ImputedTuple(
+        base=r,
+        per_attr_candidates=per_attr,
+        fallback_attrs=frozenset(fallback),
+        _token_unions=unions,
+        _options=options,
+    )

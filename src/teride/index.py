@@ -10,7 +10,9 @@ else by a prefix filter on v's tokens.  The CDD-index of a dependent
 attribute is a hash join on constant determinants: its rules are bucketed by
 shape (determinant attributes, and which of them are constants) and constant
 values, so the rules a tuple could satisfy are one lookup per shape on the
-tuple's values.
+tuple's values.  A shape with no constant has one bucket, resolved when the
+index is built, so it costs a tuple only the check that it holds the
+shape's attributes.
 """
 
 from __future__ import annotations
@@ -195,13 +197,21 @@ class CddIndex:
     A rule's shape is its determinant attributes in attribute order and, of
     those, the ones it holds constant.  ``buckets`` maps (shape, constant
     values in attribute order) to the rules of that shape with those
-    constants, so a tuple finds its rules with one lookup per shape.
+    constants, so a tuple finds its rules with one lookup per shape.  A
+    shape that holds no constant has one bucket, resolved when the index is
+    built, so a tuple that holds its attributes takes that bucket with no lookup.
     """
 
     def __init__(self, dependent: int, buckets: dict):
         self.dependent = dependent
         self.buckets = buckets
         self.shapes = list(dict.fromkeys(shape for shape, _ in buckets))
+        # per shape, in order: (its determinant attributes, its one bucket when
+        # it holds no constant, the shape)
+        self._probes = [
+            (frozenset(shape[0]), None if shape[1] else buckets[shape, ()], shape)
+            for shape in self.shapes
+        ]
 
     @functools.cached_property
     def lattice(self) -> list:
@@ -222,11 +232,13 @@ class CddIndex:
         attrs = r.attrs
         if attrs[self.dependent] is not None:
             raise ConfigError(f"tuple {r.rid} is not missing attribute {self.dependent}")
+        missing, buckets = r.missing, self.buckets
         out = []
-        for shape in self.shapes:
-            det_attrs, const_attrs = shape
-            if all(attrs[x] is not None for x in det_attrs):
-                out.extend(self.buckets.get((shape, tuple(attrs[x] for x in const_attrs)), ()))
+        for det_attrs, bucket, shape in self._probes:
+            if det_attrs.isdisjoint(missing):
+                if bucket is None:  # look up r's values at the shape's constant attributes
+                    bucket = buckets.get((shape, tuple(map(attrs.__getitem__, shape[1]))), ())
+                out.extend(bucket)
         return out
 
 

@@ -116,6 +116,8 @@ class Repository:
         self.d = d
         self.domains: list[list] = []
         self._by_frequency: list[list] = []  # per attr: domain positions by (-count, token order)
+        # attr -> imputation's fallback on it, built once (``impute.shared_fallback``)
+        self.fallbacks: dict = {}
         for j in range(d):
             counts = Counter(s.attrs[j] for s in samples)
             domain = sorted(counts, key=token_key)

@@ -189,6 +189,23 @@ class TestDetection:
         ]
         assert len(sigs) == len(set(sigs))
 
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_equal_determinants_are_one_object(self, kind, numeric_repo):
+        from .conftest import make_workload
+
+        if kind == DistanceFn.JACCARD:
+            repo, _ = make_workload(seed=7, length=12, repo_size=24)
+        else:
+            repo = numeric_repo
+        rules = detect_cdds(repo, DistanceFn(kind))
+        ids_of: dict = {}  # determinant -> the ids of the objects equal to it
+        for rule in rules:
+            for c in rule.determinants:
+                ids_of.setdefault(c, set()).add(id(c))
+        assert all(len(ids) == 1 for ids in ids_of.values())
+        # some determinant is named by more than one rule
+        assert len(ids_of) < sum(len(rule.determinants) for rule in rules)
+
     def test_interval_width_threshold_enforced(self, numeric_repo, absdiff):
         for rule in detect_cdds(numeric_repo, absdiff, max_interval_width=0.3):
             assert rule.dep_hi - rule.dep_lo <= 0.3 + 1e-9

@@ -48,10 +48,13 @@ class TestSummary:
             for x in range(repo.d):
                 lo, hi = s.box[x]
                 assert 0.0 <= lo <= hi <= 1.0
-                for c in s.option_coords[x]:
-                    assert lo - 1e-9 <= c <= hi + 1e-9
                 for v, _ in s.imputed.options[x]:
+                    assert lo - 1e-9 <= dist(v, pivots.main(x)) <= hi + 1e-9
                     assert s.sizes[x][0] <= len(v) <= s.sizes[x][1]
+            exp, lb, ub = s.pivot_stats
+            assert lb == pytest.approx(sum(lo for lo, _ in s.box), abs=1e-12)
+            assert ub == pytest.approx(sum(hi for _, hi in s.box), abs=1e-12)
+            assert lb - 1e-9 <= exp <= ub + 1e-9
 
     def test_keywords_union_over_options(self, setup):
         repo, dist, pivots, keywords, summaries = setup
@@ -66,12 +69,11 @@ class TestSummary:
 def _reference_summary(it, pivots, keywords, dist):
     """Every summary field built per option: every option's distance to the
     main pivot, then min/max and probability-weighted sums."""
-    box, sizes, kws, option_coords = [], [], set(), []
+    box, sizes, kws = [], [], set()
     exp = lb = ub = 0.0
     for x in range(pivots.d):
         options = it.per_attr_candidates.get(x, [(it.base.attrs[x], 1.0)])
         coords = [dist(v, pivots.main(x)) for v, _ in options]
-        option_coords.append(coords)
         box.append((min(coords), max(coords)))
         sizes.append((min(len(v) for v, _ in options), max(len(v) for v, _ in options)))
         for v, _ in options:
@@ -83,7 +85,6 @@ def _reference_summary(it, pivots, keywords, dist):
         "box": box,
         "sizes": sizes,
         "keywords": frozenset(kws),
-        "option_coords": option_coords,
         "pivot_stats": (exp, lb, ub),
     }
 
@@ -102,7 +103,7 @@ def _bits(obj):
 
 
 class TestSummaryReference:
-    FIELDS = ("box", "sizes", "keywords", "option_coords", "pivot_stats")
+    FIELDS = ("box", "sizes", "keywords", "pivot_stats")
 
     @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
     @pytest.mark.parametrize("seed", [31, 32])
@@ -161,9 +162,9 @@ class TestArrivalWork:
             by_dep.setdefault(rule.dependent, []).append(rule)
         imputed = [impute_tuple(r, by_dep, repo, dist) for r in trace]
         assert any(it.per_attr_candidates for it in imputed)
-        for field in ("sizes", "box", "option_coords", "pivot_stats"):
+        for field in ("sizes", "box", "pivot_stats"):
             for it in imputed:
-                # the first read fills all four fields in one pass: one call
+                # the first read fills all three fields in one pass: one call
                 # per option, against its attribute's main pivot
                 mains = [pivots.main(x) for x, opts in enumerate(it.options) for _ in opts]
                 dist.calls = 0
@@ -174,7 +175,7 @@ class TestArrivalWork:
                 assert dist.calls == sum(len(opts) for opts in it.options)
                 assert all(b is main for (_, b), main in zip(dist.seen, mains))
                 dist.calls = 0
-                s.box, s.option_coords, s.sizes, s.pivot_stats
+                s.box, s.sizes, s.pivot_stats
                 assert dist.calls == 0
 
     def test_complete_arrival_lists_no_options(self, setup):

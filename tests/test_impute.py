@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teride.cdd import detect_cdds, satisfies_determinants
+from teride.engine import MODE_ENGINE, MODE_NOINDEX, Engine
 from teride.errors import ImputationFailed
 from teride.impute import (
     FALLBACK_TOP_K,
@@ -12,10 +13,11 @@ from teride.impute import (
     fallback_candidates,
     impute_multi_rule,
     impute_tuple,
+    shared_fallback,
 )
 from teride.index import build_dr_index
 from teride.metric import DistanceFn
-from teride.model import Repository, token_key
+from teride.model import QueryConfig, Repository, token_key
 from teride.pivot import PivotSet, select_pivots
 
 from .conftest import enumerate_instances, make_tuple, make_workload, ts
@@ -273,6 +275,55 @@ class TestImputeTuple:
         n2 = len(it.per_attr_candidates[2])
         assert it.instance_count() == n1 * n2
         assert all(sum(p for _, p in opts) == pytest.approx(1.0, abs=1e-9) for opts in it.options)
+
+
+class TestSharedImputation:
+    """``impute_tuple`` hands each tuple its options and token unions, and every
+    tuple that falls back on an attribute shares that attribute's one fallback."""
+
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    @pytest.mark.parametrize("mode", [MODE_ENGINE, MODE_NOINDEX])
+    def test_a_run_imputes_as_fresh_tuples_and_leaves_fallbacks_unchanged(self, kind, mode, monkeypatch):
+        import teride.engine
+
+        repo, trace = make_workload(seed=65, d=4, length=30, repo_size=40, xi=0.6, m=2)
+        config = QueryConfig(keywords=frozenset({"topic0"}), d=4, rho=0.6, alpha=0.2, window_size=7)
+        imputed = []
+
+        def recorded(*args):
+            imputed.append(impute_tuple(*args))
+            return imputed[-1]
+
+        monkeypatch.setattr(teride.engine, "impute_tuple", recorded)
+        engine = Engine(repo, config, dist=DistanceFn(kind), mode=mode)
+        engine.run(list(trace))
+        assert engine.stage_counts["refined"]
+        # both rule-served and fallback attributes occur
+        assert any(set(it.per_attr_candidates) - it.fallback_attrs for it in imputed)
+        assert any(it.fallback_attrs for it in imputed)
+        for it in imputed:
+            fresh = ImputedTuple(it.base, dict(it.per_attr_candidates), it.fallback_attrs)
+            assert it.options == fresh.options, it.rid
+            assert it.token_unions() == fresh.token_unions(), it.rid
+            for j in it.fallback_attrs:
+                cands, union = shared_fallback(repo, j)
+                assert it.per_attr_candidates[j] is cands and it.options[j] is cands, (it.rid, j)
+                assert it.token_unions()[j] is union, (it.rid, j)
+        for j in {j for it in imputed for j in it.fallback_attrs}:
+            cands, union = shared_fallback(repo, j)
+            assert cands == fallback_candidates(repo, j)
+            assert union == frozenset().union(*(v for v, _ in cands))
+
+    def test_one_fallback_per_repository_and_attribute(self, numeric_repo, absdiff):
+        r = make_tuple("r", 0, 1, ts("a1"), None, None)
+        a, b = (impute_tuple(r, {}, numeric_repo, absdiff) for _ in range(2))
+        assert a.fallback_attrs == b.fallback_attrs == frozenset({1, 2})
+        for j in (1, 2):
+            assert a.per_attr_candidates[j] is b.per_attr_candidates[j]
+            assert a.token_unions()[j] is b.token_unions()[j]
+        other = Repository(list(numeric_repo.samples))
+        assert shared_fallback(other, 1) is not shared_fallback(numeric_repo, 1)
+        assert shared_fallback(other, 1) == shared_fallback(numeric_repo, 1)
 
 
 def reference_enumeration(it):

@@ -194,7 +194,7 @@ class TestCascade:
             fresh = [summarize(s.imputed, pivots, keywords, dist) for s in (a, b)]
             for s, first in zip(fresh, read):
                 if first:
-                    s.box, s.option_coords, s.pivot_stats
+                    s.box, s.pivot_stats
             return judge_pair(*fresh, gamma, 0.2, keywords, dist)
 
         stages = set()
