@@ -24,6 +24,7 @@ CONST = "const"
 INTERVAL = "interval"
 
 BUCKET_WIDTH = 0.1
+MAX_DEP_LO = 0.1  # a mined rule's dependent interval starts at or below this
 _EDGE_TOL = 1e-9
 
 
@@ -36,7 +37,6 @@ class AttrConstraint:
     value: Optional[TokenSet] = None
     lo: float = 0.0
     hi: float = 0.0
-    min_open: bool = False  # interval excludes its lower endpoint
 
     def __post_init__(self):
         if self.kind not in (CONST, INTERVAL):
@@ -47,9 +47,7 @@ class AttrConstraint:
             raise ConfigError(f"bad constraint interval [{self.lo}, {self.hi}]")
         # constraints key the rules' hashes and the DR-index's per-tuple hits,
         # so the hash is computed once; it is the value the generated __hash__ would give
-        object.__setattr__(
-            self, "_hash", hash((self.attr, self.kind, self.value, self.lo, self.hi, self.min_open))
-        )
+        object.__setattr__(self, "_hash", hash((self.attr, self.kind, self.value, self.lo, self.hi)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -57,8 +55,6 @@ class AttrConstraint:
     def admits(self, distance: float) -> bool:
         if self.kind != INTERVAL:
             raise ConfigError("admits() only applies to interval constraints")
-        if self.min_open:
-            return self.lo + _EDGE_TOL < distance <= self.hi + _EDGE_TOL
         return self.lo - _EDGE_TOL <= distance <= self.hi + _EDGE_TOL
 
 
@@ -140,7 +136,6 @@ def detect_cdds(
     max_interval_width: float = 0.3,
     min_support: int = 3,
     max_determinants: int = 2,
-    max_dep_lo: float = 0.1,
 ) -> list:
     """Mine valid rules from the repository.
 
@@ -151,14 +146,12 @@ def detect_cdds(
     distance range; with at least ``min_support`` pairs it yields a rule for
     each dependent outside the set whose range, the tightest interval covering
     those pairs, is no wider than ``max_interval_width``.  Intervals must
-    also start at or below ``max_dep_lo``: a rule concluding that the
+    also start at or below ``MAX_DEP_LO``: a rule concluding that the
     dependent values are *dissimilar* admits most of the domain as imputation
     candidates and carries no signal.
     """
     if not (0.0 < max_interval_width <= 1.0):
         raise ConfigError("max_interval_width must be in (0, 1]")
-    if not (0.0 <= max_dep_lo <= 1.0):
-        raise ConfigError("max_dep_lo must be in [0, 1]")
     if min_support < 2:
         raise ConfigError("min_support must be >= 2")
     if max_determinants < 1:
@@ -197,7 +190,7 @@ def detect_cdds(
                     continue
                 constraints = None  # built once, shared by every dependent's rule
                 for j, (lo, hi) in enumerate(zip(lows, highs)):
-                    if j in det or hi - lo > max_interval_width + _EDGE_TOL or lo > max_dep_lo + _EDGE_TOL:
+                    if j in det or hi - lo > max_interval_width + _EDGE_TOL or lo > MAX_DEP_LO + _EDGE_TOL:
                         continue
                     if constraints is None:
                         constraints = tuple(
@@ -289,7 +282,7 @@ def _signature(rule: CddRule):
         if c.kind == CONST:
             parts.append((c.attr, CONST, token_key(c.value)))
         else:
-            parts.append((c.attr, INTERVAL, round(c.lo, 9), round(c.hi, 9), c.min_open))
+            parts.append((c.attr, INTERVAL, round(c.lo, 9), round(c.hi, 9)))
     return (rule.dependent, tuple(parts))
 
 
@@ -309,8 +302,6 @@ def rules_to_text(rules: Sequence[CddRule]) -> str:
             if c.kind == CONST:
                 parts.append(f"{c.attr}:CONST:{'+'.join(sorted(c.value))}")
             else:
-                if c.min_open:
-                    raise ConfigError("open-ended intervals are not serializable")
                 parts.append(f"{c.attr}:INT:{c.lo!r},{c.hi!r}")
         lines.append(" | ".join(parts) + f" -> [{rule.dep_lo!r},{rule.dep_hi!r}]")
     return "\n".join(lines) + "\n"

@@ -273,10 +273,11 @@ class Engine:
         self.arrivals = 0
         # seconds per phase; "imputation" includes listing an imputed tuple's
         # options and token unions (a fallback attribute's are shared, built
-        # once per repository) and summarize, which computes only the
-        # keywords; the summary fields computed on first read by the pair
-        # bounds, main-pivot coordinates included, are charged to "er", and
-        # so is listing a complete tuple's options
+        # once per repository) and summarize, which reads the keywords off the
+        # token unions (so builds a complete tuple's); the summary fields
+        # computed on first read by the pair bounds, main-pivot coordinates
+        # included, are charged to "er", and so is listing a complete tuple's
+        # options
         self.timings = {"rule_selection": 0.0, "imputation": 0.0, "er": 0.0}
         self.step_times: list = []
 

@@ -26,7 +26,7 @@ class NoRulesFound(TerideError):
 
 
 class ImputationFailed(TerideError):
-    """No rule produced any candidate value for a missing attribute."""
+    """An imputed tuple's candidates are not one distribution per missing attribute."""
 
 
 class DuplicateTuple(TerideError):

@@ -54,11 +54,12 @@ class TupleSummary:
     """Index-ready digest of one probabilistic tuple.
 
     What the grid and the engine read is set at arrival as plain attributes:
-    ``rid``, ``stream_id``, ``arrival_time`` and ``keywords``.  What only the
-    pair bounds read, ``sizes``, ``box`` and ``pivot_stats``, is computed
-    together, in one pass over ``imputed.options`` with the bound distance
-    and the main pivots the summary keeps, the first time any of them is
-    read; so a tuple that no pair bound reaches never pays for it.
+    ``rid``, ``stream_id``, ``arrival_time`` and ``keywords`` (read off the
+    token unions).  What only the pair bounds read, ``sizes``, ``box`` and
+    ``pivot_stats``, is computed together, in one pass over
+    ``imputed.options`` with the bound distance and the main pivots the
+    summary keeps, the first time any of them is read; so a tuple that no
+    pair bound reaches never pays for it.
     """
 
     def __init__(
@@ -116,20 +117,13 @@ class TupleSummary:
 def summarize(
     it: ImputedTuple, pivots: PivotSet, keywords: frozenset, dist: DistanceFn
 ) -> TupleSummary:
-    """Digest one tuple at arrival: only the query keywords any option holds.
+    """Digest one tuple at arrival: the query keywords its token unions hold.
 
     No distance is computed here; the fields only pair bounds read, the
     main-pivot coordinates among them, are computed on first read.
     """
-    kws: set = set()
-    cands = it.per_attr_candidates
-    for x, v in enumerate(it.base.attrs):
-        if v is not None:
-            kws.update(keywords & v)
-        else:
-            for val, _ in cands[x]:
-                kws.update(keywords & val)
-    return TupleSummary(it, frozenset(kws), pivots, dist)
+    kws = frozenset().union(*(keywords & u for u in it.token_unions()))
+    return TupleSummary(it, kws, pivots, dist)
 
 
 @lru_cache(maxsize=16)  # a query has one gamma

@@ -19,21 +19,22 @@ its value's prefix postings reach (``DrIndex.near_values``).  A rule served
 no sample counts nothing, the rest are supersets of what the scan accepts,
 and every value is still checked, so the result is the same.
 
-An attribute that no rule yields a candidate for falls back to a uniform
-distribution over the repository's most frequent values.  That fallback is
-the same for every tuple, so it is built once per repository and attribute
-(``shared_fallback``), with its token union, and every tuple that falls back
-on the attribute shares both, read only.
+When the loop counts no value it returns [], and the attribute falls back
+to a uniform distribution over the repository's most frequent values.  That
+fallback is the same for every tuple, so it is built once per repository and
+attribute (``shared_fallback``), with its token union, and every tuple that
+falls back on the attribute shares both, read only.
 
 An ``ImputedTuple`` lists per attribute its options as ``(value, prob)``
 pairs (``options``): a present value at 1.0, or the candidates by descending
 probability, ties in token order.  Every candidate list ``impute_tuple``
 builds is already in that order, so it hands the tuple its options and
-token unions as it builds them; a tuple built elsewhere sorts and unions
-on first read.  The pair bounds and the instance-level scan both read
-``options``; the scan builds its similarity tables from the values and
-convolves the probabilities attribute by attribute, so no instance of the
-product is ever listed.
+token unions as it builds them; they are normalized counts or the uniform
+fallback, so they are not checked again.  A tuple built elsewhere is checked
+on construction, and sorts and unions on first read.  The pair bounds and
+the instance-level scan both read ``options``; the scan builds its
+similarity tables from the values and convolves the probabilities attribute
+by attribute, so no instance of the product is ever listed.
 """
 
 from __future__ import annotations
@@ -63,16 +64,8 @@ def impute_multi_rule(
 
     A rule that ``samples_per_rule`` does not name scans the whole repository.
     Returns (value, prob) pairs sorted by descending probability, ties in
-    token order; raises ImputationFailed when no value was counted.
+    token order, or [] when no value was counted.
     """
-    out = _pool(r, rules, repo, dist, samples_per_rule, dr_index)
-    if not out:
-        raise ImputationFailed(f"no rule yields a candidate for tuple {r.rid}")
-    return out
-
-
-def _pool(r, rules, repo, dist, samples_per_rule, dr_index) -> list:
-    """:func:`impute_multi_rule`'s pairs, or [] when no value was counted."""
     served = samples_per_rule or {}
     counts: dict = {}
     for rule in rules:
@@ -124,9 +117,10 @@ class ImputedTuple:
     one instance; an incomplete one has an instance per combination of its
     attributes' options, at the product of their probabilities.
     ``options`` and ``token_unions()`` are built on first read, unless the
-    maker hands them over (``impute_tuple`` does).  A candidate list, option
-    list or token union may be shared with other tuples (a fallback
-    attribute's is), so it is read, never changed.
+    maker hands them over, as ``impute_tuple`` does; the constructor checks
+    (``_check``) only a tuple whose options were not handed over.  A
+    candidate list, option list or token union may be shared with other
+    tuples (a fallback attribute's is), so it is read, never changed.
     """
 
     base: StreamTuple
@@ -136,6 +130,11 @@ class ImputedTuple:
     _options: Optional[list] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self._options is None:
+            self._check()
+
+    def _check(self) -> None:
+        """Raise ImputationFailed unless exactly the missing attributes hold a distribution."""
         missing = self.base.missing
         if self.per_attr_candidates.keys() != set(missing):
             raise ImputationFailed(
@@ -205,11 +204,10 @@ def impute_tuple(
     """Impute every missing attribute of r independently; complete tuples pass through.
 
     ``samples_per_rule`` and ``dr_index`` narrow the scans (see the module
-    docstring) without changing the result.  When no rule yields support for
-    an attribute, falls back to a uniform distribution over the most frequent
-    domain values (``shared_fallback``) and flags the tuple.  The tuple is
-    handed its options and token unions, as every list built here is already
-    in ``options`` order.
+    docstring) without changing the result.  An attribute no rule yields a
+    candidate for takes its ``shared_fallback`` and is flagged.  The tuple is
+    handed its options and token unions, already in ``options`` order, and
+    is not checked again.
     """
     if not r.missing:
         return ImputedTuple(base=r)
@@ -220,7 +218,7 @@ def impute_tuple(
     fallback: set = set()
     for j in r.missing:
         applicable = [rule for rule in rules_by_dep.get(j, ()) if rule.applicable_to(r)]
-        cands = _pool(r, applicable, repo, dist, samples_per_rule, dr_index)
+        cands = impute_multi_rule(r, applicable, repo, dist, samples_per_rule, dr_index)
         if cands:
             unions[j] = frozenset().union(*(v for v, _ in cands))
         else:

@@ -43,11 +43,11 @@ def cdd1():
 
 
 def cdd2():
-    """{A: a1, B: (0.1, 0.2]} -> C within [0, 0.2]."""
+    """{A: a1, B: [0.15, 0.2]} -> C within [0, 0.2]."""
     return CddRule(
         determinants=(
             AttrConstraint(attr=0, kind=CONST, value=ts("a1")),
-            AttrConstraint(attr=1, kind=INTERVAL, lo=0.1, hi=0.2, min_open=True),
+            AttrConstraint(attr=1, kind=INTERVAL, lo=0.15, hi=0.2),
         ),
         dependent=2,
         dep_lo=0.0,
@@ -61,21 +61,14 @@ class TestConstraints:
         assert c.admits(0.2) and c.admits(0.4)
         assert not c.admits(0.19) and not c.admits(0.41)
 
-    def test_open_lower_endpoint(self):
-        c = AttrConstraint(attr=0, kind=INTERVAL, lo=0.1, hi=0.2, min_open=True)
-        assert not c.admits(0.1)
-        assert c.admits(0.15) and c.admits(0.2)
-
     def test_hash_is_the_generated_one(self):
         for c in (
             AttrConstraint(attr=1, kind=CONST, value=ts("a+b")),
             AttrConstraint(attr=0, kind=INTERVAL, lo=0.0, hi=0.1),
-            AttrConstraint(attr=0, kind=INTERVAL, lo=0.3, hi=1 - 5e-10, min_open=True),
+            AttrConstraint(attr=0, kind=INTERVAL, lo=0.3, hi=1 - 5e-10),
         ):
-            assert hash(c) == hash((c.attr, c.kind, c.value, c.lo, c.hi, c.min_open))
-            twin = AttrConstraint(
-                attr=c.attr, kind=c.kind, value=c.value, lo=c.lo, hi=c.hi, min_open=c.min_open
-            )
+            assert hash(c) == hash((c.attr, c.kind, c.value, c.lo, c.hi))
+            twin = AttrConstraint(attr=c.attr, kind=c.kind, value=c.value, lo=c.lo, hi=c.hi)
             assert twin == c and hash(twin) == hash(c) and len({c, twin}) == 1
 
     def test_validation(self):
@@ -265,9 +258,9 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="^rule file line 2: bad constraint interval"):
             rules_from_text(good + bad + bad.replace("DEP=0", "DEP=2"))
 
-    def test_open_interval_not_serializable(self):
-        with pytest.raises(ConfigError):
-            rules_to_text([cdd2()])
+    def test_every_interval_is_closed_so_every_rule_serializes(self):
+        rules = [cdd1(), cdd2()]
+        assert rules_from_text(rules_to_text(rules)) == rules
 
     @pytest.mark.parametrize(
         "again",

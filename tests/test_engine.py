@@ -274,7 +274,7 @@ def hand_built_rules(draw, repo, trace):
         else:
             hi = 1.0 if kind == "admits-1" else draw(st.sampled_from((0.2, 0.5, 0.8)))
             lo = draw(st.sampled_from((0.0, hi / 2)))
-            dets.append(AttrConstraint(attr=x, kind=INTERVAL, lo=lo, hi=hi, min_open=draw(st.booleans())))
+            dets.append(AttrConstraint(attr=x, kind=INTERVAL, lo=lo, hi=hi))
     dep_hi = draw(st.sampled_from((0.0, 0.2, 0.5, 1.0)))
     return CddRule(determinants=tuple(dets), dependent=j, dep_lo=0.0, dep_hi=dep_hi)
 

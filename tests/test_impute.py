@@ -40,10 +40,9 @@ class TestSingleRule:
         cands = impute_multi_rule(incomplete_r, [cdd2()], numeric_repo, absdiff)
         assert dict(cands) == {ts("0.2"): 0.5, ts("0.35"): 0.5}
 
-    def test_no_supporting_sample_raises(self, numeric_repo, absdiff):
+    def test_no_supporting_sample_counts_nothing(self, numeric_repo, absdiff):
         r = make_tuple("r", 0, 1, ts("a2"), ts("0.0"), None)
-        with pytest.raises(ImputationFailed):
-            impute_multi_rule(r, [cdd1()], numeric_repo, absdiff)
+        assert impute_multi_rule(r, [cdd1()], numeric_repo, absdiff) == []
 
     def test_sample_subset_gives_same_result(self, numeric_repo, absdiff, incomplete_r):
         full = impute_multi_rule(incomplete_r, [cdd1()], numeric_repo, absdiff)
@@ -92,21 +91,20 @@ class TestMultiRule:
             incomplete_r, [cdd1(), cdd2()], numeric_repo, absdiff, samples_per_rule={cdd2(): []}
         )
         assert served == alone
-        with pytest.raises(ImputationFailed):
-            impute_multi_rule(
-                incomplete_r, [cdd1()], numeric_repo, absdiff, samples_per_rule={cdd1(): []}
-            )
+        none_served = impute_multi_rule(
+            incomplete_r, [cdd1()], numeric_repo, absdiff, samples_per_rule={cdd1(): []}
+        )
+        assert none_served == []
 
-    def test_all_rules_unsupported_raises(self, numeric_repo, absdiff):
+    def test_all_rules_unsupported_count_nothing(self, numeric_repo, absdiff):
         r = make_tuple("r", 0, 1, ts("a2"), ts("0.0"), None)
-        with pytest.raises(ImputationFailed):
-            impute_multi_rule(r, [cdd1(), cdd2()], numeric_repo, absdiff)
+        assert impute_multi_rule(r, [cdd1(), cdd2()], numeric_repo, absdiff) == []
 
 
 def brute_force_pool(r, rules, repo, dist):
     """(value, prob) pairs from counting every (rule, repository sample, domain
     value) triple whose sample satisfies the rule's determinants and whose
-    value the rule's dependent interval admits; None when nothing counts."""
+    value the rule's dependent interval admits; [] when nothing counts."""
     counts = Counter()
     for rule in rules:
         j = rule.dependent
@@ -114,8 +112,6 @@ def brute_force_pool(r, rules, repo, dist):
             for val in repo.domain(j):
                 if satisfies_determinants(rule, r, s, dist) and rule.dep_admits(dist(s.attrs[j], val)):
                     counts[val] += 1
-    if not counts:
-        return None
     total = sum(counts.values())
     return sorted(((v, c / total) for v, c in counts.items()), key=lambda vp: (-vp[1], token_key(vp[0])))
 
@@ -132,12 +128,10 @@ def check_indexed_pooling(repo, tuples, rules, pivots, dist) -> tuple:
             applicable = [rule for rule in rules if rule.dependent == j and rule.applicable_to(r)]
             served = idx.samples_per_rule(applicable, r, pivots, dist)
             want = brute_force_pool(r, applicable, repo, dist)
-            if want is None:
-                with pytest.raises(ImputationFailed):
-                    impute_multi_rule(r, applicable, repo, dist, served, idx)
-                continue
             # == on the (value, prob) lists compares the floats bit for bit
             assert impute_multi_rule(r, applicable, repo, dist, served, idx) == want, r.rid
+            if not want:
+                continue
             counted += 1
             jaccard = dist.kind == DistanceFn.JACCARD
             near += jaccard and any(not rule.dep_admits(1.0) for rule in applicable)
@@ -249,6 +243,57 @@ class TestImputedTuple:
         assert probs[0] == pytest.approx(0.42)
         for t, _ in inst:
             assert t.is_complete()
+
+
+class TestCheckedWhereInputEnters:
+    """A tuple built through the constructor is checked once; one that
+    ``impute_tuple`` hands its options is not checked again."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Every tuple ``ImputedTuple._check`` is called on, in call order."""
+        calls = []
+        check = ImputedTuple._check
+
+        def counted(it):
+            calls.append(it)
+            check(it)
+
+        monkeypatch.setattr(ImputedTuple, "_check", counted)
+        return calls
+
+    def test_a_constructed_tuple_is_checked_once(self, checked):
+        complete = ImputedTuple(base=make_tuple("c", 0, 1, ts("a"), ts("b")))
+        holed = ImputedTuple(
+            base=make_tuple("r", 0, 1, ts("a"), None),
+            per_attr_candidates={1: [(ts("x"), 0.6), (ts("y"), 0.4)]},
+        )
+        for it in (complete, holed):
+            it.options, it.token_unions(), it.instance_count()
+        assert len(checked) == 2 and checked[0] is complete and checked[1] is holed
+
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_an_engine_run_checks_only_the_complete_arrivals(self, kind, checked, monkeypatch):
+        import teride.engine
+
+        repo, trace = make_workload(seed=65, d=4, length=30, repo_size=40, xi=0.6, m=2)
+        config = QueryConfig(keywords=frozenset({"topic0"}), d=4, rho=0.6, alpha=0.2, window_size=7)
+        imputed = []
+
+        def recorded(*args):
+            imputed.append(impute_tuple(*args))
+            return imputed[-1]
+
+        monkeypatch.setattr(teride.engine, "impute_tuple", recorded)
+        Engine(repo, config, dist=DistanceFn(kind), mode=MODE_ENGINE).run(list(trace))
+        # rule-served and fallback attributes both occur
+        assert any(set(it.per_attr_candidates) - it.fallback_attrs for it in imputed)
+        assert any(it.fallback_attrs for it in imputed)
+        imputed_ids = {id(it) for it in imputed}
+        assert not any(id(it) in imputed_ids for it in checked)
+        # the step builds each complete arrival's tuple itself, checked once
+        assert sorted(it.rid for it in checked) == sorted(r.rid for r in trace if r.is_complete())
+        assert len(checked) + len(imputed) == len(trace)
 
 
 class TestImputeTuple:

@@ -242,8 +242,8 @@ def _satisfying(rule, r, samples, dist):
     return {s.rid for s in samples if satisfies_determinants(rule, r, s, dist)}
 
 
-def _interval(x, lo, hi, min_open=False):
-    return AttrConstraint(attr=x, kind=INTERVAL, lo=lo, hi=hi, min_open=min_open)
+def _interval(x, lo, hi):
+    return AttrConstraint(attr=x, kind=INTERVAL, lo=lo, hi=hi)
 
 
 def _hand_built_rules(r, j):
@@ -255,8 +255,6 @@ def _hand_built_rules(r, j):
         "const": (const,),
         "bucket-9": (_interval(x0, 0.9, 1.0),),
         "hi-within-tol-of-1": (_interval(x0, 0.0, 1 - 5e-10),),
-        "min-open": (_interval(x0, 0.2, 0.8, min_open=True),),
-        "min-open-to-1": (_interval(x0, 0.3, 1.0, min_open=True),),
         "mixed": (_interval(x0, 0.0, 0.8), _interval(x1, 0.9, 1.0)),
         "const-and-interval": (const, _interval(x1, 0.0, 0.7)),
     }
@@ -301,7 +299,7 @@ class TestRuleSamples:
                     disjoint_at_tol += sum(
                         s.rid in want and s.attrs[x0].isdisjoint(r.attrs[x0]) for s in repo.samples
                     )
-        assert len(hits) == 7 and all(hits.values()), hits
+        assert len(hits) == 5 and all(hits.values()), hits
         assert disjoint_at_tol > 0
 
     def test_rule_without_restricting_determinant_uses_the_box(self, setup):
@@ -310,7 +308,7 @@ class TestRuleSamples:
         position = {id(s): i for i, s in enumerate(repo.samples)}
         r = next(r for r in trace if len(r.missing) == 1)
         _, rules = _hand_built_rules(r, r.missing[0])
-        for name in ("bucket-9", "hi-within-tol-of-1", "min-open-to-1"):
+        for name in ("bucket-9", "hi-within-tol-of-1"):
             rule = rules[name]
             box = dr_query_box_for_rule(rule, r, pivots, dist)
             got = _rule_samples(idx, rule, r, pivots, dist)
@@ -358,7 +356,7 @@ _upper_ends = st.one_of(
 def _intervals(draw, x):
     hi = draw(_upper_ends)
     lo = draw(st.sampled_from([0.0, hi / 2, hi]))
-    return AttrConstraint(attr=x, kind=INTERVAL, lo=lo, hi=hi, min_open=draw(st.booleans()))
+    return AttrConstraint(attr=x, kind=INTERVAL, lo=lo, hi=hi)
 
 
 @st.composite

@@ -17,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teride.cdd import CONST, INTERVAL, AttrConstraint, CddRule, detect_cdds, rules_to_text
+from teride.cdd import (
+    CONST,
+    INTERVAL,
+    MAX_DEP_LO,
+    AttrConstraint,
+    CddRule,
+    detect_cdds,
+    rules_to_text,
+)
 from teride.cli import gen_synthetic
 from teride.errors import NoRulesFound
 from teride.metric import DistanceFn
@@ -41,9 +49,7 @@ def _bucket_options(distance):
     return [b, b - 1] if b > 0 and abs(distance - b * 0.1) <= _TOL else [b]
 
 
-def reference_detect_cdds(
-    repo, dist, max_interval_width=0.3, min_support=3, max_determinants=2, max_dep_lo=0.1
-):
+def reference_detect_cdds(repo, dist, max_interval_width=0.3, min_support=3, max_determinants=2):
     """Every pair ``i <= k`` on its own, with every distance computed."""
     samples, d = repo.samples, repo.d
     n = len(samples)
@@ -74,7 +80,7 @@ def reference_detect_cdds(
                     lo, hi = min(ds), max(ds)
                     if len(ds) < min_support or hi - lo > max_interval_width + _TOL:
                         continue
-                    if lo > max_dep_lo + _TOL:
+                    if lo > MAX_DEP_LO + _TOL:
                         continue
                     constraints = tuple(
                         AttrConstraint(attr=x, kind=CONST, value=payload)
@@ -179,9 +185,9 @@ class TestPinnedOutputs:
 # defaults, then wide intervals whose rules reach bucket 9 and distance 1.0
 DETECT_ARGS = [
     {},
-    {"min_support": 2, "max_interval_width": 1.0, "max_dep_lo": 1.0},
-    {"min_support": 2, "max_interval_width": 0.5, "max_dep_lo": 0.6, "max_determinants": 3},
-    {"max_determinants": 1, "max_interval_width": 1.0, "max_dep_lo": 1.0},
+    {"min_support": 2, "max_interval_width": 1.0},
+    {"min_support": 2, "max_interval_width": 0.5, "max_determinants": 3},
+    {"max_determinants": 1, "max_interval_width": 1.0},
 ]
 
 PIVOT_ARGS = [
@@ -354,7 +360,7 @@ class TestDisjointPairsSkipped:
     def test_absdiff_asks_every_pair(self):
         repo = _numeric_repo(3)
         dist = _RecordingDistance(DistanceFn.ABSDIFF)
-        detect_cdds(repo, dist, min_support=2, max_interval_width=1.0, max_dep_lo=1.0)
+        detect_cdds(repo, dist, min_support=2, max_interval_width=1.0)
         assert all((a, b) in dist.asked for _, a, b in _value_pairs(repo))
         dist = _RecordingDistance(DistanceFn.ABSDIFF)
         select_pivots(repo, dist=dist)
