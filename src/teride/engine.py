@@ -10,10 +10,11 @@ engine is built, and all three modes give identical event streams:
 * ``engine`` — the index fetcher (a hash join of the tuple's values on the
   rules' constant determinants, the repository index's token and value
   postings, one grid of all streams' live tuples) and the pruning cascade.
-* ``noindex`` — the scan fetcher (every rule, sample and live tuple) and the
-  same cascade.
-* ``oracle`` — the scan fetcher, and every pair is fully evaluated; this is
-  the reference implementation.
+* ``noindex`` — the scan fetcher (every rule, sample and live tuple), which
+  applies the grid's keyword and shared-key filters pair by pair, and the
+  same cascade, which starts at the size bound.
+* ``oracle`` — the scan fetcher with no filter, and every pair is fully
+  evaluated; this is the reference implementation.
 
 Each stream's count-based sliding window is one deque of its live tuple
 summaries, oldest first (``Engine.windows``).  Per step, the whole batch of
@@ -47,7 +48,7 @@ from .errors import (
     PivotSchemaMismatch,
     RuleSchemaMismatch,
 )
-from .grid import ErGrid, TupleSummary, summarize
+from .grid import STAGE_KEYWORD, STAGE_TOKEN, ErGrid, TupleSummary, summarize, token_count_prunes
 from .impute import ImputedTuple, impute_tuple
 from .index import build_cdd_index, build_dr_index
 # unread: kept so perfbench/tracer.py resolves the name, but DrIndex.samples_per_rule
@@ -57,6 +58,7 @@ from .metric import DistanceFn
 from .model import QueryConfig, Repository, StreamTuple
 from .pivot import PivotSet, select_pivots
 from .prune import STAGE_REFINED, STAGES, PairVerdict, judge_pair, pair_probability, prob_reports
+from .prune import keyword_prune, sim_ub_token
 
 MODE_ENGINE = "engine"
 MODE_NOINDEX = "noindex"
@@ -162,12 +164,13 @@ def precompute(
 
 
 class _ScanFetch:
-    """``noindex`` and ``oracle``: scan every rule, sample and live tuple; no index."""
+    """``oracle``: scan every rule, sample and live tuple; no index and no filter."""
 
     dr_index = None
 
     def __init__(self, pre: Precomputed, config: QueryConfig, dist: DistanceFn):
         self.pre = pre
+        self.gamma = config.gamma
 
     def select(self, r: StreamTuple) -> tuple:
         """Every rule, and no samples per rule: each rule scans the whole repository."""
@@ -184,6 +187,22 @@ class _ScanFetch:
         return [s for other, q in windows.items() if other != sid for s in q]
 
 
+class _FilteredScanFetch(_ScanFetch):
+    """``noindex``: the scan, keeping the tuples that pass the keyword test, then the
+    shared-key test; the skips go to stage_counts, as the grid's do."""
+
+    def candidates(self, summary: TupleSummary, windows: dict, stage_counts: dict) -> list:
+        found = []
+        for s in super().candidates(summary, windows, stage_counts):
+            if keyword_prune(summary, s):
+                stage_counts[STAGE_KEYWORD] += 1
+            elif token_count_prunes(sim_ub_token(summary, s), self.gamma):
+                stage_counts[STAGE_TOKEN] += 1
+            else:
+                found.append(s)
+        return found
+
+
 class _IndexFetch:
     """``engine``: rules from each dependent's hash join on constant determinants
     (``CddIndex``), repository samples and dependent values from the DR-index, and
@@ -195,7 +214,7 @@ class _IndexFetch:
         self.dist = dist
         self.dr_index = build_dr_index(pre.repo, pre.pivots, dist)
         self.cdd_indexes = {j: build_cdd_index(rules) for j, rules in pre.rules_by_dep.items()}
-        self.grid = ErGrid(config.d, dist)
+        self.grid = ErGrid(config.d)
 
     def select(self, r: StreamTuple) -> tuple:
         """Per missing attribute, the candidate rules that were served samples,
@@ -261,7 +280,7 @@ class Engine:
         self.config = config
         self.dist = dist if dist is not None else DistanceFn()
         self.pre = precompute(repo, config, self.dist, rules=rules, pivots=pivots)
-        fetcher = _IndexFetch if mode == MODE_ENGINE else _ScanFetch
+        fetcher = {MODE_ENGINE: _IndexFetch, MODE_NOINDEX: _FilteredScanFetch}.get(mode, _ScanFetch)
         self.fetch = fetcher(self.pre, config, self.dist)
         self.judge = _judge_exhaustive if mode == MODE_ORACLE else _judge_cascade
         self.windows: dict = {}  # stream_id -> deque of its live TupleSummaries, oldest first
@@ -271,13 +290,11 @@ class Engine:
         self.pairs_considered = 0
         self.matches_reported = 0
         self.arrivals = 0
-        # seconds per phase; "imputation" includes listing an imputed tuple's
-        # options and token unions (a fallback attribute's are shared, built
-        # once per repository) and summarize, which reads the keywords off the
-        # token unions (so builds a complete tuple's); the summary fields
-        # computed on first read by the pair bounds, main-pivot coordinates
-        # included, are charged to "er", and so is listing a complete tuple's
-        # options
+        # seconds per phase; "imputation" includes impute_tuple's options and
+        # token unions (a fallback attribute's are shared, built once per
+        # repository) and summarize's token and key unions; the summary fields
+        # the pair bounds compute on first read are charged to "er", and so is
+        # listing a complete tuple's options under Jaccard
         self.timings = {"rule_selection": 0.0, "imputation": 0.0, "er": 0.0}
         self.step_times: list = []
 

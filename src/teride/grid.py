@@ -2,22 +2,22 @@
 
 One grid keeps what retrieval reads of every stream's live tuples: a live map
 from rid to slot, a slot table of summaries, and bitmaps over slots: the live
-slots, each stream's live slots, the keyword-bearing slots and, under
-Jaccard, per-attribute token postings.  A slot freed by eviction is the next
-one taken, so no bitmap is wider than the most tuples live at once.  A
-summary holds at arrival only the query keywords; what the pair bounds read
-is computed when a pair bound first reads it (see ``TupleSummary``).  A
-probe reads the other streams' live slots in one pass and applies two exact
-set-level filters only: a keyword-free probe reads only the keyword-bearing
-slots, and under Jaccard a tuple must share tokens with the probe on ``need``
-of the ``d`` attributes.  That filter ORs the probe's postings per attribute
-into a hit bitmap and counts hits per slot in bit-sliced "hit on at least k
-attributes" bitmaps; by pigeonhole (the prefix filter) a survivor has been
-hit on ``need - (d - i)`` of the first ``i`` attributes, so only the levels
-that can still reach ``need`` are updated and an empty required level ends
-the probe.  Survivors are decoded from the final bitmap in slot order.
-Retrieval reports how many tuples each filter skipped; every other bound
-runs pair by pair in ``prune.judge_pair``.
+slots, each stream's live slots, the keyword-bearing slots and per-attribute
+postings over the summaries' similarity keys (``DistanceFn.key_unions``).  A
+slot freed by eviction is the next one taken, so no bitmap is wider than the
+most tuples live at once.  A summary holds at arrival only the query keywords
+and the key unions; what the pair bounds read is computed when a pair bound
+first reads it (see ``TupleSummary``).  A probe reads the other streams' live
+slots in one pass and applies two exact set-level filters only: a
+keyword-free probe reads only the keyword-bearing slots, and a tuple must
+share keys with the probe on ``need`` of the ``d`` attributes.  That filter
+ORs the probe's postings per attribute into a hit bitmap and counts hits per
+slot in bit-sliced "hit on at least k attributes" bitmaps; by pigeonhole (the
+prefix filter) a survivor has been hit on ``need - (d - i)`` of the first
+``i`` attributes, so only the levels that can still reach ``need`` are
+updated and an empty required level ends the probe.  Survivors are decoded
+from the final bitmap in slot order.  Retrieval reports how many tuples each
+filter skipped; ``prune.judge_pair`` starts at the size bound.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ STAGE_TOKEN = "sim_ub_token"
 
 
 def token_count_prunes(shared: int, gamma: float) -> bool:
-    """True when tuples whose token unions intersect on ``shared`` attributes cannot match.
+    """True when tuples whose key unions intersect on ``shared`` attributes cannot match.
 
-    Under Jaccard, disjoint non-empty token sets have similarity exactly 0 and
-    any attribute contributes at most 1, so ``shared`` bounds the similarity
-    of every instance pair.  This is ``not prune.sim_matches(shared +
-    _SUM_SLACK, gamma)``, the test that bound sums get.
+    Under every distance, values with disjoint keys have similarity exactly 0
+    and any attribute contributes at most 1, so ``shared`` bounds the
+    similarity of every instance pair.  This is ``not prune.sim_matches(shared
+    + _SUM_SLACK, gamma)``, the test that bound sums get.
     """
     return shared + _SUM_SLACK <= gamma + _TOL
 
@@ -54,12 +54,12 @@ class TupleSummary:
     """Index-ready digest of one probabilistic tuple.
 
     What the grid and the engine read is set at arrival as plain attributes:
-    ``rid``, ``stream_id``, ``arrival_time`` and ``keywords`` (read off the
-    token unions).  What only the pair bounds read, ``sizes``, ``box`` and
-    ``pivot_stats``, is computed together, in one pass over
-    ``imputed.options`` with the bound distance and the main pivots the
-    summary keeps, the first time any of them is read; so a tuple that no
-    pair bound reaches never pays for it.
+    ``rid``, ``stream_id``, ``arrival_time``, ``keywords`` (read off the
+    token unions) and ``key_unions`` (``DistanceFn.key_unions``).  What only
+    the pair bounds read, ``sizes``, ``box`` and ``pivot_stats``, is
+    computed together, in one pass over ``imputed.options`` with the bound
+    distance and the main pivots the summary keeps, the first time any of
+    them is read; so a tuple that no pair bound reaches never pays for it.
     """
 
     def __init__(
@@ -71,6 +71,7 @@ class TupleSummary:
         self.stream_id = base.stream_id
         self.arrival_time = base.arrival_time
         self.keywords = keywords  # query keywords present in at least one option
+        self.key_unions = dist.key_unions(imputed)
         self._dist = dist.bind()
         self._pivots = pivots
         self._bounds = None  # (sizes, box, pivot_stats) once read
@@ -117,7 +118,7 @@ class TupleSummary:
 def summarize(
     it: ImputedTuple, pivots: PivotSet, keywords: frozenset, dist: DistanceFn
 ) -> TupleSummary:
-    """Digest one tuple at arrival: the query keywords its token unions hold.
+    """Digest one tuple at arrival: its key unions, and the query keywords its token unions hold.
 
     No distance is computed here; the fields only pair bounds read, the
     main-pivot coordinates among them, are computed on first read.
@@ -128,30 +129,23 @@ def summarize(
 
 @lru_cache(maxsize=16)  # a query has one gamma
 def token_need(d: int, gamma: float) -> int:
-    """The least number of shared-token attributes, of ``d``, that ``token_count_prunes``
+    """The least number of shared-key attributes, of ``d``, that ``token_count_prunes``
     lets pass at ``gamma``; ``d + 1`` when no count does."""
     return next((n for n in range(d + 1) if not token_count_prunes(n, gamma)), d + 1)
 
 
 class ErGrid:
-    """Store of every stream's live tuples, by slot, that fetches the candidates of a probe.
+    """Store of every stream's live tuples, by slot, that fetches the candidates of a probe."""
 
-    Only under Jaccard (``dist``, default ``DistanceFn()``) does it keep token
-    postings.
-    """
-
-    def __init__(self, d: int, dist: DistanceFn | None = None):
+    def __init__(self, d: int):
         self.d = d
         self._live: dict = {}  # rid -> slot
         self._slots: list = []  # slot -> TupleSummary, None when free
         self._occupied = 0  # bitmap of the live slots; its zero bits are the free slots
         self._streams: dict = {}  # stream_id -> bitmap of its live slots (0 when it has none)
         self._kw_mask = 0  # bitmap of the keyword-bearing slots
-        # per attr: token -> bitmap of the slots whose token union holds it;
-        # None when the distance is not Jaccard
-        self._postings = None
-        if dist is None or dist.kind == DistanceFn.JACCARD:
-            self._postings = [{} for _ in range(d)]
+        # per attr: key -> bitmap of the slots whose key union holds it
+        self._postings = [{} for _ in range(d)]
 
     def __len__(self) -> int:
         return len(self._live)
@@ -163,10 +157,9 @@ class ErGrid:
         occupied = self._occupied
         bit = ~occupied & (occupied + 1)  # the lowest free slot
         slot = bit.bit_length() - 1
-        if self._postings is not None:
-            for post, tokens in zip(self._postings, summary.imputed.token_unions()):
-                for tok in tokens:
-                    post[tok] = post.get(tok, 0) | bit
+        for post, keys in zip(self._postings, summary.key_unions):
+            for key in keys:
+                post[key] = post.get(key, 0) | bit
         if slot == len(self._slots):
             self._slots.append(summary)
         else:
@@ -184,14 +177,13 @@ class ErGrid:
         summary = self._slots[slot]
         self._slots[slot] = None
         bit = 1 << slot
-        if self._postings is not None:
-            for post, tokens in zip(self._postings, summary.imputed.token_unions()):
-                for tok in tokens:
-                    rest = post[tok] ^ bit
-                    if rest:
-                        post[tok] = rest
-                    else:
-                        del post[tok]
+        for post, keys in zip(self._postings, summary.key_unions):
+            for key in keys:
+                rest = post[key] ^ bit
+                if rest:
+                    post[key] = rest
+                else:
+                    del post[key]
         self._occupied ^= bit
         self._streams[summary.stream_id] ^= bit
         if summary.keywords:
@@ -203,19 +195,16 @@ class ErGrid:
         how many of those tuples each filter skipped.
 
         A keyword-free probe can only pair with keyword-bearing tuples, so it
-        reads only their slots and keyword-skips the others.  With postings, a
-        survivor must share tokens with the probe on ``need`` of the ``d``
-        attributes (``token_need``); every tuple read whose count falls short
-        is token-skipped (see ``_pigeonhole``).
-        Survivors come in slot order.  Every other bound is left to
-        ``prune.judge_pair``.
+        reads only their slots and keyword-skips the others.  A survivor must
+        share keys with the probe on ``need`` of the ``d`` attributes
+        (``token_need``); every tuple read whose count falls short is
+        token-skipped (see ``_pigeonhole``).  Survivors come in slot order.
+        Every other bound is left to ``prune.judge_pair``.
         """
         others = self._occupied & ~self._streams.get(query.stream_id, 0)
         read = others if query.keywords else others & self._kw_mask
         n_read = read.bit_count()
-        found = read
-        if self._postings is not None:
-            found = self._pigeonhole(query.imputed.token_unions(), token_need(self.d, gamma), read)
+        found = self._pigeonhole(query.key_unions, token_need(self.d, gamma), read)
         survivors = self._summaries(found)
         return survivors, {
             STAGE_KEYWORD: others.bit_count() - n_read,
@@ -233,7 +222,7 @@ class ErGrid:
         return out
 
     def _pigeonhole(self, unions: list, need: int, read: int) -> int:
-        """Bitmap of the slots in ``read`` whose token unions meet the probe's on
+        """Bitmap of the slots in ``read`` whose key unions meet the probe's on
         at least ``need`` attributes.
 
         Per attribute, the probe's postings are ORed into one hit bitmap, and
@@ -245,10 +234,10 @@ class ErGrid:
         """
         d = self.d
         at = [read] + [0] * need  # at[k]: slots hit on at least k attributes read
-        for i, (post, tokens) in enumerate(zip(self._postings, unions), 1):
+        for i, (post, keys) in enumerate(zip(self._postings, unions), 1):
             hit = 0
-            for tok in tokens:
-                hit |= post.get(tok, 0)
+            for key in keys:
+                hit |= post.get(key, 0)
             floor = need - d + i  # the level every survivor has reached by now
             if hit:
                 for k in range(min(i, need), max(floor, 1) - 1, -1):

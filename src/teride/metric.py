@@ -69,6 +69,17 @@ class DistanceFn:
     def sim(self, a: TokenSet, b: TokenSet) -> float:
         return 1.0 - self(a, b)
 
+    def key_unions(self, imputed) -> list:
+        """Per attribute, the union of an ``ImputedTuple``'s option keys; values with disjoint
+        keys have similarity 0.  Under Jaccard the keys are tokens (``imputed.token_unions()``);
+        under absdiff a value is its own key, but every finite number has ``frozenset()``."""
+        if self.kind == self.JACCARD:
+            return imputed.token_unions()
+        return [
+            frozenset(frozenset() if _as_number(v) is not None else v for v, _ in opts)
+            for opts in imputed.options
+        ]
+
     def __repr__(self):
         return f"DistanceFn({self.kind!r})"
 

@@ -1,11 +1,11 @@
 """Pair-level pruning cascade and exact match-probability computation.
 
-For a candidate tuple pair the checks run in a fixed order: topic keyword,
-similarity upper bound (shared-token attributes under Jaccard, token sizes,
-then pivot distances), Paley-Zygmund probability upper bound, and finally
-the instance-level scan.  Every bound overestimates, so no qualifying pair is
-lost.  The two similarity bounds this module owns, :func:`ub_sim_by_size` and
-:func:`ub_sim_by_pivot`, read plain per-attribute ``(lo, hi)`` pairs: a
+The fetcher filters first, by topic keyword and shared-key count.  On each
+pair left, :func:`judge_pair` runs the similarity upper bounds from token
+sizes, then pivot distances, the Paley-Zygmund probability upper bound, and
+finally the instance-level scan.  Every bound overestimates, so no qualifying
+pair is lost.  The two similarity bounds this module owns, :func:`ub_sim_by_size`
+and :func:`ub_sim_by_pivot`, read plain per-attribute ``(lo, hi)`` pairs: a
 summary's ``sizes`` and its main-pivot ``box``.
 
 One kernel, :func:`instance_level_scan`, computes the exact match
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import _SUM_SLACK, STAGE_KEYWORD, STAGE_TOKEN, TupleSummary, token_count_prunes
+from .grid import _SUM_SLACK, STAGE_KEYWORD, STAGE_TOKEN, TupleSummary
 from .impute import ImputedTuple
 from .metric import DistanceFn
 from .model import contains_keyword
@@ -67,15 +67,12 @@ def keyword_prune(si: TupleSummary, sj: TupleSummary) -> bool:
 
 
 def sim_ub_token(si: TupleSummary, sj: TupleSummary) -> int:
-    """Number of attributes on which the two tuples' token unions intersect.
+    """Number of attributes on which the two tuples' key unions intersect.
 
-    Under Jaccard it bounds every instance pair's similarity (see
-    ``token_count_prunes``); under other distances it bounds nothing.
+    Under every distance it bounds every instance pair's similarity (see
+    ``token_count_prunes``).
     """
-    return sum(
-        not a.isdisjoint(b)
-        for a, b in zip(si.imputed.token_unions(), sj.imputed.token_unions())
-    )
+    return sum(not a.isdisjoint(b) for a, b in zip(si.key_unions, sj.key_unions))
 
 
 def ub_sim_by_size(sizes_i: list, sizes_j: list) -> float:
@@ -209,11 +206,7 @@ def judge_pair(
     keywords: frozenset,
     dist: DistanceFn,
 ) -> PairVerdict:
-    """Run the full cascade on one candidate pair."""
-    if keyword_prune(si, sj):
-        return PairVerdict(stage=STAGE_KEYWORD)
-    if dist.kind == DistanceFn.JACCARD and token_count_prunes(sim_ub_token(si, sj), gamma):
-        return PairVerdict(stage=STAGE_TOKEN)
+    """Run the cascade, from the size bound on, on one pair the fetcher's filters let through."""
     if ub_sim_by_size(si.sizes, sj.sizes) <= gamma + _TOL:
         return PairVerdict(stage=STAGE_SIZE)
     if ub_sim_by_pivot(si.box, sj.box) <= gamma + _TOL:

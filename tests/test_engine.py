@@ -106,7 +106,7 @@ class TestModesAgree:
     def test_all_three_modes_produce_identical_events(self, seed):
         repo, trace = make_workload(seed=seed, length=20, repo_size=30, xi=0.4, m=1)
         cfg = make_config(window=7)
-        # the shared-token stage runs only under Jaccard
+        # the shared-key filter prunes under both distances
         for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
             logs = {}
             metrics = {}
@@ -123,7 +123,7 @@ class TestModesAgree:
 
     @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
     def test_no_step_reads_or_builds_a_grid_cell(self, kind):
-        """Retrieval reads the grid's slot bitmaps and token postings only, and
+        """Retrieval reads the grid's slot bitmaps and key postings only, and
         a run with evictions gives the events of ``oracle``."""
         repo, trace = make_workload(seed=61, length=20, repo_size=30, xi=0.4, m=1)
         cfg = make_config(window=7)
@@ -429,7 +429,7 @@ def engine_state(engine):
             grid._kw_mask,
             [
                 {tok: {s.rid for s in grid._summaries(mask)} for tok, mask in post.items()}
-                for post in grid._postings or ()
+                for post in grid._postings
             ],
         ),
         len(engine.results.events),

@@ -2,6 +2,8 @@ import copy
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from teride.errors import DuplicateTuple, UnknownTuple
 from teride.grid import (
@@ -239,12 +241,10 @@ class TestGridMechanics:
 
 def _rid_state(grid) -> tuple:
     """The grid's live tuples, keyword-bearing rids and postings, by rid rather than slot."""
-    postings = None
-    if grid._postings is not None:
-        postings = [
-            {tok: {s.rid for s in grid._summaries(mask)} for tok, mask in post.items()}
-            for post in grid._postings
-        ]
+    postings = [
+        {key: {s.rid for s in grid._summaries(mask)} for key, mask in post.items()}
+        for post in grid._postings
+    ]
     live = {rid: grid._slots[slot] for rid, slot in grid._live.items()}
     streams = {sid: {s.rid for s in grid._summaries(mask)} for sid, mask in grid._streams.items() if mask}
     return live, streams, {s.rid for s in grid._summaries(grid._kw_mask)}, postings
@@ -262,9 +262,15 @@ def _slot_state(grid) -> tuple:
     )
 
 
-def _brute_force(q, live, gamma: float, jaccard: bool) -> tuple:
+def _under(summaries, kind, pivots, keywords) -> list:
+    """The summaries of the same imputed tuples under distance ``kind``, whose key unions they hold."""
+    dist = DistanceFn(kind)
+    return [summarize(s.imputed, pivots, keywords, dist) for s in summaries]
+
+
+def _brute_force(q, live, gamma: float) -> tuple:
     """The rids of the tuples of ``live`` from streams other than ``q``'s that pass
-    the keyword and shared-token tests, and how many each test skips, pair by pair."""
+    the keyword and shared-key tests, and how many each test skips, pair by pair."""
     skipped = {"keyword": 0, "sim_ub_token": 0}
     passing = set()
     for other in live:
@@ -272,7 +278,7 @@ def _brute_force(q, live, gamma: float, jaccard: bool) -> tuple:
             continue
         if keyword_prune(q, other):
             skipped["keyword"] += 1
-        elif jaccard and token_count_prunes(sim_ub_token(q, other), gamma):
+        elif token_count_prunes(sim_ub_token(q, other), gamma):
             skipped["sim_ub_token"] += 1
         else:
             passing.add(other.rid)
@@ -315,20 +321,21 @@ class TestSlotBitmaps:
         for every ``need`` from 1 to d, keyword-bearing and keyword-free probes
         of each stream, under Jaccard and absdiff; no survivor shares the
         probe's stream; and no slot reaches the most tuples ever live at once,
-        so slots are recycled."""
-        repo, _, _, _, summaries = setup
+        so slots are recycled.  The summaries are built under the distance
+        tested, since the keys the filter reads come from the summary."""
+        repo, _, pivots, keywords, jaccard_summaries = setup
         gammas = [need - 0.5 for need in range(1, repo.d + 1)]
         assert [token_need(repo.d, gamma) for gamma in gammas] == list(range(1, repo.d + 1))
-        probes = [
-            next(s for s in summaries if s.stream_id == sid and bool(s.keywords) == kw)
-            for sid in range(3)
-            for kw in (True, False)
-        ]
         for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
-            jaccard = kind == DistanceFn.JACCARD
+            summaries = _under(jaccard_summaries, kind, pivots, keywords)
+            probes = [
+                next(s for s in summaries if s.stream_id == sid and bool(s.keywords) == kw)
+                for sid in range(3)
+                for kw in (True, False)
+            ]
             for seed in range(4):
                 rng = random.Random(seed)
-                grid = ErGrid(d=repo.d, dist=DistanceFn(kind))
+                grid = ErGrid(d=repo.d)
                 live: dict = {}
                 waiting = list(summaries)
                 evicted = None
@@ -354,7 +361,7 @@ class TestSlotBitmaps:
                     assert grid._occupied.bit_length() <= peak
                     for gamma in gammas:
                         for q in probes:
-                            passing, expected = _brute_force(q, live.values(), gamma, jaccard)
+                            passing, expected = _brute_force(q, live.values(), gamma)
                             cands, skipped = grid.candidates(q, gamma)
                             assert all(c.stream_id != q.stream_id for c in cands)
                             assert len(cands) == len(passing), (kind, seed, gamma)
@@ -364,8 +371,9 @@ class TestSlotBitmaps:
 
     @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
     def test_rejected_insert_and_evict_change_nothing(self, setup, kind):
-        _, _, _, _, summaries = setup
-        grid = ErGrid(d=summaries[0].imputed.base.d, dist=DistanceFn(kind))
+        _, _, pivots, keywords, summaries = setup
+        summaries = _under(summaries, kind, pivots, keywords)
+        grid = ErGrid(d=summaries[0].imputed.base.d)
         for s in summaries[:12]:
             grid.insert(s)
         for s in summaries[2:6]:
@@ -381,19 +389,29 @@ class TestSlotBitmaps:
 
 
 class TestCandidates:
-    def test_shared_token_count_applies_under_jaccard_only(self, absdiff):
-        # the pair shares a token only on the keyword attribute, yet its
-        # numeric attributes are close under absdiff
+    def test_shared_key_count_applies_under_every_distance(self, absdiff):
+        # b shares a token with a on the keyword attribute and on attribute 3,
+        # and its numbers share the one numeric key under absdiff; c shares
+        # tokens on the same attributes, but no number.  Under absdiff,
+        # attribute 3's unequal non-numeric values share no key.
         keywords = frozenset({"topic0"})
-        a = ImputedTuple(base=make_tuple("a", 0, 1, ts("topic0"), ts("0.2"), ts("0.1")))
-        b = ImputedTuple(base=make_tuple("b", 1, 1, ts("topic0"), ts("0.25"), ts("0.15")))
-        pivots = PivotSet(per_attr=[[ts("0.0")] for _ in range(3)])
-        for dist, survivors in ((absdiff, ["b"]), (DistanceFn(), [])):
-            grid = ErGrid(d=3, dist=dist)
-            grid.insert(summarize(b, pivots, keywords, dist))
-            cands, skipped = grid.candidates(summarize(a, pivots, keywords, dist), 1.5)
-            assert [c.rid for c in cands] == survivors
-            assert skipped == {"keyword": 0, "sim_ub_token": 1 - len(survivors)}
+        a = ImputedTuple(base=make_tuple("a", 0, 1, ts("topic0"), ts("0.2"), ts("0.1"), ts("x", "y")))
+        b = ImputedTuple(base=make_tuple("b", 1, 1, ts("topic0"), ts("0.25"), ts("0.15"), ts("x", "z")))
+        c = ImputedTuple(base=make_tuple("c", 1, 2, ts("topic0"), ts("w1"), ts("w2"), ts("x", "z")))
+        pivots = PivotSet(per_attr=[[ts("0.0")] for _ in range(4)])
+        cases = (
+            (absdiff, 1.5, ["b"]),
+            (absdiff, 2.5, ["b"]),
+            (DistanceFn(), 1.5, ["b", "c"]),
+            (DistanceFn(), 2.5, []),
+        )
+        for dist, gamma, survivors in cases:
+            grid = ErGrid(d=4)
+            for it in (b, c):
+                grid.insert(summarize(it, pivots, keywords, dist))
+            cands, skipped = grid.candidates(summarize(a, pivots, keywords, dist), gamma)
+            assert [x.rid for x in cands] == survivors, (dist, gamma)
+            assert skipped == {"keyword": 0, "sim_ub_token": 2 - len(survivors)}, (dist, gamma)
 
     def test_no_qualifying_pair_is_skipped(self, setup):
         repo, dist, pivots, keywords, summaries = setup
@@ -419,30 +437,90 @@ class TestCandidates:
                     )
 
     def test_skipped_stages_are_justified(self, setup):
-        """Survivors are exactly the tuples that pass the keyword and shared-token
-        tests (the latter under Jaccard only), and each count is a brute-force count.
+        """Survivors are exactly the tuples that pass the keyword and shared-key
+        tests, under Jaccard and absdiff, and each count is a brute-force count.
 
         The gammas need every shared-attribute count from 1 to d, so the
         bitmap filter counts to every depth from 1 to d."""
-        repo, _, _, _, summaries = setup
+        repo, _, pivots, keywords, jaccard_summaries = setup
         gammas = [need - 0.5 for need in range(1, repo.d + 1)] + [0.6 * repo.d]
         needs = {token_need(repo.d, gamma) for gamma in gammas}
         assert needs == set(range(1, repo.d + 1))
-        stream0 = [s for s in summaries if s.stream_id == 0][:15]
-        stream1 = [s for s in summaries if s.stream_id == 1][:15]
         for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
-            grid = ErGrid(d=repo.d, dist=DistanceFn(kind))
+            summaries = _under(jaccard_summaries, kind, pivots, keywords)
+            stream0 = [s for s in summaries if s.stream_id == 0][:15]
+            stream1 = [s for s in summaries if s.stream_id == 1][:15]
+            grid = ErGrid(d=repo.d)
             for s in stream1:
                 grid.insert(s)
             token_skips = 0
             for gamma in gammas:
                 for q in stream0:
-                    passing, expected = _brute_force(
-                        q, stream1, gamma, kind == DistanceFn.JACCARD
-                    )
+                    passing, expected = _brute_force(q, stream1, gamma)
                     cands, skipped = grid.candidates(q, gamma)
                     assert len(cands) == len(passing), (kind, gamma)
                     assert {c.rid for c in cands} == passing, (kind, gamma)
                     assert skipped == expected, (kind, gamma)
                     token_skips += skipped["sim_ub_token"]
-            assert bool(token_skips) == (kind == DistanceFn.JACCARD)
+            assert token_skips > 0, kind
+
+
+KINDS = (DistanceFn.JACCARD, DistanceFn.ABSDIFF)
+# multi-token sets, some holding numeric tokens, and single tokens, numeric or
+# odd: absdiff reads a one-token value as a number only when it is finite
+odd_values = st.one_of(
+    st.frozensets(st.sampled_from(["a", "b", "topic0", "0", "0.5", "nan"]), min_size=1, max_size=3),
+    st.sampled_from(["0", "0.5", "-0", "1e400", "nan", "inf", "-inf", "0.25", "a"]).map(ts),
+)
+
+
+def _keys(dist, value) -> frozenset:
+    """The similarity keys of one present value."""
+    return dist.key_unions(ImputedTuple(base=make_tuple("v", 0, 1, value)))[0]
+
+
+@st.composite
+def _imputed(draw, rid: str, stream_id: int, d: int = 3):
+    """A tuple of ``d`` attributes, each present or imputed with up to three options."""
+    attrs, cands = [], {}
+    for j in range(d):
+        if draw(st.booleans()):
+            attrs.append(draw(odd_values))
+            continue
+        vs = draw(st.lists(odd_values, min_size=1, max_size=3, unique=True))
+        ws = draw(st.lists(st.integers(1, 4), min_size=len(vs), max_size=len(vs)))
+        attrs.append(None)
+        cands[j] = [(v, w / sum(ws)) for v, w in zip(vs, ws)]
+    return ImputedTuple(base=make_tuple(rid, stream_id, 1, *attrs), per_attr_candidates=cands)
+
+
+class TestKeyInvariant:
+    """Two values with disjoint keys have similarity exactly 0, so the shared-key
+    count bounds every pair under either distance, and the grid never skips a
+    pair that can match."""
+
+    @given(st.sampled_from(KINDS), odd_values, odd_values)
+    def test_disjoint_keys_mean_similarity_zero(self, kind, a, b):
+        dist = DistanceFn(kind)
+        if _keys(dist, a).isdisjoint(_keys(dist, b)):
+            assert dist.sim(a, b) == 0.0
+        assert not _keys(dist, a).isdisjoint(_keys(dist, a))
+
+    @given(st.data())
+    def test_absdiff_grid_skips_no_pair_that_can_match(self, data):
+        absdiff = DistanceFn(DistanceFn.ABSDIFF)
+        keywords = frozenset({"topic0"})
+        pivots = PivotSet(per_attr=[[ts("0.5")] for _ in range(3)])
+        probe = data.draw(_imputed("q", 0))
+        others = [data.draw(_imputed(f"o{i}", 1)) for i in range(data.draw(st.integers(1, 4)))]
+        gamma = data.draw(st.sampled_from([0.5, 1.2, 1.5, 2.5]))
+        grid = ErGrid(d=3)
+        for it in others:
+            grid.insert(summarize(it, pivots, keywords, absdiff))
+        cands, skipped = grid.candidates(summarize(probe, pivots, keywords, absdiff), gamma)
+        assert len(cands) + sum(skipped.values()) == len(others)
+        survivors = {c.rid for c in cands}
+        for it in others:
+            # a pair the grid skips has probability exactly 0, below every alpha
+            if naive_pair_probability(probe, it, gamma, keywords, absdiff) > 0.0:
+                assert it.rid in survivors, (it, gamma)

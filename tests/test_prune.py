@@ -2,15 +2,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teride.grid import summarize
+from teride.engine import _FilteredScanFetch
+from teride.grid import ErGrid, summarize
 from teride.impute import ImputedTuple, impute_tuple
 from teride.metric import DistanceFn, jaccard_dist, jaccard_sim
-from teride.model import contains_keyword
+from teride.model import QueryConfig, contains_keyword
 from teride.pivot import PivotSet, select_pivots
 from teride.prune import (
+    STAGE_KEYWORD,
     STAGE_PIVOT,
     STAGE_REFINED,
     STAGE_TOKEN,
+    STAGES,
     instance_level_scan,
     judge_pair,
     pair_probability,
@@ -225,27 +228,38 @@ class TestCascade:
         return [summarize(it, pivots, keywords, dist) for it in (a, b)]
 
     @pytest.mark.parametrize("gamma", [2.0, 2.5])
-    def test_shared_token_count_at_the_threshold(self, gamma, absdiff):
+    def test_shared_token_count_at_the_threshold(self, gamma):
+        """The pair's values are non-numeric, so under absdiff they share a key
+        only where they are equal, and the count bounds them as under Jaccard."""
         keywords = frozenset({"topic0"})
-        # floor(gamma) shared attributes: settled before any similarity
-        a, b = self._shared_on(int(gamma), DistanceFn())
-        dist = _CountingDistance()
-        verdict = judge_pair(a, b, gamma, 0.2, keywords, dist)
-        assert verdict.stage == STAGE_TOKEN
-        assert dist.calls == 0
-        # one more: the imputed option shared on attribute 0 lifts the pair,
-        # and the refinement that settles it does compute distances
-        a, b = self._shared_on(int(gamma) + 1, DistanceFn())
-        dist = _CountingDistance()
-        verdict = judge_pair(a, b, gamma, 0.2, keywords, dist)
-        assert verdict.stage == STAGE_REFINED and verdict.matched
-        assert verdict.prob == pytest.approx(0.3)
-        assert dist.calls > 0
-        # the count bounds nothing under absdiff
-        for n_shared in (int(gamma), int(gamma) + 1):
-            a, b = self._shared_on(n_shared, absdiff)
-            verdict = judge_pair(a, b, gamma, 0.2, keywords, absdiff)
-            assert verdict.stage != STAGE_TOKEN
+        config = QueryConfig(keywords=keywords, d=4, rho=gamma / 4, alpha=0.2, window_size=10)
+        for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
+            # floor(gamma) shared attributes: both fetchers' filters settle the
+            # pair, and no distance is computed
+            dist = _CountingDistance(kind)
+            a, b = self._shared_on(int(gamma), dist)
+            grid = ErGrid(d=4)
+            grid.insert(b)
+            assert grid.candidates(a, gamma) == ([], {STAGE_KEYWORD: 0, STAGE_TOKEN: 1}), kind
+            counts = dict.fromkeys(STAGES, 0)
+            assert _FilteredScanFetch(None, config, dist).candidates(a, {1: [b]}, counts) == []
+            assert counts == {**dict.fromkeys(STAGES, 0), STAGE_TOKEN: 1}, kind
+            assert dist.calls == 0, kind
+            # one more: the imputed option shared on attribute 0 lifts the pair
+            # past both filters, and the refinement that settles it does
+            # compute distances
+            dist = _CountingDistance(kind)
+            a, b = self._shared_on(int(gamma) + 1, dist)
+            grid.evict("b")
+            grid.insert(b)
+            assert grid.candidates(a, gamma) == ([b], {STAGE_KEYWORD: 0, STAGE_TOKEN: 0}), kind
+            counts = dict.fromkeys(STAGES, 0)
+            assert _FilteredScanFetch(None, config, dist).candidates(a, {1: [b]}, counts) == [b]
+            assert counts == dict.fromkeys(STAGES, 0), kind
+            verdict = judge_pair(a, b, gamma, 0.2, keywords, dist)
+            assert verdict.stage == STAGE_REFINED and verdict.matched, kind
+            assert verdict.prob == pytest.approx(0.3), kind
+            assert dist.calls > 0, kind
 
 
 def _scan_workload(seed, fallback, kind=DistanceFn.JACCARD):
@@ -280,11 +294,11 @@ def _scan_workload(seed, fallback, kind=DistanceFn.JACCARD):
 
 
 class _CountingDistance(DistanceFn):
-    """Jaccard distance that counts the distances asked of it: every call, and
-    every call of the function ``bind()`` returns."""
+    """Distance (Jaccard by default) that counts the distances asked of it: every
+    call, and every call of the function ``bind()`` returns."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, kind=DistanceFn.JACCARD):
+        super().__init__(kind)
         self.calls = 0
 
     def __call__(self, a, b):
