@@ -146,6 +146,13 @@ def precompute(
     rules: list | None = None,
     pivots: PivotSet | None = None,
 ) -> Precomputed:
+    """Rules and pivots for the repository: mined and selected when not given,
+    checked against its schema when given.
+
+    Online code reads only each attribute's main pivot, so the pivots are
+    selected with ``cntMax=1``, which runs no auxiliary round.  A given pivot
+    set is checked whole, auxiliary pivots included.
+    """
     if repo.d != config.d:
         raise ConfigError(f"repository has {repo.d} attributes, query expects {config.d}")
     if rules is None:
@@ -157,7 +164,7 @@ def precompute(
     for rule in check_rules(rules, repo.d):
         rules_by_dep.setdefault(rule.dependent, []).append(rule)
     if pivots is None:
-        pivots = select_pivots(repo, dist=dist)
+        pivots = select_pivots(repo, cntMax=1, dist=dist)
     else:
         check_pivots(pivots, repo.d)
     return Precomputed(repo=repo, rules=rules, rules_by_dep=rules_by_dep, pivots=pivots)

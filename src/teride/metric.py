@@ -24,7 +24,7 @@ def jaccard_dist(a: TokenSet, b: TokenSet) -> float:
     return 1.0 - jaccard_sim(a, b)
 
 
-def _as_number(v: TokenSet):
+def as_number(v: TokenSet):
     """The one token of ``v`` as a finite number, else None."""
     if len(v) != 1:
         return None
@@ -57,7 +57,7 @@ class DistanceFn:
     def __call__(self, a: TokenSet, b: TokenSet) -> float:
         if self.kind == self.JACCARD:
             return jaccard_dist(a, b)
-        x, y = _as_number(a), _as_number(b)
+        x, y = as_number(a), as_number(b)
         if x is None or y is None:
             return 0.0 if a == b else 1.0
         return min(abs(x - y), 1.0)
@@ -76,7 +76,7 @@ class DistanceFn:
         if self.kind == self.JACCARD:
             return imputed.token_unions()
         return [
-            frozenset(frozenset() if _as_number(v) is not None else v for v, _ in opts)
+            frozenset(frozenset() if as_number(v) is not None else v for v, _ in opts)
             for opts in imputed.options
         ]
 

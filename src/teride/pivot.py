@@ -5,13 +5,18 @@ repository samples spread most evenly over P equal buckets of [0, 1] (maximum
 Shannon entropy, base 2).  If the main pivot alone does not reach the entropy
 threshold, auxiliary pivots are added greedily, scoring candidates by joint
 entropy over the product bucket grid of the chosen pivots plus the candidate.
+Online code reads only the main pivot, so the engine selects with
+``cntMax=1``; ``teride pivots`` still writes auxiliary pivots.
 
-Each candidate's buckets against the samples are computed once per attribute,
-by the main round, and every auxiliary round reads them again.  An auxiliary
-round splits only the groups of samples (equal buckets for the chosen pivots)
-that hold one of the candidate's partners, the samples it has a distance for
-(under Jaccard, those sharing a token with it); every other group counts with
-its recorded first sample and size.
+The candidates of an attribute are its distinct sample values, and both
+distances are symmetric float for float, so every candidate's buckets are
+computed in one pass over unordered pairs of those values: one distance per
+pair, filed under both values.  Under Jaccard only the pairs that share a
+token are asked; every other pair is at distance 1.0.  An auxiliary round
+reads the same buckets and splits only the groups of samples (equal buckets
+for the chosen pivots) that hold one of the candidate's partners, the values
+it has a distance for; every other group counts with its recorded first
+sample and size.
 """
 
 from __future__ import annotations
@@ -103,10 +108,10 @@ def select_pivots(
     """Select main and auxiliary pivots per attribute from the repository domains.
 
     Scores equal :func:`entropy` for the main pivot and :func:`joint_entropy`
-    for the auxiliary ones, float for float.  Each distance between a distinct
-    sample value and a candidate is computed at most once per attribute, and
-    under Jaccard only for values that share a token with the candidate (see
-    :class:`_AttrSamples`).
+    for the auxiliary ones, float for float.  Each unordered pair of distinct
+    sample values is asked at most one distance per attribute, and under
+    Jaccard only a pair that shares a token (see :class:`_AttrSamples`).
+    ``cntMax=1`` selects main pivots only, and runs no auxiliary round.
     """
     if dist is None:
         dist = DistanceFn()
@@ -133,6 +138,7 @@ def select_pivots(
             best, h = _argmax(remaining, samples.joint_entropy)
             chosen.append(best)
         per_attr.append(chosen)
+        del samples  # drop this attribute's buckets before the next one builds its own
     return PivotSet(per_attr=per_attr, bucket_count=P, entropy_threshold=eMin, max_pivots=cntMax)
 
 
@@ -141,18 +147,21 @@ class _AttrSamples:
 
     Samples holding the same value share every bucket, so work is done per
     distinct value, weighted by its sample count; distinct values are
-    numbered in order of their first sample.  Under Jaccard a value that
-    shares no token with a candidate is at distance exactly 1.0, in bucket
-    P-1, so distances are computed only for the candidate's partners: the
-    values in the union of its tokens' postings.  Under absdiff disjoint
-    numeric values can be close, so every value is a partner.
+    numbered in order of their first sample, and every candidate is one of
+    them.  Under Jaccard a value that shares no token with a candidate is at
+    distance exactly 1.0, in bucket P-1, so a candidate's partners, the
+    values it has a bucket for, are the values in the union of its tokens'
+    postings.  Under absdiff disjoint numeric values can be close, so every
+    value is a partner.
 
-    A candidate's partner buckets are computed once, by the main round, and
-    read again by every auxiliary round: one distance per (value, candidate)
-    per attribute.  They are stored as a partner tuple (a shared range under
-    absdiff) and an array of buckets, and dropped with the attribute.  Each
-    :meth:`choose` records every group's first value, size and members, and
-    an auxiliary score splits only the groups that hold a partner.
+    Every candidate's buckets are built in one pass over the unordered pairs
+    ``u <= w`` of partners: each distance is asked once and its bucket is
+    filed under both values, so each value's list comes in ascending partner
+    order.  This is exact because both distances are symmetric float for
+    float.  The lists are read by the main round and again by every
+    auxiliary round, and dropped with the attribute.  Each :meth:`choose`
+    records every group's first value, size and members, and an auxiliary
+    score splits only the groups that hold a partner.
     """
 
     def __init__(self, values: list, P: int, dist: DistanceFn):
@@ -161,30 +170,42 @@ class _AttrSamples:
         self.weight = list(weights.values())
         self.n = len(values)
         self.P = P
-        self.dist = dist
-        self.postings = token_postings(self.values) if dist.kind == DistanceFn.JACCARD else None
-        self.cache: dict = {}  # candidate -> (ascending partners, their buckets)
+        self.position = {v: u for u, v in enumerate(self.values)}
+        self.partners, self.rows = self._pair_buckets(dist)
         # groups of equal buckets for the chosen pivots, numbered in order of first sample
         self.key_of = [0] * len(self.values)  # per value, P times its group
         self.groups = [[0, self.n]]  # per group: [first value, sample count]
         self.members = [list(range(len(self.values)))]  # per group: ascending values
 
-    def buckets(self, v: TokenSet) -> tuple:
-        """(ascending partners, array of their buckets for candidate v), computed once."""
-        hit = self.cache.get(v)
-        if hit is None:
-            if self.postings is None:
-                partners = range(len(self.values))
+    def _pair_buckets(self, dist: DistanceFn) -> tuple:
+        """(per value its ascending partners, or None under absdiff where every
+        value is one; per value an array of its partners' buckets), asking one
+        distance per unordered pair of values."""
+        values, P, last = self.values, self.P, self.P - 1
+        n = len(values)
+        rows = [array("B" if P <= 0x100 else "Q") for _ in values]
+        postings = token_postings(values) if dist.kind == DistanceFn.JACCARD else None
+        partners = None if postings is None else [[] for _ in values]
+        for u, a in enumerate(values):
+            if postings is None:
+                later = range(u, n)
             else:
-                partners = tuple(sorted(set().union(*(self.postings.get(t, ()) for t in v))))
-            values, P, dist, last = self.values, self.P, self.dist, self.P - 1
-            # _bucket, inlined
-            bs = array(
-                "B" if P <= 0x100 else "Q",
-                [min(int(dist(values[u], v) * P + _EDGE_TOL), last) for u in partners],
-            )
-            hit = self.cache[v] = (partners, bs)
-        return hit
+                later = sorted(w for w in set().union(*map(postings.__getitem__, a)) if w >= u)
+                partners[u].extend(later)
+                for w in later[1:]:
+                    partners[w].append(u)
+            # _bucket, inlined; later[0] is u itself
+            bs = [min(int(dist(a, values[w]) * P + _EDGE_TOL), last) for w in later]
+            rows[u].extend(bs)
+            for w, b in zip(later[1:], bs[1:]):
+                rows[w].append(b)
+        return partners, rows
+
+    def buckets(self, v: TokenSet) -> tuple:
+        """(ascending partners, array of their buckets) of candidate v."""
+        u = self.position[v]
+        partners = range(len(self.values)) if self.partners is None else self.partners[u]
+        return partners, self.rows[u]
 
     def entropy(self, v: TokenSet) -> float:
         """:func:`entropy` of candidate v."""

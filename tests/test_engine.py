@@ -86,6 +86,28 @@ class TestPrecompute:
             Engine(repo, make_config(), rules=rules, pivots=PivotSet(per_attr=pivots.per_attr[:1]))
         assert schema_checks == {"check_rules": 3, "check_pivots": 2}
 
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_selects_main_pivots_only(self, kind):
+        """Online code reads only the main pivots, so an engine given no pivot
+        file selects those alone, and writes the events of one handed the
+        auxiliary pivots too."""
+        repo, trace = make_workload(seed=31, d=4, length=30, repo_size=40, xi=0.5, m=2)
+        dist = DistanceFn(kind)
+        full = select_pivots(repo, dist=dist)
+        assert any(full.n_pivots(x) > 1 for x in range(repo.d))
+        rules = detect_cdds(repo, dist)
+        cfg = make_config(d=4, window=7)
+        for mode in MODES:
+            engine = Engine(repo, cfg, dist, mode, rules=rules)
+            pivots = engine.pre.pivots
+            assert pivots.per_attr == [[full.main(x)] for x in range(repo.d)]
+            assert all(pivots.n_pivots(x) == 1 for x in range(repo.d))
+            events = engine.run(list(trace)).to_jsonl()
+            handed = Engine(repo, cfg, dist, mode, rules=rules, pivots=full)
+            assert handed.pre.pivots is full
+            assert events == handed.run(list(trace)).to_jsonl(), mode
+            assert '"kind": "match"' in events, mode
+
     @pytest.mark.parametrize("mode", [MODE_ENGINE, MODE_NOINDEX, MODE_ORACLE])
     @pytest.mark.parametrize("where", ["main", "aux"])
     def test_empty_pivot_rejected(self, mode, where):
@@ -176,11 +198,11 @@ class TestModesAgree:
 
         monkeypatch.setattr(teride.engine, "impute_tuple", checked)
         engine.run(list(trace))
-        # some tuples are imputed from rules; under Jaccard, where an interval
-        # determinant restricts the samples, some candidate rules are not served
+        # some tuples are imputed from rules, and under both distances an
+        # interval determinant restricts the samples, so some candidate rules
+        # are not served
         assert seen["tuples"] and seen["ruled"], seen
-        if kind == DistanceFn.JACCARD:
-            assert seen["served"] < seen["candidates"], seen
+        assert seen["served"] < seen["candidates"], seen
 
     def test_results_only_pair_cross_stream(self):
         repo, trace = make_workload(seed=64, n_streams=3, length=15, repo_size=30)

@@ -410,6 +410,75 @@ def test_prefix_filters_keep_every_admitted_sample_and_value(case):
     assert indexed == impute_tuple(r, by_dep, repo, dist)
 
 
+# under absdiff a finite number is a number ("-0" included), and every other
+# value ("nan", "inf", "1e400", a multi-token set) compares by equality alone
+_ABSDIFF_VOCAB = ("0", "-0", "0.25", "0.5", "1", "nan", "inf", "1e400", "a")
+_absdiff_values = st.frozensets(st.sampled_from(_ABSDIFF_VOCAB), min_size=1, max_size=2)
+_absdiff_upper_ends = st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.75, 1.0 - 1e-9, 1.0])
+
+
+@st.composite
+def _absdiff_cases(draw):
+    rows = draw(st.lists(st.tuples(_absdiff_values, _absdiff_values), min_size=1, max_size=12))
+    repo = Repository([make_tuple(f"s{i}", -1, 0, *row, ts("a")) for i, row in enumerate(rows)])
+    r = make_tuple("q", 0, 1, draw(_absdiff_values), draw(_absdiff_values), None)
+    rules = []
+    for attrs in draw(st.lists(st.sampled_from([(0,), (1,), (0, 1)]), min_size=1, max_size=4)):
+        dets = []
+        for x in attrs:
+            hi = draw(_absdiff_upper_ends)
+            dets.append(_interval(x, draw(st.sampled_from([0.0, hi / 2, hi])), hi))
+        rules.append(CddRule(determinants=tuple(dets), dependent=2, dep_lo=0.0, dep_hi=1.0))
+    return repo, r, rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_absdiff_cases())
+def test_absdiff_retrieval_equals_the_determinant_scan(case):
+    """Under absdiff an interval that rejects 1.0 reads the value posting of a
+    value that is not a finite number, or the numbers' posting filtered by the
+    interval, so a rule with only such determinants is served exactly the
+    samples that satisfy it, in repository order."""
+    repo, r, rules = case
+    dist = DistanceFn(DistanceFn.ABSDIFF)
+    pivots = PivotSet(per_attr=[[repo.samples[0].attrs[x]] for x in range(3)])
+    idx = build_dr_index(repo, pivots, dist)
+    served = idx.samples_per_rule(rules, r, pivots, dist)
+    for rule in rules:
+        want = [s.rid for s in repo.samples if satisfies_determinants(rule, r, s, dist)]
+        got = [s.rid for s in served[rule]]
+        if all(not c.admits(1.0) for c in rule.determinants):
+            assert got == want
+        else:
+            assert set(want) <= set(got)
+
+
+def test_absdiff_retrieval_on_special_values():
+    """"0" and "-0" are one number; "nan", "inf" and "1e400" are only equal to
+    themselves; a multi-token set is only equal to itself."""
+    values = [("0",), ("-0",), ("0.5",), ("nan",), ("inf",), ("1e400",), ("0", "a"), ("nan",)]
+    repo = Repository(
+        [make_tuple(f"s{i}", -1, 0, ts(*v), ts("a"), ts("a")) for i, v in enumerate(values)]
+    )
+    dist = DistanceFn(DistanceFn.ABSDIFF)
+    pivots = PivotSet(per_attr=[[ts("0")] for _ in range(3)])
+    idx = build_dr_index(repo, pivots, dist)
+    assert idx.by_number[0] == {0, 1, 2}
+    for rv, hi, want in (
+        (("-0",), 0.0, ["s0", "s1"]),
+        (("0",), 0.5, ["s0", "s1", "s2"]),
+        (("nan",), 0.5, ["s3", "s7"]),
+        (("inf",), 0.0, ["s4"]),
+        (("1e400",), 0.9, ["s5"]),
+        (("0", "a"), 0.9, ["s6"]),
+        (("a",), 0.9, []),
+    ):
+        r = make_tuple("q", 0, 1, ts(*rv), ts("a"), None)
+        rule = CddRule(determinants=(_interval(0, 0.0, hi),), dependent=2, dep_lo=0.0, dep_hi=1.0)
+        assert [s.rid for s in _rule_samples(idx, rule, r, pivots, dist)] == want, rv
+        assert want == [s.rid for s in repo.samples if satisfies_determinants(rule, r, s, dist)]
+
+
 def test_indexed_imputation_equals_the_scan_on_acceptance_workloads():
     checked = 0
     for seed, n, d, window, xi, m in EQUIVALENCE_WORKLOADS:

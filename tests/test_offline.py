@@ -295,15 +295,19 @@ class _CountingDistance(DistanceFn):
         return super().__call__(a, b)
 
 
+def _counting_repo(kind):
+    if kind == DistanceFn.JACCARD:
+        return make_workload(seed=8, d=4, length=20, vocab=12, topics=2, repo_size=40)[0]
+    return _numeric_repo(5, n=30)
+
+
 class TestEachDistanceOnce:
-    """Auxiliary rounds read the buckets the main round computed."""
+    """Each unordered pair of values is asked once, and the auxiliary rounds
+    read the buckets that pass computed."""
 
     @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
     def test_each_value_candidate_pair_at_most_once_per_attribute(self, kind):
-        if kind == DistanceFn.JACCARD:
-            repo, _ = make_workload(seed=8, d=4, length=20, vocab=12, topics=2, repo_size=40)
-        else:
-            repo = _numeric_repo(5, n=30)
+        repo = _counting_repo(kind)
         dist = _CountingDistance(kind)
         # eMin out of reach, so every attribute runs its auxiliary rounds
         pivots = select_pivots(repo, dist=dist, eMin=10.0, cntMax=4)
@@ -316,6 +320,25 @@ class TestEachDistanceOnce:
         )
         assert dist.asked
         over = {pair: n for pair, n in dist.asked.items() if n > attrs_asking[pair]}
+        assert not over
+
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_each_unordered_pair_at_most_once_per_attribute(self, kind):
+        repo = _counting_repo(kind)
+        dist = _CountingDistance(kind)
+        pivots = select_pivots(repo, dist=dist, eMin=10.0, cntMax=4)
+        assert all(pivots.n_pivots(x) > 1 for x in range(repo.d))
+        # both distances are symmetric, so (a, b) and (b, a) are one question
+        attrs_holding = Counter(
+            frozenset(pair)
+            for x in range(repo.d)
+            for pair in itertools.combinations_with_replacement(repo.domain(x), 2)
+        )
+        asked = Counter()
+        for (a, b), n in dist.asked.items():
+            asked[frozenset((a, b))] += n
+        assert any(len(pair) == 2 for pair in asked)
+        over = {pair: n for pair, n in asked.items() if n > attrs_holding[pair]}
         assert not over
 
 
