@@ -2,14 +2,14 @@
 
 The DR-index holds, per attribute, the repository samples' main-pivot
 coordinates in ascending order, so a range of coordinates is two bisections,
-plus per-attribute token, value and number postings.  A determinant interval
-that rejects distance 1.0 is served from the postings.  Under Jaccard it reads
-the value posting of the tuple's value v alone when ``hi + 1e-6 < 1 / (|v| +
-1)`` (no other token set is that close to v; the 1e-6 slack covers the
-intervals' 1e-9 tolerance), else a prefix filter on v's tokens.  Under
-absdiff it reads the value posting of v when v is not a finite number (such
-a value is below distance 1.0 only from itself), else the posting of the
-samples that are finite numbers.  The CDD-index of a dependent
+plus per-attribute token and value postings.  A determinant interval that
+rejects distance 1.0 is served from the postings.  Under Jaccard it reads the
+value posting of the tuple's value v alone when ``hi + 1e-6 < 1 / (|v| + 1)``
+(no other token set is that close to v; the 1e-6 slack covers the intervals'
+1e-9 tolerance), else a prefix filter on v's tokens.  Under absdiff it reads
+the value posting of v when v is not a finite number (such a value is below
+distance 1.0 only from itself); a finite number restricts nothing and leaves
+the rule to the box.  The CDD-index of a dependent
 attribute is a hash join on constant determinants: its rules are bucketed by
 shape (determinant attributes, and which of them are constants) and constant
 values, so the rules a tuple could satisfy are one lookup per shape on the
@@ -78,8 +78,7 @@ def prefix_positions(postings: dict, v, hi: float) -> set:
 class DrIndex:
     """Per attribute, the repository samples' main-pivot coordinates in
     ascending order with their sample positions, plus per-attribute postings
-    (token -> sample positions, value -> sample positions, and the positions
-    of the values that are finite numbers) over the repository.
+    (token -> sample positions, value -> sample positions) over the repository.
 
     Imputation fetches its samples through the postings: :meth:`samples_per_rule`
     makes one retrieval per tuple for all of its candidate rules, and
@@ -87,17 +86,16 @@ class DrIndex:
     Under Jaccard both use the prefix filter of :func:`prefix_positions` on an
     interval that rejects 1.0, except that :meth:`samples_per_rule` reads
     only the value posting of a determinant interval that
-    :func:`equality_only` bounds (``hi + 1e-6 < 1 / (|v| + 1)``).
+    :func:`equality_only` bounds (``hi + 1e-6 < 1 / (|v| + 1)``).  Under
+    absdiff :meth:`samples_per_rule` reads the value posting of an interval
+    that rejects 1.0 on a value that is not a finite number.
     """
 
-    def __init__(
-        self, samples: list, by_coord: list, by_token: list, by_value: list, by_number: list
-    ):
+    def __init__(self, samples: list, by_coord: list, by_token: list, by_value: list):
         self.samples = samples  # repository order; postings hold positions into it
         self.by_coord = by_coord  # per attr: (ascending coordinates, their positions)
         self.by_token = by_token  # per attr: token -> frozenset of positions
         self.by_value = by_value  # per attr: token set -> frozenset of positions
-        self.by_number = by_number  # per attr: frozenset of the finite numbers' positions
 
     def samples_per_rule(
         self, rules, r: StreamTuple, pivots: PivotSet, dist: DistanceFn
@@ -111,10 +109,10 @@ class DrIndex:
         distance 1.0 within its upper end: under Jaccard when
         :func:`equality_only` holds for v and that end (``hi + 1e-6 < 1 /
         (|v| + 1)``), and under absdiff when v is not a finite number, as
-        such a value lies at 1.0 from every other value.  Otherwise it reads
-        the prefix postings of v under Jaccard (:func:`prefix_positions`), or
-        the finite numbers' positions under absdiff, and keeps a position
-        only if its distance is admitted.  Each distinct determinant is
+        such a value lies at 1.0 from every other value.  Otherwise, under
+        Jaccard, it reads the prefix postings of v (:func:`prefix_positions`)
+        and keeps a position only if its distance is admitted; under absdiff
+        a finite number v restricts nothing.  Each distinct determinant is
         worked out once per tuple and shared by every rule that has it.  A
         rule intersects the positions of these restricting determinants, up
         to the first empty intersection; a rule with none falls back to the
@@ -155,11 +153,13 @@ class DrIndex:
             return None
         if equality_only(rv, c.hi) if jaccard else as_number(rv) is None:
             return self.by_value[c.attr].get(rv, _EMPTY) if c.admits(0.0) else _EMPTY
-        if jaccard:
-            near = prefix_positions(self.by_token[c.attr], rv, c.hi)
-        else:
-            near = self.by_number[c.attr]
-        return {i for i in near if c.admits(measure(rv, self.samples[i].attrs[c.attr]))}
+        if not jaccard:
+            return None
+        return {
+            i
+            for i in prefix_positions(self.by_token[c.attr], rv, c.hi)
+            if c.admits(measure(rv, self.samples[i].attrs[c.attr]))
+        }
 
     def near_values(self, attr: int, v, hi: float) -> set:
         """The repository's attribute-``attr`` values that can lie within Jaccard
@@ -183,7 +183,7 @@ class DrIndex:
 
 def build_dr_index(repo: Repository, pivots: PivotSet, dist: DistanceFn) -> DrIndex:
     f = dist.bind()
-    by_coord, by_token, by_value, by_number = [], [], [], []
+    by_coord, by_token, by_value = [], [], []
     for x in range(repo.d):
         values = [s.attrs[x] for s in repo.samples]
         main = pivots.main(x)
@@ -195,11 +195,7 @@ def build_dr_index(repo: Repository, pivots: PivotSet, dist: DistanceFn) -> DrIn
         for i, v in enumerate(values):
             postings.setdefault(v, []).append(i)
         by_value.append({v: frozenset(ids) for v, ids in postings.items()})
-        by_number.append(frozenset(i for i, v in enumerate(values) if as_number(v) is not None))
-    return DrIndex(
-        samples=repo.samples, by_coord=by_coord, by_token=by_token, by_value=by_value,
-        by_number=by_number,
-    )
+    return DrIndex(samples=repo.samples, by_coord=by_coord, by_token=by_token, by_value=by_value)
 
 
 # ---------------------------------------------------------------------------
