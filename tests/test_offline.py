@@ -147,6 +147,25 @@ def _numeric_repo(seed, n=14, d=3):
     return Repository(rows)
 
 
+# under absdiff a finite number ("-0" too) lies at its numeric distance from
+# every other number, and any other value ("nan", "inf", "1e400", a word, a
+# multi-token set) at 1.0 from every value but itself
+_MIXED_VALUES = (
+    ("0.1",), ("0.35",), ("0.7",), ("1",), ("-0",), ("nan",), ("inf",), ("1e400",),
+    ("a",), ("a", "b"), ("b", "0.1"),
+)
+
+
+def _mixed_repo(seed, n=14, d=3):
+    """Numbers beside words, multi-token values and values that are not finite numbers."""
+    rng = random.Random(seed)
+    rows = [
+        make_tuple(f"m{i}", -1, 0, *(ts(*rng.choice(_MIXED_VALUES)) for _ in range(d)))
+        for i in range(n)
+    ]
+    return Repository(rows)
+
+
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -164,6 +183,43 @@ PINNED = [
 ]
 
 
+def _ci_numeric_repo():
+    """The repository of the CI "absdiff, pivot bound" smoke: attribute 0 keeps
+    its tokens, and every other attribute becomes one number."""
+    rows, _ = gen_synthetic(d=3, n_streams=2, length=60, vocab_size=40, topic_count=3, seed=7)
+    return Repository([
+        make_tuple(r.rid, r.stream_id, r.arrival_time, *(
+            v if j == 0 else ts(f"{sum(int(t[1:]) for t in v) % 50 / 50:.2f}")
+            for j, v in enumerate(r.attrs)
+        ))
+        for r in rows
+    ])
+
+
+def _tight_rho_repo():
+    rows, _ = gen_synthetic(
+        d=4, n_streams=2, length=1000, vocab_size=120, topic_count=16, seed=3, repo_size=150
+    )
+    return Repository(rows)
+
+
+# absdiff rules and pivots text, recorded before similarity-key postings
+# replaced the all-pairs scans under absdiff
+ABSDIFF_PINNED = [
+    # repository, rules sha256, pivots sha256
+    (
+        _ci_numeric_repo,
+        "ef4c5aebe416f2abd05237a456a685fef73501fa349b9d998f045def5fc61c53",
+        "bd17d4771828909a45775dd446239a496d8fe861f705dcf88bb000f1e36edaba",
+    ),
+    (
+        _tight_rho_repo,
+        "a00556084186d19af4835dee522694d95f7784ed1f270203380bdf03d3ed0c92",
+        "f690b75c8d4f48730be4ec7798418c4f5461369966c2381c64adfb128a4706c8",
+    ),
+]
+
+
 class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "streams,length,rows,seed,rules_sha,pivots_sha",
@@ -177,6 +233,15 @@ class TestPinnedOutputs:
         )
         repo = Repository(repo_rows)
         dist = DistanceFn()
+        assert _sha(rules_to_text(detect_cdds(repo, dist))) == rules_sha
+        assert _sha(pivots_to_text(select_pivots(repo, dist=dist))) == pivots_sha
+
+    @pytest.mark.parametrize(
+        "make_repo,rules_sha,pivots_sha", ABSDIFF_PINNED, ids=["ci-numeric", "tight_rho-3"]
+    )
+    def test_absdiff_rules_and_pivots_digests(self, make_repo, rules_sha, pivots_sha):
+        repo = make_repo()
+        dist = DistanceFn(DistanceFn.ABSDIFF)
         assert _sha(rules_to_text(detect_cdds(repo, dist))) == rules_sha
         assert _sha(pivots_to_text(select_pivots(repo, dist=dist))) == pivots_sha
 
@@ -242,13 +307,13 @@ class TestMatchesBruteForce:
 
     @pytest.mark.parametrize("kwargs", DETECT_ARGS, ids=range(len(DETECT_ARGS)))
     def test_absdiff_rules(self, numeric_repo, kwargs):
-        for repo in (numeric_repo, _numeric_repo(1), _numeric_repo(2)):
+        for repo in (numeric_repo, _numeric_repo(1), _numeric_repo(2), _mixed_repo(1), _mixed_repo(2)):
             got = _rules_text(repo, DistanceFn(DistanceFn.ABSDIFF), **kwargs)
             assert got == _reference_rules_text(repo, DistanceFn(DistanceFn.ABSDIFF), **kwargs)
 
     @pytest.mark.parametrize("kwargs", PIVOT_ARGS, ids=range(len(PIVOT_ARGS)))
     def test_absdiff_pivots(self, numeric_repo, kwargs):
-        for repo in (numeric_repo, _numeric_repo(1), _numeric_repo(2)):
+        for repo in (numeric_repo, _numeric_repo(1), _numeric_repo(2), _mixed_repo(1), _mixed_repo(2)):
             got = select_pivots(repo, dist=DistanceFn(DistanceFn.ABSDIFF), **kwargs)
             want = reference_select_pivots(repo, dist=DistanceFn(DistanceFn.ABSDIFF), **kwargs)
             assert pivots_to_text(got) == pivots_to_text(want)
@@ -267,6 +332,7 @@ class TestScoresEqualReference:
     def test_absdiff_scores_are_bit_identical(self, P):
         # 40 samples over 11 values: equal samples share every group
         self._check_scores(_numeric_repo(77, n=40), P, DistanceFn(DistanceFn.ABSDIFF))
+        self._check_scores(_mixed_repo(77, n=40), P, DistanceFn(DistanceFn.ABSDIFF))
 
     @staticmethod
     def _check_scores(repo, P, dist):
