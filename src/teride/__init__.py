@@ -6,7 +6,7 @@ from .errors import TerideError
 from .grid import ErGrid, TupleSummary, summarize
 from .impute import ImputedTuple, impute_tuple
 from .index import build_cdd_index, build_dr_index
-from .metric import DistanceFn, jaccard_dist, jaccard_sim, tuple_sim
+from .metric import DistanceFn, jaccard_dist, jaccard_sim
 from .model import (
     QueryConfig,
     Repository,
@@ -52,6 +52,5 @@ __all__ = [
     "select_pivots",
     "summarize",
     "tokenize",
-    "tuple_sim",
     "write_tuples",
 ]

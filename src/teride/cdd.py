@@ -6,7 +6,8 @@ from a complete repository over its sample pairs: determinant distances are
 quantized into buckets of width 0.1, constants come from frequent values, and
 the dependent interval is the tightest interval covering every conforming
 pair, so every emitted rule holds on 100% of repository pairs by construction.
-Pairs are counted by distinct profile, in one pass per determinant set.
+Pairs are counted by distinct profile, in one pass per determinant set, and
+only those sharing a similarity key on some attribute are enumerated.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigError, DeterminantMissing, NoRulesFound
 from .metric import DistanceFn
-from .model import Repository, StreamTuple, TokenSet, parse_token_set, token_key, token_postings
+from .model import Repository, StreamTuple, TokenSet, parse_token_set, token_key
 
 CONST = "const"
 INTERVAL = "interval"
@@ -226,43 +227,40 @@ def _pair_profiles(columns: list, frequent: list, dist: DistanceFn) -> dict:
 
     A pair's options row holds, per attribute, what a determinant on it may
     take: its distance buckets, then the shared value when it is a frequent
-    constant.  Under Jaccard, token sets that share no token are at distance
-    exactly 1.0, so only the pairs sharing a token on some attribute are
-    enumerated, through per-attribute token postings, and a token-disjoint
+    constant.  Values that share no similarity key (``DistanceFn.keys``) are
+    at distance exactly 1.0, so only the pairs sharing a key on some attribute
+    are enumerated, through per-attribute key postings, and a key-disjoint
     attribute of such a pair takes 1.0 without a call to ``dist``.  Every other
     pair is disjoint on all attributes and joins one all-1.0 profile: no
-    self-pair is disjoint, and a constant needs equal values.  Under absdiff,
-    disjoint numeric values can be close, so every pair is a partner.
+    self-pair is disjoint, and a constant needs equal values.
     """
     n = len(columns[0])
-    jaccard = dist.kind == DistanceFn.JACCARD
-    postings = [token_postings(col) for col in columns] if jaccard else None
-    bucket_opts: dict = {}  # distance -> bucket options, shared across pairs
-
-    def buckets(distance: float) -> tuple:
-        opts = bucket_opts.get(distance)
-        if opts is None:
-            opts = bucket_opts[distance] = tuple(("int", b) for b in _bucket_options(distance))
-        return opts
-
+    postings = [dist.postings(col) for col in columns]
+    cells = [[(v, dist.keys(v)) for v in col] for col in columns]  # per sample (value, keys)
+    far = tuple(("int", q) for q in _bucket_options(1.0))
+    bucket_opts: dict = {1.0: far}  # distance -> bucket options, shared across pairs
     profiles: dict = {}
     for i in range(n):
-        if jaccard:
-            partners: set = set()
-            for col, post in zip(columns, postings):
-                for t in col[i]:
-                    ks = post[t]
-                    partners.update(ks[bisect_left(ks, i):])
-        else:
-            partners = range(i, n)
+        partners: set = set()
+        for col, post in zip(cells, postings):
+            for key in col[i][1]:
+                ks = post[key]
+                partners.update(ks[bisect_left(ks, i):])
+        row = [col[i] for col in cells]
         for k in partners:
             opts_row = []
             dist_row = []
-            for x, col in enumerate(columns):
-                a, b = col[i], col[k]
-                dx = 1.0 if jaccard and a.isdisjoint(b) else dist(a, b)
-                opts = buckets(dx)
-                if a == b and a in frequent[x]:
+            for (a, keys), col, freq in zip(row, cells, frequent):
+                b, keys_b = col[k]
+                if keys.isdisjoint(keys_b):
+                    opts_row.append(far)
+                    dist_row.append(1.0)
+                    continue
+                dx = dist(a, b)
+                opts = bucket_opts.get(dx)
+                if opts is None:
+                    opts = bucket_opts[dx] = tuple(("int", q) for q in _bucket_options(dx))
+                if a == b and a in freq:
                     opts = opts + (("const", a),)
                 opts_row.append(opts)
                 dist_row.append(dx)
@@ -271,7 +269,7 @@ def _pair_profiles(columns: list, frequent: list, dist: DistanceFn) -> dict:
     disjoint = n * (n + 1) // 2 - sum(profiles.values())
     if disjoint:
         d = len(columns)
-        key = ((buckets(1.0),) * d, (1.0,) * d)
+        key = ((far,) * d, (1.0,) * d)
         profiles[key] = profiles.get(key, 0) + disjoint
     return profiles
 

@@ -13,11 +13,11 @@ finds the rules whose determinants the tuple holds and whose constants it
 equals (one hash lookup per rule shape that holds a constant; a shape with
 none has its one bucket resolved when the index is built), asks the
 DR-index for each rule's samples, and hands on only the rules it served a
-sample, with those samples; under Jaccard, when the dependent interval
-rejects distance 1.0, each sample then checks only the domain values that
-its value's prefix postings reach (``DrIndex.near_values``).  A rule served
-no sample counts nothing, the rest are supersets of what the scan accepts,
-and every value is still checked, so the result is the same.
+sample, with those samples; when the dependent interval rejects distance
+1.0, each sample then checks only the domain values that the prefix
+postings of its value's similarity keys reach (``DrIndex.near_values``).
+A rule served no sample counts nothing, the rest are supersets of what the
+scan accepts, and every value is still checked, so the result is the same.
 
 When the loop counts no value it returns [], and the attribute falls back
 to a uniform distribution over the repository's most frequent values.  That
@@ -74,7 +74,7 @@ def impute_multi_rule(
             continue
         j = rule.dependent
         domain = repo.domain(j)
-        near = dr_index is not None and dist.kind == DistanceFn.JACCARD and not rule.dep_admits(1.0)
+        near = dr_index is not None and not rule.dep_admits(1.0)
         for s in samples:
             if not satisfies_determinants(rule, r, s, dist):
                 continue

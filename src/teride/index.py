@@ -2,14 +2,11 @@
 
 The DR-index holds, per attribute, the repository samples' main-pivot
 coordinates in ascending order, so a range of coordinates is two bisections,
-plus per-attribute token and value postings.  A determinant interval that
-rejects distance 1.0 is served from the postings.  Under Jaccard it reads the
-value posting of the tuple's value v alone when ``hi + 1e-6 < 1 / (|v| + 1)``
-(no other token set is that close to v; the 1e-6 slack covers the intervals'
-1e-9 tolerance), else a prefix filter on v's tokens.  Under absdiff it reads
-the value posting of v when v is not a finite number (such a value is below
-distance 1.0 only from itself); a finite number restricts nothing and leaves
-the rule to the box.  The CDD-index of a dependent
+plus per-attribute postings over similarity keys (``DistanceFn.keys``) and
+values.  An interval that rejects distance 1.0 reaches only the values that
+share a key with the tuple's value, so imputation reads its samples and
+dependent values from the postings (see :class:`DrIndex`); a determinant
+that restricts nothing leaves the rule to the box.  The CDD-index of a dependent
 attribute is a hash join on constant determinants: its rules are bucketed by
 shape (determinant attributes, and which of them are constants) and constant
 values, so the rules a tuple could satisfy are one lookup per shape on the
@@ -29,7 +26,7 @@ from typing import Sequence
 from .cdd import CONST, CddRule
 from .errors import ConfigError
 from .metric import DistanceFn, as_number
-from .model import Repository, StreamTuple, token_postings
+from .model import Repository, StreamTuple
 from .pivot import PivotSet
 
 # ---------------------------------------------------------------------------
@@ -56,10 +53,11 @@ def equality_only(v, hi: float) -> bool:
 
 
 def prefix_positions(postings: dict, v, hi: float) -> set:
-    """Positions, from ``postings`` (token -> positions), of every value at a
-    Jaccard distance below 1.0 and at most ``hi`` (plus 1e-9) from the token set v.
-
-    Such a value s has ``|v & s| / |v| >= sim(v, s) >= 1 - hi - 1e-9``, so it
+    """Positions, from ``postings`` (key -> positions), of every value at a
+    distance below 1.0 and at most ``hi`` (plus 1e-9) from a value whose
+    similarity keys (``DistanceFn.keys``) are v.  Under absdiff v is one key,
+    so the prefix is that key.  Under Jaccard v is the token set, and a value
+    s within ``hi`` has ``|v & s| / |v| >= sim(v, s) >= 1 - hi - 1e-9``, so it
     shares at least ``need = max(1, ceil((1 - hi - 1e-6) * |v|))`` of v's
     tokens (at least one, as it is not at distance 1.0), and so holds one of
     any ``|v| - need + 1`` of them.  The union of the postings of v's rarest
@@ -78,24 +76,24 @@ def prefix_positions(postings: dict, v, hi: float) -> set:
 class DrIndex:
     """Per attribute, the repository samples' main-pivot coordinates in
     ascending order with their sample positions, plus per-attribute postings
-    (token -> sample positions, value -> sample positions) over the repository.
+    (similarity key -> sample positions, value -> sample positions).
 
     Imputation fetches its samples through the postings: :meth:`samples_per_rule`
     makes one retrieval per tuple for all of its candidate rules, and
-    :meth:`near_values` gives the dependent values a sample's value can reach.
-    Under Jaccard both use the prefix filter of :func:`prefix_positions` on an
-    interval that rejects 1.0, except that :meth:`samples_per_rule` reads
-    only the value posting of a determinant interval that
-    :func:`equality_only` bounds (``hi + 1e-6 < 1 / (|v| + 1)``).  Under
-    absdiff :meth:`samples_per_rule` reads the value posting of an interval
-    that rejects 1.0 on a value that is not a finite number.
+    :meth:`near_values` gives the dependent values a sample's value can reach,
+    under both distances, by the prefix filter of :func:`prefix_positions` on
+    an interval that rejects 1.0.  Under Jaccard :meth:`samples_per_rule` uses
+    it too, but reads only the value posting of a determinant interval that
+    :func:`equality_only` bounds; under absdiff it reads the value posting of
+    an interval that rejects 1.0 on a value that is not a finite number.
     """
 
-    def __init__(self, samples: list, by_coord: list, by_token: list, by_value: list):
+    def __init__(self, samples: list, by_coord: list, by_key: list, by_value: list, keys):
         self.samples = samples  # repository order; postings hold positions into it
         self.by_coord = by_coord  # per attr: (ascending coordinates, their positions)
-        self.by_token = by_token  # per attr: token -> frozenset of positions
+        self.by_key = by_key  # per attr: similarity key -> frozenset of positions
         self.by_value = by_value  # per attr: token set -> frozenset of positions
+        self.keys = keys  # the distance's ``DistanceFn.keys``
 
     def samples_per_rule(
         self, rules, r: StreamTuple, pivots: PivotSet, dist: DistanceFn
@@ -157,15 +155,16 @@ class DrIndex:
             return None
         return {
             i
-            for i in prefix_positions(self.by_token[c.attr], rv, c.hi)
+            for i in prefix_positions(self.by_key[c.attr], rv, c.hi)
             if c.admits(measure(rv, self.samples[i].attrs[c.attr]))
         }
 
     def near_values(self, attr: int, v, hi: float) -> set:
-        """The repository's attribute-``attr`` values that can lie within Jaccard
-        distance ``hi`` (below 1.0) of v, reached through v's prefix postings
-        (:func:`prefix_positions`)."""
-        return {self.samples[i].attrs[attr] for i in prefix_positions(self.by_token[attr], v, hi)}
+        """The repository's attribute-``attr`` values that can lie within
+        distance ``hi`` (below 1.0) of v, reached through the prefix postings
+        of v's similarity keys (:func:`prefix_positions`)."""
+        positions = prefix_positions(self.by_key[attr], self.keys(v), hi)
+        return {self.samples[i].attrs[attr] for i in positions}
 
     def range_samples(self, box: dict) -> list:
         """Samples, in repository order, whose main-pivot coordinate on each
@@ -183,19 +182,19 @@ class DrIndex:
 
 def build_dr_index(repo: Repository, pivots: PivotSet, dist: DistanceFn) -> DrIndex:
     f = dist.bind()
-    by_coord, by_token, by_value = [], [], []
+    by_coord, by_key, by_value = [], [], []
     for x in range(repo.d):
         values = [s.attrs[x] for s in repo.samples]
         main = pivots.main(x)
         coords = [f(v, main) for v in values]
         positions = sorted(range(len(values)), key=coords.__getitem__)
         by_coord.append(([coords[i] for i in positions], positions))
-        by_token.append({t: frozenset(ids) for t, ids in token_postings(values).items()})
+        by_key.append({k: frozenset(ids) for k, ids in dist.postings(values).items()})
         postings: dict = {}
         for i, v in enumerate(values):
             postings.setdefault(v, []).append(i)
         by_value.append({v: frozenset(ids) for v, ids in postings.items()})
-    return DrIndex(samples=repo.samples, by_coord=by_coord, by_token=by_token, by_value=by_value)
+    return DrIndex(repo.samples, by_coord, by_key, by_value, dist.keys)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Distances over token sets: Jaccard, the pluggable ``DistanceFn``, and the
-d-attribute similarity of two complete tuples.
+"""Distances over token sets: Jaccard and the pluggable ``DistanceFn``.
 
-The similarity upper bounds built on them live in ``prune``.
+Values that share no similarity key (:meth:`DistanceFn.keys`) lie at
+distance exactly 1.0, so rule mining, pivot selection, the DR-index and the
+grid ask only pairs found through key postings.  The similarity upper bounds
+built on the distances live in ``prune``.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import EmptyValue
-from .model import StreamTuple, TokenSet
+from .model import TokenSet
 
 
 def jaccard_sim(a: TokenSet, b: TokenSet) -> float:
@@ -46,6 +48,7 @@ class DistanceFn:
 
     JACCARD = "jaccard"
     ABSDIFF = "absdiff"
+    _NUMBER_KEYS = frozenset((frozenset(),))  # every finite number's keys under absdiff
 
     def __init__(self, kind: str = JACCARD):
         if kind not in (self.JACCARD, self.ABSDIFF):
@@ -69,26 +72,28 @@ class DistanceFn:
     def sim(self, a: TokenSet, b: TokenSet) -> float:
         return 1.0 - self(a, b)
 
+    def keys(self, v: TokenSet) -> frozenset:
+        """The similarity keys of v; values that share none lie at distance exactly 1.0.
+        Under Jaccard they are v's tokens; under absdiff v is its own key, but
+        every finite number's is ``frozenset()``."""
+        if self.kind == self.JACCARD:
+            return v
+        return self._NUMBER_KEYS if as_number(v) is not None else frozenset((v,))
+
+    def postings(self, values) -> dict:
+        """Key -> ascending positions of the values that hold it (:meth:`keys`)."""
+        postings: dict = {}
+        for i, v in enumerate(values):
+            for key in self.keys(v):
+                postings.setdefault(key, []).append(i)
+        return postings
+
     def key_unions(self, imputed) -> list:
-        """Per attribute, the union of an ``ImputedTuple``'s option keys; values with disjoint
-        keys have similarity 0.  Under Jaccard the keys are tokens (``imputed.token_unions()``);
-        under absdiff a value is its own key, but every finite number has ``frozenset()``."""
+        """Per attribute, the union of an ``ImputedTuple``'s option keys (:meth:`keys`);
+        under Jaccard these are its token unions (``imputed.token_unions()``)."""
         if self.kind == self.JACCARD:
             return imputed.token_unions()
-        return [
-            frozenset(frozenset() if as_number(v) is not None else v for v, _ in opts)
-            for opts in imputed.options
-        ]
+        return [frozenset().union(*(self.keys(v) for v, _ in opts)) for opts in imputed.options]
 
     def __repr__(self):
         return f"DistanceFn({self.kind!r})"
-
-
-def tuple_sim(r: StreamTuple, r2: StreamTuple, dist: DistanceFn | None = None) -> float:
-    """Sum of per-attribute similarities between two complete tuples."""
-    r.require_complete()
-    r2.require_complete()
-    if dist is None:
-        return sum(jaccard_sim(a, b) for a, b in zip(r.attrs, r2.attrs))
-    return sum(dist.sim(a, b) for a, b in zip(r.attrs, r2.attrs))
-

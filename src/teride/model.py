@@ -20,6 +20,7 @@ TokenSet = frozenset  # frozenset[str]
 MISSING_CELL = "__MISSING__"
 
 _SPLIT_RE = re.compile(r"[^0-9a-z]+")
+_TOKEN_RE = re.compile(r"[0-9a-z]+")  # a token as tokenize makes it
 
 
 def tokenize(raw: str) -> TokenSet:
@@ -51,15 +52,6 @@ def parse_token_set(text: str) -> TokenSet:
     if not all(tokens):
         raise ValueError(f"empty token in {text!r}")
     return frozenset(tokens)
-
-
-def token_postings(values: Sequence[TokenSet]) -> dict:
-    """Token -> ascending positions of the values that hold it."""
-    postings: dict = {}
-    for i, v in enumerate(values):
-        for t in v:
-            postings.setdefault(t, []).append(i)
-    return postings
 
 
 @dataclass(frozen=True)
@@ -225,12 +217,21 @@ def read_csv(path) -> tuple:
 
 
 def write_tuples(path, tuples: Iterable[StreamTuple], d: int) -> None:
+    """Write a stream CSV that ``read_tuples`` reads back as ``tuples``.  A value that
+    would read back as another set (``{"0.25"}``, ``{"Big"}``, ``{"a b"}``) raises
+    ConfigError naming its rid and attribute, and nothing is written."""
+    rows = []
+    for r in tuples:
+        # tokenize(" ".join(v)) == v exactly when each token of v is one _TOKEN_RE run
+        for j, v in enumerate(r.attrs):
+            if v is not None and not all(map(_TOKEN_RE.fullmatch, v)):
+                raise ConfigError(f"tuple {r.rid}: attr_{j + 1} value {sorted(v)} does not read back")
+        cells = [MISSING_CELL if v is None else " ".join(sorted(v)) for v in r.attrs]
+        rows.append([r.rid, r.stream_id, r.arrival_time] + cells)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(csv_header(d))
-        for r in tuples:
-            cells = [MISSING_CELL if v is None else " ".join(sorted(v)) for v in r.attrs]
-            writer.writerow([r.rid, r.stream_id, r.arrival_time] + cells)
+        writer.writerows(rows)
 
 
 def read_repository(path) -> Repository:

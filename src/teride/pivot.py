@@ -11,12 +11,12 @@ Online code reads only the main pivot, so the engine selects with
 The candidates of an attribute are its distinct sample values, and both
 distances are symmetric float for float, so every candidate's buckets are
 computed in one pass over unordered pairs of those values: one distance per
-pair, filed under both values.  Under Jaccard only the pairs that share a
-token are asked; every other pair is at distance 1.0.  An auxiliary round
-reads the same buckets and splits only the groups of samples (equal buckets
-for the chosen pivots) that hold one of the candidate's partners, the values
-it has a distance for; every other group counts with its recorded first
-sample and size.
+pair, filed under both values.  Only the pairs that share a similarity key
+(``DistanceFn.keys``) are asked; every other pair is at distance 1.0.  An
+auxiliary round reads the same buckets and splits only the groups of
+samples (equal buckets for the chosen pivots) that hold one of the
+candidate's partners, the values it has a distance for; every other group
+counts with its recorded first sample and size.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import add
 
 from .errors import ConfigError, EmptyDomain
 from .metric import DistanceFn
-from .model import Repository, TokenSet, parse_token_set, token_key, token_postings
+from .model import Repository, TokenSet, parse_token_set, token_key
 
 DEFAULT_P = 10
 DEFAULT_EMIN = 1.5
@@ -109,8 +109,8 @@ def select_pivots(
 
     Scores equal :func:`entropy` for the main pivot and :func:`joint_entropy`
     for the auxiliary ones, float for float.  Each unordered pair of distinct
-    sample values is asked at most one distance per attribute, and under
-    Jaccard only a pair that shares a token (see :class:`_AttrSamples`).
+    sample values is asked at most one distance per attribute, and only a
+    pair that shares a similarity key (see :class:`_AttrSamples`).
     ``cntMax=1`` selects main pivots only, and runs no auxiliary round.
     """
     if dist is None:
@@ -148,11 +148,10 @@ class _AttrSamples:
     Samples holding the same value share every bucket, so work is done per
     distinct value, weighted by its sample count; distinct values are
     numbered in order of their first sample, and every candidate is one of
-    them.  Under Jaccard a value that shares no token with a candidate is at
-    distance exactly 1.0, in bucket P-1, so a candidate's partners, the
-    values it has a bucket for, are the values in the union of its tokens'
-    postings.  Under absdiff disjoint numeric values can be close, so every
-    value is a partner.
+    them.  A value that shares no similarity key (``DistanceFn.keys``) with a
+    candidate is at distance exactly 1.0, in bucket P-1, so a candidate's
+    partners, the values it has a bucket for, are the values in its keys'
+    postings: under absdiff every finite number, or the candidate alone.
 
     Every candidate's buckets are built in one pass over the unordered pairs
     ``u <= w`` of partners: each distance is asked once and its bucket is
@@ -178,22 +177,18 @@ class _AttrSamples:
         self.members = [list(range(len(self.values)))]  # per group: ascending values
 
     def _pair_buckets(self, dist: DistanceFn) -> tuple:
-        """(per value its ascending partners, or None under absdiff where every
-        value is one; per value an array of its partners' buckets), asking one
-        distance per unordered pair of values."""
+        """(per value its ascending partners; per value an array of its
+        partners' buckets), asking one distance per unordered pair of values
+        that share a similarity key."""
         values, P, last = self.values, self.P, self.P - 1
-        n = len(values)
         rows = [array("B" if P <= 0x100 else "Q") for _ in values]
-        postings = token_postings(values) if dist.kind == DistanceFn.JACCARD else None
-        partners = None if postings is None else [[] for _ in values]
+        postings = dist.postings(values)
+        partners = [[] for _ in values]
         for u, a in enumerate(values):
-            if postings is None:
-                later = range(u, n)
-            else:
-                later = sorted(w for w in set().union(*map(postings.__getitem__, a)) if w >= u)
-                partners[u].extend(later)
-                for w in later[1:]:
-                    partners[w].append(u)
+            later = sorted(w for w in set().union(*map(postings.__getitem__, dist.keys(a))) if w >= u)
+            partners[u].extend(later)
+            for w in later[1:]:
+                partners[w].append(u)
             # _bucket, inlined; later[0] is u itself
             bs = [min(int(dist(a, values[w]) * P + _EDGE_TOL), last) for w in later]
             rows[u].extend(bs)
@@ -204,8 +199,7 @@ class _AttrSamples:
     def buckets(self, v: TokenSet) -> tuple:
         """(ascending partners, array of their buckets) of candidate v."""
         u = self.position[v]
-        partners = range(len(self.values)) if self.partners is None else self.partners[u]
-        return partners, self.rows[u]
+        return self.partners[u], self.rows[u]
 
     def entropy(self, v: TokenSet) -> float:
         """:func:`entropy` of candidate v."""

@@ -314,21 +314,21 @@ class TestWindowSemantics:
 def _check_dr_invariants(index, repo, pivots, dist):
     """Each attribute's coordinates ascend and are, bit for bit, the main-pivot
     distances of the samples at their positions, which list each sample once;
-    the postings hold each sample's tokens and values, each position once."""
+    the postings hold each sample's similarity keys and values, each position once."""
     assert list(map(id, index.samples)) == list(map(id, repo.samples))
-    assert len(index.by_coord) == len(index.by_token) == len(index.by_value) == repo.d
+    assert len(index.by_coord) == len(index.by_key) == len(index.by_value) == repo.d
     n = len(repo.samples)
     for x, (coords, positions) in enumerate(index.by_coord):
         assert sorted(positions) == list(range(n))
         assert all(a <= b for a, b in zip(coords, coords[1:]))
         main = pivots.main(x)
         assert [c.hex() for c in coords] == [dist(repo.samples[i].attrs[x], main).hex() for i in positions]
-        tokens, values = {}, {}
+        keys, values = {}, {}
         for i, s in enumerate(repo.samples):
-            for t in s.attrs[x]:
-                tokens.setdefault(t, []).append(i)
+            for key in dist.keys(s.attrs[x]):
+                keys.setdefault(key, []).append(i)
             values.setdefault(s.attrs[x], []).append(i)
-        assert {t: sorted(ids) for t, ids in index.by_token[x].items()} == tokens
+        assert {key: sorted(ids) for key, ids in index.by_key[x].items()} == keys
         assert {v: sorted(ids) for v, ids in index.by_value[x].items()} == values
     return n
 

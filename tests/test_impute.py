@@ -122,19 +122,22 @@ def check_indexed_pooling(repo, tuples, rules, pivots, dist) -> tuple:
     bit for bit; return how many (tuple, attribute) pools counted something
     and how many of those read ``near_values``."""
     idx = build_dr_index(repo, pivots, dist)
+    reads = []  # the arguments of each near_values call
+    near_values = idx.near_values
+    idx.near_values = lambda *args: reads.append(args) or near_values(*args)
     counted = near = 0
     for r in tuples:
         for j in r.missing:
             applicable = [rule for rule in rules if rule.dependent == j and rule.applicable_to(r)]
             served = idx.samples_per_rule(applicable, r, pivots, dist)
             want = brute_force_pool(r, applicable, repo, dist)
+            before = len(reads)
             # == on the (value, prob) lists compares the floats bit for bit
             assert impute_multi_rule(r, applicable, repo, dist, served, idx) == want, r.rid
             if not want:
                 continue
             counted += 1
-            jaccard = dist.kind == DistanceFn.JACCARD
-            near += jaccard and any(not rule.dep_admits(1.0) for rule in applicable)
+            near += len(reads) > before
     return counted, near
 
 
@@ -144,8 +147,8 @@ def test_indexed_pooling_equals_a_brute_force_count_under_absdiff(numeric_repo, 
         make_tuple(f"r{i}", 0, 1, ts(a), ts(b), None)
         for i, (a, b) in enumerate([("a1", "0.3"), ("a1", "0.2"), ("a1", "0.5"), ("a2", "0.7"), ("a2", "0.0")])
     ]
-    counted, _ = check_indexed_pooling(numeric_repo, tuples, [cdd1(), cdd2()], pivots, absdiff)
-    assert counted >= 3
+    counted, near = check_indexed_pooling(numeric_repo, tuples, [cdd1(), cdd2()], pivots, absdiff)
+    assert counted >= 3 and near > 0
 
 
 def test_indexed_pooling_equals_a_brute_force_count_under_jaccard():

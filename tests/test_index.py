@@ -400,7 +400,7 @@ def test_prefix_filters_keep_every_admitted_sample_and_value(case):
             assert [s.rid for s in served[rule]] == [
                 s.rid for s in repo.samples if satisfies_determinants(rule, r, s, dist)
             ]
-        if dist.kind == DistanceFn.JACCARD and not rule.dep_admits(1.0):
+        if not rule.dep_admits(1.0):
             domain = repo.domain(2)
             for sv in domain:
                 admitted = {v for v in domain if rule.dep_admits(dist(sv, v))}

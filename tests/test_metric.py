@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teride.errors import EmptyValue
-from teride.metric import DistanceFn, jaccard_dist, jaccard_sim, tuple_sim
+from teride.metric import DistanceFn, jaccard_dist, jaccard_sim
 from teride.model import Repository
 from teride.pivot import select_pivots
 
@@ -12,6 +12,8 @@ from .conftest import make_tuple, ts
 tokens = st.frozensets(st.sampled_from("abcdefgh"), min_size=1, max_size=6)
 # token sets plus numeric singletons, which absdiff treats as numbers
 values = tokens | st.floats(0, 2, allow_nan=False).map(lambda x: frozenset({str(x)}))
+# and the values at the edges of what absdiff reads as a finite number
+odd_values = values | st.sampled_from(["nan", "inf", "1e400", "-0"]).map(lambda x: frozenset({x}))
 
 
 class TestJaccard:
@@ -68,6 +70,22 @@ class TestDistanceFn:
         dist = DistanceFn(kind)
         assert dist(a, b) == dist(b, a)
 
+    @given(st.sampled_from([DistanceFn.JACCARD, DistanceFn.ABSDIFF]), odd_values, odd_values)
+    def test_key_disjoint_values_lie_at_distance_one(self, kind, a, b):
+        dist = DistanceFn(kind)
+        assert dist.keys(a) and dist.keys(b)
+        if dist.keys(a).isdisjoint(dist.keys(b)):
+            assert dist(a, b) == 1.0
+
+    @given(st.sampled_from([DistanceFn.JACCARD, DistanceFn.ABSDIFF]), st.lists(odd_values))
+    def test_postings_list_each_keys_values_in_order(self, kind, vals):
+        dist = DistanceFn(kind)
+        want: dict = {}
+        for i, v in enumerate(vals):
+            for key in dist.keys(v):
+                want.setdefault(key, []).append(i)
+        assert dist.postings(vals) == want
+
     @given(
         st.sampled_from([DistanceFn.JACCARD, DistanceFn.ABSDIFF]),
         values | st.just(frozenset()),
@@ -87,17 +105,4 @@ class TestDistanceFn:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             DistanceFn("cosine")
-
-
-class TestTupleSim:
-    def test_sum_of_attribute_similarities(self):
-        r1 = make_tuple("r1", 0, 1, ts("a"), ts("x", "y"))
-        r2 = make_tuple("r2", 1, 1, ts("a"), ts("y", "z"))
-        assert tuple_sim(r1, r2) == pytest.approx(1.0 + 1 / 3)
-
-    def test_requires_complete(self):
-        r1 = make_tuple("r1", 0, 1, ts("a"), None)
-        r2 = make_tuple("r2", 1, 1, ts("a"), ts("b"))
-        with pytest.raises(Exception):
-            tuple_sim(r1, r2)
 

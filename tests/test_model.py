@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,6 +115,10 @@ class TestQueryConfig:
             QueryConfig(**base)
 
 
+# values of tokens that do and do not read back: upper case, punctuation, blanks, ""
+_cells = st.none() | st.frozensets(st.text("aZ0.- _", max_size=3), min_size=1, max_size=3)
+
+
 class TestCsv:
     def test_roundtrip_preserves_missing(self, tmp_path):
         rows = [
@@ -139,7 +146,35 @@ class TestCsv:
         assert str(exc.value).startswith(f"{path}:4: ")
 
     def test_read_repository_requires_complete(self, tmp_path, numeric_repo):
+        # cells in tokenizer form, which read back as written ("0.2" would not)
+        rows = [
+            make_tuple(s.rid, -1, 0, *(tokenize(" ".join(v)) for v in s.attrs))
+            for s in numeric_repo.samples
+        ]
         path = tmp_path / "r.csv"
-        write_tuples(path, numeric_repo.samples, 3)
+        write_tuples(path, rows, 3)
         repo = read_repository(path)
-        assert len(repo) == 4
+        assert repo.samples == rows
+
+    @pytest.mark.parametrize(
+        "value", [ts("0.25"), ts("Big"), ts("a b"), ts("ok", "a-b"), ts(""), ts("__MISSING__")]
+    )
+    def test_write_rejects_a_value_that_reads_back_as_another(self, tmp_path, value):
+        rows = [make_tuple("r1", 0, 1, ts("a"), ts("b")), make_tuple("r2", 0, 2, ts("c"), value)]
+        path = tmp_path / "s.csv"
+        with pytest.raises(ConfigError) as exc:
+            write_tuples(path, rows, 2)
+        assert str(exc.value).startswith("tuple r2: attr_2 ")
+        assert not path.exists()
+
+    @given(st.lists(st.lists(_cells, min_size=2, max_size=2), min_size=1, max_size=3))
+    def test_written_cells_read_back_or_nothing_is_written(self, values):
+        rows = [make_tuple(f"r{i}", 0, i, *attrs) for i, attrs in enumerate(values)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            try:
+                write_tuples(path, rows, 2)
+            except ConfigError:
+                assert not path.exists()
+                return
+            assert read_tuples(path) == rows

@@ -1,9 +1,10 @@
 """Offline stages against pinned outputs and brute-force references.
 
 ``detect_cdds`` counts sample pairs by profile and ``select_pivots`` buckets
-candidates through token postings; both skip the distances between token sets
-that share no token.  The references here compute every pair's distance, and
-the digests pin the rules and pivots of the benchmark-shaped repositories.
+candidates through similarity-key postings; both skip the distances between
+values that share no key (``DistanceFn.keys``).  The references here compute
+every pair's distance, and the digests pin the rules and pivots of the
+benchmark-shaped repositories.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from teride.cdd import (
 )
 from teride.cli import gen_synthetic
 from teride.errors import NoRulesFound
-from teride.metric import DistanceFn
+from teride.metric import DistanceFn, as_number
 from teride.model import Repository, token_key
 from teride.pivot import (
     PivotSet,
@@ -446,13 +447,17 @@ class TestDisjointPairsSkipped:
             assert dist.asked
             assert not any(a.isdisjoint(b) for a, b in dist.asked)
 
-    def test_absdiff_asks_every_pair(self):
-        repo = _numeric_repo(3)
-        dist = _RecordingDistance(DistanceFn.ABSDIFF)
-        detect_cdds(repo, dist, min_support=2, max_interval_width=1.0)
-        assert all((a, b) in dist.asked for _, a, b in _value_pairs(repo))
-        dist = _RecordingDistance(DistanceFn.ABSDIFF)
-        select_pivots(repo, dist=dist)
-        for attr in range(repo.d):
-            for candidate in repo.domain(attr):
-                assert all((s.attrs[attr], candidate) in dist.asked for s in repo.samples)
+    def test_absdiff_asks_only_pairs_of_finite_numbers(self):
+        repo = _mixed_repo(3, n=30)
+        pairs = {(a, b) for _, a, b in _value_pairs(repo)}
+        numbers = {(a, b) for a, b in pairs if as_number(a) is not None and as_number(b) is not None}
+        others = {(a, b) for a, b in pairs if a != b} - numbers
+        assert numbers and others  # the repository has pairs of both kinds
+        for run in (
+            lambda dist: detect_cdds(repo, dist, min_support=2, max_interval_width=1.0),
+            lambda dist: select_pivots(repo, dist=dist, eMin=10.0),
+        ):
+            dist = _RecordingDistance(DistanceFn.ABSDIFF)
+            run(dist)
+            assert numbers <= dist.asked
+            assert not others & dist.asked
