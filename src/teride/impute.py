@@ -79,7 +79,7 @@ def impute_multi_rule(
             if not satisfies_determinants(rule, r, s, dist):
                 continue
             sv = s.attrs[j]
-            for val in dr_index.near_values(j, sv, rule.dep_hi) if near else domain:
+            for val in dr_index.near_values(j, sv, rule.dep_hi, dist) if near else domain:
                 if rule.dep_admits(dist(sv, val)):
                     counts[val] = counts.get(val, 0) + 1
     if not counts:

@@ -2,17 +2,17 @@
 
 The DR-index holds, per attribute, the repository samples' main-pivot
 coordinates in ascending order, so a range of coordinates is two bisections,
-plus per-attribute postings over similarity keys (``DistanceFn.keys``) and
-values.  An interval that rejects distance 1.0 reaches only the values that
-share a key with the tuple's value, so imputation reads its samples and
-dependent values from the postings (see :class:`DrIndex`); a determinant
-that restricts nothing leaves the rule to the box.  The CDD-index of a dependent
-attribute is a hash join on constant determinants: its rules are bucketed by
-shape (determinant attributes, and which of them are constants) and constant
-values, so the rules a tuple could satisfy are one lookup per shape on the
-tuple's values.  A shape with no constant has one bucket, resolved when the
-index is built, so it costs a tuple only the check that it holds the
-shape's attributes.
+plus per-attribute postings from similarity keys (``DistanceFn.keys``) to
+values and from values to samples.  An interval that rejects distance 1.0
+reaches only the values that share a key with the tuple's value, so
+imputation reads its samples and dependent values from the postings (see
+:class:`DrIndex`); a determinant that restricts nothing leaves the rule to
+the box.  The CDD-index of a dependent attribute is a hash join on constant
+determinants: its rules are bucketed by shape (determinant attributes, and
+which of them are constants) and constant values, so the rules a tuple could
+satisfy are one lookup per shape on the tuple's values.  A shape with no
+constant has one bucket, resolved when the index is built, so it costs a
+tuple only the check that it holds the shape's attributes.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ def equality_only(v, hi: float) -> bool:
     return hi + _PREFIX_SLACK < 1.0 / (len(v) + 1)
 
 
-def prefix_positions(postings: dict, v, hi: float) -> set:
-    """Positions, from ``postings`` (key -> positions), of every value at a
-    distance below 1.0 and at most ``hi`` (plus 1e-9) from a value whose
-    similarity keys (``DistanceFn.keys``) are v.  Under absdiff v is one key,
+def prefix_values(postings: dict, v, hi: float):
+    """Distinct values, from ``postings`` (key -> distinct values), covering
+    every value at a distance below 1.0 and at most ``hi`` (plus 1e-9) from a
+    value whose similarity keys (``DistanceFn.keys``) are v.  Under absdiff v is one key,
     so the prefix is that key.  Under Jaccard v is the token set, and a value
     s within ``hi`` has ``|v & s| / |v| >= sim(v, s) >= 1 - hi - 1e-9``, so it
     shares at least ``need = max(1, ceil((1 - hi - 1e-6) * |v|))`` of v's
@@ -66,34 +66,37 @@ def prefix_positions(postings: dict, v, hi: float) -> set:
     it never covers distance 1.0: callers use it only for intervals that
     reject 1.0 and check each value's distance.  :meth:`DrIndex.samples_per_rule`
     skips it when :func:`equality_only` holds, as then the value posting of v
-    alone is exact.
+    alone is exact.  A one-key prefix returns that key's posting, read only.
     """
     need = max(1, math.ceil((1.0 - hi - _PREFIX_SLACK) * len(v)))
     prefix = sorted(v, key=lambda t: (len(postings.get(t, ())), t))[: len(v) - need + 1]
+    if len(prefix) == 1:
+        return postings.get(prefix[0], ())
     return set().union(*(postings.get(t, ()) for t in prefix))
 
 
 class DrIndex:
     """Per attribute, the repository samples' main-pivot coordinates in
     ascending order with their sample positions, plus per-attribute postings
-    (similarity key -> sample positions, value -> sample positions).
+    (similarity key -> distinct values, value -> sample positions).
 
     Imputation fetches its samples through the postings: :meth:`samples_per_rule`
     makes one retrieval per tuple for all of its candidate rules, and
     :meth:`near_values` gives the dependent values a sample's value can reach,
-    under both distances, by the prefix filter of :func:`prefix_positions` on
-    an interval that rejects 1.0.  Under Jaccard :meth:`samples_per_rule` uses
-    it too, but reads only the value posting of a determinant interval that
-    :func:`equality_only` bounds; under absdiff it reads the value posting of
-    an interval that rejects 1.0 on a value that is not a finite number.
+    never more than the attribute's domain, under both distances, by the
+    prefix filter of :func:`prefix_values` on an interval that rejects 1.0.
+    Under Jaccard :meth:`samples_per_rule` uses it too, and takes the value
+    postings of the values it admits, but reads only the value posting of a
+    determinant interval that :func:`equality_only` bounds; under absdiff it
+    reads the value posting of an interval that rejects 1.0 on a value that
+    is not a finite number.
     """
 
-    def __init__(self, samples: list, by_coord: list, by_key: list, by_value: list, keys):
+    def __init__(self, samples: list, by_coord: list, by_key: list, by_value: list):
         self.samples = samples  # repository order; postings hold positions into it
         self.by_coord = by_coord  # per attr: (ascending coordinates, their positions)
-        self.by_key = by_key  # per attr: similarity key -> frozenset of positions
+        self.by_key = by_key  # per attr: similarity key -> list of distinct values
         self.by_value = by_value  # per attr: token set -> frozenset of positions
-        self.keys = keys  # the distance's ``DistanceFn.keys``
 
     def samples_per_rule(
         self, rules, r: StreamTuple, pivots: PivotSet, dist: DistanceFn
@@ -108,8 +111,8 @@ class DrIndex:
         :func:`equality_only` holds for v and that end (``hi + 1e-6 < 1 /
         (|v| + 1)``), and under absdiff when v is not a finite number, as
         such a value lies at 1.0 from every other value.  Otherwise, under
-        Jaccard, it reads the prefix postings of v (:func:`prefix_positions`)
-        and keeps a position only if its distance is admitted; under absdiff
+        Jaccard, it reads the prefix postings of v (:func:`prefix_values`) and
+        takes the positions of the values whose distance is admitted; under absdiff
         a finite number v restricts nothing.  Each distinct determinant is
         worked out once per tuple and shared by every rule that has it.  A
         rule intersects the positions of these restricting determinants, up
@@ -153,18 +156,14 @@ class DrIndex:
             return self.by_value[c.attr].get(rv, _EMPTY) if c.admits(0.0) else _EMPTY
         if not jaccard:
             return None
-        return {
-            i
-            for i in prefix_positions(self.by_key[c.attr], rv, c.hi)
-            if c.admits(measure(rv, self.samples[i].attrs[c.attr]))
-        }
+        by_value, near = self.by_value[c.attr], prefix_values(self.by_key[c.attr], rv, c.hi)
+        return set().union(*(by_value[u] for u in near if c.admits(measure(rv, u))))
 
-    def near_values(self, attr: int, v, hi: float) -> set:
-        """The repository's attribute-``attr`` values that can lie within
-        distance ``hi`` (below 1.0) of v, reached through the prefix postings
-        of v's similarity keys (:func:`prefix_positions`)."""
-        positions = prefix_positions(self.by_key[attr], self.keys(v), hi)
-        return {self.samples[i].attrs[attr] for i in positions}
+    def near_values(self, attr: int, v, hi: float, dist: DistanceFn):
+        """The repository's distinct attribute-``attr`` values that can lie
+        within distance ``hi`` (below 1.0) of v, reached through the prefix
+        postings of v's similarity keys (:func:`prefix_values`); read only."""
+        return prefix_values(self.by_key[attr], dist.keys(v), hi)
 
     def range_samples(self, box: dict) -> list:
         """Samples, in repository order, whose main-pivot coordinate on each
@@ -189,12 +188,13 @@ def build_dr_index(repo: Repository, pivots: PivotSet, dist: DistanceFn) -> DrIn
         coords = [f(v, main) for v in values]
         positions = sorted(range(len(values)), key=coords.__getitem__)
         by_coord.append(([coords[i] for i in positions], positions))
-        by_key.append({k: frozenset(ids) for k, ids in dist.postings(values).items()})
+        domain = repo.domain(x)
+        by_key.append({k: [domain[i] for i in ids] for k, ids in dist.postings(domain).items()})
         postings: dict = {}
         for i, v in enumerate(values):
             postings.setdefault(v, []).append(i)
         by_value.append({v: frozenset(ids) for v, ids in postings.items()})
-    return DrIndex(repo.samples, by_coord, by_key, by_value, dist.keys)
+    return DrIndex(repo.samples, by_coord, by_key, by_value)
 
 
 # ---------------------------------------------------------------------------

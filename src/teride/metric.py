@@ -48,7 +48,6 @@ class DistanceFn:
 
     JACCARD = "jaccard"
     ABSDIFF = "absdiff"
-    _NUMBER_KEYS = frozenset((frozenset(),))  # every finite number's keys under absdiff
 
     def __init__(self, kind: str = JACCARD):
         if kind not in (self.JACCARD, self.ABSDIFF):
@@ -78,7 +77,7 @@ class DistanceFn:
         every finite number's is ``frozenset()``."""
         if self.kind == self.JACCARD:
             return v
-        return self._NUMBER_KEYS if as_number(v) is not None else frozenset((v,))
+        return frozenset((_absdiff_key(v),))
 
     def postings(self, values) -> dict:
         """Key -> ascending positions of the values that hold it (:meth:`keys`)."""
@@ -93,7 +92,12 @@ class DistanceFn:
         under Jaccard these are its token unions (``imputed.token_unions()``)."""
         if self.kind == self.JACCARD:
             return imputed.token_unions()
-        return [frozenset().union(*(self.keys(v) for v, _ in opts)) for opts in imputed.options]
+        return [frozenset(_absdiff_key(v) for v, _ in opts) for opts in imputed.options]
 
     def __repr__(self):
         return f"DistanceFn({self.kind!r})"
+
+
+def _absdiff_key(v: TokenSet):
+    """The one similarity key of v under absdiff: v, or ``frozenset()`` for a finite number."""
+    return frozenset() if as_number(v) is not None else v

@@ -314,7 +314,8 @@ class TestWindowSemantics:
 def _check_dr_invariants(index, repo, pivots, dist):
     """Each attribute's coordinates ascend and are, bit for bit, the main-pivot
     distances of the samples at their positions, which list each sample once;
-    the postings hold each sample's similarity keys and values, each position once."""
+    the key postings list, in domain order, the domain values that hold each
+    similarity key, and the value postings each sample's position once."""
     assert list(map(id, index.samples)) == list(map(id, repo.samples))
     assert len(index.by_coord) == len(index.by_key) == len(index.by_value) == repo.d
     n = len(repo.samples)
@@ -324,11 +325,12 @@ def _check_dr_invariants(index, repo, pivots, dist):
         main = pivots.main(x)
         assert [c.hex() for c in coords] == [dist(repo.samples[i].attrs[x], main).hex() for i in positions]
         keys, values = {}, {}
+        for v in repo.domain(x):
+            for key in dist.keys(v):
+                keys.setdefault(key, []).append(v)
         for i, s in enumerate(repo.samples):
-            for key in dist.keys(s.attrs[x]):
-                keys.setdefault(key, []).append(i)
             values.setdefault(s.attrs[x], []).append(i)
-        assert {key: sorted(ids) for key, ids in index.by_key[x].items()} == keys
+        assert index.by_key[x] == keys
         assert {v: sorted(ids) for v, ids in index.by_value[x].items()} == values
     return n
 

@@ -317,11 +317,16 @@ class TestRuleSamples:
             positions = [position[id(s)] for s in got]
             assert positions and positions == sorted(positions)
 
-    def test_absdiff_does_not_filter_by_token(self, numeric_repo, absdiff):
+    def test_absdiff_number_interval_restricts_no_retrieval(self, numeric_repo, absdiff):
+        """Under absdiff an interval on a finite number restricts nothing: alone
+        it leaves the rule to the box, beside a constant to that constant's posting."""
         pivots = select_pivots(numeric_repo, dist=absdiff)
         idx = build_dr_index(numeric_repo, pivots, absdiff)
         r = make_tuple("q", 0, 1, ts("a1"), ts("0.2"), None)
         const = AttrConstraint(attr=0, kind=CONST, value=ts("a1"))
+        rule = CddRule(determinants=(_interval(1, 0.0, 0.3),), dependent=2, dep_lo=0.0, dep_hi=0.1)
+        box = dr_query_box_for_rule(rule, r, pivots, absdiff)
+        assert _rule_samples(idx, rule, r, pivots, absdiff) == idx.range_samples(box)
         for dets, want in (
             ((_interval(1, 0.0, 0.3),), {"s1", "s2", "s3"}),
             ((const, _interval(1, 0.0, 0.15)), {"s1", "s2"}),
@@ -330,6 +335,8 @@ class TestRuleSamples:
             assert _satisfying(rule, r, numeric_repo.samples, absdiff) == want
             got = _rule_samples(idx, rule, r, pivots, absdiff)
             assert _satisfying(rule, r, got, absdiff) == want
+        with_a1 = [s for s in numeric_repo.samples if s.attrs[0] == ts("a1")]
+        assert _rule_samples(idx, rule, r, pivots, absdiff) == with_a1
 
 
 # Both filters against the scans they replace: served samples must hold every
@@ -404,7 +411,7 @@ def test_prefix_filters_keep_every_admitted_sample_and_value(case):
             domain = repo.domain(2)
             for sv in domain:
                 admitted = {v for v in domain if rule.dep_admits(dist(sv, v))}
-                assert admitted <= idx.near_values(2, sv, rule.dep_hi)
+                assert admitted <= set(idx.near_values(2, sv, rule.dep_hi, dist))
     by_dep = {2: rules}
     indexed = impute_tuple(r, by_dep, repo, dist, samples_per_rule=served, dr_index=idx)
     assert indexed == impute_tuple(r, by_dep, repo, dist)
