@@ -308,7 +308,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    report = {"schema": 1, "modes": {}}
+    report = {"schema": 2, "modes": {}}
     walls = {}
     for mode in (MODE_ENGINE, MODE_NOINDEX):
         engine, trace = _build_engine(args, mode)

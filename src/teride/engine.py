@@ -12,7 +12,7 @@ engine is built, and all three modes give identical event streams:
   postings, one grid of all streams' live tuples) and the pruning cascade.
 * ``noindex`` — the scan fetcher (every rule, sample and live tuple), which
   applies the grid's keyword and shared-key filters pair by pair, and the
-  same cascade, which starts at the size bound.
+  same cascade, which starts at the single-option bound.
 * ``oracle`` — the scan fetcher with no filter, and every pair is fully
   evaluated; this is the reference implementation.
 
@@ -413,7 +413,7 @@ class Engine:
         pruned = sum(self.stage_counts[s] for s in STAGES)
         total = self.pairs_considered
         return {
-            "schema": 2,
+            "schema": 3,
             "mode": self.mode,
             "arrivals": self.arrivals,
             "pairs_considered": total,

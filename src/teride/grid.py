@@ -17,7 +17,7 @@ prefix filter) a survivor has been hit on ``need - (d - i)`` of the first
 ``i`` attributes, so only the levels that can still reach ``need`` are
 updated and an empty required level ends the probe.  Survivors are decoded
 from the final bitmap in slot order.  Retrieval reports how many tuples each
-filter skipped; ``prune.judge_pair`` starts at the size bound.
+filter skipped; ``prune.judge_pair`` starts at the single-option bound.
 """
 
 from __future__ import annotations

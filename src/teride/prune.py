@@ -1,12 +1,15 @@
 """Pair-level pruning cascade and exact match-probability computation.
 
 The fetcher filters first, by topic keyword and shared-key count.  On each
-pair left, :func:`judge_pair` runs the similarity upper bounds from token
-sizes, then pivot distances, the Paley-Zygmund probability upper bound, and
-finally the instance-level scan.  Every bound overestimates, so no qualifying
-pair is lost.  The two similarity bounds this module owns, :func:`ub_sim_by_size`
-and :func:`ub_sim_by_pivot`, read plain per-attribute ``(lo, hi)`` pairs: a
-summary's ``sizes`` and its main-pivot ``box``.
+pair left, :func:`judge_pair` runs the single-option similarity bound, then
+the similarity upper bounds from token sizes and pivot distances, the
+Paley-Zygmund probability upper bound, and finally the instance-level scan.
+Every bound overestimates, so no qualifying pair is lost.  The single-option
+bound, :func:`ub_sim_single`, reads only the two tuples' ``options`` and key
+unions, one distance per attribute on which both hold one option.  The size
+and pivot bounds, :func:`ub_sim_by_size` and :func:`ub_sim_by_pivot`, read
+plain per-attribute ``(lo, hi)`` pairs: a summary's ``sizes`` and its
+main-pivot ``box``.
 
 One kernel, :func:`instance_level_scan`, computes the exact match
 probability.  It builds its per-attribute similarity tables from the values
@@ -27,13 +30,16 @@ from .impute import ImputedTuple
 from .metric import DistanceFn
 from .model import contains_keyword
 
+STAGE_SINGLE = "sim_ub_single"
 STAGE_SIZE = "sim_ub_size"
 STAGE_PIVOT = "sim_ub_pivot"
 STAGE_PROB = "prob_ub"
 STAGE_INSTANCE = "instance_level"
 STAGE_REFINED = "refined"
 
-STAGES = (STAGE_KEYWORD, STAGE_TOKEN, STAGE_SIZE, STAGE_PIVOT, STAGE_PROB, STAGE_INSTANCE)
+STAGES = (
+    STAGE_KEYWORD, STAGE_TOKEN, STAGE_SINGLE, STAGE_SIZE, STAGE_PIVOT, STAGE_PROB, STAGE_INSTANCE
+)
 
 _TOL = 1e-9
 
@@ -73,6 +79,26 @@ def sim_ub_token(si: TupleSummary, sj: TupleSummary) -> int:
     ``token_count_prunes``).
     """
     return sum(not a.isdisjoint(b) for a, b in zip(si.key_unions, sj.key_unions))
+
+
+def ub_sim_single(si: TupleSummary, sj: TupleSummary, f) -> float:
+    """Similarity upper bound from one term per attribute, summed in attribute order:
+    ``1.0 - f(a, b)`` where both tuples hold one option, ``a`` and ``b``; else 1.0
+    where the key unions meet and 0.0 where they do not.
+
+    Each term is at least the attribute's largest option-pair similarity
+    (values with disjoint keys have similarity exactly 0), so it is at least
+    the maximum of the table ``instance_level_scan`` builds, and equal to it
+    where both tuples hold one option.  ``f`` is ``dist.bind()``.
+    """
+    return sum(
+        1.0 - f(oi[0][0], oj[0][0])
+        if len(oi) == 1 == len(oj)
+        else 0.0 if ki.isdisjoint(kj) else 1.0
+        for oi, oj, ki, kj in zip(
+            si.imputed.options, sj.imputed.options, si.key_unions, sj.key_unions
+        )
+    )
 
 
 def ub_sim_by_size(sizes_i: list, sizes_j: list) -> float:
@@ -206,7 +232,14 @@ def judge_pair(
     keywords: frozenset,
     dist: DistanceFn,
 ) -> PairVerdict:
-    """Run the cascade, from the size bound on, on one pair the fetcher's filters let through."""
+    """Run the cascade, from the single-option bound on, on one pair the fetcher's
+    filters let through.
+
+    The single-option bound reads no summary field the size, pivot and
+    probability bounds read, so a pair it settles never computes them.
+    """
+    if not sim_matches(ub_sim_single(si, sj, dist.bind()) + _SUM_SLACK, gamma):
+        return PairVerdict(stage=STAGE_SINGLE)
     if ub_sim_by_size(si.sizes, sj.sizes) <= gamma + _TOL:
         return PairVerdict(stage=STAGE_SIZE)
     if ub_sim_by_pivot(si.box, sj.box) <= gamma + _TOL:

@@ -280,7 +280,7 @@ class TestRunAndBench:
             == EXIT_OK
         )
         rec = json.loads(metrics.read_text())
-        assert rec["schema"] == 2
+        assert rec["schema"] == 3
         assert rec["f_score"] == 1.0
         assert "pruning_power_by_stage" in rec
 
@@ -304,7 +304,9 @@ class TestRunAndBench:
             del args[i : i + 2]
         assert main(args) == EXIT_OK
         rec = json.loads(metrics.read_text())
+        assert rec["schema"] == 2
         assert set(rec["modes"]) == {"engine", "noindex"}
+        assert all(m["schema"] == 3 and "sim_ub_single" in m["stage_counts"] for m in rec["modes"].values())
         assert rec["speedup"] > 0
 
     def test_results_jsonl_schema(self, workspace):

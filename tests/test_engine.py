@@ -558,7 +558,7 @@ class TestMetrics:
         engine = Engine(repo, make_config(window=8))
         engine.run(trace)
         m = engine.metrics()
-        assert m["schema"] == 2
+        assert m["schema"] == 3
         assert m["mode"] == MODE_ENGINE
         assert m["arrivals"] == len(trace)
         settled = sum(m["stage_counts"].values())

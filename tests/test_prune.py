@@ -3,17 +3,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teride.engine import _FilteredScanFetch
-from teride.grid import ErGrid, summarize
+from teride.grid import _SUM_SLACK, ErGrid, summarize
 from teride.impute import ImputedTuple, impute_tuple
 from teride.metric import DistanceFn, jaccard_dist, jaccard_sim
-from teride.model import QueryConfig, contains_keyword
+from teride.model import QueryConfig, Repository, contains_keyword
 from teride.pivot import PivotSet, select_pivots
 from teride.prune import (
     STAGE_KEYWORD,
     STAGE_PIVOT,
     STAGE_REFINED,
+    STAGE_SINGLE,
     STAGE_TOKEN,
     STAGES,
+    PairVerdict,
     instance_level_scan,
     judge_pair,
     pair_probability,
@@ -23,6 +25,7 @@ from teride.prune import (
     sim_ub_token,
     ub_sim_by_pivot,
     ub_sim_by_size,
+    ub_sim_single,
 )
 
 from .conftest import (
@@ -120,6 +123,114 @@ class TestPaleyZygmund:
         assert prob_ub_paley_zygmund((0.1, 0.0, 0.2), (0.5, 0.4, 0.6), d=3, gamma=1.0) == 1.0
 
 
+class TestSingleOptionBound:
+    """``sim_ub_single``: the first stage of ``judge_pair``, one term per attribute."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_settled_pairs_cannot_match(self, kind, m):
+        # the bound is at least the sum of the scan's table maxima, and a pair
+        # it settles has probability 0 by both references
+        settled = 0
+        repo, dist, keywords, summaries, pairs = _scan_workload(42, False, kind, m=m)
+        pivots = select_pivots(repo, dist=dist)
+        f = dist.bind()
+        for a, b in pairs:
+            ub = ub_sim_single(a, b, f)
+            maxima = [
+                max(1.0 - f(u, v) for u, _ in oi for v, _ in oj)
+                for oi, oj in zip(a.imputed.options, b.imputed.options)
+            ]
+            assert ub + _SUM_SLACK >= sum(maxima), (kind, a.rid, b.rid)
+            for rho in (0.45, 0.6):
+                gamma = rho * repo.d
+                if sim_matches(ub + _SUM_SLACK, gamma):
+                    continue
+                settled += 1
+                args = (a.imputed, b.imputed, gamma)
+                assert reference_instance_level_scan(*args, -1.0, keywords, dist) == (False, 0.0)
+                assert naive_pair_probability(*args, keywords, dist) == 0.0
+                fresh = [summarize(s.imputed, pivots, keywords, dist) for s in (a, b)]
+                assert judge_pair(*fresh, gamma, 0.2, keywords, dist) == PairVerdict(STAGE_SINGLE)
+                # a settled pair computes neither summary's bound fields
+                assert [s._bounds for s in fresh] == [None, None]
+        assert settled, (kind, m)
+
+    @staticmethod
+    def _pair(attr1_b):
+        """A keyword-bearing pair over d=2: attribute 0 holds one option in both
+        tuples, at similarity 0.5 under Jaccard, and on attribute 1 ``a`` is
+        imputed with the options {u} and {v} against ``b``'s ``attr1_b``."""
+        a = ImputedTuple(
+            base=make_tuple("a", 0, 1, ts("topic0", "x"), None),
+            per_attr_candidates={1: [(ts("u"), 0.5), (ts("v"), 0.5)]},
+        )
+        b = ImputedTuple(base=make_tuple("b", 1, 1, ts("topic0"), attr1_b))
+        pivots = PivotSet(per_attr=[[ts("pivot")] for _ in range(2)])
+        dist = DistanceFn()
+        return [summarize(it, pivots, frozenset({"topic0"}), dist) for it in (a, b)]
+
+    def test_single_options_summing_to_gamma_are_settled(self):
+        keywords = frozenset({"topic0"})
+        pivots = PivotSet(per_attr=[[ts("pivot")] for _ in range(2)])
+        dist = DistanceFn()
+        a, b = (
+            summarize(ImputedTuple(base=make_tuple(rid, sid, 1, *vals)), pivots, keywords, dist)
+            for rid, sid, vals in (
+                ("a", 0, (ts("topic0", "x"), ts("p"))),
+                ("b", 1, (ts("topic0"), ts("p", "q"))),
+            )
+        )
+        assert ub_sim_single(a, b, dist.bind()) == 0.5 + 0.5 == 1.0
+        assert judge_pair(a, b, 1.0, 0.2, keywords, dist) == PairVerdict(STAGE_SINGLE)
+        assert naive_pair_probability(a.imputed, b.imputed, 1.0, keywords, dist) == 0.0
+        # just below, the pair matches with probability 1
+        assert judge_pair(a, b, 1.0 - 1e-6, 0.2, keywords, dist) == PairVerdict(
+            STAGE_REFINED, True, 1.0
+        )
+
+    def test_multi_option_attribute_counts_its_key_overlap(self):
+        f = DistanceFn().bind()
+        # disjoint keys: similarity 0 on every option pair, and 0.0 in the bound
+        assert ub_sim_single(*self._pair(ts("w")), f) == 0.5
+        # shared keys: 1.0, though the best option pair ({u} against {u, z})
+        # has similarity 0.5
+        a, b = self._pair(ts("u", "z"))
+        assert ub_sim_single(a, b, f) == 1.5
+        keywords = frozenset({"topic0"})
+        verdict = judge_pair(a, b, 1.4, 0.2, keywords, DistanceFn())
+        assert verdict.stage not in (STAGE_SINGLE, STAGE_REFINED)
+        assert naive_pair_probability(a.imputed, b.imputed, 1.4, keywords, DistanceFn()) == 0.0
+
+    def test_asks_one_distance_per_single_option_attribute(self):
+        # attributes 0 and 1 hold one option in both tuples; attribute 2 is
+        # imputed in a and shares a key with b, attribute 3 is imputed in a
+        # and shares none
+        keywords = frozenset({"topic0"})
+        pivots = PivotSet(per_attr=[[ts("pivot")] for _ in range(4)])
+        for kind in (DistanceFn.JACCARD, DistanceFn.ABSDIFF):
+            dist = _CountingDistance(kind)
+            a = ImputedTuple(
+                base=make_tuple("a", 0, 1, ts("topic0", "x"), ts("p"), None, None),
+                per_attr_candidates={
+                    2: [(ts("r"), 0.6), (ts("t"), 0.4)],
+                    3: [(ts("u"), 0.5), (ts("v"), 0.5)],
+                },
+            )
+            b = ImputedTuple(base=make_tuple("b", 1, 1, ts("topic0"), ts("p", "q"), ts("r"), ts("w")))
+            sa, sb = (summarize(it, pivots, keywords, dist) for it in (a, b))
+            assert dist.calls == 0, kind
+            ub = ub_sim_single(sa, sb, dist.bind())
+            assert dist.calls == 2, kind
+            want = {DistanceFn.JACCARD: 0.5 + 0.5 + 1.0, DistanceFn.ABSDIFF: 0.0 + 0.0 + 1.0}
+            assert ub == want[kind], kind
+            # the cascade settles the pair there, with no other distance and
+            # neither summary's bound fields computed
+            assert judge_pair(sa, sb, 2.0, 0.2, keywords, dist) == PairVerdict(STAGE_SINGLE)
+            assert dist.calls == 4, kind
+            assert sa._bounds is None and sb._bounds is None, kind
+
+
 class TestBoundsDominate:
     def test_similarity_and_probability_bounds(self, setup):
         repo, dist, keywords, s0, s1 = setup
@@ -189,25 +300,33 @@ class TestCascade:
     @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
     def test_verdict_does_not_depend_on_coordinates_read_before(self, kind):
         # the main-pivot coordinates are computed on first read; reading them
-        # on neither, either or both summaries before judging changes nothing
-        repo, dist, keywords, summaries, pairs = _scan_workload(41, False, kind)
-        pivots = select_pivots(repo, dist=dist)
-
-        def judged(a, b, gamma, read):
-            fresh = [summarize(s.imputed, pivots, keywords, dist) for s in (a, b)]
-            for s, first in zip(fresh, read):
-                if first:
-                    s.box, s.pivot_stats
-            return judge_pair(*fresh, gamma, 0.2, keywords, dist)
-
+        # on neither, either or both summaries before judging changes nothing.
+        # Two holes per tuple leave pairs that the single-option bound passes
+        # and the pivot bound settles.  Under absdiff the values are numbers
+        # past attribute 0: on gen's multi-token values every absdiff
+        # distance is 0 or 1, the single-option bound equals the sum of the
+        # scan's table maxima, and no pair it passes reaches the pivot bound
         stages = set()
-        for rho in (0.6, 0.85):
-            gamma = rho * repo.d
-            for a, b in pairs:
-                verdict = judged(a, b, gamma, (False, False))
-                stages.add(verdict.stage)
-                for read in ((True, False), (False, True), (True, True)):
-                    assert judged(a, b, gamma, read) == verdict, (kind, rho, a.rid, b.rid, read)
+        for seed in (40, 41):
+            repo, dist, keywords, summaries, pairs = _scan_workload(
+                seed, False, kind, m=2, numeric=kind == DistanceFn.ABSDIFF
+            )
+            pivots = select_pivots(repo, dist=dist)
+
+            def judged(a, b, gamma, read):
+                fresh = [summarize(s.imputed, pivots, keywords, dist) for s in (a, b)]
+                for s, first in zip(fresh, read):
+                    if first:
+                        s.box, s.pivot_stats
+                return judge_pair(*fresh, gamma, 0.2, keywords, dist)
+
+            for rho in (0.6, 0.85):
+                gamma = rho * repo.d
+                for a, b in pairs:
+                    verdict = judged(a, b, gamma, (False, False))
+                    stages.add(verdict.stage)
+                    for read in ((True, False), (False, True), (True, True)):
+                        assert judged(a, b, gamma, read) == verdict, (kind, rho, a.rid, b.rid, read)
         assert {STAGE_PIVOT, STAGE_REFINED} <= stages
 
     @staticmethod
@@ -262,13 +381,27 @@ class TestCascade:
             assert dist.calls > 0, kind
 
 
-def _scan_workload(seed, fallback, kind=DistanceFn.JACCARD):
-    """Cross-stream summary pairs of one seeded workload; with ``fallback`` every
-    missing attribute is imputed by the uniform fallback instead of by rules."""
+def _numeric(r):
+    """``r`` with every present value past attribute 0 made one number, as in the
+    CI "absdiff, pivot bound" smoke."""
+    return make_tuple(r.rid, r.stream_id, r.arrival_time, *(
+        v if j == 0 or v is None else ts(f"{sum(int(t[1:]) for t in v) % 50 / 50:.2f}")
+        for j, v in enumerate(r.attrs)
+    ))
+
+
+def _scan_workload(seed, fallback, kind=DistanceFn.JACCARD, m=1, numeric=False):
+    """Cross-stream summary pairs of one seeded workload with ``m`` missing
+    attributes per injected tuple; with ``fallback`` every missing attribute
+    is imputed by the uniform fallback instead of by rules, and with
+    ``numeric`` every value past attribute 0 is one number (``_numeric``)."""
     from teride.cdd import detect_cdds
     from teride.errors import NoRulesFound
 
-    repo, trace = make_workload(seed=seed, length=16, repo_size=30, xi=0.6, m=1)
+    repo, trace = make_workload(seed=seed, length=16, repo_size=30, xi=0.6, m=m)
+    if numeric:
+        repo = Repository([_numeric(r) for r in repo.samples])
+        trace = [_numeric(r) for r in trace]
     dist = DistanceFn(kind)
     pivots = select_pivots(repo, dist=dist)
     by_dep = {}
@@ -307,6 +440,8 @@ class _CountingDistance(DistanceFn):
 
     def bind(self):
         f = super().bind()
+        if f is self:  # absdiff binds to the distance itself, which counts its calls
+            return f
 
         def counted(a, b):
             self.calls += 1
