@@ -7,18 +7,23 @@ quantized into buckets of width 0.1, constants come from frequent values, and
 the dependent interval is the tightest interval covering every conforming
 pair, so every emitted rule holds on 100% of repository pairs by construction.
 Pairs are counted by distinct profile, in one pass per determinant set, and
-only those sharing a similarity key on some attribute are enumerated.
+only those sharing a similarity key on some attribute are enumerated.  Their
+distances are read from each attribute's :class:`~teride.metric.PairTable`,
+which asks one distance per unordered pair of distinct values that share a
+key and which pivot selection then reads too.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DeterminantMissing, NoRulesFound
-from .metric import DistanceFn
+from .metric import DistanceFn, PairTables
 from .model import Repository, StreamTuple, TokenSet, parse_token_set, token_key
 
 CONST = "const"
@@ -137,6 +142,7 @@ def detect_cdds(
     max_interval_width: float = 0.3,
     min_support: int = 3,
     max_determinants: int = 2,
+    pairs: Optional[PairTables] = None,
 ) -> list:
     """Mine valid rules from the repository.
 
@@ -149,7 +155,9 @@ def detect_cdds(
     those pairs, is no wider than ``max_interval_width``.  Intervals must
     also start at or below ``MAX_DEP_LO``: a rule concluding that the
     dependent values are *dissimilar* admits most of the domain as imputation
-    candidates and carries no signal.
+    candidates and carries no signal.  Distances are read from ``pairs``,
+    the construction's per-attribute tables of key-sharing value pairs,
+    built here when none is given.
     """
     if not (0.0 < max_interval_width <= 1.0):
         raise ConfigError("max_interval_width must be in (0, 1]")
@@ -157,18 +165,11 @@ def detect_cdds(
         raise ConfigError("min_support must be >= 2")
     if max_determinants < 1:
         raise ConfigError("max_determinants must be >= 1")
+    if pairs is None:
+        pairs = PairTables(repo, dist)
     d = repo.d
-    columns = [[s.attrs[x] for s in repo.samples] for x in range(d)]
-
-    # frequent constants per attribute
-    frequent: list = []
-    for col in columns:
-        counts: dict = {}
-        for v in col:
-            counts[v] = counts.get(v, 0) + 1
-        frequent.append({v for v, c in counts.items() if c >= min_support})
-
-    profiles = _pair_profiles(columns, frequent, dist)
+    tables = [pairs[x] for x in range(d)]
+    profiles = _pair_profiles(tables, dist, min_support)
 
     rules = []
     # (attr, (kind, payload)) -> its AttrConstraint, one object shared by
@@ -176,19 +177,20 @@ def detect_cdds(
     constraint_of: dict = {}
     for size in range(1, max_determinants + 1):
         for det in itertools.combinations(range(d), size):
-            combos: dict = {}  # combo -> [pair count, min distance row, max distance row]
+            combos: dict = {}  # combo -> [pair count, its profiles' distance rows]
             for (opts, dists), mult in profiles.items():
                 for combo in itertools.product(*(opts[x] for x in det)):
                     acc = combos.get(combo)
                     if acc is None:
-                        combos[combo] = [mult, dists, dists]
+                        combos[combo] = [mult, [dists]]
                     else:
                         acc[0] += mult
-                        acc[1] = tuple(map(min, acc[1], dists))
-                        acc[2] = tuple(map(max, acc[2], dists))
-            for combo, (cnt, lows, highs) in combos.items():
+                        acc[1].append(dists)
+            for combo, (cnt, rows) in combos.items():
                 if cnt < min_support:
                     continue
+                # rows[0] twice, so a lone row still gives min and max two arguments
+                lows, highs = map(min, rows[0], *rows), map(max, rows[0], *rows)
                 constraints = None  # built once, shared by every dependent's rule
                 for j, (lo, hi) in enumerate(zip(lows, highs)):
                     if j in det or hi - lo > max_interval_width + _EDGE_TOL or lo > MAX_DEP_LO + _EDGE_TOL:
@@ -222,53 +224,80 @@ def _mined_constraint(x: int, option: tuple) -> AttrConstraint:
     )
 
 
-def _pair_profiles(columns: list, frequent: list, dist: DistanceFn) -> dict:
+def _pair_profiles(tables: list, dist: DistanceFn, min_support: int) -> dict:
     """Count the sample pairs ``i <= k`` by profile: (options row, distance row).
 
     A pair's options row holds, per attribute, what a determinant on it may
-    take: its distance buckets, then the shared value when it is a frequent
-    constant.  Values that share no similarity key (``DistanceFn.keys``) are
-    at distance exactly 1.0, so only the pairs sharing a key on some attribute
-    are enumerated, through per-attribute key postings, and a key-disjoint
-    attribute of such a pair takes 1.0 without a call to ``dist``.  Every other
-    pair is disjoint on all attributes and joins one all-1.0 profile: no
-    self-pair is disjoint, and a constant needs equal values.
+    take: its distance buckets, then the shared value when it is a constant,
+    one held by at least ``min_support`` samples.  Values that share no
+    similarity key (``DistanceFn.keys``) are at distance exactly 1.0, so only
+    the pairs sharing a key on some attribute are enumerated, through
+    per-attribute key postings of the samples, and each attribute's distance
+    is read from its :class:`PairTable` row, 1.0 where the row lacks the
+    value.  Every other pair is disjoint on all attributes and joins one
+    all-1.0 profile: no self-pair is disjoint, and a constant needs equal
+    values.  Pairs are first counted by the tuple of their per-attribute
+    cells: a distance's index, ``(index, value number)`` for a constant,
+    or None for 1.0.  A value's row is read into a dict once and kept while
+    later samples hold the value, and each cell becomes its options and
+    distance once.
     """
-    n = len(columns[0])
-    postings = [dist.postings(col) for col in columns]
-    cells = [[(v, dist.keys(v)) for v in col] for col in columns]  # per sample (value, keys)
-    far = tuple(("int", q) for q in _bucket_options(1.0))
-    bucket_opts: dict = {1.0: far}  # distance -> bucket options, shared across pairs
-    profiles: dict = {}
+    n, d = len(tables[0].column), len(tables)
+    walks = []  # per attribute: (table, keys per value, sample postings, frequent values, rows, samples left)
+    for t in tables:
+        keys = [dist.keys(v) for v in t.values]
+        post: dict = {}
+        for i, u in enumerate(t.column):
+            for key in keys[u]:
+                post.setdefault(key, []).append(i)
+        frequent = {u for u, c in enumerate(t.count) if c >= min_support}
+        # value number -> its row as a dict (partner value number -> cell),
+        # kept while the value has samples left to walk
+        walks.append((t, keys, post, frequent, {}, list(t.count)))
+    numbers = list(zip(*(t.column for t in tables)))  # per sample, its value numbers
+    counts: Counter = Counter()
     for i in range(n):
         partners: set = set()
-        for col, post in zip(cells, postings):
-            for key in col[i][1]:
+        rows = []  # per attribute: the row of sample i's value
+        for t, keys, post, frequent, row_of, left in walks:
+            u = t.column[i]
+            for key in keys[u]:
                 ks = post[key]
                 partners.update(ks[bisect_left(ks, i):])
-        row = [col[i] for col in cells]
-        for k in partners:
-            opts_row = []
-            dist_row = []
-            for (a, keys), col, freq in zip(row, cells, frequent):
-                b, keys_b = col[k]
-                if keys.isdisjoint(keys_b):
-                    opts_row.append(far)
-                    dist_row.append(1.0)
-                    continue
-                dx = dist(a, b)
-                opts = bucket_opts.get(dx)
-                if opts is None:
-                    opts = bucket_opts[dx] = tuple(("int", q) for q in _bucket_options(dx))
-                if a == b and a in freq:
-                    opts = opts + (("const", a),)
-                opts_row.append(opts)
-                dist_row.append(dx)
-            key = (tuple(opts_row), tuple(dist_row))
-            profiles[key] = profiles.get(key, 0) + 1
-    disjoint = n * (n + 1) // 2 - sum(profiles.values())
+            row = row_of.get(u)
+            if row is None:
+                row = row_of[u] = dict(zip(*t.row(u)))
+                if u in frequent:
+                    row[u] = (row[u], u)  # a constant: its self-pair's cell and its number
+            left[u] -= 1
+            if not left[u]:
+                del row_of[u]
+            rows.append(row)
+        # per partner k, the tuple of its cells against sample i: rows[x].get(numbers[k][x])
+        cells_of = partial(map, dict.get, rows)
+        counts.update(map(tuple, map(cells_of, map(numbers.__getitem__, partners))))
+
+    far = tuple(("int", q) for q in _bucket_options(1.0))
+    contents: list = [{None: (far, 1.0)} for _ in tables]  # per attribute: cell -> (options, distance)
+
+    def content(x: int, cell) -> tuple:
+        """(options, distance) of a cell on attribute x, one object per cell."""
+        got = contents[x].get(cell)
+        if got is None:
+            const = type(cell) is tuple
+            dx = tables[x].distances[cell[0] if const else cell]
+            opts = tuple(("int", q) for q in _bucket_options(dx))
+            if const:
+                opts += (("const", tables[x].values[cell[1]]),)
+            got = contents[x][cell] = opts, dx
+        return got
+
+    profiles: dict = {}
+    for cells, mult in counts.items():
+        key = tuple(zip(*(content(x, cell) for x, cell in enumerate(cells))))  # (options row, distance row)
+        profiles[key] = profiles.get(key, 0) + mult
+    disjoint = n * (n + 1) // 2 - sum(counts.values())
     if disjoint:
-        d = len(columns)
         key = ((far,) * d, (1.0,) * d)
         profiles[key] = profiles.get(key, 0) + disjoint
     return profiles

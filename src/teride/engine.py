@@ -54,7 +54,7 @@ from .index import build_cdd_index, build_dr_index
 # unread: kept so perfbench/tracer.py resolves the name, but DrIndex.samples_per_rule
 # calls the one in teride.index, so a wrap of this name records no call
 from .index import dr_query_box_for_rule  # noqa: F401
-from .metric import DistanceFn
+from .metric import DistanceFn, PairTables
 from .model import QueryConfig, Repository, StreamTuple
 from .pivot import PivotSet, select_pivots
 from .prune import STAGE_REFINED, STAGES, PairVerdict, judge_pair, pair_probability, prob_reports
@@ -151,20 +151,24 @@ def precompute(
 
     Online code reads only each attribute's main pivot, so the pivots are
     selected with ``cntMax=1``, which runs no auxiliary round.  A given pivot
-    set is checked whole, auxiliary pivots included.
+    set is checked whole, auxiliary pivots included.  Mining and selection
+    read one table of key-sharing value pairs per attribute, built by the
+    first of them to read it, so each such pair is asked one distance; the
+    tables are dropped when this call returns.
     """
     if repo.d != config.d:
         raise ConfigError(f"repository has {repo.d} attributes, query expects {config.d}")
+    pairs = PairTables(repo, dist)  # built attribute by attribute as first read
     if rules is None:
         try:
-            rules = detect_cdds(repo, dist)
+            rules = detect_cdds(repo, dist, pairs=pairs)
         except NoRulesFound:
             rules = []
     rules_by_dep: dict = {}
     for rule in check_rules(rules, repo.d):
         rules_by_dep.setdefault(rule.dependent, []).append(rule)
     if pivots is None:
-        pivots = select_pivots(repo, cntMax=1, dist=dist)
+        pivots = select_pivots(repo, cntMax=1, dist=dist, pairs=pairs)
     else:
         check_pivots(pivots, repo.d)
     return Precomputed(repo=repo, rules=rules, rules_by_dep=rules_by_dep, pivots=pivots)

@@ -8,27 +8,25 @@ entropy over the product bucket grid of the chosen pivots plus the candidate.
 Online code reads only the main pivot, so the engine selects with
 ``cntMax=1``; ``teride pivots`` still writes auxiliary pivots.
 
-The candidates of an attribute are its distinct sample values, and both
-distances are symmetric float for float, so every candidate's buckets are
-computed in one pass over unordered pairs of those values: one distance per
-pair, filed under both values.  Only the pairs that share a similarity key
-(``DistanceFn.keys``) are asked; every other pair is at distance 1.0.  An
-auxiliary round reads the same buckets and splits only the groups of
-samples (equal buckets for the chosen pivots) that hold one of the
-candidate's partners, the values it has a distance for; every other group
-counts with its recorded first sample and size.
+The candidates of an attribute are its distinct sample values, and every
+candidate's buckets come from the attribute's :class:`~teride.metric.PairTable`,
+which holds one distance per unordered pair of values that share a
+similarity key (``DistanceFn.keys``); every other pair is at distance 1.0.
+The main round adds each partner's sample count into the candidate's bucket
+histogram straight from its table row.  An auxiliary round reads the same
+rows and splits only the groups of samples (equal buckets for the chosen
+pivots) that hold one of the candidate's partners; every other group counts
+with its recorded first sample and size.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from collections import Counter
 from dataclasses import dataclass
 from operator import add
 
 from .errors import ConfigError, EmptyDomain
-from .metric import DistanceFn
+from .metric import DistanceFn, PairTable, PairTables
 from .model import Repository, TokenSet, parse_token_set, token_key
 
 DEFAULT_P = 10
@@ -104,13 +102,15 @@ def select_pivots(
     eMin: float = DEFAULT_EMIN,
     cntMax: int = DEFAULT_CNTMAX,
     dist: DistanceFn | None = None,
+    pairs: PairTables | None = None,
 ) -> PivotSet:
     """Select main and auxiliary pivots per attribute from the repository domains.
 
     Scores equal :func:`entropy` for the main pivot and :func:`joint_entropy`
-    for the auxiliary ones, float for float.  Each unordered pair of distinct
-    sample values is asked at most one distance per attribute, and only a
-    pair that shares a similarity key (see :class:`_AttrSamples`).
+    for the auxiliary ones, float for float.  The distances are read from
+    ``pairs``, the construction's per-attribute tables of key-sharing value
+    pairs (built here when none is given), which ask each unordered pair of
+    distinct sample values at most once (see :class:`_AttrSamples`).
     ``cntMax=1`` selects main pivots only, and runs no auxiliary round.
     """
     if dist is None:
@@ -126,7 +126,7 @@ def select_pivots(
         domain = repo.domain(attr)
         if not domain:
             raise EmptyDomain(f"attribute {attr} has no domain values")
-        samples = _AttrSamples([s.attrs[attr] for s in repo.samples], P, dist)
+        samples = _AttrSamples(PairTable.of(repo, attr, dist) if pairs is None else pairs[attr], P)
         main, h = _argmax(domain, samples.entropy)
         chosen = [main]
         while h < eMin and len(chosen) < cntMax:
@@ -138,7 +138,7 @@ def select_pivots(
             best, h = _argmax(remaining, samples.joint_entropy)
             chosen.append(best)
         per_attr.append(chosen)
-        del samples  # drop this attribute's buckets before the next one builds its own
+        del samples  # a table built here goes before the next attribute builds its own
     return PivotSet(per_attr=per_attr, bucket_count=P, entropy_threshold=eMin, max_pivots=cntMax)
 
 
@@ -146,65 +146,41 @@ class _AttrSamples:
     """One attribute's sample values, grouped by their buckets for the chosen pivots.
 
     Samples holding the same value share every bucket, so work is done per
-    distinct value, weighted by its sample count; distinct values are
-    numbered in order of their first sample, and every candidate is one of
-    them.  A value that shares no similarity key (``DistanceFn.keys``) with a
-    candidate is at distance exactly 1.0, in bucket P-1, so a candidate's
-    partners, the values it has a bucket for, are the values in its keys'
-    postings: under absdiff every finite number, or the candidate alone.
+    distinct value, weighted by its sample count; distinct values carry their
+    :class:`PairTable` numbers, in order of their first sample, and every
+    candidate is one of them.  A value that shares no similarity key
+    (``DistanceFn.keys``) with a candidate is at distance exactly 1.0, in
+    bucket P-1, so a candidate's partners, the values it has a bucket for,
+    are its table row: under absdiff every finite number, or the candidate
+    alone.  :meth:`entropy` adds each partner's sample count into the
+    candidate's histogram straight from that row.
 
-    Every candidate's buckets are built in one pass over the unordered pairs
-    ``u <= w`` of partners: each distance is asked once and its bucket is
-    filed under both values, so each value's list comes in ascending partner
-    order.  This is exact because both distances are symmetric float for
-    float.  The lists are read by the main round and again by every
-    auxiliary round, and dropped with the attribute.  Each :meth:`choose`
-    records every group's first value, size and members, and an auxiliary
-    score splits only the groups that hold a partner.
+    The auxiliary rounds read the same rows.  Each :meth:`choose` records
+    every group's first value, size and members, and an auxiliary score
+    splits only the groups that hold a partner; the first :meth:`choose`
+    sets that state up, so a main round alone builds none of it.
     """
 
-    def __init__(self, values: list, P: int, dist: DistanceFn):
-        weights = Counter(values)
-        self.values = list(weights)  # distinct values, in order of first sample
-        self.weight = list(weights.values())
-        self.n = len(values)
+    def __init__(self, table: PairTable, P: int):
+        self.table = table
+        self.n = len(table.column)
         self.P = P
-        self.position = {v: u for u, v in enumerate(self.values)}
-        self.partners, self.rows = self._pair_buckets(dist)
+        # per distance index of the table, its bucket (_bucket, inlined)
+        self.bucket = [min(int(dx * P + _EDGE_TOL), P - 1) for dx in table.distances]
         # groups of equal buckets for the chosen pivots, numbered in order of first sample
-        self.key_of = [0] * len(self.values)  # per value, P times its group
-        self.groups = [[0, self.n]]  # per group: [first value, sample count]
-        self.members = [list(range(len(self.values)))]  # per group: ascending values
-
-    def _pair_buckets(self, dist: DistanceFn) -> tuple:
-        """(per value its ascending partners; per value an array of its
-        partners' buckets), asking one distance per unordered pair of values
-        that share a similarity key."""
-        values, P, last = self.values, self.P, self.P - 1
-        rows = [array("B" if P <= 0x100 else "Q") for _ in values]
-        postings = dist.postings(values)
-        partners = [[] for _ in values]
-        for u, a in enumerate(values):
-            later = sorted(w for w in set().union(*map(postings.__getitem__, dist.keys(a))) if w >= u)
-            partners[u].extend(later)
-            for w in later[1:]:
-                partners[w].append(u)
-            # _bucket, inlined; later[0] is u itself
-            bs = [min(int(dist(a, values[w]) * P + _EDGE_TOL), last) for w in later]
-            rows[u].extend(bs)
-            for w, b in zip(later[1:], bs[1:]):
-                rows[w].append(b)
-        return partners, rows
+        self.key_of = None  # per value, P times its group
+        self.groups = None  # per group: [first value, sample count]
+        self.members = None  # per group: ascending values
 
     def buckets(self, v: TokenSet) -> tuple:
-        """(ascending partners, array of their buckets) of candidate v."""
-        u = self.position[v]
-        return self.partners[u], self.rows[u]
+        """(ascending partners, their buckets) of candidate v."""
+        partners, ids = self.table.row(self.table.number[v])
+        return partners, map(self.bucket.__getitem__, ids)
 
     def entropy(self, v: TokenSet) -> float:
         """:func:`entropy` of candidate v."""
         counts = [0] * self.P
-        weight = self.weight
+        weight = self.table.count
         for u, b in zip(*self.buckets(v)):
             counts[b] += weight[u]
         counts[-1] = self.n - sum(counts[:-1])  # non-partners and partners in bucket P-1
@@ -212,8 +188,12 @@ class _AttrSamples:
 
     def choose(self, v: TokenSet) -> None:
         """Split each group by its values' buckets for pivot v."""
-        P = self.P
-        bucket_of = [P - 1] * len(self.values)
+        P, weight, size = self.P, self.table.count, len(self.table.values)
+        if self.groups is None:
+            self.key_of = [0] * size
+            self.groups = [[0, self.n]]
+            self.members = [list(range(size))]
+        bucket_of = [P - 1] * size
         for u, b in zip(*self.buckets(v)):
             bucket_of[u] = b
         numbered: dict = {}  # P * old group + bucket -> new group
@@ -223,7 +203,7 @@ class _AttrSamples:
             if g == len(groups):
                 groups.append([u, 0])
                 members.append([])
-            groups[g][1] += self.weight[u]
+            groups[g][1] += weight[u]
             members[g].append(u)
             self.key_of[u] = g * P
         self.groups, self.members = groups, members
@@ -238,7 +218,7 @@ class _AttrSamples:
         :func:`_keys_entropy` sums in.
         """
         partners, bs = self.buckets(v)
-        key_of, weight, P = self.key_of, self.weight, self.P
+        key_of, weight, P = self.key_of, self.table.count, self.P
         split: dict = {}  # P * group + bucket -> [first value, sample count]
         for u, b in zip(partners, bs):  # ascending values
             k = key_of[u] + b

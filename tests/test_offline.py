@@ -28,9 +28,10 @@ from teride.cdd import (
     rules_to_text,
 )
 from teride.cli import gen_synthetic
+from teride.engine import Engine
 from teride.errors import NoRulesFound
-from teride.metric import DistanceFn, as_number
-from teride.model import Repository, token_key
+from teride.metric import DistanceFn, PairTable, as_number
+from teride.model import QueryConfig, Repository, token_key
 from teride.pivot import (
     PivotSet,
     _AttrSamples,
@@ -339,7 +340,7 @@ class TestScoresEqualReference:
     def _check_scores(repo, P, dist):
         for attr in range(repo.d):
             domain = repo.domain(attr)
-            samples = _AttrSamples([s.attrs[attr] for s in repo.samples], P, dist)
+            samples = _AttrSamples(PairTable.of(repo, attr, dist), P)
             for v in domain:
                 assert samples.entropy(v) == entropy(v, attr, repo, P, dist)
             chosen = []
@@ -407,6 +408,45 @@ class TestEachDistanceOnce:
         assert any(len(pair) == 2 for pair in asked)
         over = {pair: n for pair, n in asked.items() if n > attrs_holding[pair]}
         assert not over
+
+
+def _asked_per_unordered_pair(dist):
+    asked = Counter()
+    for (a, b), n in dist.asked.items():
+        asked[frozenset((a, b))] += n
+    return asked
+
+
+class TestOneConstructionAsksEachPairOnce:
+    """Rule mining and pivot selection read one table of key-sharing value
+    pairs per attribute, so an engine construction asks each such pair once
+    per attribute, and a second construction pays for its own table."""
+
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    @pytest.mark.parametrize("make_repo", [_mixed_repo, _numeric_repo], ids=["mixed", "numeric"])
+    def test_each_key_sharing_pair_at_most_once_per_attribute(self, kind, make_repo):
+        repo = make_repo(4, n=30)
+        dist = _CountingDistance(kind)
+        config = QueryConfig(keywords=frozenset({"a"}), d=repo.d, rho=0.6, alpha=0.2, window_size=10)
+        # noindex builds no DR-index, whose main-pivot coordinates ask one
+        # distance per sample outside mining and pivot selection
+        Engine(repo, config, dist, mode="noindex")
+        first = sum(dist.asked.values())
+        asked = _asked_per_unordered_pair(dist)
+        # both distances are symmetric, so (a, b) and (b, a) are one question
+        sharing = Counter(
+            frozenset(pair)
+            for x in range(repo.d)
+            for pair in itertools.combinations_with_replacement(repo.domain(x), 2)
+            if not dist.keys(pair[0]).isdisjoint(dist.keys(pair[1]))
+        )
+        assert set(asked) == set(sharing)
+        over = {pair: n for pair, n in asked.items() if n > sharing[pair]}
+        assert not over
+        # nothing is kept on the repository: the next construction asks as many
+        dist.asked.clear()
+        Engine(repo, config, dist, mode="noindex")
+        assert sum(dist.asked.values()) == first
 
 
 class _RecordingDistance(DistanceFn):
