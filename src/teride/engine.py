@@ -108,12 +108,18 @@ class MatchResultSet:
 
 @dataclass
 class Precomputed:
-    """Everything derived from the repository before any tuple arrives."""
+    """Everything derived from the repository before any tuple arrives.
+
+    ``fallback_bounds`` holds per attribute what the pair bounds read of the
+    repository's shared fallback list, None until a summary first needs it
+    (see ``TupleSummary``).
+    """
 
     repo: Repository
     rules: list
     rules_by_dep: dict
     pivots: PivotSet
+    fallback_bounds: list
 
 
 def check_rules(rules: list, d: int) -> list:
@@ -171,7 +177,13 @@ def precompute(
         pivots = select_pivots(repo, cntMax=1, dist=dist, pairs=pairs)
     else:
         check_pivots(pivots, repo.d)
-    return Precomputed(repo=repo, rules=rules, rules_by_dep=rules_by_dep, pivots=pivots)
+    return Precomputed(
+        repo=repo,
+        rules=rules,
+        rules_by_dep=rules_by_dep,
+        pivots=pivots,
+        fallback_bounds=[None] * repo.d,
+    )
 
 
 class _ScanFetch:
@@ -337,7 +349,9 @@ class Engine:
             else:
                 rules_by_dep, samples_per_rule = selection
                 imputed = impute_tuple(r, rules_by_dep, repo, self.dist, samples_per_rule, fetch.dr_index)
-            summary = summarize(imputed, self.pre.pivots, self.config.keywords, self.dist)
+            summary = summarize(
+                imputed, self.pre.pivots, self.config.keywords, self.dist, self.pre.fallback_bounds
+            )
             t2 = time.perf_counter()
             events.extend(self._probe(ts, summary))
             t3 = time.perf_counter()

@@ -50,6 +50,24 @@ def token_count_prunes(shared: int, gamma: float) -> bool:
     return shared + _SUM_SLACK <= gamma + _TOL
 
 
+def option_bounds(opts: list, main, f) -> tuple:
+    """What the pair bounds read of one attribute's options: ((least, greatest)
+    token-set size, (lo, hi) distance to the main pivot ``main``, the sum of
+    each option's probability times that distance).  ``f`` is ``dist.bind()``;
+    one option gives its size, its distance and ``p * c`` directly."""
+    if len(opts) == 1:
+        (v, p), = opts
+        n, c = len(v), f(v, main)
+        return (n, n), (c, c), p * c
+    lens = [len(v) for v, _ in opts]
+    coords = [f(v, main) for v, _ in opts]
+    return (
+        (min(lens), max(lens)),
+        (min(coords), max(coords)),
+        sum(p * c for (_, p), c in zip(opts, coords)),
+    )
+
+
 class TupleSummary:
     """Index-ready digest of one probabilistic tuple.
 
@@ -57,13 +75,24 @@ class TupleSummary:
     ``rid``, ``stream_id``, ``arrival_time``, ``keywords`` (read off the
     token unions) and ``key_unions`` (``DistanceFn.key_unions``).  What only
     the pair bounds read, ``sizes``, ``box`` and ``pivot_stats``, is
-    computed together, in one pass over ``imputed.options`` with the bound
-    distance and the main pivots the summary keeps, the first time any of
-    them is read; so a tuple that no pair bound reaches never pays for it.
+    computed together the first time any of them is read, one
+    ``option_bounds`` per attribute with the bound distance and the main
+    pivots the summary keeps; so a tuple that no pair bound reaches never
+    pays for it.  An engine hands its summaries ``fallback_bounds``, one
+    entry per attribute: a fallback attribute's options are then the
+    repository's shared fallback list (``impute.shared_fallback``), whose
+    ``option_bounds`` the first summary to need them computes into that
+    entry and every later one reads.  A summary built without it computes
+    every attribute from its own options.
     """
 
     def __init__(
-        self, imputed: ImputedTuple, keywords: frozenset, pivots: PivotSet, dist: DistanceFn
+        self,
+        imputed: ImputedTuple,
+        keywords: frozenset,
+        pivots: PivotSet,
+        dist: DistanceFn,
+        fallback_bounds: list | None = None,
     ):
         base = imputed.base
         self.imputed = imputed
@@ -74,6 +103,7 @@ class TupleSummary:
         self.key_unions = dist.key_unions(imputed)
         self._dist = dist.bind()
         self._pivots = pivots
+        self._fallback_bounds = fallback_bounds
         self._bounds = None  # (sizes, box, pivot_stats) once read
 
     @property
@@ -100,31 +130,41 @@ class TupleSummary:
 
     def _bound_fields(self) -> None:
         f = self._dist
+        shared = self._fallback_bounds
+        fallback = () if shared is None else self.imputed.fallback_attrs
         sizes, box = [], []
         exp = lb = ub = 0.0
-        for opts, plist in zip(self.imputed.options, self._pivots.per_attr):
-            main = plist[0]
-            lens = [len(v) for v, _ in opts]
-            coords = [f(v, main) for v, _ in opts]
-            lo, hi = min(coords), max(coords)
-            sizes.append((min(lens), max(lens)))
+        for x, (opts, plist) in enumerate(zip(self.imputed.options, self._pivots.per_attr)):
+            if x in fallback:
+                facts = shared[x]
+                if facts is None:
+                    facts = shared[x] = option_bounds(opts, plist[0], f)
+            else:
+                facts = option_bounds(opts, plist[0], f)
+            size, (lo, hi), weighed = facts
+            sizes.append(size)
             box.append((lo, hi))
             lb += lo
             ub += hi
-            exp += sum(p * c for (_, p), c in zip(opts, coords))
+            exp += weighed
         self._bounds = sizes, box, (exp, lb, ub)
 
 
 def summarize(
-    it: ImputedTuple, pivots: PivotSet, keywords: frozenset, dist: DistanceFn
+    it: ImputedTuple,
+    pivots: PivotSet,
+    keywords: frozenset,
+    dist: DistanceFn,
+    fallback_bounds: list | None = None,
 ) -> TupleSummary:
     """Digest one tuple at arrival: its key unions, and the query keywords its token unions hold.
 
     No distance is computed here; the fields only pair bounds read, the
-    main-pivot coordinates among them, are computed on first read.
+    main-pivot coordinates among them, are computed on first read (an
+    engine's ``fallback_bounds`` are described at ``TupleSummary``).
     """
     kws = frozenset().union(*(keywords & u for u in it.token_unions()))
-    return TupleSummary(it, kws, pivots, dist)
+    return TupleSummary(it, kws, pivots, dist, fallback_bounds)
 
 
 @lru_cache(maxsize=16)  # a query has one gamma

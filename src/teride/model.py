@@ -31,13 +31,6 @@ def tokenize(raw: str) -> TokenSet:
     return tokens
 
 
-def contains_keyword(tokens: TokenSet, keywords: frozenset) -> bool:
-    """True iff the token set shares at least one token with the keyword set."""
-    if not keywords:
-        raise ConfigError("keyword set must be non-empty")
-    return not tokens.isdisjoint(keywords)
-
-
 def token_key(value: TokenSet) -> tuple:
     """Deterministic sort key for a token set."""
     return tuple(sorted(value))

@@ -5,30 +5,33 @@ pair left, :func:`judge_pair` runs the single-option similarity bound, then
 the similarity upper bounds from token sizes and pivot distances, the
 Paley-Zygmund probability upper bound, and finally the instance-level scan.
 Every bound overestimates, so no qualifying pair is lost.  The single-option
-bound, :func:`ub_sim_single`, reads only the two tuples' ``options`` and key
-unions, one distance per attribute on which both hold one option.  The size
-and pivot bounds, :func:`ub_sim_by_size` and :func:`ub_sim_by_pivot`, read
-plain per-attribute ``(lo, hi)`` pairs: a summary's ``sizes`` and its
-main-pivot ``box``.
+bound sums :func:`single_option_terms`, which read only the two tuples'
+``options`` and key unions, one distance per attribute on which both hold
+one option.  The size and pivot bounds, :func:`ub_sim_by_size` and
+:func:`ub_sim_by_pivot`, read plain per-attribute ``(lo, hi)`` pairs: a
+summary's ``sizes`` and its main-pivot ``box``.
 
 One kernel, :func:`instance_level_scan`, computes the exact match
 probability.  It builds its per-attribute similarity tables from the values
 of the two tuples' ``options`` first, and goes on only when the sum of the
-tables' maxima can pass the threshold.  Since the attributes are imputed
-independently, it then convolves the per-attribute option pairs attribute
-by attribute, keeping only partial sums that can still match, and stops as
-soon as the pair cannot exceed alpha.  :func:`pair_probability`, which the
-``oracle`` judge calls, is the same scan with no early stop.
+tables' maxima can pass the threshold.  ``judge_pair`` hands it the
+single-option terms, which are the tables of the attributes where both
+tuples hold one option, so each pair asks each distance once.  Since the
+attributes are imputed independently, the scan then convolves the
+per-attribute option pairs attribute by attribute, keeping only partial
+sums that can still match, and stops as soon as the pair cannot exceed
+alpha.  :func:`pair_probability`, which the ``oracle`` judge calls, is the
+same scan with no early stop and no terms handed in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ConfigError
 from .grid import _SUM_SLACK, STAGE_KEYWORD, STAGE_TOKEN, TupleSummary
 from .impute import ImputedTuple
 from .metric import DistanceFn
-from .model import contains_keyword
 
 STAGE_SINGLE = "sim_ub_single"
 STAGE_SIZE = "sim_ub_size"
@@ -81,24 +84,26 @@ def sim_ub_token(si: TupleSummary, sj: TupleSummary) -> int:
     return sum(not a.isdisjoint(b) for a, b in zip(si.key_unions, sj.key_unions))
 
 
-def ub_sim_single(si: TupleSummary, sj: TupleSummary, f) -> float:
-    """Similarity upper bound from one term per attribute, summed in attribute order:
-    ``1.0 - f(a, b)`` where both tuples hold one option, ``a`` and ``b``; else 1.0
-    where the key unions meet and 0.0 where they do not.
+def single_option_terms(si: TupleSummary, sj: TupleSummary, f) -> list:
+    """Per attribute, a similarity upper bound: ``1.0 - f(a, b)`` where both
+    tuples hold one option, ``a`` and ``b``; else 1.0 where the key unions
+    meet and 0.0 where they do not.  Their sum, in attribute order, is the
+    single-option bound.
 
     Each term is at least the attribute's largest option-pair similarity
     (values with disjoint keys have similarity exactly 0), so it is at least
-    the maximum of the table ``instance_level_scan`` builds, and equal to it
-    where both tuples hold one option.  ``f`` is ``dist.bind()``.
+    the maximum of the table ``instance_level_scan`` builds, and where both
+    tuples hold one option it is that table's one entry.  ``f`` is
+    ``dist.bind()``.
     """
-    return sum(
+    return [
         1.0 - f(oi[0][0], oj[0][0])
         if len(oi) == 1 == len(oj)
         else 0.0 if ki.isdisjoint(kj) else 1.0
         for oi, oj, ki, kj in zip(
             si.imputed.options, sj.imputed.options, si.key_unions, sj.key_unions
         )
-    )
+    ]
 
 
 def ub_sim_by_size(sizes_i: list, sizes_j: list) -> float:
@@ -147,6 +152,7 @@ def instance_level_scan(
     alpha: float,
     keywords: frozenset,
     dist: DistanceFn,
+    terms: list | None = None,
 ) -> tuple:
     """Exact match probability by convolution over the attributes, stopping
     as soon as the pair cannot exceed alpha.
@@ -156,54 +162,89 @@ def instance_level_scan(
     the exact match probability.
 
     The tables come first.  Similarities come from one option-vs-option table
-    per attribute over the values of the two tuples' ``options`` (1x1 for a
-    present attribute), each entry ``1.0 - f(a, b)`` with
-    ``f = dist.bind()``, the float ``dist.sim`` gives.  If even the sum of
-    the tables' maxima fails the threshold, no instance pair can match: the
-    probability is 0 and the scan returns (0.0 <= alpha + 1e-9, 0.0) before
-    reading any probability.
+    per attribute over the values of the two tuples' ``options``, each entry
+    ``1.0 - f(a, b)`` with ``f = dist.bind()``, the float ``dist.sim``
+    gives.  Where both tuples hold one option the table is that one entry,
+    taken from ``terms`` (:func:`single_option_terms`) when they are handed
+    in, so the distance is not asked again.  If even the sum of the tables'
+    maxima fails the threshold, no instance pair can match: the probability
+    is 0 and the scan returns (0.0 <= alpha + 1e-9, 0.0) before reading any
+    probability.  Past that test an empty keyword set raises ConfigError.
 
-    Past that test, the attributes are imputed independently, so the scan
-    walks them in order over states ``(s, keyword_seen)``: ``s`` is the
-    partial similarity, added from 0.0 one table entry at a time (the float
-    an instance pair's ``sum()`` gives before Python 3.12), and the state's
+    Then, the attributes being imputed independently, the scan walks them in
+    order over states ``(s, keyword_seen)``: ``s`` is the partial
+    similarity, added from 0.0 one table entry at a time (the float an
+    instance pair's ``sum()`` gives before Python 3.12), and the state's
     value is the mass ``mass * pu * pv`` of the option pairs that reach it.
-    After each attribute a state is dropped when even the later tables'
-    maxima cannot lift it past gamma, or when it has seen no keyword and no
-    later option of either tuple holds one.  The scan stops pruned once the
-    mass left is at most alpha + 1e-9; at the end, the states that pass the
-    threshold hold the match probability.
+    A one-entry attribute moves every state forward by its entry; only
+    where options branch does a state spread over the table.  After each
+    attribute a state is dropped when even the later tables' maxima cannot
+    lift it past gamma, or when it has seen no keyword and no later option
+    of either tuple holds one.  The scan stops pruned once the mass left is
+    at most alpha + 1e-9; at the end, the states that pass the threshold
+    hold the match probability.
     """
     f = dist.bind()
     opts_i, opts_j = it_i.options, it_j.options
-    tables = [
-        [[1.0 - f(vi, vj) for vj, _ in oj] for vi, _ in oi]
-        for oi, oj in zip(opts_i, opts_j)
-    ]
-    maxima = [max(map(max, table)) for table in tables]
+    tables, maxima = [], []  # per attribute: its one entry (a float) or its table, row-major
+    for x, (oi, oj) in enumerate(zip(opts_i, opts_j)):
+        if len(oi) == 1 == len(oj):
+            sim = 1.0 - f(oi[0][0], oj[0][0]) if terms is None else terms[x]
+            tables.append(sim)
+            maxima.append(sim)
+        else:
+            table = [1.0 - f(vi, vj) for vi, _ in oi for vj, _ in oj]
+            tables.append(table)
+            maxima.append(max(table))
     if not sim_matches(sum(maxima) + _SUM_SLACK, gamma):
         return 0.0 <= alpha + _TOL, 0.0
-    hits_i = [[contains_keyword(v, keywords) for v, _ in opts] for opts in opts_i]
-    hits_j = [[contains_keyword(v, keywords) for v, _ in opts] for opts in opts_j]
+    if not keywords:
+        raise ConfigError("keyword set must be non-empty")
+    isdisjoint = keywords.isdisjoint
+    # per attribute its keyword flags: one for a one-entry attribute, else
+    # each tuple's per option; kw_after[x]: a flag from attribute x on is set
+    d = len(tables)
+    hits, kw_after = [None] * d, [False] * (d + 1)
+    for x in range(d - 1, -1, -1):
+        oi, oj = opts_i[x], opts_j[x]
+        if type(tables[x]) is float:
+            hit = hits[x] = not isdisjoint(oi[0][0]) or not isdisjoint(oj[0][0])
+            kw_after[x] = kw_after[x + 1] or hit
+        else:
+            kw_i = [not isdisjoint(v) for v, _ in oi]
+            kw_j = [not isdisjoint(v) for v, _ in oj]
+            hits[x] = kw_i, kw_j
+            kw_after[x] = kw_after[x + 1] or any(kw_i) or any(kw_j)
+    cut, floor = gamma + _TOL, alpha + _TOL
     states = {(0.0, False): 1.0}
-    attrs = zip(tables, opts_i, opts_j, hits_i, hits_j)
-    for done, (table, oi, oj, kw_i, kw_j) in enumerate(attrs, 1):
+    for done, (table, oi, oj, hit) in enumerate(zip(tables, opts_i, opts_j, hits), 1):
         reach = sum(maxima[done:]) + _SUM_SLACK
-        kw_later = any(map(any, hits_i[done:])) or any(map(any, hits_j[done:]))
+        kw_later = kw_after[done]
         after: dict = {}
-        for (s, seen), mass in states.items():
-            for row, (_, pu), kw_u in zip(table, oi, kw_i):
-                mass_u = mass * pu
-                for sim, (_, pv), kw_v in zip(row, oj, kw_j):
-                    kw = seen or kw_u or kw_v
-                    t = s + sim
-                    if (kw or kw_later) and sim_matches(t + reach, gamma):
-                        after[t, kw] = after.get((t, kw), 0.0) + mass_u * pv
+        if type(table) is float:
+            pu, pv = oi[0][1], oj[0][1]
+            for (s, seen), mass in states.items():
+                kw = seen or hit
+                t = s + table
+                if (kw or kw_later) and t + reach > cut:
+                    after[t, kw] = after.get((t, kw), 0.0) + mass * pu * pv
+        else:
+            kw_i, kw_j = hit
+            for (s, seen), mass in states.items():
+                cells = iter(table)
+                for (_, pu), kw_u in zip(oi, kw_i):
+                    mass_u = mass * pu
+                    # oj first: zip stops on it before taking a cell of the next row
+                    for (_, pv), kw_v, sim in zip(oj, kw_j, cells):
+                        kw = seen or kw_u or kw_v
+                        t = s + sim
+                        if (kw or kw_later) and t + reach > cut:
+                            after[t, kw] = after.get((t, kw), 0.0) + mass_u * pv
         states = after
-        if sum(states.values()) <= alpha + _TOL:
+        if sum(states.values()) <= floor:
             return True, 0.0
-    prob = sum(mass for (s, kw), mass in states.items() if kw and sim_matches(s, gamma))
-    if prob <= alpha + _TOL:
+    prob = sum(mass for (s, kw), mass in states.items() if kw and s > cut)
+    if prob <= floor:
         return True, 0.0
     return False, prob
 
@@ -236,9 +277,11 @@ def judge_pair(
     filters let through.
 
     The single-option bound reads no summary field the size, pivot and
-    probability bounds read, so a pair it settles never computes them.
+    probability bounds read, so a pair it settles never computes them.  Its
+    terms go on to the instance-level scan as the one-entry tables.
     """
-    if not sim_matches(ub_sim_single(si, sj, dist.bind()) + _SUM_SLACK, gamma):
+    terms = single_option_terms(si, sj, dist.bind())
+    if not sim_matches(sum(terms) + _SUM_SLACK, gamma):
         return PairVerdict(stage=STAGE_SINGLE)
     if ub_sim_by_size(si.sizes, sj.sizes) <= gamma + _TOL:
         return PairVerdict(stage=STAGE_SIZE)
@@ -248,7 +291,9 @@ def judge_pair(
     ub = prob_ub_paley_zygmund(si.pivot_stats, sj.pivot_stats, d, gamma)
     if ub <= alpha + _TOL:
         return PairVerdict(stage=STAGE_PROB)
-    pruned, prob = instance_level_scan(si.imputed, sj.imputed, gamma, alpha, keywords, dist)
+    pruned, prob = instance_level_scan(
+        si.imputed, sj.imputed, gamma, alpha, keywords, dist, terms
+    )
     if pruned:
         return PairVerdict(stage=STAGE_INSTANCE)
     return PairVerdict(stage=STAGE_REFINED, matched=prob_reports(prob, alpha), prob=prob)

@@ -134,6 +134,40 @@ class TestSummaryReference:
             for name in self.FIELDS:
                 assert _bits(getattr(got, name)) == _bits(ref[name]), (it.rid, name)
 
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_engine_built_summaries_equal_the_per_option_reference(self, kind, seed, monkeypatch):
+        """An engine's summaries read a fallback attribute's fields from the
+        bounds the engine keeps once per attribute, bit for bit what every
+        summary would compute from its own options."""
+        import teride.engine
+        from teride.engine import Engine
+        from teride.model import QueryConfig
+
+        repo, trace = make_workload(seed=seed, d=4, length=30, repo_size=40, xi=0.5, m=2)
+        keywords = frozenset({"topic0"})
+        config = QueryConfig(keywords=keywords, d=4, rho=0.6, alpha=0.2, window_size=10)
+        dist = DistanceFn(kind)
+        built = []
+
+        def recorded(*args):
+            built.append(summarize(*args))
+            return built[-1]
+
+        monkeypatch.setattr(teride.engine, "summarize", recorded)
+        engine = Engine(repo, config, dist, mode="engine")
+        engine.run(list(trace))
+        assert engine.stage_counts["refined"]
+        fallen = [x for s in built for x in s.imputed.fallback_attrs]
+        assert len(fallen) > len(set(fallen)) > 0
+        for s in built:
+            ref = _reference_summary(s.imputed, engine.pre.pivots, keywords, dist)
+            for name in self.FIELDS:
+                assert _bits(getattr(s, name)) == _bits(ref[name]), (s.rid, name)
+        assert all(
+            (engine.pre.fallback_bounds[x] is None) == (x not in fallen) for x in range(repo.d)
+        )
+
 
 class _CountingDist(DistanceFn):
     """A distance that counts its calls."""
@@ -163,22 +197,37 @@ class TestArrivalWork:
         for rule in detect_cdds(repo, dist):
             by_dep.setdefault(rule.dependent, []).append(rule)
         imputed = [impute_tuple(r, by_dep, repo, dist) for r in trace]
-        assert any(it.per_attr_candidates for it in imputed)
+        assert any(set(it.per_attr_candidates) - it.fallback_attrs for it in imputed)
+        fallen = {x for it in imputed for x in it.fallback_attrs}
+        assert sum(len(it.fallback_attrs) for it in imputed) > len(fallen) > 0
         for field in ("sizes", "box", "pivot_stats"):
+            # one engine's fallback bounds: each fallback attribute's options
+            # are asked for by the first summary that needs them, once
+            shared = [None] * repo.d
             for it in imputed:
                 # the first read fills all three fields in one pass: one call
-                # per option, against its attribute's main pivot
-                mains = [pivots.main(x) for x, opts in enumerate(it.options) for _ in opts]
+                # per option against its attribute's main pivot, except on a
+                # fallback attribute another summary has already computed
+                asks = [
+                    x for x in range(repo.d) if x not in it.fallback_attrs or shared[x] is None
+                ]
+                mains = [pivots.main(x) for x in asks for _ in it.options[x]]
                 dist.calls = 0
-                s = summarize(it, pivots, frozenset({"topic0"}), dist)
+                s = summarize(it, pivots, frozenset({"topic0"}), dist, shared)
                 assert dist.calls == 0
                 dist.seen = []
                 getattr(s, field)
-                assert dist.calls == sum(len(opts) for opts in it.options)
+                assert dist.calls == len(mains)
                 assert all(b is main for (_, b), main in zip(dist.seen, mains))
                 dist.calls = 0
                 s.box, s.sizes, s.pivot_stats
                 assert dist.calls == 0
+            assert {x for x in range(repo.d) if shared[x] is not None} == fallen
+            # a summary built outside an engine asks for every option's coordinate
+            for it in imputed:
+                dist.calls = 0
+                getattr(summarize(it, pivots, frozenset({"topic0"}), dist), field)
+                assert dist.calls == sum(len(opts) for opts in it.options)
 
     def test_complete_arrival_lists_no_options(self, setup):
         """A complete tuple's summary, grid insert and probe leave its options

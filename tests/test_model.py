@@ -10,7 +10,6 @@ from teride.model import (
     MISSING_CELL,
     QueryConfig,
     Repository,
-    contains_keyword,
     read_repository,
     read_tuples,
     tokenize,
@@ -38,16 +37,6 @@ class TestTokenize:
         except EmptyValue:
             return
         assert tokens and all(t for t in tokens)
-
-
-class TestContainsKeyword:
-    def test_hit_and_miss(self):
-        assert contains_keyword(ts("diabetes", "type"), frozenset({"diabetes"}))
-        assert not contains_keyword(ts("flu"), frozenset({"diabetes"}))
-
-    def test_empty_keywords_rejected(self):
-        with pytest.raises(ConfigError):
-            contains_keyword(ts("flu"), frozenset())
 
 
 class TestStreamTuple:

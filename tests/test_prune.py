@@ -3,12 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teride.engine import _FilteredScanFetch
+from teride.errors import ConfigError
 from teride.grid import _SUM_SLACK, ErGrid, summarize
 from teride.impute import ImputedTuple, impute_tuple
 from teride.metric import DistanceFn, jaccard_dist, jaccard_sim
-from teride.model import QueryConfig, Repository, contains_keyword
+from teride.model import QueryConfig, Repository
 from teride.pivot import PivotSet, select_pivots
 from teride.prune import (
+    STAGE_INSTANCE,
     STAGE_KEYWORD,
     STAGE_PIVOT,
     STAGE_REFINED,
@@ -23,9 +25,9 @@ from teride.prune import (
     prob_ub_paley_zygmund,
     sim_matches,
     sim_ub_token,
+    single_option_terms,
     ub_sim_by_pivot,
     ub_sim_by_size,
-    ub_sim_single,
 )
 
 from .conftest import (
@@ -136,7 +138,7 @@ class TestSingleOptionBound:
         pivots = select_pivots(repo, dist=dist)
         f = dist.bind()
         for a, b in pairs:
-            ub = ub_sim_single(a, b, f)
+            ub = sum(single_option_terms(a, b, f))
             maxima = [
                 max(1.0 - f(u, v) for u, _ in oi for v, _ in oj)
                 for oi, oj in zip(a.imputed.options, b.imputed.options)
@@ -181,7 +183,7 @@ class TestSingleOptionBound:
                 ("b", 1, (ts("topic0"), ts("p", "q"))),
             )
         )
-        assert ub_sim_single(a, b, dist.bind()) == 0.5 + 0.5 == 1.0
+        assert single_option_terms(a, b, dist.bind()) == [0.5, 0.5]
         assert judge_pair(a, b, 1.0, 0.2, keywords, dist) == PairVerdict(STAGE_SINGLE)
         assert naive_pair_probability(a.imputed, b.imputed, 1.0, keywords, dist) == 0.0
         # just below, the pair matches with probability 1
@@ -192,11 +194,11 @@ class TestSingleOptionBound:
     def test_multi_option_attribute_counts_its_key_overlap(self):
         f = DistanceFn().bind()
         # disjoint keys: similarity 0 on every option pair, and 0.0 in the bound
-        assert ub_sim_single(*self._pair(ts("w")), f) == 0.5
+        assert single_option_terms(*self._pair(ts("w")), f) == [0.5, 0.0]
         # shared keys: 1.0, though the best option pair ({u} against {u, z})
         # has similarity 0.5
         a, b = self._pair(ts("u", "z"))
-        assert ub_sim_single(a, b, f) == 1.5
+        assert single_option_terms(a, b, f) == [0.5, 1.0]
         keywords = frozenset({"topic0"})
         verdict = judge_pair(a, b, 1.4, 0.2, keywords, DistanceFn())
         assert verdict.stage not in (STAGE_SINGLE, STAGE_REFINED)
@@ -220,10 +222,10 @@ class TestSingleOptionBound:
             b = ImputedTuple(base=make_tuple("b", 1, 1, ts("topic0"), ts("p", "q"), ts("r"), ts("w")))
             sa, sb = (summarize(it, pivots, keywords, dist) for it in (a, b))
             assert dist.calls == 0, kind
-            ub = ub_sim_single(sa, sb, dist.bind())
+            terms = single_option_terms(sa, sb, dist.bind())
             assert dist.calls == 2, kind
-            want = {DistanceFn.JACCARD: 0.5 + 0.5 + 1.0, DistanceFn.ABSDIFF: 0.0 + 0.0 + 1.0}
-            assert ub == want[kind], kind
+            want = {DistanceFn.JACCARD: [0.5, 0.5, 1.0, 0.0], DistanceFn.ABSDIFF: [0.0, 0.0, 1.0, 0.0]}
+            assert terms == want[kind], kind
             # the cascade settles the pair there, with no other distance and
             # neither summary's bound fields computed
             assert judge_pair(sa, sb, 2.0, 0.2, keywords, dist) == PairVerdict(STAGE_SINGLE)
@@ -489,7 +491,7 @@ class TestInstanceScanMatchesReference:
                             shortcut += 1
             for s in summaries:
                 keyword_free += not any(
-                    contains_keyword(v, keywords) for opts in s.imputed.options for v, _ in opts
+                    not v.isdisjoint(keywords) for opts in s.imputed.options for v, _ in opts
                 )
             # the workload reaches keyword-free tuples and scans that end pruned
             # with nothing confirmed
@@ -507,8 +509,8 @@ class TestInstanceScanMatchesReference:
         )
         # only a's most likely option on attribute 0 and b's second option on
         # attribute 2 hold the keyword
-        assert [contains_keyword(v, keywords) for v, _ in a.options[0]] == [True, False, False]
-        assert [contains_keyword(v, keywords) for v, _ in b.options[2]] == [False, True, False]
+        assert [not v.isdisjoint(keywords) for v, _ in a.options[0]] == [True, False, False]
+        assert [not v.isdisjoint(keywords) for v, _ in b.options[2]] == [False, True, False]
         dist = DistanceFn()
         outcomes = set()
         for tenth in range(5, 30):
@@ -569,3 +571,90 @@ class TestInstanceScanMatchesReference:
                 got = instance_level_scan(*args)
                 assert_scan_agrees(got, reference_instance_level_scan(*args), args)
                 assert got[1] > 0.0
+
+
+def _table_entries(a, b) -> int:
+    """Distances one scan of the pair asks: one per attribute where both tuples
+    hold one option, one per option pair elsewhere."""
+    return sum(
+        1 if len(oi) == 1 == len(oj) else len(oi) * len(oj)
+        for oi, oj in zip(a.imputed.options, b.imputed.options)
+    )
+
+
+class TestSingleOptionTermsHandOff:
+    """``judge_pair`` hands the single-option terms to the scan as its one-entry
+    tables, so a judged pair asks each distance once."""
+
+    @pytest.mark.parametrize("fallback,m", [(False, 1), (False, 2), (True, 2)])
+    def test_a_scanned_pair_asks_each_distance_once(self, fallback, m):
+        # under absdiff the bound distance is the DistanceFn itself, so every
+        # call counts; the summaries' own distance is not the counting one,
+        # so the bound fields judge_pair reads ask nothing of it
+        repo, _, keywords, _, pairs = _scan_workload(
+            42, fallback, DistanceFn.ABSDIFF, m=m, numeric=True
+        )
+        dist = _CountingDistance(DistanceFn.ABSDIFF)
+        scanned = mixed = 0
+        for rho in (0.45, 0.6):
+            gamma = rho * repo.d
+            for a, b in pairs:
+                dist.calls = 0
+                verdict = judge_pair(a, b, gamma, 0.2, keywords, dist)
+                if verdict.stage not in (STAGE_INSTANCE, STAGE_REFINED):
+                    continue
+                want = _table_entries(a, b)
+                assert dist.calls == want, (a.rid, b.rid, gamma)
+                dist.calls = 0
+                pair_probability(a.imputed, b.imputed, gamma, keywords, dist)
+                assert dist.calls == want, (a.rid, b.rid, gamma)
+                scanned += 1
+                mixed += want > repo.d
+        # scanned pairs include ones with options branching on some attribute
+        assert scanned and mixed, (fallback, m)
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_terms_change_no_float_and_no_decision(self, kind, fallback):
+        repo, dist, keywords, summaries, pairs = _scan_workload(42, fallback, kind, m=2)
+        if fallback:
+            assert any(s.imputed.fallback_attrs for s in summaries)
+        f = dist.bind()
+        refined = pruned = 0
+        for rho in (0.45, 0.6):
+            gamma = rho * repo.d
+            for a, b in pairs:
+                verdict = judge_pair(a, b, gamma, 0.2, keywords, dist)
+                if verdict.stage == STAGE_REFINED:
+                    want = pair_probability(a.imputed, b.imputed, gamma, keywords, dist)
+                    assert verdict.prob.hex() == want.hex(), (kind, a.rid, b.rid, gamma)
+                    refined += 1
+                terms = single_option_terms(a, b, f)
+                for alpha in (-1.0, 0.0, 0.2, 0.5):
+                    args = (a.imputed, b.imputed, gamma, alpha, keywords, dist)
+                    got = instance_level_scan(*args, terms)
+                    want = instance_level_scan(*args)
+                    # a scan no state passes sums nothing, the int 0
+                    assert (got[0], float(got[1]).hex()) == (want[0], float(want[1]).hex()), (
+                        kind, a.rid, b.rid, gamma, alpha
+                    )
+                    pruned += got[0]
+        assert refined and pruned, (kind, fallback)
+
+    def test_an_empty_keyword_set_raises_once_the_maxima_pass(self):
+        a = ImputedTuple(
+            base=make_tuple("a", 0, 1, ts("x"), None),
+            per_attr_candidates={1: [(ts("u"), 0.5), (ts("v"), 0.5)]},
+        )
+        b = ImputedTuple(base=make_tuple("b", 1, 1, ts("x"), ts("u")))
+        dist = DistanceFn()
+        # the maxima sum to 2.0: a gamma below passes the test, and the scan
+        # reads the keyword set, which must not be empty
+        with pytest.raises(ConfigError):
+            instance_level_scan(a, b, 1.5, 0.2, frozenset(), dist)
+        with pytest.raises(ConfigError):
+            pair_probability(a, b, 1.5, frozenset(), dist)
+        # a pair the maxima settle never reads it
+        assert instance_level_scan(a, b, 2.0, 0.2, frozenset(), dist) == (True, 0.0)
+        assert pair_probability(a, b, 2.0, frozenset(), dist) == 0.0
+        assert instance_level_scan(a, b, 1.5, 0.2, frozenset({"x"}), dist) == (False, 0.5)
