@@ -322,8 +322,10 @@ def _sort_key(rule: CddRule):
 #   DEP=<j> | <x>:CONST:<tokens-joined-by-+> | <x>:INT:<min>,<max> -> [<lo>,<hi>]
 
 def rules_to_text(rules: Sequence[CddRule]) -> str:
+    """The rules as rule-file lines, in the order given (``detect_cdds`` gives them in
+    ``_sort_key`` order)."""
     lines = []
-    for rule in sorted(rules, key=_sort_key):
+    for rule in rules:
         parts = [f"DEP={rule.dependent}"]
         for c in sorted(rule.determinants, key=lambda c: c.attr):
             if c.kind == CONST:

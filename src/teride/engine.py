@@ -1,20 +1,21 @@
 """Streaming engine: ingest, imputation, candidate retrieval, and match reporting.
 
-Every arrival runs one pipeline: the fetcher selects the rules and samples
-that can impute it, ``impute_tuple`` imputes it from that selection, the
-step summarizes it, the fetcher fetches candidates among the other streams'
-live tuples, and the judge judges each pair.  A fetcher selects and fetches;
-it does not impute.  A mode is a fetcher plus a judge, both picked when the
-engine is built, and all three modes give identical event streams:
+Every arrival runs one pipeline: the fetcher selects the rules that some
+repository sample satisfies and exactly those samples, ``impute_tuple``
+counts them, the step summarizes the tuple, the fetcher fetches candidates
+among the other streams' live tuples, and the judge judges each pair.  A
+mode is a fetcher plus a judge, both picked when the engine is built, and
+all three modes give identical event streams:
 
 * ``engine`` — the index fetcher (a hash join of the tuple's values on the
-  rules' constant determinants, the repository index's token and value
+  rules' constant determinants, ``select_samples`` on the repository index's
   postings, one grid of all streams' live tuples) and the pruning cascade.
-* ``noindex`` — the scan fetcher (every rule, sample and live tuple), which
-  applies the grid's keyword and shared-key filters pair by pair, and the
-  same cascade, which starts at the single-option bound.
-* ``oracle`` — the scan fetcher with no filter, and every pair is fully
-  evaluated; this is the reference implementation.
+* ``noindex`` — the scan fetcher (every rule, ``select_samples`` on one scan
+  per determinant, every live tuple), which applies the grid's keyword and
+  shared-key filters pair by pair, and the same cascade, which starts at the
+  single-option bound.
+* ``oracle`` — every rule checked against every sample, every live tuple,
+  and every pair fully evaluated; this is the reference implementation.
 
 Each stream's count-based sliding window is one deque of its live tuple
 summaries, oldest first (``Engine.windows``).  Per step, the whole batch of
@@ -39,7 +40,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .cdd import detect_cdds
+from .cdd import detect_cdds, satisfies_determinants
 from .errors import (
     ConfigError,
     DuplicateTuple,
@@ -50,9 +51,8 @@ from .errors import (
 )
 from .grid import STAGE_KEYWORD, STAGE_TOKEN, ErGrid, TupleSummary, summarize, token_count_prunes
 from .impute import ImputedTuple, impute_tuple
-from .index import build_cdd_index, build_dr_index
-# unread: kept so perfbench/tracer.py resolves the name, but DrIndex.samples_per_rule
-# calls the one in teride.index, so a wrap of this name records no call
+from .index import build_cdd_index, build_dr_index, scan_hits, select_samples
+# unread and never called: kept so perfbench/tracer.py resolves the name
 from .index import dr_query_box_for_rule  # noqa: F401
 from .metric import DistanceFn, PairTables
 from .model import QueryConfig, Repository, StreamTuple
@@ -187,17 +187,30 @@ def precompute(
 
 
 class _ScanFetch:
-    """``oracle``: scan every rule, sample and live tuple; no index and no filter."""
+    """``oracle``: check every rule against every sample, and scan every live tuple."""
 
     dr_index = None
 
     def __init__(self, pre: Precomputed, config: QueryConfig, dist: DistanceFn):
         self.pre = pre
         self.gamma = config.gamma
+        self.dist = dist
 
     def select(self, r: StreamTuple) -> tuple:
-        """Every rule, and no samples per rule: each rule scans the whole repository."""
-        return self.pre.rules_by_dep, None
+        """What ``select_samples`` gives, by the reference that it must equal:
+        a ``satisfies_determinants`` check of every rule r can use against
+        every sample."""
+        samples, dist = self.pre.repo.samples, self.dist
+        rules_by_dep, samples_per_rule = {}, {}
+        for j in r.missing:
+            rules_by_dep[j] = []
+            for rule in self.pre.rules_by_dep.get(j, ()):
+                applicable = rule.applicable_to(r)
+                got = applicable and [s for s in samples if satisfies_determinants(rule, r, s, dist)]
+                if got:
+                    rules_by_dep[j].append(rule)
+                    samples_per_rule[rule] = got
+        return rules_by_dep, samples_per_rule
 
     def add(self, summary: TupleSummary) -> None:
         pass
@@ -211,8 +224,13 @@ class _ScanFetch:
 
 
 class _FilteredScanFetch(_ScanFetch):
-    """``noindex``: the scan, keeping the tuples that pass the keyword test, then the
-    shared-key test; the skips go to stage_counts, as the grid's do."""
+    """``noindex``: samples by ``scan_hits``, and the live tuples that pass the
+    keyword test, then the shared-key test; the skips go to stage_counts, as
+    the grid's do."""
+
+    def select(self, r: StreamTuple) -> tuple:
+        samples = self.pre.repo.samples
+        return select_samples(self.pre.rules_by_dep, r, scan_hits(samples, self.dist), samples)
 
     def candidates(self, summary: TupleSummary, windows: dict, stage_counts: dict) -> list:
         found = []
@@ -234,31 +252,16 @@ class _IndexFetch:
     def __init__(self, pre: Precomputed, config: QueryConfig, dist: DistanceFn):
         self.pre = pre
         self.gamma = config.gamma
-        self.dist = dist
         self.dr_index = build_dr_index(pre.repo, pre.pivots, dist)
         self.cdd_indexes = {j: build_cdd_index(rules) for j, rules in pre.rules_by_dep.items()}
         self.grid = ErGrid(config.d)
 
     def select(self, r: StreamTuple) -> tuple:
-        """Per missing attribute, the candidate rules that were served samples,
-        and the samples per rule.
-
-        The candidate rules come from one bucket lookup per rule shape
-        (``CddIndex.candidate_rules``) and their samples from one DR-index
-        retrieval (``DrIndex.samples_per_rule``).  A rule served no sample
-        adds nothing to ``impute_multi_rule``'s counts, so it is not handed on.
-        """
-        candidates = {}
-        for j in r.missing:
-            idx = self.cdd_indexes.get(j)
-            candidates[j] = [] if idx is None else idx.candidate_rules(r)
-        samples_per_rule = self.dr_index.samples_per_rule(
-            [rule for rules in candidates.values() for rule in rules], r, self.pre.pivots, self.dist
-        )
-        rules_by_dep = {
-            j: [rule for rule in rules if samples_per_rule[rule]] for j, rules in candidates.items()
-        }
-        return rules_by_dep, samples_per_rule
+        """As ``noindex``, but with one bucket lookup per rule shape
+        (``CddIndex.candidate_rules``) and ``DrIndex.hits``."""
+        indexes = self.cdd_indexes
+        candidates = {j: indexes[j].candidate_rules(r) for j in r.missing if j in indexes}
+        return select_samples(candidates, r, self.dr_index.hits, self.dr_index.samples)
 
     def add(self, summary: TupleSummary) -> None:
         self.grid.insert(summary)

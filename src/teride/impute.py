@@ -1,23 +1,16 @@
 """Imputation of missing attributes via rules, and probabilistic tuple expansion.
 
-A missing attribute is imputed by one counting loop: for each applicable
-rule, every repository sample that satisfies the rule's determinants adds 1
-to each domain value whose distance to the sample's dependent value lies in
-the rule's dependent interval.  The pooled counts are normalized into an
+A missing attribute is imputed by one counting loop: for each rule, every
+repository sample that satisfies the rule's determinants adds 1 to each
+domain value whose distance to the sample's dependent value lies in the
+rule's dependent interval.  The pooled counts are normalized into an
 existence-probability distribution.
 
-The engine's fetcher only selects what the loop reads.  The scan fetcher
-(``noindex``, ``oracle``) selects every rule, so each rule scans all samples
-and each sample the whole dependent domain.  The index fetcher (``engine``)
-finds the rules whose determinants the tuple holds and whose constants it
-equals (one hash lookup per rule shape that holds a constant; a shape with
-none has its one bucket resolved when the index is built), asks the
-DR-index for each rule's samples, and hands on only the rules it served a
-sample, with those samples; when the dependent interval rejects distance
-1.0, each sample then checks only the domain values that the prefix
-postings of its value's similarity keys reach (``DrIndex.near_values``).
-A rule served no sample counts nothing, the rest are supersets of what the
-scan accepts, and every value is still checked, so the result is the same.
+The loop only counts: the engine's fetcher hands it the rules that some
+sample satisfies, each with exactly those samples (``select_samples``).
+When the dependent interval rejects distance 1.0 and a DR-index is given,
+each sample checks only the domain values that the prefix postings of its
+value's similarity keys reach (``DrIndex.near_values``).
 
 When the loop counts no value it returns [], and the attribute falls back
 to a uniform distribution over the repository's most frequent values.  That
@@ -42,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cdd import CddRule, satisfies_determinants
+from .cdd import CddRule
 from .errors import ImputationFailed
-from .index import DrIndex
+from .index import DrIndex, scan_hits, select_samples
 from .metric import DistanceFn
 from .model import Repository, StreamTuple, token_key
 
@@ -53,31 +46,24 @@ FALLBACK_TOP_K = 5
 
 
 def impute_multi_rule(
-    r: StreamTuple,
     rules: Sequence[CddRule],
+    samples_per_rule: dict,
     repo: Repository,
     dist: DistanceFn,
-    samples_per_rule: Optional[dict] = None,
     dr_index: Optional[DrIndex] = None,
 ) -> list:
-    """Pooled candidate probabilities over all the rules (see the module docstring).
+    """Pooled candidate probabilities over the rules, each counting the samples
+    ``samples_per_rule`` gives it (see the module docstring).
 
-    A rule that ``samples_per_rule`` does not name scans the whole repository.
     Returns (value, prob) pairs sorted by descending probability, ties in
     token order, or [] when no value was counted.
     """
-    served = samples_per_rule or {}
     counts: dict = {}
     for rule in rules:
-        samples = served.get(rule, repo.samples)
-        if not samples:
-            continue
         j = rule.dependent
         domain = repo.domain(j)
         near = dr_index is not None and not rule.dep_admits(1.0)
-        for s in samples:
-            if not satisfies_determinants(rule, r, s, dist):
-                continue
+        for s in samples_per_rule[rule]:
             sv = s.attrs[j]
             for val in dr_index.near_values(j, sv, rule.dep_hi, dist) if near else domain:
                 if rule.dep_admits(dist(sv, val)):
@@ -203,22 +189,26 @@ def impute_tuple(
 ) -> ImputedTuple:
     """Impute every missing attribute of r independently; complete tuples pass through.
 
-    ``samples_per_rule`` and ``dr_index`` narrow the scans (see the module
-    docstring) without changing the result.  An attribute no rule yields a
-    candidate for takes its ``shared_fallback`` and is flagged.  The tuple is
-    handed its options and token unions, already in ``options`` order, and
-    is not checked again.
+    ``rules_by_dep`` and ``samples_per_rule`` are a fetcher's selection
+    (``select_samples``); without ``samples_per_rule``, the scan selects from
+    the rules of ``rules_by_dep``.  ``dr_index`` narrows the dependent values
+    without changing the result.  An attribute no rule yields a candidate for
+    takes its ``shared_fallback`` and is flagged.  The tuple is handed its
+    options and token unions, already in ``options`` order, and is not
+    checked again.
     """
     if not r.missing:
         return ImputedTuple(base=r)
+    if samples_per_rule is None:
+        hits = scan_hits(repo.samples, dist)
+        rules_by_dep, samples_per_rule = select_samples(rules_by_dep, r, hits, repo.samples)
     attrs = r.attrs
     options = [None if v is None else [(v, 1.0)] for v in attrs]
     unions = list(attrs)
     per_attr: dict = {}
     fallback: set = set()
     for j in r.missing:
-        applicable = [rule for rule in rules_by_dep.get(j, ()) if rule.applicable_to(r)]
-        cands = impute_multi_rule(r, applicable, repo, dist, samples_per_rule, dr_index)
+        cands = impute_multi_rule(rules_by_dep.get(j, ()), samples_per_rule, repo, dist, dr_index)
         if cands:
             unions[j] = frozenset().union(*(v for v, _ in cands))
         else:

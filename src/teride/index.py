@@ -1,18 +1,19 @@
-"""The repository index (DR-index) and the rule index (CDD-index).
+"""Sample retrieval, the repository index (DR-index) and the rule index (CDD-index).
 
-The DR-index holds, per attribute, the repository samples' main-pivot
-coordinates in ascending order, so a range of coordinates is two bisections,
-plus per-attribute postings from similarity keys (``DistanceFn.keys``) to
-values and from values to samples.  An interval that rejects distance 1.0
-reaches only the values that share a key with the tuple's value, so
-imputation reads its samples and dependent values from the postings (see
-:class:`DrIndex`); a determinant that restricts nothing leaves the rule to
-the box.  The CDD-index of a dependent attribute is a hash join on constant
-determinants: its rules are bucketed by shape (determinant attributes, and
-which of them are constants) and constant values, so the rules a tuple could
-satisfy are one lookup per shape on the tuple's values.  A shape with no
-constant has one bucket, resolved when the index is built, so it costs a
-tuple only the check that it holds the shape's attributes.
+:func:`select_samples` finds each candidate rule's satisfying samples: it
+resolves each distinct determinant once per tuple to the exact positions that
+meet it, and intersects a rule's sets.  The modes differ only in the
+resolver: the DR-index's (:meth:`DrIndex.hits`) reads per-attribute postings
+from similarity keys (``DistanceFn.keys``) to values and from values to
+samples; the scan's (:func:`scan_hits`) reads every sample.  No retrieval
+reads the DR-index's main-pivot box query (``by_coord``,
+:meth:`DrIndex.range_samples`).  The CDD-index of a dependent attribute is a
+hash join on constant determinants: its rules are bucketed by shape
+(determinant attributes, and which of them are constants) and constant
+values, so the rules a tuple could satisfy are one lookup per shape on the
+tuple's values.  A shape with no constant has one bucket, resolved when the
+index is built, so it costs a tuple only the check that it holds the shape's
+attributes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .pivot import PivotSet
 # length and the equality bound allow a thousand times that, so rounding
 # cannot drop a value.
 _PREFIX_SLACK = 1e-6
-_UNSEEN = object()
 _EMPTY = frozenset()
 
 
@@ -64,9 +64,9 @@ def prefix_values(postings: dict, v, hi: float):
     ``|v| - need + 1`` tokens therefore covers it: the prefix filter of
     Chaudhuri, Ganti and Kaushik (ICDE 2006).  The result is a superset, and
     it never covers distance 1.0: callers use it only for intervals that
-    reject 1.0 and check each value's distance.  :meth:`DrIndex.samples_per_rule`
-    skips it when :func:`equality_only` holds, as then the value posting of v
-    alone is exact.  A one-key prefix returns that key's posting, read only.
+    reject 1.0 and check each value's distance.  :meth:`DrIndex.hits` skips it
+    when :func:`equality_only` holds, as then the value posting of v alone is
+    exact.  A one-key prefix returns that key's posting, read only.
     """
     need = max(1, math.ceil((1.0 - hi - _PREFIX_SLACK) * len(v)))
     prefix = sorted(v, key=lambda t: (len(postings.get(t, ())), t))[: len(v) - need + 1]
@@ -76,88 +76,40 @@ def prefix_values(postings: dict, v, hi: float):
 
 
 class DrIndex:
-    """Per attribute, the repository samples' main-pivot coordinates in
-    ascending order with their sample positions, plus per-attribute postings
-    (similarity key -> distinct values, value -> sample positions).
-
-    Imputation fetches its samples through the postings: :meth:`samples_per_rule`
-    makes one retrieval per tuple for all of its candidate rules, and
-    :meth:`near_values` gives the dependent values a sample's value can reach,
-    never more than the attribute's domain, under both distances, by the
-    prefix filter of :func:`prefix_values` on an interval that rejects 1.0.
-    Under Jaccard :meth:`samples_per_rule` uses it too, and takes the value
-    postings of the values it admits, but reads only the value posting of a
-    determinant interval that :func:`equality_only` bounds; under absdiff it
-    reads the value posting of an interval that rejects 1.0 on a value that
-    is not a finite number.
+    """Per attribute, postings from similarity keys to distinct values and from
+    values to sample positions, and the samples' main-pivot coordinates in
+    ascending order with their positions.  :meth:`near_values` gives the
+    dependent values a sample's value can reach, by the prefix filter of
+    :func:`prefix_values` on an interval that rejects 1.0.
     """
 
-    def __init__(self, samples: list, by_coord: list, by_key: list, by_value: list):
+    def __init__(self, samples: list, by_coord: list, by_key: list, by_value: list, dist: DistanceFn):
         self.samples = samples  # repository order; postings hold positions into it
         self.by_coord = by_coord  # per attr: (ascending coordinates, their positions)
         self.by_key = by_key  # per attr: similarity key -> list of distinct values
         self.by_value = by_value  # per attr: token set -> frozenset of positions
+        self.jaccard = dist.kind == DistanceFn.JACCARD
+        self.measure = dist.bind()
 
-    def samples_per_rule(
-        self, rules, r: StreamTuple, pivots: PivotSet, dist: DistanceFn
-    ) -> dict:
-        """Rule -> the samples, in repository order, that may satisfy its
-        determinants for r: one retrieval for all of r's candidate rules.
-
-        A constant determinant reads the posting of its value.  An interval
-        determinant that rejects 1.0 reads the posting of r's value v if it
-        admits 0.0, and nothing otherwise, when no other value lies below
-        distance 1.0 within its upper end: under Jaccard when
-        :func:`equality_only` holds for v and that end (``hi + 1e-6 < 1 /
-        (|v| + 1)``), and under absdiff when v is not a finite number, as
-        such a value lies at 1.0 from every other value.  Otherwise, under
-        Jaccard, it reads the prefix postings of v (:func:`prefix_values`) and
-        takes the positions of the values whose distance is admitted; under absdiff
-        a finite number v restricts nothing.  Each distinct determinant is
-        worked out once per tuple and shared by every rule that has it.  A
-        rule intersects the positions of these restricting determinants, up
-        to the first empty intersection; a rule with none falls back to the
-        range query on its box (:meth:`range_samples`).  Every sample that
-        satisfies a rule's determinants is returned for it.
-        """
-        jaccard = dist.kind == DistanceFn.JACCARD
-        measure = dist.bind()
-        attrs = r.attrs
-        hits_of: dict = {}  # determinant -> its positions for r, None if it restricts none
-        out = {}
-        for rule in rules:
-            for c in rule.determinants:
-                if attrs[c.attr] is None:
-                    raise ConfigError(f"tuple {r.rid} lacks determinant {c.attr}")
-            picked = None
-            for c in rule.determinants:
-                hits = hits_of.get(c, _UNSEEN)
-                if hits is _UNSEEN:
-                    hits = hits_of[c] = self._hits(c, attrs[c.attr], jaccard, measure)
-                if hits is None:
-                    continue
-                picked = hits if picked is None else picked & hits
-                if not picked:
-                    break
-            if picked is None:
-                out[rule] = self.range_samples(dr_query_box_for_rule(rule, r, pivots, dist))
-            else:  # most intersections are empty, and skip the sort
-                out[rule] = [self.samples[i] for i in sorted(picked)] if picked else []
-        return out
-
-    def _hits(self, c, rv, jaccard: bool, measure):
-        """The positions whose values can meet determinant c for r's value rv,
-        or None when c restricts none (see :meth:`samples_per_rule`)."""
+    def hits(self, c, rv):
+        """The engine's resolver: the positions of the samples that meet
+        determinant c for r's value rv.  A constant reads its value's posting
+        if rv equals it.  An interval that rejects 1.0 reads rv's posting (if
+        it admits 0.0) when no other value lies within its upper end below
+        1.0: under Jaccard when :func:`equality_only` holds, under absdiff when
+        rv is not a finite number.  Otherwise under Jaccard it checks the
+        values of rv's prefix postings (:func:`prefix_values`).  Any other
+        interval checks every distinct value."""
+        by_value, measure = self.by_value[c.attr], self.measure
         if c.kind == CONST:
-            return self.by_value[c.attr].get(c.value, _EMPTY)
-        if c.admits(1.0):
-            return None
-        if equality_only(rv, c.hi) if jaccard else as_number(rv) is None:
-            return self.by_value[c.attr].get(rv, _EMPTY) if c.admits(0.0) else _EMPTY
-        if not jaccard:
-            return None
-        by_value, near = self.by_value[c.attr], prefix_values(self.by_key[c.attr], rv, c.hi)
-        return set().union(*(by_value[u] for u in near if c.admits(measure(rv, u))))
+            return by_value.get(rv, _EMPTY) if rv == c.value else _EMPTY
+        if not c.admits(1.0):
+            if equality_only(rv, c.hi) if self.jaccard else as_number(rv) is None:
+                return by_value.get(rv, _EMPTY) if c.admits(0.0) else _EMPTY
+            if self.jaccard:
+                near = prefix_values(self.by_key[c.attr], rv, c.hi)
+                return set().union(*(by_value[u] for u in near if c.admits(measure(rv, u))))
+        return set().union(*(ids for u, ids in by_value.items() if c.admits(measure(rv, u))))
 
     def near_values(self, attr: int, v, hi: float, dist: DistanceFn):
         """The repository's distinct attribute-``attr`` values that can lie
@@ -179,6 +131,49 @@ class DrIndex:
         return [self.samples[i] for i in sorted(picked)]
 
 
+def select_samples(candidates: dict, r: StreamTuple, hits, samples: list) -> tuple:
+    """``(rules_by_dep, samples_per_rule)``: per missing attribute j of r, the
+    rules of ``candidates[j]`` that some sample satisfies, and per such rule
+    exactly those samples, in repository order.  ``hits(c, rv)`` resolves a
+    determinant c for r's value rv to the positions in ``samples`` that meet
+    it; each distinct determinant is resolved once, and one r lacks resolves
+    to nothing.  A rule intersects its determinants' sets up to the first
+    empty one."""
+    attrs = r.attrs
+    hits_of: dict = {}  # determinant -> its positions for r
+    rules_by_dep, samples_per_rule = {}, {}
+    for j in r.missing:
+        served = rules_by_dep[j] = []
+        for rule in candidates.get(j, ()):
+            picked = None
+            for c in rule.determinants:
+                got = hits_of.get(c)
+                if got is None:
+                    rv = attrs[c.attr]
+                    got = hits_of[c] = _EMPTY if rv is None else hits(c, rv)
+                picked = got if picked is None else picked & got
+                if not picked:
+                    break
+            if picked:
+                served.append(rule)
+                samples_per_rule[rule] = [samples[i] for i in sorted(picked)]
+    return rules_by_dep, samples_per_rule
+
+
+def scan_hits(samples: list, dist: DistanceFn):
+    """``noindex``'s resolver: one scan of ``samples`` per determinant; a
+    constant other than r's value resolves to nothing with no scan."""
+    measure = dist.bind()
+
+    def hits(c, rv):
+        x = c.attr
+        if c.kind == CONST:
+            return {i for i, s in enumerate(samples) if s.attrs[x] == rv} if rv == c.value else _EMPTY
+        return {i for i, s in enumerate(samples) if c.admits(measure(rv, s.attrs[x]))}
+
+    return hits
+
+
 def build_dr_index(repo: Repository, pivots: PivotSet, dist: DistanceFn) -> DrIndex:
     f = dist.bind()
     by_coord, by_key, by_value = [], [], []
@@ -194,7 +189,7 @@ def build_dr_index(repo: Repository, pivots: PivotSet, dist: DistanceFn) -> DrIn
         for i, v in enumerate(values):
             postings.setdefault(v, []).append(i)
         by_value.append({v: frozenset(ids) for v, ids in postings.items()})
-    return DrIndex(repo.samples, by_coord, by_key, by_value)
+    return DrIndex(repo.samples, by_coord, by_key, by_value, dist)
 
 
 # ---------------------------------------------------------------------------

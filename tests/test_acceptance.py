@@ -24,7 +24,7 @@ from teride.engine import (
 )
 from teride.errors import NoRulesFound
 from teride.grid import ErGrid, summarize
-from teride.impute import impute_multi_rule, impute_tuple
+from teride.impute import impute_tuple
 from teride.index import build_cdd_index, build_dr_index
 from teride.metric import DistanceFn
 from teride.model import QueryConfig
@@ -70,11 +70,12 @@ class TestReferenceValues:
         t0 = time.perf_counter()
         r = make_tuple("r", 0, 1, ts("a1"), ts("0.3"), None)
 
-        single = dict(impute_multi_rule(r, [cdd1()], numeric_repo, absdiff))
+        single = dict(impute_tuple(r, {2: [cdd1()]}, numeric_repo, absdiff).per_attr_candidates[2])
         assert single[ts("0.1")] == pytest.approx(2 / 4, abs=1e-9)
         assert single[ts("0.2")] == pytest.approx(2 / 4, abs=1e-9)
 
-        pooled = dict(impute_multi_rule(r, [cdd1(), cdd2()], numeric_repo, absdiff))
+        pooled = impute_tuple(r, {2: [cdd1(), cdd2()]}, numeric_repo, absdiff).per_attr_candidates[2]
+        pooled = dict(pooled)
         assert pooled[ts("0.1")] == pytest.approx(2 / 6, abs=1e-9)
         assert pooled[ts("0.2")] == pytest.approx(3 / 6, abs=1e-9)
         assert pooled[ts("0.35")] == pytest.approx(1 / 6, abs=1e-9)

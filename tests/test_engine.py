@@ -177,23 +177,34 @@ class TestModesAgree:
 
     @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
     def test_served_rules_impute_as_every_rule_does(self, kind, monkeypatch):
-        """The index fetcher hands imputation only the candidate rules it served
-        samples, and every tuple it imputes equals its imputation from all rules."""
+        """The index fetcher hands imputation only the candidate rules that some
+        sample satisfies, each with exactly those samples, as the oracle's
+        rule-by-sample check selects them, and every tuple it imputes equals
+        its imputation from all rules."""
         import teride.engine
         from teride.impute import impute_tuple
 
         repo, trace = make_workload(seed=65, length=30, repo_size=40, xi=0.6, m=1)
-        engine = Engine(repo, make_config(window=7), dist=DistanceFn(kind), mode=MODE_ENGINE)
+        cfg = make_config(window=7)
+        engine = Engine(repo, cfg, dist=DistanceFn(kind), mode=MODE_ENGINE)
+        oracle = Engine(repo, cfg, dist=DistanceFn(kind), mode=MODE_ORACLE)
         seen = {"tuples": 0, "served": 0, "candidates": 0, "ruled": 0}
 
         def checked(r, rules_by_dep, repo, dist, samples_per_rule, dr_index):
             got = impute_tuple(r, rules_by_dep, repo, dist, samples_per_rule, dr_index)
             assert got == impute_tuple(r, engine.pre.rules_by_dep, repo, dist), r.rid
+            want_by_dep, want_samples = oracle.fetch.select(r)
+            assert samples_per_rule == want_samples, r.rid
+            assert {j: set(rules) for j, rules in rules_by_dep.items()} == {
+                j: set(rules) for j, rules in want_by_dep.items()
+            }
             seen["tuples"] += 1
-            seen["served"] += sum(map(len, rules_by_dep.values()))
-            seen["candidates"] += len(samples_per_rule)
+            seen["served"] += len(samples_per_rule)
+            seen["candidates"] += sum(
+                len(engine.fetch.cdd_indexes[j].candidate_rules(r))
+                for j in r.missing if j in engine.fetch.cdd_indexes
+            )
             seen["ruled"] += len(got.per_attr_candidates) > len(got.fallback_attrs)
-            assert all(samples_per_rule[rule] for rules in rules_by_dep.values() for rule in rules)
             return got
 
         monkeypatch.setattr(teride.engine, "impute_tuple", checked)

@@ -15,7 +15,7 @@ from teride.impute import (
     impute_tuple,
     shared_fallback,
 )
-from teride.index import build_dr_index
+from teride.index import build_dr_index, scan_hits, select_samples
 from teride.metric import DistanceFn
 from teride.model import QueryConfig, Repository, token_key
 from teride.pivot import PivotSet, select_pivots
@@ -29,76 +29,51 @@ def incomplete_r():
     return make_tuple("r", 0, 1, ts("a1"), ts("0.3"), None)
 
 
+def pool(r, rules, repo, dist):
+    """impute_multi_rule over the rules on r's one missing attribute, each
+    counting the samples that the scan selects for it."""
+    (j,) = r.missing
+    by_dep, samples_per_rule = select_samples({j: rules}, r, scan_hits(repo.samples, dist), repo.samples)
+    return impute_multi_rule(by_dep[j], samples_per_rule, repo, dist)
+
+
 class TestSingleRule:
     """One rule is the one-rule case of the pooled count."""
 
     def test_reference_distribution(self, numeric_repo, absdiff, incomplete_r):
-        cands = impute_multi_rule(incomplete_r, [cdd1()], numeric_repo, absdiff)
+        satisfying = numeric_repo.samples[:2]
+        cands = impute_multi_rule([cdd1()], {cdd1(): satisfying}, numeric_repo, absdiff)
         assert dict(cands) == {ts("0.1"): 0.5, ts("0.2"): 0.5}
+        assert pool(incomplete_r, [cdd1()], numeric_repo, absdiff) == cands
 
     def test_second_rule_distribution(self, numeric_repo, absdiff, incomplete_r):
-        cands = impute_multi_rule(incomplete_r, [cdd2()], numeric_repo, absdiff)
+        cands = pool(incomplete_r, [cdd2()], numeric_repo, absdiff)
         assert dict(cands) == {ts("0.2"): 0.5, ts("0.35"): 0.5}
 
     def test_no_supporting_sample_counts_nothing(self, numeric_repo, absdiff):
         r = make_tuple("r", 0, 1, ts("a2"), ts("0.0"), None)
-        assert impute_multi_rule(r, [cdd1()], numeric_repo, absdiff) == []
-
-    def test_sample_subset_gives_same_result(self, numeric_repo, absdiff, incomplete_r):
-        full = impute_multi_rule(incomplete_r, [cdd1()], numeric_repo, absdiff)
-        subset = impute_multi_rule(
-            incomplete_r, [cdd1()], numeric_repo, absdiff,
-            samples_per_rule={cdd1(): numeric_repo.samples[:2]},
-        )
-        assert subset == full
+        assert pool(r, [cdd1()], numeric_repo, absdiff) == []
 
 
 class TestMultiRule:
     def test_reference_pooling(self, numeric_repo, absdiff, incomplete_r):
-        cands = dict(
-            impute_multi_rule(incomplete_r, [cdd1(), cdd2()], numeric_repo, absdiff)
-        )
+        cands = dict(pool(incomplete_r, [cdd1(), cdd2()], numeric_repo, absdiff))
         assert cands[ts("0.1")] == pytest.approx(2 / 6, abs=1e-9)
         assert cands[ts("0.2")] == pytest.approx(3 / 6, abs=1e-9)
         assert cands[ts("0.35")] == pytest.approx(1 / 6, abs=1e-9)
 
-    def test_unsupported_rules_contribute_nothing(self, numeric_repo, absdiff, incomplete_r):
-        pooled = impute_multi_rule(incomplete_r, [cdd1()], numeric_repo, absdiff)
-        # cdd2 restricted to samples that cannot satisfy it changes nothing
-        also = impute_multi_rule(
-            incomplete_r,
-            [cdd1(), cdd2()],
-            numeric_repo,
-            absdiff,
-            samples_per_rule={cdd2(): numeric_repo.samples[:1]},
+    def test_rule_served_no_sample_adds_nothing(self, numeric_repo, absdiff):
+        # no sample's B lies 0.15-0.2 from 0.2 beside an A of a1, so cdd2 is not selected
+        r = make_tuple("r", 0, 1, ts("a1"), ts("0.2"), None)
+        by_dep, served = select_samples(
+            {2: [cdd1(), cdd2()]}, r, scan_hits(numeric_repo.samples, absdiff), numeric_repo.samples
         )
-        assert dict(pooled) == dict(also)
-
-    def test_rule_the_dict_does_not_name_scans_the_repository(
-        self, numeric_repo, absdiff, incomplete_r
-    ):
-        full = impute_multi_rule(incomplete_r, [cdd1(), cdd2()], numeric_repo, absdiff)
-        # cdd2 is not named, so it scans every sample and still counts s3
-        named = impute_multi_rule(
-            incomplete_r, [cdd1(), cdd2()], numeric_repo, absdiff,
-            samples_per_rule={cdd1(): numeric_repo.samples[:2]},
-        )
-        assert named == full
-
-    def test_rule_served_no_sample_adds_nothing(self, numeric_repo, absdiff, incomplete_r):
-        alone = impute_multi_rule(incomplete_r, [cdd1()], numeric_repo, absdiff)
-        served = impute_multi_rule(
-            incomplete_r, [cdd1(), cdd2()], numeric_repo, absdiff, samples_per_rule={cdd2(): []}
-        )
-        assert served == alone
-        none_served = impute_multi_rule(
-            incomplete_r, [cdd1()], numeric_repo, absdiff, samples_per_rule={cdd1(): []}
-        )
-        assert none_served == []
+        assert by_dep == {2: [cdd1()]} and served == {cdd1(): numeric_repo.samples[:2]}
+        assert pool(r, [cdd1(), cdd2()], numeric_repo, absdiff) == pool(r, [cdd1()], numeric_repo, absdiff)
 
     def test_all_rules_unsupported_count_nothing(self, numeric_repo, absdiff):
         r = make_tuple("r", 0, 1, ts("a2"), ts("0.0"), None)
-        assert impute_multi_rule(r, [cdd1(), cdd2()], numeric_repo, absdiff) == []
+        assert pool(r, [cdd1(), cdd2()], numeric_repo, absdiff) == []
 
 
 def brute_force_pool(r, rules, repo, dist):
@@ -117,7 +92,7 @@ def brute_force_pool(r, rules, repo, dist):
 
 
 def check_indexed_pooling(repo, tuples, rules, pivots, dist) -> tuple:
-    """Check impute_multi_rule, fed one DR-index retrieval per tuple and
+    """Check impute_multi_rule, fed the DR-index's retrieval per tuple and
     attribute and the index's near values, against :func:`brute_force_pool`
     bit for bit; return how many (tuple, attribute) pools counted something
     and how many of those read ``near_values``."""
@@ -129,11 +104,11 @@ def check_indexed_pooling(repo, tuples, rules, pivots, dist) -> tuple:
     for r in tuples:
         for j in r.missing:
             applicable = [rule for rule in rules if rule.dependent == j and rule.applicable_to(r)]
-            served = idx.samples_per_rule(applicable, r, pivots, dist)
+            by_dep, served = select_samples({j: applicable}, r, idx.hits, idx.samples)
             want = brute_force_pool(r, applicable, repo, dist)
             before = len(reads)
             # == on the (value, prob) lists compares the floats bit for bit
-            assert impute_multi_rule(r, applicable, repo, dist, served, idx) == want, r.rid
+            assert impute_multi_rule(by_dep[j], served, repo, dist, idx) == want, r.rid
             if not want:
                 continue
             counted += 1

@@ -16,8 +16,10 @@ from teride.index import (
     build_dr_index,
     dr_query_box_for_rule,
     equality_only,
+    scan_hits,
+    select_samples,
 )
-from teride.metric import DistanceFn, as_number, jaccard_dist
+from teride.metric import DistanceFn, jaccard_dist
 from teride.model import Repository
 from teride.pivot import PivotSet, select_pivots
 
@@ -234,12 +236,26 @@ class TestQueryBox:
         assert checked > 0
 
 
-def _rule_samples(idx, rule, r, pivots, dist):
-    return idx.samples_per_rule((rule,), r, pivots, dist)[rule]
+RESOLVERS = ("index", "scan")
+
+
+def _resolver(kind, repo, dist):
+    """The determinant resolver of ``engine`` ("index") or ``noindex`` ("scan")."""
+    if kind == "scan":
+        return scan_hits(repo.samples, dist)
+    pivots = PivotSet(per_attr=[[repo.samples[0].attrs[x]] for x in range(repo.d)])
+    return build_dr_index(repo, pivots, dist).hits
+
+
+def _rule_samples(hits, rule, r, samples):
+    """The samples ``select_samples`` serves one rule for r, [] when it serves none."""
+    _, served = select_samples({rule.dependent: [rule]}, r, hits, samples)
+    return served.get(rule, [])
 
 
 def _satisfying(rule, r, samples, dist):
-    return {s.rid for s in samples if satisfies_determinants(rule, r, s, dist)}
+    """The rids of the samples that satisfy the rule for r, in repository order."""
+    return [s.rid for s in samples if satisfies_determinants(rule, r, s, dist)]
 
 
 def _interval(x, lo, hi):
@@ -264,28 +280,29 @@ def _hand_built_rules(r, j):
     }
 
 
+@pytest.mark.parametrize("kind", RESOLVERS)
 class TestRuleSamples:
-    """samples_per_rule() may skip only samples that cannot satisfy the determinants."""
+    """Both resolvers serve a rule exactly the samples that satisfy its
+    determinants, in repository order."""
 
-    def test_mined_rules_keep_every_satisfying_sample(self, setup):
+    def test_mined_rules_serve_exactly_the_satisfying_samples(self, setup, kind):
         repo, trace, dist, pivots, rules = setup
-        idx = build_dr_index(repo, pivots, dist)
+        hits = _resolver(kind, repo, dist)
         checked = supported = 0
         for r in trace:
             for rule in rules:
                 if not rule.applicable_to(r):
                     continue
-                got = _rule_samples(idx, rule, r, pivots, dist)
                 want = _satisfying(rule, r, repo.samples, dist)
-                assert _satisfying(rule, r, got, dist) == want
+                assert [s.rid for s in _rule_samples(hits, rule, r, repo.samples)] == want
                 checked += 1
                 supported += bool(want)
         assert checked > 0 and supported > 0
 
-    def test_hand_built_rules_keep_every_satisfying_sample(self, setup):
+    def test_hand_built_rules_serve_exactly_the_satisfying_samples(self, setup, kind):
         repo, trace, dist, pivots, _ = setup
-        idx = build_dr_index(repo, pivots, dist)
-        hits: dict = {}  # rule name -> satisfying samples over the trace
+        hits = _resolver(kind, repo, dist)
+        found: dict = {}  # rule name -> satisfying samples over the trace
         disjoint_at_tol = 0  # samples sharing no token that the near-1 bound admits
         for r in trace:
             if len(r.missing) != 1:
@@ -293,55 +310,53 @@ class TestRuleSamples:
             x0, rules = _hand_built_rules(r, r.missing[0])
             for name, rule in rules.items():
                 want = _satisfying(rule, r, repo.samples, dist)
-                assert _satisfying(rule, r, _rule_samples(idx, rule, r, pivots, dist), dist) == want
-                hits[name] = hits.get(name, 0) + len(want)
+                assert [s.rid for s in _rule_samples(hits, rule, r, repo.samples)] == want, name
+                found[name] = found.get(name, 0) + len(want)
                 if name == "hi-within-tol-of-1":
                     disjoint_at_tol += sum(
                         s.rid in want and s.attrs[x0].isdisjoint(r.attrs[x0]) for s in repo.samples
                     )
-        assert len(hits) == 5 and all(hits.values()), hits
+        assert len(found) == 5 and all(found.values()), found
         assert disjoint_at_tol > 0
 
-    def test_rule_without_restricting_determinant_uses_the_box(self, setup):
+    def test_rule_without_restricting_determinant_reads_no_box(self, setup, kind, monkeypatch):
+        """An interval that admits 1.0 has no posting to read; it is resolved
+        by distances, never by the main-pivot box."""
+        import teride.index
+
+        def no_box(*args):
+            raise AssertionError("the box query ran")
+
+        monkeypatch.setattr(teride.index.DrIndex, "range_samples", no_box)
+        monkeypatch.setattr(teride.index, "dr_query_box_for_rule", no_box)
         repo, trace, dist, pivots, _ = setup
-        idx = build_dr_index(repo, pivots, dist)
-        position = {id(s): i for i, s in enumerate(repo.samples)}
+        hits = _resolver(kind, repo, dist)
         r = next(r for r in trace if len(r.missing) == 1)
         _, rules = _hand_built_rules(r, r.missing[0])
         for name in ("bucket-9", "hi-within-tol-of-1"):
-            rule = rules[name]
-            box = dr_query_box_for_rule(rule, r, pivots, dist)
-            got = _rule_samples(idx, rule, r, pivots, dist)
-            assert got == idx.range_samples(box)
-            # samples_per_rule promises repository order
-            positions = [position[id(s)] for s in got]
-            assert positions and positions == sorted(positions)
+            want = _satisfying(rules[name], r, repo.samples, dist)
+            assert want and [s.rid for s in _rule_samples(hits, rules[name], r, repo.samples)] == want
 
-    def test_absdiff_number_interval_restricts_no_retrieval(self, numeric_repo, absdiff):
-        """Under absdiff an interval on a finite number restricts nothing: alone
-        it leaves the rule to the box, beside a constant to that constant's posting."""
-        pivots = select_pivots(numeric_repo, dist=absdiff)
-        idx = build_dr_index(numeric_repo, pivots, absdiff)
+    def test_absdiff_number_interval_is_served_exactly(self, numeric_repo, absdiff, kind):
+        """Under absdiff an interval on a finite number has no posting to read,
+        alone or beside a constant, and is still served exactly."""
+        hits = _resolver(kind, numeric_repo, absdiff)
         r = make_tuple("q", 0, 1, ts("a1"), ts("0.2"), None)
         const = AttrConstraint(attr=0, kind=CONST, value=ts("a1"))
-        rule = CddRule(determinants=(_interval(1, 0.0, 0.3),), dependent=2, dep_lo=0.0, dep_hi=0.1)
-        box = dr_query_box_for_rule(rule, r, pivots, absdiff)
-        assert _rule_samples(idx, rule, r, pivots, absdiff) == idx.range_samples(box)
         for dets, want in (
-            ((_interval(1, 0.0, 0.3),), {"s1", "s2", "s3"}),
-            ((const, _interval(1, 0.0, 0.15)), {"s1", "s2"}),
+            ((_interval(1, 0.0, 0.3),), ["s1", "s2", "s3"]),
+            ((const, _interval(1, 0.0, 0.15)), ["s1", "s2"]),
         ):
             rule = CddRule(determinants=dets, dependent=2, dep_lo=0.0, dep_hi=0.1)
             assert _satisfying(rule, r, numeric_repo.samples, absdiff) == want
-            got = _rule_samples(idx, rule, r, pivots, absdiff)
-            assert _satisfying(rule, r, got, absdiff) == want
-        with_a1 = [s for s in numeric_repo.samples if s.attrs[0] == ts("a1")]
-        assert _rule_samples(idx, rule, r, pivots, absdiff) == with_a1
+            got = _rule_samples(hits, rule, r, numeric_repo.samples)
+            assert [s.rid for s in got] == want
 
 
-# Both filters against the scans they replace: served samples must hold every
-# sample that satisfies a rule, near values every value the dependent interval
-# admits, and imputation through them must equal the scan bit for bit.
+# Both filters against the scans they replace: served samples must be exactly
+# the samples that satisfy a rule, near values must hold every value the
+# dependent interval admits, and imputation through them must equal the scan
+# bit for bit.
 
 # numeric singletons are numbers under absdiff and plain tokens under Jaccard
 _VOCAB = ("a", "b", "c", "d", "e", "0", "0.2", "0.25", "0.5", "1")
@@ -396,25 +411,20 @@ def test_prefix_filters_keep_every_admitted_sample_and_value(case):
     repo, r, rules, dist = case
     pivots = PivotSet(per_attr=[[repo.samples[0].attrs[x]] for x in range(3)])
     idx = build_dr_index(repo, pivots, dist)
-    served = idx.samples_per_rule(rules, r, pivots, dist)
+    selection = select_samples({2: rules}, r, idx.hits, idx.samples)
+    assert selection == select_samples({2: rules}, r, scan_hits(repo.samples, dist), repo.samples)
+    by_dep, served = selection
     for rule in rules:
-        assert _satisfying(rule, r, repo.samples, dist) <= {s.rid for s in served[rule]}
-        assert _rule_samples(idx, rule, r, pivots, dist) == served[rule]
-        if dist.kind == DistanceFn.JACCARD and all(
-            c.kind == INTERVAL and equality_only(r.attrs[c.attr], c.hi) for c in rule.determinants
-        ):
-            # the value postings are exact: no sample to check, none left out
-            assert [s.rid for s in served[rule]] == [
-                s.rid for s in repo.samples if satisfies_determinants(rule, r, s, dist)
-            ]
+        want = _satisfying(rule, r, repo.samples, dist)
+        assert [s.rid for s in served.get(rule, [])] == want
+        assert (rule in by_dep[2]) == bool(want)
         if not rule.dep_admits(1.0):
             domain = repo.domain(2)
             for sv in domain:
                 admitted = {v for v in domain if rule.dep_admits(dist(sv, v))}
                 assert admitted <= set(idx.near_values(2, sv, rule.dep_hi, dist))
-    by_dep = {2: rules}
     indexed = impute_tuple(r, by_dep, repo, dist, samples_per_rule=served, dr_index=idx)
-    assert indexed == impute_tuple(r, by_dep, repo, dist)
+    assert indexed == impute_tuple(r, {2: rules}, repo, dist)
 
 
 # under absdiff a finite number is a number ("-0" included), and every other
@@ -442,38 +452,29 @@ def _absdiff_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_absdiff_cases())
 def test_absdiff_retrieval_equals_the_determinant_scan(case):
-    """Under absdiff an interval that rejects 1.0 reads the value posting of a
-    value that is not a finite number, so a rule with only such determinants
-    is served exactly the samples that satisfy it, in repository order; any
-    other rule is served every sample that satisfies it."""
+    """Under absdiff the index serves every rule exactly the samples that
+    satisfy it, in repository order: from the value posting of a value that
+    is not a finite number when the interval rejects 1.0, and by distance
+    otherwise."""
     repo, r, rules = case
     dist = DistanceFn(DistanceFn.ABSDIFF)
-    pivots = PivotSet(per_attr=[[repo.samples[0].attrs[x]] for x in range(3)])
-    idx = build_dr_index(repo, pivots, dist)
-    served = idx.samples_per_rule(rules, r, pivots, dist)
+    hits = _resolver("index", repo, dist)
+    _, served = select_samples({2: rules}, r, hits, repo.samples)
     for rule in rules:
-        want = [s.rid for s in repo.samples if satisfies_determinants(rule, r, s, dist)]
-        got = [s.rid for s in served[rule]]
-        if all(
-            not c.admits(1.0) and as_number(r.attrs[c.attr]) is None for c in rule.determinants
-        ):
-            assert got == want
-        else:
-            assert set(want) <= set(got)
+        assert [s.rid for s in served.get(rule, [])] == _satisfying(rule, r, repo.samples, dist)
 
 
-def test_absdiff_retrieval_on_special_values():
+@pytest.mark.parametrize("kind", RESOLVERS)
+def test_absdiff_retrieval_on_special_values(kind):
     """"0" and "-0" are one number; "nan", "inf" and "1e400" are only equal to
-    themselves; a multi-token set is only equal to itself.  A number is served
-    by the box, which keeps every sample that satisfies the rule; any other
-    value is served exactly its satisfying samples."""
+    themselves; a multi-token set is only equal to itself.  Each value is
+    served exactly its satisfying samples."""
     values = [("0",), ("-0",), ("0.5",), ("nan",), ("inf",), ("1e400",), ("0", "a"), ("nan",)]
     repo = Repository(
         [make_tuple(f"s{i}", -1, 0, ts(*v), ts("a"), ts("a")) for i, v in enumerate(values)]
     )
     dist = DistanceFn(DistanceFn.ABSDIFF)
-    pivots = PivotSet(per_attr=[[ts("0")] for _ in range(3)])
-    idx = build_dr_index(repo, pivots, dist)
+    hits = _resolver(kind, repo, dist)
     for rv, hi, want in (
         (("-0",), 0.0, ["s0", "s1"]),
         (("0",), 0.5, ["s0", "s1", "s2"]),
@@ -485,12 +486,8 @@ def test_absdiff_retrieval_on_special_values():
     ):
         r = make_tuple("q", 0, 1, ts(*rv), ts("a"), None)
         rule = CddRule(determinants=(_interval(0, 0.0, hi),), dependent=2, dep_lo=0.0, dep_hi=1.0)
-        got = [s.rid for s in _rule_samples(idx, rule, r, pivots, dist)]
-        if as_number(r.attrs[0]) is None:
-            assert got == want, rv
-        else:
-            assert set(want) <= set(got), rv
-        assert want == [s.rid for s in repo.samples if satisfies_determinants(rule, r, s, dist)]
+        assert [s.rid for s in _rule_samples(hits, rule, r, repo.samples)] == want, rv
+        assert want == _satisfying(rule, r, repo.samples, dist)
 
 
 def test_indexed_imputation_equals_the_scan_on_acceptance_workloads():
@@ -536,9 +533,19 @@ def test_no_other_token_set_is_nearer_than_the_equality_bound():
         assert not equality_only(v, bound - 1e-7)
 
 
-def test_a_lacking_determinant_raises_after_an_empty_one(setup):
+@pytest.mark.parametrize("kind", RESOLVERS)
+def test_a_lacking_determinant_resolves_to_no_sample(setup, kind):
+    """A determinant on an attribute the tuple lacks is never resolved and
+    serves nothing, so its rule is not selected; after an empty determinant
+    the rest of a rule is not resolved either."""
     repo, trace, dist, pivots, _ = setup
-    idx = build_dr_index(repo, pivots, dist)
+    resolve = _resolver(kind, repo, dist)
+    asked = []
+
+    def hits(c, rv):
+        asked.append(c)
+        return resolve(c, rv)
+
     r = next(r for r in trace if len(r.missing) == 1)
     j = r.missing[0]
     x0, y = [x for x in range(r.d) if x != j][:2]
@@ -546,11 +553,11 @@ def test_a_lacking_determinant_raises_after_an_empty_one(setup):
     hi = 0.5 / (len(r.attrs[x0]) + 1)
     empty = _interval(x0, hi, hi)
     assert equality_only(r.attrs[x0], hi) and not empty.admits(0.0)
-    rule = CddRule(
-        determinants=(empty, _interval(y, 0.0, 0.1)), dependent=j, dep_lo=0.0, dep_hi=0.1
-    )
-    assert _rule_samples(idx, rule, r, pivots, dist) == []
+    every = _interval(y, 0.0, 1.0)
+    rule = CddRule(determinants=(empty, every), dependent=j, dep_lo=0.0, dep_hi=0.1)
+    assert _rule_samples(hits, rule, r, repo.samples) == [] and asked == [empty]
     holey_attrs = (None if x == y else v for x, v in enumerate(r.attrs))
     holey = make_tuple("q", r.stream_id, r.arrival_time, *holey_attrs)
-    with pytest.raises(ConfigError, match="lacks determinant"):
-        idx.samples_per_rule((rule,), holey, pivots, dist)
+    alone = CddRule(determinants=(every,), dependent=j, dep_lo=0.0, dep_hi=0.1)
+    assert _rule_samples(hits, alone, holey, repo.samples) == []
+    assert asked == [empty]

@@ -25,6 +25,7 @@ from teride.cdd import (
     AttrConstraint,
     CddRule,
     detect_cdds,
+    _sort_key,
     rules_to_text,
 )
 from teride.cli import gen_synthetic
@@ -135,7 +136,9 @@ def _rules_text(repo, dist, **kwargs):
 
 
 def _reference_rules_text(repo, dist, **kwargs):
-    rules = reference_detect_cdds(repo, dist, **kwargs)
+    # rules_to_text writes rules in the order given; detect_cdds gives them in
+    # _sort_key order, so the reference is put in that order too
+    rules = sorted(reference_detect_cdds(repo, dist, **kwargs), key=_sort_key)
     return rules_to_text(rules) if rules else None
 
 

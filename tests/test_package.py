@@ -5,8 +5,7 @@ import teride
 
 # (file name, imported name) pairs kept on purpose although the module never reads them
 DELIBERATELY_UNUSED = {
-    # perfbench/tracer.py wraps this name, but the index calls it through
-    # teride.index, so the wrap resolves and never records a call
+    # perfbench/tracer.py wraps this name; no code calls the box query
     ("engine.py", "dr_query_box_for_rule"),
 }
 
