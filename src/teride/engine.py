@@ -2,20 +2,21 @@
 
 Every arrival runs one pipeline: the fetcher selects the rules that some
 repository sample satisfies and exactly those samples, ``impute_tuple``
-counts them, the step summarizes the tuple, the fetcher fetches candidates
-among the other streams' live tuples, and the judge judges each pair.  A
-mode is a fetcher plus a judge, both picked when the engine is built, and
-all three modes give identical event streams:
+counts the dependent values they reach (the fetcher's ``reach``, which
+resolves its interval determinants too), the step summarizes the tuple, the
+fetcher fetches candidates among the other streams' live tuples, and the
+judge judges each pair.  A mode is a fetcher plus a judge, both picked when
+the engine is built, and all three modes give identical event streams:
 
 * ``engine`` — the index fetcher (a hash join of the tuple's values on the
-  rules' constant determinants, ``select_samples`` on the repository index's
-  postings, one grid of all streams' live tuples) and the pruning cascade.
-* ``noindex`` — the scan fetcher (every rule, ``select_samples`` on one scan
-  per determinant, every live tuple), which applies the grid's keyword and
-  shared-key filters pair by pair, and the same cascade, which starts at the
-  single-option bound.
-* ``oracle`` — every rule checked against every sample, every live tuple,
-  and every pair fully evaluated; this is the reference implementation.
+  rules' constant determinants, ``reach`` and ``select_samples`` on the
+  repository index's postings, one grid of all streams' live tuples) and the
+  pruning cascade.
+* ``noindex`` — the scan fetcher (every rule, ``scan_reach``, one scan of
+  the samples per determinant, every live tuple), which applies the grid's
+  keyword and shared-key filters pair by pair, and the same cascade.
+* ``oracle`` — every rule checked against every sample, ``scan_reach``,
+  every live tuple, and every pair fully evaluated: the reference.
 
 Each stream's count-based sliding window is one deque of its live tuple
 summaries, oldest first (``Engine.windows``).  Per step, the whole batch of
@@ -39,6 +40,7 @@ import statistics
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cdd import detect_cdds, satisfies_determinants
 from .errors import (
@@ -51,7 +53,7 @@ from .errors import (
 )
 from .grid import STAGE_KEYWORD, STAGE_TOKEN, ErGrid, TupleSummary, summarize, token_count_prunes
 from .impute import ImputedTuple, impute_tuple
-from .index import build_cdd_index, build_dr_index, scan_hits, select_samples
+from .index import build_cdd_index, build_dr_index, scan_hits, scan_reach, select_samples
 # unread and never called: kept so perfbench/tracer.py resolves the name
 from .index import dr_query_box_for_rule  # noqa: F401
 from .metric import DistanceFn, PairTables
@@ -187,14 +189,17 @@ def precompute(
 
 
 class _ScanFetch:
-    """``oracle``: check every rule against every sample, and scan every live tuple."""
-
-    dr_index = None
+    """``oracle``: check every rule against every sample, reach dependent
+    values by ``scan_reach``, and scan every live tuple."""
 
     def __init__(self, pre: Precomputed, config: QueryConfig, dist: DistanceFn):
         self.pre = pre
         self.gamma = config.gamma
         self.dist = dist
+
+    @cached_property
+    def reach(self):
+        return scan_reach(self.pre.repo, self.dist)
 
     def select(self, r: StreamTuple) -> tuple:
         """What ``select_samples`` gives, by the reference that it must equal:
@@ -230,7 +235,7 @@ class _FilteredScanFetch(_ScanFetch):
 
     def select(self, r: StreamTuple) -> tuple:
         samples = self.pre.repo.samples
-        return select_samples(self.pre.rules_by_dep, r, scan_hits(samples, self.dist), samples)
+        return select_samples(self.pre.rules_by_dep, r, scan_hits(samples, self.reach), samples)
 
     def candidates(self, summary: TupleSummary, windows: dict, stage_counts: dict) -> list:
         found = []
@@ -253,6 +258,7 @@ class _IndexFetch:
         self.pre = pre
         self.gamma = config.gamma
         self.dr_index = build_dr_index(pre.repo, pre.pivots, dist)
+        self.reach = self.dr_index.reach
         self.cdd_indexes = {j: build_cdd_index(rules) for j, rules in pre.rules_by_dep.items()}
         self.grid = ErGrid(config.d)
 
@@ -351,7 +357,7 @@ class Engine:
                 imputed = ImputedTuple(base=r)
             else:
                 rules_by_dep, samples_per_rule = selection
-                imputed = impute_tuple(r, rules_by_dep, repo, self.dist, samples_per_rule, fetch.dr_index)
+                imputed = impute_tuple(r, rules_by_dep, repo, self.dist, samples_per_rule, fetch.reach)
             summary = summarize(
                 imputed, self.pre.pivots, self.config.keywords, self.dist, self.pre.fallback_bounds
             )

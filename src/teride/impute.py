@@ -7,10 +7,9 @@ rule's dependent interval.  The pooled counts are normalized into an
 existence-probability distribution.
 
 The loop only counts: the engine's fetcher hands it the rules that some
-sample satisfies, each with exactly those samples (``select_samples``).
-When the dependent interval rejects distance 1.0 and a DR-index is given,
-each sample checks only the domain values that the prefix postings of its
-value's similarity keys reach (``DrIndex.near_values``).
+sample satisfies, each with exactly those samples (``select_samples``), and
+resolves a rule's dependent interval around a sample's value to the domain
+values it admits (``reach``), as it resolves determinants.
 
 When the loop counts no value it returns [], and the attribute falls back
 to a uniform distribution over the repository's most frequent values.  That
@@ -37,7 +36,7 @@ from typing import Optional, Sequence
 
 from .cdd import CddRule
 from .errors import ImputationFailed
-from .index import DrIndex, scan_hits, select_samples
+from .index import scan_hits, scan_reach, select_samples
 from .metric import DistanceFn
 from .model import Repository, StreamTuple, token_key
 
@@ -45,29 +44,20 @@ PROB_TOL = 1e-9
 FALLBACK_TOP_K = 5
 
 
-def impute_multi_rule(
-    rules: Sequence[CddRule],
-    samples_per_rule: dict,
-    repo: Repository,
-    dist: DistanceFn,
-    dr_index: Optional[DrIndex] = None,
-) -> list:
+def impute_multi_rule(rules: Sequence[CddRule], samples_per_rule: dict, reach) -> list:
     """Pooled candidate probabilities over the rules, each counting the samples
-    ``samples_per_rule`` gives it (see the module docstring).
+    ``samples_per_rule`` gives it and the values ``reach`` admits (see the
+    module docstring).
 
     Returns (value, prob) pairs sorted by descending probability, ties in
     token order, or [] when no value was counted.
     """
     counts: dict = {}
     for rule in rules:
-        j = rule.dependent
-        domain = repo.domain(j)
-        near = dr_index is not None and not rule.dep_admits(1.0)
+        j, lo, hi = rule.dependent, rule.dep_lo, rule.dep_hi
         for s in samples_per_rule[rule]:
-            sv = s.attrs[j]
-            for val in dr_index.near_values(j, sv, rule.dep_hi, dist) if near else domain:
-                if rule.dep_admits(dist(sv, val)):
-                    counts[val] = counts.get(val, 0) + 1
+            for val in reach(j, s.attrs[j], lo, hi):
+                counts[val] = counts.get(val, 0) + 1
     if not counts:
         return []
     denom = sum(counts.values())
@@ -185,22 +175,23 @@ def impute_tuple(
     repo: Repository,
     dist: DistanceFn,
     samples_per_rule: Optional[dict] = None,
-    dr_index: Optional[DrIndex] = None,
+    reach=None,
 ) -> ImputedTuple:
     """Impute every missing attribute of r independently; complete tuples pass through.
 
     ``rules_by_dep`` and ``samples_per_rule`` are a fetcher's selection
-    (``select_samples``); without ``samples_per_rule``, the scan selects from
-    the rules of ``rules_by_dep``.  ``dr_index`` narrows the dependent values
-    without changing the result.  An attribute no rule yields a candidate for
+    (``select_samples``) and ``reach`` its interval resolver; the scan's
+    (``scan_reach``, ``scan_hits``) stand in for those not given, selecting
+    from the rules of ``rules_by_dep``.  An attribute no rule yields a candidate for
     takes its ``shared_fallback`` and is flagged.  The tuple is handed its
     options and token unions, already in ``options`` order, and is not
     checked again.
     """
     if not r.missing:
         return ImputedTuple(base=r)
+    reach = reach or scan_reach(repo, dist)
     if samples_per_rule is None:
-        hits = scan_hits(repo.samples, dist)
+        hits = scan_hits(repo.samples, reach)
         rules_by_dep, samples_per_rule = select_samples(rules_by_dep, r, hits, repo.samples)
     attrs = r.attrs
     options = [None if v is None else [(v, 1.0)] for v in attrs]
@@ -208,7 +199,7 @@ def impute_tuple(
     per_attr: dict = {}
     fallback: set = set()
     for j in r.missing:
-        cands = impute_multi_rule(rules_by_dep.get(j, ()), samples_per_rule, repo, dist, dr_index)
+        cands = impute_multi_rule(rules_by_dep.get(j, ()), samples_per_rule, reach)
         if cands:
             unions[j] = frozenset().union(*(v for v, _ in cands))
         else:

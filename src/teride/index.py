@@ -2,18 +2,20 @@
 
 :func:`select_samples` finds each candidate rule's satisfying samples: it
 resolves each distinct determinant once per tuple to the exact positions that
-meet it, and intersects a rule's sets.  The modes differ only in the
-resolver: the DR-index's (:meth:`DrIndex.hits`) reads per-attribute postings
-from similarity keys (``DistanceFn.keys``) to values and from values to
-samples; the scan's (:func:`scan_hits`) reads every sample.  No retrieval
-reads the DR-index's main-pivot box query (``by_coord``,
-:meth:`DrIndex.range_samples`).  The CDD-index of a dependent attribute is a
-hash join on constant determinants: its rules are bucketed by shape
-(determinant attributes, and which of them are constants) and constant
-values, so the rules a tuple could satisfy are one lookup per shape on the
-tuple's values.  A shape with no constant has one bucket, resolved when the
-index is built, so it costs a tuple only the check that it holds the shape's
-attributes.
+meet it, and intersects a rule's sets.  Every mode resolves an interval by
+one question, ``reach(attr, v, lo, hi)``: the distinct repository values at
+a distance from v in ``[lo, hi]``, which imputation asks of dependent
+intervals too.  The DR-index answers it (:meth:`DrIndex.reach`) from
+per-attribute postings of similarity keys (``DistanceFn.keys``) to values,
+and its resolver (:meth:`DrIndex.hits`) reads postings of values to samples;
+the scan's (:func:`scan_reach`) checks every distinct value, and its
+resolver (:func:`scan_hits`) reads every sample.  The CDD-index of a
+dependent attribute is a hash join on constant determinants: its rules are
+bucketed by shape (determinant attributes, and which of them are constants)
+and constant values, so the rules a tuple could satisfy are one lookup per
+shape on the tuple's values.  A shape with no constant has one bucket,
+resolved when the index is built, so it costs a tuple only the check that it
+holds the shape's attributes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .cdd import CONST, CddRule
@@ -64,9 +65,9 @@ def prefix_values(postings: dict, v, hi: float):
     ``|v| - need + 1`` tokens therefore covers it: the prefix filter of
     Chaudhuri, Ganti and Kaushik (ICDE 2006).  The result is a superset, and
     it never covers distance 1.0: callers use it only for intervals that
-    reject 1.0 and check each value's distance.  :meth:`DrIndex.hits` skips it
-    when :func:`equality_only` holds, as then the value posting of v alone is
-    exact.  A one-key prefix returns that key's posting, read only.
+    reject 1.0 and check each value's distance.  :meth:`DrIndex.reach` skips
+    it when :func:`equality_only` holds, as then v alone can be reached.  A
+    one-key prefix returns that key's posting, read only.
     """
     need = max(1, math.ceil((1.0 - hi - _PREFIX_SLACK) * len(v)))
     prefix = sorted(v, key=lambda t: (len(postings.get(t, ())), t))[: len(v) - need + 1]
@@ -77,58 +78,54 @@ def prefix_values(postings: dict, v, hi: float):
 
 class DrIndex:
     """Per attribute, postings from similarity keys to distinct values and from
-    values to sample positions, and the samples' main-pivot coordinates in
-    ascending order with their positions.  :meth:`near_values` gives the
-    dependent values a sample's value can reach, by the prefix filter of
-    :func:`prefix_values` on an interval that rejects 1.0.
-    """
+    values to sample positions.  :meth:`reach` resolves an interval around a
+    value to the distinct values it admits, and :meth:`hits` a determinant
+    to those values' samples."""
 
-    def __init__(self, samples: list, by_coord: list, by_key: list, by_value: list, dist: DistanceFn):
+    def __init__(self, samples: list, by_key: list, by_value: list, dist: DistanceFn, pivots: PivotSet):
         self.samples = samples  # repository order; postings hold positions into it
-        self.by_coord = by_coord  # per attr: (ascending coordinates, their positions)
         self.by_key = by_key  # per attr: similarity key -> list of distinct values
         self.by_value = by_value  # per attr: token set -> frozenset of positions
+        self.pivots = pivots  # read only by range_samples
         self.jaccard = dist.kind == DistanceFn.JACCARD
+        self.keys = dist.keys
         self.measure = dist.bind()
+
+    def reach(self, attr: int, v, lo: float, hi: float):
+        """The distinct attribute-``attr`` values at a distance from v in
+        ``[lo, hi]``, give or take 1e-9.  An interval that rejects 1.0 reaches
+        at most v itself when no other value lies within its upper end below
+        1.0: under Jaccard when :func:`equality_only` holds, under absdiff
+        when v is not a finite number.  Otherwise it checks the values of v's
+        prefix postings (:func:`prefix_values`).  Any other interval checks
+        every distinct value."""
+        by_value, measure = self.by_value[attr], self.measure
+        if hi + 1e-9 < 1.0:
+            if equality_only(v, hi) if self.jaccard else as_number(v) is None:
+                return (v,) if lo - 1e-9 <= 0.0 <= hi + 1e-9 and v in by_value else ()
+            near = prefix_values(self.by_key[attr], self.keys(v), hi)
+        else:
+            near = by_value
+        return [u for u in near if lo - 1e-9 <= measure(v, u) <= hi + 1e-9]
 
     def hits(self, c, rv):
         """The engine's resolver: the positions of the samples that meet
         determinant c for r's value rv.  A constant reads its value's posting
-        if rv equals it.  An interval that rejects 1.0 reads rv's posting (if
-        it admits 0.0) when no other value lies within its upper end below
-        1.0: under Jaccard when :func:`equality_only` holds, under absdiff when
-        rv is not a finite number.  Otherwise under Jaccard it checks the
-        values of rv's prefix postings (:func:`prefix_values`).  Any other
-        interval checks every distinct value."""
-        by_value, measure = self.by_value[c.attr], self.measure
+        if rv equals it; an interval reads the postings of the values it
+        reaches (:meth:`reach`), one value's posting as it is."""
+        by_value = self.by_value[c.attr]
         if c.kind == CONST:
             return by_value.get(rv, _EMPTY) if rv == c.value else _EMPTY
-        if not c.admits(1.0):
-            if equality_only(rv, c.hi) if self.jaccard else as_number(rv) is None:
-                return by_value.get(rv, _EMPTY) if c.admits(0.0) else _EMPTY
-            if self.jaccard:
-                near = prefix_values(self.by_key[c.attr], rv, c.hi)
-                return set().union(*(by_value[u] for u in near if c.admits(measure(rv, u))))
-        return set().union(*(ids for u, ids in by_value.items() if c.admits(measure(rv, u))))
-
-    def near_values(self, attr: int, v, hi: float, dist: DistanceFn):
-        """The repository's distinct attribute-``attr`` values that can lie
-        within distance ``hi`` (below 1.0) of v, reached through the prefix
-        postings of v's similarity keys (:func:`prefix_values`); read only."""
-        return prefix_values(self.by_key[attr], dist.keys(v), hi)
+        near = self.reach(c.attr, rv, c.lo, c.hi)
+        return by_value[near[0]] if len(near) == 1 else set().union(*(by_value[u] for u in near))
 
     def range_samples(self, box: dict) -> list:
-        """Samples, in repository order, whose main-pivot coordinate on each
+        """Samples, in repository order, whose main-pivot distance on each
         attribute of the (partial) query box lies within its (lo, hi), give
         or take 1e-9; a box that names no attribute returns every sample."""
-        picked = None
-        for x, (lo, hi) in box.items():
-            coords, positions = self.by_coord[x]
-            hits = positions[bisect_left(coords, lo - 1e-9) : bisect_right(coords, hi + 1e-9)]
-            picked = set(hits) if picked is None else picked.intersection(hits)
-        if picked is None:
-            return list(self.samples)
-        return [self.samples[i] for i in sorted(picked)]
+        f, main = self.measure, self.pivots.main
+        ends = [(x, main(x), lo - 1e-9, hi + 1e-9) for x, (lo, hi) in box.items()]
+        return [s for s in self.samples if all(lo <= f(s.attrs[x], p) <= hi for x, p, lo, hi in ends)]
 
 
 def select_samples(candidates: dict, r: StreamTuple, hits, samples: list) -> tuple:
@@ -160,36 +157,42 @@ def select_samples(candidates: dict, r: StreamTuple, hits, samples: list) -> tup
     return rules_by_dep, samples_per_rule
 
 
-def scan_hits(samples: list, dist: DistanceFn):
-    """``noindex``'s resolver: one scan of ``samples`` per determinant; a
-    constant other than r's value resolves to nothing with no scan."""
+def scan_reach(repo: Repository, dist: DistanceFn):
+    """``noindex``'s and ``oracle``'s :meth:`DrIndex.reach`: it checks every
+    distinct value."""
     measure = dist.bind()
+
+    def reach(attr, v, lo, hi):
+        return [u for u in repo.domain(attr) if lo - 1e-9 <= measure(v, u) <= hi + 1e-9]
+
+    return reach
+
+
+def scan_hits(samples: list, reach):
+    """``noindex``'s resolver: one scan of ``samples`` per determinant, an
+    interval's against the values ``reach`` gives; a constant other than r's
+    value resolves to nothing with no scan."""
 
     def hits(c, rv):
         x = c.attr
         if c.kind == CONST:
             return {i for i, s in enumerate(samples) if s.attrs[x] == rv} if rv == c.value else _EMPTY
-        return {i for i, s in enumerate(samples) if c.admits(measure(rv, s.attrs[x]))}
+        near = set(reach(x, rv, c.lo, c.hi))
+        return {i for i, s in enumerate(samples) if s.attrs[x] in near}
 
     return hits
 
 
 def build_dr_index(repo: Repository, pivots: PivotSet, dist: DistanceFn) -> DrIndex:
-    f = dist.bind()
-    by_coord, by_key, by_value = [], [], []
+    by_key, by_value = [], []
     for x in range(repo.d):
-        values = [s.attrs[x] for s in repo.samples]
-        main = pivots.main(x)
-        coords = [f(v, main) for v in values]
-        positions = sorted(range(len(values)), key=coords.__getitem__)
-        by_coord.append(([coords[i] for i in positions], positions))
         domain = repo.domain(x)
         by_key.append({k: [domain[i] for i in ids] for k, ids in dist.postings(domain).items()})
         postings: dict = {}
-        for i, v in enumerate(values):
-            postings.setdefault(v, []).append(i)
+        for i, s in enumerate(repo.samples):
+            postings.setdefault(s.attrs[x], []).append(i)
         by_value.append({v: frozenset(ids) for v, ids in postings.items()})
-    return DrIndex(repo.samples, by_coord, by_key, by_value, dist)
+    return DrIndex(repo.samples, by_key, by_value, dist, pivots)
 
 
 # ---------------------------------------------------------------------------

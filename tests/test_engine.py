@@ -190,8 +190,8 @@ class TestModesAgree:
         oracle = Engine(repo, cfg, dist=DistanceFn(kind), mode=MODE_ORACLE)
         seen = {"tuples": 0, "served": 0, "candidates": 0, "ruled": 0}
 
-        def checked(r, rules_by_dep, repo, dist, samples_per_rule, dr_index):
-            got = impute_tuple(r, rules_by_dep, repo, dist, samples_per_rule, dr_index)
+        def checked(r, rules_by_dep, repo, dist, samples_per_rule, reach):
+            got = impute_tuple(r, rules_by_dep, repo, dist, samples_per_rule, reach)
             assert got == impute_tuple(r, engine.pre.rules_by_dep, repo, dist), r.rid
             want_by_dep, want_samples = oracle.fetch.select(r)
             assert samples_per_rule == want_samples, r.rid

@@ -15,7 +15,7 @@ from teride.impute import (
     impute_tuple,
     shared_fallback,
 )
-from teride.index import build_dr_index, scan_hits, select_samples
+from teride.index import build_dr_index, scan_hits, scan_reach, select_samples
 from teride.metric import DistanceFn
 from teride.model import QueryConfig, Repository, token_key
 from teride.pivot import PivotSet, select_pivots
@@ -33,8 +33,9 @@ def pool(r, rules, repo, dist):
     """impute_multi_rule over the rules on r's one missing attribute, each
     counting the samples that the scan selects for it."""
     (j,) = r.missing
-    by_dep, samples_per_rule = select_samples({j: rules}, r, scan_hits(repo.samples, dist), repo.samples)
-    return impute_multi_rule(by_dep[j], samples_per_rule, repo, dist)
+    reach = scan_reach(repo, dist)
+    by_dep, samples_per_rule = select_samples({j: rules}, r, scan_hits(repo.samples, reach), repo.samples)
+    return impute_multi_rule(by_dep[j], samples_per_rule, reach)
 
 
 class TestSingleRule:
@@ -42,7 +43,7 @@ class TestSingleRule:
 
     def test_reference_distribution(self, numeric_repo, absdiff, incomplete_r):
         satisfying = numeric_repo.samples[:2]
-        cands = impute_multi_rule([cdd1()], {cdd1(): satisfying}, numeric_repo, absdiff)
+        cands = impute_multi_rule([cdd1()], {cdd1(): satisfying}, scan_reach(numeric_repo, absdiff))
         assert dict(cands) == {ts("0.1"): 0.5, ts("0.2"): 0.5}
         assert pool(incomplete_r, [cdd1()], numeric_repo, absdiff) == cands
 
@@ -65,9 +66,8 @@ class TestMultiRule:
     def test_rule_served_no_sample_adds_nothing(self, numeric_repo, absdiff):
         # no sample's B lies 0.15-0.2 from 0.2 beside an A of a1, so cdd2 is not selected
         r = make_tuple("r", 0, 1, ts("a1"), ts("0.2"), None)
-        by_dep, served = select_samples(
-            {2: [cdd1(), cdd2()]}, r, scan_hits(numeric_repo.samples, absdiff), numeric_repo.samples
-        )
+        hits = scan_hits(numeric_repo.samples, scan_reach(numeric_repo, absdiff))
+        by_dep, served = select_samples({2: [cdd1(), cdd2()]}, r, hits, numeric_repo.samples)
         assert by_dep == {2: [cdd1()]} and served == {cdd1(): numeric_repo.samples[:2]}
         assert pool(r, [cdd1(), cdd2()], numeric_repo, absdiff) == pool(r, [cdd1()], numeric_repo, absdiff)
 
@@ -93,13 +93,18 @@ def brute_force_pool(r, rules, repo, dist):
 
 def check_indexed_pooling(repo, tuples, rules, pivots, dist) -> tuple:
     """Check impute_multi_rule, fed the DR-index's retrieval per tuple and
-    attribute and the index's near values, against :func:`brute_force_pool`
+    attribute and the index's ``reach``, against :func:`brute_force_pool`
     bit for bit; return how many (tuple, attribute) pools counted something
-    and how many of those read ``near_values``."""
+    and how many of those reached a dependent interval that rejects 1.0, the
+    one ``reach`` resolves from postings."""
     idx = build_dr_index(repo, pivots, dist)
-    reads = []  # the arguments of each near_values call
-    near_values = idx.near_values
-    idx.near_values = lambda *args: reads.append(args) or near_values(*args)
+    reads = []  # the arguments of each reach call on an interval that rejects 1.0
+
+    def reach(attr, v, lo, hi):
+        if hi + 1e-9 < 1.0:
+            reads.append((attr, v, lo, hi))
+        return idx.reach(attr, v, lo, hi)
+
     counted = near = 0
     for r in tuples:
         for j in r.missing:
@@ -108,7 +113,7 @@ def check_indexed_pooling(repo, tuples, rules, pivots, dist) -> tuple:
             want = brute_force_pool(r, applicable, repo, dist)
             before = len(reads)
             # == on the (value, prob) lists compares the floats bit for bit
-            assert impute_multi_rule(by_dep[j], served, repo, dist, idx) == want, r.rid
+            assert impute_multi_rule(by_dep[j], served, reach) == want, r.rid
             if not want:
                 continue
             counted += 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teride.cdd import CONST, INTERVAL, AttrConstraint, CddRule, detect_cdds, satisfies_determinants
-from teride.engine import MODE_ENGINE, Engine
+from teride.engine import MODE_ENGINE, MODE_NOINDEX, Engine
 from teride.errors import ConfigError, NoRulesFound
 from teride.impute import impute_tuple
 from teride.index import (
@@ -17,6 +17,7 @@ from teride.index import (
     dr_query_box_for_rule,
     equality_only,
     scan_hits,
+    scan_reach,
     select_samples,
 )
 from teride.metric import DistanceFn, jaccard_dist
@@ -25,6 +26,7 @@ from teride.pivot import PivotSet, select_pivots
 
 from .conftest import make_tuple, make_workload, ts
 from .test_acceptance import EQUIVALENCE_WORKLOADS, make_config, mine_rules
+from .test_prune import _CountingDistance
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +244,7 @@ RESOLVERS = ("index", "scan")
 def _resolver(kind, repo, dist):
     """The determinant resolver of ``engine`` ("index") or ``noindex`` ("scan")."""
     if kind == "scan":
-        return scan_hits(repo.samples, dist)
+        return scan_hits(repo.samples, scan_reach(repo, dist))
     pivots = PivotSet(per_attr=[[repo.samples[0].attrs[x]] for x in range(repo.d)])
     return build_dr_index(repo, pivots, dist).hits
 
@@ -354,7 +356,7 @@ class TestRuleSamples:
 
 
 # Both filters against the scans they replace: served samples must be exactly
-# the samples that satisfy a rule, near values must hold every value the
+# the samples that satisfy a rule, reached values exactly the values the
 # dependent interval admits, and imputation through them must equal the scan
 # bit for bit.
 
@@ -412,19 +414,87 @@ def test_prefix_filters_keep_every_admitted_sample_and_value(case):
     pivots = PivotSet(per_attr=[[repo.samples[0].attrs[x]] for x in range(3)])
     idx = build_dr_index(repo, pivots, dist)
     selection = select_samples({2: rules}, r, idx.hits, idx.samples)
-    assert selection == select_samples({2: rules}, r, scan_hits(repo.samples, dist), repo.samples)
+    scan = scan_hits(repo.samples, scan_reach(repo, dist))
+    assert selection == select_samples({2: rules}, r, scan, repo.samples)
     by_dep, served = selection
     for rule in rules:
         want = _satisfying(rule, r, repo.samples, dist)
         assert [s.rid for s in served.get(rule, [])] == want
         assert (rule in by_dep[2]) == bool(want)
-        if not rule.dep_admits(1.0):
-            domain = repo.domain(2)
-            for sv in domain:
-                admitted = {v for v in domain if rule.dep_admits(dist(sv, v))}
-                assert admitted <= set(idx.near_values(2, sv, rule.dep_hi, dist))
-    indexed = impute_tuple(r, by_dep, repo, dist, samples_per_rule=served, dr_index=idx)
+        domain = repo.domain(2)
+        for sv in domain:
+            admitted = {v for v in domain if rule.dep_admits(dist(sv, v))}
+            assert admitted == set(idx.reach(2, sv, rule.dep_lo, rule.dep_hi))
+    indexed = impute_tuple(r, by_dep, repo, dist, samples_per_rule=served, reach=idx.reach)
     assert indexed == impute_tuple(r, {2: rules}, repo, dist)
+
+
+# values absent from the repository are drawn as well as present ones, and
+# under absdiff "nan" and "1e400" compare by equality alone
+_reach_values = st.frozensets(st.sampled_from(_VOCAB + ("nan", "-0", "1e400")), min_size=1, max_size=4)
+
+
+@st.composite
+def _reach_cases(draw):
+    domain = draw(st.lists(_reach_values, min_size=1, max_size=10))
+    repo = Repository([make_tuple(f"s{i}", -1, 0, v) for i, v in enumerate(domain)])
+    v = draw(st.one_of(st.sampled_from(domain), _reach_values))
+    hi = draw(_upper_ends)  # 1.0 among them: an interval that admits 1.0
+    lo = draw(st.sampled_from([0.0, hi / 2, hi]))
+    return repo, v, lo, hi, DistanceFn(draw(st.sampled_from([DistanceFn.JACCARD, DistanceFn.ABSDIFF])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_reach_cases())
+def test_reach_is_exact_in_every_mode(case):
+    """``DrIndex.reach`` and ``scan_reach`` both give, each once, exactly the
+    distinct repository values at a distance from v in [lo, hi], give or take
+    1e-9: with lo above 0, on intervals that admit 1.0, and for a v the
+    repository lacks."""
+    repo, v, lo, hi, dist = case
+    want = {u for u in repo.domain(0) if lo - 1e-9 <= dist(v, u) <= hi + 1e-9}
+    pivots = PivotSet(per_attr=[[repo.samples[0].attrs[0]]])
+    for reach in (build_dr_index(repo, pivots, dist).reach, scan_reach(repo, dist)):
+        got = list(reach(0, v, lo, hi))
+        assert len(got) == len(set(got)) and set(got) == want
+
+
+class TestReachCounts:
+    """Each interval costs one distance per distinct value at most."""
+
+    # three distinct values of attribute 1 over six samples; attribute 2's
+    # values are not numbers, so under absdiff each is only equal to itself
+    ROWS = [
+        ("a1", "0.1", ("x",)), ("a1", "0.1", ("x",)), ("a1", "0.2", ("y", "z")),
+        ("a2", "0.5", ("x",)), ("a2", "0.1", ("y", "z")), ("a2", "0.2", ("x",)),
+    ]
+
+    def _engine(self, kind, mode, rule):
+        rows = [make_tuple(f"s{i}", -1, 0, ts(a), ts(b), ts(*c)) for i, (a, b, c) in enumerate(self.ROWS)]
+        repo, dist = Repository(rows), _CountingDistance(kind)
+        pivots = PivotSet(per_attr=[[rows[0].attrs[x]] for x in range(3)])
+        return Engine(repo, make_config(d=3, window=5), dist, mode=mode, rules=[rule], pivots=pivots), dist
+
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_noindex_resolves_an_interval_by_distinct_value(self, kind):
+        rule = CddRule(determinants=(_interval(1, 0.0, 0.1),), dependent=2, dep_lo=0.0, dep_hi=0.1)
+        engine, dist = self._engine(kind, MODE_NOINDEX, rule)
+        dist.calls = 0
+        engine.fetch.select(make_tuple("q", 0, 1, ts("a1"), ts("0.15"), None))
+        assert dist.calls == len(engine.pre.repo.domain(1)) == 3
+
+    @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
+    def test_an_equality_only_dependent_interval_asks_no_distance(self, kind):
+        const = AttrConstraint(attr=0, kind=CONST, value=ts("a1"))
+        rule = CddRule(determinants=(const,), dependent=2, dep_lo=0.0, dep_hi=0.1)
+        engine, dist = self._engine(kind, MODE_ENGINE, rule)
+        r = make_tuple("q", 0, 1, ts("a1"), ts("0.15"), None)
+        rules_by_dep, served = engine.fetch.select(r)
+        assert len(served[rule]) == 3
+        dist.calls = 0
+        imputed = impute_tuple(r, rules_by_dep, engine.pre.repo, dist, served, engine.fetch.reach)
+        assert dist.calls == 0
+        assert imputed.per_attr_candidates[2] == [(ts("x"), 2 / 3), (ts("y", "z"), 1 / 3)]
 
 
 # under absdiff a finite number is a number ("-0" included), and every other
@@ -503,7 +573,7 @@ def test_indexed_imputation_equals_the_scan_on_acceptance_workloads():
             if r.is_complete():
                 continue
             rules_by_dep, served = engine.fetch.select(r)
-            got = impute_tuple(r, rules_by_dep, repo, dist, served, engine.fetch.dr_index)
+            got = impute_tuple(r, rules_by_dep, repo, dist, served, engine.fetch.reach)
             want = impute_tuple(r, engine.pre.rules_by_dep, repo, dist)
             # == on the (value, prob) lists compares the floats bit for bit
             assert got.per_attr_candidates == want.per_attr_candidates, (seed, r.rid)
