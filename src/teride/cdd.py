@@ -347,14 +347,15 @@ def _constraint_from_text(field: str) -> AttrConstraint:
 
 
 def rules_from_text(text: str) -> list:
-    """The rules of a rule file, in file order.
+    """The rules of a rule file, in file order, each with its determinants in
+    attribute order, the order ``rules_to_text`` writes them in.
 
     Far fewer distinct determinant fields exist than rules, so each distinct
     field is parsed once and its ``AttrConstraint`` shared by every rule that
     names it; a bad field fails on the first line that names it.
     """
     rules = []
-    line_of: dict = {}  # rule, determinants in attribute order -> the line it was read from
+    line_of: dict = {}  # rule -> the line it was read from
     constraint_of: dict = {}  # determinant field -> its AttrConstraint
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -371,13 +372,11 @@ def rules_from_text(text: str) -> list:
                 if c is None:
                     c = constraint_of[f] = _constraint_from_text(f)
                 constraints.append(c)
-            rule = CddRule(
-                determinants=tuple(constraints), dependent=dependent, dep_lo=dep_lo, dep_hi=dep_hi
-            )
-            key = (tuple(sorted(constraints, key=lambda c: c.attr)), dependent, dep_lo, dep_hi)
-            if key in line_of:
-                raise ValueError(f"the rule of line {line_of[key]} again")
-            line_of[key] = lineno
+            dets = tuple(sorted(constraints, key=lambda c: c.attr))
+            rule = CddRule(determinants=dets, dependent=dependent, dep_lo=dep_lo, dep_hi=dep_hi)
+            if rule in line_of:
+                raise ValueError(f"the rule of line {line_of[rule]} again")
+            line_of[rule] = lineno
             rules.append(rule)
         except (ValueError, IndexError, ConfigError) as exc:
             raise ConfigError(f"rule file line {lineno}: {exc}") from exc

@@ -5,12 +5,12 @@ from rid to slot, a slot table of summaries, and bitmaps over slots: the live
 slots, each stream's live slots, the keyword-bearing slots and per-attribute
 postings over the summaries' similarity keys (``DistanceFn.key_unions``).  A
 slot freed by eviction is the next one taken, so no bitmap is wider than the
-most tuples live at once.  A summary holds at arrival only the query keywords
-and the key unions; what the pair bounds read is computed when a pair bound
-first reads it (see ``TupleSummary``).  A probe reads the other streams' live
-slots in one pass and applies two exact set-level filters only: a
-keyword-free probe reads only the keyword-bearing slots, and a tuple must
-share keys with the probe on ``need`` of the ``d`` attributes.  That filter
+most tuples live at once.  A summary's one constructor, ``TupleSummary``,
+sets at arrival only the query keywords and the key unions; what the pair
+bounds read is computed when a pair bound first reads it.  A probe reads the
+other streams' live slots in one pass and applies two exact set-level filters
+only: a keyword-free probe reads only the keyword-bearing slots, and a tuple
+must share keys with the probe on ``need`` of the ``d`` attributes.  That filter
 ORs the probe's postings per attribute into a hit bitmap and counts hits per
 slot in bit-sliced "hit on at least k attributes" bitmaps; by pigeonhole (the
 prefix filter) a survivor has been hit on ``need - (d - i)`` of the first
@@ -69,28 +69,28 @@ def option_bounds(opts: list, main, f) -> tuple:
 
 
 class TupleSummary:
-    """Index-ready digest of one probabilistic tuple.
+    """Per-tuple facts that the grid and the pair bounds read once, not once per pair.
 
-    What the grid and the engine read is set at arrival as plain attributes:
-    ``rid``, ``stream_id``, ``arrival_time``, ``keywords`` (read off the
-    token unions) and ``key_unions`` (``DistanceFn.key_unions``).  What only
-    the pair bounds read, ``sizes``, ``box`` and ``pivot_stats``, is
-    computed together the first time any of them is read, one
-    ``option_bounds`` per attribute with the bound distance and the main
-    pivots the summary keeps; so a tuple that no pair bound reaches never
-    pays for it.  An engine hands its summaries ``fallback_bounds``, one
-    entry per attribute: a fallback attribute's options are then the
-    repository's shared fallback list (``impute.shared_fallback``), whose
-    ``option_bounds`` the first summary to need them computes into that
-    entry and every later one reads.  A summary built without it computes
-    every attribute from its own options.
+    Built at arrival, a summary computes no distance: it sets what the grid
+    reads, ``rid``, ``stream_id``, ``arrival_time``, ``keywords`` (the query
+    keywords its token unions hold) and ``key_unions``
+    (``DistanceFn.key_unions``).  What only the pair bounds read, ``sizes``,
+    ``box`` and ``pivot_stats``, is computed together the first time any of
+    them is read, one ``option_bounds`` per attribute with the bound distance
+    and the main pivots the summary keeps; so a tuple that no pair bound
+    reaches never pays for it.  An engine hands its summaries
+    ``fallback_bounds``, one entry per attribute: a fallback attribute's
+    options are then the repository's shared fallback list
+    (``impute.shared_fallback``), whose ``option_bounds`` the first summary to
+    need them computes into that entry and every later one reads.  A summary
+    built without it computes every attribute from its own options.
     """
 
     def __init__(
         self,
         imputed: ImputedTuple,
-        keywords: frozenset,
         pivots: PivotSet,
+        keywords: frozenset,
         dist: DistanceFn,
         fallback_bounds: list | None = None,
     ):
@@ -99,36 +99,31 @@ class TupleSummary:
         self.rid = base.rid
         self.stream_id = base.stream_id
         self.arrival_time = base.arrival_time
-        self.keywords = keywords  # query keywords present in at least one option
+        self.keywords = frozenset().union(*(keywords & u for u in imputed.token_unions()))
         self.key_unions = dist.key_unions(imputed)
         self._dist = dist.bind()
         self._pivots = pivots
         self._fallback_bounds = fallback_bounds
+        # plain, not a functools.cached_property, which read impute_heavy 3% slower (7 of 10 pairs)
         self._bounds = None  # (sizes, box, pivot_stats) once read
 
     @property
     def sizes(self) -> list:
         """Per-attr (least, greatest) token-set size over all options."""
-        if self._bounds is None:
-            self._bound_fields()
-        return self._bounds[0]
+        return (self._bounds or self._bound_fields())[0]
 
     @property
     def box(self) -> list:
         """Per-attr (lo, hi) of the main-pivot coordinate over all options."""
-        if self._bounds is None:
-            self._bound_fields()
-        return self._bounds[1]
+        return (self._bounds or self._bound_fields())[1]
 
     @property
     def pivot_stats(self) -> tuple:
         """(expectation, lower bound, upper bound) of the tuple's main-pivot distance:
         each option's coordinate weighed by its probability, and the sums of ``box``."""
-        if self._bounds is None:
-            self._bound_fields()
-        return self._bounds[2]
+        return (self._bounds or self._bound_fields())[2]
 
-    def _bound_fields(self) -> None:
+    def _bound_fields(self) -> tuple:
         f = self._dist
         shared = self._fallback_bounds
         fallback = () if shared is None else self.imputed.fallback_attrs
@@ -147,24 +142,11 @@ class TupleSummary:
             lb += lo
             ub += hi
             exp += weighed
-        self._bounds = sizes, box, (exp, lb, ub)
+        self._bounds = bounds = sizes, box, (exp, lb, ub)
+        return bounds
 
 
-def summarize(
-    it: ImputedTuple,
-    pivots: PivotSet,
-    keywords: frozenset,
-    dist: DistanceFn,
-    fallback_bounds: list | None = None,
-) -> TupleSummary:
-    """Digest one tuple at arrival: its key unions, and the query keywords its token unions hold.
-
-    No distance is computed here; the fields only pair bounds read, the
-    main-pivot coordinates among them, are computed on first read (an
-    engine's ``fallback_bounds`` are described at ``TupleSummary``).
-    """
-    kws = frozenset().union(*(keywords & u for u in it.token_unions()))
-    return TupleSummary(it, kws, pivots, dist, fallback_bounds)
+summarize = TupleSummary  # the name the engine calls and perfbench's tracer wraps
 
 
 @lru_cache(maxsize=16)  # a query has one gamma

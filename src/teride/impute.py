@@ -66,9 +66,9 @@ def impute_multi_rule(rules: Sequence[CddRule], samples_per_rule: dict, reach) -
     return out
 
 
-def fallback_candidates(repo: Repository, attr: int, k: int = FALLBACK_TOP_K) -> list:
-    """Uniform distribution over the k most frequent domain values, in token order."""
-    top = repo.top_values(attr, k)
+def fallback_candidates(repo: Repository, attr: int) -> list:
+    """Uniform distribution over the ``FALLBACK_TOP_K`` most frequent domain values, in token order."""
+    top = repo.top_values(attr, FALLBACK_TOP_K)
     p = 1.0 / len(top)
     return [(val, p) for val in top]
 

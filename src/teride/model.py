@@ -39,11 +39,12 @@ def token_key(value: TokenSet) -> tuple:
 def parse_token_set(text: str) -> TokenSet:
     """A token set written as its tokens joined by ``+`` (as in rule and pivot files).
 
-    An empty token (``""``, ``"a++b"``) raises ValueError.
+    An empty token (``""``, ``"a++b"``) raises ValueError, and so does whitespace,
+    which no token holds and which neither file format writes back.
     """
     tokens = text.split("+")
-    if not all(tokens):
-        raise ValueError(f"empty token in {text!r}")
+    if not all(tokens) or any(c.isspace() for c in text):
+        raise ValueError(f"empty token or whitespace in {text!r}")
     return frozenset(tokens)
 
 

@@ -27,7 +27,7 @@ from operator import add
 
 from .errors import ConfigError, EmptyDomain
 from .metric import DistanceFn, PairTable, PairTables
-from .model import Repository, TokenSet, parse_token_set, token_key
+from .model import Repository, TokenSet, parse_token_set
 
 DEFAULT_P = 10
 DEFAULT_EMIN = 1.5
@@ -246,9 +246,9 @@ class _AttrSamples:
 
 
 def _argmax(values, score) -> tuple:
-    """(value, score) of the best-scoring value; ties go to the first in token order."""
+    """(value, score) of the best of ``values``, given in token order; ties go to the first."""
     best_v, best_s = None, None
-    for v in sorted(values, key=token_key):
+    for v in values:
         s = score(v)
         if best_s is None or s > best_s + _EDGE_TOL:
             best_v, best_s = v, s
@@ -279,7 +279,7 @@ def _fields(parts: list, keys: tuple) -> dict:
 def pivots_from_text(text: str) -> PivotSet:
     P, eMin, cntMax = DEFAULT_P, DEFAULT_EMIN, DEFAULT_CNTMAX
     params_line = None
-    by_attr: dict = {}  # attr -> {idx: pivot}
+    by_attr: dict = {}  # attr -> {idx: (pivot, the line it was read from)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -304,8 +304,8 @@ def pivots_from_text(text: str) -> PivotSet:
                 raise ValueError(f"negative attr or idx in {line!r}")
             pivots = by_attr.setdefault(x, {})
             if a in pivots:
-                raise ValueError(f"a second pivot for attr={x} idx={a}")
-            pivots[a] = parse_token_set(kv["tokens"])
+                raise ValueError(f"a second pivot for attr={x} idx={a}; the first is line {pivots[a][1]}")
+            pivots[a] = parse_token_set(kv["tokens"]), lineno
         except ValueError as exc:
             raise ConfigError(f"pivot file line {lineno}: {exc}") from exc
     if not by_attr:
@@ -319,5 +319,5 @@ def pivots_from_text(text: str) -> PivotSet:
         pivots = by_attr[x]
         if sorted(pivots) != list(range(len(pivots))):
             raise ConfigError(f"pivot file: non-contiguous pivot indexes for attr {x}")
-        per_attr.append([pivots[a] for a in range(len(pivots))])
+        per_attr.append([pivots[a][0] for a in range(len(pivots))])
     return PivotSet(per_attr=per_attr, bucket_count=P, entropy_threshold=eMin, max_pivots=cntMax)

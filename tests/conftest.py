@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from teride.cli import gen_synthetic, inject_missing
 from teride.metric import DistanceFn
@@ -166,3 +168,55 @@ def reference_instance_level_scan(it_i, it_j, gamma, alpha, keywords, dist):
         if confirmed + (1.0 - seen_mass) <= alpha + 1e-9:
             return True, confirmed
     return False, confirmed
+
+
+# what a mutation writes in place of a number
+_NUMBERS = ("nan", "-nan", "inf", "-inf", "1e309", "-1", "-0.5", "-0.0", "0", "1", "2.5", "1" * 5000)
+# str.splitlines breaks at these, so a drawn token holding one would move every later line
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+_WORD_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+@st.composite
+def mutated_file(draw, lines: list, sep: str):
+    """A valid file of ``lines`` with one line mutated one to three times, and
+    that line's 1-based number.
+
+    ``sep`` is the regex between a line's fields.  A mutation drops,
+    duplicates or swaps fields, puts NaN, inf, a negative or a huge number in
+    place of a number, puts an empty, huge or drawn token in place of a word
+    (drawn from any characters, or from separators, spaces and letters), or
+    truncates the line.
+    """
+    k = draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    words = st.one_of(
+        st.sampled_from(("", "w" * 10000)),
+        st.text(st.characters(exclude_characters=_LINE_BREAKS), max_size=8),
+        st.text(st.sampled_from(" +|:,=[]->az"), max_size=6),
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("drop", "duplicate", "swap", "number", "word", "truncate")))
+        if op == "truncate":
+            line = line[: draw(st.integers(0, len(line)))]
+        elif op in ("number", "word"):
+            spans = [m.span() for m in (_NUMBER_RE if op == "number" else _WORD_RE).finditer(line)]
+            if spans:
+                a, b = draw(st.sampled_from(spans))
+                line = line[:a] + draw(st.sampled_from(_NUMBERS) if op == "number" else words) + line[b:]
+        else:
+            parts = re.split(f"({sep})", line)
+            fields, seps = parts[0::2], parts[1::2]
+            if not seps:  # a line cut down to one field keeps it
+                continue
+            i, j = (draw(st.integers(0, len(fields) - 1)) for _ in range(2))
+            if op == "drop":
+                del fields[i], seps[min(i, len(seps) - 1)]
+            elif op == "duplicate":
+                fields.insert(i, fields[i])
+                seps.insert(i, seps[min(i, len(seps) - 1)])
+            else:
+                fields[i], fields[j] = fields[j], fields[i]
+            line = "".join(f + s for f, s in zip(fields, seps + [""]))
+    return "".join(f"{v}\n" for v in lines[:k] + [line] + lines[k + 1 :]), k + 1

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import example, given
 
 from teride.cdd import (
     CONST,
@@ -14,7 +17,14 @@ from teride.errors import ConfigError, DeterminantMissing, NoRulesFound
 from teride.metric import DistanceFn
 from teride.model import Repository
 
-from .conftest import make_tuple, ts
+from .conftest import make_tuple, mutated_file, ts
+
+RULE_FILE = [
+    "DEP=0 | 1:CONST:a+b | 2:INT:0.0,0.25 -> [0.0,0.5]",
+    "DEP=1 | 0:INT:0.1,0.3 -> [0.25,0.75]",
+    "DEP=2 | 0:CONST:x | 1:INT:0.0,1.0 -> [0.0,1.0]",
+    "DEP=2 | 0:CONST:y -> [0.5,1.0]",
+]
 
 
 def rule_is_valid(rule: CddRule, repo: Repository, dist: DistanceFn) -> bool:
@@ -277,3 +287,19 @@ class TestSerialization:
         assert len(rules_from_text(first + other)) == 2
         with pytest.raises(ConfigError, match="line 3: the rule of line 1 again"):
             rules_from_text(first + other + again + "\n")
+
+    @given(mutated_file(RULE_FILE, r" \| | -> "))
+    # determinants out of attribute order, and a token ending in a space, first
+    # in the file but last once sorted
+    @example(("DEP=0 | 2:INT:0.0,0.25 | 1:CONST:a+b -> [0.0,0.5]\n", 1))
+    @example(("DEP=0 | 1:CONST:z +b -> [0.0,0.5]\n", 1))
+    def test_a_mutated_file_reads_back_or_names_its_line(self, mutated):
+        text, lineno = mutated
+        try:
+            rules = rules_from_text(text)
+        except ConfigError as exc:
+            # every rule-file error names the line read, and a repeated rule also the line it repeats
+            m = re.match(r"rule file line (\d+): (?:the rule of line (\d+) again$)?", str(exc))
+            assert m and str(lineno) in m.groups(), str(exc)
+            return
+        assert rules_from_text(rules_to_text(rules)) == rules

@@ -142,15 +142,14 @@ def test_indexed_pooling_equals_a_brute_force_count_under_jaccard():
 
 class TestFallback:
     def test_uniform_over_top_values(self, numeric_repo):
-        cands = fallback_candidates(numeric_repo, 0, k=5)
+        cands = fallback_candidates(numeric_repo, 0)
         assert [v for v, _ in cands] == [ts("a1"), ts("a2")]
         assert all(p == pytest.approx(0.5) for _, p in cands)
 
     def test_top_values_come_in_token_order(self):
-        # c is the most frequent value and a the next, so they are the top 2
-        repo = Repository([make_tuple(f"s{i}", -1, 0, ts(v)) for i, v in enumerate("cccbaa")])
-        assert [v for v, _ in fallback_candidates(repo, 0, k=2)] == [ts("a"), ts("c")]
-        assert [v for v, _ in fallback_candidates(repo, 0, k=1)] == [ts("c")]
+        # by count c, b, then a, d and e tie; f is the least frequent, so it is left out
+        repo = Repository([make_tuple(f"s{i}", -1, 0, ts(v)) for i, v in enumerate("ccccbbbaaddeef")])
+        assert [v for v, _ in fallback_candidates(repo, 0)] == [ts(v) for v in "abcde"]
 
     @pytest.mark.parametrize("kind", [DistanceFn.JACCARD, DistanceFn.ABSDIFF])
     @pytest.mark.parametrize("seed", [32, 33])

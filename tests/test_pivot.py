@@ -1,7 +1,8 @@
 import math
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teride.errors import ConfigError
@@ -18,7 +19,15 @@ from teride.pivot import (
     select_pivots,
 )
 
-from .conftest import make_tuple, make_workload, ts
+from .conftest import make_tuple, make_workload, mutated_file, ts
+
+PIVOT_FILE = [
+    "PARAMS P=10 eMin=1.5 cntMax=3",
+    "PIVOT attr=0 idx=0 tokens=a+b",
+    "PIVOT attr=0 idx=1 tokens=c",
+    "PIVOT attr=1 idx=0 tokens=d",
+    "PIVOT attr=2 idx=0 tokens=e+f",
+]
 
 
 class TestDefaults:
@@ -179,3 +188,20 @@ class TestSerialization:
         assert pivots_from_text(good).bucket_count == 10
         with pytest.raises(ConfigError, match="line 3: a second PARAMS line; the first is line 1"):
             pivots_from_text(good + "PARAMS P=4 eMin=1.5 cntMax=3\n")
+
+    @given(mutated_file(PIVOT_FILE, " "))
+    # a pivot that repeats a later line's attr and idx
+    @example(("PARAMS P=10 eMin=1.5 cntMax=3\nPIVOT attr=0 idx=1 tokens=a\nPIVOT attr=0 idx=1 tokens=c\n", 2))
+    def test_a_mutated_file_reads_back_or_names_its_line(self, mutated):
+        text, lineno = mutated
+        try:
+            pivots = pivots_from_text(text)
+        except ConfigError as exc:
+            msg = str(exc)
+            m = re.match(r"pivot file line (\d+): ", msg)
+            if m is None:  # an error about the file's pivots as a whole
+                assert msg.startswith(("pivot file holds no pivots", "pivot file: ")), msg
+            else:  # names the line read, and a repeated line also the first one
+                assert m[1] == str(lineno) or msg.endswith(f"the first is line {lineno}"), msg
+            return
+        assert pivots_from_text(pivots_to_text(pivots)) == pivots
